@@ -12,9 +12,9 @@ from .abstraction import (
 from .ctl import CtlFormula, CtlSyntaxError, check, parse_ctl, sat_set
 from .data import DataError, Dataset, WorkingZone, load_dataset, save_dataset, zone_from_data
 from .elm import ElmNetwork, SingularSystemError, fit_output_weights, init_elm, mse, predict, predict_batch
-from .geometry import Box, membership_matrix
+from .geometry import Box, BoxTree, membership_matrix
 from .hybrid import HybridModel, Region, SimResult, hybrid_mse, merge_and_learn
-from .partition import PartitionSet, me_partition, select_bisection, shannon_entropy
+from .partition import PartitionSet, me_partition, shannon_entropy
 from .reach import (
     Bounds,
     ReachPiece,
@@ -30,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box",
+    "BoxTree",
     "Bounds",
     "CtlFormula",
     "CtlSyntaxError",
@@ -70,7 +71,6 @@ __all__ = [
     "sample_traces",
     "sat_set",
     "save_dataset",
-    "select_bisection",
     "shannon_entropy",
     "zone_from_data",
 ]

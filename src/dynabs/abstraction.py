@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import datetime
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import WorkingZone
-from .geometry import Box, membership_matrix
+from .data import DataError, WorkingZone, check_format_version
+# membership_matrix is not called here, but the benchmark's traced run
+# (pipebench/run.py) wraps this module's name for it, so the import stays
+from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
 from .hybrid import HybridModel
 from .partition import me_partition
 from .reach import cell_successor_box
@@ -169,18 +171,19 @@ class TransitionSystem:
     def state_label(self, state_id: int) -> str:
         return "EXIT" if state_id == self.exit_id else f"Q{state_id}"
 
+    @cached_property
+    def tree(self) -> BoxTree:
+        """Index over the cells, which must tile the zone; built on first lookup."""
+        return BoxTree(self.zone.omega, self.cells)
+
     def cell_index_of(self, x) -> int | None:
         """1-based id of the cell containing x, or None when x is outside."""
-        for i, c in enumerate(self.cells):
-            if c.contains(x):
-                return i + 1
-        return None
+        i = int(self.cell_indices_of(np.asarray(x, dtype=float)[None])[0])
+        return i if i else None
 
     def cell_indices_of(self, states: np.ndarray) -> np.ndarray:
         """Vectorized cell lookup; 0 marks out-of-zone points."""
-        member = membership_matrix(self.cells, states)
-        ids = np.where(member.any(axis=1), np.argmax(member, axis=1) + 1, 0)
-        return ids
+        return self.tree.locate(states) + 1
 
     def edge_count(self) -> int:
         return int(self.relation.sum())
@@ -203,14 +206,19 @@ class TransitionSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> TransitionSystem:
-        if "format_version" not in d:
-            raise ValueError("transition-system document missing format_version")
-        return cls(
-            zone=WorkingZone.from_dict(d["zone"]),
-            cells=tuple(Box.from_dict(c) for c in d["cells"]),
-            relation=np.asarray(d["relation"], dtype=bool),
-            initial=d.get("initial"),
-        )
+        """Transition system from its JSON document; any defect raises DataError."""
+        check_format_version(d, TS_FORMAT_VERSION, "transition-system")
+        try:
+            return cls(
+                zone=WorkingZone.from_dict(d["zone"]),
+                cells=tuple(Box.from_dict(c) for c in d["cells"]),
+                relation=np.asarray(d["relation"], dtype=bool),
+                initial=d.get("initial"),
+            )
+        except KeyError as exc:
+            raise DataError(f"transition-system document is missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"invalid transition-system document: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> TransitionSystem:
@@ -218,46 +226,30 @@ class TransitionSystem:
             return cls.from_dict(json.load(f))
 
 
-def compute_transitions(
-    model: HybridModel, cells, initial: int | None = None, workers: int = 1
-) -> TransitionSystem:
+def compute_transitions(model: HybridModel, cells, initial: int | None = None) -> TransitionSystem:
     """Relation R over the cells: R(i, j) iff the one-step enclosure of cell
     i meets cell j with positive width; enclosures extending beyond the zone
     get an edge to the exit sink.
 
-    Each region piece of the enclosure is tested against the cells
-    separately, which drops spurious transitions the hull would add.
+    Each region piece of the enclosure is tested against all cells at once,
+    which drops spurious transitions the hull would add. The cells must tile
+    the zone: a padded enclosure then always meets a cell or leaves the zone,
+    so every row has a successor.
     """
     cells = tuple(cells)
     n = len(cells)
     omega = model.zone.omega
-
-    def row(i: int) -> np.ndarray:
-        r = np.zeros(n + 1, dtype=bool)
-        result = cell_successor_box(model, cells[i])
-        for piece in result.pieces:
-            for j, cj in enumerate(cells):
-                if not r[j] and piece.output.overlaps_box(cj):
-                    r[j] = True
-            if not piece.output.within(omega):
-                r[n] = True
-        if not r.any():
-            # unreachable for padded enclosures; keep the relation total
-            fallback = next(
-                (j for j, cj in enumerate(cells) if cj.contains(np.clip(result.output.center, omega.lo, omega.hi))),
-                None,
-            )
-            r[fallback if fallback is not None else n] = True
-        return r
-
+    cell_lo = np.stack([c.lo for c in cells])
+    cell_hi = np.stack([c.hi for c in cells])
     relation = np.zeros((n + 1, n + 1), dtype=bool)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(n)))
-    else:
-        rows = [row(i) for i in range(n)]
-    for i, r in enumerate(rows):
-        relation[i] = r
+    for i, cell in enumerate(cells):
+        pieces = cell_successor_box(model, cell).pieces
+        out_lo = np.stack([p.output.lo for p in pieces])[:, None, :]   # (pieces, 1, dim)
+        out_hi = np.stack([p.output.hi for p in pieces])[:, None, :]
+        meets = np.all(np.minimum(out_hi, cell_hi) > np.maximum(out_lo, cell_lo), axis=2)
+        relation[i, :n] = meets.any(axis=0)
+        within = np.all((out_lo >= omega.lo) & (out_hi <= omega.hi), axis=2)
+        relation[i, n] = not within.all()
     relation[n, n] = True
     return TransitionSystem(zone=model.zone, cells=cells, relation=relation, initial=initial)
 

@@ -55,7 +55,6 @@ class PipelineConfig:
     trace_length: int = DEFAULT_TRACE_LENGTH
     seed: int = 0
     out_dir: str = "."
-    threads: int = 1
 
     def validate(self) -> None:
         if self.epsilon < 0 or self.gamma < 0:
@@ -68,8 +67,6 @@ class PipelineConfig:
             raise UsageError("traces and trace_length must be positive")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
-        if self.threads < 1:
-            raise UsageError("threads must be positive")
         if (self.omega_lo is None) != (self.omega_hi is None):
             raise UsageError("omega_lo and omega_hi must be given together")
         if self.omega_lo is not None:
@@ -127,10 +124,7 @@ def _load_for(cfg: PipelineConfig) -> Dataset:
 def _fit_model(cfg: PipelineConfig, data: Dataset):
     zone = _zone_for(cfg, data)
     parts = me_partition(zone, data, cfg.epsilon)
-    model = merge_and_learn(
-        parts, data, hidden_count=cfg.hidden_count, seed=cfg.seed,
-        gamma=cfg.gamma, workers=cfg.threads,
-    )
+    model = merge_and_learn(parts, data, hidden_count=cfg.hidden_count, seed=cfg.seed, gamma=cfg.gamma)
     return parts, model
 
 
@@ -166,7 +160,7 @@ def cmd_abstract(args) -> int:
     model = HybridModel.load(args.model)
     traces = sample_traces(model, cfg.traces, cfg.trace_length, cfg.seed)
     cells = build_cells(model.zone, traces, cfg.epsilon)
-    ts = compute_transitions(model, cells, initial=args.initial, workers=cfg.threads)
+    ts = compute_transitions(model, cells, initial=args.initial)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,7 +288,6 @@ def _add_config_flags(p: argparse.ArgumentParser, include_dataset: bool = True) 
     p.add_argument("--trace-length", dest="trace_length", type=int, help="steps per sampled trace")
     p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-    p.add_argument("--threads", type=int, help="worker cap for parallel sections")
 
 
 def build_parser() -> argparse.ArgumentParser:

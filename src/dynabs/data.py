@@ -20,6 +20,17 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def check_format_version(doc, version: int, what: str) -> None:
+    """Reject an artifact document that is not a JSON object of `version`."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} document must be a JSON object")
+    if "format_version" not in doc:
+        raise DataError(f"{what} document missing format_version")
+    if doc["format_version"] != version:
+        raise DataError(f"{what} document has format_version {doc['format_version']!r}; "
+                        f"only version {version} can be read")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Input/output sample pairs with declared state and input dimensions."""
@@ -143,7 +154,7 @@ def load_dataset(path, n_x: int, n_u: int) -> Dataset:
     """Load a CSV of one-step samples: header row, columns x..., u..., y... .
 
     Raises DataError naming the offending row and column on any malformed
-    cell, and on column-count mismatches against n_x + n_u + n_x.
+    or non-finite cell, and on column-count mismatches against n_x + n_u + n_x.
     """
     n_cols = n_x + n_u + n_x
     with open(path, newline="", encoding="utf-8") as f:
@@ -158,9 +169,11 @@ def load_dataset(path, n_x: int, n_u: int) -> Dataset:
                 f"{n_cols} (n_x={n_x}, n_u={n_u})"
             )
         rows = []
+        numbers = []  # CSV row number of each kept row; blank rows are skipped
         for r, row in enumerate(reader, start=1):
             if not row:
                 continue
+            numbers.append(r)
             if len(row) != n_cols:
                 raise DataError(f"{path}: row {r} has {len(row)} columns, expected {n_cols}")
             try:
@@ -174,6 +187,13 @@ def load_dataset(path, n_x: int, n_u: int) -> Dataset:
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        k, c = (int(v) for v in bad[0])
+        raise DataError(
+            f"{path}: row {numbers[k]}, column {c + 1} ({header[c]!r}): "
+            f"non-finite value {float(table[k, c])!r}"
+        )
     return Dataset(n_x, n_u, table[:, : n_x + n_u], table[:, n_x + n_u:])
 
 

@@ -132,7 +132,11 @@ class Box:
 
 
 def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
-    """Boolean (n_points, n_boxes) matrix of half-open box membership."""
+    """Boolean (n_points, n_boxes) matrix of half-open box membership.
+
+    The brute-force reference for `BoxTree.locate`, which replaces it on
+    every path that looks points up in a tiling.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     lo = np.stack([b.lo for b in boxes])            # (n_boxes, dim)
     hi = np.stack([b.hi for b in boxes])
@@ -140,3 +144,116 @@ def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
     p = points[:, None, :]                          # (n_points, 1, dim)
     above = (p < hi[None]) | (closed[None] & (p == hi[None]))
     return np.all((lo[None] <= p) & above, axis=2)
+
+
+class BoxTree:
+    """Split tree over boxes that tile a zone: the spatial index behind every
+    point lookup in a tiling.
+
+    Each internal node stores a face `(dim, cut)` that separates its boxes;
+    a point goes right iff ``x[dim] >= cut``, which is `Box.contains`'s
+    half-open rule. For a tiling made by bisection the face is the node's
+    midpoint; other guillotine tilings cut at a box face. Leaves map to box
+    indices. Building costs O(B * depth) and raises `ValueError` naming the
+    first gap, overlap or node without a separating face.
+    """
+
+    def __init__(self, zone: Box, boxes):
+        boxes = list(boxes)
+        if not boxes:
+            raise ValueError("no boxes to index")
+        if any(b.dim != zone.dim for b in boxes):
+            raise ValueError(f"every box must have the zone's dimension {zone.dim}")
+        self.zone = zone
+        self.lo = np.stack([b.lo for b in boxes])   # (n_boxes, dim)
+        self.hi = np.stack([b.hi for b in boxes])
+        lo, hi = self.lo, self.hi
+        outside = np.nonzero(np.any(lo < zone.lo, axis=1) | np.any(hi > zone.hi, axis=1))[0]
+        if outside.size:
+            k = int(outside[0])
+            raise ValueError(f"box {k} {boxes[k]!r} extends outside the zone {zone!r}")
+        # a tiling is closed exactly on the zone's closed outer faces, so that
+        # every point of the zone lies in one box
+        closed = np.stack([b.closed_hi for b in boxes])
+        wrong = np.nonzero(np.any(closed != ((hi == zone.hi) & zone.closed_hi), axis=1))[0]
+        if wrong.size:
+            k = int(wrong[0])
+            raise ValueError(f"box {k} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
+
+        dims, cuts, left, right, leaf = [0], [0.0], [0], [0], [-1]
+        self.depth = 0
+        stack = [(0, 0, np.arange(len(boxes)), zone.lo, zone.hi)]
+        while stack:
+            node, depth, members, node_lo, node_hi = stack.pop()
+            if members.size == 0:
+                raise ValueError(f"gap: no box covers [{node_lo.tolist()}, {node_hi.tolist()}]")
+            if members.size == 1:
+                k = int(members[0])
+                if not (np.array_equal(lo[k], node_lo) and np.array_equal(hi[k], node_hi)):
+                    raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
+                                     f"[{node_lo.tolist()}, {node_hi.tolist()}]")
+                leaf[node] = k
+                self.depth = max(self.depth, depth)
+                continue
+            d, cut = _separating_face(lo[members], hi[members], node_lo, node_hi, boxes, members)
+            lower = hi[members, d] <= cut
+            left_hi = node_hi.copy()
+            left_hi[d] = cut
+            right_lo = node_lo.copy()
+            right_lo[d] = cut
+            dims[node], cuts[node] = d, cut
+            left[node], right[node] = len(dims), len(dims) + 1
+            for _ in range(2):
+                dims.append(0)
+                cuts.append(0.0)
+                left.append(len(left))    # a leaf's children are itself
+                right.append(len(right))
+                leaf.append(-1)
+            stack.append((right[node], depth + 1, members[~lower], right_lo, node_hi))
+            stack.append((left[node], depth + 1, members[lower], node_lo, left_hi))
+
+        self.dims = np.asarray(dims, dtype=np.intp)
+        self.cuts = np.asarray(cuts, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.leaf = np.asarray(leaf, dtype=np.intp)
+
+    def locate(self, points) -> np.ndarray:
+        """Index of the box holding each point row, -1 outside the zone."""
+        x = np.atleast_2d(np.asarray(points, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.zone.dim:
+            raise ValueError(f"points of shape {x.shape} located in a zone of dimension {self.zone.dim}")
+        rows = np.arange(x.shape[0])
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            node = np.where(x[rows, self.dims[node]] >= self.cuts[node], self.right[node], self.left[node])
+        z = self.zone
+        inside = np.all((z.lo <= x) & ((x < z.hi) | (z.closed_hi & (x == z.hi))), axis=1)
+        return np.where(inside, self.leaf[node], -1)
+
+
+def _separating_face(lo, hi, node_lo, node_hi, boxes, members) -> tuple[int, float]:
+    """(dim, cut) of a face no box of the node crosses: the midpoint where it
+    separates, else the lowest box face that does."""
+    mid = 0.5 * (node_lo + node_hi)
+    at_mid = np.nonzero(np.all((hi <= mid) | (lo >= mid), axis=0))[0]
+    if at_mid.size:
+        d = int(at_mid[0])
+        return d, float(mid[d])
+    for d in range(lo.shape[1]):
+        order = np.argsort(lo[:, d], kind="stable")
+        starts = lo[order, d]
+        reach = np.maximum.accumulate(hi[order, d])
+        # a cut at starts[k] separates iff every box starting before it ends by it
+        ok = np.nonzero(reach[:-1] <= starts[1:])[0]
+        if ok.size:
+            return d, float(starts[ok[0] + 1])
+    for a in range(len(members)):
+        inter = np.minimum(hi[a], hi[a + 1:]) > np.maximum(lo[a], lo[a + 1:])
+        hit = np.nonzero(np.all(inter, axis=1))[0]
+        if hit.size:
+            i, j = int(members[a]), int(members[a + 1 + hit[0]])
+            raise ValueError(f"overlap: boxes {i} {boxes[i]!r} and {j} {boxes[j]!r} intersect")
+    raise ValueError(f"no axis-aligned face separates boxes {sorted(int(m) for m in members)}: "
+                     "the boxes do not form a guillotine tiling")
+

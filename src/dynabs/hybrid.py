@@ -12,14 +12,15 @@ import datetime
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, WorkingZone
+from .data import DataError, Dataset, WorkingZone, check_format_version
 from .elm import DEFAULT_RIDGE, ElmNetwork, fit_output_weights, init_elm, mse, predict, predict_batch
-from .geometry import Box, membership_matrix
+# membership_matrix is not called here, but the benchmark's traced run
+# (pipebench/run.py) wraps this module's name for it, so the import stays
+from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -36,12 +37,6 @@ class Region:
 
     id: int
     boxes: tuple[Box, ...]
-
-    def contains(self, x) -> bool:
-        return any(b.contains(x) for b in self.boxes)
-
-    def distance_linf(self, x) -> float:
-        return min(b.distance_linf(x) for b in self.boxes)
 
 
 @dataclass
@@ -74,6 +69,9 @@ class HybridModel:
     gamma: float
     epsilon: float
     stats: MergeStats | None = field(default=None, repr=False)
+    # index over every region box, in region order; built once per model
+    tree: BoxTree = field(init=False, repr=False)
+    box_owner: np.ndarray = field(init=False, repr=False)  # region id of each indexed box
 
     def __post_init__(self):
         if len(self.regions) != len(self.networks):
@@ -81,6 +79,9 @@ class HybridModel:
         for k, r in enumerate(self.regions, start=1):
             if r.id != k:
                 raise ValueError(f"region ids must be dense from 1, got {r.id} at position {k}")
+        boxes = [b for r in self.regions for b in r.boxes]
+        object.__setattr__(self, "tree", BoxTree(self.zone.omega, boxes))
+        object.__setattr__(self, "box_owner", np.array([r.id for r in self.regions for _ in r.boxes]))
 
     @property
     def n_regions(self) -> int:
@@ -95,12 +96,8 @@ class HybridModel:
     def locate_with_flag(self, x) -> tuple[int, bool]:
         """Region id containing x; out-of-zone points fall back to the
         nearest region by L-infinity distance and raise the flag."""
-        x = np.asarray(x, dtype=float)
-        for r in self.regions:
-            if r.contains(x):
-                return r.id, False
-        best = min(self.regions, key=lambda r: (r.distance_linf(x), r.id))
-        return best.id, True
+        ids, out = self.locate_batch(np.asarray(x, dtype=float)[None])
+        return int(ids[0]), bool(out[0])
 
     def step(self, x, u=None) -> np.ndarray:
         """One step of x(k+1) = net[locate(x(k))]([x(k); u(k)])."""
@@ -144,19 +141,20 @@ class HybridModel:
         return SimResult(np.asarray(trace), flagged)
 
     def locate_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized locate: (region ids, out-of-zone mask) for state rows."""
+        """Vectorized locate: (region ids, out-of-zone mask) for state rows.
+
+        Rows outside the zone fall back to the region nearest by L-infinity
+        distance, ties to the lowest id.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        boxes = [b for r in self.regions for b in r.boxes]
-        owner = np.array([r.id for r in self.regions for _ in r.boxes])
-        member = membership_matrix(boxes, states)
-        ids = np.zeros(states.shape[0], dtype=int)
-        hit = member.any(axis=1)
-        if hit.any():
-            ids[hit] = owner[np.argmax(member[hit], axis=1)]
-        out = ~hit
-        for i in np.nonzero(out)[0]:
-            ids[i] = self.locate_with_flag(states[i])[0]
-        return ids, out
+        box = self.tree.locate(states)
+        out = box < 0
+        if out.any():
+            x = states[out][:, None, :]
+            gap = np.maximum(np.maximum(self.tree.lo - x, x - self.tree.hi), 0.0).max(axis=2)
+            # boxes are in region order, so the first nearest box has the lowest id
+            box[out] = np.argmin(gap, axis=1)
+        return self.box_owner[box], out
 
     def predict_located(self, z: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Batch step for pre-located samples: rows of z grouped by region id."""
@@ -187,20 +185,23 @@ class HybridModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> HybridModel:
-        if "format_version" not in d:
-            raise ValueError("model document missing format_version")
-        regions = tuple(
-            Region(int(r["id"]), tuple(Box.from_dict(b) for b in r["boxes"]))
-            for r in d["regions"]
-        )
-        networks = tuple(ElmNetwork.from_dict(n) for n in d["networks"])
-        return cls(
-            zone=WorkingZone.from_dict(d["zone"]),
-            regions=regions,
-            networks=networks,
-            gamma=float(d["gamma"]),
-            epsilon=float(d["epsilon"]),
-        )
+        """Model from its JSON document; any defect raises DataError."""
+        check_format_version(d, MODEL_FORMAT_VERSION, "model")
+        try:
+            return cls(
+                zone=WorkingZone.from_dict(d["zone"]),
+                regions=tuple(
+                    Region(int(r["id"]), tuple(Box.from_dict(b) for b in r["boxes"]))
+                    for r in d["regions"]
+                ),
+                networks=tuple(ElmNetwork.from_dict(n) for n in d["networks"]),
+                gamma=float(d["gamma"]),
+                epsilon=float(d["epsilon"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"model document is missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"invalid model document: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> HybridModel:
@@ -222,7 +223,6 @@ def merge_and_learn(
     seed: int,
     gamma: float,
     ridge: float = DEFAULT_RIDGE,
-    workers: int = 1,
 ) -> HybridModel:
     """Merge redundant partitions by the pooled-MSE test and fit one network
     per surviving region.
@@ -279,11 +279,7 @@ def merge_and_learn(
         net = fit_output_weights(net, data.subset(idx), ridge)
         return net, time.perf_counter() - t0
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fitted = list(pool.map(refit, range(len(regions))))
-    else:
-        fitted = [refit(i) for i in range(len(regions))]
+    fitted = [refit(i) for i in range(len(regions))]
     stats.refit_seconds = [sec for _, sec in fitted]
 
     return HybridModel(

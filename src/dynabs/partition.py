@@ -1,8 +1,8 @@
 """Maximum-entropy bisection of a working zone.
 
-The zone is recursively bisected along the longest side of the widest
-partition; a tentative split is kept only when it raises the Shannon entropy
-of sample occupancy by at least the threshold epsilon. Partitions whose
+The zone is recursively bisected at the midpoint of each partition's longest
+side; a tentative split is kept only when it raises the Shannon entropy of
+sample occupancy by at least the threshold epsilon. Partitions whose
 tentative split fails are frozen and never revisited, which guarantees
 termination and keeps the procedure deterministic.
 """
@@ -33,23 +33,6 @@ def shannon_entropy(counts) -> float:
         raise ValueError("at least one count must be positive")
     p = counts[counts > 0] / total
     return float(-(p * np.log(p)).sum())
-
-
-def select_bisection(boxes, active) -> tuple[int, int]:
-    """Pick (partition, dimension) with the largest side length.
-
-    Ties break toward the lowest partition index, then the lowest dimension.
-    Indices are 0-based positions into `boxes`.
-    """
-    best = None
-    for i in sorted(active):
-        sides = boxes[i].sides
-        j = int(np.argmax(sides))  # argmax takes the lowest dim on ties
-        if best is None or sides[j] > best[0]:
-            best = (float(sides[j]), i, j)
-    if best is None:
-        raise ValueError("active set is empty")
-    return best[1], best[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +68,12 @@ def _xlogx(c: float) -> float:
 def me_partition(zone: WorkingZone, data, epsilon: float) -> PartitionSet:
     """Maximum-entropy partitioning of the zone driven by sample density.
 
-    Repeatedly bisects the widest active partition at its midpoint; the split
-    is committed when the global entropy gain H(after) - H(before) reaches
+    Bisects each partition at the midpoint of its longest side; the split is
+    committed when the global entropy gain H(after) - H(before) reaches
     epsilon, otherwise the partition is frozen. Returns the final tiling with
     each sample assigned to exactly one box (half-open membership).
+    `split_log` holds one (tiling position, dimension, gain, committed) entry
+    per tested split, in depth-first order.
 
     `data` is a Dataset (its state coordinates are used) or a plain
     (n, n_x) array of points inside the zone.
@@ -109,47 +94,47 @@ def me_partition(zone: WorkingZone, data, epsilon: float) -> PartitionSet:
 
     n_total = states.shape[0]
     extent = zone.omega.sides
-    # entries: [box, sample indices, active flag], in stable tiling order
-    entries: list[list] = [[zone.omega, np.arange(n_total), True]]
+    boxes: list[Box] = []
+    assignments: list[np.ndarray] = []
     log: list[tuple[int, int, float, bool]] = []
 
-    while True:
-        active = [i for i, e in enumerate(entries) if e[2]]
-        # freeze slivers before selection so they cannot be picked forever
-        for i in active:
-            if np.max(entries[i][0].sides / extent) < MIN_SIDE_FRACTION:
-                entries[i][2] = False
-        active = [i for i in active if entries[i][2]]
-        if not active:
-            break
+    def keep(box: Box, idx: np.ndarray) -> None:
+        boxes.append(box)
+        assignments.append(idx)
 
-        i, j = select_bisection([e[0] for e in entries], active)
-        box, idx, _ = entries[i]
+    # Depth-first over the split tree, lower child first, so boxes come out in
+    # tiling order. A box's fate depends only on the box and its samples, so
+    # this visits the same splits as widest-first selection would.
+    stack = [(zone.omega, np.arange(n_total))]
+    while stack:
+        box, idx = stack.pop()
+        if np.max(box.sides / extent) < MIN_SIDE_FRACTION:
+            keep(box, idx)
+            continue
+        j = int(np.argmax(box.sides))  # argmax takes the lowest dim on ties
         mid = 0.5 * (box.lo[j] + box.hi[j])
         if not box.lo[j] < mid < box.hi[j]:  # midpoint collapse at float limits
-            entries[i][2] = False
+            keep(box, idx)
             continue
         lower_mask = states[idx, j] < mid
         c = idx.size
         c1 = int(lower_mask.sum())
         c2 = c - c1
         delta_h = (_xlogx(c) - _xlogx(c1) - _xlogx(c2)) / n_total if n_total else 0.0
-
-        if delta_h >= epsilon:
+        accepted = bool(delta_h >= epsilon)
+        # the split box's position in the tiling: every box before it is final
+        log.append((len(boxes), j, delta_h, accepted))
+        if accepted:
             left, right = box.bisect(j)
-            entries[i: i + 1] = [
-                [left, idx[lower_mask], True],
-                [right, idx[~lower_mask], True],
-            ]
-            log.append((i, j, delta_h, True))
+            stack.append((right, idx[~lower_mask]))
+            stack.append((left, idx[lower_mask]))
         else:
-            entries[i][2] = False
-            log.append((i, j, delta_h, False))
+            keep(box, idx)
 
     return PartitionSet(
         zone=zone,
-        boxes=[e[0] for e in entries],
-        assignments=[e[1] for e in entries],
+        boxes=boxes,
+        assignments=assignments,
         epsilon=float(epsilon),
         split_log=log,
     )

@@ -150,31 +150,31 @@ def cell_successor_box(model: HybridModel, cell: Box, input_bounds: Box | None =
     """Per-region reachability of one cell: propagate every non-empty
     (cell ∩ region box) through that region's network and take the hull.
 
-    The regions tile the zone, so a cell inside the zone always yields at
-    least one piece.
+    The cell meets all region boxes at once, over the stacked bounds of the
+    model's index; pieces come in region-box order. The regions tile the
+    zone, so a cell inside the zone always yields at least one piece.
     """
     omega = model.zone.omega
     if np.any(cell.lo < omega.lo) or np.any(cell.hi > omega.hi):
         raise ValueError("cell must lie inside the working zone")
     if input_bounds is None:
         input_bounds = model.zone.input_bounds
+    lo = np.maximum(cell.lo, model.tree.lo)
+    hi = np.minimum(cell.hi, model.tree.hi)
     pieces: list[ReachPiece] = []
     output: Bounds | None = None
-    for region, net in zip(model.regions, model.networks):
-        for box in region.boxes:
-            overlap = cell.intersect(box)
-            if overlap is None:
-                continue
-            if input_bounds is not None:
-                z = Bounds(
-                    np.concatenate([overlap.lo, input_bounds.lo]),
-                    np.concatenate([overlap.hi, input_bounds.hi]),
-                )
-            else:
-                z = Bounds.from_box(overlap)
-            out = elm_output_box(net, z)
-            pieces.append(ReachPiece(region.id, z, out))
-            output = out if output is None else output.hull(out)
+    for k in np.nonzero(np.all(hi > lo, axis=1))[0]:  # zero-width overlap is empty
+        if input_bounds is not None:
+            z = Bounds(
+                np.concatenate([lo[k], input_bounds.lo]),
+                np.concatenate([hi[k], input_bounds.hi]),
+            )
+        else:
+            z = Bounds(lo[k], hi[k])
+        region_id = int(model.box_owner[k])
+        out = elm_output_box(model.network_of(region_id), z)
+        pieces.append(ReachPiece(region_id, z, out))
+        output = out if output is None else output.hull(out)
     if output is None:
         raise ValueError("cell intersects no region; region coverage is broken")
     return ReachResult(output, tuple(pieces))

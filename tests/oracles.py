@@ -1,16 +1,19 @@
 """Independent oracles the implementation is checked against.
 
 These deliberately use different machinery than the library: the
-least-squares oracle solves the normal equations directly, and the CTL
-oracle evaluates path semantics by depth-first graph walks instead of
-boolean fixpoint iteration.
+least-squares oracle solves the normal equations directly, the partition
+oracle rescans every active box for the widest one instead of walking the
+split tree, the transition oracle intersects cells with region boxes one
+pair at a time, and the CTL oracle evaluates path semantics by depth-first
+graph walks instead of boolean fixpoint iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dynabs import elm_output_box, predict_batch
+from dynabs import Bounds, elm_output_box, predict_batch
+from dynabs.partition import MIN_SIDE_FRACTION
 from dynabs.ctl import And, CellAtom, CtlFormula, ExitAtom, Not, Or, TrueF, Unary, Until
 
 
@@ -29,6 +32,71 @@ def monte_carlo_containment(net, box, n_points: int, rng, slack: float = 1e-9) -
     y = predict_batch(net, z)
     ok = (y >= bounds.lo - slack) & (y <= bounds.hi + slack)
     return int((~ok.all(axis=1)).sum())
+
+
+def _xlogx(c: int) -> float:
+    return c * np.log(c) if c > 0 else 0.0
+
+
+def widest_first_partition(zone, states: np.ndarray, epsilon: float):
+    """Max-entropy bisection that always splits the widest active box.
+
+    Ties go to the lowest tiling position, then the lowest dimension. Returns
+    (boxes, assignments, split_log) with log entries (position, dim, gain,
+    committed) in selection order.
+    """
+    n_total = states.shape[0]
+    extent = zone.omega.sides
+    entries = [[zone.omega, np.arange(n_total), True]]  # box, samples, active
+    log = []
+    while True:
+        for e in entries:
+            if e[2] and np.max(e[0].sides / extent) < MIN_SIDE_FRACTION:
+                e[2] = False
+        active = [i for i, e in enumerate(entries) if e[2]]
+        if not active:
+            break
+        i = max(active, key=lambda k: (entries[k][0].sides.max(), -k))
+        box, idx, _ = entries[i]
+        j = int(np.argmax(box.sides))
+        mid = 0.5 * (box.lo[j] + box.hi[j])
+        if not box.lo[j] < mid < box.hi[j]:
+            entries[i][2] = False
+            continue
+        lower = states[idx, j] < mid
+        c, c1 = idx.size, int(lower.sum())
+        delta_h = (_xlogx(c) - _xlogx(c1) - _xlogx(c - c1)) / n_total if n_total else 0.0
+        log.append((i, j, delta_h, bool(delta_h >= epsilon)))
+        if delta_h >= epsilon:
+            left, right = box.bisect(j)
+            entries[i: i + 1] = [[left, idx[lower], True], [right, idx[~lower], True]]
+        else:
+            entries[i][2] = False
+    return [e[0] for e in entries], [e[1] for e in entries], log
+
+
+def pairwise_transitions(model, cells) -> np.ndarray:
+    """(N+1) x (N+1) relation from one cell x region-box intersection and one
+    piece x cell overlap test at a time."""
+    omega = model.zone.omega
+    ib = model.zone.input_bounds
+    n = len(cells)
+    rel = np.zeros((n + 1, n + 1), dtype=bool)
+    for i, cell in enumerate(cells):
+        for region, net in zip(model.regions, model.networks):
+            for box in region.boxes:
+                overlap = cell.intersect(box)
+                if overlap is None:
+                    continue
+                z = Bounds.from_box(overlap)
+                if ib is not None:
+                    z = Bounds(np.concatenate([z.lo, ib.lo]), np.concatenate([z.hi, ib.hi]))
+                out = elm_output_box(net, z)
+                for j, other in enumerate(cells):
+                    rel[i, j] |= out.overlaps_box(other)
+                rel[i, n] |= not out.within(omega)
+    rel[n, n] = True
+    return rel
 
 
 # --- CTL path-semantics oracle (graph DFS, states 0-based) ----------------

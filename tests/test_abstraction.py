@@ -14,6 +14,8 @@ from dynabs import (
 )
 from dynabs.abstraction import Trace, TraceSet
 
+from oracles import pairwise_transitions
+
 from synthdata import (
     constant_net,
     fitted_swirl_model,
@@ -124,6 +126,11 @@ def test_transitions_exit_edge():
     assert ts.relation[0, 1]  # to sink
     assert not ts.relation[0, 0]
 
+    # one region's piece stays, the other's leaves: both edges
+    model = split_region_model(zone, [constant_net([0.2, 0.2], 2), constant_net([1.5, 0.5], 2)])
+    ts = compute_transitions(model, [zone.omega])
+    assert ts.relation[0, 0] and ts.relation[0, 1]
+
 
 def test_transitions_constant_map_into_third_cell():
     zone = unit_zone()
@@ -146,14 +153,34 @@ def test_transitions_straddling_regions():
     assert ts.relation[1, 1] and not ts.relation[1, 0]
 
 
-def test_transitions_deterministic_and_worker_invariant():
+def test_transitions_deterministic():
     model, _ = fitted_swirl_model(seed=5, n_samples=600)
     cells = quarter_cells(model.zone)
     a = compute_transitions(model, cells)
     b = compute_transitions(model, cells)
-    c = compute_transitions(model, cells, workers=4)
     assert np.array_equal(a.relation, b.relation)
-    assert np.array_equal(a.relation, c.relation)
+
+
+def test_transitions_equal_pairwise_reference():
+    model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
+    assert model.n_regions > 1 and sum(len(r.boxes) for r in model.regions) > model.n_regions
+    cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
+    ts = compute_transitions(model, cells)
+    assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
+
+
+def test_transitions_with_inputs_equal_pairwise_reference():
+    zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([-0.25], [0.25]))
+    nets = [init_elm(2, 1, 6, seed=s) for s in (1, 2)]
+    rng = np.random.default_rng(0)
+    z = np.column_stack([rng.uniform(0, 1, 80), rng.uniform(-0.25, 0.25, 80)])
+    from dynabs import Dataset
+
+    nets = [fit_output_weights(n, Dataset(1, 1, z, 0.8 * z[:, :1] + z[:, 1:])) for n in nets]
+    model = split_region_model(zone, nets)
+    cells = [c for half in zone.omega.bisect(0) for c in half.bisect(0)]
+    ts = compute_transitions(model, cells)
+    assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
 
 
 def test_transition_system_validation():

@@ -212,3 +212,48 @@ def test_usage_error_on_missing_subcommand_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # argparse enforces required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("column, value, position", [
+    ("y1", "nan", "row 2, column 3 ('y1')"),
+    ("x2", "inf", "row 2, column 2 ('x2')"),
+])
+def test_fit_rejects_non_finite_values(tmp_path, capsys, column, value, position):
+    rows = [["x1", "x2", "y1", "y2"], ["0.1", "0.2", "0.3", "0.4"], ["0.5", "0.6", "0.7", "0.8"]]
+    rows[2][rows[0].index(column)] = value
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    code, _, err = run(capsys, "fit", "--dataset", path, "--n-x", 2, "--n-u", 0,
+                       "--out-dir", tmp_path / "out")
+    assert code == 3
+    assert position in err and "non-finite" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_abstract_and_verify_reject_malformed_artifacts(dataset_csv, tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
+    assert code == 0
+    doc = json.loads((out_dir / "model.json").read_text())
+    region = next(r for r in doc["regions"] if len(r["boxes"]) > 1)
+    del region["boxes"][0]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "abstract", "--model", broken, "--out-dir", tmp_path / "a")
+    assert code == 3 and "gap" in err
+
+    for bad in ({"format_version": 1}, {"format_version": 99}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "abstract", "--model", path, "--out-dir", tmp_path / "a")
+        assert code == 3 and "model document" in err
+        code, _, err = run(capsys, "verify", "--ts", path, "--formula", "EF Q1", "--initial", 1)
+        assert code == 3 and "transition-system document" in err
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": "x.csv", "threads": 2}))
+    code, _, err = run(capsys, "fit", "--config", cfg)
+    assert code == 2 and "threads" in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynabs import Box, WorkingZone, membership_matrix
+from dynabs import Box, BoxTree, WorkingZone, membership_matrix
 
 
 def test_box_basic_fields():
@@ -158,3 +158,120 @@ def test_random_bisection_tree_tiles_zone(seed, dim):
     corners = np.stack([zone.omega.lo, zone.omega.hi, zone.omega.center])
     counts = membership_matrix(leaves, corners).sum(axis=1)
     assert (counts == 1).all()
+
+
+def reference_locate(boxes, points):
+    """Index of the box holding each point by brute force, -1 where none does."""
+    member = membership_matrix(boxes, points)
+    assert (member.sum(axis=1) <= 1).all()
+    return np.where(member.any(axis=1), member.argmax(axis=1), -1)
+
+
+def face_probes(zone, boxes, rng):
+    """Every box corner, points on every box face, random points of the zone
+    and points outside it."""
+    lo = np.stack([b.lo for b in boxes])
+    hi = np.stack([b.hi for b in boxes])
+    dim = zone.dim
+    corners = [np.where(np.array(bits, dtype=bool), hi, lo) for bits in np.ndindex(*(2,) * dim)]
+    on_faces = []
+    for k in range(dim):
+        for side in (lo, hi):
+            p = rng.uniform(lo, hi)
+            p[:, k] = side[:, k]
+            on_faces.append(p)
+    inside = rng.uniform(zone.lo, zone.hi, size=(300, dim))
+    outside = np.concatenate([zone.hi + rng.uniform(0.01, 1.0, size=(10, dim)),
+                              zone.lo - rng.uniform(0.01, 1.0, size=(10, dim))])
+    return np.concatenate(corners + on_faces + [inside, outside])
+
+
+def random_zone(rng, dim):
+    """A box with some upper faces closed, as a working zone's are, and some open."""
+    return Box(rng.uniform(-2.0, 0.0, dim), rng.uniform(0.5, 3.0, dim), rng.random(dim) < 0.7)
+
+
+def random_bisection_tiling(rng, dim, splits):
+    zone = random_zone(rng, dim)
+    leaves = [zone]
+    for _ in range(splits):
+        box = leaves.pop(int(rng.integers(len(leaves))))
+        leaves.extend(box.bisect(int(rng.integers(dim))))
+    return zone, leaves
+
+
+def guillotine_tiling(rng, zone, cuts):
+    """Recursive cuts at random (non-midpoint) positions."""
+    leaves = [zone]
+    for _ in range(cuts):
+        box = leaves.pop(int(rng.integers(len(leaves))))
+        j = int(rng.integers(zone.dim))
+        cut = box.lo[j] + rng.uniform(0.1, 0.9) * box.sides[j]
+        lo_hi = box.hi.copy()
+        lo_hi[j] = cut
+        lo_closed = box.closed_hi.copy()
+        lo_closed[j] = False
+        hi_lo = box.lo.copy()
+        hi_lo[j] = cut
+        leaves.extend([Box(box.lo, lo_hi, lo_closed), Box(hi_lo, box.hi, box.closed_hi)])
+    return leaves
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 40))
+def test_tree_locate_equals_membership_on_bisection_tilings(seed, dim, splits):
+    rng = np.random.default_rng(seed)
+    zone, leaves = random_bisection_tiling(rng, dim, splits)
+    order = rng.permutation(len(leaves))  # the tree must not rely on tiling order
+    boxes = [leaves[k] for k in order]
+    tree = BoxTree(zone, boxes)
+    probes = face_probes(zone, boxes, rng)
+    assert np.array_equal(tree.locate(probes), reference_locate(boxes, probes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 40))
+def test_tree_locate_equals_membership_on_guillotine_tilings(seed, dim, cuts):
+    rng = np.random.default_rng(seed)
+    zone = random_zone(rng, dim)
+    boxes = guillotine_tiling(rng, zone, cuts)
+    tree = BoxTree(zone, boxes)
+    probes = face_probes(zone, boxes, rng)
+    assert np.array_equal(tree.locate(probes), reference_locate(boxes, probes))
+
+
+def test_tree_cuts_bisection_tilings_at_midpoints():
+    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
+    left, right = zone.bisect(0)
+    boxes = [*left.bisect(1), right]
+    tree = BoxTree(zone, boxes)
+    inner = tree.leaf < 0
+    assert sorted(zip(tree.dims[inner].tolist(), tree.cuts[inner].tolist())) == [(0, 0.5), (1, 0.5)]
+    assert tree.locate([[0.5, 0.5], [0.2, 0.5], [0.2, 0.49], [1.0, 1.0], [1.0, 1.01]]).tolist() == [2, 1, 0, 2, -1]
+
+
+def test_tree_rejects_bad_tilings():
+    zone = WorkingZone(Box([0.0, 0.0], [2.0, 2.0])).omega
+    left, right = zone.bisect(0)
+    with pytest.raises(ValueError, match="gap"):
+        BoxTree(zone, [left])
+    with pytest.raises(ValueError, match="gap"):
+        BoxTree(zone, [left, *right.bisect(1)[:1]])
+    with pytest.raises(ValueError, match="overlap"):
+        BoxTree(zone, [left, right, Box([0.5, 0.5], [1.5, 1.5])])
+    with pytest.raises(ValueError, match="outside the zone"):
+        BoxTree(zone, [left, Box([1.0, 0.0], [3.0, 2.0], [True, True])])
+    with pytest.raises(ValueError, match="closed"):
+        BoxTree(zone, [Box(left.lo, left.hi, [True, True]), right])
+    # a pinwheel tiles the square, but no single cut separates its boxes
+    pinwheel = [
+        Box([0.0, 0.0], [1.5, 0.5]),
+        Box([1.5, 0.0], [2.0, 1.5], [True, False]),
+        Box([0.5, 1.5], [2.0, 2.0], [True, True]),
+        Box([0.0, 0.5], [0.5, 2.0], [False, True]),
+        Box([0.5, 0.5], [1.5, 1.5]),
+    ]
+    grid = np.stack(np.meshgrid(np.linspace(0, 2, 9), np.linspace(0, 2, 9)), axis=-1).reshape(-1, 2)
+    assert (membership_matrix(pinwheel, grid).sum(axis=1) == 1).all()
+    with pytest.raises(ValueError, match="no axis-aligned face"):
+        BoxTree(zone, pinwheel)

@@ -7,6 +7,7 @@ from dynabs import (
     ElmNetwork,
     HybridModel,
     PartitionSet,
+    Region,
     WorkingZone,
     fit_output_weights,
     hybrid_mse,
@@ -220,11 +221,50 @@ def test_hybrid_mse_zero_for_self_consistent_model():
     assert hybrid_mse(model, data) == 0.0
 
 
-def test_parallel_refit_matches_serial():
+def test_refit_is_deterministic():
     data = swirl_dataset(500, seed=9)
     parts = me_partition(swirl_zone(), data, epsilon=0.04)
-    serial = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6, workers=1)
-    parallel = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6, workers=4)
-    assert serial.n_regions == parallel.n_regions
-    for a, b in zip(serial.networks, parallel.networks):
-        assert np.array_equal(a.w_out, b.w_out)
+    a = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6)
+    b = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6)
+    assert a.n_regions == b.n_regions
+    for ra, rb in zip(a.regions, b.regions):
+        assert [(x.lo.tolist(), x.hi.tolist()) for x in ra.boxes] == [(x.lo.tolist(), x.hi.tolist()) for x in rb.boxes]
+    for na, nb in zip(a.networks, b.networks):
+        assert np.array_equal(na.w_out, nb.w_out)
+
+
+def test_locate_batch_equals_membership_reference():
+    """Tree lookup plus nearest-region fallback against brute-force membership
+    and a per-region distance scan, on box corners, cut faces and outside points."""
+    data = swirl_dataset(800, seed=4)
+    parts = me_partition(swirl_zone(), data, epsilon=0.02)
+    model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=1e-8)
+    assert model.n_regions > 1
+    boxes = [b for r in model.regions for b in r.boxes]
+    owner = np.array([r.id for r in model.regions for _ in r.boxes])
+    rng = np.random.default_rng(5)
+    points = np.concatenate([
+        np.stack([b.lo for b in boxes]),
+        np.stack([b.hi for b in boxes]),
+        np.stack([np.array([b.lo[0], b.center[1]]) for b in boxes]),
+        rng.uniform(-1.0, 1.0, size=(2000, 2)),
+        rng.uniform(-3.0, 3.0, size=(500, 2)),
+    ])
+    ids, out = model.locate_batch(points)
+    member = membership_matrix(boxes, points)
+    assert np.array_equal(out, ~member.any(axis=1))
+    assert np.array_equal(ids[~out], owner[member[~out].argmax(axis=1)])
+    for x, rid in zip(points[out], ids[out]):
+        nearest = min(model.regions, key=lambda r: (min(b.distance_linf(x) for b in r.boxes), r.id))
+        assert rid == nearest.id
+
+
+def test_model_requires_regions_that_tile_the_zone():
+    zone = unit_zone()
+    left, right = zone.omega.bisect(0)
+    net = constant_net([0.5, 0.5], 2)
+    with pytest.raises(ValueError, match="gap"):
+        HybridModel(zone, (Region(1, (left,)),), (net,), gamma=0.0, epsilon=0.0)
+    with pytest.raises(ValueError, match="overlap"):
+        HybridModel(zone, (Region(1, (left, zone.omega)), Region(2, (right,))), (net, net), gamma=0.0, epsilon=0.0)
+

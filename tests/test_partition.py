@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynabs import Box, WorkingZone, me_partition, membership_matrix, select_bisection, shannon_entropy
+from dynabs import Box, WorkingZone, me_partition, membership_matrix, shannon_entropy
 
+from oracles import widest_first_partition
 from synthdata import two_cluster_dataset, unit_zone
 
 
@@ -36,28 +37,6 @@ def test_entropy_rejects_bad_input():
 def test_entropy_bounded_by_log_n(counts):
     h = shannon_entropy(counts)
     assert -1e-12 <= h <= np.log(len(counts)) + 1e-12
-
-
-def test_select_bisection_unique_max():
-    boxes = [Box([0, 0], [4, 1]), Box([0, 0], [2, 2])]
-    assert select_bisection(boxes, [0, 1]) == (0, 0)
-
-
-def test_select_bisection_tie_breaks_to_lowest_dim():
-    boxes = [Box([0, 0], [2, 2])]
-    assert select_bisection(boxes, [0]) == (0, 0)
-
-
-def test_select_bisection_tie_breaks_to_lowest_partition():
-    boxes = [Box([0, 0], [1, 3]), Box([0, 0], [3, 1])]
-    assert select_bisection(boxes, [0, 1]) == (0, 1)
-
-
-def test_select_bisection_respects_active_set():
-    boxes = [Box([0, 0], [4, 1]), Box([0, 0], [2, 2])]
-    assert select_bisection(boxes, [1]) == (1, 0)
-    with pytest.raises(ValueError):
-        select_bisection(boxes, [])
 
 
 def test_huge_epsilon_keeps_single_partition():
@@ -146,3 +125,24 @@ def test_tiling_property_random_data(seed, epsilon):
     assert sum(parts.counts) == pts.shape[0]
     probes = rng.uniform(-1.0, 1.0, size=(2000, dim))
     assert (membership_matrix(parts.boxes, probes).sum(axis=1) == 1).all()
+
+
+def test_me_partition_equals_widest_first_reference():
+    """The depth-first walk gives the same tiling as widest-first selection,
+    on the random datasets of acceptance criterion 1."""
+    rng = np.random.default_rng(1001)
+    for k in range(50):
+        dim = 2 if k % 2 == 0 else 3
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(100, 10_001)), dim))
+        zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
+        eps = float(rng.uniform(0.02, 0.2))
+        rng.uniform(-1.0, 1.0, size=(10_000, dim))  # criterion 1's probes, to keep its draws
+        parts = me_partition(zone, pts, eps)
+        boxes, assignments, log = widest_first_partition(zone, pts, eps)
+        assert len(parts.boxes) == len(boxes)
+        for a, b in zip(parts.boxes, boxes):
+            assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+            assert np.array_equal(a.closed_hi, b.closed_hi)
+        for a, b in zip(parts.assignments, assignments):
+            assert np.array_equal(a, b)
+        assert sorted(e[1:] for e in parts.split_log) == sorted(e[1:] for e in log)
