@@ -22,7 +22,6 @@ from .reach import (
     affine_image_box,
     cell_successor_box,
     elm_output_box,
-    reach_sequence,
     relu_image_box,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "parse_ctl",
     "predict",
     "predict_batch",
-    "reach_sequence",
     "relu_image_box",
     "sample_traces",
     "sat_set",

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DataError, WorkingZone, check_format_version
+from .data import DataError, WorkingZone, check_format_version, write_artifact
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
 from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
@@ -36,20 +36,10 @@ class Trace:
 
     states: np.ndarray            # (m + 1, n_x)
     inputs: np.ndarray | None     # (m, n_u) when the model takes inputs
-    start_k: int = 0
     exited: bool = False
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def entries(self):
-        """Yield (step index, state, input-or-None) triples."""
-        m = self.states.shape[0]
-        for t in range(m):
-            u = None
-            if self.inputs is not None and t < self.inputs.shape[0]:
-                u = self.inputs[t]
-            yield self.start_k + t, self.states[t], u
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +163,8 @@ class TransitionSystem:
 
     @cached_property
     def tree(self) -> BoxTree:
-        """Index over the cells, which must tile the zone; built on first lookup."""
+        """Index over the cells, which must tile the zone; built on first lookup
+        (at load time for a loaded system)."""
         return BoxTree(self.zone.omega, self.cells)
 
     def cell_index_of(self, x) -> int | None:
@@ -200,21 +191,21 @@ class TransitionSystem:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_artifact(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> TransitionSystem:
         """Transition system from its JSON document; any defect raises DataError."""
         check_format_version(d, TS_FORMAT_VERSION, "transition-system")
         try:
-            return cls(
+            ts = cls(
                 zone=WorkingZone.from_dict(d["zone"]),
                 cells=tuple(Box.from_dict(c) for c in d["cells"]),
                 relation=np.asarray(d["relation"], dtype=bool),
                 initial=d.get("initial"),
             )
+            ts.tree  # cells that do not tile the zone raise here, naming the cause
+            return ts
         except KeyError as exc:
             raise DataError(f"transition-system document is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:

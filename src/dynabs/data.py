@@ -9,6 +9,7 @@ order x..., u..., y... .
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,22 @@ def check_format_version(doc, version: int, what: str) -> None:
     if doc["format_version"] != version:
         raise DataError(f"{what} document has format_version {doc['format_version']!r}; "
                         f"only version {version} can be read")
+
+
+def write_artifact(path, doc: dict) -> None:
+    """Write an artifact document as a JSON object, one top-level key per line.
+
+    Keys come in sorted order, each as `  "key": <value>` with the value in
+    compact JSON (the C encoder; `indent` would force the pure-Python one and
+    put every relation entry on a line of its own). A string value such as
+    `created_utc` thus keeps a line to itself.
+    """
+    lines = [
+        f"  {json.dumps(key)}: {json.dumps(doc[key], sort_keys=True, separators=(',', ':'))}"
+        for key in sorted(doc)
+    ]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 @dataclass(frozen=True, eq=False)

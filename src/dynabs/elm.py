@@ -73,13 +73,12 @@ class ElmNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> ElmNetwork:
-        return cls(
-            w_in=np.asarray(d["w_in"], dtype=float),
-            b_in=np.asarray(d["b_in"], dtype=float),
-            w_out=np.asarray(d["w_out"], dtype=float),
-            hidden_count=int(d["hidden_count"]),
-            seed=int(d["seed"]),
-        )
+        """Network from its JSON document; a non-finite weight raises ValueError naming its field."""
+        weights = {name: np.asarray(d[name], dtype=float) for name in ("w_in", "b_in", "w_out")}
+        for name, a in weights.items():
+            if not np.isfinite(a).all():
+                raise ValueError(f"network field {name!r} holds a non-finite value")
+        return cls(**weights, hidden_count=int(d["hidden_count"]), seed=int(d["seed"]))
 
 
 def init_elm(n_in: int, n_out: int, hidden_count: int, seed: int) -> ElmNetwork:
@@ -120,6 +119,40 @@ def fit_output_weights(net: ElmNetwork, data: Dataset, ridge: float = DEFAULT_RI
         b = np.vstack([y, np.zeros((net.hidden_count, net.n_out))])
         w_t, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     return replace(net, w_out=w_t.T)
+
+
+@dataclass(frozen=True, eq=False)
+class ReadoutStats:
+    """Additive sufficient statistics of a readout fit over one hidden layer.
+
+    H^T H, H^T Y, sum of Y^2 and the row count add up over disjoint row sets,
+    so the fit of a pooled set follows from its parts without their rows
+    (the recursive form of OS-ELM, Liang et al., IEEE TNN 2006).
+    """
+
+    hh: np.ndarray  # (hidden_count, hidden_count)
+    hy: np.ndarray  # (hidden_count, n_out)
+    yy: float
+    rows: int
+
+    @classmethod
+    def of(cls, net: ElmNetwork, z: np.ndarray, y: np.ndarray) -> ReadoutStats:
+        h = net.hidden(z)
+        return cls(h.T @ h, h.T @ y, float(np.sum(y * y)), z.shape[0])
+
+    def __add__(self, other: ReadoutStats) -> ReadoutStats:
+        return ReadoutStats(self.hh + other.hh, self.hy + other.hy, self.yy + other.yy, self.rows + other.rows)
+
+    def ridge_mse(self) -> float:
+        """Training MSE of the readout fit_output_weights solves at DEFAULT_RIDGE for these rows.
+
+        The readout comes from the h x h normal equations (H^T H + ridge I) W^T
+        = H^T Y; the residual sum ||H W^T - Y||^2 = Y^T Y - 2<W^T, H^T Y> +
+        <W^T, H^T H W^T> is stationary in W, so solve error enters squared.
+        """
+        w_t = np.linalg.solve(self.hh + DEFAULT_RIDGE * np.eye(self.hh.shape[0]), self.hy)
+        rss = self.yy - 2.0 * float(np.sum(w_t * self.hy)) + float(np.sum(w_t * (self.hh @ w_t)))
+        return max(rss, 0.0) / self.rows
 
 
 def predict(net: ElmNetwork, z) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Neural hybrid system: per-region networks selected by state location.
 
-Built from a maximum-entropy partition by merging redundant partitions (a
-fresh network fitted on the pooled data of a candidate pair must reach the
-MSE threshold gamma) and fitting one network per surviving region. The model
+Built from a maximum-entropy partition by merging redundant partitions (one
+network fitted on the pooled data of a candidate pair must reach the MSE
+threshold gamma) and fitting one network per surviving region. The model
 steps as x(k+1) = net[locate(x(k))](x(k), u(k)).
 """
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, Dataset, WorkingZone, check_format_version
-from .elm import DEFAULT_RIDGE, ElmNetwork, fit_output_weights, init_elm, mse, predict, predict_batch
+from .data import DataError, Dataset, WorkingZone, check_format_version, write_artifact
+from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
 from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
@@ -179,9 +179,7 @@ class HybridModel:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_artifact(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> HybridModel:
@@ -222,16 +220,19 @@ def merge_and_learn(
     hidden_count: int,
     seed: int,
     gamma: float,
-    ridge: float = DEFAULT_RIDGE,
 ) -> HybridModel:
     """Merge redundant partitions by the pooled-MSE test and fit one network
     per surviving region.
 
     The sweep is deterministic: the outer index N walks regions in ascending
-    order; each candidate n > N is tested with a fresh network (seed derived
-    from (seed, N, n)) fitted on the pooled data; on success the candidate is
-    absorbed into N, indices compact, and the sweep continues with the merged
-    region. Afterwards every region gets a final network fitted on its data.
+    order and draws one candidate hidden layer per row (seed derived from
+    (seed, N)); each candidate n > N is tested by the training MSE of that
+    layer's ridge readout on the pooled data, computed from the additive
+    statistics of region N and region n (ReadoutStats). On success the
+    candidate is absorbed into N, indices compact, and the sweep continues
+    with the merged region. Afterwards every region i gets its network fitted
+    on its data over the layer of seed (seed, i), which for a region that
+    absorbed a candidate is the network its last accepted test certified.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -245,20 +246,27 @@ def merge_and_learn(
         for box, idx in zip(parts.boxes, parts.assignments)
     ]
 
+    def layer(i: int) -> ElmNetwork:
+        return init_elm(n_in, data.n_x, hidden_count, derive_seed(seed, i))
+
+    def readout_stats(net: ElmNetwork, idx: np.ndarray) -> ReadoutStats:
+        return ReadoutStats.of(net, data.z[idx], data.y[idx])
+
     big_n = 0
     while big_n < len(regions):
+        net = layer(big_n)
+        row = readout_stats(net, regions[big_n]["idx"])
         n = big_n + 1
         while n < len(regions):
-            pooled = np.concatenate([regions[big_n]["idx"], regions[n]["idx"]])
-            if pooled.size == 0:
+            pooled = row + readout_stats(net, regions[n]["idx"])
+            if pooled.rows == 0:
                 n += 1
                 continue
             stats.pair_tests += 1
-            candidate = init_elm(n_in, data.n_x, hidden_count, derive_seed(seed, big_n, n))
-            candidate = fit_output_weights(candidate, data.subset(pooled), ridge)
-            if mse(candidate, data.subset(pooled)) <= gamma:
+            if pooled.ridge_mse() <= gamma:
                 regions[big_n]["boxes"].extend(regions[n]["boxes"])
-                regions[big_n]["idx"] = pooled
+                regions[big_n]["idx"] = np.concatenate([regions[big_n]["idx"], regions[n]["idx"]])
+                row = pooled
                 del regions[n]
                 stats.merges += 1
             else:
@@ -266,7 +274,7 @@ def merge_and_learn(
         big_n += 1
 
     def refit(i: int) -> tuple[ElmNetwork, float]:
-        net = init_elm(n_in, data.n_x, hidden_count, derive_seed(seed, i))
+        net = layer(i)
         idx = regions[i]["idx"]
         if idx.size == 0:
             warnings.warn(
@@ -276,7 +284,7 @@ def merge_and_learn(
             )
             return net, 0.0
         t0 = time.perf_counter()
-        net = fit_output_weights(net, data.subset(idx), ridge)
+        net = fit_output_weights(net, data.subset(idx))
         return net, time.perf_counter() - t0
 
     fitted = [refit(i) for i in range(len(regions))]

@@ -57,10 +57,6 @@ class Bounds:
     def from_box(cls, b: Box) -> Bounds:
         return cls(b.lo, b.hi)
 
-    def contains_point(self, x, slack: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all((self.lo - slack <= x) & (x <= self.hi + slack)))
-
     def pad(self, slack: float) -> Bounds:
         return Bounds(self.lo - slack, self.hi + slack)
 
@@ -73,9 +69,6 @@ class Bounds:
 
     def within(self, box: Box) -> bool:
         return bool(np.all((self.lo >= box.lo) & (self.hi <= box.hi)))
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 def as_bounds(b) -> Bounds:
@@ -128,9 +121,6 @@ class ReachPiece:
     input: Bounds   # propagated z-box: (cell ∩ region box) x input bounds
     output: Bounds
 
-    def to_dict(self) -> dict:
-        return {"region": self.region_id, "input": self.input.to_dict(), "output": self.output.to_dict()}
-
 
 @dataclass(frozen=True, eq=False)
 class ReachResult:
@@ -138,12 +128,6 @@ class ReachResult:
 
     output: Bounds
     pieces: tuple[ReachPiece, ...]
-
-    def to_dict(self, include_pieces: bool = False) -> dict:
-        d = {"output": self.output.to_dict()}
-        if include_pieces:
-            d["pieces"] = [p.to_dict() for p in self.pieces]
-        return d
 
 
 def cell_successor_box(model: HybridModel, cell: Box, input_bounds: Box | None = None) -> ReachResult:
@@ -179,31 +163,3 @@ def cell_successor_box(model: HybridModel, cell: Box, input_bounds: Box | None =
         raise ValueError("cell intersects no region; region coverage is broken")
     return ReachResult(output, tuple(pieces))
 
-
-def reach_sequence(
-    model: HybridModel, start: Box, steps: int, input_bounds: Box | None = None
-) -> tuple[list[Bounds], bool]:
-    """Iterated one-step enclosures clipped to the zone.
-
-    Returns the per-step output bounds and whether the enclosure ever
-    extended beyond the zone; iteration stops early once the enclosure
-    leaves the zone entirely.
-    """
-    omega = model.zone.omega
-    current: Box | None = start
-    outputs: list[Bounds] = []
-    exited = False
-    for _ in range(steps):
-        if current is None:
-            break
-        result = cell_successor_box(model, current, input_bounds)
-        outputs.append(result.output)
-        if not result.output.within(omega):
-            exited = True
-        lo = np.maximum(result.output.lo, omega.lo)
-        hi = np.minimum(result.output.hi, omega.hi)
-        if np.any(hi <= lo):
-            current = None  # enclosure left the zone entirely
-        else:
-            current = Box(lo, hi, omega.closed_hi & (hi == omega.hi))
-    return outputs, exited

@@ -1,7 +1,8 @@
 """Independent oracles the implementation is checked against.
 
 These deliberately use different machinery than the library: the
-least-squares oracle solves the normal equations directly, the partition
+least-squares oracle solves the normal equations directly, the merge
+oracle refits every pair test on the pooled raw samples, the partition
 oracle rescans every active box for the widest one instead of walking the
 split tree, the transition oracle intersects cells with region boxes one
 pair at a time, and the CTL oracle evaluates path semantics by depth-first
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynabs import Bounds, elm_output_box, predict_batch
+from dynabs import Bounds, elm_output_box, fit_output_weights, init_elm, mse, predict_batch
+from dynabs.hybrid import derive_seed
 from dynabs.partition import MIN_SIDE_FRACTION
 from dynabs.ctl import And, CellAtom, CtlFormula, ExitAtom, Not, Or, TrueF, Unary, Until
 
@@ -23,6 +25,34 @@ def normal_equations_fit(net, data, ridge: float) -> np.ndarray:
     gram = h.T @ h + ridge * np.eye(net.hidden_count)
     w_t = np.linalg.solve(gram, h.T @ data.y)
     return w_t.T
+
+
+def raw_merge(parts, data, hidden_count: int, seed: int, gamma: float):
+    """The merge sweep of merge_and_learn with each pair test refitted on the
+    pooled raw samples (a Dataset subset and a least-squares solve) under the
+    row's layer, seeded (seed, N). Returns (box list per region, pair tests)."""
+    n_in = data.n_x + data.n_u
+    regions = [[[box], np.asarray(idx, dtype=int)] for box, idx in zip(parts.boxes, parts.assignments)]
+    tests = 0
+    big_n = 0
+    while big_n < len(regions):
+        layer = init_elm(n_in, data.n_x, hidden_count, derive_seed(seed, big_n))
+        n = big_n + 1
+        while n < len(regions):
+            pooled = np.concatenate([regions[big_n][1], regions[n][1]])
+            if pooled.size == 0:
+                n += 1
+                continue
+            tests += 1
+            pool = data.subset(pooled)
+            if mse(fit_output_weights(layer, pool), pool) <= gamma:
+                regions[big_n][0].extend(regions[n][0])
+                regions[big_n][1] = pooled
+                del regions[n]
+            else:
+                n += 1
+        big_n += 1
+    return [boxes for boxes, _ in regions], tests
 
 
 def monte_carlo_containment(net, box, n_points: int, rng, slack: float = 1e-9) -> int:

@@ -37,6 +37,19 @@ def swirl_dataset(n_samples: int = 2000, seed: int = 1, **swirl_kwargs) -> Datas
     return Dataset(2, 0, z, y)
 
 
+def random_tiling_cases(n_cases: int = 50):
+    """Criterion 1's random datasets: (zone, points, epsilon, probes) per case,
+    2-D and 3-D in turn, 100..10 000 uniform points on [-1, 1]^dim."""
+    rng = np.random.default_rng(1001)
+    for k in range(n_cases):
+        dim = 2 if k % 2 == 0 else 3
+        n = int(rng.integers(100, 10_001))
+        pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+        zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
+        eps = float(rng.uniform(0.02, 0.2))
+        yield zone, pts, eps, rng.uniform(-1.0, 1.0, size=(10_000, dim))
+
+
 def swirl_zone() -> WorkingZone:
     return WorkingZone(Box([-1.0, -1.0], [1.0, 1.0]))
 

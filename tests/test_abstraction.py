@@ -1,8 +1,14 @@
+import json
+import re
+import time
+
 import numpy as np
 import pytest
 
 from dynabs import (
     Box,
+    DataError,
+    ElmNetwork,
     TransitionSystem,
     WorkingZone,
     build_cells,
@@ -38,7 +44,7 @@ def test_sample_traces_shapes_and_determinism():
     traces = sample_traces(model, L=1, M=1, seed=0)
     assert len(traces) == 1
     assert traces.traces[0].states.shape == (2, 2)
-    assert len(list(traces.traces[0].entries())) == 2
+    assert len(traces.traces[0]) == 2
 
     a = sample_traces(model, L=7, M=9, seed=42)
     b = sample_traces(model, L=7, M=9, seed=42)
@@ -51,10 +57,19 @@ def test_sample_traces_shapes_and_determinism():
 
 
 def test_sample_traces_step_indices_are_consecutive():
-    model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
-    trace = sample_traces(model, L=1, M=5, seed=1).traces[0]
-    ks = [k for k, _, _ in trace.entries()]
-    assert ks == list(range(len(trace)))
+    """Row k of a trace's states is the state after k steps, and row k of its
+    inputs is the input applied at step k, so one step maps row k to row k+1."""
+    zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([-0.25], [0.25]))
+    # x+ = 0.5 x + 0.5 u on x in [0, 1], u in [-0.25, 0.25]: stays inside for most draws
+    net = ElmNetwork(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.zeros(3),
+                     np.array([[0.5, 0.5, -0.5]]), 3, 0)
+    model = single_region_model(zone, net)
+    traces = sample_traces(model, L=4, M=6, seed=1).traces
+    assert max(len(t) for t in traces) > 2
+    for trace in traces:
+        assert trace.inputs.shape == (len(trace) - 1, 1)
+        expected = 0.5 * trace.states[:-1] + 0.5 * trace.inputs
+        assert np.allclose(trace.states[1:], expected, atol=1e-15)
 
 
 def test_sample_traces_exit_marker():
@@ -295,3 +310,39 @@ def test_refining_cells_projects_into_coarse_relation():
             pi = parent[i] if i < n_ref else 2  # sink projects to sink
             pj = parent[j] if j < n_ref else 2
             assert r_coarse[pi, pj], "refined edge missing from coarse relation"
+
+
+def test_artifact_saves_differ_only_in_created_utc(tmp_path):
+    """Two saves made at different times are byte-identical once the
+    `"created_utc": "...",` line is removed; each top-level key has a line."""
+    model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0), epsilon=0.05)
+    ts = compute_transitions(model, cells, initial=1)
+    created = re.compile(rb'\n\s*"created_utc": "[^"]*",?')
+    for artifact in (model, ts):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        artifact.save(first)
+        time.sleep(0.002)
+        artifact.save(second)
+        a, b = first.read_bytes(), second.read_bytes()
+        assert a != b
+        assert created.sub(b"", a) == created.sub(b"", b)
+        doc = json.loads(a)
+        lines = a.decode().splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert [line.split('"')[1] for line in lines[1:-1]] == sorted(doc)
+        assert type(artifact).load(first).to_dict().keys() == doc.keys()
+    assert json.loads(a)["relation"] == ts.relation.astype(int).tolist()
+
+
+def test_load_rejects_cells_that_do_not_tile_the_zone(tmp_path):
+    model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0), epsilon=0.05)
+    doc = compute_transitions(model, cells).to_dict()
+    k = len(doc["cells"]) // 2
+    del doc["cells"][k]
+    rel = np.delete(np.delete(np.asarray(doc["relation"]), k, axis=0), k, axis=1)
+    rel[:, -1] = 1  # every row keeps a successor: the relation stays square and total
+    doc["relation"] = rel.tolist()
+    with pytest.raises(DataError, match="gap"):
+        TransitionSystem.from_dict(doc)

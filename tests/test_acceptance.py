@@ -32,6 +32,7 @@ from oracles import normal_equations_fit, oracle_sat
 from synthdata import (
     fitted_swirl_model,
     random_ctl_formula,
+    random_tiling_cases,
     random_transition_system,
     swirl_dataset,
 )
@@ -42,16 +43,10 @@ def report(n: int, text: str) -> None:
 
 
 def test_criterion_1_partition_tiling_on_random_datasets():
-    rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
-    for k in range(50):
-        dim = 2 if k % 2 == 0 else 3
-        n = int(rng.integers(100, 10_001))
-        pts = rng.uniform(-1.0, 1.0, size=(n, dim))
-        zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
-        parts = me_partition(zone, pts, float(rng.uniform(0.02, 0.2)))
-        assert sum(parts.counts) == n
-        probes = rng.uniform(-1.0, 1.0, size=(10_000, dim))
+    for zone, pts, eps, probes in random_tiling_cases():
+        parts = me_partition(zone, pts, eps)
+        assert sum(parts.counts) == len(pts)
         owners = membership_matrix(parts.boxes, probes).sum(axis=1)
         assert (owners == 1).all(), "probe point not in exactly one box"
     elapsed = time.perf_counter() - t0

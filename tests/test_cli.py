@@ -257,3 +257,33 @@ def test_threads_option_is_gone(tmp_path, capsys):
     cfg.write_text(json.dumps({"dataset": "x.csv", "threads": 2}))
     code, _, err = run(capsys, "fit", "--config", cfg)
     assert code == 2 and "threads" in err
+
+
+def test_non_finite_weights_and_untiled_cells_exit_3(dataset_csv, tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
+    assert code == 0
+    code, _, _ = run(capsys, "abstract", "--model", out_dir / "model.json", "--traces", 30,
+                     "--trace-length", 30, "--out-dir", out_dir)
+    assert code == 0
+
+    doc = json.loads((out_dir / "model.json").read_text())
+    doc["networks"][0]["w_out"][0][0] = float("nan")
+    nan_model = tmp_path / "nan.json"
+    nan_model.write_text(json.dumps(doc))
+    for argv in (("simulate", "--model", nan_model, "--x0", "0.1,0.1", "--steps", 3),
+                 ("abstract", "--model", nan_model, "--out-dir", tmp_path / "a")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "'w_out'" in err and "non-finite" in err
+    assert not (tmp_path / "a" / "ts.json").exists()
+
+    doc = json.loads((out_dir / "ts.json").read_text())
+    del doc["cells"][0]
+    rel = np.asarray(doc["relation"])[1:, 1:]
+    rel[:, -1] = 1  # square and total, so only the missing cell is wrong
+    doc["relation"] = rel.tolist()
+    gap_ts = tmp_path / "gap.json"
+    gap_ts.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--ts", gap_ts, "--formula", "EF EXIT", "--initial", 1)
+    assert code == 3 and "gap" in err

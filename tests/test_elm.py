@@ -11,12 +11,15 @@ from dynabs import (
     SingularSystemError,
     fit_output_weights,
     init_elm,
+    me_partition,
     mse,
     predict,
     predict_batch,
 )
+from dynabs.elm import ReadoutStats
 
 from oracles import normal_equations_fit
+from synthdata import swirl_dataset, swirl_zone
 
 
 def random_dataset(rng, n, n_x=2, n_u=0):
@@ -173,3 +176,48 @@ def test_json_round_trip_reproduces_predictions():
     z = rng.uniform(-1, 1, size=(20, 2))
     assert np.array_equal(predict_batch(net, z), predict_batch(back, z))
     assert back.seed == net.seed
+
+
+def test_from_dict_rejects_non_finite_weights():
+    doc = init_elm(2, 2, 4, seed=0).to_dict()
+    for field, value in (("w_in", float("nan")), ("b_in", float("inf")), ("w_out", float("-inf"))):
+        bad = json.loads(json.dumps(doc))
+        if isinstance(bad[field][0], list):
+            bad[field][0][0] = value
+        else:
+            bad[field][0] = value
+        with pytest.raises(ValueError, match=f"'{field}'.*non-finite"):
+            ElmNetwork.from_dict(bad)
+
+
+def test_readout_stats_mse_matches_direct_fit():
+    """The pooled-MSE test from summed readout statistics against refitting
+    the pooled rows: relative error within 1e-4 over 200 pools of swirl
+    partitions, many of them within 2x of gamma, every tenth under a layer
+    with a dead hidden unit. Below gamma / 1000, where no merge decision can
+    turn, the bound is absolute: the normal equations lose relative accuracy
+    on near-exact fits."""
+    data = swirl_dataset(4000, seed=3, twist=0.6)
+    parts = me_partition(swirl_zone(), data, epsilon=0.01)
+    rng = np.random.default_rng(11)
+    gamma = 1.5e-5
+    near = dead = 0
+    for k in range(200):
+        net = init_elm(2, 2, 20, seed=k)
+        if k % 10 == 0:  # unit 0 is ReLU(0 . z - 1) = 0 on every row
+            net = ElmNetwork(np.vstack([[0.0, 0.0], net.w_in[1:]]), np.concatenate([[-1.0], net.b_in[1:]]),
+                             net.w_out, net.hidden_count, net.seed)
+        first = int(rng.integers(len(parts)))
+        members = [parts.assignments[i] for i in range(first, min(first + int(rng.integers(2, 40)), len(parts)))]
+        stats = ReadoutStats.of(net, data.z[members[0]], data.y[members[0]])
+        for idx in members[1:]:
+            stats = stats + ReadoutStats.of(net, data.z[idx], data.y[idx])
+        pool = data.subset(np.concatenate(members))
+        if len(pool) == 0:
+            continue
+        direct = mse(fit_output_weights(net, pool), pool)
+        assert stats.rows == len(pool)
+        assert abs(stats.ridge_mse() - direct) <= 1e-4 * max(direct, 1e-3 * gamma)
+        near += gamma / 2 <= direct <= 2 * gamma
+        dead += not net.hidden(pool.z)[:, 0].any()
+    assert near >= 20 and dead >= 10

@@ -14,10 +14,20 @@ from dynabs import (
     me_partition,
     membership_matrix,
     merge_and_learn,
+    mse,
     predict,
 )
 
-from synthdata import constant_net, single_region_model, split_region_model, swirl_dataset, swirl_zone, unit_zone
+from oracles import raw_merge
+from synthdata import (
+    constant_net,
+    random_tiling_cases,
+    single_region_model,
+    split_region_model,
+    swirl_dataset,
+    swirl_zone,
+    unit_zone,
+)
 
 
 def manual_two_partitions(zone, data):
@@ -268,3 +278,38 @@ def test_model_requires_regions_that_tile_the_zone():
     with pytest.raises(ValueError, match="overlap"):
         HybridModel(zone, (Region(1, (left, zone.omega)), Region(2, (right,))), (net, net), gamma=0.0, epsilon=0.0)
 
+
+
+def box_lists(regions):
+    return [[(b.lo.tolist(), b.hi.tolist()) for b in boxes] for boxes in regions]
+
+
+def test_merge_equals_raw_data_oracle():
+    """Pair tests from readout statistics take the decisions of refitting each
+    pooled pair on its raw samples, on criterion 1's random datasets."""
+    merged = 0
+    for zone, pts, eps, _ in random_tiling_cases():
+        data = Dataset(pts.shape[1], 0, pts, 0.9 * pts + 0.2 * np.sin(3.0 * np.roll(pts, 1, axis=1)))
+        parts = me_partition(zone, data, eps)
+        model = merge_and_learn(parts, data, hidden_count=10, seed=7, gamma=1e-2)
+        boxes, tests = raw_merge(parts, data, hidden_count=10, seed=7, gamma=1e-2)
+        assert model.stats.pair_tests == tests
+        assert box_lists(r.boxes for r in model.regions) == box_lists(boxes)
+        merged += model.stats.merges
+    assert merged > 100
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merged_regions_ship_their_certified_network(seed):
+    """A region that absorbed a candidate ships the network its last accepted
+    pair test certified, so its training MSE is within gamma."""
+    gamma = 1.5e-5
+    data = swirl_dataset(4000, seed=seed, twist=0.6)
+    parts = me_partition(swirl_zone(), data, epsilon=0.005)
+    model = merge_and_learn(parts, data, hidden_count=20, seed=seed, gamma=gamma)
+    ids, _ = model.locate_batch(data.states)
+    merged = [r for r in model.regions if len(r.boxes) > 1]
+    assert merged
+    for region in merged:
+        rows = data.subset(np.nonzero(ids == region.id)[0])
+        assert mse(model.network_of(region.id), rows) <= gamma * (1 + 1e-4)

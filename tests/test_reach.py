@@ -13,7 +13,6 @@ from dynabs import (
     fit_output_weights,
     init_elm,
     predict,
-    reach_sequence,
     relu_image_box,
 )
 
@@ -172,24 +171,3 @@ def test_cell_successor_piece_containment_against_samples():
         assert np.all(y >= result.output.lo[None, :] - SLACK)
         assert np.all(y <= result.output.hi[None, :] + SLACK)
 
-
-def test_reach_sequence_stays_and_exits():
-    zone = unit_zone()
-    inside = single_region_model(zone, constant_net([0.5, 0.5], 2))
-    outputs, exited = reach_sequence(inside, zone.omega, steps=3)
-    assert len(outputs) == 3 and not exited
-
-    outside = single_region_model(zone, constant_net([2.0, 2.0], 2))
-    outputs, exited = reach_sequence(outside, zone.omega, steps=5)
-    assert exited
-    assert len(outputs) == 1  # enclosure left the zone entirely after one step
-
-
-def test_reach_result_serialization():
-    zone = unit_zone()
-    model = single_region_model(zone, constant_net([0.5, 0.5], 2))
-    result = cell_successor_box(model, zone.omega)
-    d = result.to_dict()
-    assert "pieces" not in d
-    d = result.to_dict(include_pieces=True)
-    assert len(d["pieces"]) == 1 and d["pieces"][0]["region"] == 1
