@@ -11,7 +11,7 @@ from .abstraction import (
 )
 from .ctl import CtlFormula, CtlSyntaxError, check, parse_ctl, sat_set
 from .data import DataError, Dataset, WorkingZone, load_dataset, save_dataset, zone_from_data
-from .elm import ElmNetwork, SingularSystemError, fit_output_weights, init_elm, mse, predict, predict_batch
+from .elm import ElmNetwork, fit_output_weights, init_elm, mse, predict_batch
 from .geometry import Box, BoxTree, membership_matrix
 from .hybrid import HybridModel, Region, SimResult, hybrid_mse, merge_and_learn
 from .partition import PartitionSet, me_partition, shannon_entropy
@@ -42,7 +42,6 @@ __all__ = [
     "ReachResult",
     "Region",
     "SimResult",
-    "SingularSystemError",
     "Trace",
     "TraceSet",
     "TransitionSystem",
@@ -63,7 +62,6 @@ __all__ = [
     "merge_and_learn",
     "mse",
     "parse_ctl",
-    "predict",
     "predict_batch",
     "relu_image_box",
     "sample_traces",

@@ -54,12 +54,11 @@ class TraceSet:
         return np.concatenate([t.states for t in self.traces])
 
 
-def sample_traces(model: HybridModel, L: int, M: int, seed: int, input_policy=None) -> TraceSet:
+def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     """L traces of up to M steps with uniform random initial states.
 
     Inputs (when the model takes any) are drawn uniformly over the input
-    bounds at every step, unless `input_policy(rng, states, step)` is given
-    to supply them instead. A trace whose successor leaves the zone stops
+    bounds at every step. A trace whose successor leaves the zone stops
     there and is marked exited. Fully deterministic for a given seed.
     """
     if L < 1 or M < 1:
@@ -79,17 +78,12 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int, input_policy=No
     for t in range(M):
         if n_u > 0:
             ib = model.zone.input_bounds
-            if input_policy is None:
-                u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))
-            else:
-                u = np.asarray(input_policy(rng, x, t), dtype=float)
+            u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))
             inputs[:, t] = u
         if not alive.any():
             break
         rows = np.nonzero(alive)[0]
-        z = x[rows] if n_u == 0 else np.concatenate([x[rows], u[rows]], axis=1)
-        ids, _ = model.locate_batch(x[rows])
-        nxt = model.predict_located(z, ids)
+        nxt = model.step(x[rows], u[rows] if n_u > 0 else None)
         inside = np.all((nxt >= omega.lo) & (nxt <= omega.hi), axis=1)
         inside &= np.isfinite(nxt).all(axis=1)
         leaving = rows[~inside]
@@ -166,11 +160,6 @@ class TransitionSystem:
         """Index over the cells, which must tile the zone; built on first lookup
         (at load time for a loaded system)."""
         return BoxTree(self.zone.omega, self.cells)
-
-    def cell_index_of(self, x) -> int | None:
-        """1-based id of the cell containing x, or None when x is outside."""
-        i = int(self.cell_indices_of(np.asarray(x, dtype=float)[None])[0])
-        return i if i else None
 
     def cell_indices_of(self, states: np.ndarray) -> np.ndarray:
         """Vectorized cell lookup; 0 marks out-of-zone points."""

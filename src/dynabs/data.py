@@ -142,21 +142,17 @@ class WorkingZone:
         return cls(Box.from_dict(d["omega"]), Box.from_dict(ib) if ib else None)
 
 
-def zone_from_data(data: Dataset, pad: float = 0.0) -> WorkingZone:
+def zone_from_data(data: Dataset) -> WorkingZone:
     """Tight working zone around a dataset's states (and inputs, if any).
 
-    With the zone's closed upper faces a zero-pad bounding box already
-    contains every sample; `pad` widens each side by that fraction of its
-    extent. Constant dimensions are widened enough to form a valid box.
+    With the zone's closed upper faces the bounding box already contains
+    every sample. Constant dimensions are widened by 0.5 on each side to
+    form a valid box.
     """
 
     def bounds(cols: np.ndarray) -> Box:
         lo = cols.min(axis=0)
         hi = cols.max(axis=0)
-        ext = hi - lo
-        ext[ext == 0.0] = 1.0
-        lo = lo - pad * ext
-        hi = hi + pad * ext
         flat = hi <= lo
         lo[flat] -= 0.5
         hi[flat] += 0.5

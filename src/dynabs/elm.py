@@ -17,10 +17,6 @@ from .data import Dataset
 DEFAULT_RIDGE = 1e-8
 
 
-class SingularSystemError(RuntimeError):
-    """Least-squares system is rank deficient and no ridge was requested."""
-
-
 def relu(t: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0)
 
@@ -92,32 +88,21 @@ def init_elm(n_in: int, n_out: int, hidden_count: int, seed: int) -> ElmNetwork:
     return ElmNetwork(w_in, b_in, w_out, hidden_count, int(seed))
 
 
-def fit_output_weights(net: ElmNetwork, data: Dataset, ridge: float = DEFAULT_RIDGE) -> ElmNetwork:
-    """Solve the readout: argmin ||H W^T - Y||_F^2 + ridge ||W||_F^2.
+def fit_output_weights(net: ElmNetwork, data: Dataset) -> ElmNetwork:
+    """Solve the readout: argmin ||H W^T - Y||_F^2 + DEFAULT_RIDGE ||W||_F^2.
 
-    H is the ReLU hidden matrix of the dataset. ridge > 0 is solved through
-    the augmented least-squares system, ridge = 0 through a plain SVD solve
-    that rejects rank-deficient H.
+    H is the ReLU hidden matrix of the dataset; the ridge term keeps the
+    solve well posed when H is rank deficient (dead units, repeated rows).
+    It is solved as the augmented least-squares system [H; sqrt(ridge) I].
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
     if data.n_x != net.n_out or data.n_x + data.n_u != net.n_in:
         raise ValueError(
             f"dataset dimensions (n_x={data.n_x}, n_u={data.n_u}) do not match "
             f"network (n_in={net.n_in}, n_out={net.n_out})"
         )
-    h = net.hidden(data.z)
-    y = data.y
-    if ridge == 0.0:
-        w_t, _, rank, _ = np.linalg.lstsq(h, y, rcond=None)
-        if rank < net.hidden_count:
-            raise SingularSystemError(
-                f"hidden matrix rank {rank} < {net.hidden_count}; retry with ridge > 0"
-            )
-    else:
-        a = np.vstack([h, np.sqrt(ridge) * np.eye(net.hidden_count)])
-        b = np.vstack([y, np.zeros((net.hidden_count, net.n_out))])
-        w_t, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
+    a = np.vstack([net.hidden(data.z), np.sqrt(DEFAULT_RIDGE) * np.eye(net.hidden_count)])
+    b = np.vstack([data.y, np.zeros((net.hidden_count, net.n_out))])
+    w_t, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     return replace(net, w_out=w_t.T)
 
 
@@ -155,20 +140,13 @@ class ReadoutStats:
         return max(rss, 0.0) / self.rows
 
 
-def predict(net: ElmNetwork, z) -> np.ndarray:
-    """y = w_out . ReLU(w_in . z + b_in) for a single input vector."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (net.n_in,):
-        raise ValueError(f"input of shape {z.shape} fed to network with n_in={net.n_in}")
-    return net.w_out @ relu(net.w_in @ z + net.b_in)
-
-
 def predict_batch(net: ElmNetwork, z: np.ndarray) -> np.ndarray:
-    """Vectorized predict over rows of z, shape (n, n_in) -> (n, n_out)."""
+    """y = w_out . ReLU(w_in . z + b_in) for each row of z, shape (n, n_in) -> (n, n_out)."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != net.n_in:
         raise ValueError(f"batch of shape {z.shape} fed to network with n_in={net.n_in}")
     return net.hidden(z) @ net.w_out.T
+
 
 def mse(net: ElmNetwork, data: Dataset) -> float:
     """Mean squared prediction error: (1/n) sum ||y_hat - y||^2."""

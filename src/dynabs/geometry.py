@@ -68,14 +68,6 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x) -> bool:
-        """Half-open membership: lo <= x < hi, closed on flagged upper faces."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.lo.shape:
-            raise ValueError(f"point of dimension {x.size} tested against box of dimension {self.dim}")
-        above = (x < self.hi) | (self.closed_hi & (x == self.hi))
-        return bool(np.all((self.lo <= x) & above))
-
     def intersect(self, other: Box) -> Box | None:
         """Componentwise intersection; zero-width or inverted results are empty."""
         if self.dim != other.dim:
@@ -107,12 +99,6 @@ class Box:
         hi_lo = self.lo.copy()
         hi_lo[j] = mid
         return Box(self.lo, lo_hi, lo_closed), Box(hi_lo, self.hi, self.closed_hi)
-
-    def distance_linf(self, x) -> float:
-        """L-infinity distance from a point to this box (0 when inside)."""
-        x = np.asarray(x, dtype=float)
-        gap = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
-        return float(gap.max())
 
     def to_dict(self) -> dict:
         return {
@@ -151,8 +137,8 @@ class BoxTree:
     point lookup in a tiling.
 
     Each internal node stores a face `(dim, cut)` that separates its boxes;
-    a point goes right iff ``x[dim] >= cut``, which is `Box.contains`'s
-    half-open rule. For a tiling made by bisection the face is the node's
+    a point goes right iff ``x[dim] >= cut``, which is the half-open
+    membership rule. For a tiling made by bisection the face is the node's
     midpoint; other guillotine tilings cut at a box face. Leaves map to box
     indices. Building costs O(B * depth) and raises `ValueError` naming the
     first gap, overlap or node without a separating face.

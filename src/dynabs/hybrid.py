@@ -3,7 +3,7 @@
 Built from a maximum-entropy partition by merging redundant partitions (one
 network fitted on the pooled data of a candidate pair must reach the MSE
 threshold gamma) and fitting one network per surviving region. The model
-steps as x(k+1) = net[locate(x(k))](x(k), u(k)).
+steps as x(k+1) = net[region(x(k))](x(k), u(k)).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, Dataset, WorkingZone, check_format_version, write_artifact
-from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict, predict_batch
+from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
 from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
@@ -90,56 +90,6 @@ class HybridModel:
     def network_of(self, region_id: int) -> ElmNetwork:
         return self.networks[region_id - 1]
 
-    def locate(self, x) -> int:
-        return self.locate_with_flag(x)[0]
-
-    def locate_with_flag(self, x) -> tuple[int, bool]:
-        """Region id containing x; out-of-zone points fall back to the
-        nearest region by L-infinity distance and raise the flag."""
-        ids, out = self.locate_batch(np.asarray(x, dtype=float)[None])
-        return int(ids[0]), bool(out[0])
-
-    def step(self, x, u=None) -> np.ndarray:
-        """One step of x(k+1) = net[locate(x(k))]([x(k); u(k)])."""
-        x = np.asarray(x, dtype=float)
-        z = x if u is None else np.concatenate([x, np.asarray(u, dtype=float)])
-        return predict(self.network_of(self.locate(x)), z)
-
-    def simulate(self, x0, inputs=None, steps: int = 0) -> SimResult:
-        """Iterate the model for `steps` steps from x0.
-
-        Out-of-zone states are flagged (nearest-region fallback keeps the
-        trajectory going); a non-finite state truncates the trace.
-        """
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        n_u = self.zone.n_u
-        if n_u > 0:
-            if inputs is None:
-                raise ValueError("model takes external inputs; provide an input sequence")
-            inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-            if inputs.shape[0] < steps:
-                raise ValueError(f"need {steps} input vectors, got {inputs.shape[0]}")
-        x = np.asarray(x0, dtype=float)
-        trace = [x]
-        flagged: list[int] = []
-        for t in range(steps):
-            _, out = self.locate_with_flag(x)
-            if out:
-                flagged.append(t)
-            x = self.step(x, inputs[t] if n_u > 0 else None)
-            if not np.all(np.isfinite(x)):
-                return SimResult(
-                    np.asarray(trace), flagged, truncated=True,
-                    message=f"non-finite state produced at step {t + 1}",
-                )
-            trace.append(x)
-        # positions 0..steps-1 were flagged while stepping; cover the last state
-        _, out = self.locate_with_flag(trace[-1])
-        if out:
-            flagged.append(len(trace) - 1)
-        return SimResult(np.asarray(trace), flagged)
-
     def locate_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized locate: (region ids, out-of-zone mask) for state rows.
 
@@ -164,6 +114,45 @@ class HybridModel:
             rows = ids == rid
             out[rows] = predict_batch(self.network_of(int(rid)), z[rows])
         return out
+
+    def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
+        """One step of x(k+1) = net[region(x(k))]([x(k); u(k)]) for each state row."""
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        z = states if inputs is None else np.concatenate([states, np.atleast_2d(inputs)], axis=1)
+        ids, _ = self.locate_batch(states)
+        return self.predict_located(z, ids)
+
+    def simulate(self, x0, inputs=None, steps: int = 0) -> SimResult:
+        """Iterate the model for `steps` steps from x0, one `step` call each.
+
+        Out-of-zone states are flagged (nearest-region fallback keeps the
+        trajectory going); a non-finite state truncates the trace. A
+        non-finite x0 raises ValueError naming the coordinate.
+        """
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
+        x = np.asarray(x0, dtype=float)
+        bad = np.nonzero(~np.isfinite(x))[0]
+        if bad.size:
+            raise ValueError(f"start state coordinate {int(bad[0])} is {float(x[bad[0]])!r}, not finite")
+        n_u = self.zone.n_u
+        if n_u > 0:
+            if inputs is None:
+                raise ValueError("model takes external inputs; provide an input sequence")
+            inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+            if inputs.shape[0] < steps:
+                raise ValueError(f"need {steps} input vectors, got {inputs.shape[0]}")
+        trace = [x]
+        message = None
+        for t in range(steps):
+            x = self.step(x, inputs[t] if n_u > 0 else None)[0]
+            if not np.all(np.isfinite(x)):
+                message = f"non-finite state produced at step {t + 1}"
+                break
+            trace.append(x)
+        states = np.asarray(trace)
+        _, out = self.locate_batch(states)
+        return SimResult(states, np.nonzero(out)[0].tolist(), truncated=message is not None, message=message)
 
     def to_dict(self) -> dict:
         return {
@@ -209,8 +198,7 @@ class HybridModel:
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:
     """MSE of the switched model over a dataset: (1/n) sum ||step(z) - y||^2."""
-    ids, _ = model.locate_batch(data.states)
-    err = model.predict_located(data.z, ids) - data.y
+    err = model.step(data.states, data.inputs if data.n_u else None) - data.y
     return float(np.mean(np.sum(err * err, axis=1)))
 
 

@@ -52,14 +52,6 @@ class PartitionSet:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.zone.omega.to_dict(),
-            "epsilon": self.epsilon,
-            "boxes": [b.to_dict() for b in self.boxes],
-            "counts": self.counts,
-        }
-
 
 def _xlogx(c: float) -> float:
     return c * np.log(c) if c > 0 else 0.0

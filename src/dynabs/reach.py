@@ -101,7 +101,7 @@ def relu_image_box(box) -> Bounds:
 def elm_output_box(net: ElmNetwork, box, slack: float = OUTPUT_SLACK) -> Bounds:
     """Sound box enclosure of the network image of an input box.
 
-    Every input z inside the box satisfies predict(net, z) inside the result;
+    Every input row z inside the box has predict_batch(net, z) inside the result;
     the composition affine -> ReLU -> affine is widened by `slack` per side.
     """
     b = as_bounds(box)

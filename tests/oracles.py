@@ -55,6 +55,12 @@ def raw_merge(parts, data, hidden_count: int, seed: int, gamma: float):
     return [boxes for boxes, _ in regions], tests
 
 
+def linf_distance(box, x) -> float:
+    """L-infinity distance from one point to a box (0 when inside)."""
+    x = np.asarray(x, dtype=float)
+    return float(max(np.max(box.lo - x), np.max(x - box.hi), 0.0))
+
+
 def monte_carlo_containment(net, box, n_points: int, rng, slack: float = 1e-9) -> int:
     """Number of sampled inputs whose prediction escapes the output box."""
     bounds = elm_output_box(net, box)

@@ -26,6 +26,7 @@ from dynabs import (
     shannon_entropy,
 )
 from dynabs.cli import main
+from dynabs.elm import DEFAULT_RIDGE
 from dynabs.ctl import And, Not, Or, Unary, Until
 
 from oracles import normal_equations_fit, oracle_sat
@@ -75,7 +76,6 @@ def test_criterion_2_entropy_correctness():
 
 def test_criterion_3_least_squares_oracle():
     rng = np.random.default_rng(1003)
-    ridge = 1e-8
     worst = 0.0
     for k in range(20):
         from dynabs import Dataset
@@ -84,8 +84,8 @@ def test_criterion_3_least_squares_oracle():
         y = rng.uniform(-1.0, 1.0, size=(200, 2))
         data = Dataset(2, 0, z, y)
         net = init_elm(2, 2, 20, seed=2000 + k)
-        fitted = fit_output_weights(net, data, ridge=ridge)
-        expected = normal_equations_fit(net, data, ridge)
+        fitted = fit_output_weights(net, data)
+        expected = normal_equations_fit(net, data, DEFAULT_RIDGE)
         rel = np.linalg.norm(fitted.w_out - expected) / np.linalg.norm(expected)
         worst = max(worst, rel)
         assert rel < 1e-6

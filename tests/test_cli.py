@@ -287,3 +287,31 @@ def test_non_finite_weights_and_untiled_cells_exit_3(dataset_csv, tmp_path, caps
     gap_ts.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", "--ts", gap_ts, "--formula", "EF EXIT", "--initial", 1)
     assert code == 3 and "gap" in err
+
+
+def test_fit_and_bench_on_overflowing_data_exit_4(tmp_path, capsys):
+    """Finite values near the float limit pass load_dataset but overflow the
+    readout statistics; the fit fails instead of writing a model with MSE inf."""
+    rng = np.random.default_rng(0)
+    from dynabs import Dataset
+
+    path = tmp_path / "huge.csv"
+    save_dataset(path, Dataset(2, 0, rng.uniform(-1e300, 1e300, (200, 2)), rng.uniform(-1e300, 1e300, (200, 2))))
+    for command in ("fit", "bench"):
+        out_dir = tmp_path / command
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, command, "--dataset", path, "--n-x", 2, "--n-u", 0, "--out-dir", out_dir)
+        assert code == 4
+        assert "training MSE is inf, not finite" in err
+        assert not out_dir.exists()
+
+
+def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
+    out_dir = tmp_path / "sim"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
+    assert code == 0
+    for x0, cause in (("nan,0", "coordinate 0 is nan"), ("0,inf", "coordinate 1 is inf"),
+                      ("0.1,0.2,0.3", "dimension 2")):
+        code, out, err = run(capsys, "simulate", "--model", out_dir / "model.json", "--x0", x0, "--steps", 3)
+        assert code == 2 and cause in err and out == ""

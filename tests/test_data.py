@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, save_dataset, zone_from_data
+from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, membership_matrix, save_dataset, zone_from_data
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -107,4 +107,4 @@ def test_zone_from_data_contains_everything():
     with_input = Dataset(1, 1, np.column_stack([pts[:, 0], pts[:, 1]]), pts[:, :1])
     zone2 = zone_from_data(with_input)
     assert zone2.input_bounds is not None
-    assert zone2.input_bounds.contains([pts[:, 1].min()])
+    assert membership_matrix([zone2.input_bounds], [[pts[:, 1].min()]]).all()

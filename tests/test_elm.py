@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from dynabs import (
     Dataset,
     ElmNetwork,
-    SingularSystemError,
     fit_output_weights,
     init_elm,
     me_partition,
     mse,
-    predict,
     predict_batch,
 )
-from dynabs.elm import ReadoutStats
+from dynabs.elm import DEFAULT_RIDGE, ReadoutStats
 
 from oracles import normal_equations_fit
 from synthdata import swirl_dataset, swirl_zone
@@ -59,18 +57,20 @@ def test_fit_exactly_representable_relu():
     )
     z = np.array([[-1.0], [0.5], [2.0]])
     data = Dataset(1, 0, z, np.maximum(z, 0.0))
-    fitted = fit_output_weights(net, data, ridge=0.0)
-    assert abs(fitted.w_out[0, 0] - 1.0) < 1e-12
-    assert mse(fitted, data) < 1e-24
+    fitted = fit_output_weights(net, data)
+    # closed-form ridge readout: H^T Y / (H^T H + 1e-8) with H^T H = H^T Y = 0.25 + 4
+    assert abs(fitted.w_out[0, 0] - 4.25 / (4.25 + 1e-8)) < 1e-12
+    shrink = 1e-8 / (4.25 + 1e-8)  # 1 - w: the ridge's only residual
+    expected = 4.25 * shrink**2 / 3
+    assert abs(mse(fitted, data) - expected) <= 1e-6 * expected
 
 
 def test_fit_matches_normal_equations_oracle():
     rng = np.random.default_rng(11)
     data = random_dataset(rng, 200)
     net = init_elm(2, 2, 20, seed=5)
-    ridge = 1e-8
-    fitted = fit_output_weights(net, data, ridge=ridge)
-    expected = normal_equations_fit(net, data, ridge)
+    fitted = fit_output_weights(net, data)
+    expected = normal_equations_fit(net, data, DEFAULT_RIDGE)
     rel = np.linalg.norm(fitted.w_out - expected) / np.linalg.norm(expected)
     assert rel < 1e-6
 
@@ -80,16 +80,8 @@ def test_fit_single_repeated_sample_interpolates():
     z = np.tile(rng.uniform(-1, 1, size=(1, 2)), (5, 1))
     y = np.tile(rng.uniform(-1, 1, size=(1, 2)), (5, 1))
     data = Dataset(2, 0, z, y)
-    net = fit_output_weights(init_elm(2, 2, 20, seed=3), data)  # default ridge
+    net = fit_output_weights(init_elm(2, 2, 20, seed=3), data)  # rank 1: the ridge keeps it solvable
     assert mse(net, data) < 1e-12
-
-
-def test_fit_singular_without_ridge_raises():
-    rng = np.random.default_rng(2)
-    z = np.tile(rng.uniform(-1, 1, size=(1, 2)), (5, 1))
-    data = Dataset(2, 0, z, z)
-    with pytest.raises(SingularSystemError):
-        fit_output_weights(init_elm(2, 2, 20, seed=3), data, ridge=0.0)
 
 
 def test_fit_rejects_mismatched_dataset():
@@ -101,23 +93,25 @@ def test_fit_rejects_mismatched_dataset():
 
 def test_predict_zero_readout_is_zero():
     net = init_elm(3, 2, 10, seed=4)
-    assert np.array_equal(predict(net, [0.3, -0.1, 0.7]), np.zeros(2))
+    assert np.array_equal(predict_batch(net, [[0.3, -0.1, 0.7]]), np.zeros((1, 2)))
 
 
 def test_predict_single_neuron_clamps():
     net = ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), 1, 0)
-    assert predict(net, [-3.0])[0] == 0.0
+    assert predict_batch(net, [[-3.0]])[0, 0] == 0.0
 
 
 def test_predict_single_neuron_hand_value():
     net = ElmNetwork(np.array([[2.0]]), np.array([1.0]), np.array([[0.5]]), 1, 0)
-    assert np.isclose(predict(net, [1.0])[0], 1.5)
+    assert np.isclose(predict_batch(net, [[1.0]])[0, 0], 1.5)
 
 
 def test_predict_dimension_mismatch():
     net = init_elm(2, 2, 4, seed=0)
     with pytest.raises(ValueError):
-        predict(net, [1.0, 2.0, 3.0])
+        predict_batch(net, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        predict_batch(net, [1.0, 2.0])  # one vector, not a batch of rows
 
 
 def test_mse_hand_values():
@@ -146,26 +140,14 @@ def test_fit_never_worse_than_zero_readout():
         assert mse(fitted, data) <= mse(net, data) + 1e-12
 
 
-def test_ridge_shrinks_readout_norm():
-    # seed pair chosen so no hidden neuron is dead (full-rank H, ridge=0 solvable)
-    rng = np.random.default_rng(103)
-    data = random_dataset(rng, 60)
-    net = init_elm(2, 2, 20, seed=3)
-    free = fit_output_weights(net, data, ridge=0.0)
-    small = fit_output_weights(net, data, ridge=1e-10)
-    large = fit_output_weights(net, data, ridge=1e2)
-    assert np.linalg.norm(small.w_out) <= np.linalg.norm(free.w_out) + 1e-12
-    assert np.linalg.norm(large.w_out) <= np.linalg.norm(small.w_out) + 1e-12
-
-
 @settings(max_examples=30)
 @given(st.floats(-5.0, 5.0, allow_nan=False))
 def test_predict_homogeneous_in_readout(c):
     net = init_elm(2, 2, 8, seed=7)
     fitted = fit_output_weights(net, random_dataset(np.random.default_rng(1), 30))
     scaled = ElmNetwork(fitted.w_in, fitted.b_in, c * fitted.w_out, fitted.hidden_count, fitted.seed)
-    z = np.array([0.2, -0.4])
-    assert np.allclose(predict(scaled, z), c * predict(fitted, z), atol=1e-12)
+    z = np.array([[0.2, -0.4]])
+    assert np.allclose(predict_batch(scaled, z), c * predict_batch(fitted, z), atol=1e-12)
 
 
 def test_json_round_trip_reproduces_predictions():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from dynabs import Box, BoxTree, WorkingZone, membership_matrix
 
+from synthdata import constant_net, split_region_model
+
 
 def test_box_basic_fields():
     b = Box([0.0, -1.0], [2.0, 3.0])
@@ -28,21 +30,25 @@ def test_box_rejects_degenerate_and_inverted():
 
 def test_contains_half_open():
     b = Box([0.0, 0.0], [1.0, 1.0])
-    assert b.contains([0.5, 0.5])
-    assert b.contains([0.0, 0.0])          # lower faces closed
-    assert not b.contains([1.0, 0.5])      # upper face open on interior boxes
-    assert not b.contains([0.5, 1.0])
+    # inside; lower faces closed; upper faces open on a box that is not a closed zone
+    points = [[0.5, 0.5], [0.0, 0.0], [1.0, 0.5], [0.5, 1.0]]
+    assert membership_matrix([b], points)[:, 0].tolist() == [True, True, False, False]
+    assert BoxTree(b, [b]).locate(points).tolist() == [0, 0, -1, -1]
 
 
 def test_contains_zone_upper_face_closed():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]))
-    assert zone.omega.contains([1.0, 1.0])
-    assert zone.omega.contains([1.0, 0.3])
+    points = [[1.0, 1.0], [1.0, 0.3]]
+    assert membership_matrix([zone.omega], points).all()
+    assert BoxTree(zone.omega, [zone.omega]).locate(points).tolist() == [0, 0]
 
 
 def test_contains_dimension_mismatch():
-    with pytest.raises(ValueError):
-        Box([0.0, 0.0], [1.0, 1.0]).contains([0.5])
+    b = Box([0.0, 0.0], [1.0, 1.0])
+    # the tree checks the point dimension; membership_matrix, the brute-force
+    # reference, broadcasts instead
+    with pytest.raises(ValueError, match="dimension 2"):
+        BoxTree(b, [b]).locate([[0.5]])
 
 
 def test_intersect_examples():
@@ -75,9 +81,11 @@ def test_bisect_examples():
     assert np.allclose(left.hi, [2.0, 1.0]) and np.allclose(right.lo, [2.0, 0.0])
     assert not left.closed_hi[0]  # cut face belongs to the right child
 
-    left, right = Box([-1.0], [1.0]).bisect(0)
-    assert left.contains([-0.5]) and not left.contains([0.0])
-    assert right.contains([0.0]) and not right.contains([1.0])
+    whole = Box([-1.0], [1.0])
+    left, right = whole.bisect(0)
+    points = [[-0.5], [0.0], [1.0]]
+    assert membership_matrix([left, right], points).tolist() == [[True, False], [False, True], [False, False]]
+    assert BoxTree(whole, [left, right]).locate(points).tolist() == [0, 1, -1]
 
     # two same-axis splits give quarter widths
     box = Box([0.0], [1.0])
@@ -94,16 +102,26 @@ def test_bisect_bad_dimension():
 def test_bisect_zone_keeps_closure_on_outer_face():
     zone = WorkingZone(Box([0.0], [1.0]))
     left, right = zone.omega.bisect(0)
-    assert not left.contains([0.5]) and right.contains([0.5])
-    assert right.contains([1.0])  # outer face stays closed
-    assert not left.contains([1.0])
+    points = [[0.5], [1.0]]  # the cut, and the outer face, which stays closed
+    assert membership_matrix([left, right], points).tolist() == [[False, True], [False, True]]
+    assert BoxTree(zone.omega, [left, right]).locate(points).tolist() == [1, 1]
 
 
 def test_distance_linf():
-    b = Box([0.0, 0.0], [1.0, 1.0])
-    assert b.distance_linf([0.5, 0.5]) == 0.0
-    assert b.distance_linf([2.0, 0.5]) == 1.0
-    assert b.distance_linf([-0.5, 1.5]) == 0.5
+    """Out-of-zone points go to the region nearest by L-infinity distance,
+    ties to the lowest id."""
+    model = split_region_model(WorkingZone(Box([0.0, 0.0], [1.0, 1.0])),
+                               [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    points = [
+        [-0.5, 0.5],  # 0.5 from region 1, 1.0 from region 2
+        [1.5, 0.5],   # 1.0 and 0.5
+        [0.5, 1.5],   # 0.5 and 0.5: tie
+        [0.7, -0.3],  # max(0.2, 0.3) = 0.3 and 0.3: tie (L1 or L2 would pick region 2)
+        [0.9, -0.3],  # max(0.4, 0.3) = 0.4 and 0.3
+    ]
+    ids, out = model.locate_batch(points)
+    assert out.all()
+    assert ids.tolist() == [1, 2, 1, 1, 2]
 
 
 def test_box_json_round_trip():

@@ -15,10 +15,10 @@ from dynabs import (
     membership_matrix,
     merge_and_learn,
     mse,
-    predict,
+    predict_batch,
 )
 
-from oracles import raw_merge
+from oracles import linf_distance, raw_merge
 from synthdata import (
     constant_net,
     random_tiling_cases,
@@ -95,17 +95,11 @@ def test_locate_inside_and_boundary_and_outside():
     zone = unit_zone()
     model = split_region_model(zone, [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
 
-    assert model.locate([0.2, 0.5]) == 1
-    assert model.locate([0.7, 0.5]) == 2
-    # the cut face belongs to the region whose lower edge it is
-    assert model.locate([0.5, 0.5]) == 2
-
-    rid, out = model.locate_with_flag([1.3, 0.5])
-    assert rid == 2 and out
-    rid, out = model.locate_with_flag([-0.2, 0.5])
-    assert rid == 1 and out
-    rid, out = model.locate_with_flag([0.2, 0.2])
-    assert rid == 1 and not out
+    # the cut face [0.5, 0.5] belongs to the region whose lower edge it is;
+    # out-of-zone points fall back to the nearest region and raise the flag
+    ids, out = model.locate_batch([[0.2, 0.5], [0.7, 0.5], [0.5, 0.5], [1.3, 0.5], [-0.2, 0.5], [0.2, 0.2]])
+    assert ids.tolist() == [1, 2, 2, 2, 1, 1]
+    assert out.tolist() == [False, False, False, True, True, False]
 
 
 def test_step_single_region_equals_predict():
@@ -116,18 +110,16 @@ def test_step_single_region_equals_predict():
         Dataset(2, 0, rng.uniform(0, 1, (40, 2)), rng.uniform(0, 1, (40, 2))),
     )
     model = single_region_model(zone, net)
-    x = np.array([0.3, 0.8])
-    assert np.array_equal(model.step(x), predict(net, x))
+    x = np.array([[0.3, 0.8], [0.1, 0.2], [1.0, 1.0]])
+    assert np.array_equal(model.step(x), predict_batch(net, x))
 
 
 def test_step_constant_regions():
     zone = unit_zone()
     c1, c2 = [0.25, 0.25], [0.75, 0.75]
     model = split_region_model(zone, [constant_net(c1, 2), constant_net(c2, 2)])
-    assert np.allclose(model.step([0.1, 0.9]), c1)
-    assert np.allclose(model.step([0.9, 0.1]), c2)
-    # boundary point follows locate's half-open choice
-    assert np.allclose(model.step([0.5, 0.5]), c2)
+    # the boundary point [0.5, 0.5] follows locate's half-open choice
+    assert np.allclose(model.step([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]]), [c1, c2, c2])
 
 
 def test_simulate_zero_steps():
@@ -170,6 +162,33 @@ def test_simulate_truncates_on_overflow():
     assert result.states.shape[0] < 11
 
 
+def test_simulate_flags_each_out_of_zone_position_once():
+    """out_of_zone_steps lists every trace position whose state lies outside
+    the zone: on a truncated trace the last kept state, and on a full trace a
+    final state that alone leaves the zone."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    # x -> 1e200 x: 0.5 leaves the zone at once, and the next step overflows
+    blowup = single_region_model(zone, ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[1e200]]), 1, 0))
+    with np.errstate(over="ignore"):
+        result = blowup.simulate([0.5], steps=10)
+    assert result.truncated and result.states.shape == (2, 1)
+    assert result.out_of_zone_steps == [1]
+
+    # x -> 2 x: 0.3, 0.6 stay inside and 1.2 alone leaves
+    doubling = single_region_model(zone, ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[2.0]]), 1, 0))
+    result = doubling.simulate([0.3], steps=2)
+    assert not result.truncated
+    assert np.array_equal(result.states[:, 0], [0.3, 0.6, 1.2])
+    assert result.out_of_zone_steps == [2]
+
+
+def test_simulate_rejects_non_finite_start_state():
+    model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
+    for x0 in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match=f"coordinate {int(np.isfinite(x0[0]))}"):
+            model.simulate(x0, steps=3)
+
+
 def test_simulate_requires_inputs_when_model_has_them():
     zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([-1.0], [1.0]))
     from dynabs import init_elm
@@ -187,9 +206,11 @@ def test_training_samples_reproduce_owning_network():
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e-6)
     ids, out = model.locate_batch(data.states)
     assert not out.any()
-    for k in range(0, len(data), 97):
-        net = model.network_of(int(ids[k]))
-        assert np.array_equal(model.step(data.states[k]), predict(net, data.z[k]))
+    stepped = model.step(data.states)
+    for region in model.regions:
+        rows = ids == region.id
+        assert rows.any()
+        assert np.array_equal(stepped[rows], predict_batch(model.network_of(region.id), data.z[rows]))
 
 
 def test_regions_tile_zone_after_merging():
@@ -210,7 +231,7 @@ def test_model_json_round_trip_and_version(tmp_path):
     model.save(path)
     back = HybridModel.load(path)
     assert back.n_regions == model.n_regions
-    x = np.array([0.2, -0.4])
+    x = np.random.default_rng(6).uniform(-1, 1, size=(200, 2))
     assert np.array_equal(back.step(x), model.step(x))
     assert back.gamma == model.gamma and back.epsilon == model.epsilon
 
@@ -265,7 +286,7 @@ def test_locate_batch_equals_membership_reference():
     assert np.array_equal(out, ~member.any(axis=1))
     assert np.array_equal(ids[~out], owner[member[~out].argmax(axis=1)])
     for x, rid in zip(points[out], ids[out]):
-        nearest = min(model.regions, key=lambda r: (min(b.distance_linf(x) for b in r.boxes), r.id))
+        nearest = min(model.regions, key=lambda r: (min(linf_distance(b, x) for b in r.boxes), r.id))
         assert rid == nearest.id
 
 

@@ -107,13 +107,6 @@ def test_me_partition_rejects_out_of_zone_data():
         me_partition(small, data, epsilon=0.05)
 
 
-def test_partition_set_json_shape():
-    parts = me_partition(unit_zone(), two_cluster_dataset(), epsilon=0.05)
-    d = parts.to_dict()
-    assert set(d) == {"omega", "epsilon", "boxes", "counts"}
-    assert len(d["boxes"]) == len(d["counts"]) == len(parts)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.5))
 def test_tiling_property_random_data(seed, epsilon):

@@ -12,7 +12,7 @@ from dynabs import (
     elm_output_box,
     fit_output_weights,
     init_elm,
-    predict,
+    predict_batch,
     relu_image_box,
 )
 
@@ -82,7 +82,7 @@ def test_elm_output_box_point_input_matches_predict():
     )
     z = rng.uniform(-1, 1, 3)
     out = elm_output_box(net, Bounds(z, z))
-    y = predict(net, z)
+    y = predict_batch(net, z[None])[0]
     assert np.allclose(out.center, y, atol=1e-12)
     assert np.all(out.hi - out.lo <= 2 * SLACK + 1e-12)
 
