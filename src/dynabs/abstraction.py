@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,7 +116,8 @@ class TransitionSystem:
     """Finite cells over the zone plus a total boolean transition relation.
 
     `relation` is (N+1) x (N+1): index N is the exit sink, which only
-    self-loops. Cell ids are 1-based; the sink's state id is N+1.
+    self-loops. Cell ids are 1-based; the sink's state id is N+1. A loaded
+    system's cells must be a bisection tiling of the zone (see `BoxTree`).
     """
 
     zone: WorkingZone
@@ -155,16 +155,6 @@ class TransitionSystem:
     def state_label(self, state_id: int) -> str:
         return "EXIT" if state_id == self.exit_id else f"Q{state_id}"
 
-    @cached_property
-    def tree(self) -> BoxTree:
-        """Index over the cells, which must tile the zone; built on first lookup
-        (at load time for a loaded system)."""
-        return BoxTree(self.zone.omega, self.cells)
-
-    def cell_indices_of(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized cell lookup; 0 marks out-of-zone points."""
-        return self.tree.locate(states) + 1
-
     def edge_count(self) -> int:
         return int(self.relation.sum())
 
@@ -187,14 +177,10 @@ class TransitionSystem:
         """Transition system from its JSON document; any defect raises DataError."""
         check_format_version(d, TS_FORMAT_VERSION, "transition-system")
         try:
-            ts = cls(
-                zone=WorkingZone.from_dict(d["zone"]),
-                cells=tuple(Box.from_dict(c) for c in d["cells"]),
-                relation=np.asarray(d["relation"], dtype=bool),
-                initial=d.get("initial"),
-            )
-            ts.tree  # cells that do not tile the zone raise here, naming the cause
-            return ts
+            zone = WorkingZone.from_dict(d["zone"])
+            cells = tuple(Box.from_dict(c) for c in d["cells"])
+            BoxTree(zone.omega, cells)  # raises, naming the cause, unless the cells tile the zone
+            return cls(zone, cells, np.asarray(d["relation"], dtype=bool), d.get("initial"))
         except KeyError as exc:
             raise DataError(f"transition-system document is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -244,9 +230,6 @@ def export_dot(ts: TransitionSystem) -> str:
         lines.append(f"  Q{i} [{', '.join(attrs)}];")
     lines.append("  EXIT [shape=doublecircle];")
     labels = [ts.state_label(i) for i in range(1, ts.n_states + 1)]
-    for i in range(ts.n_states):
-        for j in range(ts.n_states):
-            if ts.relation[i, j]:
-                lines.append(f"  {labels[i]} -> {labels[j]};")
+    lines += [f"  {labels[i]} -> {labels[j]};" for i, j in zip(*np.nonzero(ts.relation))]
     lines.append("}")
     return "\n".join(lines) + "\n"

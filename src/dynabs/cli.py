@@ -99,18 +99,13 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _zone_for(cfg: PipelineConfig, data: Dataset) -> WorkingZone:
-    if cfg.omega_lo is None:
-        zone = zone_from_data(data)
-        if cfg.input_lo is not None:
-            zone = WorkingZone(zone.omega, Box(np.asarray(cfg.input_lo), np.asarray(cfg.input_hi)))
-        return zone
-    omega = Box(np.asarray(cfg.omega_lo, dtype=float), np.asarray(cfg.omega_hi, dtype=float))
-    input_bounds = None
-    if data.n_u > 0:
-        if cfg.input_lo is not None:
-            input_bounds = Box(np.asarray(cfg.input_lo, dtype=float), np.asarray(cfg.input_hi, dtype=float))
-        else:
-            input_bounds = zone_from_data(data).input_bounds
+    """Omega and, when the data have inputs, input bounds: from the config
+    where given, else the data's tight bounds; every sample must lie in omega."""
+    if data.n_u == 0 and cfg.input_lo is not None:
+        raise UsageError("input_lo/input_hi are given, but the dataset has no inputs (n_u = 0)")
+    tight = zone_from_data(data)
+    omega = tight.omega if cfg.omega_lo is None else Box(cfg.omega_lo, cfg.omega_hi)
+    input_bounds = tight.input_bounds if cfg.input_lo is None else Box(cfg.input_lo, cfg.input_hi)
     zone = WorkingZone(omega, input_bounds)
     zone.check_dataset(data)
     return zone
@@ -278,25 +273,33 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
 
 
-def _add_config_flags(p: argparse.ArgumentParser, include_dataset: bool = True) -> None:
+# config key: (type, help); its flag is --key with '-' for '_', and each
+# command offers only the keys it reads
+_FLAGS = {
+    "dataset": (str, "CSV file of one-step samples"),
+    "n_x": (int, "state dimension"),
+    "n_u": (int, "input dimension (0 for autonomous)"),
+    "omega_lo": (_csv_floats, "zone lower corner"),
+    "omega_hi": (_csv_floats, "zone upper corner"),
+    "input_lo": (_csv_floats, "input lower bounds"),
+    "input_hi": (_csv_floats, "input upper bounds"),
+    "epsilon": (float, "entropy-gain threshold for partitioning"),
+    "gamma": (float, "pooled-MSE threshold for merging"),
+    "hidden_count": (int, "neurons per sub-network"),
+    "reference_hidden_count": (int, "neurons of the single reference network"),
+    "traces": (int, "number of traces sampled for abstraction"),
+    "trace_length": (int, "steps per sampled trace"),
+    "seed": (int, "random seed"),
+    "out_dir": (str, "artifact directory"),
+}
+_DATA_KEYS = ("dataset", "n_x", "n_u", "omega_lo", "omega_hi", "input_lo", "input_hi")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *keys: str) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    if include_dataset:
-        p.add_argument("--dataset", help="CSV file of one-step samples")
-        p.add_argument("--n-x", dest="n_x", type=int, help="state dimension")
-        p.add_argument("--n-u", dest="n_u", type=int, help="input dimension (0 for autonomous)")
-        p.add_argument("--omega-lo", dest="omega_lo", type=_csv_floats, help="zone lower corner")
-        p.add_argument("--omega-hi", dest="omega_hi", type=_csv_floats, help="zone upper corner")
-        p.add_argument("--input-lo", dest="input_lo", type=_csv_floats, help="input lower bounds")
-        p.add_argument("--input-hi", dest="input_hi", type=_csv_floats, help="input upper bounds")
-    p.add_argument("--epsilon", type=float, help="entropy-gain threshold for partitioning")
-    p.add_argument("--gamma", type=float, help="pooled-MSE threshold for merging")
-    p.add_argument("--hidden-count", dest="hidden_count", type=int, help="neurons per sub-network")
-    p.add_argument("--reference-hidden-count", dest="reference_hidden_count", type=int,
-                   help="neurons of the single reference network (bench)")
-    p.add_argument("--traces", type=int, help="number of traces sampled for abstraction")
-    p.add_argument("--trace-length", dest="trace_length", type=int, help="steps per sampled trace")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
+    for key in keys:
+        kind, text = _FLAGS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="partition, merge, and train the hybrid model")
-    _add_config_flags(p)
+    _add_config_flags(p, *_DATA_KEYS, "epsilon", "gamma", "hidden_count", "seed", "out_dir")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("abstract", help="sample traces, build cells, compute transitions")
     p.add_argument("--model", required=True, help="model JSON produced by fit")
     p.add_argument("--initial", type=int, help="cell id to mark as initial")
-    _add_config_flags(p, include_dataset=False)
+    _add_config_flags(p, "epsilon", "traces", "trace_length", "seed", "out_dir")
     p.set_defaults(func=cmd_abstract)
 
     p = sub.add_parser("verify", help="check a CTL formula on a transition system")
@@ -324,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="compare hybrid training against one large network")
-    _add_config_flags(p)
+    _add_config_flags(p, *_DATA_KEYS, "epsilon", "gamma", "hidden_count", "reference_hidden_count",
+                      "seed", "out_dir")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("simulate", help="roll out the hybrid model from a start state")

@@ -133,15 +133,15 @@ def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
 
 
 class BoxTree:
-    """Split tree over boxes that tile a zone: the spatial index behind every
-    point lookup in a tiling.
+    """Split tree over a bisection tiling of a zone: the spatial index behind
+    every point lookup in a tiling.
 
-    Each internal node stores a face `(dim, cut)` that separates its boxes;
-    a point goes right iff ``x[dim] >= cut``, which is the half-open
-    membership rule. For a tiling made by bisection the face is the node's
-    midpoint; other guillotine tilings cut at a box face. Leaves map to box
-    indices. Building costs O(B * depth) and raises `ValueError` naming the
-    first gap, overlap or node without a separating face.
+    Each internal node cuts at its midpoint ``0.5 * (lo + hi)``, as
+    `Box.bisect` does, on the lowest dimension no box of the node straddles;
+    a point goes right iff ``x[dim] >= cut``, the half-open membership rule.
+    Leaves map to box indices. Built level by level, it raises `ValueError`
+    naming the first gap, overlap, wrong closure, box outside the zone or
+    node that no midpoint cut separates (not a bisection tiling).
     """
 
     def __init__(self, zone: Box, boxes):
@@ -166,43 +166,53 @@ class BoxTree:
             k = int(wrong[0])
             raise ValueError(f"box {k} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
 
-        dims, cuts, left, right, leaf = [0], [0.0], [0], [0], [-1]
-        self.depth = 0
-        stack = [(0, 0, np.arange(len(boxes)), zone.lo, zone.hi)]
-        while stack:
-            node, depth, members, node_lo, node_hi = stack.pop()
-            if members.size == 0:
-                raise ValueError(f"gap: no box covers [{node_lo.tolist()}, {node_hi.tolist()}]")
-            if members.size == 1:
-                k = int(members[0])
-                if not (np.array_equal(lo[k], node_lo) and np.array_equal(hi[k], node_hi)):
-                    raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
-                                     f"[{node_lo.tolist()}, {node_hi.tolist()}]")
-                leaf[node] = k
-                self.depth = max(self.depth, depth)
-                continue
-            d, cut = _separating_face(lo[members], hi[members], node_lo, node_hi, boxes, members)
-            lower = hi[members, d] <= cut
-            left_hi = node_hi.copy()
-            left_hi[d] = cut
-            right_lo = node_lo.copy()
-            right_lo[d] = cut
-            dims[node], cuts[node] = d, cut
-            left[node], right[node] = len(dims), len(dims) + 1
-            for _ in range(2):
-                dims.append(0)
-                cuts.append(0.0)
-                left.append(len(left))    # a leaf's children are itself
-                right.append(len(right))
-                leaf.append(-1)
-            stack.append((right[node], depth + 1, members[~lower], right_lo, node_hi))
-            stack.append((left[node], depth + 1, members[lower], node_lo, left_hi))
-
-        self.dims = np.asarray(dims, dtype=np.intp)
-        self.cuts = np.asarray(cuts, dtype=float)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.leaf = np.asarray(leaf, dtype=np.intp)
+        dim = zone.dim
+        node_lo, node_hi = zone.lo[None], zone.hi[None]   # the level's nodes, in id order
+        members = np.arange(len(boxes))                   # boxes not yet at a leaf
+        at = np.zeros(len(boxes), dtype=np.intp)          # the level node holding each member
+        levels, first = [], 0                             # per level: dims, cuts, left, right, leaf
+        while members.size:
+            n = node_lo.shape[0]
+            rows = np.arange(n)
+            count = np.bincount(at, minlength=n)
+            if not count.all():
+                k = int(np.argmin(count))
+                raise ValueError(f"gap: no box covers [{node_lo[k].tolist()}, {node_hi[k].tolist()}]")
+            single = count[at] == 1
+            unfilled = single & np.any((lo[members] != node_lo[at]) | (hi[members] != node_hi[at]), axis=1)
+            if unfilled.any():
+                i = int(np.argmax(unfilled))
+                k = int(members[i])
+                raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
+                                 f"[{node_lo[at[i]].tolist()}, {node_hi[at[i]].tolist()}]")
+            mid = 0.5 * (node_lo + node_hi)
+            straddled = np.zeros((n, dim), dtype=bool)
+            np.logical_or.at(straddled, at, (lo[members] < mid[at]) & (mid[at] < hi[members]))
+            # a cut must shrink both children, or a float-limit node would split forever
+            free = ~straddled & (node_lo < mid) & (mid < node_hi)
+            inner = count > 1
+            if (inner & ~free.any(axis=1)).any():
+                k = int(np.argmax(inner & ~free.any(axis=1)))
+                stuck = members[at == k]
+                _reject(boxes, stuck, lo[stuck], hi[stuck], node_lo[k], node_hi[k])
+            d = np.argmax(free, axis=1)                   # the lowest free dimension
+            cut = mid[rows, d]
+            pair = 2 * np.cumsum(inner) - 2               # an inner node's lower child in the next level
+            leaf = np.full(n, -1, dtype=np.intp)
+            leaf[at[single]] = members[single]
+            # a leaf's children are itself
+            levels.append((d, cut, np.where(inner, first + n + pair, first + rows),
+                           np.where(inner, first + n + pair + 1, first + rows), leaf))
+            lower_hi, upper_lo = node_hi.copy(), node_lo.copy()
+            lower_hi[rows, d] = cut
+            upper_lo[rows, d] = cut
+            node_lo = np.stack([node_lo, upper_lo], axis=1)[inner].reshape(-1, dim)
+            node_hi = np.stack([lower_hi, node_hi], axis=1)[inner].reshape(-1, dim)
+            members, at = members[~single], at[~single]
+            at = pair[at] + (lo[members, d[at]] >= cut[at])
+            first += n
+        self.depth = len(levels) - 1
+        self.dims, self.cuts, self.left, self.right, self.leaf = (np.concatenate(a) for a in zip(*levels))
 
     def locate(self, points) -> np.ndarray:
         """Index of the box holding each point row, -1 outside the zone."""
@@ -218,28 +228,14 @@ class BoxTree:
         return np.where(inside, self.leaf[node], -1)
 
 
-def _separating_face(lo, hi, node_lo, node_hi, boxes, members) -> tuple[int, float]:
-    """(dim, cut) of a face no box of the node crosses: the midpoint where it
-    separates, else the lowest box face that does."""
-    mid = 0.5 * (node_lo + node_hi)
-    at_mid = np.nonzero(np.all((hi <= mid) | (lo >= mid), axis=0))[0]
-    if at_mid.size:
-        d = int(at_mid[0])
-        return d, float(mid[d])
-    for d in range(lo.shape[1]):
-        order = np.argsort(lo[:, d], kind="stable")
-        starts = lo[order, d]
-        reach = np.maximum.accumulate(hi[order, d])
-        # a cut at starts[k] separates iff every box starting before it ends by it
-        ok = np.nonzero(reach[:-1] <= starts[1:])[0]
-        if ok.size:
-            return d, float(starts[ok[0] + 1])
+def _reject(boxes, members, lo, hi, node_lo, node_hi):
+    """Raise for a node that no midpoint cut separates: the first overlap
+    among its boxes, else the tiling is not a bisection tiling."""
     for a in range(len(members)):
         inter = np.minimum(hi[a], hi[a + 1:]) > np.maximum(lo[a], lo[a + 1:])
         hit = np.nonzero(np.all(inter, axis=1))[0]
         if hit.size:
             i, j = int(members[a]), int(members[a + 1 + hit[0]])
             raise ValueError(f"overlap: boxes {i} {boxes[i]!r} and {j} {boxes[j]!r} intersect")
-    raise ValueError(f"no axis-aligned face separates boxes {sorted(int(m) for m in members)}: "
-                     "the boxes do not form a guillotine tiling")
-
+    raise ValueError(f"not a bisection tiling: no midpoint cut of [{node_lo.tolist()}, {node_hi.tolist()}] "
+                     f"separates boxes {members.tolist()}")

@@ -240,26 +240,34 @@ def merge_and_learn(
     def readout_stats(net: ElmNetwork, idx: np.ndarray) -> ReadoutStats:
         return ReadoutStats.of(net, data.z[idx], data.y[idx])
 
-    big_n = 0
-    while big_n < len(regions):
-        net = layer(big_n)
-        row = readout_stats(net, regions[big_n]["idx"])
-        n = big_n + 1
-        while n < len(regions):
-            pooled = row + readout_stats(net, regions[n]["idx"])
-            if pooled.rows == 0:
-                n += 1
-                continue
-            stats.pair_tests += 1
-            if pooled.ridge_mse() <= gamma:
-                regions[big_n]["boxes"].extend(regions[n]["boxes"])
-                regions[big_n]["idx"] = np.concatenate([regions[big_n]["idx"], regions[n]["idx"]])
-                row = pooled
-                del regions[n]
-                stats.merges += 1
-            else:
-                n += 1
-        big_n += 1
+    # Huge finite data overflow the statistics to inf or nan. A pool with such
+    # statistics fails its test (its MSE is not <= gamma), and a partition
+    # with them raises when its turn as row N comes, at the latest.
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_n = 0
+        while big_n < len(regions):
+            net = layer(big_n)
+            row = readout_stats(net, regions[big_n]["idx"])
+            if not (np.isfinite(row.hh).all() and np.isfinite(row.hy).all() and np.isfinite(row.yy)):
+                # row N has absorbed nothing yet, so it is still one partition
+                raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {regions[big_n]['boxes'][0]!r} "
+                                         "is not finite: the data overflow the fit")
+            n = big_n + 1
+            while n < len(regions):
+                pooled = row + readout_stats(net, regions[n]["idx"])
+                if pooled.rows == 0:
+                    n += 1
+                    continue
+                stats.pair_tests += 1
+                if pooled.ridge_mse() <= gamma:
+                    regions[big_n]["boxes"].extend(regions[n]["boxes"])
+                    regions[big_n]["idx"] = np.concatenate([regions[big_n]["idx"], regions[n]["idx"]])
+                    row = pooled
+                    del regions[n]
+                    stats.merges += 1
+                else:
+                    n += 1
+            big_n += 1
 
     def refit(i: int) -> tuple[ElmNetwork, float]:
         net = layer(i)

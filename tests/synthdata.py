@@ -119,14 +119,16 @@ def fitted_swirl_model(seed: int = 0, n_samples: int = 2000, epsilon: float = 0.
 
 
 def tiny_transition_system(relation, n_cells: int):
-    """TransitionSystem over dummy 1-D unit cells with the given relation."""
+    """TransitionSystem with the given relation over a 1-D bisection tiling:
+    [0, 1] bisected, then its upper half, and so on, n_cells cells in all."""
     from dynabs import TransitionSystem
 
-    zone = WorkingZone(Box([0.0], [float(n_cells)]))
-    cells = tuple(
-        Box([float(i)], [float(i + 1)], closed_hi=[i == n_cells - 1]) for i in range(n_cells)
-    )
-    return TransitionSystem(zone, cells, np.asarray(relation, dtype=bool))
+    zone = WorkingZone(Box([0.0], [1.0]))
+    cells, rest = [], zone.omega
+    for _ in range(n_cells - 1):
+        lower, rest = rest.bisect(0)
+        cells.append(lower)
+    return TransitionSystem(zone, (*cells, rest), np.asarray(relation, dtype=bool))
 
 
 def random_transition_system(rng, max_cells: int = 4):

@@ -7,6 +7,7 @@ import pytest
 
 from dynabs import (
     Box,
+    BoxTree,
     DataError,
     Dataset,
     ElmNetwork,
@@ -228,7 +229,7 @@ def test_transition_system_cell_lookup():
     zone = unit_zone()
     cells = quarter_cells(zone)
     ts = compute_transitions(single_region_model(zone, constant_net([0.5, 0.5], 2)), cells)
-    ids = ts.cell_indices_of(np.array([[0.1, 0.1], [0.6, 0.1], [2.0, 0.0], [0.6, 0.9], [3.0, 3.0]]))
+    ids = BoxTree(ts.zone.omega, ts.cells).locate([[0.1, 0.1], [0.6, 0.1], [2.0, 0.0], [0.6, 0.9], [3.0, 3.0]]) + 1
     assert list(ids) == [1, 3, 0, 4, 0]
 
 
@@ -292,8 +293,9 @@ def test_simulated_transitions_respect_relation():
     cells = build_cells(model.zone, traces, epsilon=0.05)
     ts = compute_transitions(model, cells)
     fresh = sample_traces(model, L=20, M=50, seed=99)
+    tree = BoxTree(ts.zone.omega, ts.cells)
     for trace in fresh.traces:
-        ids = ts.cell_indices_of(trace.states)
+        ids = tree.locate(trace.states) + 1
         assert (ids > 0).all()
         for a, b in zip(ids[:-1], ids[1:]):
             assert ts.relation[a - 1, b - 1], f"missing transition Q{a} -> Q{b}"

@@ -12,6 +12,7 @@ import numpy as np
 
 from dynabs import (
     Box,
+    BoxTree,
     WorkingZone,
     build_cells,
     compute_transitions,
@@ -131,8 +132,9 @@ def test_criterion_5_abstraction_soundness_on_fixture_models():
         cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]), epsilon=0.05)
         ts = compute_transitions(model, cells)
         fresh = sample_traces(model, 100, 200, seed=900 + fx["seed"])
+        tree = BoxTree(ts.zone.omega, ts.cells)
         for trace in fresh.traces:
-            ids = ts.cell_indices_of(trace.states)
+            ids = tree.locate(trace.states) + 1
             assert (ids > 0).all(), "simulated state escaped the cell tiling"
             pairs = np.column_stack([ids[:-1] - 1, ids[1:] - 1])
             assert ts.relation[pairs[:, 0], pairs[:, 1]].all(), "observed transition missing from R"

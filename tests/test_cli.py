@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -291,7 +292,8 @@ def test_non_finite_weights_and_untiled_cells_exit_3(dataset_csv, tmp_path, caps
 
 def test_fit_and_bench_on_overflowing_data_exit_4(tmp_path, capsys):
     """Finite values near the float limit pass load_dataset but overflow the
-    readout statistics; the fit fails instead of writing a model with MSE inf."""
+    readout statistics; the merge sweep fails on the first partition, before
+    any pair test, with one error line and no numpy warning."""
     rng = np.random.default_rng(0)
     from dynabs import Dataset
 
@@ -299,10 +301,10 @@ def test_fit_and_bench_on_overflowing_data_exit_4(tmp_path, capsys):
     save_dataset(path, Dataset(2, 0, rng.uniform(-1e300, 1e300, (200, 2)), rng.uniform(-1e300, 1e300, (200, 2))))
     for command in ("fit", "bench"):
         out_dir = tmp_path / command
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, command, "--dataset", path, "--n-x", 2, "--n-u", 0, "--out-dir", out_dir)
+        code, out, err = run(capsys, command, "--dataset", path, "--n-x", 2, "--n-u", 0, "--out-dir", out_dir)
         assert code == 4
-        assert "training MSE is inf, not finite" in err
+        assert re.fullmatch(r"error: H\^T H, H\^T Y or sum Y\^2 of partition Box\(.*\) is not finite: "
+                            r"the data overflow the fit\n", err)
         assert not out_dir.exists()
 
 
@@ -315,3 +317,70 @@ def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
                       ("0.1,0.2,0.3", "dimension 2")):
         code, out, err = run(capsys, "simulate", "--model", out_dir / "model.json", "--x0", x0, "--steps", 3)
         assert code == 2 and cause in err and out == ""
+
+
+def test_each_command_offers_only_the_flags_it_reads(dataset_csv, tmp_path, capsys):
+    for argv in (("fit", "--dataset", dataset_csv, "--traces", 5),
+                 ("fit", "--dataset", dataset_csv, "--trace-length", 5),
+                 ("fit", "--dataset", dataset_csv, "--reference-hidden-count", 5),
+                 ("abstract", "--model", "model.json", "--gamma", 1e-3),
+                 ("abstract", "--model", "model.json", "--hidden-count", 5),
+                 ("abstract", "--model", "model.json", "--reference-hidden-count", 5),
+                 ("bench", "--dataset", dataset_csv, "--traces", 5),
+                 ("bench", "--dataset", dataset_csv, "--trace-length", 5)):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+    # config-file keys stay: one file serves every command
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": str(dataset_csv), "epsilon": 1e6, "gamma": 1e6, "traces": 5,
+                               "trace_length": 5, "reference_hidden_count": 5, "out_dir": str(tmp_path)}))
+    for argv in (("fit",), ("abstract", "--model", tmp_path / "model.json"), ("bench",)):
+        code, _, _ = run(capsys, *argv, "--config", cfg)
+        assert code == 0
+
+
+@pytest.mark.parametrize("omega", [(), ("--omega-lo=-1,-1", "--omega-hi=1,1")])
+def test_input_bounds_without_inputs_are_a_usage_error(dataset_csv, tmp_path, capsys, omega):
+    code, _, err = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0, *omega,
+                       "--input-lo=-1", "--input-hi=1", "--out-dir", tmp_path / "out")
+    assert code == 2
+    assert "input_lo/input_hi" in err and "n_u = 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tilings_cut_off_the_midpoint_exit_3(dataset_csv, tmp_path, capsys):
+    """A model.json and a ts.json whose two halves are re-cut off the
+    midpoint still tile the zone, but they are not bisection tilings."""
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--epsilon", 1e6, "--gamma", 1e6, "--out-dir", out_dir)
+    assert code == 0
+    code, _, _ = run(capsys, "abstract", "--model", out_dir / "model.json", "--epsilon", 1e6,
+                     "--traces", 5, "--trace-length", 5, "--out-dir", out_dir)
+    assert code == 0
+
+    def recut(boxes):
+        """The zone's two halves along x1, with the cut moved from 0 to 0.25."""
+        (zone,) = boxes
+        assert zone["lo"] == [-1.0, -1.0] and zone["hi"] == [1.0, 1.0]
+        return [{"lo": [-1.0, -1.0], "hi": [0.25, 1.0], "closed_hi": [False, True]},
+                {"lo": [0.25, -1.0], "hi": [1.0, 1.0], "closed_hi": [True, True]}]
+
+    doc = json.loads((out_dir / "model.json").read_text())
+    doc["regions"][0]["boxes"] = recut(doc["regions"][0]["boxes"])
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "abstract", "--model", bad_model, "--out-dir", tmp_path / "a")
+    assert code == 3 and "not a bisection tiling" in err
+    assert not (tmp_path / "a").exists()
+
+    doc = json.loads((out_dir / "ts.json").read_text())
+    doc["cells"] = recut(doc["cells"])
+    doc["relation"] = [[1, 1, 1], [1, 1, 1], [0, 0, 1]]
+    bad_ts = tmp_path / "ts.json"
+    bad_ts.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--ts", bad_ts, "--formula", "EF Q1", "--initial", 1)
+    assert code == 3 and "not a bisection tiling" in err

@@ -249,13 +249,15 @@ def test_tree_locate_equals_membership_on_bisection_tilings(seed, dim, splits):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 40))
-def test_tree_locate_equals_membership_on_guillotine_tilings(seed, dim, cuts):
+def test_tree_rejects_guillotine_tilings_cut_off_the_midpoint(seed, dim, cuts):
+    """Such a tiling covers the zone exactly once, but it is not a bisection tiling."""
     rng = np.random.default_rng(seed)
     zone = random_zone(rng, dim)
     boxes = guillotine_tiling(rng, zone, cuts)
-    tree = BoxTree(zone, boxes)
-    probes = face_probes(zone, boxes, rng)
-    assert np.array_equal(tree.locate(probes), reference_locate(boxes, probes))
+    probes = rng.uniform(zone.lo, zone.hi, size=(300, dim))
+    assert (membership_matrix(boxes, probes).sum(axis=1) == 1).all()
+    with pytest.raises(ValueError, match="not a bisection tiling"):
+        BoxTree(zone, boxes)
 
 
 def test_tree_cuts_bisection_tilings_at_midpoints():
@@ -277,6 +279,8 @@ def test_tree_rejects_bad_tilings():
         BoxTree(zone, [left, *right.bisect(1)[:1]])
     with pytest.raises(ValueError, match="overlap"):
         BoxTree(zone, [left, right, Box([0.5, 0.5], [1.5, 1.5])])
+    with pytest.raises(ValueError, match="overlap: boxes 1 .* and 2"):
+        BoxTree(zone, [left, right, right])  # found below the root
     with pytest.raises(ValueError, match="outside the zone"):
         BoxTree(zone, [left, Box([1.0, 0.0], [3.0, 2.0], [True, True])])
     with pytest.raises(ValueError, match="closed"):
@@ -291,5 +295,5 @@ def test_tree_rejects_bad_tilings():
     ]
     grid = np.stack(np.meshgrid(np.linspace(0, 2, 9), np.linspace(0, 2, 9)), axis=-1).reshape(-1, 2)
     assert (membership_matrix(pinwheel, grid).sum(axis=1) == 1).all()
-    with pytest.raises(ValueError, match="no axis-aligned face"):
+    with pytest.raises(ValueError, match="not a bisection tiling"):
         BoxTree(zone, pinwheel)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,19 @@ def test_zero_gamma_keeps_noisy_partitions_apart():
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=0.0)
     assert model.n_regions == 2
     assert model.stats.merges == 0
+
+
+def test_merge_names_the_partition_whose_statistics_overflow():
+    """Finite successors near the float limit in one later partition: pair
+    tests with it fail, it raises on its turn as row N, and numpy warns of
+    nothing (RuntimeWarnings fail this suite)."""
+    data = swirl_dataset(600, seed=5)
+    parts = me_partition(swirl_zone(), data, epsilon=0.04)
+    k = len(parts) // 2
+    y = data.y.copy()
+    y[parts.assignments[k]] = 1e300
+    with pytest.raises(FloatingPointError, match=re.escape(f"partition {parts.boxes[k]!r} is not finite")):
+        merge_and_learn(parts, Dataset(2, 0, data.z, y), hidden_count=20, seed=3, gamma=1e-5)
 
 
 def test_merge_is_deterministic():
