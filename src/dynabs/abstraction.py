@@ -9,12 +9,11 @@ behavior that leaves the working zone, keeping the relation total.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, WorkingZone, check_format_version, write_artifact
+from .data import DataError, WorkingZone, bit_matrix, check_format_version, read_artifact, write_artifact
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
 from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
@@ -136,8 +135,11 @@ class TransitionSystem:
             raise ValueError("exit sink must have exactly a self-loop")
         rel.setflags(write=False)
         object.__setattr__(self, "relation", rel)
-        if self.initial is not None and not 1 <= self.initial <= len(self.cells):
-            raise ValueError(f"initial cell id {self.initial} out of range 1..{len(self.cells)}")
+        if self.initial is not None:
+            if isinstance(self.initial, bool) or not isinstance(self.initial, (int, np.integer)):
+                raise ValueError(f"initial cell id must be an integer, got {self.initial!r}")
+            if not 1 <= self.initial <= len(self.cells):
+                raise ValueError(f"initial cell id {self.initial} out of range 1..{len(self.cells)}")
 
     @property
     def n_cells(self) -> int:
@@ -164,7 +166,7 @@ class TransitionSystem:
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "zone": self.zone.to_dict(),
             "cells": [c.to_dict() for c in self.cells],
-            "relation": self.relation.astype(int).tolist(),
+            "relation": self.relation,
             "exit_sink": True,
             "initial": self.initial,
         }
@@ -180,7 +182,7 @@ class TransitionSystem:
             zone = WorkingZone.from_dict(d["zone"])
             cells = tuple(Box.from_dict(c) for c in d["cells"])
             BoxTree(zone.omega, cells)  # raises, naming the cause, unless the cells tile the zone
-            return cls(zone, cells, np.asarray(d["relation"], dtype=bool), d.get("initial"))
+            return cls(zone, cells, bit_matrix(d["relation"], "relation"), d.get("initial"))
         except KeyError as exc:
             raise DataError(f"transition-system document is missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -188,8 +190,7 @@ class TransitionSystem:
 
     @classmethod
     def load(cls, path) -> TransitionSystem:
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_artifact(path, "relation"))
 
 
 def compute_transitions(model: HybridModel, cells, initial: int | None = None) -> TransitionSystem:

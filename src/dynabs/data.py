@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,20 +34,150 @@ def check_format_version(doc, version: int, what: str) -> None:
                         f"only version {version} can be read")
 
 
+_JSON_WS = b" \t\n\r"
+# a matrix entry that is neither 0 nor 1: a run of non-delimiters holding some other character
+_BAD_ENTRY = re.compile(rb"[^\[\], \t\n\r]*[^\[\],01 \t\n\r][^\[\], \t\n\r]*")
+
+
+def _bits_json(m: np.ndarray) -> bytes:
+    """Compact JSON of a 2-D bool matrix as 0/1 integers, built in one uint8
+    buffer; equal to `json.dumps(m.astype(int).tolist(), separators=(",", ":"))`."""
+    rows, cols = m.shape
+    buf = np.empty((rows, 2 * cols + 2), dtype=np.uint8)  # one row: "[d,...,d],"
+    buf[:, 0] = ord("[")
+    buf[:, 1:2 * cols:2] = m.astype(np.uint8) + ord("0")
+    buf[:, 2:2 * cols:2] = ord(",")
+    buf[:, 2 * cols] = ord("]")
+    buf[:, 2 * cols + 1] = ord(",")
+    return b"[" + buf.ravel()[:-1].tobytes() + b"]"
+
+
+def _read_bits(text: str, pos: int) -> tuple[np.ndarray, int]:
+    """Decode the non-empty square 0/1 matrix whose JSON starts at text[pos].
+
+    Returns the bool matrix and the index just past it; raises ValueError
+    naming the first defect and its character index.
+    """
+    tail = text[pos:].encode("utf-8")
+    if not tail.startswith(b"["):
+        raise ValueError(f"expected a square matrix of 0/1 entries, found {text[pos:pos + 12]!r} at char {pos}")
+    b = np.frombuffer(tail, dtype=np.uint8)
+    brackets = np.flatnonzero((b == ord("[")) | (b == ord("]")))
+    closed = np.flatnonzero(np.cumsum(np.where(b[brackets] == ord("["), 1, -1)) == 0)
+    if closed.size == 0:
+        raise ValueError(f"matrix starting at char {pos} is not closed before the end of the file")
+    end = int(brackets[closed[0]]) + 1
+    c = tail[:end].translate(None, _JSON_WS)
+    if c.translate(None, b"[],01"):
+        bad = _BAD_ENTRY.search(tail, 0, end)
+        raise ValueError(f"entries must be 0 or 1, found {bad.group().decode(errors='replace')!r} "
+                         f"at char {pos + bad.start()}")
+    n = (c.index(b"]") - 1) // 2  # the first row closes at 2n + 1
+    if n < 1:
+        raise ValueError(f"matrix at char {pos} must be non-empty")
+    template = _bits_json(np.zeros((n, n), dtype=bool))
+    zeroed = c.replace(b"1", b"0")
+    if zeroed != template:
+        k = next((k for k, (x, y) in enumerate(zip(zeroed, template)) if x != y), min(len(c), len(template)))
+        if k < len(c):  # back from the whitespace-free copy to the text
+            where = f"char {pos + int(np.flatnonzero(~np.isin(b[:end], list(_JSON_WS)))[k])}"
+        else:
+            where = f"the end at char {pos + end - 1}"
+        raise ValueError(f"not a {n}x{n} matrix (the length of its first row): layout breaks at {where}")
+    rows = np.frombuffer(c, dtype=np.uint8)[1:].reshape(n, 2 * n + 2)  # "[d,...,d]," with the outer "]" last
+    return rows[:, 1:2 * n:2] == ord("1"), pos + end
+
+
+def bit_matrix(value, key: str) -> np.ndarray:
+    """A document's square 0/1 matrix as a bool ndarray.
+
+    A bool ndarray, as `read_artifact` returns it, is taken as is. Nested
+    lists (as `json.load` returns them) go through the same decoder as the
+    file, so both accept the same entries: 0 and 1, not `true`, `2` or `0.5`.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == bool:
+        return value
+    try:
+        return _read_bits(json.dumps(value, separators=(",", ":")), 0)[0]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"key {key!r} (as compact JSON): {exc}") from None
+
+
 def write_artifact(path, doc: dict) -> None:
     """Write an artifact document as a JSON object, one top-level key per line.
 
     Keys come in sorted order, each as `  "key": <value>` with the value in
     compact JSON (the C encoder; `indent` would force the pure-Python one and
     put every relation entry on a line of its own). A string value such as
-    `created_utc` thus keeps a line to itself.
+    `created_utc` thus keeps a line to itself. A 2-D bool ndarray value is
+    written as rows of 0/1 integers straight from one byte buffer.
     """
-    lines = [
-        f"  {json.dumps(key)}: {json.dumps(doc[key], sort_keys=True, separators=(',', ':'))}"
-        for key in sorted(doc)
-    ]
+
+    def text(value) -> str:
+        if isinstance(value, np.ndarray) and value.dtype == bool and value.ndim == 2:
+            return _bits_json(value).decode("ascii")
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    lines = [f"  {json.dumps(key)}: {text(doc[key])}" for key in sorted(doc)]
     with open(path, "w", encoding="utf-8") as f:
         f.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def read_artifact(path, bits: str | None = None) -> dict:
+    """Read an artifact document: one JSON object, in any JSON whitespace.
+
+    The top-level keys go through json's string scanner and their values
+    through its decoder, except the value of key `bits`: it must be a
+    non-empty square matrix of 0/1 entries and comes back as a bool ndarray,
+    decoded with numpy in one pass. Any defect raises DataError naming the
+    file and, inside a value, the key.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    expected = "one JSON object" + (f" with a 0/1 matrix under {bits!r}" if bits else "")
+    decoder = json.JSONDecoder()
+    skip = json.decoder.WHITESPACE.match
+    doc: dict = {}
+    pos = skip(text, 0).end()
+
+    def fail(cause: str, at: int) -> NoReturn:
+        raise DataError(f"{path}: expected {expected}; {cause} at char {at}")
+
+    if not text.startswith("{", pos):
+        fail("no '{'", pos)
+    pos = skip(text, pos + 1).end()
+    if text.startswith("}", pos):
+        pos += 1
+    else:
+        while True:
+            if not text.startswith('"', pos):
+                fail("no key", pos)
+            try:
+                key, pos = json.decoder.scanstring(text, pos + 1)
+            except json.JSONDecodeError as exc:
+                fail(f"bad key ({exc.msg})", exc.pos)
+            pos = skip(text, pos).end()
+            if not text.startswith(":", pos):
+                fail(f"no ':' after key {key!r}", pos)
+            pos = skip(text, pos + 1).end()
+            try:
+                doc[key], pos = _read_bits(text, pos) if key == bits else decoder.raw_decode(text, pos)
+            except ValueError as exc:  # json.JSONDecodeError is one
+                raise DataError(f"{path}: key {key!r}: {exc}") from None
+            pos = skip(text, pos).end()
+            if text.startswith("}", pos):
+                pos += 1
+                break
+            if not text.startswith(",", pos):
+                fail(f"no ',' or '}}' after the value of key {key!r}", pos)
+            pos = skip(text, pos + 1).end()
+    pos = skip(text, pos).end()
+    if pos != len(text):
+        fail("trailing data after the object", pos)
+    return doc
 
 
 @dataclass(frozen=True, eq=False)

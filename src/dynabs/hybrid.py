@@ -9,14 +9,13 @@ steps as x(k+1) = net[region(x(k))](x(k), u(k)).
 from __future__ import annotations
 
 import datetime
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, Dataset, WorkingZone, check_format_version, write_artifact
+from .data import DataError, Dataset, WorkingZone, check_format_version, read_artifact, write_artifact
 from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
@@ -192,8 +191,7 @@ class HybridModel:
 
     @classmethod
     def load(cls, path) -> HybridModel:
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_artifact(path))
 
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:

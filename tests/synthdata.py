@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from dynabs import Box, Dataset, HybridModel, Region, WorkingZone, init_elm, me_partition, merge_and_learn
@@ -167,3 +169,36 @@ def random_ctl_formula(rng, n_cells: int, depth: int):
         )
     op = ["EX", "AX", "EF", "AF", "EG", "AG"][int(rng.integers(6))]
     return Unary(op, random_ctl_formula(rng, n_cells, depth - 1))
+
+
+def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
+    """Defective copies of a saved ts.json's text: {case: (text, the key its error names)}.
+
+    Each copy breaks one thing, the relation, the document around it or the
+    initial cell id, and keeps everything else valid.
+    """
+    doc = json.loads(text)
+    rel = doc["relation"]
+
+    def changed(key, value) -> str:
+        return json.dumps({**doc, key: value})
+
+    def first_entry(value) -> str:
+        return changed("relation", [[value, *rel[0][1:]], *rel[1:]])
+
+    start = text.index('"relation"')
+    return {
+        "ragged row": (changed("relation", [*rel[:-1], rel[-1][:-1]]), "relation"),
+        "n x (n+1)": (changed("relation", [row + [0] for row in rel]), "relation"),
+        "three-deep nesting": (changed("relation", [[[v] for v in row] for row in rel]), "relation"),
+        "entry 2": (first_entry(2), "relation"),
+        "entry 0.5": (first_entry(0.5), "relation"),
+        "entry true": (first_entry(True), "relation"),
+        'entry "01"': (first_entry("01"), "relation"),
+        "empty matrix": (changed("relation", []), "relation"),
+        "missing key": (json.dumps({k: v for k, v in doc.items() if k != "relation"}), "relation"),
+        "truncated": (text[: (start + text.index("\n", start)) // 2], "relation"),
+        "trailing data": (text + "{}\n", "relation"),
+        "initial 1.5": (changed("initial", 1.5), "initial"),
+        "initial true": (changed("initial", True), "initial"),
+    }

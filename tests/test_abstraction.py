@@ -30,8 +30,10 @@ from oracles import pairwise_transitions
 from synthdata import (
     constant_net,
     fitted_swirl_model,
+    malformed_ts_texts,
     single_region_model,
     split_region_model,
+    tiny_transition_system,
     two_cluster_points,
     unit_zone,
 )
@@ -358,3 +360,27 @@ def test_load_rejects_cells_that_do_not_tile_the_zone(tmp_path):
     doc["relation"] = rel.tolist()
     with pytest.raises(DataError, match="gap"):
         TransitionSystem.from_dict(doc)
+
+
+def test_malformed_relation_or_initial_is_rejected_naming_the_key(tmp_path):
+    """Entries 2, 0.5, true or "01", a non-square or empty relation, an
+    initial cell id that is no integer, and a document that is cut short or
+    runs on: `load` and `from_dict` both raise DataError naming the key."""
+    relation = np.eye(4, dtype=bool)
+    relation[0, 1] = relation[1, 2] = relation[2, 3] = True
+    ts = tiny_transition_system(relation, 3)
+    assert ts.to_dict()["relation"].dtype == bool
+    path = tmp_path / "ts.json"
+    ts.save(path)
+    for case, (text, key) in malformed_ts_texts(path.read_text()).items():
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(DataError) as err:
+            TransitionSystem.load(bad)
+        assert key in str(err.value).replace(str(bad), ""), case
+        if case not in ("truncated", "trailing data"):
+            with pytest.raises(DataError) as err:
+                TransitionSystem.from_dict(json.loads(text))
+            assert key in str(err.value), case
+    back = TransitionSystem.from_dict(ts.to_dict())
+    assert np.array_equal(back.relation, relation) and back.initial is None

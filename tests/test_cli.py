@@ -8,7 +8,7 @@ import pytest
 from dynabs import save_dataset
 from dynabs.cli import main
 
-from synthdata import swirl_dataset
+from synthdata import malformed_ts_texts, swirl_dataset
 
 
 @pytest.fixture()
@@ -384,3 +384,26 @@ def test_tilings_cut_off_the_midpoint_exit_3(dataset_csv, tmp_path, capsys):
     bad_ts.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", "--ts", bad_ts, "--formula", "EF Q1", "--initial", 1)
     assert code == 3 and "not a bisection tiling" in err
+
+
+def test_verify_reads_any_json_spacing_and_rejects_malformed_ts(dataset_csv, tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
+    assert code == 0
+    code, _, _ = run(capsys, "abstract", "--model", out_dir / "model.json", "--traces", 30,
+                     "--trace-length", 30, "--initial", 1, "--out-dir", out_dir)
+    assert code == 0
+    text = (out_dir / "ts.json").read_text()
+    verify = ("--formula", "EF Q2", "--initial", 1)
+    code, out, _ = run(capsys, "verify", "--ts", out_dir / "ts.json", *verify)
+    assert code == 0
+    spaced = tmp_path / "spaced.json"
+    spaced.write_text(json.dumps(json.loads(text), indent=2))
+    assert run(capsys, "verify", "--ts", spaced, *verify) == (0, out, "")
+
+    bad = tmp_path / "bad.json"
+    for case, (bad_text, key) in malformed_ts_texts(text).items():
+        bad.write_text(bad_text)
+        code, _, err = run(capsys, "verify", "--ts", bad, *verify)
+        assert code == 3 and key in err.replace(str(bad), ""), case

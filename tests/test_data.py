@@ -1,7 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, membership_matrix, save_dataset, zone_from_data
+from dynabs.data import read_artifact, write_artifact
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -108,3 +114,56 @@ def test_zone_from_data_contains_everything():
     zone2 = zone_from_data(with_input)
     assert zone2.input_bounds is not None
     assert membership_matrix([zone2.input_bounds], [[pts[:, 1].min()]]).all()
+
+
+def bool_matrices(max_n: int = 40):
+    return st.integers(1, max_n).flatmap(lambda n: arrays(bool, (n, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bool_matrices())
+def test_bit_matrix_text_is_compact_json_and_reads_back(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("bits") / "doc.json"
+    write_artifact(path, {"m": m, "n": 1})
+    line = path.read_text().splitlines()[1]
+    assert line == '  "m": ' + json.dumps(m.astype(int).tolist(), separators=(",", ":")) + ","
+    back = read_artifact(path, "m")
+    assert back["n"] == 1 and back["m"].dtype == bool and np.array_equal(back["m"], m)
+    for spacing in ({}, {"indent": 2}):
+        path.write_text(json.dumps({"m": m.astype(int).tolist(), "n": 1}, **spacing))
+        assert np.array_equal(read_artifact(path, "m")["m"], m)
+
+
+def test_read_artifact_reads_what_json_reads(tmp_path):
+    doc = {"a": [1.5, None, True, "x\u00e9\"y"], "b": {"c": [[0, 1]], "d": -2e-300}, "e": []}
+    path = tmp_path / "doc.json"
+    for spacing in ({}, {"indent": 3}, {"separators": (",", ":")}):
+        path.write_text(" \n" + json.dumps(doc, **spacing) + "\n\t")
+        assert read_artifact(path) == doc
+    path.write_text("{ }")
+    assert read_artifact(path, "m") == {}
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("", "no '{'"),
+    ("[1]", "no '{'"),
+    ('{"a": 1', "no ',' or '}'"),
+    ('{"a": 1,}', "no key"),
+    ('{"a" 1}', "no ':'"),
+    ('{"a": 1} x', "trailing data"),
+    ('{"a": 1}{}', "trailing data"),
+    ('{"a": [1,]}', "key 'a'"),
+    ('{"a": 1, "b": tru}', "key 'b'"),
+])
+def test_read_artifact_rejects_malformed_documents(tmp_path, text, cause):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=cause):
+        read_artifact(path)
+
+
+def test_read_artifact_rejects_non_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(DataError, match="UTF-8"):
+        read_artifact(path)
