@@ -15,15 +15,7 @@ from .elm import ElmNetwork, fit_output_weights, init_elm, mse, predict_batch
 from .geometry import Box, BoxTree, membership_matrix
 from .hybrid import HybridModel, Region, SimResult, hybrid_mse, merge_and_learn
 from .partition import PartitionSet, me_partition, shannon_entropy
-from .reach import (
-    Bounds,
-    ReachPiece,
-    ReachResult,
-    affine_image_box,
-    cell_successor_box,
-    elm_output_box,
-    relu_image_box,
-)
+from .reach import Bounds, ReachPiece, ReachResult, cell_successor_box, elm_output_box
 
 __version__ = "0.1.0"
 
@@ -46,7 +38,6 @@ __all__ = [
     "TraceSet",
     "TransitionSystem",
     "WorkingZone",
-    "affine_image_box",
     "build_cells",
     "cell_successor_box",
     "check",
@@ -63,7 +54,6 @@ __all__ = [
     "mse",
     "parse_ctl",
     "predict_batch",
-    "relu_image_box",
     "sample_traces",
     "sat_set",
     "save_dataset",

@@ -201,7 +201,8 @@ def compute_transitions(model: HybridModel, cells, initial: int | None = None) -
     Each region piece of the enclosure is tested against all cells at once,
     which drops spurious transitions the hull would add. The cells must tile
     the zone: a padded enclosure then always meets a cell or leaves the zone,
-    so every row has a successor.
+    so every row has a successor. An enclosure that is not finite raises
+    FloatingPointError (see `cell_successor_box`).
     """
     cells = tuple(cells)
     n = len(cells)
@@ -210,9 +211,9 @@ def compute_transitions(model: HybridModel, cells, initial: int | None = None) -
     cell_hi = np.stack([c.hi for c in cells])
     relation = np.zeros((n + 1, n + 1), dtype=bool)
     for i, cell in enumerate(cells):
-        pieces = cell_successor_box(model, cell).pieces
-        out_lo = np.stack([p.output.lo for p in pieces])[:, None, :]   # (pieces, 1, dim)
-        out_hi = np.stack([p.output.hi for p in pieces])[:, None, :]
+        reach = cell_successor_box(model, cell)
+        out_lo = reach.out_lo[:, None, :]   # (pieces, 1, dim)
+        out_hi = reach.out_hi[:, None, :]
         meets = np.all(np.minimum(out_hi, cell_hi) > np.maximum(out_lo, cell_lo), axis=2)
         relation[i, :n] = meets.any(axis=0)
         within = np.all((out_lo >= omega.lo) & (out_hi <= omega.hi), axis=2)

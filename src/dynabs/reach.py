@@ -2,9 +2,9 @@
 
 Bound propagation through a single affine layer is exact interval arithmetic
 and ReLU is monotone, so pushing a box through affine -> ReLU -> affine gives
-a sound box enclosure of the network's image. Enclosures may collapse to zero
-width (constant networks, point inputs), so they are represented by a relaxed
-`Bounds` type rather than the strictly-positive `Box` used for partitions;
+a sound box enclosure of the network's image. Boxes travel as stacked rows:
+(P, n) lower and upper bounds, one row per box. Enclosures may collapse to
+zero width (constant networks, point inputs), which `Box` does not allow;
 final network enclosures carry a small symmetric slack that absorbs
 floating-point rounding against concrete evaluations.
 """
@@ -45,72 +45,33 @@ class Bounds:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    @classmethod
-    def from_box(cls, b: Box) -> Bounds:
-        return cls(b.lo, b.hi)
-
-    def pad(self, slack: float) -> Bounds:
-        return Bounds(self.lo - slack, self.hi + slack)
-
-    def hull(self, other: Bounds) -> Bounds:
-        return Bounds(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
     def overlaps_box(self, box: Box) -> bool:
         """Positive-measure overlap test; zero-width contact counts as empty."""
         return bool(np.all(np.minimum(self.hi, box.hi) > np.maximum(self.lo, box.lo)))
 
-    def within(self, box: Box) -> bool:
-        return bool(np.all((self.lo >= box.lo) & (self.hi <= box.hi)))
 
+def elm_output_box(net: ElmNetwork, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Sound box enclosures of the network image of P input boxes.
 
-def as_bounds(b) -> Bounds:
-    return Bounds.from_box(b) if isinstance(b, Box) else b
-
-
-def affine_image_box(weights: np.ndarray, bias, box) -> Bounds:
-    """Exact (tightest) interval image of a box under x -> W x + b."""
-    w = np.asarray(weights, dtype=float)
-    b = as_bounds(box)
-    if w.ndim != 2 or w.shape[1] != b.dim:
-        raise ValueError(f"weights of shape {w.shape} applied to box of dimension {b.dim}")
-    bias = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=float)
-    if bias.shape != (w.shape[0],):
-        raise ValueError(f"bias of shape {bias.shape} does not match {w.shape[0]} output rows")
-    at_lo = w * b.lo
-    at_hi = w * b.hi
-    return Bounds(
-        np.minimum(at_lo, at_hi).sum(axis=1) + bias,
-        np.maximum(at_lo, at_hi).sum(axis=1) + bias,
-    )
-
-
-def relu_image_box(box) -> Bounds:
-    """Componentwise [max(0, lo), max(0, hi)]; exact since ReLU is monotone."""
-    b = as_bounds(box)
-    return Bounds(np.maximum(b.lo, 0.0), np.maximum(b.hi, 0.0))
-
-
-def elm_output_box(net: ElmNetwork, box, slack: float = OUTPUT_SLACK) -> Bounds:
-    """Sound box enclosure of the network image of an input box.
-
-    Every input row z inside the box has predict_batch(net, z) inside the result;
-    the composition affine -> ReLU -> affine is widened by `slack` per side.
+    Row p of `lo`/`hi`, shape (P, n_in), is one input box; every z inside it
+    has predict_batch(net, z) inside row p of the returned (P, n_out) lower
+    and upper bounds. The composition affine -> ReLU -> affine is widened by
+    OUTPUT_SLACK per side.
     """
-    b = as_bounds(box)
-    if b.dim != net.n_in:
-        raise ValueError(f"input box of dimension {b.dim} fed to network with n_in={net.n_in}")
-    pre = affine_image_box(net.w_in, net.b_in, b)
-    hid = relu_image_box(pre)
-    out = affine_image_box(net.w_out, None, hid)
-    return out.pad(slack)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != net.n_in:
+        raise ValueError(f"input bounds of shapes {lo.shape} and {hi.shape} fed to network with n_in={net.n_in}")
+
+    def affine_image(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # exact (tightest) interval image of each row's box under x -> w x
+        at_lo = w * lo[:, None, :]
+        at_hi = w * hi[:, None, :]
+        return np.minimum(at_lo, at_hi).sum(axis=2), np.maximum(at_lo, at_hi).sum(axis=2)
+
+    pre_lo, pre_hi = affine_image(net.w_in, lo, hi)
+    out_lo, out_hi = affine_image(net.w_out, np.maximum(pre_lo + net.b_in, 0.0), np.maximum(pre_hi + net.b_in, 0.0))
+    return out_lo - OUTPUT_SLACK, out_hi + OUTPUT_SLACK
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,42 +85,67 @@ class ReachPiece:
 
 @dataclass(frozen=True, eq=False)
 class ReachResult:
-    """One-step successor enclosure of a cell under the hybrid model."""
+    """One-step successor enclosure of a cell under the hybrid model.
 
-    output: Bounds
-    pieces: tuple[ReachPiece, ...]
+    Row p is one region piece: the region id, its propagated z-box
+    (cell ∩ region box, times the input bounds) and that box's enclosure
+    under the region's network. `pieces` and `output` are views of the rows.
+    """
+
+    region_ids: np.ndarray  # (P,)
+    in_lo: np.ndarray       # (P, n_x + n_u)
+    in_hi: np.ndarray
+    out_lo: np.ndarray      # (P, n_x)
+    out_hi: np.ndarray
+
+    @property
+    def pieces(self) -> tuple[ReachPiece, ...]:
+        return tuple(
+            ReachPiece(int(r), Bounds(a, b), Bounds(c, d))
+            for r, a, b, c, d in zip(self.region_ids, self.in_lo, self.in_hi, self.out_lo, self.out_hi)
+        )
+
+    @property
+    def output(self) -> Bounds:
+        """Hull of the piece enclosures."""
+        return Bounds(self.out_lo.min(axis=0), self.out_hi.max(axis=0))
 
 
-def cell_successor_box(model: HybridModel, cell: Box, input_bounds: Box | None = None) -> ReachResult:
+def cell_successor_box(model: HybridModel, cell: Box) -> ReachResult:
     """Per-region reachability of one cell: propagate every non-empty
-    (cell ∩ region box) through that region's network and take the hull.
+    (cell ∩ region box) through that region's network.
 
     The cell meets all region boxes at once, over the stacked bounds of the
-    model's index; pieces come in region-box order. The regions tile the
-    zone, so a cell inside the zone always yields at least one piece.
+    model's index; pieces come in region-box order, and each network
+    encloses all of its pieces in one call. The regions tile the zone, so a
+    cell inside the zone always yields at least one piece. An enclosure that
+    is not finite (the network overflows on the piece) raises
+    FloatingPointError naming the cell and the region, since dropping its
+    edges would make the relation unsound.
     """
     omega = model.zone.omega
     if np.any(cell.lo < omega.lo) or np.any(cell.hi > omega.hi):
         raise ValueError("cell must lie inside the working zone")
-    if input_bounds is None:
-        input_bounds = model.zone.input_bounds
     lo = np.maximum(cell.lo, model.tree.lo)
     hi = np.minimum(cell.hi, model.tree.hi)
-    pieces: list[ReachPiece] = []
-    output: Bounds | None = None
-    for k in np.nonzero(np.all(hi > lo, axis=1))[0]:  # zero-width overlap is empty
-        if input_bounds is not None:
-            z = Bounds(
-                np.concatenate([lo[k], input_bounds.lo]),
-                np.concatenate([hi[k], input_bounds.hi]),
-            )
-        else:
-            z = Bounds(lo[k], hi[k])
-        region_id = int(model.box_owner[k])
-        out = elm_output_box(model.network_of(region_id), z)
-        pieces.append(ReachPiece(region_id, z, out))
-        output = out if output is None else output.hull(out)
-    if output is None:
+    keep = (hi > lo).all(axis=1)  # zero-width overlap is empty
+    region_ids = model.box_owner[keep]
+    if region_ids.size == 0:
         raise ValueError("cell intersects no region; region coverage is broken")
-    return ReachResult(output, tuple(pieces))
-
+    in_lo, in_hi = lo[keep], hi[keep]
+    ib = model.zone.input_bounds
+    if ib is not None:
+        in_lo = np.concatenate([in_lo, np.broadcast_to(ib.lo, (in_lo.shape[0], ib.dim))], axis=1)
+        in_hi = np.concatenate([in_hi, np.broadcast_to(ib.hi, (in_hi.shape[0], ib.dim))], axis=1)
+    out_lo = np.empty((region_ids.size, model.zone.n_x))
+    out_hi = np.empty_like(out_lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rid in dict.fromkeys(region_ids.tolist()):
+            rows = region_ids == rid
+            out_lo[rows], out_hi[rows] = elm_output_box(model.network_of(rid), in_lo[rows], in_hi[rows])
+    if not (np.isfinite(out_lo).all() and np.isfinite(out_hi).all()):
+        finite = np.isfinite(out_lo).all(axis=1) & np.isfinite(out_hi).all(axis=1)
+        rid = int(region_ids[np.argmin(finite)])
+        raise FloatingPointError(f"reach enclosure of cell {cell!r} under region {rid} is not finite: "
+                                 "the region's network overflows on it")
+    return ReachResult(region_ids, in_lo, in_hi, out_lo, out_hi)

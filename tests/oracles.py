@@ -4,17 +4,20 @@ These deliberately use different machinery than the library: the
 least-squares oracle solves the normal equations directly, the merge
 oracle refits every pair test on the pooled raw samples, the partition
 oracle rescans every active box for the widest one instead of walking the
-split tree, the transition oracle intersects cells with region boxes one
-pair at a time, and the CTL oracle evaluates path semantics by depth-first
-graph walks instead of boolean fixpoint iteration.
+split tree, the enclosure oracle pushes one box at a time through one
+layer at a time, the transition oracle intersects cells with region boxes
+one pair at a time and encloses each piece with that oracle, and the CTL
+oracle evaluates path semantics by depth-first graph walks instead of
+boolean fixpoint iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dynabs import Bounds, elm_output_box, fit_output_weights, init_elm, mse, predict_batch
+from dynabs import elm_output_box, fit_output_weights, init_elm, mse, predict_batch
 from dynabs.hybrid import derive_seed
+from dynabs.reach import OUTPUT_SLACK
 from dynabs.partition import MIN_SIDE_FRACTION
 from dynabs.ctl import And, CellAtom, CtlFormula, ExitAtom, Not, Or, TrueF, Unary, Until
 
@@ -63,11 +66,28 @@ def linf_distance(box, x) -> float:
 
 def monte_carlo_containment(net, box, n_points: int, rng, slack: float = 1e-9) -> int:
     """Number of sampled inputs whose prediction escapes the output box."""
-    bounds = elm_output_box(net, box)
+    lo, hi = elm_output_box(net, box.lo[None], box.hi[None])
     z = rng.uniform(box.lo, box.hi, size=(n_points, box.dim))
     y = predict_batch(net, z)
-    ok = (y >= bounds.lo - slack) & (y <= bounds.hi + slack)
+    ok = (y >= lo - slack) & (y <= hi + slack)
     return int((~ok.all(axis=1)).sum())
+
+
+def _affine_image(weights: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Exact (tightest) interval image of one box under x -> W x + b."""
+    at_lo = weights * lo
+    at_hi = weights * hi
+    return np.minimum(at_lo, at_hi).sum(axis=1) + bias, np.maximum(at_lo, at_hi).sum(axis=1) + bias
+
+
+def ibp_output_box(net, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosure of the network image of one 1-D input box, one layer at a
+    time: affine, then ReLU ([max(0, lo), max(0, hi)]), then affine with a
+    zero bias, widened by OUTPUT_SLACK per side."""
+    lo, hi = _affine_image(net.w_in, net.b_in, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    lo, hi = _affine_image(net.w_out, np.zeros(net.n_out), lo, hi)
+    return lo - OUTPUT_SLACK, hi + OUTPUT_SLACK
 
 
 def _xlogx(c: int) -> float:
@@ -112,8 +132,8 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
 
 
 def pairwise_transitions(model, cells) -> np.ndarray:
-    """(N+1) x (N+1) relation from one cell x region-box intersection and one
-    piece x cell overlap test at a time."""
+    """(N+1) x (N+1) relation from one cell x region-box intersection, one
+    `ibp_output_box` enclosure and one piece x cell overlap test at a time."""
     omega = model.zone.omega
     ib = model.zone.input_bounds
     n = len(cells)
@@ -124,13 +144,13 @@ def pairwise_transitions(model, cells) -> np.ndarray:
                 overlap = cell.intersect(box)
                 if overlap is None:
                     continue
-                z = Bounds.from_box(overlap)
+                lo, hi = overlap.lo, overlap.hi
                 if ib is not None:
-                    z = Bounds(np.concatenate([z.lo, ib.lo]), np.concatenate([z.hi, ib.hi]))
-                out = elm_output_box(net, z)
+                    lo, hi = np.concatenate([lo, ib.lo]), np.concatenate([hi, ib.hi])
+                out_lo, out_hi = ibp_output_box(net, lo, hi)
                 for j, other in enumerate(cells):
-                    rel[i, j] |= out.overlaps_box(other)
-                rel[i, n] |= not out.within(omega)
+                    rel[i, j] |= bool(np.all(np.minimum(out_hi, other.hi) > np.maximum(out_lo, other.lo)))
+                rel[i, n] |= not bool(np.all((out_lo >= omega.lo) & (out_hi <= omega.hi)))
     rel[n, n] = True
     return rel
 

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from dynabs import Box, Dataset, HybridModel, Region, WorkingZone, init_elm, me_partition, merge_and_learn
+from dynabs import Box, Dataset, ElmNetwork, HybridModel, Region, WorkingZone, init_elm, me_partition, merge_and_learn
 
 
 def swirl_step(x: np.ndarray, damping: float = 0.96, base_angle: float = 0.15, twist: float = 0.1) -> np.ndarray:
@@ -109,6 +109,33 @@ def split_region_model(zone: WorkingZone, nets, j: int = 0) -> HybridModel:
         gamma=0.0,
         epsilon=0.0,
     )
+
+
+def alternating_slab_model(zone: WorkingZone, nets, levels: int = 3) -> HybridModel:
+    """Two-region model over the zone bisected `levels` times along dimension
+    0; the regions alternate slab by slab, region 1 owning the first."""
+    slabs = [zone.omega]
+    for _ in range(levels):
+        slabs = [half for s in slabs for half in s.bisect(0)]
+    return HybridModel(
+        zone=zone,
+        regions=(Region(1, tuple(slabs[0::2])), Region(2, tuple(slabs[1::2]))),
+        networks=tuple(nets),
+        gamma=0.0,
+        epsilon=0.0,
+    )
+
+
+def overflowing_model() -> HybridModel:
+    """One region on [-1, 1]^2 with finite weights whose interval enclosure of
+    any cell holding the corner (1, 1) is NaN: w_in z overflows to inf only
+    within about 3e-3 of that corner, and the zero readout weights turn inf
+    into NaN. Elsewhere the concrete step stays finite and maps into
+    [0, 0.18] x {0}, so sampled traces do not overflow."""
+    w_in = np.full((3, 2), 0.9e308)
+    w_out = np.zeros((2, 3))
+    w_out[0, 0] = 1e-309
+    return single_region_model(swirl_zone(), ElmNetwork(w_in, np.zeros(3), w_out, 3, 0))
 
 
 def fitted_swirl_model(seed: int = 0, n_samples: int = 2000, epsilon: float = 0.04,

@@ -28,6 +28,7 @@ from dynabs.abstraction import Trace, TraceSet
 from oracles import pairwise_transitions
 
 from synthdata import (
+    alternating_slab_model,
     constant_net,
     fitted_swirl_model,
     malformed_ts_texts,
@@ -195,9 +196,11 @@ def test_transitions_deterministic():
 def test_transitions_equal_pairwise_reference():
     model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
     assert model.n_regions > 1 and sum(len(r.boxes) for r in model.regions) > model.n_regions
-    cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
-    ts = compute_transitions(model, cells)
-    assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
+    trace_cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
+    # coarse cells over the fine region tiling: each cell holds 20+ pieces of several networks
+    for cells in (trace_cells, quarter_cells(model.zone)):
+        ts = compute_transitions(model, cells)
+        assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
 
 
 def test_transitions_with_inputs_equal_pairwise_reference():
@@ -205,10 +208,8 @@ def test_transitions_with_inputs_equal_pairwise_reference():
     nets = [init_elm(2, 1, 6, seed=s) for s in (1, 2)]
     rng = np.random.default_rng(0)
     z = np.column_stack([rng.uniform(0, 1, 80), rng.uniform(-0.25, 0.25, 80)])
-    from dynabs import Dataset
-
     nets = [fit_output_weights(n, Dataset(1, 1, z, 0.8 * z[:, :1] + z[:, 1:])) for n in nets]
-    model = split_region_model(zone, nets)
+    model = alternating_slab_model(zone, nets)  # each cell holds two pieces of each network
     cells = [c for half in zone.omega.bisect(0) for c in half.bisect(0)]
     ts = compute_transitions(model, cells)
     assert np.array_equal(ts.relation, pairwise_transitions(model, cells))

@@ -107,10 +107,10 @@ def test_criterion_4_reachability_soundness_monte_carlo():
         for _ in range(20):
             lo = rng.uniform(-2.0, 1.0, 2)
             box = Box(lo, lo + rng.uniform(0.1, 2.0, 2))
-            bounds = elm_output_box(net, box)
+            out_lo, out_hi = elm_output_box(net, box.lo[None], box.hi[None])
             z = rng.uniform(box.lo, box.hi, size=(points_per_box, 2))
             y = predict_batch(net, z)
-            ok = (y >= bounds.lo - 1e-9) & (y <= bounds.hi + 1e-9)
+            ok = (y >= out_lo - 1e-9) & (y <= out_hi + 1e-9)
             violations += int((~ok.all(axis=1)).sum())
     elapsed = time.perf_counter() - t0
     assert violations == 0

@@ -8,7 +8,7 @@ import pytest
 from dynabs import save_dataset
 from dynabs.cli import main
 
-from synthdata import malformed_ts_texts, swirl_dataset
+from synthdata import malformed_ts_texts, overflowing_model, swirl_dataset
 
 
 @pytest.fixture()
@@ -40,6 +40,11 @@ def test_fit_writes_model_and_reports(dataset_csv, tmp_path, capsys):
     assert (out_dir / "model.json").exists()
     assert "partitions:" in out and "regions after merge:" in out
     assert "total mse:" in out and "total fit time:" in out
+    # the per-region table splits the total: its sample-weighted mean is the total MSE
+    rows = [(int(n), float(m)) for n, m in re.findall(r"samples=\s*(\d+)\s+mse=(\d\S*)", out)]
+    total = float(re.search(r"total mse: (\S+)", out).group(1))
+    assert sum(n for n, _ in rows) == 1200
+    assert sum(n * m for n, m in rows) / 1200 == pytest.approx(total, rel=1e-5)
 
 
 def test_fit_missing_dataset_names_path(tmp_path, capsys):
@@ -306,6 +311,20 @@ def test_fit_and_bench_on_overflowing_data_exit_4(tmp_path, capsys):
         assert re.fullmatch(r"error: H\^T H, H\^T Y or sum Y\^2 of partition Box\(.*\) is not finite: "
                             r"the data overflow the fit\n", err)
         assert not out_dir.exists()
+
+
+def test_abstract_with_non_finite_enclosure_exits_4(tmp_path, capsys):
+    """Finite weights that overflow the interval enclosure of a cell: abstract
+    names the cell and the region and writes no ts.json, rather than a
+    relation whose row for that cell drops real edges."""
+    model_path = tmp_path / "model.json"
+    overflowing_model().save(model_path)
+    out_dir = tmp_path / "a"
+    code, _, err = run(capsys, "abstract", "--model", model_path, "--traces", 20, "--trace-length", 5,
+                         "--epsilon", 1e6, "--out-dir", out_dir)
+    assert code == 4
+    assert re.fullmatch(r"error: reach enclosure of cell Box\(.*\) under region 1 is not finite: .*\n", err)
+    assert not (out_dir / "ts.json").exists()
 
 
 def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
