@@ -9,7 +9,7 @@ from .abstraction import (
     export_dot,
     sample_traces,
 )
-from .ctl import CtlFormula, CtlSyntaxError, check, parse_ctl, sat_set
+from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set
 from .data import DataError, Dataset, WorkingZone, load_dataset, save_dataset, zone_from_data
 from .elm import ElmNetwork, fit_output_weights, init_elm, mse, predict_batch
 from .geometry import Box, BoxTree, membership_matrix
@@ -23,7 +23,6 @@ __all__ = [
     "Box",
     "BoxTree",
     "Bounds",
-    "CtlFormula",
     "CtlSyntaxError",
     "DataError",
     "Dataset",
@@ -45,6 +44,7 @@ __all__ = [
     "elm_output_box",
     "export_dot",
     "fit_output_weights",
+    "format_ctl",
     "hybrid_mse",
     "init_elm",
     "load_dataset",

@@ -57,7 +57,9 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
 
     Inputs (when the model takes any) are drawn uniformly over the input
     bounds at every step. A trace whose successor leaves the zone stops
-    there and is marked exited. Fully deterministic for a given seed.
+    there and is marked exited. A step that is not finite (the model
+    overflows on a state of the zone) raises FloatingPointError naming the
+    state and its region. Fully deterministic for a given seed.
     """
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
@@ -81,9 +83,15 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         if not alive.any():
             break
         rows = np.nonzero(alive)[0]
-        nxt = model.step(x[rows], u[rows] if n_u > 0 else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = model.step(x[rows], u[rows] if n_u > 0 else None)
+        bad = np.nonzero(~np.isfinite(nxt).all(axis=1))[0]
+        if bad.size:
+            state = x[rows[bad[0]]]
+            region = int(model.locate_batch(state)[0][0])
+            raise FloatingPointError(f"model step from state {state.tolist()} in region {region} is not finite: "
+                                     f"{nxt[bad[0]].tolist()}")
         inside = np.all((nxt >= omega.lo) & (nxt <= omega.hi), axis=1)
-        inside &= np.isfinite(nxt).all(axis=1)
         leaving = rows[~inside]
         exited[leaving] = True
         alive[leaving] = False

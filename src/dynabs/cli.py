@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .abstraction import TransitionSystem, build_cells, compute_transitions, export_dot, sample_traces
-from .ctl import CtlSyntaxError, check, parse_ctl, sat_set
+from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set
 from .data import DataError, Dataset, WorkingZone, load_dataset, zone_from_data
 from .elm import fit_output_weights, init_elm, mse
 from .geometry import Box
@@ -60,8 +60,9 @@ class PipelineConfig:
     out_dir: str = "."
 
     def validate(self) -> None:
-        if self.epsilon < 0 or self.gamma < 0:
-            raise UsageError("epsilon and gamma must be >= 0")
+        for key, value in (("epsilon", self.epsilon), ("gamma", self.gamma)):
+            if not value >= 0:  # NaN fails too; inf is allowed
+                raise UsageError(f"{key} must be >= 0, got {value!r}")
         if self.n_x < 1 or self.n_u < 0:
             raise UsageError("need n_x >= 1 and n_u >= 0")
         if self.hidden_count < 1 or self.reference_hidden_count < 1:
@@ -79,12 +80,21 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> PipelineConfig:
+        """Config from a JSON object whose values have their keys' flag types;
+        null is taken only where the default is None."""
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
+        if not isinstance(raw, dict):
+            raise UsageError(f"config file {path} must hold a JSON object, got {json.dumps(raw)}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        defaults = cls()
+        for key, value in raw.items():
+            what, fits = _CONFIG_TYPES[_FLAGS[key][0]]
+            if not (fits(value) or (value is None and getattr(defaults, key) is None)):
+                raise UsageError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
         return cls(**raw)
 
 
@@ -189,7 +199,7 @@ def cmd_verify(args) -> int:
     result = check(ts, formula, args.initial)
     sat = sorted(sat_set(ts, formula))
     print(json.dumps({
-        "formula": str(formula),
+        "formula": format_ctl(formula),
         "initial": args.initial,
         "result": result,
         "sat_set": [ts.state_label(i) for i in sat],
@@ -294,6 +304,14 @@ _FLAGS = {
     "trace_length": (int, "steps per sampled trace"),
     "seed": (int, "random seed"),
     "out_dir": (str, "artifact directory"),
+}
+# flag type: (what a config file gives for its keys, the test of a JSON value;
+# exact types, so that true and false are not numbers)
+_CONFIG_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    _csv_floats: ("a list of numbers", lambda v: type(v) is list and all(type(x) in (int, float) for x in v)),
 }
 _DATA_KEYS = ("dataset", "n_x", "n_u", "omega_lo", "omega_hi", "input_lo", "input_hi")
 

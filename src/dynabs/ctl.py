@@ -12,95 +12,35 @@ Grammar (precedence low to high, whitespace insensitive)::
               | 'A' '[' formula 'U' formula ']'
               | 'Q' int | 'EXIT' | 'true' | '(' formula ')'
 
+A formula is a nested tuple::
+
+    ("true",) | ("exit",) | ("cell", k) | ("not", f) | ("and", f, g) | ("or", f, g)
+    | (op, f) for op in EX AX EF AF EG AG | ("EU", f, g) | ("AU", f, g)
+
 Atoms are cell identities (Q1 is the first cell) plus the EXIT sink. The
 relation is total by construction, so EX/AX need no deadlock convention.
+The checker computes EX, E[U] and EG and derives the rest by duality.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .abstraction import TransitionSystem
 
-
-class CtlSyntaxError(ValueError):
-    """Formula text rejected, with the offending position."""
-
-
-class CtlFormula:
-    """Base class for formula AST nodes."""
-
-
-@dataclass(frozen=True)
-class TrueF(CtlFormula):
-    def __str__(self):
-        return "true"
-
-
-@dataclass(frozen=True)
-class CellAtom(CtlFormula):
-    index: int
-
-    def __str__(self):
-        return f"Q{self.index}"
-
-
-@dataclass(frozen=True)
-class ExitAtom(CtlFormula):
-    def __str__(self):
-        return "EXIT"
-
-
-@dataclass(frozen=True)
-class Not(CtlFormula):
-    arg: CtlFormula
-
-    def __str__(self):
-        return f"!{self.arg}"
-
-
-@dataclass(frozen=True)
-class And(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-    def __str__(self):
-        return f"({self.left} & {self.right})"
-
-
-@dataclass(frozen=True)
-class Or(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-    def __str__(self):
-        return f"({self.left} | {self.right})"
-
-
-@dataclass(frozen=True)
-class Unary(CtlFormula):
-    op: str  # EX AX EF AF EG AG
-    arg: CtlFormula
-
-    def __str__(self):
-        return f"{self.op} {self.arg}"
-
-
-@dataclass(frozen=True)
-class Until(CtlFormula):
-    quantifier: str  # E or A
-    left: CtlFormula
-    right: CtlFormula
-
-    def __str__(self):
-        return f"{self.quantifier}[{self.left} U {self.right}]"
-
+# operators over any subformula, and brackets and prefix operators around any
+# token; it keeps parsing, formatting and checking within the recursion limit
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(Q\d+)|([A-Za-z]+)|([&|!()\[\]]))")
 _UNARY_OPS = {"EX", "AX", "EF", "AF", "EG", "AG"}
+_BINARY_OPS = {"and": "&", "or": "|"}
+
+
+class CtlSyntaxError(ValueError):
+    """Formula text rejected, with the offending position."""
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -122,11 +62,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _bounded(levels: int, pos: int) -> int:
+    if levels > MAX_NESTING:
+        raise CtlSyntaxError(f"formula nests deeper than {MAX_NESTING} levels at position {pos}")
+    return levels
+
+
 class _Parser:
+    """Recursive descent; each parse_* returns (formula, operator height)."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # brackets and prefix operators around the next token
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -143,123 +92,110 @@ class _Parser:
         if tok[1] != value:
             raise CtlSyntaxError(f"expected {value!r} but found {tok[1]!r} at position {tok[2]}")
 
-    def parse(self) -> CtlFormula:
-        f = self.parse_or()
+    def nested(self, parse, pos: int):
+        self.open = _bounded(self.open + 1, pos)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def parse(self) -> tuple:
+        f, _ = self.parse_or()
         tok = self.peek()
         if tok is not None:
             raise CtlSyntaxError(f"trailing input {tok[1]!r} at position {tok[2]}")
         return f
 
-    def parse_or(self) -> CtlFormula:
-        f = self.parse_and()
-        while self.peek() and self.peek()[1] == "|":
-            self.take()
-            f = Or(f, self.parse_and())
-        return f
+    def parse_or(self):
+        return self.parse_chain("or", self.parse_and)
 
-    def parse_and(self) -> CtlFormula:
-        f = self.parse_unary()
-        while self.peek() and self.peek()[1] == "&":
-            self.take()
-            f = And(f, self.parse_unary())
-        return f
+    def parse_and(self):
+        return self.parse_chain("and", self.parse_unary)
 
-    def parse_unary(self) -> CtlFormula:
-        tok = self.peek()
-        if tok is None:
-            raise CtlSyntaxError(f"unexpected end of formula at position {len(self.text)}")
-        kind, value, pos = tok
-        if value == "!":
+    def parse_chain(self, op: str, operand):
+        f, height = operand()
+        while self.peek() and self.peek()[1] == _BINARY_OPS[op]:
+            pos = self.take()[2]
+            g, h = operand()
+            f, height = (op, f, g), _bounded(max(height, h) + 1, pos)
+        return f, height
+
+    def parse_unary(self):
+        kind, value, pos = self.peek() or self.take()  # take() raises at the end
+        if value == "!" or (kind == "NAME" and value in _UNARY_OPS):
             self.take()
-            return Not(self.parse_unary())
-        if kind == "NAME" and value in _UNARY_OPS:
-            self.take()
-            return Unary(value, self.parse_unary())
+            f, h = self.nested(self.parse_unary, pos)
+            return ("not" if value == "!" else value, f), _bounded(h + 1, pos)
         if kind == "NAME" and value in ("E", "A"):
             self.take()
-            self.expect("[")
-            left = self.parse_or()
-            tok = self.take()
-            if tok[1] != "U":
-                raise CtlSyntaxError(f"expected 'U' in until at position {tok[2]}")
-            right = self.parse_or()
-            self.expect("]")
-            return Until(value, left, right)
+            (left, hl), (right, hr) = self.nested(self.parse_until, pos)
+            return (value + "U", left, right), _bounded(max(hl, hr) + 1, pos)
         return self.parse_primary()
 
-    def parse_primary(self) -> CtlFormula:
+    def parse_until(self):
+        self.expect("[")
+        left = self.parse_or()
+        tok = self.take()
+        if tok[1] != "U":
+            raise CtlSyntaxError(f"expected 'U' in until at position {tok[2]}")
+        right = self.parse_or()
+        self.expect("]")
+        return left, right
+
+    def parse_primary(self):
         kind, value, pos = self.take()
         if kind == "ATOM":
-            return CellAtom(int(value[1:]))
+            return ("cell", int(value[1:])), 0
         if kind == "NAME":
             if value == "true":
-                return TrueF()
+                return ("true",), 0
             if value == "EXIT":
-                return ExitAtom()
+                return ("exit",), 0
             raise CtlSyntaxError(f"unknown name {value!r} at position {pos}")
         if value == "(":
-            f = self.parse_or()
+            f = self.nested(self.parse_or, pos)
             self.expect(")")
             return f
         raise CtlSyntaxError(f"unexpected token {value!r} at position {pos}")
 
 
-def parse_ctl(text: str) -> CtlFormula:
+def parse_ctl(text: str) -> tuple:
     """Parse a formula in the module grammar; raises CtlSyntaxError."""
     return _Parser(text).parse()
 
 
+def format_ctl(f: tuple) -> str:
+    """Formula text that parse_ctl reads back to f; binary operators are parenthesized."""
+    op = f[0]
+    if op == "true":
+        return "true"
+    if op == "exit":
+        return "EXIT"
+    if op == "cell":
+        return f"Q{f[1]}"
+    if op == "not":
+        return f"!{format_ctl(f[1])}"
+    if op in _BINARY_OPS:
+        return f"({format_ctl(f[1])} {_BINARY_OPS[op]} {format_ctl(f[2])})"
+    if op in ("EU", "AU"):
+        return f"{op[0]}[{format_ctl(f[1])} U {format_ctl(f[2])}]"
+    if op in _UNARY_OPS:
+        return f"{op} {format_ctl(f[1])}"
+    raise ValueError(f"not a CTL formula: {f!r}")
+
+
 def _pre_exists(relation: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """States with at least one successor in z."""
+    """EX z: states with at least one successor in z."""
     return (relation & z[None, :]).any(axis=1)
 
 
-def _sat(ts: TransitionSystem, f: CtlFormula) -> np.ndarray:
-    n = ts.n_states
-    r = ts.relation
-    if isinstance(f, TrueF):
-        return np.ones(n, dtype=bool)
-    if isinstance(f, CellAtom):
-        if not 1 <= f.index <= ts.n_cells:
-            raise ValueError(f"atom Q{f.index} out of range: system has cells Q1..Q{ts.n_cells}")
-        v = np.zeros(n, dtype=bool)
-        v[f.index - 1] = True
-        return v
-    if isinstance(f, ExitAtom):
-        v = np.zeros(n, dtype=bool)
-        v[n - 1] = True
-        return v
-    if isinstance(f, Not):
-        return ~_sat(ts, f.arg)
-    if isinstance(f, And):
-        return _sat(ts, f.left) & _sat(ts, f.right)
-    if isinstance(f, Or):
-        return _sat(ts, f.left) | _sat(ts, f.right)
-    if isinstance(f, Unary):
-        z = _sat(ts, f.arg)
-        if f.op == "EX":
-            return _pre_exists(r, z)
-        if f.op == "AX":
-            return ~_pre_exists(r, ~z)
-        if f.op == "EF":
-            return _fix(lambda cur: z | _pre_exists(r, cur), z)
-        if f.op == "EG":
-            return _fix(lambda cur: z & _pre_exists(r, cur), z)
-        if f.op == "AF":
-            return ~_fix(lambda cur: ~z & _pre_exists(r, cur), ~z)  # !EG !z
-        if f.op == "AG":
-            return ~_fix(lambda cur: ~z | _pre_exists(r, cur), ~z)  # !EF !z
-        raise AssertionError(f.op)
-    if isinstance(f, Until):
-        a = _sat(ts, f.left)
-        b = _sat(ts, f.right)
-        if f.quantifier == "E":
-            return _fix(lambda cur: b | (a & _pre_exists(r, cur)), b)
-        # A[a U b] = !(E[!b U (!a & !b)] | EG !b)
-        bad_reach = _fix(lambda cur: (~a & ~b) | (~b & _pre_exists(r, cur)), ~a & ~b)
-        bad_loop = _fix(lambda cur: ~b & _pre_exists(r, cur), ~b)
-        return ~(bad_reach | bad_loop)
-    raise TypeError(f"not a CTL formula node: {f!r}")
+def _eu(relation: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """E[a U b]: the least fixpoint of b | (a & EX cur)."""
+    return _fix(lambda cur: b | (a & _pre_exists(relation, cur)), b)
+
+
+def _eg(relation: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """EG z: the greatest fixpoint of z & EX cur."""
+    return _fix(lambda cur: z & _pre_exists(relation, cur), z)
 
 
 def _fix(step, start):
@@ -272,13 +208,54 @@ def _fix(step, start):
         cur = nxt
 
 
-def sat_set(ts: TransitionSystem, f: CtlFormula) -> set[int]:
+def _sat(ts: TransitionSystem, f: tuple) -> np.ndarray:
+    n = ts.n_states
+    r = ts.relation
+    every = np.ones(n, dtype=bool)
+    op = f[0]
+    if op == "true":
+        return every
+    if op in ("cell", "exit"):
+        k = n if op == "exit" else f[1]
+        if op == "cell" and not 1 <= k <= ts.n_cells:
+            raise ValueError(f"atom Q{k} out of range: system has cells Q1..Q{ts.n_cells}")
+        v = np.zeros(n, dtype=bool)
+        v[k - 1] = True
+        return v
+    if op == "not":
+        return ~_sat(ts, f[1])
+    if op == "and":
+        return _sat(ts, f[1]) & _sat(ts, f[2])
+    if op == "or":
+        return _sat(ts, f[1]) | _sat(ts, f[2])
+    if op == "EU":
+        return _eu(r, _sat(ts, f[1]), _sat(ts, f[2]))
+    if op == "AU":
+        a, b = _sat(ts, f[1]), _sat(ts, f[2])
+        return ~(_eu(r, ~b, ~a & ~b) | _eg(r, ~b))
+    if op not in _UNARY_OPS:
+        raise ValueError(f"not a CTL formula: {f!r}")
+    z = _sat(ts, f[1])
+    if op == "EX":
+        return _pre_exists(r, z)
+    if op == "AX":
+        return ~_pre_exists(r, ~z)
+    if op == "EF":
+        return _eu(r, every, z)
+    if op == "AF":
+        return ~_eg(r, ~z)
+    if op == "EG":
+        return _eg(r, z)
+    return ~_eu(r, every, ~z)  # AG
+
+
+def sat_set(ts: TransitionSystem, f: tuple) -> set[int]:
     """1-based ids of states satisfying f; the exit sink's id is n_cells+1."""
     mask = _sat(ts, f)
     return {int(i) + 1 for i in np.nonzero(mask)[0]}
 
 
-def check(ts: TransitionSystem, f: CtlFormula, initial: int) -> bool:
+def check(ts: TransitionSystem, f: tuple, initial: int) -> bool:
     """True iff the initial cell satisfies f."""
     if not 1 <= initial <= ts.n_cells:
         raise ValueError(f"initial cell id {initial} out of range 1..{ts.n_cells}")

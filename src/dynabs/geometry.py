@@ -64,10 +64,6 @@ class Box:
     def sides(self) -> np.ndarray:
         return self.hi - self.lo
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
     def intersect(self, other: Box) -> Box | None:
         """Componentwise intersection; zero-width or inverted results are empty."""
         if self.dim != other.dim:

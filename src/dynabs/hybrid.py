@@ -42,7 +42,6 @@ class Region:
 class MergeStats:
     """Bookkeeping from merge_and_learn; not part of the serialized model."""
 
-    initial_partitions: int
     pair_tests: int = 0
     merges: int = 0
     refit_seconds: list[float] = field(default_factory=list)
@@ -144,7 +143,8 @@ class HybridModel:
         trace = [x]
         message = None
         for t in range(steps):
-            x = self.step(x, inputs[t] if n_u > 0 else None)[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = self.step(x, inputs[t] if n_u > 0 else None)[0]
             if not np.all(np.isfinite(x)):
                 message = f"non-finite state produced at step {t + 1}"
                 break
@@ -225,7 +225,7 @@ def merge_and_learn(
     if seed < 0:
         raise ValueError("seed must be non-negative")
     n_in = data.n_x + data.n_u
-    stats = MergeStats(initial_partitions=len(parts))
+    stats = MergeStats()
 
     regions = [
         {"boxes": [box], "idx": np.asarray(idx, dtype=int)}

@@ -45,10 +45,6 @@ class PartitionSet:
     epsilon: float
     split_log: list[tuple[int, int, float, bool]] = field(default=None, repr=False)  # type: ignore[assignment]
 
-    @property
-    def counts(self) -> list[int]:
-        return [int(a.size) for a in self.assignments]
-
     def __len__(self) -> int:
         return len(self.boxes)
 

@@ -19,7 +19,6 @@ from dynabs import elm_output_box, fit_output_weights, init_elm, mse, predict_ba
 from dynabs.hybrid import derive_seed
 from dynabs.reach import OUTPUT_SLACK
 from dynabs.partition import MIN_SIDE_FRACTION
-from dynabs.ctl import And, CellAtom, CtlFormula, ExitAtom, Not, Or, TrueF, Unary, Until
 
 
 def normal_equations_fit(net, data, ridge: float) -> np.ndarray:
@@ -203,44 +202,30 @@ def _lasso_within(relation, start: int, allowed: set[int]) -> bool:
     return _reach_through(relation, start, allowed, on_cycle)
 
 
-def oracle_sat(ts, f: CtlFormula) -> set[int]:
+def oracle_sat(ts, f: tuple) -> set[int]:
     """1-based sat set computed by explicit path enumeration."""
     relation = ts.relation
     n = ts.n_states
     states = set(range(n))
 
     def ev(node) -> set[int]:
-        if isinstance(node, TrueF):
+        op = node[0]
+        if op == "true":
             return set(states)
-        if isinstance(node, CellAtom):
-            return {node.index - 1}
-        if isinstance(node, ExitAtom):
+        if op == "cell":
+            return {node[1] - 1}
+        if op == "exit":
             return {n - 1}
-        if isinstance(node, Not):
-            return states - ev(node.arg)
-        if isinstance(node, And):
-            return ev(node.left) & ev(node.right)
-        if isinstance(node, Or):
-            return ev(node.left) | ev(node.right)
-        if isinstance(node, Unary):
-            z = ev(node.arg)
-            if node.op == "EX":
-                return {s for s in states if any(t in z for t in _succ(relation, s))}
-            if node.op == "AX":
-                return {s for s in states if all(t in z for t in _succ(relation, s))}
-            if node.op == "EF":
-                return {s for s in states if _reach_through(relation, s, states, z)}
-            if node.op == "AF":
-                return {s for s in states if not _lasso_within(relation, s, states - z)}
-            if node.op == "EG":
-                return {s for s in states if _lasso_within(relation, s, z)}
-            if node.op == "AG":
-                return {s for s in states if not _reach_through(relation, s, states, states - z)}
-            raise AssertionError(node.op)
-        if isinstance(node, Until):
-            a = ev(node.left)
-            b = ev(node.right)
-            if node.quantifier == "E":
+        if op == "not":
+            return states - ev(node[1])
+        if op == "and":
+            return ev(node[1]) & ev(node[2])
+        if op == "or":
+            return ev(node[1]) | ev(node[2])
+        if op in ("EU", "AU"):
+            a = ev(node[1])
+            b = ev(node[2])
+            if op == "EU":
                 return {s for s in states if _reach_through(relation, s, a, b)}
             # A[a U b]: no path dodging b forever, none hitting !a & !b before b
             bad = (states - a) - b
@@ -250,6 +235,19 @@ def oracle_sat(ts, f: CtlFormula) -> set[int]:
                 if not _lasso_within(relation, s, states - b)
                 and not _reach_through(relation, s, states - b, bad)
             }
-        raise TypeError(node)
+        z = ev(node[1])
+        if op == "EX":
+            return {s for s in states if any(t in z for t in _succ(relation, s))}
+        if op == "AX":
+            return {s for s in states if all(t in z for t in _succ(relation, s))}
+        if op == "EF":
+            return {s for s in states if _reach_through(relation, s, states, z)}
+        if op == "AF":
+            return {s for s in states if not _lasso_within(relation, s, states - z)}
+        if op == "EG":
+            return {s for s in states if _lasso_within(relation, s, z)}
+        if op == "AG":
+            return {s for s in states if not _reach_through(relation, s, states, states - z)}
+        raise AssertionError(op)
 
     return {s + 1 for s in ev(f)}

@@ -172,30 +172,33 @@ def random_transition_system(rng, max_cells: int = 4):
     return tiny_transition_system(rel, n)
 
 
-def random_ctl_formula(rng, n_cells: int, depth: int):
-    from dynabs.ctl import And, CellAtom, ExitAtom, Not, Or, TrueF, Unary, Until
-
+def random_ctl_formula(rng, n_cells: int, depth: int) -> tuple:
+    """A random formula tuple (see dynabs.ctl) of at most `depth` operator levels."""
     roll = rng.integers(0, 10) if depth > 0 else rng.integers(0, 3)
     if roll == 0:
-        return TrueF()
+        return ("true",)
     if roll == 1:
-        return ExitAtom()
+        return ("exit",)
     if roll == 2:
-        return CellAtom(int(rng.integers(1, n_cells + 1)))
+        return ("cell", int(rng.integers(1, n_cells + 1)))
     if roll == 3:
-        return Not(random_ctl_formula(rng, n_cells, depth - 1))
-    if roll == 4:
-        return And(random_ctl_formula(rng, n_cells, depth - 1), random_ctl_formula(rng, n_cells, depth - 1))
-    if roll == 5:
-        return Or(random_ctl_formula(rng, n_cells, depth - 1), random_ctl_formula(rng, n_cells, depth - 1))
-    if roll == 6:
-        return Until(
-            "E" if rng.integers(2) else "A",
-            random_ctl_formula(rng, n_cells, depth - 1),
-            random_ctl_formula(rng, n_cells, depth - 1),
-        )
+        return ("not", random_ctl_formula(rng, n_cells, depth - 1))
+    if roll in (4, 5, 6):
+        if roll == 6:
+            op = "EU" if rng.integers(2) else "AU"
+        else:
+            op = "and" if roll == 4 else "or"
+        return (op, random_ctl_formula(rng, n_cells, depth - 1), random_ctl_formula(rng, n_cells, depth - 1))
     op = ["EX", "AX", "EF", "AF", "EG", "AG"][int(rng.integers(6))]
-    return Unary(op, random_ctl_formula(rng, n_cells, depth - 1))
+    return (op, random_ctl_formula(rng, n_cells, depth - 1))
+
+
+def ctl_subformulas(f: tuple):
+    """f and every formula nested in it, depth first."""
+    yield f
+    for child in f[1:]:
+        if isinstance(child, tuple):
+            yield from ctl_subformulas(child)
 
 
 def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:

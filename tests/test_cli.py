@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from dynabs import save_dataset
+from dynabs import ElmNetwork, save_dataset
 from dynabs.cli import main
 
-from synthdata import malformed_ts_texts, overflowing_model, swirl_dataset
+from synthdata import (malformed_ts_texts, overflowing_model, single_region_model, swirl_dataset, swirl_zone,
+                       tiny_transition_system)
 
 
 @pytest.fixture()
@@ -426,3 +427,91 @@ def test_verify_reads_any_json_spacing_and_rejects_malformed_ts(dataset_csv, tmp
         bad.write_text(bad_text)
         code, _, err = run(capsys, "verify", "--ts", bad, *verify)
         assert code == 3 and key in err.replace(str(bad), ""), case
+
+
+@pytest.mark.parametrize("doc, named", [
+    (5, "must hold a JSON object, got 5"),
+    (None, "must hold a JSON object, got null"),
+    ([1, 2], "must hold a JSON object, got [1, 2]"),
+    ({"epsilon": "abc"}, "'epsilon' must be a number, got \"abc\""),
+    ({"n_x": "2"}, "'n_x' must be an integer"),
+    ({"seed": 1.5}, "'seed' must be an integer"),
+    ({"hidden_count": 2.5}, "'hidden_count' must be an integer"),
+    ({"n_u": True}, "'n_u' must be an integer, got true"),
+    ({"gamma": True}, "'gamma' must be a number"),
+    ({"out_dir": None}, "'out_dir' must be a string"),
+    ({"dataset": 7}, "'dataset' must be a string"),
+    ({"omega_lo": [-1, "a"], "omega_hi": [1, 1]}, "'omega_lo' must be a list of numbers"),
+    ({"omega_lo": -1, "omega_hi": [1, 1]}, "'omega_lo' must be a list of numbers"),
+])
+def test_fit_rejects_malformed_config_naming_the_key(dataset_csv, tmp_path, capsys, doc, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fit", "--config", cfg, "--dataset", dataset_csv, "--out-dir", tmp_path / "o")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+def test_config_null_is_taken_where_the_default_is_none(dataset_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega_lo": None, "omega_hi": None, "input_lo": None, "input_hi": None,
+                               "epsilon": 1e6, "gamma": 1e6}))
+    code, out, _ = run(capsys, "fit", "--config", cfg, "--dataset", dataset_csv, "--out-dir", tmp_path / "o")
+    assert code == 0 and "partitions: 1\n" in out
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("fit", "--epsilon", "nan"), "epsilon"),
+    (("fit", "--gamma", "nan"), "gamma"),
+    (("abstract", "--model", "model.json", "--epsilon", "nan"), "epsilon"),
+])
+def test_nan_thresholds_are_usage_errors(dataset_csv, tmp_path, capsys, argv, key):
+    if argv[0] == "fit":
+        argv = (*argv, "--dataset", dataset_csv)
+    code, out, err = run(capsys, *argv, "--out-dir", tmp_path / "o")
+    assert code == 2 and out == ""
+    assert err == f"error: {key} must be >= 0, got nan\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_infinite_thresholds_stay_allowed(dataset_csv, tmp_path, capsys):
+    code, out, _ = run(capsys, "fit", "--dataset", dataset_csv, "--epsilon", "inf", "--gamma", "inf",
+                       "--out-dir", tmp_path / "o")
+    assert code == 0 and "partitions: 1\n" in out and "regions after merge: 1\n" in out
+
+
+def overflowing_step_model_path(tmp_path):
+    """One region on [-1, 1]^2 whose step overflows on most of the zone."""
+    net = ElmNetwork(np.full((3, 2), 1e308), np.zeros(3), np.full((2, 3), 1e-300), 3, 0)
+    path = tmp_path / "model.json"
+    single_region_model(swirl_zone(), net).save(path)
+    return path
+
+
+def test_abstract_on_overflowing_steps_exits_4(tmp_path, capsys):
+    out_dir = tmp_path / "a"
+    code, _, err = run(capsys, "abstract", "--model", overflowing_step_model_path(tmp_path),
+                       "--traces", 20, "--trace-length", 5, "--out-dir", out_dir)
+    assert code == 4
+    assert re.fullmatch(r"error: model step from state \[.*\] in region 1 is not finite: \[.*\]\n", err)
+    assert not (out_dir / "ts.json").exists()
+
+
+def test_simulate_on_overflowing_steps_truncates_without_warnings(tmp_path, capsys):
+    # pytest turns RuntimeWarning into errors, so a numpy overflow warning fails here
+    code, out, err = run(capsys, "simulate", "--model", overflowing_step_model_path(tmp_path),
+                         "--x0", "0.5,0.5", "--steps", 3)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["truncated"] and doc["message"] == "non-finite state produced at step 2"
+    assert len(doc["states"]) == 2
+
+
+@pytest.mark.parametrize("formula", ["!" * 3000 + "Q1", "(" * 3000 + "Q1" + ")" * 3000],
+                         ids=["3000 negations", "3000 parentheses"])
+def test_verify_rejects_deeply_nested_formula(tmp_path, capsys, formula):
+    ts_path = tmp_path / "ts.json"
+    tiny_transition_system([[1, 0], [0, 1]], 1).save(ts_path)
+    code, out, err = run(capsys, "verify", "--ts", ts_path, "--formula", formula, "--initial", 1)
+    assert code == 2 and out == ""
+    assert err == "error: formula nests deeper than 100 levels at position 100\n"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dynabs import Box, TransitionSystem, WorkingZone, check, parse_ctl, sat_set
-from dynabs.ctl import And, CellAtom, CtlSyntaxError, ExitAtom, Not, Or, TrueF, Unary, Until
+from dynabs import Box, TransitionSystem, WorkingZone, check, format_ctl, parse_ctl, sat_set
+from dynabs.ctl import MAX_NESTING, CtlSyntaxError
 
 from oracles import oracle_sat
+from synthdata import ctl_subformulas
 from synthdata import random_ctl_formula as random_formula
 from synthdata import random_transition_system as random_ts
 from synthdata import tiny_transition_system as tiny_ts
@@ -16,30 +17,30 @@ def chain_1_2():
 
 
 def test_parse_simple_atoms():
-    assert parse_ctl("EF Q2") == Unary("EF", CellAtom(2))
-    assert parse_ctl("AX Q4") == Unary("AX", CellAtom(4))
-    assert parse_ctl("EXIT") == ExitAtom()
-    assert parse_ctl("true") == TrueF()
-    assert parse_ctl("Q17") == CellAtom(17)
+    assert parse_ctl("EF Q2") == ("EF", ("cell", 2))
+    assert parse_ctl("AX Q4") == ("AX", ("cell", 4))
+    assert parse_ctl("EXIT") == ("exit",)
+    assert parse_ctl("true") == ("true",)
+    assert parse_ctl("Q17") == ("cell", 17)
 
 
 def test_parse_nested_example():
-    assert parse_ctl("EF (Q6 & EX Q7)") == Unary("EF", And(CellAtom(6), Unary("EX", CellAtom(7))))
+    assert parse_ctl("EF (Q6 & EX Q7)") == ("EF", ("and", ("cell", 6), ("EX", ("cell", 7))))
 
 
 def test_parse_precedence_and_binds_tighter_than_or():
-    assert parse_ctl("Q1 | Q2 & Q3") == Or(CellAtom(1), And(CellAtom(2), CellAtom(3)))
-    assert parse_ctl("!Q1 & Q2") == And(Not(CellAtom(1)), CellAtom(2))
+    assert parse_ctl("Q1 | Q2 & Q3") == ("or", ("cell", 1), ("and", ("cell", 2), ("cell", 3)))
+    assert parse_ctl("!Q1 & Q2") == ("and", ("not", ("cell", 1)), ("cell", 2))
 
 
 def test_parse_until_forms():
-    assert parse_ctl("E[Q1 U Q2]") == Until("E", CellAtom(1), CellAtom(2))
-    assert parse_ctl("A [ true U EXIT ]") == Until("A", TrueF(), ExitAtom())
+    assert parse_ctl("E[Q1 U Q2]") == ("EU", ("cell", 1), ("cell", 2))
+    assert parse_ctl("A [ true U EXIT ]") == ("AU", ("true",), ("exit",))
 
 
 def test_parse_unary_chains():
-    assert parse_ctl("EX EX Q1") == Unary("EX", Unary("EX", CellAtom(1)))
-    assert parse_ctl("AG ! Q2") == Unary("AG", Not(CellAtom(2)))
+    assert parse_ctl("EX EX Q1") == ("EX", ("EX", ("cell", 1)))
+    assert parse_ctl("AG ! Q2") == ("AG", ("not", ("cell", 2)))
 
 
 def test_parse_whitespace_insensitive():
@@ -100,18 +101,18 @@ def test_duality_on_random_systems():
     for _ in range(40):
         ts = random_ts(rng)
         phi = random_formula(rng, ts.n_cells, 2)
-        assert sat_set(ts, Unary("AX", phi)) == sat_set(ts, Not(Unary("EX", Not(phi))))
-        assert sat_set(ts, Unary("AG", phi)) == sat_set(ts, Not(Unary("EF", Not(phi))))
-        assert sat_set(ts, Unary("AF", phi)) == sat_set(ts, Not(Unary("EG", Not(phi))))
+        assert sat_set(ts, ("AX", phi)) == sat_set(ts, ("not", ("EX", ("not", phi))))
+        assert sat_set(ts, ("AG", phi)) == sat_set(ts, ("not", ("EF", ("not", phi))))
+        assert sat_set(ts, ("AF", phi)) == sat_set(ts, ("not", ("EG", ("not", phi))))
 
 
 def test_ef_monotone_in_argument():
     rng = np.random.default_rng(1)
     for _ in range(40):
         ts = random_ts(rng)
-        phi = CellAtom(1)
-        psi = Or(CellAtom(1), ExitAtom())
-        assert sat_set(ts, Unary("EF", phi)) <= sat_set(ts, Unary("EF", psi))
+        phi = ("cell", 1)
+        psi = ("or", ("cell", 1), ("exit",))
+        assert sat_set(ts, ("EF", phi)) <= sat_set(ts, ("EF", psi))
 
 
 def test_fixpoint_agrees_with_path_oracle():
@@ -120,21 +121,44 @@ def test_fixpoint_agrees_with_path_oracle():
     for _ in range(150):
         ts = random_ts(rng)
         f = random_formula(rng, ts.n_cells, 3)
-        seen_ops.update(type(n).__name__ for n in walk(f))
-        assert sat_set(ts, f) == oracle_sat(ts, f), f"disagreement on {f}"
-    assert {"Unary", "Until", "Not", "And", "Or"} <= seen_ops
-
-
-def walk(f):
-    yield f
-    for attr in ("arg", "left", "right"):
-        child = getattr(f, attr, None)
-        if child is not None:
-            yield from walk(child)
+        seen_ops.update(node[0] for node in ctl_subformulas(f))
+        assert sat_set(ts, f) == oracle_sat(ts, f), f"disagreement on {format_ctl(f)}"
+    assert {"EX", "AX", "EF", "AF", "EG", "AG", "EU", "AU", "not", "and", "or"} <= seen_ops
 
 
 def test_formula_str_round_trips():
     rng = np.random.default_rng(3)
     for _ in range(60):
         f = random_formula(rng, 5, 3)
-        assert parse_ctl(str(f)) == f
+        assert parse_ctl(format_ctl(f)) == f
+
+
+@pytest.mark.parametrize("text, formatted", [
+    ("EF (Q6 & EX Q7)", "EF (Q6 & EX Q7)"),
+    ("A [ true U EXIT ] | !E[Q1 U AX Q2]", "(A[true U EXIT] | !E[Q1 U AX Q2])"),
+    ("AF AG !Q3 & EG (Q1 | Q2 | Q4)", "(AF AG !Q3 & EG ((Q1 | Q2) | Q4))"),
+    ("Q1 | Q2 & !(Q3 | EXIT)", "(Q1 | (Q2 & !(Q3 | EXIT)))"),
+    ("EX !!Q007", "EX !!Q7"),
+    ("AX (true & A[EF Q1 U E[Q2 U Q3]])", "AX (true & A[EF Q1 U E[Q2 U Q3]])"),
+])
+def test_format_ctl_text_is_pinned(text, formatted):
+    # `verify` prints this text as "formula", so verdict files stay comparable
+    assert format_ctl(parse_ctl(text)) == formatted
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: "!" * n + "Q1",
+    lambda n: "(" * n + "Q1" + ")" * n,
+    lambda n: "EX " * n + "Q1",
+    lambda n: "E[" * n + "Q1" + " U Q2]" * n,
+    lambda n: " & ".join(["Q1"] * (n + 1)),
+    lambda n: "(" * (n - 1) + "Q1" + " | Q1)" * (n - 1) + " | Q1",
+], ids=["negations", "parentheses", "EX chain", "nested until", "and chain", "bracketed or chains"])
+def test_nesting_bound(make):
+    ts = chain_1_2()
+    at_bound = parse_ctl(make(MAX_NESTING))
+    assert parse_ctl(format_ctl(at_bound)) == at_bound
+    sat_set(ts, at_bound)
+    check(ts, at_bound, 1)
+    with pytest.raises(CtlSyntaxError, match=f"deeper than {MAX_NESTING} levels at position"):
+        parse_ctl(make(MAX_NESTING + 1))

@@ -12,7 +12,7 @@ def test_box_basic_fields():
     b = Box([0.0, -1.0], [2.0, 3.0])
     assert b.dim == 2
     assert np.allclose(b.sides, [2.0, 4.0])
-    assert np.allclose(b.center, [1.0, 1.0])
+    assert np.allclose(0.5 * (b.lo + b.hi), [1.0, 1.0])
 
 
 def test_box_rejects_degenerate_and_inverted():
@@ -173,7 +173,7 @@ def test_random_bisection_tree_tiles_zone(seed, dim):
     counts = membership_matrix(leaves, pts).sum(axis=1)
     assert (counts == 1).all()
     # boundary points too, including the closed outer corner
-    corners = np.stack([zone.omega.lo, zone.omega.hi, zone.omega.center])
+    corners = np.stack([zone.omega.lo, zone.omega.hi, 0.5 * (zone.omega.lo + zone.omega.hi)])
     counts = membership_matrix(leaves, corners).sum(axis=1)
     assert (counts == 1).all()
 

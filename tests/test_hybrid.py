@@ -292,7 +292,7 @@ def test_locate_batch_equals_membership_reference():
     points = np.concatenate([
         np.stack([b.lo for b in boxes]),
         np.stack([b.hi for b in boxes]),
-        np.stack([np.array([b.lo[0], b.center[1]]) for b in boxes]),
+        np.stack([np.array([b.lo[0], 0.5 * (b.lo[1] + b.hi[1])]) for b in boxes]),
         rng.uniform(-1.0, 1.0, size=(2000, 2)),
         rng.uniform(-3.0, 3.0, size=(500, 2)),
     ])

@@ -42,7 +42,7 @@ def test_entropy_bounded_by_log_n(counts):
 def test_huge_epsilon_keeps_single_partition():
     parts = me_partition(unit_zone(), two_cluster_dataset(), epsilon=1e6)
     assert len(parts) == 1
-    assert parts.counts == [200]
+    assert [a.size for a in parts.assignments] == [200]
 
 
 def test_two_cluster_first_split_on_x1_midline():
@@ -57,7 +57,7 @@ def test_two_cluster_first_split_on_x1_midline():
 def test_partition_conservation_and_tiling():
     data = two_cluster_dataset()
     parts = me_partition(unit_zone(), data, epsilon=0.05)
-    assert sum(parts.counts) == len(data)
+    assert sum(a.size for a in parts.assignments) == len(data)
 
     # every sample sits in the box it was assigned to
     member = membership_matrix(parts.boxes, data.states)
@@ -95,7 +95,7 @@ def test_me_partition_deterministic():
 def test_me_partition_accepts_raw_points():
     pts = two_cluster_dataset().states
     parts = me_partition(unit_zone(), pts, epsilon=0.05)
-    assert sum(parts.counts) == pts.shape[0]
+    assert sum(a.size for a in parts.assignments) == pts.shape[0]
 
 
 def test_me_partition_rejects_out_of_zone_data():
@@ -115,7 +115,7 @@ def test_tiling_property_random_data(seed, epsilon):
     pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(20, 400)), dim))
     zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
     parts = me_partition(zone, pts, epsilon)
-    assert sum(parts.counts) == pts.shape[0]
+    assert sum(a.size for a in parts.assignments) == pts.shape[0]
     probes = rng.uniform(-1.0, 1.0, size=(2000, dim))
     assert (membership_matrix(parts.boxes, probes).sum(axis=1) == 1).all()
 
