@@ -16,7 +16,7 @@ import numpy as np
 from .data import DataError, WorkingZone, bit_matrix, check_format_version, read_artifact, write_artifact
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
+from .geometry import Box, BoxTree, boxes_from_docs, membership_matrix  # noqa: F401
 from .hybrid import HybridModel
 from .partition import me_partition
 from .reach import cell_successor_box
@@ -188,7 +188,9 @@ class TransitionSystem:
         check_format_version(d, TS_FORMAT_VERSION, "transition-system")
         try:
             zone = WorkingZone.from_dict(d["zone"])
-            cells = tuple(Box.from_dict(c) for c in d["cells"])
+            if type(d["cells"]) is not list:
+                raise DataError(f"key 'cells' must be a list of boxes, got {type(d['cells']).__name__}")
+            cells = boxes_from_docs(d["cells"], zone.n_x, lambda k: f"cells[{k}]")
             BoxTree(zone.omega, cells)  # raises, naming the cause, unless the cells tile the zone
             return cls(zone, cells, bit_matrix(d["relation"], "relation"), d.get("initial"))
         except KeyError as exc:
@@ -206,26 +208,25 @@ def compute_transitions(model: HybridModel, cells, initial: int | None = None) -
     i meets cell j with positive width; enclosures extending beyond the zone
     get an edge to the exit sink.
 
-    Each region piece of the enclosure is tested against all cells at once,
-    which drops spurious transitions the hull would add. The cells must tile
-    the zone: a padded enclosure then always meets a cell or leaves the zone,
-    so every row has a successor. An enclosure that is not finite raises
-    FloatingPointError (see `cell_successor_box`).
+    One `cell_successor_box` call gives the region pieces of every cell,
+    and each piece's enclosure is tested on its own, which drops spurious
+    transitions the hull would add: a range query down the cells' `BoxTree`
+    finds the cells it meets. The cells must be a bisection tiling of the
+    zone, which building that tree checks (it raises ValueError naming the
+    cause otherwise); a padded enclosure then always meets a cell or leaves
+    the zone, so every row has a successor. An enclosure that is not finite
+    raises FloatingPointError (see `cell_successor_box`).
     """
     cells = tuple(cells)
     n = len(cells)
     omega = model.zone.omega
-    cell_lo = np.stack([c.lo for c in cells])
-    cell_hi = np.stack([c.hi for c in cells])
+    tree = BoxTree(omega, cells)
+    reach = cell_successor_box(model, *cells)
     relation = np.zeros((n + 1, n + 1), dtype=bool)
-    for i, cell in enumerate(cells):
-        reach = cell_successor_box(model, cell)
-        out_lo = reach.out_lo[:, None, :]   # (pieces, 1, dim)
-        out_hi = reach.out_hi[:, None, :]
-        meets = np.all(np.minimum(out_hi, cell_hi) > np.maximum(out_lo, cell_lo), axis=2)
-        relation[i, :n] = meets.any(axis=0)
-        within = np.all((out_lo >= omega.lo) & (out_hi <= omega.hi), axis=2)
-        relation[i, n] = not within.all()
+    for pieces, hit in tree.overlapping(reach.out_lo, reach.out_hi):
+        relation[reach.cell_ids[pieces], hit] = True
+    leaves = ~np.all((reach.out_lo >= omega.lo) & (reach.out_hi <= omega.hi), axis=1)
+    relation[reach.cell_ids[leaves], n] = True
     relation[n, n] = True
     return TransitionSystem(zone=model.zone, cells=cells, relation=relation, initial=initial)
 

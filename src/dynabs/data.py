@@ -16,7 +16,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, boxes_from_docs
 
 
 class DataError(ValueError):
@@ -67,25 +67,44 @@ def _read_bits(text: str, pos: int) -> tuple[np.ndarray, int]:
     if closed.size == 0:
         raise ValueError(f"matrix starting at char {pos} is not closed before the end of the file")
     end = int(brackets[closed[0]]) + 1
+    # The whitespace-free text holds the matrix as "[" + n rows "[d,...,d]," + the
+    # outer "]" in place of the last ",": one layout test over its (n, 2n + 2)
+    # view checks every character. A right layout closes the matrix at the
+    # same bracket as `end`, so the text after it does not matter here.
+    c = tail.translate(None, _JSON_WS)
+    n = (c.index(b"]") - 1) // 2  # the first row closes at 2n + 1
+    size = n * (2 * n + 2) + 1
+    if n >= 1 and len(c) >= size:
+        rows = np.frombuffer(c, dtype=np.uint8, count=size)[1:].reshape(n, 2 * n + 2)
+        layout = np.full(2 * n + 2, ord(","), dtype=np.uint8)  # "[1,...,1],"
+        layout[0], layout[2 * n] = ord("["), ord("]")
+        layout[1:2 * n:2] = ord("1")
+        digit = (layout == ord("1")).astype(np.uint8)  # x | 1 == '1' only for x in '0', '1'
+        if (c[size - 1] == ord("]") and ((rows[:-1] | digit) == layout).all()
+                and ((rows[-1, :-1] | digit[:-1]) == layout[:-1]).all()):
+            return rows[:, 1:2 * n:2] == ord("1"), pos + end
+    _raise_bits_defect(tail, b, pos, end)
+
+
+def _raise_bits_defect(tail: bytes, b: np.ndarray, pos: int, end: int) -> NoReturn:
+    """Raise for a matrix text that fails `_read_bits`'s layout test, naming
+    the first character that breaks it."""
     c = tail[:end].translate(None, _JSON_WS)
     if c.translate(None, b"[],01"):
         bad = _BAD_ENTRY.search(tail, 0, end)
         raise ValueError(f"entries must be 0 or 1, found {bad.group().decode(errors='replace')!r} "
                          f"at char {pos + bad.start()}")
-    n = (c.index(b"]") - 1) // 2  # the first row closes at 2n + 1
+    n = (c.index(b"]") - 1) // 2
     if n < 1:
         raise ValueError(f"matrix at char {pos} must be non-empty")
     template = _bits_json(np.zeros((n, n), dtype=bool))
     zeroed = c.replace(b"1", b"0")
-    if zeroed != template:
-        k = next((k for k, (x, y) in enumerate(zip(zeroed, template)) if x != y), min(len(c), len(template)))
-        if k < len(c):  # back from the whitespace-free copy to the text
-            where = f"char {pos + int(np.flatnonzero(~np.isin(b[:end], list(_JSON_WS)))[k])}"
-        else:
-            where = f"the end at char {pos + end - 1}"
-        raise ValueError(f"not a {n}x{n} matrix (the length of its first row): layout breaks at {where}")
-    rows = np.frombuffer(c, dtype=np.uint8)[1:].reshape(n, 2 * n + 2)  # "[d,...,d]," with the outer "]" last
-    return rows[:, 1:2 * n:2] == ord("1"), pos + end
+    k = next((k for k, (x, y) in enumerate(zip(zeroed, template)) if x != y), min(len(c), len(template)))
+    if k < len(c):  # back from the whitespace-free copy to the text
+        where = f"char {pos + int(np.flatnonzero(~np.isin(b[:end], list(_JSON_WS)))[k])}"
+    else:
+        where = f"the end at char {pos + end - 1}"
+    raise ValueError(f"not a {n}x{n} matrix (the length of its first row): layout breaks at {where}")
 
 
 def bit_matrix(value, key: str) -> np.ndarray:
@@ -271,7 +290,8 @@ class WorkingZone:
     @classmethod
     def from_dict(cls, d: dict) -> WorkingZone:
         ib = d.get("input_bounds")
-        return cls(Box.from_dict(d["omega"]), Box.from_dict(ib) if ib else None)
+        omega = boxes_from_docs([d["omega"]], None, lambda k: "zone.omega")[0]
+        return cls(omega, boxes_from_docs([ib], None, lambda k: "zone.input_bounds")[0] if ib else None)
 
 
 def zone_from_data(data: Dataset) -> WorkingZone:

@@ -9,7 +9,12 @@ boundary points inside the tiling.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable
+
 import numpy as np
 
 
@@ -94,7 +99,10 @@ class Box:
         lo_closed[j] = False
         hi_lo = self.lo.copy()
         hi_lo[j] = mid
-        return Box(self.lo, lo_hi, lo_closed), Box(hi_lo, self.hi, self.closed_hi)
+        if not self.lo[j] < mid < self.hi[j]:  # a float-limit side: the checked constructor names it
+            return Box(self.lo, lo_hi, lo_closed), Box(hi_lo, self.hi, self.closed_hi)
+        return (Box._trusted(self.lo, _freeze(lo_hi), _freeze(lo_closed)),
+                Box._trusted(_freeze(hi_lo), self.hi, self.closed_hi))
 
     def to_dict(self) -> dict:
         return {
@@ -105,12 +113,96 @@ class Box:
 
     @classmethod
     def from_dict(cls, d: dict) -> Box:
-        return cls(np.asarray(d["lo"], dtype=float), np.asarray(d["hi"], dtype=float),
-                   np.asarray(d.get("closed_hi", np.zeros(len(d["lo"]), dtype=bool)), dtype=bool))
+        """One box document; see `boxes_from_docs`."""
+        return boxes_from_docs([d], None, lambda k: "box")[0]
+
+    @classmethod
+    def _trusted(cls, lo: np.ndarray, hi: np.ndarray, closed_hi: np.ndarray) -> Box:
+        # read-only 1-D rows that already satisfy every check of __post_init__
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        object.__setattr__(box, "closed_hi", closed_hi)
+        return box
 
     def __repr__(self) -> str:
         parts = "x".join(f"[{l:g},{h:g}{']' if c else ')'}" for l, h, c in zip(self.lo, self.hi, self.closed_hi))
         return f"Box({parts})"
+
+
+def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> tuple[Box, ...]:
+    """Boxes from a list of JSON documents `{"lo": [...], "hi": [...], "closed_hi": [...]}`.
+
+    All boxes are checked at once as stacked (n, dim) `lo`/`hi`/`closed_hi`
+    arrays: the bounds must be lists of `dim` JSON numbers (the first box's
+    length when `dim` is None), finite and with lo < hi, and `closed_hi` a
+    list of `dim` JSON booleans; each row then becomes a `Box` without a
+    second check. A defect raises ValueError naming the first bad box as
+    `name(k)`, with its key and, for a bad value, the entry.
+    """
+    if not docs:
+        return ()
+    try:
+        lo_rows = [d["lo"] for d in docs]
+        hi_rows = [d["hi"] for d in docs]
+        closed_rows = [d["closed_hi"] for d in docs]
+        rows = lo_rows + hi_rows + closed_rows
+        n = len(lo_rows[0]) if dim is None else dim
+        # exact types: true and false are not numbers, and neither is "0.5"
+        if (set(map(type, rows)) == {list} and set(map(len, rows)) == {n} and n > 0
+                and set(map(type, chain.from_iterable(lo_rows + hi_rows))) <= {int, float}
+                and set(map(type, chain.from_iterable(closed_rows))) == {bool}):
+            lo = np.array(lo_rows, dtype=float)
+            hi = np.array(hi_rows, dtype=float)
+            if np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all():
+                closed = np.array(closed_rows, dtype=bool)
+                for a in (lo, hi, closed):
+                    a.setflags(write=False)
+                return tuple(map(Box._trusted, lo, hi, closed))
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an integer beyond the float range
+        pass
+    raise ValueError(_box_doc_defect(docs, dim, name))
+
+
+def _box_doc_defect(docs: list, dim: int | None, name: Callable[[int], str]) -> str:
+    """The first defect among box documents, found one box and key at a time."""
+    for k, d in enumerate(docs):
+        if type(d) is not dict:
+            return f"{name(k)} must be an object with keys lo, hi and closed_hi, got {_short(d)}"
+        for key, kind, types in (("lo", "numbers", (int, float)), ("hi", "numbers", (int, float)),
+                                 ("closed_hi", "booleans", (bool,))):
+            if key not in d:
+                return f"{name(k)} is missing key {key!r}"
+            v = d[key]
+            if type(v) is not list or not all(type(x) in types for x in v):
+                return f"{name(k)}.{key} must be a list of JSON {kind}, got {_short(v)}"
+            if dim is None:
+                dim = len(v)
+            if len(v) != dim or not v:
+                return f"{name(k)}.{key} has {len(v)} entries, expected {dim or 'at least 1'}"
+            for i, x in enumerate(v if kind == "numbers" else ()):
+                if not _is_finite(x):
+                    return f"{name(k)}.{key}[{i}] is {_short(x)}, not a finite number"
+        for i, (a, b) in enumerate(zip(d["lo"], d["hi"])):
+            if not a < b:
+                return f"{name(k)} is degenerate: dimension {i} has lo={_short(a)} >= hi={_short(b)}"
+    return f"{name(0)}: the boxes cannot be stacked"
+
+
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _short(value, limit: int = 60) -> str:
+    """A value's JSON text (its repr if it has none), cut to `limit` characters for an error message."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError):
+        text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
@@ -128,9 +220,15 @@ def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
     return np.all((lo[None] <= p) & above, axis=2)
 
 
+# (query row, node) pairs one block of `BoxTree.overlapping` may hold at a
+# level of the tree: its query rows times the number of boxes
+OVERLAP_PAIRS = 1 << 17
+
+
 class BoxTree:
     """Split tree over a bisection tiling of a zone: the spatial index behind
-    every point lookup in a tiling.
+    every point lookup (`locate`) and box range query (`overlapping`) in a
+    tiling.
 
     Each internal node cuts at its midpoint ``0.5 * (lo + hi)``, as
     `Box.bisect` does, on the lowest dimension no box of the node straddles;
@@ -144,11 +242,11 @@ class BoxTree:
         boxes = list(boxes)
         if not boxes:
             raise ValueError("no boxes to index")
-        if any(b.dim != zone.dim for b in boxes):
+        if {b.lo.shape for b in boxes} != {(zone.dim,)}:
             raise ValueError(f"every box must have the zone's dimension {zone.dim}")
         self.zone = zone
-        self.lo = np.stack([b.lo for b in boxes])   # (n_boxes, dim)
-        self.hi = np.stack([b.hi for b in boxes])
+        self.lo = np.array([b.lo for b in boxes])   # (n_boxes, dim)
+        self.hi = np.array([b.hi for b in boxes])
         lo, hi = self.lo, self.hi
         outside = np.nonzero(np.any(lo < zone.lo, axis=1) | np.any(hi > zone.hi, axis=1))[0]
         if outside.size:
@@ -156,7 +254,7 @@ class BoxTree:
             raise ValueError(f"box {k} {boxes[k]!r} extends outside the zone {zone!r}")
         # a tiling is closed exactly on the zone's closed outer faces, so that
         # every point of the zone lies in one box
-        closed = np.stack([b.closed_hi for b in boxes])
+        closed = np.array([b.closed_hi for b in boxes])
         wrong = np.nonzero(np.any(closed != ((hi == zone.hi) & zone.closed_hi), axis=1))[0]
         if wrong.size:
             k = int(wrong[0])
@@ -222,6 +320,47 @@ class BoxTree:
         z = self.zone
         inside = np.all((z.lo <= x) & ((x < z.hi) | (z.closed_hi & (x == z.hi))), axis=1)
         return np.where(inside, self.leaf[node], -1)
+
+    def overlapping(self, lo, hi):
+        """Yield (rows, boxes) index arrays, one pair of arrays per block of
+        query rows: query row i of the (Q, dim) `lo`/`hi` meets box k with
+        positive width, `min(hi[i], box.hi) > max(lo[i], box.lo)` in every
+        dimension, exactly when (i, k) is among the pairs. Zero-width contact
+        counts as empty, as do zero-width and inverted queries.
+
+        Each block walks down the tree level by level: a query goes to a
+        node's lower child iff its lo is below the cut and to the upper one
+        iff its hi is above it. A level has at most as many nodes as there
+        are boxes, and a block has OVERLAP_PAIRS over that many rows, so it
+        holds at most OVERLAP_PAIRS (row, node) pairs at a level, however
+        dense the overlaps. Pairs come in no particular order.
+        """
+        block = max(1, OVERLAP_PAIRS // self.lo.shape[0])
+        lo = np.atleast_2d(np.asarray(lo, dtype=float))
+        hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != self.zone.dim:
+            raise ValueError(f"queries of shapes {lo.shape} and {hi.shape} in a zone of dimension {self.zone.dim}")
+        z = self.zone
+        meets_zone = np.all(np.minimum(hi, z.hi) > np.maximum(lo, z.lo), axis=1)
+        # 32-bit (row, node) pairs halve the memory of a block
+        left, right, leaf_of = (a.astype(np.int32) for a in (self.left, self.right, self.leaf))
+        for start in range(0, lo.shape[0], block):
+            q = (start + np.flatnonzero(meets_zone[start:start + block])).astype(np.int32)
+            node = np.zeros(q.size, dtype=np.int32)
+            rows, boxes = [q[:0]], [node[:0]]
+            while q.size:
+                leaf = leaf_of[node]
+                at_leaf = leaf >= 0
+                rows.append(q[at_leaf])
+                boxes.append(leaf[at_leaf])
+                q, node = q[~at_leaf], node[~at_leaf]
+                d, cut = self.dims[node], self.cuts[node]
+                lower = lo[q, d] < cut
+                upper = hi[q, d] > cut
+                del d, cut  # freed before the next level's pairs are made
+                q = np.concatenate([q[lower], q[upper]])
+                node = np.concatenate([left[node[lower]], right[node[upper]]])
+            yield np.concatenate(rows), np.concatenate(boxes)
 
 
 def _reject(boxes, members, lo, hi, node_lo, node_hi):

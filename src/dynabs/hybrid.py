@@ -8,7 +8,9 @@ steps as x(k+1) = net[region(x(k))](x(k), u(k)).
 
 from __future__ import annotations
 
+import bisect
 import datetime
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ from .data import DataError, Dataset, WorkingZone, check_format_version, read_ar
 from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
+from .geometry import Box, BoxTree, boxes_from_docs, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -174,11 +176,24 @@ class HybridModel:
         """Model from its JSON document; any defect raises DataError."""
         check_format_version(d, MODEL_FORMAT_VERSION, "model")
         try:
+            zone = WorkingZone.from_dict(d["zone"])
+            box_lists = [r["boxes"] for r in d["regions"]]
+            for i, docs in enumerate(box_lists):
+                if type(docs) is not list:
+                    raise DataError(f"regions[{i}].boxes must be a list of boxes, got {type(docs).__name__}")
+            # every region box in one pass, named by its region in an error
+            ends = list(itertools.accumulate(map(len, box_lists)))
+
+            def name(k: int) -> str:
+                i = bisect.bisect_right(ends, k)
+                return f"regions[{i}].boxes[{k - (ends[i - 1] if i else 0)}]"
+
+            boxes = boxes_from_docs([b for docs in box_lists for b in docs], zone.n_x, name)
             return cls(
-                zone=WorkingZone.from_dict(d["zone"]),
+                zone=zone,
                 regions=tuple(
-                    Region(int(r["id"]), tuple(Box.from_dict(b) for b in r["boxes"]))
-                    for r in d["regions"]
+                    Region(int(r["id"]), boxes[end - len(docs):end])
+                    for r, docs, end in zip(d["regions"], box_lists, ends)
                 ),
                 networks=tuple(ElmNetwork.from_dict(n) for n in d["networks"]),
                 gamma=float(d["gamma"]),
@@ -220,8 +235,8 @@ def merge_and_learn(
     on its data over the layer of seed (seed, i), which for a region that
     absorbed a candidate is the network its last accepted test certified.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not gamma >= 0:  # NaN fails too
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     n_in = data.n_x + data.n_u

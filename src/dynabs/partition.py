@@ -66,8 +66,8 @@ def me_partition(zone: WorkingZone, data, epsilon: float) -> PartitionSet:
     `data` is a Dataset (its state coordinates are used) or a plain
     (n, n_x) array of points inside the zone.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not epsilon >= 0:  # NaN fails too
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     if isinstance(data, Dataset):
         zone.check_dataset(data)
         states = data.states

@@ -85,13 +85,16 @@ class ReachPiece:
 
 @dataclass(frozen=True, eq=False)
 class ReachResult:
-    """One-step successor enclosure of a cell under the hybrid model.
+    """One-step successor enclosures of cells under the hybrid model.
 
-    Row p is one region piece: the region id, its propagated z-box
-    (cell ∩ region box, times the input bounds) and that box's enclosure
-    under the region's network. `pieces` and `output` are views of the rows.
+    Row p is one region piece: the position of its cell among the cells
+    reached, the region id, its propagated z-box (cell ∩ region box, times
+    the input bounds) and that box's enclosure under the region's network.
+    Rows are sorted by cell, then by region box. `pieces` and `output` are
+    views of the rows.
     """
 
+    cell_ids: np.ndarray    # (P,)
     region_ids: np.ndarray  # (P,)
     in_lo: np.ndarray       # (P, n_x + n_u)
     in_hi: np.ndarray
@@ -107,32 +110,39 @@ class ReachResult:
 
     @property
     def output(self) -> Bounds:
-        """Hull of the piece enclosures."""
+        """Hull of the piece enclosures (of one cell's, when one cell was reached)."""
         return Bounds(self.out_lo.min(axis=0), self.out_hi.max(axis=0))
 
 
-def cell_successor_box(model: HybridModel, cell: Box) -> ReachResult:
-    """Per-region reachability of one cell: propagate every non-empty
-    (cell ∩ region box) through that region's network.
+def cell_successor_box(model: HybridModel, *cells: Box) -> ReachResult:
+    """Per-region reachability of one or more cells: propagate every
+    non-empty (cell ∩ region box) through that region's network.
 
-    The cell meets all region boxes at once, over the stacked bounds of the
-    model's index; pieces come in region-box order, and each network
-    encloses all of its pieces in one call. The regions tile the zone, so a
-    cell inside the zone always yields at least one piece. An enclosure that
-    is not finite (the network overflows on the piece) raises
-    FloatingPointError naming the cell and the region, since dropping its
-    edges would make the relation unsound.
+    The pieces of all cells come from one positive-width range query down
+    the model's region-box index (`BoxTree.overlapping`), and each network
+    encloses all of its pieces, over all cells, in one call. The regions
+    tile the zone, so a cell inside the zone always yields at least one
+    piece. An enclosure that is not finite (the network overflows on the
+    piece) raises FloatingPointError naming the cell and the region, since
+    dropping its edges would make the relation unsound.
     """
+    if not cells:
+        raise ValueError("no cells to reach from")
     omega = model.zone.omega
-    if np.any(cell.lo < omega.lo) or np.any(cell.hi > omega.hi):
-        raise ValueError("cell must lie inside the working zone")
-    lo = np.maximum(cell.lo, model.tree.lo)
-    hi = np.minimum(cell.hi, model.tree.hi)
-    keep = (hi > lo).all(axis=1)  # zero-width overlap is empty
-    region_ids = model.box_owner[keep]
-    if region_ids.size == 0:
-        raise ValueError("cell intersects no region; region coverage is broken")
-    in_lo, in_hi = lo[keep], hi[keep]
+    cell_lo = np.stack([c.lo for c in cells])
+    cell_hi = np.stack([c.hi for c in cells])
+    outside = np.any(cell_lo < omega.lo, axis=1) | np.any(cell_hi > omega.hi, axis=1)
+    if outside.any():
+        raise ValueError(f"cell {cells[int(np.argmax(outside))]!r} must lie inside the working zone")
+    cell_ids, boxes = (np.concatenate(a) for a in zip(*model.tree.overlapping(cell_lo, cell_hi)))
+    order = np.lexsort((boxes, cell_ids))
+    cell_ids, boxes = cell_ids[order], boxes[order]
+    empty = np.bincount(cell_ids, minlength=len(cells)) == 0
+    if empty.any():
+        raise ValueError(f"cell {cells[int(np.argmax(empty))]!r} intersects no region; region coverage is broken")
+    region_ids = model.box_owner[boxes]
+    in_lo = np.maximum(cell_lo[cell_ids], model.tree.lo[boxes])
+    in_hi = np.minimum(cell_hi[cell_ids], model.tree.hi[boxes])
     ib = model.zone.input_bounds
     if ib is not None:
         in_lo = np.concatenate([in_lo, np.broadcast_to(ib.lo, (in_lo.shape[0], ib.dim))], axis=1)
@@ -143,9 +153,9 @@ def cell_successor_box(model: HybridModel, cell: Box) -> ReachResult:
         for rid in dict.fromkeys(region_ids.tolist()):
             rows = region_ids == rid
             out_lo[rows], out_hi[rows] = elm_output_box(model.network_of(rid), in_lo[rows], in_hi[rows])
-    if not (np.isfinite(out_lo).all() and np.isfinite(out_hi).all()):
-        finite = np.isfinite(out_lo).all(axis=1) & np.isfinite(out_hi).all(axis=1)
-        rid = int(region_ids[np.argmin(finite)])
-        raise FloatingPointError(f"reach enclosure of cell {cell!r} under region {rid} is not finite: "
-                                 "the region's network overflows on it")
-    return ReachResult(region_ids, in_lo, in_hi, out_lo, out_hi)
+    finite = np.isfinite(out_lo).all(axis=1) & np.isfinite(out_hi).all(axis=1)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise FloatingPointError(f"reach enclosure of cell {cells[cell_ids[p]]!r} under region {region_ids[p]} "
+                                 "is not finite: the region's network overflows on it")
+    return ReachResult(cell_ids, region_ids, in_lo, in_hi, out_lo, out_hi)

@@ -201,17 +201,70 @@ def ctl_subformulas(f: tuple):
             yield from ctl_subformulas(child)
 
 
-def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
-    """Defective copies of a saved ts.json's text: {case: (text, the key its error names)}.
+def malformed_box_docs(box: dict, name: str) -> dict[str, tuple[dict | None, str]]:
+    """Defective copies of one box document: {case: (box, what its error names)}.
 
-    Each copy breaks one thing, the relation, the document around it or the
-    initial cell id, and keeps everything else valid.
+    A JSON string, boolean or number where the other kind belongs, a bound
+    that is not finite, a degenerate or ragged box, and a missing bound.
+    """
+
+    def first(key, value) -> dict:
+        return {**box, key: [value, *box[key][1:]]}
+
+    return {
+        'closed_hi "no"': (first("closed_hi", "no"), f"{name}.closed_hi"),
+        "closed_hi 2": (first("closed_hi", 2), f"{name}.closed_hi"),
+        'lo "0.5"': (first("lo", str(box["lo"][0])), f"{name}.lo"),
+        "lo true": (first("lo", True), f"{name}.lo"),
+        "hi NaN": (first("hi", float("nan")), f"{name}.hi[0]"),
+        "hi Infinity": (first("hi", float("inf")), f"{name}.hi[0]"),
+        "hi beyond the float range": (first("hi", 10 ** 400), f"{name}.hi[0]"),
+        "degenerate": ({**box, "hi": box["lo"]}, f"{name} is degenerate"),
+        "ragged": ({**box, "lo": [*box["lo"], 0.0]}, f"{name}.lo"),
+        "missing hi": ({k: v for k, v in box.items() if k != "hi"}, f"{name} is missing key 'hi'"),
+        "not an object": ([box["lo"], box["hi"]], f"{name} must be an object"),
+    }
+
+
+def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
+    """Defective copies of a saved model.json's text: {case: (text, what its error names)}.
+
+    Each copy breaks one region box (the second box of the first region that
+    has two, so that the name carries both indices) or the zone's omega, as
+    `malformed_box_docs` lists, and keeps everything else valid.
+    """
+    doc = json.loads(text)
+    i = next((i for i, r in enumerate(doc["regions"]) if len(r["boxes"]) > 1), 0)
+    j = min(1, len(doc["regions"][i]["boxes"]) - 1)
+    cases = {}
+    for case, (box, named) in malformed_box_docs(doc["regions"][i]["boxes"][j], f"regions[{i}].boxes[{j}]").items():
+        bad = json.loads(text)
+        bad["regions"][i]["boxes"][j] = box
+        cases[case] = (json.dumps(bad), named)
+    omega = doc["zone"]["omega"]
+    cases["omega closed_hi 1"] = (
+        json.dumps({**doc, "zone": {**doc["zone"], "omega": {**omega, "closed_hi": [1] * len(omega["lo"])}}}),
+        "zone.omega.closed_hi")
+    return cases
+
+
+def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
+    """Defective copies of a saved ts.json's text: {case: (text, what its error names)}.
+
+    Each copy breaks one thing, the relation, the document around it, cell 1
+    (as `malformed_box_docs` lists) or the initial cell id, and keeps
+    everything else valid.
     """
     doc = json.loads(text)
     rel = doc["relation"]
 
     def changed(key, value) -> str:
         return json.dumps({**doc, key: value})
+
+    cells = {
+        f"cell {case}": (changed("cells", [doc["cells"][0], box, *doc["cells"][2:]]), named)
+        for case, (box, named) in malformed_box_docs(doc["cells"][1], "cells[1]").items()
+    }
 
     def first_entry(value) -> str:
         return changed("relation", [[value, *rel[0][1:]], *rel[1:]])
@@ -231,4 +284,6 @@ def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
         "trailing data": (text + "{}\n", "relation"),
         "initial 1.5": (changed("initial", 1.5), "initial"),
         "initial true": (changed("initial", True), "initial"),
+        "cells not a list": (changed("cells", {"0": doc["cells"][0]}), "cells"),
+        **cells,
     }

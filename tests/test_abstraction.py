@@ -215,6 +215,18 @@ def test_transitions_with_inputs_equal_pairwise_reference():
     assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
 
 
+def test_transitions_require_a_bisection_tiling():
+    """compute_transitions builds a BoxTree over the cells and raises its named cause."""
+    zone = unit_zone()
+    model = single_region_model(zone, constant_net([0.4, 0.6], 2))
+    left, right = zone.omega.bisect(0)
+    recut = [Box([0.0, 0.0], [0.25, 1.0], [False, True]), Box([0.25, 0.0], [1.0, 1.0], [True, True])]
+    for cells, cause in (([left], "gap"), ([left, right, right], "overlap"), (recut, "not a bisection tiling"),
+                         ([Box(left.lo, left.hi, [True, True]), right], "closed exactly on the zone's closed faces")):
+        with pytest.raises(ValueError, match=cause):
+            compute_transitions(model, cells)
+
+
 def test_transition_system_validation():
     zone = unit_zone()
     cells = [zone.omega]

@@ -8,7 +8,7 @@ import pytest
 from dynabs import ElmNetwork, save_dataset
 from dynabs.cli import main
 
-from synthdata import (malformed_ts_texts, overflowing_model, single_region_model, swirl_dataset, swirl_zone,
+from synthdata import (malformed_model_texts, malformed_ts_texts, overflowing_model, single_region_model, swirl_dataset, swirl_zone,
                        tiny_transition_system)
 
 
@@ -257,6 +257,19 @@ def test_abstract_and_verify_reject_malformed_artifacts(dataset_csv, tmp_path, c
         assert code == 3 and "model document" in err
         code, _, err = run(capsys, "verify", "--ts", path, "--formula", "EF Q1", "--initial", 1)
         assert code == 3 and "transition-system document" in err
+
+
+def test_abstract_rejects_malformed_model_boxes_naming_the_box(dataset_csv, tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
+    assert code == 0
+    bad = tmp_path / "bad.json"
+    for case, (text, named) in malformed_model_texts((out_dir / "model.json").read_text()).items():
+        bad.write_text(text)
+        code, _, err = run(capsys, "abstract", "--model", bad, "--out-dir", tmp_path / "a")
+        assert code == 3 and named in err, case
+    assert not (tmp_path / "a").exists()
 
 
 def test_threads_option_is_gone(tmp_path, capsys):

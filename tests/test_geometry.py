@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynabs import Box, BoxTree, WorkingZone, membership_matrix
+from dynabs import Box, BoxTree, WorkingZone, geometry, membership_matrix
 
 from synthdata import constant_net, split_region_model
 
@@ -245,6 +245,79 @@ def test_tree_locate_equals_membership_on_bisection_tilings(seed, dim, splits):
     tree = BoxTree(zone, boxes)
     probes = face_probes(zone, boxes, rng)
     assert np.array_equal(tree.locate(probes), reference_locate(boxes, probes))
+
+
+def reference_overlaps(boxes, lo, hi) -> set[tuple[int, int]]:
+    """(query row, box) pairs that meet with positive width in every dimension, by brute force."""
+    blo = np.stack([b.lo for b in boxes])
+    bhi = np.stack([b.hi for b in boxes])
+    meets = np.all(np.minimum(hi[:, None], bhi[None]) > np.maximum(lo[:, None], blo[None]), axis=2)
+    return set(zip(*(a.tolist() for a in np.nonzero(meets))))
+
+
+def overlap_queries(zone, boxes, rng):
+    """Query boxes as (lo, hi) rows: random ones that stick out of the zone
+    or lie beside it, the boxes themselves, boxes spanning between box
+    corners (their faces lie on other boxes' faces), points, boxes of zero
+    width in one dimension, and inverted ones."""
+    dim = zone.dim
+    a = rng.uniform(zone.lo - 1.0, zone.hi + 1.0, size=(40, dim))
+    b = rng.uniform(zone.lo - 1.0, zone.hi + 1.0, size=(40, dim))
+    lo = np.stack([box.lo for box in boxes])
+    hi = np.stack([box.hi for box in boxes])
+    corners = np.concatenate([lo, hi])
+    c, d = corners[rng.integers(len(corners), size=(2, 60))]
+    flat_lo, flat_hi = np.minimum(c, d), np.maximum(c, d)
+    k = rng.integers(dim, size=60)
+    flat_hi[np.arange(60), k] = flat_lo[np.arange(60), k]
+    return (np.concatenate([np.minimum(a, b), lo, np.minimum(c, d), c, flat_lo, np.maximum(a, b)]),
+            np.concatenate([np.maximum(a, b), hi, np.maximum(c, d), c, flat_hi, np.minimum(a, b)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 40), st.sampled_from([None, 1, 200]))
+def test_tree_overlapping_equals_brute_force_on_bisection_tilings(seed, dim, splits, pairs):
+    """With the default block size (one block here), and with blocks of
+    OVERLAP_PAIRS // boxes query rows: one row, or a few."""
+    rng = np.random.default_rng(seed)
+    zone, leaves = random_bisection_tiling(rng, dim, splits)
+    boxes = [leaves[k] for k in rng.permutation(len(leaves))]
+    lo, hi = overlap_queries(zone, boxes, rng)
+    tree = BoxTree(zone, boxes)
+    default = geometry.OVERLAP_PAIRS
+    geometry.OVERLAP_PAIRS = pairs or default
+    try:
+        blocks = list(tree.overlapping(lo, hi))
+    finally:
+        geometry.OVERLAP_PAIRS = default
+    assert len(blocks) == -(-lo.shape[0] // max(1, (pairs or default) // len(boxes)))
+    pairs = [(i, k) for rows, hit in blocks for i, k in zip(rows.tolist(), hit.tolist())]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == reference_overlaps(boxes, lo, hi)
+
+
+def test_tree_overlapping_hand_cases():
+    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
+    left, right = zone.bisect(0)
+    tree = BoxTree(zone, [*left.bisect(1), right])  # [0,.5)x[0,.5), [0,.5)x[.5,1], [.5,1]x[0,1]
+    lo = np.array([[0.5, 0.0], [0.4, 0.4], [-1.0, -1.0], [0.2, 0.2], [1.0, 0.0], [0.1, 0.6]])
+    hi = np.array([[1.0, 1.0], [0.6, 0.6], [2.0, 2.0], [0.2, 0.3], [2.0, 1.0], [0.1, 0.6]])
+    (rows, hit), = tree.overlapping(lo, hi)
+    got = sorted(zip(rows.tolist(), hit.tolist()))
+    # the right half only touches the left boxes; a zero-width or point query meets nothing
+    assert got == [(0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def test_bisect_children_are_valid_read_only_boxes():
+    box = Box([0.0, -1.0], [1.0, 3.0], [True, False])
+    for child in box.bisect(1):
+        again = Box(child.lo, child.hi, child.closed_hi)
+        assert np.array_equal(again.lo, child.lo) and np.array_equal(again.hi, child.hi)
+        assert np.array_equal(again.closed_hi, child.closed_hi)
+        assert not (child.lo.flags.writeable or child.hi.flags.writeable or child.closed_hi.flags.writeable)
+    tiny = Box([0.0], [np.nextafter(0.0, 1.0)])  # no float strictly between its faces
+    with pytest.raises(ValueError, match="degenerate"):
+        tiny.bisect(0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dynabs import (
     Box,
+    DataError,
     Dataset,
     ElmNetwork,
     HybridModel,
@@ -23,6 +25,7 @@ from dynabs import (
 from oracles import linf_distance, raw_merge
 from synthdata import (
     constant_net,
+    malformed_model_texts,
     random_tiling_cases,
     single_region_model,
     split_region_model,
@@ -256,6 +259,35 @@ def test_model_json_round_trip_and_version(tmp_path):
     del doc["format_version"]
     with pytest.raises(ValueError, match="format_version"):
         HybridModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), -1e-9, -np.inf])
+def test_merge_rejects_nan_and_negative_gamma(gamma):
+    data = swirl_dataset(300, seed=6)
+    parts = me_partition(swirl_zone(), data, epsilon=0.05)
+    with pytest.raises(ValueError, match=re.escape(f"gamma must be >= 0, got {gamma!r}")):
+        merge_and_learn(parts, data, hidden_count=10, seed=2, gamma=gamma)
+
+
+def test_malformed_model_boxes_are_rejected_naming_the_box(tmp_path):
+    """A region box with a JSON string, boolean or out-of-range number where
+    another kind belongs, or that is degenerate, ragged or missing a bound,
+    fails `load` and `from_dict` with a DataError naming the region and box."""
+    data = swirl_dataset(300, seed=6)
+    model = merge_and_learn(me_partition(swirl_zone(), data, epsilon=0.05), data, hidden_count=10, seed=2, gamma=1e-5)
+    path = tmp_path / "model.json"
+    model.save(path)
+    cases = malformed_model_texts(path.read_text())
+    assert any("regions[" in named and "boxes[1]" in named for _, named in cases.values())
+    for case, (text, named) in cases.items():
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(DataError) as err:
+            HybridModel.load(bad)
+        assert named in str(err.value), case
+        with pytest.raises(DataError) as err:
+            HybridModel.from_dict(json.loads(text))
+        assert named in str(err.value), case
 
 
 def test_hybrid_mse_zero_for_self_consistent_model():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,12 @@ def test_me_partition_rejects_out_of_zone_data():
     small = WorkingZone(Box([0.0, 0.0], [0.5, 1.0]))
     with pytest.raises(DataError):
         me_partition(small, data, epsilon=0.05)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -1e-9, -np.inf])
+def test_me_partition_rejects_nan_and_negative_epsilon(epsilon):
+    with pytest.raises(ValueError, match=re.escape(f"epsilon must be >= 0, got {epsilon!r}")):
+        me_partition(unit_zone(), two_cluster_dataset(), epsilon)
 
 
 @settings(max_examples=20, deadline=None)

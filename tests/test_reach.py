@@ -8,17 +8,20 @@ from dynabs import (
     Dataset,
     ElmNetwork,
     WorkingZone,
+    build_cells,
     cell_successor_box,
     elm_output_box,
     fit_output_weights,
     init_elm,
     predict_batch,
+    sample_traces,
 )
 
 from oracles import ibp_output_box, monte_carlo_containment
 from synthdata import (
     alternating_slab_model,
     constant_net,
+    fitted_swirl_model,
     overflowing_model,
     single_region_model,
     split_region_model,
@@ -227,6 +230,45 @@ def test_reach_rows_agree_with_pieces_and_output_views():
         assert np.array_equal(piece.output.lo, lo) and np.array_equal(piece.output.hi, hi)
     assert np.array_equal(result.output.lo, result.out_lo.min(axis=0))
     assert np.array_equal(result.output.hi, result.out_hi.max(axis=0))
+
+
+def test_multi_cell_reach_is_the_one_cell_rows_in_order():
+    """One call over many cells gives, bit for bit, the rows of the one-cell
+    calls concatenated in cell order, with `cell_ids` naming each row's cell."""
+    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]), input_bounds=Box([-0.5], [0.5]))
+    model = alternating_slab_model(zone, [init_elm(3, 2, 10, seed=s) for s in (1, 2)], levels=4)
+    left, right = zone.omega.bisect(1)
+    cells = [*left.bisect(0), *(c for half in right.bisect(0) for c in half.bisect(1))]
+    cells = [cells[k] for k in (3, 0, 4, 1, 5, 2)]  # any order of the cells
+    many = cell_successor_box(model, *cells)
+    ones = [cell_successor_box(model, c) for c in cells]
+    assert many.cell_ids.tolist() == [k for k, one in enumerate(ones) for _ in one.region_ids]
+    for name in ("region_ids", "in_lo", "in_hi", "out_lo", "out_hi"):
+        joined = np.concatenate([getattr(one, name) for one in ones])
+        assert getattr(many, name).dtype == joined.dtype and getattr(many, name).tobytes() == joined.tobytes(), name
+    assert all(one.cell_ids.tolist() == [0] * len(one.region_ids) for one in ones)
+
+
+def test_multi_cell_reach_on_a_fitted_model_equals_one_cell_calls():
+    model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
+    cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
+    many = cell_successor_box(model, *cells)
+    ones = [cell_successor_box(model, c) for c in cells]
+    for name in ("region_ids", "in_lo", "in_hi", "out_lo", "out_hi"):
+        assert getattr(many, name).tobytes() == np.concatenate([getattr(one, name) for one in ones]).tobytes(), name
+
+
+def test_multi_cell_reach_names_the_bad_cell():
+    zone = unit_zone()
+    model = single_region_model(zone, constant_net([0.5, 0.5], 2))
+    left, right = zone.omega.bisect(0)
+    with pytest.raises(ValueError, match=r"cell Box\(\[0.5,1.5\)x\[0.5,1\)\) must lie inside"):
+        cell_successor_box(model, left, Box([0.5, 0.5], [1.5, 1.0]))
+    with pytest.raises(ValueError, match="no cells"):
+        cell_successor_box(model)
+    bad = overflowing_model()
+    with pytest.raises(FloatingPointError, match=r"cell Box\(\[0,1\]x\[0,1\]\) under region 1"):
+        cell_successor_box(bad, *bad.zone.omega.bisect(0)[0].bisect(1), *bad.zone.omega.bisect(0)[1].bisect(1))
 
 
 def test_cell_successor_rejects_non_finite_enclosure():
