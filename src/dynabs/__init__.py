@@ -1,7 +1,6 @@
 """Neural hybrid system learning, abstraction, and CTL verification."""
 
 from .abstraction import (
-    Trace,
     TraceSet,
     TransitionSystem,
     build_cells,
@@ -33,7 +32,6 @@ __all__ = [
     "ReachResult",
     "Region",
     "SimResult",
-    "Trace",
     "TraceSet",
     "TransitionSystem",
     "WorkingZone",

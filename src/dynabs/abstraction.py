@@ -25,31 +25,27 @@ TS_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
-class Trace:
-    """One sampled run: states inside the zone, step-aligned inputs.
+class TraceSet:
+    """L sampled runs of up to M steps, stacked.
 
-    `exited` marks runs whose next state left the zone; the out-of-zone
+    Run i took `lengths[i]` steps: `states[i, k]` is its state after k steps
+    and `inputs[i, k]` the input applied at step k, both NaN past the run's
+    end. `exited` marks runs whose next state left the zone; the out-of-zone
     state itself is not stored.
     """
 
-    states: np.ndarray            # (m + 1, n_x)
-    inputs: np.ndarray | None     # (m, n_u) when the model takes inputs
-    exited: bool = False
+    states: np.ndarray            # (L, M + 1, n_x)
+    lengths: np.ndarray           # (L,)
+    exited: np.ndarray            # (L,) bool
+    inputs: np.ndarray | None     # (L, M, n_u) when the model takes inputs
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class TraceSet:
-    traces: tuple[Trace, ...]
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
     @property
-    def all_states(self) -> np.ndarray:
-        return np.concatenate([t.states for t in self.traces])
+    def visited(self) -> np.ndarray:
+        """Every run's in-zone states, run after run: (sum(lengths + 1), n_x)."""
+        return self.states[np.arange(self.states.shape[1]) <= self.lengths[:, None]]
 
 
 def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
@@ -68,10 +64,10 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     rng = np.random.default_rng(seed)
 
     x = rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
-    states = np.empty((L, M + 1, omega.dim))
+    states = np.full((L, M + 1, omega.dim), np.nan)
     states[:, 0] = x
-    inputs = np.empty((L, M, n_u)) if n_u > 0 else None
-    length = np.zeros(L, dtype=int)  # steps actually taken per trace
+    inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
+    lengths = np.zeros(L, dtype=int)
     exited = np.zeros(L, dtype=bool)
     alive = np.ones(L, dtype=bool)
 
@@ -79,7 +75,6 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         if n_u > 0:
             ib = model.zone.input_bounds
             u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))
-            inputs[:, t] = u
         if not alive.any():
             break
         rows = np.nonzero(alive)[0]
@@ -91,31 +86,23 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
             region = int(model.locate_batch(state)[0][0])
             raise FloatingPointError(f"model step from state {state.tolist()} in region {region} is not finite: "
                                      f"{nxt[bad[0]].tolist()}")
-        inside = np.all((nxt >= omega.lo) & (nxt <= omega.hi), axis=1)
+        inside = model.zone.contains(nxt)
         leaving = rows[~inside]
         exited[leaving] = True
         alive[leaving] = False
         staying = rows[inside]
         states[staying, t + 1] = nxt[inside]
-        length[staying] = t + 1
+        if n_u > 0:
+            inputs[staying, t] = u[staying]
+        lengths[staying] = t + 1
         x[staying] = nxt[inside]
 
-    traces = tuple(
-        Trace(
-            states=states[i, : length[i] + 1].copy(),
-            inputs=inputs[i, : length[i]].copy() if n_u > 0 else None,
-            exited=bool(exited[i]),
-        )
-        for i in range(L)
-    )
-    return TraceSet(traces)
+    return TraceSet(states, lengths, exited, inputs)
 
 
 def build_cells(zone: WorkingZone, traces: TraceSet, epsilon: float) -> list[Box]:
     """Cells = maximum-entropy partition of all visited states."""
-    if len(traces) == 0:
-        raise ValueError("trace set is empty")
-    return me_partition(zone, traces.all_states, epsilon).boxes
+    return me_partition(zone, traces.visited, epsilon).boxes
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,16 +206,17 @@ def compute_transitions(model: HybridModel, cells, initial: int | None = None) -
     """
     cells = tuple(cells)
     n = len(cells)
-    omega = model.zone.omega
-    tree = BoxTree(omega, cells)
+    zone = model.zone
+    tree = BoxTree(zone.omega, cells)
     reach = cell_successor_box(model, *cells)
     relation = np.zeros((n + 1, n + 1), dtype=bool)
     for pieces, hit in tree.overlapping(reach.out_lo, reach.out_hi):
         relation[reach.cell_ids[pieces], hit] = True
-    leaves = ~np.all((reach.out_lo >= omega.lo) & (reach.out_hi <= omega.hi), axis=1)
+    # an enclosure lies in the zone iff both its corners do
+    leaves = ~(zone.contains(reach.out_lo) & zone.contains(reach.out_hi))
     relation[reach.cell_ids[leaves], n] = True
     relation[n, n] = True
-    return TransitionSystem(zone=model.zone, cells=cells, relation=relation, initial=initial)
+    return TransitionSystem(zone=zone, cells=cells, relation=relation, initial=initial)
 
 
 def export_dot(ts: TransitionSystem) -> str:

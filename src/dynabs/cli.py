@@ -138,7 +138,7 @@ def _fit_model(cfg: PipelineConfig, data: Dataset):
     readout solve) raises FloatingPointError, so no model is written.
     """
     zone = _zone_for(cfg, data)
-    parts = me_partition(zone, data, cfg.epsilon)
+    parts = me_partition(zone, data.states, cfg.epsilon)
     model = merge_and_learn(parts, data, hidden_count=cfg.hidden_count, seed=cfg.seed, gamma=cfg.gamma)
     ids, _ = model.locate_batch(data.states)
     err = model.predict_located(data.z, ids) - data.y

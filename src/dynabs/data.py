@@ -16,7 +16,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .geometry import Box, boxes_from_docs
+from .geometry import Box, _short, boxes_from_docs
 
 
 class DataError(ValueError):
@@ -24,14 +24,15 @@ class DataError(ValueError):
 
 
 def check_format_version(doc, version: int, what: str) -> None:
-    """Reject an artifact document that is not a JSON object of `version`."""
+    """Reject an artifact document that is not a JSON object of `version`, a
+    JSON integer (so neither `true` nor `1.0`)."""
     if not isinstance(doc, dict):
         raise DataError(f"{what} document must be a JSON object")
     if "format_version" not in doc:
         raise DataError(f"{what} document missing format_version")
-    if doc["format_version"] != version:
-        raise DataError(f"{what} document has format_version {doc['format_version']!r}; "
-                        f"only version {version} can be read")
+    found = doc["format_version"]
+    if type(found) is not int or found != version:
+        raise DataError(f"{what} document has format_version {_short(found)}; only version {version} can be read")
 
 
 _JSON_WS = b" \t\n\r"
@@ -265,19 +266,22 @@ class WorkingZone:
     def n_u(self) -> int:
         return self.input_bounds.dim if self.input_bounds is not None else 0
 
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Bool mask of the (n, n_x) rows that lie in the zone: lo <= x <= hi
+        on every face. A row holding NaN lies outside."""
+        return np.all((points >= self.omega.lo) & (points <= self.omega.hi), axis=1)
+
     def check_dataset(self, data: Dataset) -> None:
         """Validate that every sample's state lies inside the zone."""
         if data.n_x != self.n_x:
             raise DataError(f"dataset state dimension {data.n_x} != zone dimension {self.n_x}")
         if data.n_u != self.n_u:
             raise DataError(f"dataset input dimension {data.n_u} != zone input dimension {self.n_u}")
-        states = data.states
-        inside = (states >= self.omega.lo) & (states <= self.omega.hi)
-        bad = np.nonzero(~inside.all(axis=1))[0]
+        bad = np.nonzero(~self.contains(data.states))[0]
         if bad.size:
             r = int(bad[0])
             raise DataError(
-                f"sample {r} state {states[r].tolist()} lies outside the working zone "
+                f"sample {r} state {data.states[r].tolist()} lies outside the working zone "
                 f"[{self.omega.lo.tolist()}, {self.omega.hi.tolist()}]"
             )
 

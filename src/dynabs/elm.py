@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
+from .geometry import _short
 
 DEFAULT_RIDGE = 1e-8
 
@@ -36,10 +37,12 @@ class ElmNetwork:
         w_in = np.ascontiguousarray(np.asarray(self.w_in, dtype=float))
         b_in = np.ascontiguousarray(np.asarray(self.b_in, dtype=float))
         w_out = np.ascontiguousarray(np.asarray(self.w_out, dtype=float))
-        if w_in.shape != (self.hidden_count, w_in.shape[1]) or b_in.shape != (self.hidden_count,):
-            raise ValueError("hidden layer shapes inconsistent with hidden_count")
-        if w_out.shape[1] != self.hidden_count:
-            raise ValueError("w_out must have hidden_count columns")
+        h = self.hidden_count
+        if w_in.ndim != 2 or w_in.shape[0] != h or b_in.shape != (h,):
+            raise ValueError(f"w_in and b_in have shapes {w_in.shape} and {b_in.shape}, expected (h, n_in) and (h,) "
+                             f"for hidden_count h = {h}")
+        if w_out.ndim != 2 or w_out.shape[1] != h:
+            raise ValueError(f"w_out has shape {w_out.shape}, expected (n_out, {h}) for hidden_count {h}")
         for a in (w_in, b_in, w_out):
             a.setflags(write=False)
         object.__setattr__(self, "w_in", w_in)
@@ -69,12 +72,37 @@ class ElmNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> ElmNetwork:
-        """Network from its JSON document; a non-finite weight raises ValueError naming its field."""
-        weights = {name: np.asarray(d[name], dtype=float) for name in ("w_in", "b_in", "w_out")}
-        for name, a in weights.items():
-            if not np.isfinite(a).all():
-                raise ValueError(f"network field {name!r} holds a non-finite value")
-        return cls(**weights, hidden_count=int(d["hidden_count"]), seed=int(d["seed"]))
+        """Network from its JSON document, with the exact types of
+        `geometry.boxes_from_docs`: `hidden_count` and `seed` are JSON
+        integers, `w_in` and `w_out` lists of rows and `b_in` a list, of
+        finite JSON numbers. A defect raises ValueError whose message starts
+        with the key."""
+        for key in ("hidden_count", "seed"):
+            if type(d[key]) is not int:
+                raise ValueError(f"{key} must be a JSON integer, got {_short(d[key])}")
+        weights = {key: _weights(d[key], key, ndim) for key, ndim in (("w_in", 2), ("b_in", 1), ("w_out", 2))}
+        return cls(**weights, hidden_count=d["hidden_count"], seed=d["seed"])
+
+
+def _weights(value, key: str, ndim: int) -> np.ndarray:
+    """A weight matrix (ndim 2) or vector (ndim 1) from its JSON value."""
+    rows = value if ndim == 2 else [value]
+    kind = "a list of equal-length lists" if ndim == 2 else "a list"
+    if type(value) is not list or not all(type(r) is list for r in rows):
+        raise ValueError(f"{key} must be {kind} of JSON numbers, got {_short(value)}")
+    for i, row in enumerate(rows):
+        for x in row:
+            if type(x) not in (int, float):  # true and "0.5" are not numbers
+                raise ValueError(f"{key}{f'[{i}]' if ndim == 2 else ''} holds {_short(x)}, not a JSON number")
+    try:
+        a = np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} holds a non-finite value") from None
+    except ValueError:
+        raise ValueError(f"{key} must be {kind} of JSON numbers, got rows of unequal length") from None
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key} holds a non-finite value")
+    return a
 
 
 def init_elm(n_in: int, n_out: int, hidden_count: int, seed: int) -> ElmNetwork:

@@ -21,7 +21,7 @@ from .data import DataError, Dataset, WorkingZone, check_format_version, read_ar
 from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, boxes_from_docs, membership_matrix  # noqa: F401
+from .geometry import Box, BoxTree, _short, boxes_from_docs, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -79,6 +79,13 @@ class HybridModel:
         for k, r in enumerate(self.regions, start=1):
             if r.id != k:
                 raise ValueError(f"region ids must be dense from 1, got {r.id} at position {k}")
+        # each network maps [x; u] to x: a wrong width would broadcast or fail only when stepped
+        n_x, n_in = self.zone.n_x, self.zone.n_x + self.zone.n_u
+        for k, net in enumerate(self.networks):
+            if net.n_in != n_in:
+                raise ValueError(f"networks[{k}].w_in has {net.n_in} columns, expected n_x + n_u = {n_in}")
+            if net.n_out != n_x:
+                raise ValueError(f"networks[{k}].w_out has {net.n_out} rows, expected n_x = {n_x}")
         boxes = [b for r in self.regions for b in r.boxes]
         object.__setattr__(self, "tree", BoxTree(self.zone.omega, boxes))
         object.__setattr__(self, "box_owner", np.array([r.id for r in self.regions for _ in r.boxes]))
@@ -173,14 +180,24 @@ class HybridModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> HybridModel:
-        """Model from its JSON document; any defect raises DataError."""
+        """Model from its JSON document; any defect raises DataError.
+
+        Numbers have exact JSON types, as in `boxes_from_docs`: `gamma` and
+        `epsilon` are numbers and region ids integers (`true`, `1.0` and
+        `"1"` are neither); networks are read by `ElmNetwork.from_dict`.
+        """
         check_format_version(d, MODEL_FORMAT_VERSION, "model")
         try:
             zone = WorkingZone.from_dict(d["zone"])
+            for key in ("gamma", "epsilon"):
+                if type(d[key]) not in (int, float):
+                    raise DataError(f"key {key!r} must be a JSON number, got {_short(d[key])}")
+            for i, r in enumerate(d["regions"]):
+                if type(r["id"]) is not int:
+                    raise DataError(f"regions[{i}].id must be a JSON integer, got {_short(r['id'])}")
+                if type(r["boxes"]) is not list:
+                    raise DataError(f"regions[{i}].boxes must be a list of boxes, got {type(r['boxes']).__name__}")
             box_lists = [r["boxes"] for r in d["regions"]]
-            for i, docs in enumerate(box_lists):
-                if type(docs) is not list:
-                    raise DataError(f"regions[{i}].boxes must be a list of boxes, got {type(docs).__name__}")
             # every region box in one pass, named by its region in an error
             ends = list(itertools.accumulate(map(len, box_lists)))
 
@@ -192,10 +209,10 @@ class HybridModel:
             return cls(
                 zone=zone,
                 regions=tuple(
-                    Region(int(r["id"]), boxes[end - len(docs):end])
+                    Region(r["id"], boxes[end - len(docs):end])
                     for r, docs, end in zip(d["regions"], box_lists, ends)
                 ),
-                networks=tuple(ElmNetwork.from_dict(n) for n in d["networks"]),
+                networks=tuple(_network_from_dict(k, n) for k, n in enumerate(d["networks"])),
                 gamma=float(d["gamma"]),
                 epsilon=float(d["epsilon"]),
             )
@@ -207,6 +224,16 @@ class HybridModel:
     @classmethod
     def load(cls, path) -> HybridModel:
         return cls.from_dict(read_artifact(path))
+
+
+def _network_from_dict(k: int, doc) -> ElmNetwork:
+    """Network k of a model document; a defect raises ValueError naming `networks[k]` and the key."""
+    try:
+        return ElmNetwork.from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"networks[{k}] is missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"networks[{k}].{exc}") from None
 
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, WorkingZone
+from .data import DataError, WorkingZone
 from .geometry import Box
 
 # Unconditional freeze for slivers: longest side below this fraction of the
@@ -41,7 +41,7 @@ class PartitionSet:
 
     zone: WorkingZone
     boxes: list[Box]
-    assignments: list[np.ndarray]  # per-box indices into the source data
+    assignments: list[np.ndarray]  # per-box indices into the source points
     epsilon: float
     split_log: list[tuple[int, int, float, bool]] = field(default=None, repr=False)  # type: ignore[assignment]
 
@@ -53,32 +53,27 @@ def _xlogx(c: float) -> float:
     return c * np.log(c) if c > 0 else 0.0
 
 
-def me_partition(zone: WorkingZone, data, epsilon: float) -> PartitionSet:
+def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     """Maximum-entropy partitioning of the zone driven by sample density.
 
     Bisects each partition at the midpoint of its longest side; the split is
     committed when the global entropy gain H(after) - H(before) reaches
     epsilon, otherwise the partition is frozen. Returns the final tiling with
-    each sample assigned to exactly one box (half-open membership).
+    each point assigned to exactly one box (half-open membership).
     `split_log` holds one (tiling position, dimension, gain, committed) entry
     per tested split, in depth-first order.
 
-    `data` is a Dataset (its state coordinates are used) or a plain
-    (n, n_x) array of points inside the zone.
+    `points` is an (n, n_x) array of states inside the zone; a point outside
+    it raises DataError.
     """
     if not epsilon >= 0:  # NaN fails too
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    if isinstance(data, Dataset):
-        zone.check_dataset(data)
-        states = data.states
-    else:
-        states = np.atleast_2d(np.asarray(data, dtype=float))
-        if states.shape[1] != zone.n_x:
-            raise ValueError(f"points have dimension {states.shape[1]}, zone has {zone.n_x}")
-        inside = (states >= zone.omega.lo) & (states <= zone.omega.hi)
-        if not inside.all():
-            k = int(np.nonzero(~inside.all(axis=1))[0][0])
-            raise ValueError(f"point {k} lies outside the working zone")
+    states = np.atleast_2d(np.asarray(points, dtype=float))
+    if states.shape[1] != zone.n_x:
+        raise ValueError(f"points have dimension {states.shape[1]}, zone has {zone.n_x}")
+    outside = np.nonzero(~zone.contains(states))[0]
+    if outside.size:
+        raise DataError(f"point {int(outside[0])} lies outside the working zone")
 
     n_total = states.shape[0]
     extent = zone.omega.sides

@@ -128,10 +128,9 @@ def cell_successor_box(model: HybridModel, *cells: Box) -> ReachResult:
     """
     if not cells:
         raise ValueError("no cells to reach from")
-    omega = model.zone.omega
     cell_lo = np.stack([c.lo for c in cells])
     cell_hi = np.stack([c.hi for c in cells])
-    outside = np.any(cell_lo < omega.lo, axis=1) | np.any(cell_hi > omega.hi, axis=1)
+    outside = ~(model.zone.contains(cell_lo) & model.zone.contains(cell_hi))  # a box is inside iff its corners are
     if outside.any():
         raise ValueError(f"cell {cells[int(np.argmax(outside))]!r} must lie inside the working zone")
     cell_ids, boxes = (np.concatenate(a) for a in zip(*model.tree.overlapping(cell_lo, cell_hi)))

@@ -6,9 +6,10 @@ oracle refits every pair test on the pooled raw samples, the partition
 oracle rescans every active box for the widest one instead of walking the
 split tree, the enclosure oracle pushes one box at a time through one
 layer at a time, the transition oracle intersects cells with region boxes
-one pair at a time and encloses each piece with that oracle, and the CTL
-oracle evaluates path semantics by depth-first graph walks instead of
-boolean fixpoint iteration.
+one pair at a time and encloses each piece with that oracle, the witness
+oracle reads the steps a simulation took straight off the sampled traces,
+and the CTL oracle evaluates path semantics by depth-first graph walks
+instead of boolean fixpoint iteration.
 """
 
 from __future__ import annotations
@@ -155,6 +156,21 @@ def pairwise_transitions(model, cells) -> np.ndarray:
 
 
 # --- CTL path-semantics oracle (graph DFS, states 0-based) ----------------
+
+
+def observed_transitions(traces, tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every step the sampled traces took, mapped onto the cells of `tree`
+    (a `BoxTree`): the (src, dst) cell indices of each step and the cell
+    each exited run left the zone from. Every visited state must lie in a
+    cell."""
+    k = np.arange(traces.states.shape[1])
+    visited = k <= traces.lengths[:, None]
+    cell = np.full(visited.shape, -1)
+    cell[visited] = tree.locate(traces.states[visited])
+    assert (cell[visited] >= 0).all(), "a simulated state escaped the cell tiling"
+    step = k[:-1] < traces.lengths[:, None]
+    exited = traces.exited
+    return cell[:, :-1][step], cell[:, 1:][step], cell[exited, traces.lengths[exited]]
 
 
 def _succ(relation: np.ndarray, s: int) -> list[int]:

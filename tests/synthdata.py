@@ -142,7 +142,7 @@ def fitted_swirl_model(seed: int = 0, n_samples: int = 2000, epsilon: float = 0.
                        gamma: float = 1.5e-5, **swirl_kwargs) -> tuple[HybridModel, Dataset]:
     data = swirl_dataset(n_samples, seed=seed + 1, **swirl_kwargs)
     zone = swirl_zone()
-    parts = me_partition(zone, data, epsilon)
+    parts = me_partition(zone, data.states, epsilon)
     model = merge_and_learn(parts, data, hidden_count=20, seed=seed, gamma=gamma)
     return model, data
 

@@ -23,9 +23,9 @@ from dynabs import (
     merge_and_learn,
     sample_traces,
 )
-from dynabs.abstraction import Trace, TraceSet
+from dynabs.abstraction import TraceSet
 
-from oracles import pairwise_transitions
+from oracles import observed_transitions, pairwise_transitions
 
 from synthdata import (
     alternating_slab_model,
@@ -51,33 +51,54 @@ def test_sample_traces_shapes_and_determinism():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
     traces = sample_traces(model, L=1, M=1, seed=0)
     assert len(traces) == 1
-    assert traces.traces[0].states.shape == (2, 2)
-    assert len(traces.traces[0]) == 2
+    assert traces.states.shape == (1, 2, 2)
+    assert traces.lengths.tolist() == [1] and traces.exited.tolist() == [False]
+    assert traces.inputs is None
+    assert traces.visited.shape == (2, 2)
 
     a = sample_traces(model, L=7, M=9, seed=42)
     b = sample_traces(model, L=7, M=9, seed=42)
-    for ta, tb in zip(a.traces, b.traces):
-        assert np.array_equal(ta.states, tb.states)
-        assert ta.exited == tb.exited
+    assert np.array_equal(a.states, b.states, equal_nan=True)
+    assert np.array_equal(a.lengths, b.lengths) and np.array_equal(a.exited, b.exited)
 
     c = sample_traces(model, L=7, M=9, seed=43)
-    assert not all(np.array_equal(ta.states, tc.states) for ta, tc in zip(a.traces, c.traces))
+    assert not np.array_equal(a.states, c.states, equal_nan=True)
+
+
+def input_model():
+    """x+ = 0.5 x + 0.5 u on x in [0, 1], u in [-0.25, 0.25]: stays inside
+    for most draws, and leaves below 0 for some."""
+    zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([-0.25], [0.25]))
+    net = ElmNetwork(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.zeros(3),
+                     np.array([[0.5, 0.5, -0.5]]), 3, 0)
+    return single_region_model(zone, net)
 
 
 def test_sample_traces_step_indices_are_consecutive():
-    """Row k of a trace's states is the state after k steps, and row k of its
-    inputs is the input applied at step k, so one step maps row k to row k+1."""
-    zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([-0.25], [0.25]))
-    # x+ = 0.5 x + 0.5 u on x in [0, 1], u in [-0.25, 0.25]: stays inside for most draws
-    net = ElmNetwork(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.zeros(3),
-                     np.array([[0.5, 0.5, -0.5]]), 3, 0)
-    model = single_region_model(zone, net)
-    traces = sample_traces(model, L=4, M=6, seed=1).traces
-    assert max(len(t) for t in traces) > 2
-    for trace in traces:
-        assert trace.inputs.shape == (len(trace) - 1, 1)
-        expected = 0.5 * trace.states[:-1] + 0.5 * trace.inputs
-        assert np.allclose(trace.states[1:], expected, atol=1e-15)
+    """states[i, k] is run i's state after k steps and inputs[i, k] the input
+    applied at step k, so one step maps column k to column k + 1."""
+    traces = sample_traces(input_model(), L=4, M=6, seed=1)
+    assert traces.lengths.max() > 2
+    step = np.arange(6) < traces.lengths[:, None]  # (run, k) pairs with a step k -> k + 1
+    expected = 0.5 * traces.states[:, :-1] + 0.5 * traces.inputs
+    assert np.allclose(traces.states[:, 1:][step], expected[step], atol=1e-15)
+
+
+def test_sample_traces_stacked_arrays():
+    """Runs that did not exit took all M steps; entries past each run's end
+    are NaN; `visited` is the runs' in-zone states, run after run."""
+    L, M = 40, 12
+    traces = sample_traces(input_model(), L=L, M=M, seed=6)
+    assert traces.exited.any() and not traces.exited.all()
+    assert (traces.lengths[~traces.exited] == M).all()
+    assert (traces.lengths[traces.exited] < M).all()
+    k = np.arange(M + 1)
+    assert np.isnan(traces.states[k > traces.lengths[:, None]]).all()
+    assert np.isfinite(traces.states[k <= traces.lengths[:, None]]).all()
+    assert np.isnan(traces.inputs[k[:-1] >= traces.lengths[:, None]]).all()
+    assert np.isfinite(traces.inputs[k[:-1] < traces.lengths[:, None]]).all()
+    runs = [traces.states[i, : traces.lengths[i] + 1] for i in range(L)]
+    assert np.array_equal(traces.visited, np.concatenate(runs))
 
 
 def test_simulate_reproduces_sampled_traces_with_inputs():
@@ -89,23 +110,23 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
     u = rng.uniform(-0.5, 0.5, 600)
     data = Dataset(1, 1, np.column_stack([x, u]), (0.95 * x + 0.3 * u + 0.1 * np.sin(3.0 * x))[:, None])
     zone = WorkingZone(Box([-1.0], [1.0]), input_bounds=Box([-0.5], [0.5]))
-    model = merge_and_learn(me_partition(zone, data, 0.01), data, hidden_count=10, seed=0, gamma=1e-7)
+    model = merge_and_learn(me_partition(zone, data.states, 0.01), data, hidden_count=10, seed=0, gamma=1e-7)
     assert model.n_regions > 1
-    traces = sample_traces(model, L=30, M=25, seed=4).traces
-    assert any(t.exited for t in traces) and any(len(t) > 10 for t in traces)
-    for trace in traces:
-        result = model.simulate(trace.states[0], trace.inputs, steps=len(trace) - 1)
+    traces = sample_traces(model, L=30, M=25, seed=4)
+    assert traces.exited.any() and (traces.lengths > 10).any()
+    for states, inputs, n in zip(traces.states, traces.inputs, traces.lengths):
+        result = model.simulate(states[0], inputs[:n], steps=n)
         assert not result.truncated and result.out_of_zone_steps == []
-        assert np.allclose(result.states, trace.states, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.states, states[: n + 1], rtol=0.0, atol=1e-12)
 
 
 def test_sample_traces_exit_marker():
     model = single_region_model(unit_zone(), constant_net([2.0, 2.0], 2))
     traces = sample_traces(model, L=4, M=5, seed=3)
-    for t in traces.traces:
-        assert t.exited
-        assert t.states.shape == (1, 2)  # only the initial state stays in the zone
-        assert membership_matrix([unit_zone().omega], t.states).all()
+    assert traces.exited.all()
+    assert (traces.lengths == 0).all()  # only the initial state stays in the zone
+    assert np.isnan(traces.states[:, 1:]).all()
+    assert membership_matrix([unit_zone().omega], traces.states[:, 0]).all()
 
 
 def test_sample_traces_draws_inputs_within_bounds():
@@ -117,10 +138,10 @@ def test_sample_traces_draws_inputs_within_bounds():
     net = fit_output_weights(init_elm(2, 1, 8, seed=0), Dataset(1, 1, z, 0.5 * z[:, :1]))
     model = single_region_model(zone, net)
     traces = sample_traces(model, L=3, M=10, seed=5)
-    for t in traces.traces:
-        if t.inputs is not None and t.inputs.size:
-            assert np.all(t.inputs >= -0.25) and np.all(t.inputs <= 0.25)
-            assert t.inputs.shape[0] == t.states.shape[0] - 1
+    assert traces.inputs.shape == (3, 10, 1)
+    applied = traces.inputs[np.arange(10) < traces.lengths[:, None]]
+    assert applied.shape[0] == traces.lengths.sum()  # one input per step taken
+    assert np.all(applied >= -0.25) and np.all(applied <= 0.25)
 
 
 def test_build_cells_huge_epsilon_single_cell():
@@ -133,7 +154,7 @@ def test_build_cells_huge_epsilon_single_cell():
 
 def test_build_cells_two_cluster_traces_split_midline():
     pts = two_cluster_points(seed=11)
-    traces = TraceSet((Trace(states=pts, inputs=None),))
+    traces = TraceSet(pts[None], np.array([len(pts) - 1]), np.array([False]), None)
     cells = build_cells(unit_zone(), traces, epsilon=0.05)
     assert len(cells) > 1
     # the first committed cut is the x1 midline: no cell crosses it
@@ -308,14 +329,10 @@ def test_simulated_transitions_respect_relation():
     cells = build_cells(model.zone, traces, epsilon=0.05)
     ts = compute_transitions(model, cells)
     fresh = sample_traces(model, L=20, M=50, seed=99)
-    tree = BoxTree(ts.zone.omega, ts.cells)
-    for trace in fresh.traces:
-        ids = tree.locate(trace.states) + 1
-        assert (ids > 0).all()
-        for a, b in zip(ids[:-1], ids[1:]):
-            assert ts.relation[a - 1, b - 1], f"missing transition Q{a} -> Q{b}"
-        if trace.exited:
-            assert ts.relation[ids[-1] - 1, ts.n_cells], "missing exit transition"
+    src, dst, exits = observed_transitions(fresh, BoxTree(ts.zone.omega, ts.cells))
+    missing = ~ts.relation[src, dst]
+    assert not missing.any(), f"missing transitions Q{src[missing] + 1} -> Q{dst[missing] + 1}"
+    assert ts.relation[exits, ts.n_cells].all(), "missing exit transition"
 
 
 def test_refining_cells_projects_into_coarse_relation():

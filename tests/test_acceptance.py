@@ -29,7 +29,7 @@ from dynabs import (
 from dynabs.cli import main
 from dynabs.elm import DEFAULT_RIDGE
 
-from oracles import normal_equations_fit, oracle_sat
+from oracles import normal_equations_fit, observed_transitions, oracle_sat
 from synthdata import (
     ctl_subformulas,
     fitted_swirl_model,
@@ -132,16 +132,10 @@ def test_criterion_5_abstraction_soundness_on_fixture_models():
         cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]), epsilon=0.05)
         ts = compute_transitions(model, cells)
         fresh = sample_traces(model, 100, 200, seed=900 + fx["seed"])
-        tree = BoxTree(ts.zone.omega, ts.cells)
-        for trace in fresh.traces:
-            ids = tree.locate(trace.states) + 1
-            assert (ids > 0).all(), "simulated state escaped the cell tiling"
-            pairs = np.column_stack([ids[:-1] - 1, ids[1:] - 1])
-            assert ts.relation[pairs[:, 0], pairs[:, 1]].all(), "observed transition missing from R"
-            checked += pairs.shape[0]
-            if trace.exited:
-                assert ts.relation[ids[-1] - 1, ts.n_cells], "observed exit missing from R"
-                checked += 1
+        src, dst, exits = observed_transitions(fresh, BoxTree(ts.zone.omega, ts.cells))
+        assert ts.relation[src, dst].all(), "observed transition missing from R"
+        assert ts.relation[exits, ts.n_cells].all(), "observed exit missing from R"
+        checked += src.size + exits.size
     report(5, f"5 fixture models, 100x200-step traces each: {checked} observed transitions all in R")
 
 

@@ -295,7 +295,7 @@ def test_non_finite_weights_and_untiled_cells_exit_3(dataset_csv, tmp_path, caps
     for argv in (("simulate", "--model", nan_model, "--x0", "0.1,0.1", "--steps", 3),
                  ("abstract", "--model", nan_model, "--out-dir", tmp_path / "a")):
         code, _, err = run(capsys, *argv)
-        assert code == 3 and "'w_out'" in err and "non-finite" in err
+        assert code == 3 and "networks[0].w_out holds a non-finite value" in err
     assert not (tmp_path / "a" / "ts.json").exists()
 
     doc = json.loads((out_dir / "ts.json").read_text())
@@ -528,3 +528,65 @@ def test_verify_rejects_deeply_nested_formula(tmp_path, capsys, formula):
     code, out, err = run(capsys, "verify", "--ts", ts_path, "--formula", formula, "--initial", 1)
     assert code == 2 and out == ""
     assert err == "error: formula nests deeper than 100 levels at position 100\n"
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """model.json and ts.json of one small swirl fit, shared by the load tests."""
+    d = tmp_path_factory.mktemp("artifacts")
+    save_dataset(d / "swirl.csv", swirl_dataset(1200, seed=1))
+    assert main(["fit", "--dataset", str(d / "swirl.csv"), "--omega-lo=-1,-1", "--omega-hi=1,1",
+                 "--out-dir", str(d)]) == 0
+    assert main(["abstract", "--model", str(d / "model.json"), "--traces", "30", "--trace-length", "30",
+                 "--out-dir", str(d)]) == 0
+    return d
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda net: net["w_out"].pop(), "w_out has 1 rows, expected n_x = 2"),
+    (lambda net: [row.append(0.5) for row in net["w_in"]], "w_in has 3 columns, expected n_x + n_u = 2"),
+], ids=["one w_out row", "third w_in column"])
+def test_network_widths_are_checked_against_the_zone_on_load(artifacts, tmp_path, capsys, change, named):
+    doc = json.loads((artifacts / "model.json").read_text())
+    k = len(doc["networks"]) - 1
+    change(doc["networks"][k])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (("simulate", "--model", bad, "--x0", "0.1,0.1", "--steps", 3),
+                 ("abstract", "--model", bad, "--traces", 5, "--trace-length", 5, "--out-dir", tmp_path / "a")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and f"networks[{k}].{named}" in err and out == "", argv[0]
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("artifact, path, value, named", [
+    ("model.json", ("format_version",), True, "format_version true"),
+    ("model.json", ("format_version",), 1.0, "format_version 1.0"),
+    ("ts.json", ("format_version",), True, "format_version true"),
+    ("ts.json", ("format_version",), 1.0, "format_version 1.0"),
+    ("model.json", ("networks", 0, "w_in", 0, 1), "0.5", 'networks[0].w_in[0] holds "0.5"'),
+    ("model.json", ("networks", 0, "w_out", 1, 0), True, "networks[0].w_out[1] holds true"),
+    ("model.json", ("networks", 0, "b_in", 2), True, "networks[0].b_in holds true"),
+    ("model.json", ("gamma",), "1e-5", "key 'gamma' must be a JSON number, got \"1e-5\""),
+    ("model.json", ("epsilon",), "0.01", "key 'epsilon' must be a JSON number, got \"0.01\""),
+    ("model.json", ("regions", 0, "id"), True, "regions[0].id must be a JSON integer, got true"),
+    ("model.json", ("regions", 0, "id"), 1.0, "regions[0].id must be a JSON integer, got 1.0"),
+    ("model.json", ("networks", 0, "hidden_count"), True, "networks[0].hidden_count must be a JSON integer"),
+    ("model.json", ("networks", 0, "hidden_count"), 20.0, "networks[0].hidden_count must be a JSON integer"),
+    ("model.json", ("networks", 0, "seed"), True, "networks[0].seed must be a JSON integer, got true"),
+    ("model.json", ("networks", 0, "seed"), 1.7, "networks[0].seed must be a JSON integer, got 1.7"),
+])
+def test_artifact_loads_take_exact_json_types(artifacts, tmp_path, capsys, artifact, path, value, named):
+    doc = json.loads((artifacts / artifact).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / artifact
+    bad.write_text(json.dumps(doc))
+    if artifact == "model.json":
+        argv = ("simulate", "--model", bad, "--x0", "0.1,0.1", "--steps", 1)
+    else:
+        argv = ("verify", "--ts", bad, "--formula", "EF Q1", "--initial", 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and named in err

@@ -45,7 +45,7 @@ def manual_two_partitions(zone, data):
 
 def test_huge_gamma_merges_everything():
     data = swirl_dataset(400, seed=2)
-    parts = me_partition(swirl_zone(), data, epsilon=0.05)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.05)
     assert len(parts) > 1
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e6)
     assert model.n_regions == 1
@@ -77,7 +77,7 @@ def test_merge_names_the_partition_whose_statistics_overflow():
     tests with it fail, it raises on its turn as row N, and numpy warns of
     nothing (RuntimeWarnings fail this suite)."""
     data = swirl_dataset(600, seed=5)
-    parts = me_partition(swirl_zone(), data, epsilon=0.04)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     k = len(parts) // 2
     y = data.y.copy()
     y[parts.assignments[k]] = 1e300
@@ -87,7 +87,7 @@ def test_merge_names_the_partition_whose_statistics_overflow():
 
 def test_merge_is_deterministic():
     data = swirl_dataset(600, seed=5)
-    parts = me_partition(swirl_zone(), data, epsilon=0.04)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     a = merge_and_learn(parts, data, hidden_count=20, seed=3, gamma=1e-5)
     b = merge_and_learn(parts, data, hidden_count=20, seed=3, gamma=1e-5)
     assert a.n_regions == b.n_regions
@@ -220,7 +220,7 @@ def test_simulate_requires_inputs_when_model_has_them():
 
 def test_training_samples_reproduce_owning_network():
     data = swirl_dataset(800, seed=3)
-    parts = me_partition(swirl_zone(), data, epsilon=0.04)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e-6)
     ids, out = model.locate_batch(data.states)
     assert not out.any()
@@ -233,7 +233,7 @@ def test_training_samples_reproduce_owning_network():
 
 def test_regions_tile_zone_after_merging():
     data = swirl_dataset(800, seed=4)
-    parts = me_partition(swirl_zone(), data, epsilon=0.04)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e-5)
     boxes = [b for r in model.regions for b in r.boxes]
     rng = np.random.default_rng(0)
@@ -243,7 +243,7 @@ def test_regions_tile_zone_after_merging():
 
 def test_model_json_round_trip_and_version(tmp_path):
     data = swirl_dataset(300, seed=6)
-    parts = me_partition(swirl_zone(), data, epsilon=0.05)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.05)
     model = merge_and_learn(parts, data, hidden_count=10, seed=2, gamma=1e-5)
     path = tmp_path / "model.json"
     model.save(path)
@@ -264,7 +264,7 @@ def test_model_json_round_trip_and_version(tmp_path):
 @pytest.mark.parametrize("gamma", [float("nan"), -1e-9, -np.inf])
 def test_merge_rejects_nan_and_negative_gamma(gamma):
     data = swirl_dataset(300, seed=6)
-    parts = me_partition(swirl_zone(), data, epsilon=0.05)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.05)
     with pytest.raises(ValueError, match=re.escape(f"gamma must be >= 0, got {gamma!r}")):
         merge_and_learn(parts, data, hidden_count=10, seed=2, gamma=gamma)
 
@@ -274,7 +274,7 @@ def test_malformed_model_boxes_are_rejected_naming_the_box(tmp_path):
     another kind belongs, or that is degenerate, ragged or missing a bound,
     fails `load` and `from_dict` with a DataError naming the region and box."""
     data = swirl_dataset(300, seed=6)
-    model = merge_and_learn(me_partition(swirl_zone(), data, epsilon=0.05), data, hidden_count=10, seed=2, gamma=1e-5)
+    model = merge_and_learn(me_partition(swirl_zone(), data.states, epsilon=0.05), data, hidden_count=10, seed=2, gamma=1e-5)
     path = tmp_path / "model.json"
     model.save(path)
     cases = malformed_model_texts(path.read_text())
@@ -301,7 +301,7 @@ def test_hybrid_mse_zero_for_self_consistent_model():
 
 def test_refit_is_deterministic():
     data = swirl_dataset(500, seed=9)
-    parts = me_partition(swirl_zone(), data, epsilon=0.04)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     a = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6)
     b = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6)
     assert a.n_regions == b.n_regions
@@ -315,7 +315,7 @@ def test_locate_batch_equals_membership_reference():
     """Tree lookup plus nearest-region fallback against brute-force membership
     and a per-region distance scan, on box corners, cut faces and outside points."""
     data = swirl_dataset(800, seed=4)
-    parts = me_partition(swirl_zone(), data, epsilon=0.02)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.02)
     model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=1e-8)
     assert model.n_regions > 1
     boxes = [b for r in model.regions for b in r.boxes]
@@ -358,7 +358,7 @@ def test_merge_equals_raw_data_oracle():
     merged = 0
     for zone, pts, eps, _ in random_tiling_cases():
         data = Dataset(pts.shape[1], 0, pts, 0.9 * pts + 0.2 * np.sin(3.0 * np.roll(pts, 1, axis=1)))
-        parts = me_partition(zone, data, eps)
+        parts = me_partition(zone, data.states, eps)
         model = merge_and_learn(parts, data, hidden_count=10, seed=7, gamma=1e-2)
         boxes, tests = raw_merge(parts, data, hidden_count=10, seed=7, gamma=1e-2)
         assert model.stats.pair_tests == tests
@@ -373,7 +373,7 @@ def test_merged_regions_ship_their_certified_network(seed):
     pair test certified, so its training MSE is within gamma."""
     gamma = 1.5e-5
     data = swirl_dataset(4000, seed=seed, twist=0.6)
-    parts = me_partition(swirl_zone(), data, epsilon=0.005)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.005)
     model = merge_and_learn(parts, data, hidden_count=20, seed=seed, gamma=gamma)
     ids, _ = model.locate_batch(data.states)
     merged = [r for r in model.regions if len(r.boxes) > 1]

@@ -42,13 +42,13 @@ def test_entropy_bounded_by_log_n(counts):
 
 
 def test_huge_epsilon_keeps_single_partition():
-    parts = me_partition(unit_zone(), two_cluster_dataset(), epsilon=1e6)
+    parts = me_partition(unit_zone(), two_cluster_dataset().states, epsilon=1e6)
     assert len(parts) == 1
     assert [a.size for a in parts.assignments] == [200]
 
 
 def test_two_cluster_first_split_on_x1_midline():
-    parts = me_partition(unit_zone(), two_cluster_dataset(), epsilon=0.05)
+    parts = me_partition(unit_zone(), two_cluster_dataset().states, epsilon=0.05)
     i, j, delta_h, committed = parts.split_log[0]
     assert (i, j, committed) == (0, 0, True)
     assert abs(delta_h - np.log(2.0)) < 1e-12  # perfectly balanced clusters
@@ -58,7 +58,7 @@ def test_two_cluster_first_split_on_x1_midline():
 
 def test_partition_conservation_and_tiling():
     data = two_cluster_dataset()
-    parts = me_partition(unit_zone(), data, epsilon=0.05)
+    parts = me_partition(unit_zone(), data.states, epsilon=0.05)
     assert sum(a.size for a in parts.assignments) == len(data)
 
     # every sample sits in the box it was assigned to
@@ -74,7 +74,7 @@ def test_partition_conservation_and_tiling():
 
 def test_committed_splits_meet_threshold_and_grow_count():
     eps = 0.05
-    parts = me_partition(unit_zone(), two_cluster_dataset(), epsilon=eps)
+    parts = me_partition(unit_zone(), two_cluster_dataset().states, epsilon=eps)
     committed = [e for e in parts.split_log if e[3]]
     assert committed, "expected at least one committed split"
     assert all(e[2] >= eps for e in committed)
@@ -85,8 +85,8 @@ def test_committed_splits_meet_threshold_and_grow_count():
 
 
 def test_me_partition_deterministic():
-    a = me_partition(unit_zone(), two_cluster_dataset(), epsilon=0.05)
-    b = me_partition(unit_zone(), two_cluster_dataset(), epsilon=0.05)
+    a = me_partition(unit_zone(), two_cluster_dataset().states, epsilon=0.05)
+    b = me_partition(unit_zone(), two_cluster_dataset().states, epsilon=0.05)
     assert len(a) == len(b)
     for ba, bb in zip(a.boxes, b.boxes):
         assert np.array_equal(ba.lo, bb.lo) and np.array_equal(ba.hi, bb.hi)
@@ -106,13 +106,13 @@ def test_me_partition_rejects_out_of_zone_data():
     data = two_cluster_dataset()
     small = WorkingZone(Box([0.0, 0.0], [0.5, 1.0]))
     with pytest.raises(DataError):
-        me_partition(small, data, epsilon=0.05)
+        me_partition(small, data.states, epsilon=0.05)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), -1e-9, -np.inf])
 def test_me_partition_rejects_nan_and_negative_epsilon(epsilon):
     with pytest.raises(ValueError, match=re.escape(f"epsilon must be >= 0, got {epsilon!r}")):
-        me_partition(unit_zone(), two_cluster_dataset(), epsilon)
+        me_partition(unit_zone(), two_cluster_dataset().states, epsilon)
 
 
 @settings(max_examples=20, deadline=None)
