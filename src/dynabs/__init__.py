@@ -13,7 +13,7 @@ from .data import DataError, Dataset, WorkingZone, load_dataset, save_dataset, z
 from .elm import ElmNetwork, fit_output_weights, init_elm, mse, predict_batch
 from .geometry import Box, BoxTree, membership_matrix
 from .hybrid import HybridModel, Region, SimResult, hybrid_mse, merge_and_learn
-from .partition import PartitionSet, me_partition, shannon_entropy
+from .partition import PartitionSet, me_partition
 from .reach import Bounds, ReachPiece, ReachResult, cell_successor_box, elm_output_box
 
 __version__ = "0.1.0"
@@ -55,6 +55,5 @@ __all__ = [
     "sample_traces",
     "sat_set",
     "save_dataset",
-    "shannon_entropy",
     "zone_from_data",
 ]

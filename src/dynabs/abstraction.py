@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, WorkingZone, bit_matrix, check_format_version, read_artifact, write_artifact
+from .data import (DataError, WorkingZone, bit_matrix, boxes_from_docs, check_format_version, member,
+                   read_artifact, write_artifact)
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, boxes_from_docs, membership_matrix  # noqa: F401
+from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
 from .hybrid import HybridModel
 from .partition import me_partition
 from .reach import cell_successor_box
@@ -171,19 +172,17 @@ class TransitionSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> TransitionSystem:
-        """Transition system from its JSON document; any defect raises DataError."""
+        """Transition system from its JSON document; any defect raises DataError
+        naming its key path (see `data.member`) or the invariant it breaks."""
         check_format_version(d, TS_FORMAT_VERSION, "transition-system")
+        zone = WorkingZone.from_dict(member(d, "zone", "object"))
+        cells = boxes_from_docs(member(d, "cells", "list"), zone.n_x, lambda k: f"cells[{k}]")
+        relation = bit_matrix(member(d, "relation"), "relation")
         try:
-            zone = WorkingZone.from_dict(d["zone"])
-            if type(d["cells"]) is not list:
-                raise DataError(f"key 'cells' must be a list of boxes, got {type(d['cells']).__name__}")
-            cells = boxes_from_docs(d["cells"], zone.n_x, lambda k: f"cells[{k}]")
             BoxTree(zone.omega, cells)  # raises, naming the cause, unless the cells tile the zone
-            return cls(zone, cells, bit_matrix(d["relation"], "relation"), d.get("initial"))
-        except KeyError as exc:
-            raise DataError(f"transition-system document is missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid transition-system document: {exc}") from exc
+            return cls(zone, cells, relation, d.get("initial"))
+        except ValueError as exc:
+            raise DataError(f"invalid transition-system document: {exc}") from None
 
     @classmethod
     def load(cls, path) -> TransitionSystem:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .abstraction import TransitionSystem, build_cells, compute_transitions, export_dot, sample_traces
 from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set
-from .data import DataError, Dataset, WorkingZone, load_dataset, zone_from_data
+from .data import JSON_KINDS, DataError, Dataset, WorkingZone, load_dataset, zone_from_data
 from .elm import fit_output_weights, init_elm, mse
 from .geometry import Box
 # hybrid_mse is not called here, but the benchmark's traced run
@@ -84,7 +84,7 @@ class PipelineConfig:
         null is taken only where the default is None."""
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        if not isinstance(raw, dict):
+        if not JSON_KINDS["object"](raw):
             raise UsageError(f"config file {path} must hold a JSON object, got {json.dumps(raw)}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
@@ -92,8 +92,8 @@ class PipelineConfig:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         defaults = cls()
         for key, value in raw.items():
-            what, fits = _CONFIG_TYPES[_FLAGS[key][0]]
-            if not (fits(value) or (value is None and getattr(defaults, key) is None)):
+            what, kind = _CONFIG_KINDS[_FLAGS[key][0]]
+            if not (JSON_KINDS[kind](value) or (value is None and getattr(defaults, key) is None)):
                 raise UsageError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
         return cls(**raw)
 
@@ -305,13 +305,12 @@ _FLAGS = {
     "seed": (int, "random seed"),
     "out_dir": (str, "artifact directory"),
 }
-# flag type: (what a config file gives for its keys, the test of a JSON value;
-# exact types, so that true and false are not numbers)
-_CONFIG_TYPES = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float)),
-    str: ("a string", lambda v: type(v) is str),
-    _csv_floats: ("a list of numbers", lambda v: type(v) is list and all(type(x) in (int, float) for x in v)),
+# flag type: (what a config file gives for its keys, its exact JSON kind)
+_CONFIG_KINDS = {
+    int: ("an integer", "integer"),
+    float: ("a number", "number"),
+    str: ("a string", "string"),
+    _csv_floats: ("a list of numbers", "list of numbers"),
 }
 _DATA_KEYS = ("dataset", "n_x", "n_u", "omega_lo", "omega_hi", "input_lo", "input_hi")
 

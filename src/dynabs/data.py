@@ -10,29 +10,133 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import NoReturn
+from itertools import chain
+from typing import Callable, NoReturn
 
 import numpy as np
 
-from .geometry import Box, _short, boxes_from_docs
+from .geometry import Box
 
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+# Exact JSON kinds, as `json.load` returns them: a boolean is neither an
+# integer nor a number, a string such as "1" is neither either, and an
+# integer beyond the float range has no float value, so it is no number.
+JSON_KINDS = {
+    "object": lambda v: type(v) is dict,
+    "list": lambda v: type(v) is list,
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max,
+    "string": lambda v: type(v) is str,
+    "boolean": lambda v: type(v) is bool,
+    "list of numbers": lambda v: type(v) is list and all(map(JSON_KINDS["number"], v)),
+}
+
+
+def key_path(where: str, key: str) -> str:
+    """Path of `key` inside the object at path `where` ("" for the document itself)."""
+    return f"{where}.{key}" if where else key
+
+
+def _of_kind(value, kind: str, path: str):
+    if not JSON_KINDS[kind](value):
+        raise DataError(f"{path} must be a JSON {kind}, got {_short(value)}")
+    return value
+
+
+def member(doc: dict, key: str, kind: str | None = None, where: str = ""):
+    """`doc[key]`, of the `JSON_KINDS` entry `kind` unless None, for the object
+    `doc` at path `where`; else DataError `<path> is missing` or `<path> must
+    be a JSON <kind>, got <value>`."""
+    path = key_path(where, key)
+    if key not in doc:
+        raise DataError(f"{path} is missing")
+    return doc[key] if kind is None else _of_kind(doc[key], kind, path)
+
+
+def objects(doc: dict, key: str, where: str = ""):
+    """Yield (path, entry) for each entry of `doc[key]`, a list of JSON objects."""
+    path = key_path(where, key)
+    for i, entry in enumerate(member(doc, key, "list", where)):
+        yield f"{path}[{i}]", _of_kind(entry, "object", f"{path}[{i}]")
+
+
 def check_format_version(doc, version: int, what: str) -> None:
-    """Reject an artifact document that is not a JSON object of `version`, a
-    JSON integer (so neither `true` nor `1.0`)."""
-    if not isinstance(doc, dict):
-        raise DataError(f"{what} document must be a JSON object")
-    if "format_version" not in doc:
-        raise DataError(f"{what} document missing format_version")
-    found = doc["format_version"]
-    if type(found) is not int or found != version:
-        raise DataError(f"{what} document has format_version {_short(found)}; only version {version} can be read")
+    """Reject an artifact document that is not a JSON object whose
+    `format_version` is the integer `version`."""
+    found = member(_of_kind(doc, "object", f"{what} document"), "format_version", "integer")
+    if found != version:
+        raise DataError(f"{what} document has format_version {found}; only version {version} can be read")
+
+
+def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> tuple[Box, ...]:
+    """Boxes from a list of JSON documents `{"lo": [...], "hi": [...], "closed_hi": [...]}`.
+
+    All boxes are checked at once as stacked (n, dim) `lo`/`hi`/`closed_hi`
+    arrays: the bounds must be lists of `dim` JSON numbers (the first box's
+    length when `dim` is None), finite and with lo < hi, and `closed_hi` a
+    list of `dim` JSON booleans; each row then becomes a `Box` without a
+    second check. A defect raises DataError naming the first bad box as
+    `name(k)`, with its key and, for a bad value, the entry.
+    """
+    if not docs:
+        return ()
+    try:
+        lo_rows = [d["lo"] for d in docs]
+        hi_rows = [d["hi"] for d in docs]
+        closed_rows = [d["closed_hi"] for d in docs]
+        rows = lo_rows + hi_rows + closed_rows
+        n = len(lo_rows[0]) if dim is None else dim
+        # exact types: true and false are not numbers, and neither is "0.5"
+        if (set(map(type, rows)) == {list} and set(map(len, rows)) == {n} and n > 0
+                and set(map(type, chain.from_iterable(lo_rows + hi_rows))) <= {int, float}
+                and set(map(type, chain.from_iterable(closed_rows))) == {bool}):
+            lo = np.array(lo_rows, dtype=float)
+            hi = np.array(hi_rows, dtype=float)
+            if np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all():
+                closed = np.array(closed_rows, dtype=bool)
+                for a in (lo, hi, closed):
+                    a.setflags(write=False)
+                return tuple(map(Box._trusted, lo, hi, closed))
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an integer beyond the float range
+        pass
+    _raise_box_defect(docs, dim, name)
+
+
+def _raise_box_defect(docs: list, dim: int | None, name: Callable[[int], str]) -> NoReturn:
+    """Raise for the first defect among box documents, found one box and key at a time."""
+    for k, d in enumerate(docs):
+        _of_kind(d, "object", name(k))
+        for key, kind in (("lo", "number"), ("hi", "number"), ("closed_hi", "boolean")):
+            path = key_path(name(k), key)
+            v = member(d, key, "list", name(k))
+            if dim is None:
+                dim = len(v)
+            if len(v) != dim or not v:
+                raise DataError(f"{path} has {len(v)} entries, expected {dim or 'at least 1'}")
+            for i, x in enumerate(v):  # a boolean is finite
+                if not math.isfinite(_of_kind(x, kind, f"{path}[{i}]")):
+                    raise DataError(f"{path}[{i}] is {_short(x)}, not a finite number")
+        for i, (a, b) in enumerate(zip(d["lo"], d["hi"])):
+            if not a < b:
+                raise DataError(f"{name(k)} is degenerate: dimension {i} has lo={_short(a)} >= hi={_short(b)}")
+    raise DataError(f"{name(0)}: the boxes cannot be stacked")
+
+
+def _short(value, limit: int = 60) -> str:
+    """A value's JSON text (its repr if it has none), cut to `limit` characters for an error message."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError):
+        text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 _JSON_WS = b" \t\n\r"
@@ -293,9 +397,10 @@ class WorkingZone:
 
     @classmethod
     def from_dict(cls, d: dict) -> WorkingZone:
+        """Zone from an artifact's `zone` object; null or no `input_bounds` means no inputs."""
+        omega = boxes_from_docs([member(d, "omega", where="zone")], None, lambda k: "zone.omega")[0]
         ib = d.get("input_bounds")
-        omega = boxes_from_docs([d["omega"]], None, lambda k: "zone.omega")[0]
-        return cls(omega, boxes_from_docs([ib], None, lambda k: "zone.input_bounds")[0] if ib else None)
+        return cls(omega, boxes_from_docs([ib], None, lambda k: "zone.input_bounds")[0] if ib is not None else None)
 
 
 def zone_from_data(data: Dataset) -> WorkingZone:
@@ -366,14 +471,14 @@ def load_dataset(path, n_x: int, n_u: int) -> Dataset:
     return Dataset(n_x, n_u, table[:, : n_x + n_u], table[:, n_x + n_u:])
 
 
-def save_dataset(path, data: Dataset, header: list[str] | None = None) -> None:
-    """Write a dataset back to the CSV layout accepted by load_dataset."""
-    if header is None:
-        header = (
-            [f"x{i + 1}" for i in range(data.n_x)]
-            + [f"u{i + 1}" for i in range(data.n_u)]
-            + [f"y{i + 1}" for i in range(data.n_x)]
-        )
+def save_dataset(path, data: Dataset) -> None:
+    """Write a dataset in the CSV layout accepted by load_dataset, under the
+    header x1..., u1..., y1... ."""
+    header = (
+        [f"x{i + 1}" for i in range(data.n_x)]
+        + [f"u{i + 1}" for i in range(data.n_u)]
+        + [f"y{i + 1}" for i in range(data.n_x)]
+    )
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
-from .geometry import _short
+from .data import JSON_KINDS, DataError, Dataset, _short, key_path, member
 
 DEFAULT_RIDGE = 1e-8
 
@@ -71,37 +70,37 @@ class ElmNetwork:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> ElmNetwork:
-        """Network from its JSON document, with the exact types of
-        `geometry.boxes_from_docs`: `hidden_count` and `seed` are JSON
-        integers, `w_in` and `w_out` lists of rows and `b_in` a list, of
-        finite JSON numbers. A defect raises ValueError whose message starts
-        with the key."""
-        for key in ("hidden_count", "seed"):
-            if type(d[key]) is not int:
-                raise ValueError(f"{key} must be a JSON integer, got {_short(d[key])}")
-        weights = {key: _weights(d[key], key, ndim) for key, ndim in (("w_in", 2), ("b_in", 1), ("w_out", 2))}
-        return cls(**weights, hidden_count=d["hidden_count"], seed=d["seed"])
+    def from_dict(cls, d: dict, where: str = "") -> ElmNetwork:
+        """Network from the JSON object at path `where`, read through
+        `data.member`: `hidden_count` and `seed` are JSON integers, `w_in`
+        and `w_out` lists of rows and `b_in` a list, of finite JSON numbers.
+        A defect raises DataError naming its path, and weight shapes that do
+        not fit `hidden_count` name `where`."""
+        hidden_count, seed = (member(d, key, "integer", where) for key in ("hidden_count", "seed"))
+        weights = {key: _weights(member(d, key, where=where), key_path(where, key), ndim)
+                   for key, ndim in (("w_in", 2), ("b_in", 1), ("w_out", 2))}
+        try:
+            return cls(**weights, hidden_count=hidden_count, seed=seed)
+        except ValueError as exc:
+            raise DataError(f"{where or 'network'}: {exc}") from None
 
 
-def _weights(value, key: str, ndim: int) -> np.ndarray:
-    """A weight matrix (ndim 2) or vector (ndim 1) from its JSON value."""
+def _weights(value, path: str, ndim: int) -> np.ndarray:
+    """A weight matrix (ndim 2) or vector (ndim 1) from its JSON value at `path`."""
     rows = value if ndim == 2 else [value]
     kind = "a list of equal-length lists" if ndim == 2 else "a list"
     if type(value) is not list or not all(type(r) is list for r in rows):
-        raise ValueError(f"{key} must be {kind} of JSON numbers, got {_short(value)}")
+        raise DataError(f"{path} must be {kind} of JSON numbers, got {_short(value)}")
     for i, row in enumerate(rows):
         for x in row:
-            if type(x) not in (int, float):  # true and "0.5" are not numbers
-                raise ValueError(f"{key}{f'[{i}]' if ndim == 2 else ''} holds {_short(x)}, not a JSON number")
+            if not JSON_KINDS["number"](x):
+                raise DataError(f"{path}{f'[{i}]' if ndim == 2 else ''} holds {_short(x)}, not a JSON number")
     try:
         a = np.array(value, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{key} holds a non-finite value") from None
     except ValueError:
-        raise ValueError(f"{key} must be {kind} of JSON numbers, got rows of unequal length") from None
+        raise DataError(f"{path} must be {kind} of JSON numbers, got rows of unequal length") from None
     if not np.isfinite(a).all():
-        raise ValueError(f"{key} holds a non-finite value")
+        raise DataError(f"{path} holds a non-finite value")
     return a
 
 

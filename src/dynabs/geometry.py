@@ -9,11 +9,7 @@ boundary points inside the tiling.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable
 
 import numpy as np
 
@@ -49,7 +45,7 @@ class Box:
         bad = np.nonzero(~(lo < hi))[0]
         if bad.size:
             k = int(bad[0])
-            raise ValueError(f"degenerate box: dimension {k} has lo={lo[k]!r} >= hi={hi[k]!r}")
+            raise ValueError(f"degenerate box: dimension {k} has lo={float(lo[k])} >= hi={float(hi[k])}")
         closed = self.closed_hi
         if closed is None:
             closed = np.zeros(lo.shape, dtype=bool)
@@ -112,11 +108,6 @@ class Box:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> Box:
-        """One box document; see `boxes_from_docs`."""
-        return boxes_from_docs([d], None, lambda k: "box")[0]
-
-    @classmethod
     def _trusted(cls, lo: np.ndarray, hi: np.ndarray, closed_hi: np.ndarray) -> Box:
         # read-only 1-D rows that already satisfy every check of __post_init__
         box = object.__new__(cls)
@@ -128,81 +119,6 @@ class Box:
     def __repr__(self) -> str:
         parts = "x".join(f"[{l:g},{h:g}{']' if c else ')'}" for l, h, c in zip(self.lo, self.hi, self.closed_hi))
         return f"Box({parts})"
-
-
-def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> tuple[Box, ...]:
-    """Boxes from a list of JSON documents `{"lo": [...], "hi": [...], "closed_hi": [...]}`.
-
-    All boxes are checked at once as stacked (n, dim) `lo`/`hi`/`closed_hi`
-    arrays: the bounds must be lists of `dim` JSON numbers (the first box's
-    length when `dim` is None), finite and with lo < hi, and `closed_hi` a
-    list of `dim` JSON booleans; each row then becomes a `Box` without a
-    second check. A defect raises ValueError naming the first bad box as
-    `name(k)`, with its key and, for a bad value, the entry.
-    """
-    if not docs:
-        return ()
-    try:
-        lo_rows = [d["lo"] for d in docs]
-        hi_rows = [d["hi"] for d in docs]
-        closed_rows = [d["closed_hi"] for d in docs]
-        rows = lo_rows + hi_rows + closed_rows
-        n = len(lo_rows[0]) if dim is None else dim
-        # exact types: true and false are not numbers, and neither is "0.5"
-        if (set(map(type, rows)) == {list} and set(map(len, rows)) == {n} and n > 0
-                and set(map(type, chain.from_iterable(lo_rows + hi_rows))) <= {int, float}
-                and set(map(type, chain.from_iterable(closed_rows))) == {bool}):
-            lo = np.array(lo_rows, dtype=float)
-            hi = np.array(hi_rows, dtype=float)
-            if np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all():
-                closed = np.array(closed_rows, dtype=bool)
-                for a in (lo, hi, closed):
-                    a.setflags(write=False)
-                return tuple(map(Box._trusted, lo, hi, closed))
-    except (KeyError, TypeError, OverflowError):  # OverflowError: an integer beyond the float range
-        pass
-    raise ValueError(_box_doc_defect(docs, dim, name))
-
-
-def _box_doc_defect(docs: list, dim: int | None, name: Callable[[int], str]) -> str:
-    """The first defect among box documents, found one box and key at a time."""
-    for k, d in enumerate(docs):
-        if type(d) is not dict:
-            return f"{name(k)} must be an object with keys lo, hi and closed_hi, got {_short(d)}"
-        for key, kind, types in (("lo", "numbers", (int, float)), ("hi", "numbers", (int, float)),
-                                 ("closed_hi", "booleans", (bool,))):
-            if key not in d:
-                return f"{name(k)} is missing key {key!r}"
-            v = d[key]
-            if type(v) is not list or not all(type(x) in types for x in v):
-                return f"{name(k)}.{key} must be a list of JSON {kind}, got {_short(v)}"
-            if dim is None:
-                dim = len(v)
-            if len(v) != dim or not v:
-                return f"{name(k)}.{key} has {len(v)} entries, expected {dim or 'at least 1'}"
-            for i, x in enumerate(v if kind == "numbers" else ()):
-                if not _is_finite(x):
-                    return f"{name(k)}.{key}[{i}] is {_short(x)}, not a finite number"
-        for i, (a, b) in enumerate(zip(d["lo"], d["hi"])):
-            if not a < b:
-                return f"{name(k)} is degenerate: dimension {i} has lo={_short(a)} >= hi={_short(b)}"
-    return f"{name(0)}: the boxes cannot be stacked"
-
-
-def _is_finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _short(value, limit: int = 60) -> str:
-    """A value's JSON text (its repr if it has none), cut to `limit` characters for an error message."""
-    try:
-        text = json.dumps(value)
-    except (TypeError, ValueError):
-        text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:

@@ -8,20 +8,19 @@ steps as x(k+1) = net[region(x(k))](x(k), u(k)).
 
 from __future__ import annotations
 
-import bisect
 import datetime
-import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, Dataset, WorkingZone, check_format_version, read_artifact, write_artifact
+from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_format_version, member, objects,
+                   read_artifact, write_artifact)
 from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, _short, boxes_from_docs, membership_matrix  # noqa: F401
+from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -180,60 +179,25 @@ class HybridModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> HybridModel:
-        """Model from its JSON document; any defect raises DataError.
-
-        Numbers have exact JSON types, as in `boxes_from_docs`: `gamma` and
-        `epsilon` are numbers and region ids integers (`true`, `1.0` and
-        `"1"` are neither); networks are read by `ElmNetwork.from_dict`.
-        """
+        """Model from its JSON document; any defect raises DataError naming
+        its key path (see `data.member`) or the invariant it breaks."""
         check_format_version(d, MODEL_FORMAT_VERSION, "model")
+        zone = WorkingZone.from_dict(member(d, "zone", "object"))
+        regions = tuple(
+            Region(member(r, "id", "integer", path),
+                   boxes_from_docs(member(r, "boxes", "list", path), zone.n_x, lambda k: f"{path}.boxes[{k}]"))
+            for path, r in objects(d, "regions")
+        )
+        networks = tuple(ElmNetwork.from_dict(net, path) for path, net in objects(d, "networks"))
+        gamma, epsilon = (float(member(d, key, "number")) for key in ("gamma", "epsilon"))
         try:
-            zone = WorkingZone.from_dict(d["zone"])
-            for key in ("gamma", "epsilon"):
-                if type(d[key]) not in (int, float):
-                    raise DataError(f"key {key!r} must be a JSON number, got {_short(d[key])}")
-            for i, r in enumerate(d["regions"]):
-                if type(r["id"]) is not int:
-                    raise DataError(f"regions[{i}].id must be a JSON integer, got {_short(r['id'])}")
-                if type(r["boxes"]) is not list:
-                    raise DataError(f"regions[{i}].boxes must be a list of boxes, got {type(r['boxes']).__name__}")
-            box_lists = [r["boxes"] for r in d["regions"]]
-            # every region box in one pass, named by its region in an error
-            ends = list(itertools.accumulate(map(len, box_lists)))
-
-            def name(k: int) -> str:
-                i = bisect.bisect_right(ends, k)
-                return f"regions[{i}].boxes[{k - (ends[i - 1] if i else 0)}]"
-
-            boxes = boxes_from_docs([b for docs in box_lists for b in docs], zone.n_x, name)
-            return cls(
-                zone=zone,
-                regions=tuple(
-                    Region(r["id"], boxes[end - len(docs):end])
-                    for r, docs, end in zip(d["regions"], box_lists, ends)
-                ),
-                networks=tuple(_network_from_dict(k, n) for k, n in enumerate(d["networks"])),
-                gamma=float(d["gamma"]),
-                epsilon=float(d["epsilon"]),
-            )
-        except KeyError as exc:
-            raise DataError(f"model document is missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid model document: {exc}") from exc
+            return cls(zone=zone, regions=regions, networks=networks, gamma=gamma, epsilon=epsilon)
+        except ValueError as exc:
+            raise DataError(f"invalid model document: {exc}") from None
 
     @classmethod
     def load(cls, path) -> HybridModel:
         return cls.from_dict(read_artifact(path))
-
-
-def _network_from_dict(k: int, doc) -> ElmNetwork:
-    """Network k of a model document; a defect raises ValueError naming `networks[k]` and the key."""
-    try:
-        return ElmNetwork.from_dict(doc)
-    except KeyError as exc:
-        raise ValueError(f"networks[{k}] is missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"networks[{k}].{exc}") from None
 
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:
@@ -263,7 +227,7 @@ def merge_and_learn(
     absorbed a candidate is the network its last accepted test certified.
     """
     if not gamma >= 0:  # NaN fails too
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     n_in = data.n_x + data.n_u

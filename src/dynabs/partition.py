@@ -21,20 +21,6 @@ from .geometry import Box
 MIN_SIDE_FRACTION = 1e-9
 
 
-def shannon_entropy(counts) -> float:
-    """H = -sum p_i ln p_i over occupancy fractions, with 0 ln 0 = 0."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("counts must be a non-empty 1-D sequence")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("at least one count must be positive")
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionSet:
     """Disjoint boxes tiling the zone plus per-box sample assignments."""
@@ -67,7 +53,7 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     it raises DataError.
     """
     if not epsilon >= 0:  # NaN fails too
-        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     states = np.atleast_2d(np.asarray(points, dtype=float))
     if states.shape[1] != zone.n_x:
         raise ValueError(f"points have dimension {states.shape[1]}, zone has {zone.n_x}")

@@ -1,7 +1,8 @@
 """Independent oracles the implementation is checked against.
 
 These deliberately use different machinery than the library: the
-least-squares oracle solves the normal equations directly, the merge
+entropy oracle sums -p ln p over occupancy fractions where the partitioner
+adds x ln x terms of counts, the least-squares oracle solves the normal equations directly, the merge
 oracle refits every pair test on the pooled raw samples, the partition
 oracle rescans every active box for the widest one instead of walking the
 split tree, the enclosure oracle pushes one box at a time through one
@@ -20,6 +21,21 @@ from dynabs import elm_output_box, fit_output_weights, init_elm, mse, predict_ba
 from dynabs.hybrid import derive_seed
 from dynabs.reach import OUTPUT_SLACK
 from dynabs.partition import MIN_SIDE_FRACTION
+
+
+def shannon_entropy(counts) -> float:
+    """H = -sum p_i ln p_i over occupancy fractions, with 0 ln 0 = 0: the
+    entropy whose gains me_partition computes term by term."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 1 or counts.size == 0:
+        raise ValueError("counts must be a non-empty 1-D sequence")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("at least one count must be positive")
+    p = counts[counts > 0] / total
+    return float(-(p * np.log(p)).sum())
 
 
 def normal_equations_fit(net, data, ridge: float) -> np.ndarray:

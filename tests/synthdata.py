@@ -221,8 +221,21 @@ def malformed_box_docs(box: dict, name: str) -> dict[str, tuple[dict | None, str
         "hi beyond the float range": (first("hi", 10 ** 400), f"{name}.hi[0]"),
         "degenerate": ({**box, "hi": box["lo"]}, f"{name} is degenerate"),
         "ragged": ({**box, "lo": [*box["lo"], 0.0]}, f"{name}.lo"),
-        "missing hi": ({k: v for k, v in box.items() if k != "hi"}, f"{name} is missing key 'hi'"),
-        "not an object": ([box["lo"], box["hi"]], f"{name} must be an object"),
+        "missing hi": ({k: v for k, v in box.items() if k != "hi"}, f"{name}.hi is missing"),
+        "not an object": ([box["lo"], box["hi"]], f"{name} must be a JSON object"),
+    }
+
+
+def malformed_zone_docs(doc: dict) -> dict[str, tuple[str, str]]:
+    """Defective copies of an artifact document whose zone is broken:
+    {case: (text, what its error names)}."""
+    omega = doc["zone"]["omega"]
+    return {
+        "zone [1]": (json.dumps({**doc, "zone": [1]}), "zone must be a JSON object, got [1]"),
+        "zone without omega": (json.dumps({**doc, "zone": {"input_bounds": None}}), "zone.omega is missing"),
+        "omega closed_hi 1": (
+            json.dumps({**doc, "zone": {**doc["zone"], "omega": {**omega, "closed_hi": [1] * len(omega["lo"])}}}),
+            "zone.omega.closed_hi"),
     }
 
 
@@ -230,8 +243,9 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
     """Defective copies of a saved model.json's text: {case: (text, what its error names)}.
 
     Each copy breaks one region box (the second box of the first region that
-    has two, so that the name carries both indices) or the zone's omega, as
-    `malformed_box_docs` lists, and keeps everything else valid.
+    has two, so that the name carries both indices), as `malformed_box_docs`
+    lists, or the zone, or the structure around the regions and networks,
+    and keeps everything else valid.
     """
     doc = json.loads(text)
     i = next((i for i, r in enumerate(doc["regions"]) if len(r["boxes"]) > 1), 0)
@@ -241,19 +255,32 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
         bad = json.loads(text)
         bad["regions"][i]["boxes"][j] = box
         cases[case] = (json.dumps(bad), named)
-    omega = doc["zone"]["omega"]
-    cases["omega closed_hi 1"] = (
-        json.dumps({**doc, "zone": {**doc["zone"], "omega": {**omega, "closed_hi": [1] * len(omega["lo"])}}}),
-        "zone.omega.closed_hi")
-    return cases
+
+    def first_entry(key, entry) -> str:
+        return json.dumps({**doc, key: [entry, *doc[key][1:]]})
+
+    region, net = doc["regions"][0], doc["networks"][0]
+    return {
+        **cases,
+        **malformed_zone_docs(doc),
+        "regions an object": (json.dumps({**doc, "regions": {"0": region}}), "regions must be a JSON list"),
+        "regions null": (json.dumps({**doc, "regions": None}), "regions must be a JSON list, got null"),
+        "networks an object": (json.dumps({**doc, "networks": {"0": net}}), "networks must be a JSON list"),
+        "networks null": (json.dumps({**doc, "networks": None}), "networks must be a JSON list, got null"),
+        "region a list": (first_entry("regions", list(region.values())), "regions[0] must be a JSON object"),
+        "network a list": (first_entry("networks", list(net.values())), "networks[0] must be a JSON object"),
+        "region without id": (first_entry("regions", {"boxes": region["boxes"]}), "regions[0].id is missing"),
+        "network without w_in": (first_entry("networks", {k: v for k, v in net.items() if k != "w_in"}),
+                                 "networks[0].w_in is missing"),
+    }
 
 
 def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
     """Defective copies of a saved ts.json's text: {case: (text, what its error names)}.
 
-    Each copy breaks one thing, the relation, the document around it, cell 1
-    (as `malformed_box_docs` lists) or the initial cell id, and keeps
-    everything else valid.
+    Each copy breaks one thing, the relation, the document around it, the
+    zone, cell 1 (as `malformed_box_docs` lists) or the initial cell id, and
+    keeps everything else valid.
     """
     doc = json.loads(text)
     rel = doc["relation"]
@@ -284,6 +311,7 @@ def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
         "trailing data": (text + "{}\n", "relation"),
         "initial 1.5": (changed("initial", 1.5), "initial"),
         "initial true": (changed("initial", True), "initial"),
-        "cells not a list": (changed("cells", {"0": doc["cells"][0]}), "cells"),
+        "cells an object": (changed("cells", {"0": doc["cells"][0]}), "cells must be a JSON list"),
+        **malformed_zone_docs(doc),
         **cells,
     }

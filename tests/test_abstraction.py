@@ -387,7 +387,7 @@ def test_load_rejects_cells_that_do_not_tile_the_zone(tmp_path):
     del doc["cells"][k]
     rel = np.delete(np.delete(np.asarray(doc["relation"]), k, axis=0), k, axis=1)
     rel[:, -1] = 1  # every row keeps a successor: the relation stays square and total
-    doc["relation"] = rel.tolist()
+    doc["relation"] = rel.astype(int).tolist()
     with pytest.raises(DataError, match="gap"):
         TransitionSystem.from_dict(doc)
 

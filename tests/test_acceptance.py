@@ -24,12 +24,11 @@ from dynabs import (
     predict_batch,
     sample_traces,
     sat_set,
-    shannon_entropy,
 )
 from dynabs.cli import main
 from dynabs.elm import DEFAULT_RIDGE
 
-from oracles import normal_equations_fit, observed_transitions, oracle_sat
+from oracles import normal_equations_fit, observed_transitions, oracle_sat, shannon_entropy
 from synthdata import (
     ctl_subformulas,
     fitted_swirl_model,

@@ -250,13 +250,16 @@ def test_abstract_and_verify_reject_malformed_artifacts(dataset_csv, tmp_path, c
     code, _, err = run(capsys, "abstract", "--model", broken, "--out-dir", tmp_path / "a")
     assert code == 3 and "gap" in err
 
-    for bad in ({"format_version": 1}, {"format_version": 99}):
+    for bad, model_named, ts_named in (
+            ({"format_version": 1}, "zone is missing", "zone is missing"),
+            ({"format_version": 99}, "model document has format_version 99",
+             "transition-system document has format_version 99")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "abstract", "--model", path, "--out-dir", tmp_path / "a")
-        assert code == 3 and "model document" in err
+        assert code == 3 and model_named in err
         code, _, err = run(capsys, "verify", "--ts", path, "--formula", "EF Q1", "--initial", 1)
-        assert code == 3 and "transition-system document" in err
+        assert code == 3 and ts_named in err
 
 
 def test_abstract_rejects_malformed_model_boxes_naming_the_box(dataset_csv, tmp_path, capsys):
@@ -465,6 +468,12 @@ def test_fit_rejects_malformed_config_naming_the_key(dataset_csv, tmp_path, caps
     assert err.startswith("error: ") and named in err and err.count("\n") == 1
 
 
+def test_fit_names_a_degenerate_zone_in_plain_numbers(dataset_csv, tmp_path, capsys):
+    code, out, err = run(capsys, "fit", "--dataset", dataset_csv, "--omega-lo=1,1", "--omega-hi=-1,-1",
+                         "--out-dir", tmp_path / "o")
+    assert (code, out, err) == (2, "", "error: degenerate box: dimension 0 has lo=1.0 >= hi=-1.0\n")
+
+
 def test_config_null_is_taken_where_the_default_is_none(dataset_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"omega_lo": None, "omega_hi": None, "input_lo": None, "input_hi": None,
@@ -559,16 +568,23 @@ def test_network_widths_are_checked_against_the_zone_on_load(artifacts, tmp_path
     assert not (tmp_path / "a").exists()
 
 
+# explicit ids keep these cases' names; each states the requirement that `named` pins
 @pytest.mark.parametrize("artifact, path, value, named", [
-    ("model.json", ("format_version",), True, "format_version true"),
-    ("model.json", ("format_version",), 1.0, "format_version 1.0"),
-    ("ts.json", ("format_version",), True, "format_version true"),
-    ("ts.json", ("format_version",), 1.0, "format_version 1.0"),
+    pytest.param("model.json", ("format_version",), True, "format_version must be a JSON integer, got true",
+                 id="model.json-path0-True-format_version true"),
+    pytest.param("model.json", ("format_version",), 1.0, "format_version must be a JSON integer, got 1.0",
+                 id="model.json-path1-1.0-format_version 1.0"),
+    pytest.param("ts.json", ("format_version",), True, "format_version must be a JSON integer, got true",
+                 id="ts.json-path2-True-format_version true"),
+    pytest.param("ts.json", ("format_version",), 1.0, "format_version must be a JSON integer, got 1.0",
+                 id="ts.json-path3-1.0-format_version 1.0"),
     ("model.json", ("networks", 0, "w_in", 0, 1), "0.5", 'networks[0].w_in[0] holds "0.5"'),
     ("model.json", ("networks", 0, "w_out", 1, 0), True, "networks[0].w_out[1] holds true"),
     ("model.json", ("networks", 0, "b_in", 2), True, "networks[0].b_in holds true"),
-    ("model.json", ("gamma",), "1e-5", "key 'gamma' must be a JSON number, got \"1e-5\""),
-    ("model.json", ("epsilon",), "0.01", "key 'epsilon' must be a JSON number, got \"0.01\""),
+    pytest.param("model.json", ("gamma",), "1e-5", "gamma must be a JSON number, got \"1e-5\"",
+                 id="model.json-path7-1e-5-key 'gamma' must be a JSON number, got \"1e-5\""),
+    pytest.param("model.json", ("epsilon",), "0.01", "epsilon must be a JSON number, got \"0.01\"",
+                 id="model.json-path8-0.01-key 'epsilon' must be a JSON number, got \"0.01\""),
     ("model.json", ("regions", 0, "id"), True, "regions[0].id must be a JSON integer, got true"),
     ("model.json", ("regions", 0, "id"), 1.0, "regions[0].id must be a JSON integer, got 1.0"),
     ("model.json", ("networks", 0, "hidden_count"), True, "networks[0].hidden_count must be a JSON integer"),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynabs import Box, BoxTree, WorkingZone, geometry, membership_matrix
+from dynabs.data import boxes_from_docs
 
 from synthdata import constant_net, split_region_model
 
@@ -126,7 +127,7 @@ def test_distance_linf():
 
 def test_box_json_round_trip():
     b = Box([0.0, -1.0], [0.5, 2.0], closed_hi=[True, False])
-    c = Box.from_dict(b.to_dict())
+    (c,) = boxes_from_docs([b.to_dict()], None, lambda k: "box")
     assert np.array_equal(b.lo, c.lo)
     assert np.array_equal(b.hi, c.hi)
     assert np.array_equal(b.closed_hi, c.closed_hi)

@@ -261,11 +261,12 @@ def test_model_json_round_trip_and_version(tmp_path):
         HybridModel.from_dict(doc)
 
 
-@pytest.mark.parametrize("gamma", [float("nan"), -1e-9, -np.inf])
+@pytest.mark.parametrize("gamma", [float("nan"), -1e-9, -np.inf,
+                                   pytest.param(np.float64(-1e-9), id="np.float64(-1e-09)")])
 def test_merge_rejects_nan_and_negative_gamma(gamma):
     data = swirl_dataset(300, seed=6)
     parts = me_partition(swirl_zone(), data.states, epsilon=0.05)
-    with pytest.raises(ValueError, match=re.escape(f"gamma must be >= 0, got {gamma!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"gamma must be >= 0, got {float(gamma)!r}")):
         merge_and_learn(parts, data, hidden_count=10, seed=2, gamma=gamma)
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynabs import Box, WorkingZone, me_partition, membership_matrix, shannon_entropy
+from dynabs import Box, WorkingZone, me_partition, membership_matrix
 
-from oracles import widest_first_partition
+from oracles import shannon_entropy, widest_first_partition
 from synthdata import two_cluster_dataset, unit_zone
 
 
@@ -109,9 +109,11 @@ def test_me_partition_rejects_out_of_zone_data():
         me_partition(small, data.states, epsilon=0.05)
 
 
-@pytest.mark.parametrize("epsilon", [float("nan"), -1e-9, -np.inf])
+@pytest.mark.parametrize("epsilon", [float("nan"), -1e-9, -np.inf,
+                                     pytest.param(np.float64("nan"), id="np.float64(nan)")])
 def test_me_partition_rejects_nan_and_negative_epsilon(epsilon):
-    with pytest.raises(ValueError, match=re.escape(f"epsilon must be >= 0, got {epsilon!r}")):
+    # a numpy scalar reads as a plain number, not as np.float64(nan)
+    with pytest.raises(ValueError, match=re.escape(f"epsilon must be >= 0, got {float(epsilon)!r}")):
         me_partition(unit_zone(), two_cluster_dataset().states, epsilon)
 
 
