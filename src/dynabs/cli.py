@@ -14,14 +14,14 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .abstraction import TransitionSystem, build_cells, compute_transitions, export_dot, sample_traces
 from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set
-from .data import JSON_KINDS, DataError, Dataset, WorkingZone, load_dataset, zone_from_data
+from .data import JSON_KINDS, DataError, Dataset, WorkingZone, _short, load_dataset, zone_from_data
 from .elm import fit_output_weights, init_elm, mse
 from .geometry import Box
 # hybrid_mse is not called here, but the benchmark's traced run
@@ -29,48 +29,60 @@ from .geometry import Box
 from .hybrid import HybridModel, hybrid_mse, merge_and_learn  # noqa: F401
 from .partition import me_partition
 
-DEFAULT_EPSILON = 4e-2
-DEFAULT_GAMMA = 1.5e-5
-DEFAULT_HIDDEN = 20
-DEFAULT_REFERENCE_HIDDEN = 200
-DEFAULT_TRACES = 400
-DEFAULT_TRACE_LENGTH = 400
-
 
 class UsageError(ValueError):
     """Bad configuration or arguments (exit code 2)."""
 
 
+def _csv_floats(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
+
+
+# flag type: (what a config file gives for its keys, its exact JSON kind)
+_CONFIG_KINDS = {
+    int: ("an integer", "integer"),
+    float: ("a number", "number"),
+    str: ("a string", "string"),
+    _csv_floats: ("a list of numbers", "list of numbers"),
+}
+
+
+def _key(default, kind, text: str, at_least=None, at_most=None):
+    """A config key: its default, the type of its flag (--key with '-' for
+    '_'), the flag's help, and the bounds `validate` holds its value to."""
+    return field(default=default, metadata={"kind": kind, "help": text, "at_least": at_least, "at_most": at_most})
+
+
 @dataclass
 class PipelineConfig:
-    dataset: str | None = None
-    n_x: int = 2
-    n_u: int = 0
-    omega_lo: list[float] | None = None
-    omega_hi: list[float] | None = None
-    input_lo: list[float] | None = None
-    input_hi: list[float] | None = None
-    epsilon: float = DEFAULT_EPSILON
-    gamma: float = DEFAULT_GAMMA
-    hidden_count: int = DEFAULT_HIDDEN
-    reference_hidden_count: int = DEFAULT_REFERENCE_HIDDEN
-    traces: int = DEFAULT_TRACES
-    trace_length: int = DEFAULT_TRACE_LENGTH
-    seed: int = 0
-    out_dir: str = "."
+    dataset: str | None = _key(None, str, "CSV file of one-step samples")
+    n_x: int = _key(2, int, "state dimension", at_least=1)
+    n_u: int = _key(0, int, "input dimension (0 for autonomous)", at_least=0)
+    omega_lo: list[float] | None = _key(None, _csv_floats, "zone lower corner")
+    omega_hi: list[float] | None = _key(None, _csv_floats, "zone upper corner")
+    input_lo: list[float] | None = _key(None, _csv_floats, "input lower bounds")
+    input_hi: list[float] | None = _key(None, _csv_floats, "input upper bounds")
+    # NaN fails the lower bound; inf is allowed
+    epsilon: float = _key(4e-2, float, "entropy-gain threshold for partitioning", at_least=0)
+    gamma: float = _key(1.5e-5, float, "pooled-MSE threshold for merging", at_least=0)
+    hidden_count: int = _key(20, int, "neurons per sub-network", at_least=1, at_most=4096)
+    reference_hidden_count: int = _key(200, int, "neurons of the single reference network", at_least=1, at_most=4096)
+    traces: int = _key(400, int, "number of traces sampled for abstraction", at_least=1)
+    trace_length: int = _key(400, int, "steps per sampled trace", at_least=1)
+    seed: int = _key(0, int, "random seed", at_least=0)
+    out_dir: str = _key(".", str, "artifact directory")
 
     def validate(self) -> None:
-        for key, value in (("epsilon", self.epsilon), ("gamma", self.gamma)):
-            if not value >= 0:  # NaN fails too; inf is allowed
-                raise UsageError(f"{key} must be >= 0, got {value!r}")
-        if self.n_x < 1 or self.n_u < 0:
-            raise UsageError("need n_x >= 1 and n_u >= 0")
-        if self.hidden_count < 1 or self.reference_hidden_count < 1:
-            raise UsageError("hidden counts must be positive")
-        if self.traces < 1 or self.trace_length < 1:
-            raise UsageError("traces and trace_length must be positive")
-        if self.seed < 0:
-            raise UsageError("seed must be non-negative")
+        for f in fields(self):
+            value, at_least, at_most = getattr(self, f.name), f.metadata["at_least"], f.metadata["at_most"]
+            shown = repr(value) if type(value) is float else _short(value)  # nan and inf as Python writes them
+            if at_least is not None and not value >= at_least:
+                raise UsageError(f"{f.name} must be >= {at_least}, got {shown}")
+            if at_most is not None and value > at_most:
+                raise UsageError(f"{f.name} must be <= {at_most}, got {shown}")
         if (self.omega_lo is None) != (self.omega_hi is None):
             raise UsageError("omega_lo and omega_hi must be given together")
         if self.omega_lo is not None:
@@ -82,19 +94,21 @@ class PipelineConfig:
     def from_file(cls, path) -> PipelineConfig:
         """Config from a JSON object whose values have their keys' flag types;
         null is taken only where the default is None."""
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+        try:
+            with open(path, encoding="utf-8") as f:
+                raw = json.load(f)
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise UsageError(f"config file {path} is not JSON: {exc}") from None
         if not JSON_KINDS["object"](raw):
-            raise UsageError(f"config file {path} must hold a JSON object, got {json.dumps(raw)}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+            raise UsageError(f"config file {path} must hold a JSON object, got {_short(raw)}")
+        keys = {f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(keys)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        defaults = cls()
         for key, value in raw.items():
-            what, kind = _CONFIG_KINDS[_FLAGS[key][0]]
-            if not (JSON_KINDS[kind](value) or (value is None and getattr(defaults, key) is None)):
-                raise UsageError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+            what, kind = _CONFIG_KINDS[keys[key].metadata["kind"]]
+            if not (JSON_KINDS[kind](value) or (value is None and keys[key].default is None)):
+                raise UsageError(f"config key {key!r} must be {what}, got {_short(value)}")
         return cls(**raw)
 
 
@@ -257,6 +271,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:  # before the inputs are drawn, whose shape it gives
+        raise UsageError("steps must be >= 0")
     model = HybridModel.load(args.model)
     x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
     inputs = None
@@ -279,47 +295,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _csv_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
-
-
-# config key: (type, help); its flag is --key with '-' for '_', and each
-# command offers only the keys it reads
-_FLAGS = {
-    "dataset": (str, "CSV file of one-step samples"),
-    "n_x": (int, "state dimension"),
-    "n_u": (int, "input dimension (0 for autonomous)"),
-    "omega_lo": (_csv_floats, "zone lower corner"),
-    "omega_hi": (_csv_floats, "zone upper corner"),
-    "input_lo": (_csv_floats, "input lower bounds"),
-    "input_hi": (_csv_floats, "input upper bounds"),
-    "epsilon": (float, "entropy-gain threshold for partitioning"),
-    "gamma": (float, "pooled-MSE threshold for merging"),
-    "hidden_count": (int, "neurons per sub-network"),
-    "reference_hidden_count": (int, "neurons of the single reference network"),
-    "traces": (int, "number of traces sampled for abstraction"),
-    "trace_length": (int, "steps per sampled trace"),
-    "seed": (int, "random seed"),
-    "out_dir": (str, "artifact directory"),
-}
-# flag type: (what a config file gives for its keys, its exact JSON kind)
-_CONFIG_KINDS = {
-    int: ("an integer", "integer"),
-    float: ("a number", "number"),
-    str: ("a string", "string"),
-    _csv_floats: ("a list of numbers", "list of numbers"),
-}
 _DATA_KEYS = ("dataset", "n_x", "n_u", "omega_lo", "omega_hi", "input_lo", "input_hi")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *keys: str) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
+    meta = {f.name: f.metadata for f in fields(PipelineConfig)}
     for key in keys:
-        kind, text = _FLAGS[key]
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=text)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=meta[key]["kind"], help=meta[key]["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +353,7 @@ def main(argv=None) -> int:
     except (UsageError, CtlSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FloatingPointError as exc:

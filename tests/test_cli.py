@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from dynabs import ElmNetwork, save_dataset
+from dynabs import Box, ElmNetwork, WorkingZone, save_dataset
 from dynabs.cli import main
 
-from synthdata import (malformed_model_texts, malformed_ts_texts, overflowing_model, single_region_model, swirl_dataset, swirl_zone,
-                       tiny_transition_system)
+from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model, single_region_model,
+                       swirl_dataset, swirl_zone, tiny_transition_system)
 
 
 @pytest.fixture()
@@ -355,6 +355,15 @@ def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
         assert code == 2 and cause in err and out == ""
 
 
+@pytest.mark.parametrize("input_bounds", [None, Box([-0.5], [0.5])])
+def test_simulate_rejects_negative_steps_with_or_without_inputs(tmp_path, capsys, input_bounds):
+    zone = WorkingZone(Box([-1.0, -1.0], [1.0, 1.0]), input_bounds)
+    path = tmp_path / "model.json"
+    single_region_model(zone, constant_net([0.0, 0.0], zone.n_x + zone.n_u)).save(path)
+    code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.1,0.2", "--steps", -1)
+    assert (code, out, err) == (2, "", "error: steps must be >= 0\n")
+
+
 def test_each_command_offers_only_the_flags_it_reads(dataset_csv, tmp_path, capsys):
     for argv in (("fit", "--dataset", dataset_csv, "--traces", 5),
                  ("fit", "--dataset", dataset_csv, "--trace-length", 5),
@@ -459,6 +468,18 @@ def test_verify_reads_any_json_spacing_and_rejects_malformed_ts(dataset_csv, tmp
     ({"dataset": 7}, "'dataset' must be a string"),
     ({"omega_lo": [-1, "a"], "omega_hi": [1, 1]}, "'omega_lo' must be a list of numbers"),
     ({"omega_lo": -1, "omega_hi": [1, 1]}, "'omega_lo' must be a list of numbers"),
+    ({"epsilon": 10**400}, "'epsilon' must be a number, got " + "1" + "0" * 56 + "..."),
+    ({"n_x": 0}, "n_x must be >= 1, got 0"),
+    ({"n_u": -1}, "n_u must be >= 0, got -1"),
+    ({"hidden_count": 0}, "hidden_count must be >= 1, got 0"),
+    ({"hidden_count": 10**30}, "hidden_count must be <= 4096, got 1" + "0" * 30 + "\n"),
+    ({"reference_hidden_count": 0}, "reference_hidden_count must be >= 1, got 0"),
+    ({"reference_hidden_count": 10**400}, "reference_hidden_count must be <= 4096, got 1" + "0" * 56 + "...\n"),
+    ({"traces": 0}, "traces must be >= 1, got 0"),
+    ({"trace_length": -5}, "trace_length must be >= 1, got -5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"epsilon": -0.5}, "epsilon must be >= 0, got -0.5"),
+    ({"gamma": -1e-9}, "gamma must be >= 0, got -1e-09"),
 ])
 def test_fit_rejects_malformed_config_naming_the_key(dataset_csv, tmp_path, capsys, doc, named):
     cfg = tmp_path / "cfg.json"
@@ -466,6 +487,14 @@ def test_fit_rejects_malformed_config_naming_the_key(dataset_csv, tmp_path, caps
     code, out, err = run(capsys, "fit", "--config", cfg, "--dataset", dataset_csv, "--out-dir", tmp_path / "o")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+def test_config_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cut.json"
+    cfg.write_text('{"epsilon": ')
+    code, out, err = run(capsys, "fit", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg} is not JSON: Expecting value: line 1 column 13 (char 12)\n"
 
 
 def test_fit_names_a_degenerate_zone_in_plain_numbers(dataset_csv, tmp_path, capsys):
