@@ -70,8 +70,8 @@ class PipelineConfig:
     gamma: float = _key(1.5e-5, float, "pooled-MSE threshold for merging", at_least=0)
     hidden_count: int = _key(20, int, "neurons per sub-network", at_least=1, at_most=4096)
     reference_hidden_count: int = _key(200, int, "neurons of the single reference network", at_least=1, at_most=4096)
-    traces: int = _key(400, int, "number of traces sampled for abstraction", at_least=1)
-    trace_length: int = _key(400, int, "steps per sampled trace", at_least=1)
+    traces: int = _key(400, int, "number of traces sampled for abstraction", at_least=1, at_most=10**6)
+    trace_length: int = _key(400, int, "steps per sampled trace", at_least=1, at_most=10**6)
     seed: int = _key(0, int, "random seed", at_least=0)
     out_dir: str = _key(".", str, "artifact directory")
 
@@ -99,6 +99,8 @@ class PipelineConfig:
                 raw = json.load(f)
         except ValueError as exc:  # json.JSONDecodeError is one
             raise UsageError(f"config file {path} is not JSON: {exc}") from None
+        except RecursionError:
+            raise UsageError(f"config file {path} nests JSON values too deeply to read") from None
         if not JSON_KINDS["object"](raw):
             raise UsageError(f"config file {path} must hold a JSON object, got {_short(raw)}")
         keys = {f.name: f for f in fields(cls)}

@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NoReturn
@@ -291,6 +292,8 @@ def read_artifact(path, bits: str | None = None) -> dict:
                 doc[key], pos = _read_bits(text, pos) if key == bits else decoder.raw_decode(text, pos)
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise DataError(f"{path}: key {key!r}: {exc}") from None
+            except RecursionError:
+                raise DataError(f"{path}: key {key!r}: JSON values nested too deeply to read") from None
             pos = skip(text, pos).end()
             if text.startswith("}", pos):
                 pos += 1
@@ -429,7 +432,28 @@ def load_dataset(path, n_x: int, n_u: int) -> Dataset:
 
     Raises DataError naming the offending row and column on any malformed
     or non-finite cell, and on column-count mismatches against n_x + n_u + n_x.
+    The header goes through the csv module and the rows through numpy's C
+    reader in one pass. A file that reader cannot take, or whose header or
+    values are wrong, is read again row by row by the csv module alone: it
+    names the defect, or reads what only it takes, such as quoted numbers.
     """
+    n_cols = n_x + n_u + n_x
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            header = next(csv.reader(f), [])
+            with warnings.catch_warnings():  # a file without data rows warns; the csv reader names it
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError is one
+        table = None
+    if table is None or len(header) != n_cols or table.shape[1:] != (n_cols,) or not table.size \
+            or not np.isfinite(table).all():
+        return _read_csv(path, n_x, n_u)
+    return Dataset(n_x, n_u, table[:, : n_x + n_u], table[:, n_x + n_u:])
+
+
+def _read_csv(path, n_x: int, n_u: int) -> Dataset:
+    """`load_dataset` by the csv module, one row at a time: the first defect raises DataError naming it."""
     n_cols = n_x + n_u + n_x
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)

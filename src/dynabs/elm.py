@@ -133,38 +133,107 @@ def fit_output_weights(net: ElmNetwork, data: Dataset) -> ElmNetwork:
     return replace(net, w_out=w_t.T)
 
 
+# bytes one stacked block of readout statistics or hidden activations may
+# hold: entries are stacked up to this size, however large the hidden layer
+STACK_BYTES = 1 << 23
+
+
+class RowSets:
+    """Disjoint row sets of one sample table (z, y), gathered once into one
+    (k, r, ...) stack per set size r, so that `ReadoutStats.of` reads any
+    selection of the sets under any hidden layer without gathering rows."""
+
+    def __init__(self, z: np.ndarray, y: np.ndarray, sets: list[np.ndarray]):
+        self.n_out = y.shape[1]
+        self.size = np.array([len(s) for s in sets], dtype=int)
+        self.slot = np.empty(len(sets), dtype=int)  # position of each set in its size's stack
+        self.stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.yy = np.empty(len(sets))  # sum of Y^2 of each set, as np.sum of its rows gives it
+        for r in np.unique(self.size):
+            k = np.flatnonzero(self.size == r)
+            idx = np.array([sets[i] for i in k], dtype=int).reshape(k.size, r)
+            zs, ys = z[idx], y[idx]
+            self.stacks[int(r)] = zs, ys
+            self.slot[k] = np.arange(k.size)
+            self.yy[k] = (ys * ys).reshape(k.size, -1).sum(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class ReadoutStats:
-    """Additive sufficient statistics of a readout fit over one hidden layer.
+    """Additive sufficient statistics of readout fits over one hidden layer,
+    stacked on a leading axis: entry k belongs to one row set.
 
     H^T H, H^T Y, sum of Y^2 and the row count add up over disjoint row sets,
     so the fit of a pooled set follows from its parts without their rows
-    (the recursive form of OS-ELM, Liang et al., IEEE TNN 2006).
+    (the recursive form of OS-ELM, Liang et al., IEEE TNN 2006). Every
+    operation works on all entries at once, and gives each entry the bits the
+    same operation gives one entry on its own, so batching a sequence of
+    tests changes no decision.
     """
 
-    hh: np.ndarray  # (hidden_count, hidden_count)
-    hy: np.ndarray  # (hidden_count, n_out)
-    yy: float
-    rows: int
+    hh: np.ndarray    # (m, hidden_count, hidden_count)
+    hy: np.ndarray    # (m, hidden_count, n_out)
+    yy: np.ndarray    # (m,)
+    rows: np.ndarray  # (m,) int
 
     @classmethod
-    def of(cls, net: ElmNetwork, z: np.ndarray, y: np.ndarray) -> ReadoutStats:
-        h = net.hidden(z)
-        return cls(h.T @ h, h.T @ y, float(np.sum(y * y)), z.shape[0])
+    def of(cls, net: ElmNetwork, sets: RowSets, ids) -> ReadoutStats:
+        """Entry k from the row set `ids[k]` of `sets`.
+
+        Sets of one size go through one stacked `a^T @ a` (blocks of at most
+        STACK_BYTES of activations), which runs the product each set's own
+        `h.T @ h` runs, so every entry equals that of its set alone.
+        """
+        ids = np.asarray(ids, dtype=int)
+        m, h = ids.size, net.hidden_count
+        rows = sets.size[ids]
+        hh, hy = np.empty((m, h, h)), np.empty((m, h, sets.n_out))
+        for r in np.unique(rows):
+            at = np.flatnonzero(rows == r)
+            z, y = sets.stacks[int(r)]
+            slots = sets.slot[ids[at]]
+            block = max(1, STACK_BYTES // (8 * h * max(int(r), 1)))
+            for i in range(0, at.size, block):
+                k, s = at[i:i + block], slots[i:i + block]
+                a = net.hidden(z[s])
+                hh[k] = a.transpose(0, 2, 1) @ a
+                hy[k] = a.transpose(0, 2, 1) @ y[s]
+        return cls(hh, hy, sets.yy[ids], rows)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, k) -> ReadoutStats:
+        """Entries `k` (a slice or an index array), or entry `k` alone for an integer."""
+        if isinstance(k, (int, np.integer)):
+            k = slice(k, k + 1 or None)
+        return ReadoutStats(self.hh[k], self.hy[k], self.yy[k], self.rows[k])
 
     def __add__(self, other: ReadoutStats) -> ReadoutStats:
+        """Entrywise sums; a one-entry side is added to every entry of the other."""
         return ReadoutStats(self.hh + other.hh, self.hy + other.hy, self.yy + other.yy, self.rows + other.rows)
 
-    def ridge_mse(self) -> float:
-        """Training MSE of the readout fit_output_weights solves at DEFAULT_RIDGE for these rows.
+    def running(self, start: ReadoutStats) -> ReadoutStats:
+        """Entry k is start + self[0] + ... + self[k], added in that order,
+        for the one-entry `start`."""
+        return ReadoutStats(*(np.cumsum(np.concatenate([a, b]), axis=0)[1:]
+                              for a, b in zip((start.hh, start.hy, start.yy, start.rows),
+                                              (self.hh, self.hy, self.yy, self.rows))))
+
+    def ridge_mse(self) -> np.ndarray:
+        """Training MSE of the readout fit_output_weights solves at DEFAULT_RIDGE,
+        one per entry; every entry must hold rows.
 
         The readout comes from the h x h normal equations (H^T H + ridge I) W^T
-        = H^T Y; the residual sum ||H W^T - Y||^2 = Y^T Y - 2<W^T, H^T Y> +
-        <W^T, H^T H W^T> is stationary in W, so solve error enters squared.
+        = H^T Y, solved for all entries by one stacked solve; the residual sum
+        ||H W^T - Y||^2 = Y^T Y - 2<W^T, H^T Y> + <W^T, H^T H W^T> is
+        stationary in W, so solve error enters squared.
         """
-        w_t = np.linalg.solve(self.hh + DEFAULT_RIDGE * np.eye(self.hh.shape[0]), self.hy)
-        rss = self.yy - 2.0 * float(np.sum(w_t * self.hy)) + float(np.sum(w_t * (self.hh @ w_t)))
-        return max(rss, 0.0) / self.rows
+        m = len(self)
+        w_t = np.linalg.solve(self.hh + DEFAULT_RIDGE * np.eye(self.hh.shape[-1]), self.hy)
+        fit = (w_t * self.hy).reshape(m, -1).sum(axis=1)
+        quad = (w_t * (self.hh @ w_t)).reshape(m, -1).sum(axis=1)
+        return np.maximum(self.yy - 2.0 * fit + quad, 0.0) / self.rows
 
 
 def predict_batch(net: ElmNetwork, z: np.ndarray) -> np.ndarray:

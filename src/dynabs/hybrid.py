@@ -12,18 +12,21 @@ import datetime
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_format_version, member, objects,
                    read_artifact, write_artifact)
-from .elm import ElmNetwork, ReadoutStats, fit_output_weights, init_elm, predict_batch
+from .elm import STACK_BYTES, ElmNetwork, ReadoutStats, RowSets, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
 from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
+# pair tests in the first window of a run of the merge sweep; later windows double
+FIRST_WINDOW = 8
 
 
 def derive_seed(*parts: int) -> int:
@@ -216,15 +219,17 @@ def merge_and_learn(
     """Merge redundant partitions by the pooled-MSE test and fit one network
     per surviving region.
 
-    The sweep is deterministic: the outer index N walks regions in ascending
-    order and draws one candidate hidden layer per row (seed derived from
-    (seed, N)); each candidate n > N is tested by the training MSE of that
-    layer's ridge readout on the pooled data, computed from the additive
-    statistics of region N and region n (ReadoutStats). On success the
-    candidate is absorbed into N, indices compact, and the sweep continues
-    with the merged region. Afterwards every region i gets its network fitted
-    on its data over the layer of seed (seed, i), which for a region that
-    absorbed a candidate is the network its last accepted test certified.
+    The sweep is sequential in its semantics: the outer index N walks regions
+    in ascending order and draws one candidate hidden layer per row (seed
+    derived from (seed, N)); each candidate n > N is tested by the training
+    MSE of that layer's ridge readout on the pooled data, computed from the
+    additive statistics of region N and region n (ReadoutStats). On success
+    the candidate is absorbed into N, indices compact, and the sweep
+    continues with the merged region. The tests are evaluated in batches
+    (see `merge_sweep`) that take exactly these decisions. Afterwards every
+    region i gets its network fitted on its data over the layer of seed
+    (seed, i), which for a region that absorbed a candidate is the network
+    its last accepted test certified.
     """
     if not gamma >= 0:  # NaN fails too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -233,49 +238,14 @@ def merge_and_learn(
     n_in = data.n_x + data.n_u
     stats = MergeStats()
 
-    regions = [
-        {"boxes": [box], "idx": np.asarray(idx, dtype=int)}
-        for box, idx in zip(parts.boxes, parts.assignments)
-    ]
-
     def layer(i: int) -> ElmNetwork:
         return init_elm(n_in, data.n_x, hidden_count, derive_seed(seed, i))
 
-    def readout_stats(net: ElmNetwork, idx: np.ndarray) -> ReadoutStats:
-        return ReadoutStats.of(net, data.z[idx], data.y[idx])
-
-    # Huge finite data overflow the statistics to inf or nan. A pool with such
-    # statistics fails its test (its MSE is not <= gamma), and a partition
-    # with them raises when its turn as row N comes, at the latest.
-    with np.errstate(over="ignore", invalid="ignore"):
-        big_n = 0
-        while big_n < len(regions):
-            net = layer(big_n)
-            row = readout_stats(net, regions[big_n]["idx"])
-            if not (np.isfinite(row.hh).all() and np.isfinite(row.hy).all() and np.isfinite(row.yy)):
-                # row N has absorbed nothing yet, so it is still one partition
-                raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {regions[big_n]['boxes'][0]!r} "
-                                         "is not finite: the data overflow the fit")
-            n = big_n + 1
-            while n < len(regions):
-                pooled = row + readout_stats(net, regions[n]["idx"])
-                if pooled.rows == 0:
-                    n += 1
-                    continue
-                stats.pair_tests += 1
-                if pooled.ridge_mse() <= gamma:
-                    regions[big_n]["boxes"].extend(regions[n]["boxes"])
-                    regions[big_n]["idx"] = np.concatenate([regions[big_n]["idx"], regions[n]["idx"]])
-                    row = pooled
-                    del regions[n]
-                    stats.merges += 1
-                else:
-                    n += 1
-            big_n += 1
+    regions = merge_sweep(parts, data, layer, gamma, stats)
 
     def refit(i: int) -> tuple[ElmNetwork, float]:
         net = layer(i)
-        idx = regions[i]["idx"]
+        idx = regions[i][1]
         if idx.size == 0:
             warnings.warn(
                 f"region {i + 1} has no samples; its network is the zero map",
@@ -293,10 +263,98 @@ def merge_and_learn(
     return HybridModel(
         zone=parts.zone,
         regions=tuple(
-            Region(i + 1, tuple(r["boxes"])) for i, r in enumerate(regions)
+            Region(i + 1, tuple(boxes)) for i, (boxes, _) in enumerate(regions)
         ),
         networks=tuple(net for net, _ in fitted),
         gamma=float(gamma),
         epsilon=float(parts.epsilon),
         stats=stats,
     )
+
+
+def merge_sweep(
+    parts: PartitionSet,
+    data: Dataset,
+    layer: Callable[[int], ElmNetwork],
+    gamma: float,
+    stats: MergeStats,
+) -> list[tuple[list[Box], np.ndarray]]:
+    """The merge decisions of merge_and_learn, with row N's tests run under
+    `layer(N)`: (boxes, sample indices) of each region in order, and the
+    tests and merges counted in `stats`.
+
+    Row N's candidates are the partitions after it, none of which has
+    absorbed anything, so their statistics come from `ReadoutStats.of` in
+    stacked chunks of at most STACK_BYTES. The tests run in windows of
+    consecutive candidates, one stacked solve per window. While the row
+    rejects, every candidate is pooled with the fixed row; while it accepts,
+    the pools are the running sums from the row's statistics, added in the
+    order the one-at-a-time sweep adds them. A window keeps its results up to
+    the first test that breaks the run, and the mode flips there; it starts
+    at FIRST_WINDOW tests and doubles while the run holds. A window whose
+    solve raises is re-run one test at a time, so an error surfaces at the
+    test where the one-at-a-time sweep (`tests/oracles.py:sequential_merge`)
+    raises it.
+    """
+    assignments = [np.asarray(idx, dtype=int) for idx in parts.assignments]
+    regions = list(range(len(assignments)))  # partition ids; a region's first id is its row
+    merged: list[list[int]] = []      # partition ids of each finished region
+
+    def window(ids: np.ndarray, cand: ReadoutStats) -> int:
+        """Test the candidate partitions `ids`, of statistics `cand`, in the
+        current mode; apply the results up to the first test that breaks the
+        run and return how many candidates that is."""
+        nonlocal row, accepting, width
+        pools = cand.running(row) if accepting else row + cand
+        tested = pools.rows > 0  # a pool without rows is skipped, not tested
+        accept = np.zeros(len(cand), dtype=bool)
+        if tested.any():
+            accept[tested] = (pools if tested.all() else pools[tested]).ridge_mse() <= gamma
+        breaks = np.flatnonzero(accept != accepting)
+        k = int(breaks[0]) if breaks.size else len(cand)
+        used = min(k + 1, len(cand))
+        absorbed = slice(0, k) if accepting else slice(k, used)
+        took = ids[absorbed]
+        stats.pair_tests += int(np.count_nonzero(tested[:used]))
+        stats.merges += took.size
+        if took.size:
+            row = pools[absorbed.stop - 1]
+        members.extend(took.tolist())
+        kept.extend(np.delete(ids[:used], absorbed).tolist())
+        if breaks.size:
+            accepting, width = not accepting, FIRST_WINDOW
+        else:
+            width *= 2
+        return used
+
+    # Huge finite data overflow the statistics to inf or nan. A pool with such
+    # statistics fails its test (its MSE is not <= gamma), and a partition
+    # with them raises when its turn as row N comes, at the latest.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sets = RowSets(data.z, data.y, assignments)
+        while regions:
+            members, candidates, kept = regions[:1], np.array(regions[1:], dtype=int), []
+            net = layer(len(merged))
+            row = ReadoutStats.of(net, sets, members)
+            if not (np.isfinite(row.hh).all() and np.isfinite(row.hy).all() and np.isfinite(row.yy).all()):
+                # row N has absorbed nothing yet, so it is still one partition
+                raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {parts.boxes[members[0]]!r} "
+                                         "is not finite: the data overflow the fit")
+            accepting, width = False, FIRST_WINDOW
+            chunk = max(1, STACK_BYTES // (8 * net.hidden_count * (net.hidden_count + net.n_out)))
+            for start in range(0, candidates.size, chunk):
+                block = candidates[start:start + chunk]
+                cand = ReadoutStats.of(net, sets, block)
+                i = 0
+                while i < block.size:
+                    j = min(block.size, i + width)
+                    try:
+                        i += window(block[i:j], cand[i:j])
+                    except np.linalg.LinAlgError:
+                        if j - i == 1:
+                            raise
+                        for _ in range(j - i):  # a one-test window tests exactly one candidate
+                            i += window(block[i:i + 1], cand[i:i + 1])
+            merged.append(members)
+            regions = kept
+    return [([parts.boxes[i] for i in ids], np.concatenate([assignments[i] for i in ids])) for ids in merged]

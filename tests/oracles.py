@@ -3,7 +3,8 @@
 These deliberately use different machinery than the library: the
 entropy oracle sums -p ln p over occupancy fractions where the partitioner
 adds x ln x terms of counts, the least-squares oracle solves the normal equations directly, the merge
-oracle refits every pair test on the pooled raw samples, the partition
+oracle refits every pair test on the pooled raw samples, the sequential merge
+oracle solves one pair test at a time where the sweep batches them, the partition
 oracle rescans every active box for the widest one instead of walking the
 split tree, the enclosure oracle pushes one box at a time through one
 layer at a time, the transition oracle intersects cells with region boxes
@@ -18,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from dynabs import elm_output_box, fit_output_weights, init_elm, mse, predict_batch
+from dynabs.elm import DEFAULT_RIDGE
 from dynabs.hybrid import derive_seed
 from dynabs.reach import OUTPUT_SLACK
 from dynabs.partition import MIN_SIDE_FRACTION
@@ -72,6 +74,52 @@ def raw_merge(parts, data, hidden_count: int, seed: int, gamma: float):
                 n += 1
         big_n += 1
     return [boxes for boxes, _ in regions], tests
+
+
+def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
+    """The merge sweep of merge_and_learn one pair test at a time: each test
+    sums the two regions' readout statistics (H^T H, H^T Y, sum Y^2, rows)
+    and solves its own ridge system. Returns ([(boxes, sample indices)] per
+    region, pair tests, merges); raises FloatingPointError for a row whose
+    statistics overflow, as merge_and_learn does."""
+    n_in = data.n_x + data.n_u
+
+    def statistics(net, idx):
+        h, y = net.hidden(data.z[idx]), data.y[idx]
+        return [h.T @ h, h.T @ y, float(np.sum(y * y)), idx.size]
+
+    def ridge_mse(hh, hy, yy, rows):
+        w_t = np.linalg.solve(hh + DEFAULT_RIDGE * np.eye(hh.shape[0]), hy)
+        rss = yy - 2.0 * float(np.sum(w_t * hy)) + float(np.sum(w_t * (hh @ w_t)))
+        return max(rss, 0.0) / rows
+
+    regions = [[[box], np.asarray(idx, dtype=int)] for box, idx in zip(parts.boxes, parts.assignments)]
+    tests = merges = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_n = 0
+        while big_n < len(regions):
+            layer = init_elm(n_in, data.n_x, hidden_count, derive_seed(seed, big_n))
+            row = statistics(layer, regions[big_n][1])
+            if not (np.isfinite(row[0]).all() and np.isfinite(row[1]).all() and np.isfinite(row[2])):
+                raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {regions[big_n][0][0]!r} "
+                                         "is not finite: the data overflow the fit")
+            n = big_n + 1
+            while n < len(regions):
+                pooled = [a + b for a, b in zip(row, statistics(layer, regions[n][1]))]
+                if pooled[3] == 0:
+                    n += 1
+                    continue
+                tests += 1
+                if ridge_mse(*pooled) <= gamma:
+                    regions[big_n][0].extend(regions[n][0])
+                    regions[big_n][1] = np.concatenate([regions[big_n][1], regions[n][1]])
+                    row = pooled
+                    del regions[n]
+                    merges += 1
+                else:
+                    n += 1
+            big_n += 1
+    return [(boxes, idx) for boxes, idx in regions], tests, merges
 
 
 def linf_distance(box, x) -> float:

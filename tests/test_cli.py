@@ -635,3 +635,33 @@ def test_artifact_loads_take_exact_json_types(artifacts, tmp_path, capsys, artif
         argv = ("verify", "--ts", bad, "--formula", "EF Q1", "--initial", 1)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and named in err
+
+
+DEEP = 100_000  # nesting far past Python's recursion limit
+
+
+def test_deeply_nested_config_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"epsilon": ' + "[" * DEEP + "]" * DEEP + "}")
+    code, out, err = run(capsys, "fit", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg} nests JSON values too deeply to read\n"
+
+
+def test_deeply_nested_artifact_value_exits_3_naming_the_file_and_key(artifacts, tmp_path, capsys):
+    text = (artifacts / "model.json").read_text()
+    zone = re.search(r'^  "zone": .*$', text, re.M).group()
+    bad = tmp_path / "deep.json"
+    bad.write_text(text.replace(zone, '  "zone": ' + "[" * DEEP + "]" * DEEP))
+    code, out, err = run(capsys, "simulate", "--model", bad, "--x0", "0.1,0.1", "--steps", 3)
+    assert (code, out) == (3, "")
+    assert err == f"error: {bad}: key 'zone': JSON values nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("flag", ["--traces", "--trace-length"])
+def test_trace_counts_past_their_bound_exit_2_naming_the_key(artifacts, tmp_path, capsys, flag):
+    code, out, err = run(capsys, "abstract", "--model", artifacts / "model.json", flag, 10**30,
+                         "--out-dir", tmp_path / "a")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag[2:].replace('-', '_')} must be <= 1000000, got {10**30}\n"
+    assert not (tmp_path / "a").exists()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, membership_matrix, save_dataset, zone_from_data
-from dynabs.data import read_artifact, write_artifact
+from dynabs.data import _read_csv, read_artifact, write_artifact
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -65,6 +66,50 @@ def test_load_rejects_header_only(tmp_path):
     with pytest.raises(DataError) as err:
         load_dataset(p, n_x=2, n_u=0)
     assert "no data rows" in str(err.value)
+
+
+CSV_TEXTS = {
+    "plain": "x1,x2,y1,y2\n0,0.5,1e-3,-2\n0.25,1,3,4\n",
+    "crlf": "x1,x2,y1,y2\r\n0,0.5,1e-3,-2\r\n0.25,1,3,4\r\n",
+    "lone cr": "x1,x2,y1,y2\r0,0.5,1e-3,-2\r0.25,1,3,4",
+    "blank lines": "x1,x2,y1,y2\n\n0,0.5,1e-3,-2\n\n\n0.25,1,3,4\n\n",
+    "whitespace-only line": "x1,x2,y1,y2\n0,0.5,1e-3,-2\n  \t\n0.25,1,3,4\n",
+    "padded cells": "x1,x2,y1,y2\n 0 ,0.5\t,1e-3,-2\n",
+    "quoted cells": 'x1,x2,y1,y2\n"0",0.5,"1e-3",-2\n',
+    "quoted header over two lines": '"x\n1",x2,y1,y2\n0,0.5,1e-3,-2\n',
+    "quoted comma": 'x1,x2,y1,y2\n"0,5",0.5,1e-3,-2\n',
+    "underscore": "x1,x2,y1,y2\n1_0,0.5,1e-3,-2\n",
+    "trailing comma": "x1,x2,y1,y2\n0,0.5,1e-3,-2,\n",
+    "trailing comma on every row": "x1,x2,y1,y2,\n0,0.5,1e-3,-2,\n1,1,1,1,\n",
+    "short row": "x1,x2,y1,y2\n0,0.5,1e-3,-2\n1,1,1\n",
+    "nan": "x1,x2,y1,y2\n0,0.5,1e-3,-2\n0.25,nan,3,4\n",
+    "inf after blank line": "x1,x2,y1,y2\n\n0,0.5,-inf,-2\n",
+    "header only": "x1,x2,y1,y2\n",
+    "header and blank lines": "x1,x2,y1,y2\n\n\n",
+    "empty": "",
+    "wide header": "x1,x2,y1,y2,y3\n0,0.5,1e-3,-2\n",
+    "wide rows": "x1,x2,y1,y2\n0,0.5,1e-3,-2,7\n1,1,1,1,1\n",
+    "comment sign": "x1,x2,y1,y2\n0,0.5,1e-3,-2 # note\n",
+    "non-ascii digit": "x1,x2,y1,y2\n0,0.5,1e-3,\u0662\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_TEXTS))
+def test_load_equals_the_csv_reader(tmp_path, name):
+    """The one-pass reader gives the csv module's Dataset or its DataError text, and warns of nothing."""
+    p = tmp_path / "data.csv"
+    p.write_bytes(CSV_TEXTS[name].encode("utf-8"))
+
+    def outcome(read):
+        try:
+            data = read(p, 2, 0)
+        except DataError as exc:
+            return str(exc)
+        return data.z.tobytes(), data.y.tobytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(load_dataset) == outcome(_read_csv)
 
 
 def test_curve_export_round_trip(tmp_path):

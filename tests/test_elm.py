@@ -14,7 +14,7 @@ from dynabs import (
     mse,
     predict_batch,
 )
-from dynabs.elm import DEFAULT_RIDGE, ReadoutStats
+from dynabs.elm import DEFAULT_RIDGE, ReadoutStats, RowSets
 
 from oracles import normal_equations_fit
 from synthdata import swirl_dataset, swirl_zone
@@ -191,15 +191,16 @@ def test_readout_stats_mse_matches_direct_fit():
                              net.w_out, net.hidden_count, net.seed)
         first = int(rng.integers(len(parts)))
         members = [parts.assignments[i] for i in range(first, min(first + int(rng.integers(2, 40)), len(parts)))]
-        stats = ReadoutStats.of(net, data.z[members[0]], data.y[members[0]])
-        for idx in members[1:]:
-            stats = stats + ReadoutStats.of(net, data.z[idx], data.y[idx])
+        each = ReadoutStats.of(net, RowSets(data.z, data.y, members), range(len(members)))
+        stats = each[0]
+        for k in range(1, len(members)):
+            stats = stats + each[k]
         pool = data.subset(np.concatenate(members))
         if len(pool) == 0:
             continue
         direct = mse(fit_output_weights(net, pool), pool)
-        assert stats.rows == len(pool)
-        assert abs(stats.ridge_mse() - direct) <= 1e-4 * max(direct, 1e-3 * gamma)
+        assert stats.rows[0] == len(pool)
+        assert abs(stats.ridge_mse()[0] - direct) <= 1e-4 * max(direct, 1e-3 * gamma)
         near += gamma / 2 <= direct <= 2 * gamma
         dead += not net.hidden(pool.z)[:, 0].any()
     assert near >= 20 and dead >= 10

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dynabs import (
     Region,
     WorkingZone,
     fit_output_weights,
+    init_elm,
     hybrid_mse,
     me_partition,
     membership_matrix,
@@ -22,7 +24,7 @@ from dynabs import (
     predict_batch,
 )
 
-from oracles import linf_distance, raw_merge
+from oracles import linf_distance, raw_merge, sequential_merge
 from synthdata import (
     constant_net,
     malformed_model_texts,
@@ -33,6 +35,7 @@ from synthdata import (
     swirl_zone,
     unit_zone,
 )
+from dynabs.hybrid import MergeStats, derive_seed, merge_sweep
 
 
 def manual_two_partitions(zone, data):
@@ -81,8 +84,11 @@ def test_merge_names_the_partition_whose_statistics_overflow():
     k = len(parts) // 2
     y = data.y.copy()
     y[parts.assignments[k]] = 1e300
-    with pytest.raises(FloatingPointError, match=re.escape(f"partition {parts.boxes[k]!r} is not finite")):
+    with pytest.raises(FloatingPointError, match=re.escape(f"partition {parts.boxes[k]!r} is not finite")) as got:
         merge_and_learn(parts, Dataset(2, 0, data.z, y), hidden_count=20, seed=3, gamma=1e-5)
+    with pytest.raises(FloatingPointError) as expected:  # the one-at-a-time sweep raises the same text
+        sequential_merge(parts, Dataset(2, 0, data.z, y), 20, 3, 1e-5)
+    assert str(got.value) == str(expected.value)
 
 
 def test_merge_is_deterministic():
@@ -382,3 +388,69 @@ def test_merged_regions_ship_their_certified_network(seed):
     for region in merged:
         rows = data.subset(np.nonzero(ids == region.id)[0])
         assert mse(model.network_of(region.id), rows) <= gamma * (1 + 1e-4)
+
+
+def grid_with_empty_cells(seed: int) -> tuple[PartitionSet, Dataset]:
+    """An epsilon-0 tiling of the unit square into 8 x 8 bisection cells,
+    with samples in only some of them, so many partitions are empty."""
+    boxes = [unit_zone().omega]
+    for dim in (0, 1, 0, 1, 0, 1):
+        boxes = [half for b in boxes for half in b.bisect(dim)]
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.0, 1.0, size=(300, 2)) ** 3  # crowded near the origin
+    data = Dataset(2, 0, z, np.column_stack([np.sin(4.0 * z[:, 0]), z[:, 0] * z[:, 1]]))
+    owner = membership_matrix(boxes, z).argmax(axis=1)
+    parts = PartitionSet(unit_zone(), boxes, [np.flatnonzero(owner == k) for k in range(len(boxes))], epsilon=0.0)
+    assert sum(a.size == 0 for a in parts.assignments) >= 10
+    return parts, data
+
+
+def sweep_cases():
+    """(parts, data, hidden_count, seed, gamma) for the batched-sweep checks."""
+    for k, (zone, pts, eps, _) in enumerate(random_tiling_cases(12)):
+        data = Dataset(pts.shape[1], 0, pts, 0.9 * pts + 0.2 * np.sin(3.0 * np.roll(pts, 1, axis=1)))
+        yield me_partition(zone, data.states, eps), data, 10, k, 1e-2
+    data = swirl_dataset(4000, seed=0, twist=0.6)
+    yield me_partition(swirl_zone(), data.states, epsilon=1e-3), data, 20, 0, 1.5e-5
+    for seed, gamma in ((0, 1e-4), (1, 1e-3)):
+        yield *grid_with_empty_cells(seed), 10, seed, gamma
+
+
+def test_batched_sweep_equals_sequential_oracle():
+    """The windowed sweep takes the one-at-a-time sweep's decisions bit for
+    bit: criterion 1's datasets, about 1k swirl partitions at eps 1e-3, and
+    epsilon-0 grids with empty partitions. Every region's boxes and sample
+    order, the counts and the shipped weights are equal."""
+    kinds = set()
+    for parts, data, hidden, seed, gamma in sweep_cases():
+        expected, tests, merges = sequential_merge(parts, data, hidden, seed, gamma)
+
+        def layer(i):
+            return init_elm(data.n_x + data.n_u, data.n_x, hidden, derive_seed(seed, i))
+
+        stats = MergeStats()
+        got = merge_sweep(parts, data, layer, gamma, stats)
+        assert (stats.pair_tests, stats.merges) == (tests, merges)
+        assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _ in expected)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expected))
+        with warnings.catch_warnings():  # an empty region's zero map warns
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
+        assert (model.stats.pair_tests, model.stats.merges) == (tests, merges)
+        for i, ((_, idx), net) in enumerate(zip(expected, model.networks)):
+            w_out = fit_output_weights(layer(i), data.subset(idx)).w_out if idx.size else layer(i).w_out
+            assert np.array_equal(net.w_out, w_out)
+        kinds.add((0 < merges < tests, len(parts) > 900, any(a.size == 0 for a in parts.assignments)))
+    assert {(True, True, False), (True, False, True)} <= kinds
+
+
+def test_batched_sweep_solves_far_fewer_systems_than_it_tests(monkeypatch):
+    """About 1k swirl partitions: the pair tests come in runs, and a window
+    of a run is one stacked solve, so solves are a small share of tests."""
+    data = swirl_dataset(4000, seed=0, twist=0.6)
+    parts = me_partition(swirl_zone(), data.states, epsilon=1e-3)
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+    model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1.5e-5)
+    assert model.stats.pair_tests > 1000
+    assert 10 * len(calls) < model.stats.pair_tests
