@@ -454,3 +454,36 @@ def test_batched_sweep_solves_far_fewer_systems_than_it_tests(monkeypatch):
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1.5e-5)
     assert model.stats.pair_tests > 1000
     assert 10 * len(calls) < model.stats.pair_tests
+
+
+def test_a_window_whose_solve_raises_is_rerun_one_test_at_a_time(monkeypatch):
+    """With every stacked solve of more than one system raising, the sweep
+    still takes the one-at-a-time decisions, and a solve that raises on one
+    system propagates from the first test, as the sequential sweep's does."""
+    data = swirl_dataset(4000, seed=0, twist=0.6)
+    parts = me_partition(swirl_zone(), data.states, epsilon=3e-3)
+    expected, tests, merges = sequential_merge(parts, data, 20, 0, 1.5e-5)
+    solve = np.linalg.solve
+
+    def stacked_fails(a, b):
+        if a.shape[0] > 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    def layer(i):
+        return init_elm(2, 2, 20, derive_seed(0, i))
+
+    monkeypatch.setattr(np.linalg, "solve", stacked_fails)
+    stats = MergeStats()
+    got = merge_sweep(parts, data, layer, 1.5e-5, stats)
+    assert (stats.pair_tests, stats.merges) == (tests, merges)
+    assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _ in expected)
+
+    def always_fails(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", always_fails)
+    stats = MergeStats()
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        merge_sweep(parts, data, layer, 1.5e-5, stats)
+    assert stats.pair_tests == 0
