@@ -77,58 +77,65 @@ def check_format_version(doc, version: int, what: str) -> None:
         raise DataError(f"{what} document has format_version {found}; only version {version} can be read")
 
 
+def number_rows(rows: list, path: Callable[[int], str], width: int | None = None, kind: str = "number") -> np.ndarray:
+    """Rows, each a non-empty list of `width` finite JSON numbers (the first
+    row's length when `width` is None), as a read-only (n, width) float
+    ndarray; with `kind` "boolean", of JSON booleans as a bool ndarray.
+
+    All rows are type-checked and stacked in one pass. Only when that fails
+    are they walked, and the first defect raises DataError naming row
+    `path(i)` or its entry `path(i)[j]`.
+    """
+    dtype = float if kind == "number" else bool
+    try:
+        n = len(rows[0]) if width is None else width
+        # exact types: true and false are not numbers, and neither is "0.5"
+        if (set(map(type, rows)) == {list} and set(map(len, rows)) == {n} and n > 0
+                and set(map(type, chain.from_iterable(rows))) <= ({int, float} if dtype is float else {bool})):
+            a = np.array(rows, dtype=dtype)
+            if np.isfinite(a).all():
+                a.setflags(write=False)
+                return a
+    except (IndexError, TypeError, OverflowError):  # OverflowError: an integer beyond the float range
+        pass
+    for i, row in enumerate(rows):
+        _of_kind(row, "list", path(i))
+        if width is None:
+            width = len(row)
+        if len(row) != width or not row:
+            raise DataError(f"{path(i)} has {len(row)} entries, expected {width or 'at least 1'}")
+        for j, x in enumerate(row):  # a boolean is finite
+            if not math.isfinite(_of_kind(x, kind, f"{path(i)}[{j}]")):
+                raise DataError(f"{path(i)}[{j}] is {_short(x)}, not a finite number")
+    return np.empty((0, width or 0), dtype=dtype)  # only for no rows: rows that pass the walk pass the stacked pass
+
+
 def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> tuple[Box, ...]:
     """Boxes from a list of JSON documents `{"lo": [...], "hi": [...], "closed_hi": [...]}`.
 
-    All boxes are checked at once as stacked (n, dim) `lo`/`hi`/`closed_hi`
-    arrays: the bounds must be lists of `dim` JSON numbers (the first box's
-    length when `dim` is None), finite and with lo < hi, and `closed_hi` a
-    list of `dim` JSON booleans; each row then becomes a `Box` without a
-    second check. A defect raises DataError naming the first bad box as
-    `name(k)`, with its key and, for a bad value, the entry.
+    `number_rows` reads all `lo`, then `hi`, then `closed_hi` lists as stacked
+    (n, dim) arrays (`dim` is the first box's when None); with lo < hi, each
+    row then becomes a `Box` without a second check. A defect raises
+    DataError naming the first bad box as `name(k)`, with its key and, for a
+    bad value, the entry.
     """
     if not docs:
         return ()
     try:
-        lo_rows = [d["lo"] for d in docs]
-        hi_rows = [d["hi"] for d in docs]
-        closed_rows = [d["closed_hi"] for d in docs]
-        rows = lo_rows + hi_rows + closed_rows
-        n = len(lo_rows[0]) if dim is None else dim
-        # exact types: true and false are not numbers, and neither is "0.5"
-        if (set(map(type, rows)) == {list} and set(map(len, rows)) == {n} and n > 0
-                and set(map(type, chain.from_iterable(lo_rows + hi_rows))) <= {int, float}
-                and set(map(type, chain.from_iterable(closed_rows))) == {bool}):
-            lo = np.array(lo_rows, dtype=float)
-            hi = np.array(hi_rows, dtype=float)
-            if np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all():
-                closed = np.array(closed_rows, dtype=bool)
-                for a in (lo, hi, closed):
-                    a.setflags(write=False)
-                return tuple(map(Box._trusted, lo, hi, closed))
-    except (KeyError, TypeError, OverflowError):  # OverflowError: an integer beyond the float range
-        pass
-    _raise_box_defect(docs, dim, name)
-
-
-def _raise_box_defect(docs: list, dim: int | None, name: Callable[[int], str]) -> NoReturn:
-    """Raise for the first defect among box documents, found one box and key at a time."""
-    for k, d in enumerate(docs):
-        _of_kind(d, "object", name(k))
-        for key, kind in (("lo", "number"), ("hi", "number"), ("closed_hi", "boolean")):
-            path = key_path(name(k), key)
-            v = member(d, key, "list", name(k))
-            if dim is None:
-                dim = len(v)
-            if len(v) != dim or not v:
-                raise DataError(f"{path} has {len(v)} entries, expected {dim or 'at least 1'}")
-            for i, x in enumerate(v):  # a boolean is finite
-                if not math.isfinite(_of_kind(x, kind, f"{path}[{i}]")):
-                    raise DataError(f"{path}[{i}] is {_short(x)}, not a finite number")
-        for i, (a, b) in enumerate(zip(d["lo"], d["hi"])):
-            if not a < b:
-                raise DataError(f"{name(k)} is degenerate: dimension {i} has lo={_short(a)} >= hi={_short(b)}")
-    raise DataError(f"{name(0)}: the boxes cannot be stacked")
+        lo_rows, hi_rows, closed_rows = ([d[key] for d in docs] for key in ("lo", "hi", "closed_hi"))
+    except (KeyError, TypeError):  # TypeError: a box that is no JSON object
+        for k, d in enumerate(docs):
+            for key in ("lo", "hi", "closed_hi"):
+                member(_of_kind(d, "object", name(k)), key, where=name(k))
+    lo = number_rows(lo_rows, lambda k: f"{name(k)}.lo", dim)
+    hi = number_rows(hi_rows, lambda k: f"{name(k)}.hi", lo.shape[1])
+    closed = number_rows(closed_rows, lambda k: f"{name(k)}.closed_hi", lo.shape[1], "boolean")
+    flat = lo >= hi
+    if flat.any():
+        k, i = np.argwhere(flat)[0]
+        raise DataError(f"{name(k)} is degenerate: dimension {i} has lo={_short(lo_rows[k][i])} "
+                        f">= hi={_short(hi_rows[k][i])}")
+    return tuple(map(Box._trusted, lo, hi, closed))
 
 
 def _short(value, limit: int = 60) -> str:

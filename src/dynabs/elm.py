@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import JSON_KINDS, DataError, Dataset, _short, key_path, member
+from .data import DataError, Dataset, member, number_rows
 
 DEFAULT_RIDGE = 1e-8
 
@@ -70,38 +70,20 @@ class ElmNetwork:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, where: str = "") -> ElmNetwork:
+    def from_dict(cls, d: dict, where: str = "network") -> ElmNetwork:
         """Network from the JSON object at path `where`, read through
-        `data.member`: `hidden_count` and `seed` are JSON integers, `w_in`
-        and `w_out` lists of rows and `b_in` a list, of finite JSON numbers.
-        A defect raises DataError naming its path, and weight shapes that do
-        not fit `hidden_count` name `where`."""
+        `data.member` and `data.number_rows`: `hidden_count` and `seed` are
+        JSON integers, `w_in` and `w_out` lists of rows and `b_in` one row, of
+        finite JSON numbers. A defect raises DataError naming its path, down to
+        the entry; weight shapes that do not fit `hidden_count` name `where`."""
         hidden_count, seed = (member(d, key, "integer", where) for key in ("hidden_count", "seed"))
-        weights = {key: _weights(member(d, key, where=where), key_path(where, key), ndim)
-                   for key, ndim in (("w_in", 2), ("b_in", 1), ("w_out", 2))}
+        w_in = number_rows(member(d, "w_in", "list", where), lambda i: f"{where}.w_in[{i}]")
+        b_in = number_rows([member(d, "b_in", "list", where)], lambda i: f"{where}.b_in")[0]
+        w_out = number_rows(member(d, "w_out", "list", where), lambda i: f"{where}.w_out[{i}]")
         try:
-            return cls(**weights, hidden_count=hidden_count, seed=seed)
+            return cls(w_in, b_in, w_out, hidden_count, seed)
         except ValueError as exc:
-            raise DataError(f"{where or 'network'}: {exc}") from None
-
-
-def _weights(value, path: str, ndim: int) -> np.ndarray:
-    """A weight matrix (ndim 2) or vector (ndim 1) from its JSON value at `path`."""
-    rows = value if ndim == 2 else [value]
-    kind = "a list of equal-length lists" if ndim == 2 else "a list"
-    if type(value) is not list or not all(type(r) is list for r in rows):
-        raise DataError(f"{path} must be {kind} of JSON numbers, got {_short(value)}")
-    for i, row in enumerate(rows):
-        for x in row:
-            if not JSON_KINDS["number"](x):
-                raise DataError(f"{path}{f'[{i}]' if ndim == 2 else ''} holds {_short(x)}, not a JSON number")
-    try:
-        a = np.array(value, dtype=float)
-    except ValueError:
-        raise DataError(f"{path} must be {kind} of JSON numbers, got rows of unequal length") from None
-    if not np.isfinite(a).all():
-        raise DataError(f"{path} holds a non-finite value")
-    return a
+            raise DataError(f"{where}: {exc}") from None
 
 
 def init_elm(n_in: int, n_out: int, hidden_count: int, seed: int) -> ElmNetwork:

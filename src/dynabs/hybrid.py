@@ -292,9 +292,9 @@ def merge_sweep(
     order the one-at-a-time sweep adds them. A window keeps its results up to
     the first test that breaks the run, and the mode flips there; it starts
     at FIRST_WINDOW tests and doubles while the run holds. A window whose
-    solve raises is re-run one test at a time, so an error surfaces at the
-    test where the one-at-a-time sweep (`tests/oracles.py:sequential_merge`)
-    raises it.
+    solve raises is re-run one test at a time, so a singular pooled solve
+    raises FloatingPointError at the test where the one-at-a-time sweep
+    (`tests/oracles.py:sequential_merge`) raises it.
     """
     assignments = [np.asarray(idx, dtype=int) for idx in parts.assignments]
     regions = list(range(len(assignments)))  # partition ids; a region's first id is its row
@@ -303,13 +303,20 @@ def merge_sweep(
     def window(ids: np.ndarray, cand: ReadoutStats) -> int:
         """Test the candidate partitions `ids`, of statistics `cand`, in the
         current mode; apply the results up to the first test that breaks the
-        run and return how many candidates that is."""
+        run and return how many candidates that is. A singular solve raises
+        LinAlgError from several tests, FloatingPointError from one."""
         nonlocal row, accepting, width
         pools = cand.running(row) if accepting else row + cand
         tested = pools.rows > 0  # a pool without rows is skipped, not tested
         accept = np.zeros(len(cand), dtype=bool)
         if tested.any():
-            accept[tested] = (pools if tested.all() else pools[tested]).ridge_mse() <= gamma
+            try:
+                accept[tested] = (pools if tested.all() else pools[tested]).ridge_mse() <= gamma
+            except np.linalg.LinAlgError as exc:
+                if len(ids) > 1:
+                    raise
+                raise FloatingPointError(f"pooled readout solve of partition {parts.boxes[ids[0]]!r} with the region "
+                                         f"of partition {parts.boxes[members[0]]!r} is singular ({exc})") from exc
         breaks = np.flatnonzero(accept != accepting)
         k = int(breaks[0]) if breaks.size else len(cand)
         used = min(k + 1, len(cand))
@@ -350,9 +357,7 @@ def merge_sweep(
                     j = min(block.size, i + width)
                     try:
                         i += window(block[i:j], cand[i:j])
-                    except np.linalg.LinAlgError:
-                        if j - i == 1:
-                            raise
+                    except np.linalg.LinAlgError:  # only a window of several tests lets it through
                         for _ in range(j - i):  # a one-test window tests exactly one candidate
                             i += window(block[i:i + 1], cand[i:i + 1])
             merged.append(members)

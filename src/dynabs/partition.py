@@ -1,10 +1,10 @@
 """Maximum-entropy bisection of a working zone.
 
 The zone is recursively bisected at the midpoint of each partition's longest
-side; a tentative split is kept only when it raises the Shannon entropy of
-sample occupancy by at least the threshold epsilon. Partitions whose
-tentative split fails are frozen and never revisited, which guarantees
-termination and keeps the procedure deterministic.
+side; a tentative split is kept only when it leaves samples in both halves
+and raises the Shannon entropy of sample occupancy by at least epsilon.
+Partitions whose tentative split fails are frozen and never revisited, which
+guarantees termination and keeps the procedure deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .data import DataError, WorkingZone
 from .geometry import Box
 
 # Unconditional freeze for slivers: longest side below this fraction of the
-# zone's extent. Guards against unbounded refinement when epsilon is 0.
+# zone's extent, the resolution floor where samples converge.
 MIN_SIDE_FRACTION = 1e-9
 
 
@@ -43,9 +43,10 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     """Maximum-entropy partitioning of the zone driven by sample density.
 
     Bisects each partition at the midpoint of its longest side; the split is
-    committed when the global entropy gain H(after) - H(before) reaches
-    epsilon, otherwise the partition is frozen. Returns the final tiling with
-    each point assigned to exactly one box (half-open membership).
+    committed when both halves hold samples and the global entropy gain
+    H(after) - H(before) reaches epsilon, otherwise the partition is frozen.
+    Returns the final tiling with each point assigned to exactly one box
+    (half-open membership).
     `split_log` holds one (tiling position, dimension, gain, committed) entry
     per tested split, in depth-first order.
 
@@ -90,7 +91,8 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
         c1 = int(lower_mask.sum())
         c2 = c - c1
         delta_h = (_xlogx(c) - _xlogx(c1) - _xlogx(c2)) / n_total if n_total else 0.0
-        accepted = bool(delta_h >= epsilon)
+        # an empty half gains exactly 0: at epsilon 0 empty boxes would split without end
+        accepted = bool(c1 and c2 and delta_h >= epsilon)
         # the split box's position in the tiling: every box before it is final
         log.append((len(boxes), j, delta_h, accepted))
         if accepted:

@@ -81,7 +81,8 @@ def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
     sums the two regions' readout statistics (H^T H, H^T Y, sum Y^2, rows)
     and solves its own ridge system. Returns ([(boxes, sample indices)] per
     region, pair tests, merges); raises FloatingPointError for a row whose
-    statistics overflow, as merge_and_learn does."""
+    statistics overflow or a pooled solve that is singular, as
+    merge_and_learn does."""
     n_in = data.n_x + data.n_u
 
     def statistics(net, idx):
@@ -109,8 +110,14 @@ def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
                 if pooled[3] == 0:
                     n += 1
                     continue
+                try:
+                    fit = ridge_mse(*pooled)
+                except np.linalg.LinAlgError as exc:
+                    raise FloatingPointError(
+                        f"pooled readout solve of partition {regions[n][0][0]!r} with the region of "
+                        f"partition {regions[big_n][0][0]!r} is singular ({exc})") from exc
                 tests += 1
-                if ridge_mse(*pooled) <= gamma:
+                if fit <= gamma:
                     regions[big_n][0].extend(regions[n][0])
                     regions[big_n][1] = np.concatenate([regions[big_n][1], regions[n][1]])
                     row = pooled
@@ -161,9 +168,10 @@ def _xlogx(c: int) -> float:
 def widest_first_partition(zone, states: np.ndarray, epsilon: float):
     """Max-entropy bisection that always splits the widest active box.
 
-    Ties go to the lowest tiling position, then the lowest dimension. Returns
-    (boxes, assignments, split_log) with log entries (position, dim, gain,
-    committed) in selection order.
+    A split is committed when both halves hold samples and its gain reaches
+    epsilon. Ties go to the lowest tiling position, then the lowest
+    dimension. Returns (boxes, assignments, split_log) with log entries
+    (position, dim, gain, committed) in selection order.
     """
     n_total = states.shape[0]
     extent = zone.omega.sides
@@ -186,8 +194,9 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
         lower = states[idx, j] < mid
         c, c1 = idx.size, int(lower.sum())
         delta_h = (_xlogx(c) - _xlogx(c1) - _xlogx(c - c1)) / n_total if n_total else 0.0
-        log.append((i, j, delta_h, bool(delta_h >= epsilon)))
-        if delta_h >= epsilon:
+        committed = 0 < c1 < c and delta_h >= epsilon
+        log.append((i, j, delta_h, committed))
+        if committed:
             left, right = box.bisect(j)
             entries[i: i + 1] = [[left, idx[lower], True], [right, idx[~lower], True]]
         else:

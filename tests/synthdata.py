@@ -244,8 +244,9 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
 
     Each copy breaks one region box (the second box of the first region that
     has two, so that the name carries both indices), as `malformed_box_docs`
-    lists, or the zone, or the structure around the regions and networks,
-    and keeps everything else valid.
+    lists, or one weight entry or row of the first network, or the zone, or
+    the structure around the regions and networks, and keeps everything else
+    valid.
     """
     doc = json.loads(text)
     i = next((i for i, r in enumerate(doc["regions"]) if len(r["boxes"]) > 1), 0)
@@ -259,7 +260,16 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
     def first_entry(key, entry) -> str:
         return json.dumps({**doc, key: [entry, *doc[key][1:]]})
 
+    def weight(key, at, value) -> str:
+        bad = json.loads(text)
+        target = bad["networks"][0][key]
+        for k in at[:-1]:
+            target = target[k]
+        target[at[-1]] = value
+        return json.dumps(bad)
+
     region, net = doc["regions"][0], doc["networks"][0]
+    n_in = len(net["w_in"][1])
     return {
         **cases,
         **malformed_zone_docs(doc),
@@ -272,6 +282,13 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
         "region without id": (first_entry("regions", {"boxes": region["boxes"]}), "regions[0].id is missing"),
         "network without w_in": (first_entry("networks", {k: v for k, v in net.items() if k != "w_in"}),
                                  "networks[0].w_in is missing"),
+        "ragged w_in row": (weight("w_in", (1,), [*net["w_in"][1], 0.5]),
+                            f"networks[0].w_in[1] has {n_in + 1} entries, expected {n_in}"),
+        "w_out row 0.5": (weight("w_out", (0,), 0.5), "networks[0].w_out[0] must be a JSON list, got 0.5"),
+        "b_in true": (weight("b_in", (0,), True), "networks[0].b_in[0] must be a JSON number, got true"),
+        "w_out NaN": (weight("w_out", (1, 2), float("nan")), "networks[0].w_out[1][2] is NaN, not a finite number"),
+        "w_in beyond the float range": (weight("w_in", (0, 1), 10 ** 400),
+                                        "networks[0].w_in[0][1] must be a JSON number, got 1000"),
     }
 
 

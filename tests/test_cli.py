@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from dynabs import Box, ElmNetwork, WorkingZone, save_dataset
+from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
 from dynabs.cli import main
 
+from oracles import sequential_merge
 from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model, single_region_model,
                        swirl_dataset, swirl_zone, tiny_transition_system)
 
@@ -298,7 +299,7 @@ def test_non_finite_weights_and_untiled_cells_exit_3(dataset_csv, tmp_path, caps
     for argv in (("simulate", "--model", nan_model, "--x0", "0.1,0.1", "--steps", 3),
                  ("abstract", "--model", nan_model, "--out-dir", tmp_path / "a")):
         code, _, err = run(capsys, *argv)
-        assert code == 3 and "networks[0].w_out holds a non-finite value" in err
+        assert code == 3 and "networks[0].w_out[0][0] is NaN, not a finite number" in err
     assert not (tmp_path / "a" / "ts.json").exists()
 
     doc = json.loads((out_dir / "ts.json").read_text())
@@ -327,6 +328,25 @@ def test_fit_and_bench_on_overflowing_data_exit_4(tmp_path, capsys):
         assert code == 4
         assert re.fullmatch(r"error: H\^T H, H\^T Y or sum Y\^2 of partition Box\(.*\) is not finite: "
                             r"the data overflow the fit\n", err)
+        assert not out_dir.exists()
+
+
+def test_fit_on_a_singular_pooled_solve_exits_4(tmp_path, capsys):
+    """States of order 1e6 make a pooled readout solve singular at the
+    default ridge: fit and bench fail with one error line naming the pooled
+    partitions, the one-at-a-time sweep's text, and write nothing."""
+    x = np.random.default_rng(0).uniform(-1e6, 1e6, (400, 2))
+    data = Dataset(2, 0, x, 0.9 * x)
+    path = tmp_path / "wide.csv"
+    save_dataset(path, data)
+    with pytest.raises(FloatingPointError) as expected:
+        sequential_merge(me_partition(zone_from_data(data), x, 1e-3), data, 20, 0, 1.5e-5)
+    assert "is singular" in str(expected.value)
+    for command in ("fit", "bench"):
+        out_dir = tmp_path / command
+        code, out, err = run(capsys, command, "--dataset", path, "--n-x", 2, "--n-u", 0, "--epsilon", 1e-3,
+                             "--out-dir", out_dir)
+        assert (code, out, err) == (4, "", f"error: {expected.value}\n")
         assert not out_dir.exists()
 
 
@@ -607,9 +627,14 @@ def test_network_widths_are_checked_against_the_zone_on_load(artifacts, tmp_path
                  id="ts.json-path2-True-format_version true"),
     pytest.param("ts.json", ("format_version",), 1.0, "format_version must be a JSON integer, got 1.0",
                  id="ts.json-path3-1.0-format_version 1.0"),
-    ("model.json", ("networks", 0, "w_in", 0, 1), "0.5", 'networks[0].w_in[0] holds "0.5"'),
-    ("model.json", ("networks", 0, "w_out", 1, 0), True, "networks[0].w_out[1] holds true"),
-    ("model.json", ("networks", 0, "b_in", 2), True, "networks[0].b_in holds true"),
+    pytest.param("model.json", ("networks", 0, "w_in", 0, 1), "0.5",
+                 'networks[0].w_in[0][1] must be a JSON number, got "0.5"',
+                 id='model.json-path4-0.5-networks[0].w_in[0] holds "0.5"'),
+    pytest.param("model.json", ("networks", 0, "w_out", 1, 0), True,
+                 "networks[0].w_out[1][0] must be a JSON number, got true",
+                 id="model.json-path5-True-networks[0].w_out[1] holds true"),
+    pytest.param("model.json", ("networks", 0, "b_in", 2), True, "networks[0].b_in[2] must be a JSON number, got true",
+                 id="model.json-path6-True-networks[0].b_in holds true"),
     pytest.param("model.json", ("gamma",), "1e-5", "gamma must be a JSON number, got \"1e-5\"",
                  id="model.json-path7-1e-5-key 'gamma' must be a JSON number, got \"1e-5\""),
     pytest.param("model.json", ("epsilon",), "0.01", "epsilon must be a JSON number, got \"0.01\"",

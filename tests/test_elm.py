@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,13 +163,15 @@ def test_json_round_trip_reproduces_predictions():
 
 def test_from_dict_rejects_non_finite_weights():
     doc = init_elm(2, 2, 4, seed=0).to_dict()
-    for field, value in (("w_in", float("nan")), ("b_in", float("inf")), ("w_out", float("-inf"))):
+    for field, value, named in (("w_in", float("nan"), "w_in[0][0] is NaN"),
+                                ("b_in", float("inf"), "b_in[0] is Infinity"),
+                                ("w_out", float("-inf"), "w_out[0][0] is -Infinity")):
         bad = json.loads(json.dumps(doc))
         if isinstance(bad[field][0], list):
             bad[field][0][0] = value
         else:
             bad[field][0] = value
-        with pytest.raises(ValueError, match=f"^{field} holds a non-finite value"):
+        with pytest.raises(ValueError, match=re.escape(f"network.{named}, not a finite number")):
             ElmNetwork.from_dict(bad)
 
 

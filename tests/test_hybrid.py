@@ -459,7 +459,7 @@ def test_batched_sweep_solves_far_fewer_systems_than_it_tests(monkeypatch):
 def test_a_window_whose_solve_raises_is_rerun_one_test_at_a_time(monkeypatch):
     """With every stacked solve of more than one system raising, the sweep
     still takes the one-at-a-time decisions, and a solve that raises on one
-    system propagates from the first test, as the sequential sweep's does."""
+    system fails the first test with the sequential sweep's error."""
     data = swirl_dataset(4000, seed=0, twist=0.6)
     parts = me_partition(swirl_zone(), data.states, epsilon=3e-3)
     expected, tests, merges = sequential_merge(parts, data, 20, 0, 1.5e-5)
@@ -484,6 +484,10 @@ def test_a_window_whose_solve_raises_is_rerun_one_test_at_a_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", always_fails)
     stats = MergeStats()
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+    with pytest.raises(FloatingPointError, match=re.escape(f"partition {parts.boxes[1]!r} with the region of "
+                                                           f"partition {parts.boxes[0]!r} is singular")) as got:
         merge_sweep(parts, data, layer, 1.5e-5, stats)
     assert stats.pair_tests == 0
+    with pytest.raises(FloatingPointError) as expected:
+        sequential_merge(parts, data, 20, 0, 1.5e-5)
+    assert str(got.value) == str(expected.value)

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynabs import Box, WorkingZone, me_partition, membership_matrix
@@ -118,7 +118,8 @@ def test_me_partition_rejects_nan_and_negative_epsilon(epsilon):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.5))
+@given(st.integers(0, 2**32 - 1), st.just(0.0) | st.floats(0.01, 0.5))
+@example(seed=0, epsilon=0.0)
 def test_tiling_property_random_data(seed, epsilon):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
@@ -126,6 +127,7 @@ def test_tiling_property_random_data(seed, epsilon):
     zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
     parts = me_partition(zone, pts, epsilon)
     assert sum(a.size for a in parts.assignments) == pts.shape[0]
+    assert all(a.size for a in parts.assignments)  # a committed split leaves samples in both halves
     probes = rng.uniform(-1.0, 1.0, size=(2000, dim))
     assert (membership_matrix(parts.boxes, probes).sum(axis=1) == 1).all()
 
@@ -149,3 +151,27 @@ def test_me_partition_equals_widest_first_reference():
         for a, b in zip(parts.assignments, assignments):
             assert np.array_equal(a, b)
         assert sorted(e[1:] for e in parts.split_log) == sorted(e[1:] for e in log)
+
+
+def test_zero_epsilon_commits_exactly_the_splits_that_separate_samples():
+    """At epsilon 0 every split that leaves samples in both halves is
+    committed and no other (a split of an empty box gains 0 and once split
+    without end): the tiling equals the widest-first reference, no partition
+    is empty, and two points closer than the resolution floor share one."""
+    rng = np.random.default_rng(60)
+    for dim, n in ((2, 60), (1, 50), (2, 300), (3, 200)):
+        pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+        pts[1] = pts[0] + 1e-12
+        zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
+        parts = me_partition(zone, pts, 0.0)
+        boxes, assignments, log = widest_first_partition(zone, pts, 0.0)
+        assert len(parts.boxes) == len(boxes) < n
+        for a, b in zip(parts.boxes, boxes):
+            assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+        for a, b in zip(parts.assignments, assignments):
+            assert np.array_equal(a, b)
+        assert sorted(e[1:] for e in parts.split_log) == sorted(e[1:] for e in log)
+        assert all(a.size for a in parts.assignments)
+        assert any(0 in a and 1 in a for a in parts.assignments)
+        probes = rng.uniform(-1.0, 1.0, size=(2000, dim))
+        assert (membership_matrix(parts.boxes, probes).sum(axis=1) == 1).all()
