@@ -53,10 +53,12 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     """L traces of up to M steps with uniform random initial states.
 
     Inputs (when the model takes any) are drawn uniformly over the input
-    bounds at every step. A trace whose successor leaves the zone stops
-    there and is marked exited. A step that is not finite (the model
-    overflows on a state of the zone) raises FloatingPointError naming the
-    state and its region. Fully deterministic for a given seed.
+    bounds, L of them at every step until every trace has exited. A trace
+    whose successor leaves the zone stops there and is marked exited. A step
+    that is not finite (the model overflows on a state of the zone) raises
+    FloatingPointError naming the state and its region. Stacked arrays too
+    large to allocate raise ValueError naming their size. Fully deterministic
+    for a given seed.
     """
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
@@ -65,38 +67,44 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     rng = np.random.default_rng(seed)
 
     x = rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
-    states = np.full((L, M + 1, omega.dim), np.nan)
+    try:
+        states = np.full((L, M + 1, omega.dim), np.nan)
+        inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
+    except MemoryError:
+        need = 8 * L * ((M + 1) * omega.dim + M * n_u)
+        raise ValueError(f"traces {L} x trace_length {M} need {need} bytes of stacked trace arrays, "
+                         "more than can be allocated") from None
     states[:, 0] = x
-    inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
     lengths = np.zeros(L, dtype=int)
     exited = np.zeros(L, dtype=bool)
-    alive = np.ones(L, dtype=bool)
+    live = np.arange(L)  # the traces still in the zone; x holds their states
+    ib = model.zone.input_bounds
 
     for t in range(M):
         if n_u > 0:
-            ib = model.zone.input_bounds
-            u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))
-        if not alive.any():
+            u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))[live]
+        if not live.size:
             break
-        rows = np.nonzero(alive)[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = model.step(x[rows], u[rows] if n_u > 0 else None)
-        bad = np.nonzero(~np.isfinite(nxt).all(axis=1))[0]
-        if bad.size:
-            state = x[rows[bad[0]]]
-            region = int(model.locate_batch(state)[0][0])
-            raise FloatingPointError(f"model step from state {state.tolist()} in region {region} is not finite: "
-                                     f"{nxt[bad[0]].tolist()}")
+            nxt = model.step(x, u if n_u > 0 else None)
+        if not np.isfinite(nxt).all():
+            bad = int(np.argmin(np.isfinite(nxt).all(axis=1)))
+            region = int(model.locate_batch(x[bad])[0][0])
+            raise FloatingPointError(f"model step from state {x[bad].tolist()} in region {region} is not finite: "
+                                     f"{nxt[bad].tolist()}")
         inside = model.zone.contains(nxt)
-        leaving = rows[~inside]
-        exited[leaving] = True
-        alive[leaving] = False
-        staying = rows[inside]
-        states[staying, t + 1] = nxt[inside]
+        if not inside.all():
+            leaving = live[~inside]
+            exited[leaving] = True
+            lengths[leaving] = t
+            live, nxt = live[inside], nxt[inside]
+            if n_u > 0:
+                u = u[inside]
+        states[live, t + 1] = nxt
         if n_u > 0:
-            inputs[staying, t] = u[staying]
-        lengths[staying] = t + 1
-        x[staying] = nxt[inside]
+            inputs[live, t] = u
+        x = nxt
+    lengths[live] = M  # live is empty after an early break
 
     return TraceSet(states, lengths, exited, inputs)
 

@@ -20,7 +20,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, rows_all
 
 
 class DataError(ValueError):
@@ -383,7 +383,7 @@ class WorkingZone:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Bool mask of the (n, n_x) rows that lie in the zone: lo <= x <= hi
         on every face. A row holding NaN lies outside."""
-        return np.all((points >= self.omega.lo) & (points <= self.omega.hi), axis=1)
+        return rows_all((points >= self.omega.lo) & (points <= self.omega.hi))
 
     def check_dataset(self, data: Dataset) -> None:
         """Validate that every sample's state lies inside the zone."""

@@ -17,10 +17,6 @@ from .data import DataError, Dataset, member, number_rows
 DEFAULT_RIDGE = 1e-8
 
 
-def relu(t: np.ndarray) -> np.ndarray:
-    return np.maximum(t, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class ElmNetwork:
     """Fixed random hidden layer plus a solved linear readout."""
@@ -58,7 +54,9 @@ class ElmNetwork:
 
     def hidden(self, z: np.ndarray) -> np.ndarray:
         """ReLU hidden activations for a batch of inputs, shape (n, hidden)."""
-        return relu(z @ self.w_in.T + self.b_in)
+        h = z @ self.w_in.T
+        h += self.b_in
+        return np.maximum(h, 0.0, out=h)
 
     def to_dict(self) -> dict:
         return {

@@ -10,6 +10,7 @@ boundary points inside the tiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,16 @@ class Box:
         return f"Box({parts})"
 
 
+def rows_all(mask: np.ndarray) -> np.ndarray:
+    """Row-wise all of an (n, d) bool array, one column at a time: numpy's
+    axis-1 reduction loops once per row, which for a few columns is an
+    order of magnitude slower."""
+    out = mask[:, 0].copy()
+    for k in range(1, mask.shape[1]):
+        out &= mask[:, k]
+    return out
+
+
 def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
     """Boolean (n_points, n_boxes) matrix of half-open box membership.
 
@@ -134,6 +145,14 @@ def membership_matrix(boxes, points: np.ndarray) -> np.ndarray:
     p = points[:, None, :]                          # (n_points, 1, dim)
     above = (p < hi[None]) | (closed[None] & (p == hi[None]))
     return np.all((lo[None] <= p) & above, axis=2)
+
+
+class Walk(NamedTuple):
+    """Descent tables over a `BoxTree`'s nodes (see `BoxTree.walk`)."""
+
+    kids: np.ndarray   # (2 * nodes,): node n's lower child at 2n, its upper one at 2n + 1; a stop's are itself
+    label: np.ndarray  # (nodes,): the one label of a stop's boxes, -1 at other nodes
+    depth: int         # levels that take every point to a stop
 
 
 # (query row, node) pairs one block of `BoxTree.overlapping` may hold at a
@@ -161,6 +180,8 @@ class BoxTree:
         if {b.lo.shape for b in boxes} != {(zone.dim,)}:
             raise ValueError(f"every box must have the zone's dimension {zone.dim}")
         self.zone = zone
+        # x < _zone_upper is x < hi on an open upper face and x <= hi on a closed one
+        self._zone_upper = np.where(zone.closed_hi, np.nextafter(zone.hi, np.inf), zone.hi)
         self.lo = np.array([b.lo for b in boxes])   # (n_boxes, dim)
         self.hi = np.array([b.hi for b in boxes])
         lo, hi = self.lo, self.hi
@@ -221,21 +242,53 @@ class BoxTree:
             members, at = members[~single], at[~single]
             at = pair[at] + (lo[members, d[at]] >= cut[at])
             first += n
-        self.depth = len(levels) - 1
-        self.dims, self.cuts, self.left, self.right, self.leaf = (np.concatenate(a) for a in zip(*levels))
+        self.dims, self.cuts, left, right, self.leaf = (np.concatenate(a) for a in zip(*levels))
+        self._level = np.repeat(np.arange(len(levels)), [d.size for d, *_ in levels])  # each node's level
+        self._left_right = np.stack([left, right], axis=1)
+        # walk(range(n_boxes)): each leaf is a stop, and the last level holds only leaves
+        self.box_walk = Walk(self._left_right.reshape(-1), self.leaf, len(levels) - 1)
 
-    def locate(self, points) -> np.ndarray:
-        """Index of the box holding each point row, -1 outside the zone."""
+    def walk(self, labels) -> Walk:
+        """The descent that stops at the first node whose boxes all carry one
+        label, `labels` holding one non-negative integer per box.
+
+        Labelled by box index, the stops are the leaves. Labelled by owner,
+        a subtree of boxes of one owner is one stop, so a point reaches its
+        owner in fewer levels.
+        """
+        labels = np.asarray(labels)
+        if labels.shape != self.lo.shape[:1] or (labels < 0).any():
+            raise ValueError(f"need one non-negative label per box, got shape {labels.shape}")
+        label = np.where(self.leaf >= 0, labels[self.leaf], -1)
+        inner = self.leaf < 0
+        for lv in range(int(self._level[-1]) - 1, -1, -1):  # bottom-up; the last level holds only leaves
+            at = np.flatnonzero((self._level == lv) & inner)
+            lower, upper = label[self._left_right[at]].T
+            label[at] = np.where(lower == upper, lower, -1)
+        stop = label >= 0
+        nodes = np.arange(label.size)
+        kids = np.where(stop[:, None], nodes[:, None], self._left_right).reshape(-1)
+        depth = int(self._level[~stop].max()) + 1 if not stop.all() else 0
+        return Walk(kids, label, depth)
+
+    def locate(self, points, walk: Walk | None = None) -> np.ndarray:
+        """Index of the box holding each point row, -1 outside the zone; under
+        a `walk` from `BoxTree.walk`, the label of the stop holding it.
+
+        Every walk takes this one descent: `depth` levels of
+        ``node = kids[2 * node + (x[dim] >= cut)]`` over 1-D takes.
+        """
+        walk = self.box_walk if walk is None else walk
         x = np.atleast_2d(np.asarray(points, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.zone.dim:
             raise ValueError(f"points of shape {x.shape} located in a zone of dimension {self.zone.dim}")
-        rows = np.arange(x.shape[0])
+        flat = x.ravel()
+        first = np.arange(0, flat.size, x.shape[1])  # each row's first coordinate in `flat`
         node = np.zeros(x.shape[0], dtype=np.intp)
-        for _ in range(self.depth):
-            node = np.where(x[rows, self.dims[node]] >= self.cuts[node], self.right[node], self.left[node])
-        z = self.zone
-        inside = np.all((z.lo <= x) & ((x < z.hi) | (z.closed_hi & (x == z.hi))), axis=1)
-        return np.where(inside, self.leaf[node], -1)
+        for _ in range(walk.depth):
+            node = walk.kids.take(2 * node + (flat.take(first + self.dims.take(node)) >= self.cuts.take(node)))
+        inside = rows_all((self.zone.lo <= x) & (x < self._zone_upper))
+        return np.where(inside, walk.label.take(node), -1)
 
     def overlapping(self, lo, hi):
         """Yield (rows, boxes) index arrays, one pair of arrays per block of
@@ -259,7 +312,7 @@ class BoxTree:
         z = self.zone
         meets_zone = np.all(np.minimum(hi, z.hi) > np.maximum(lo, z.lo), axis=1)
         # 32-bit (row, node) pairs halve the memory of a block
-        left, right, leaf_of = (a.astype(np.int32) for a in (self.left, self.right, self.leaf))
+        kids, leaf_of = (a.astype(np.int32) for a in (self.box_walk.kids, self.leaf))
         for start in range(0, lo.shape[0], block):
             q = (start + np.flatnonzero(meets_zone[start:start + block])).astype(np.int32)
             node = np.zeros(q.size, dtype=np.int32)
@@ -275,7 +328,7 @@ class BoxTree:
                 upper = hi[q, d] > cut
                 del d, cut  # freed before the next level's pairs are made
                 q = np.concatenate([q[lower], q[upper]])
-                node = np.concatenate([left[node[lower]], right[node[upper]]])
+                node = np.concatenate([kids[2 * node[lower]], kids[2 * node[upper] + 1]])
             yield np.concatenate(rows), np.concatenate(boxes)
 
 

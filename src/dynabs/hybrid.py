@@ -21,7 +21,7 @@ from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_forma
 from .elm import STACK_BYTES, ElmNetwork, ReadoutStats, RowSets, fit_output_weights, init_elm, predict_batch
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
+from .geometry import Box, BoxTree, Walk, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -74,6 +74,7 @@ class HybridModel:
     # index over every region box, in region order; built once per model
     tree: BoxTree = field(init=False, repr=False)
     box_owner: np.ndarray = field(init=False, repr=False)  # region id of each indexed box
+    region_walk: Walk = field(init=False, repr=False)      # the tree's descent to a state's region
 
     def __post_init__(self):
         if len(self.regions) != len(self.networks):
@@ -91,6 +92,7 @@ class HybridModel:
         boxes = [b for r in self.regions for b in r.boxes]
         object.__setattr__(self, "tree", BoxTree(self.zone.omega, boxes))
         object.__setattr__(self, "box_owner", np.array([r.id for r in self.regions for _ in r.boxes]))
+        object.__setattr__(self, "region_walk", self.tree.walk(self.box_owner))
 
     @property
     def n_regions(self) -> int:
@@ -102,26 +104,39 @@ class HybridModel:
     def locate_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized locate: (region ids, out-of-zone mask) for state rows.
 
-        Rows outside the zone fall back to the region nearest by L-infinity
-        distance, ties to the lowest id.
+        The tree walk stops at the first subtree whose boxes all belong to
+        one region. Rows outside the zone fall back to the region nearest by
+        L-infinity distance, ties to the lowest id.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        box = self.tree.locate(states)
-        out = box < 0
+        ids = self.tree.locate(states, self.region_walk)
+        out = ids < 0
         if out.any():
             x = states[out][:, None, :]
             gap = np.maximum(np.maximum(self.tree.lo - x, x - self.tree.hi), 0.0).max(axis=2)
             # boxes are in region order, so the first nearest box has the lowest id
-            box[out] = np.argmin(gap, axis=1)
-        return self.box_owner[box], out
+            ids[out] = self.box_owner[np.argmin(gap, axis=1)]
+        return ids, out
 
     def predict_located(self, z: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Batch step for pre-located samples: rows of z grouped by region id."""
+        """Batch step for pre-located samples: row i of z through the network
+        of region ids[i].
+
+        Each network runs once, on the contiguous run of its rows in a stable
+        sort by id, which holds them in their order in z: every row gets the
+        bits `predict_batch` gives the rows of its region alone.
+        """
         z = np.atleast_2d(np.asarray(z, dtype=float))
+        if np.shape(ids) != z.shape[:1]:
+            raise ValueError(f"{np.shape(ids)} region ids for {z.shape[0]} rows")
+        order, runs = id_runs(ids)
+        if runs and not 1 <= runs[0][0] <= runs[-1][0] <= self.n_regions:
+            bad = runs[0][0] if runs[0][0] < 1 else runs[-1][0]
+            raise ValueError(f"region id {bad} outside 1..{self.n_regions}")
+        zs = z[order]
         out = np.empty((z.shape[0], self.zone.n_x))
-        for rid in np.unique(ids):
-            rows = ids == rid
-            out[rows] = predict_batch(self.network_of(int(rid)), z[rows])
+        for rid, a, b in runs:
+            out[order[a:b]] = predict_batch(self.network_of(rid), zs[a:b])
         return out
 
     def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
@@ -201,6 +216,17 @@ class HybridModel:
     @classmethod
     def load(cls, path) -> HybridModel:
         return cls.from_dict(read_artifact(path))
+
+
+def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Stable sort order of the 1-D integer `ids` and (id, start, stop) of
+    each run of one id in that order, ids ascending: `order[start:stop]` are
+    the rows of the id, in ascending order."""
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    run_ids = ids[order]
+    bounds = [0, *(np.flatnonzero(run_ids[1:] != run_ids[:-1]) + 1).tolist(), ids.size]
+    return order, [(int(run_ids[a]), a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:

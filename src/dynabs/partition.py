@@ -35,8 +35,14 @@ class PartitionSet:
         return len(self.boxes)
 
 
-def _xlogx(c: float) -> float:
-    return c * np.log(c) if c > 0 else 0.0
+def xlogx_table(n: int) -> np.ndarray:
+    """c ln c for the counts c = 0..n, with 0 ln 0 = 0: each entry has the
+    bits of the scalar ``c * np.log(c)``."""
+    c = np.arange(n + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = c * np.log(c)
+    table[0] = 0.0
+    return table
 
 
 def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
@@ -64,6 +70,8 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
 
     n_total = states.shape[0]
     extent = zone.omega.sides
+    columns = states.T  # 1-D coordinate columns, views of states
+    xlogx = xlogx_table(n_total)
     boxes: list[Box] = []
     assignments: list[np.ndarray] = []
     log: list[tuple[int, int, float, bool]] = []
@@ -78,19 +86,20 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     stack = [(zone.omega, np.arange(n_total))]
     while stack:
         box, idx = stack.pop()
-        if np.max(box.sides / extent) < MIN_SIDE_FRACTION:
+        sides = box.hi - box.lo
+        if (sides / extent).max() < MIN_SIDE_FRACTION:
             keep(box, idx)
             continue
-        j = int(np.argmax(box.sides))  # argmax takes the lowest dim on ties
+        j = int(sides.argmax())  # argmax takes the lowest dim on ties
         mid = 0.5 * (box.lo[j] + box.hi[j])
         if not box.lo[j] < mid < box.hi[j]:  # midpoint collapse at float limits
             keep(box, idx)
             continue
-        lower_mask = states[idx, j] < mid
+        lower_mask = columns[j][idx] < mid
         c = idx.size
-        c1 = int(lower_mask.sum())
+        c1 = int(np.count_nonzero(lower_mask))
         c2 = c - c1
-        delta_h = (_xlogx(c) - _xlogx(c1) - _xlogx(c2)) / n_total if n_total else 0.0
+        delta_h = (xlogx.item(c) - xlogx.item(c1) - xlogx.item(c2)) / n_total if n_total else 0.0
         # an empty half gains exactly 0: at epsilon 0 empty boxes would split without end
         accepted = bool(c1 and c2 and delta_h >= epsilon)
         # the split box's position in the tiling: every box before it is final

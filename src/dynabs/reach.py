@@ -12,15 +12,12 @@ floating-point rounding against concrete evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .elm import ElmNetwork
 from .geometry import Box
-
-if TYPE_CHECKING:
-    from .elm import ElmNetwork
-    from .hybrid import HybridModel
+from .hybrid import HybridModel, id_runs
 
 # symmetric widening applied to network output enclosures
 OUTPUT_SLACK = 1e-9
@@ -146,12 +143,14 @@ def cell_successor_box(model: HybridModel, *cells: Box) -> ReachResult:
     if ib is not None:
         in_lo = np.concatenate([in_lo, np.broadcast_to(ib.lo, (in_lo.shape[0], ib.dim))], axis=1)
         in_hi = np.concatenate([in_hi, np.broadcast_to(ib.hi, (in_hi.shape[0], ib.dim))], axis=1)
+    order, runs = id_runs(region_ids)
+    run_lo, run_hi = in_lo[order], in_hi[order]
     out_lo = np.empty((region_ids.size, model.zone.n_x))
     out_hi = np.empty_like(out_lo)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rid in dict.fromkeys(region_ids.tolist()):
-            rows = region_ids == rid
-            out_lo[rows], out_hi[rows] = elm_output_box(model.network_of(rid), in_lo[rows], in_hi[rows])
+        for rid, a, b in runs:
+            rows = order[a:b]
+            out_lo[rows], out_hi[rows] = elm_output_box(model.network_of(rid), run_lo[a:b], run_hi[a:b])
     finite = np.isfinite(out_lo).all(axis=1) & np.isfinite(out_hi).all(axis=1)
     if not finite.all():
         p = int(np.argmin(finite))

@@ -8,8 +8,9 @@ oracle solves one pair test at a time where the sweep batches them, the partitio
 oracle rescans every active box for the widest one instead of walking the
 split tree, the enclosure oracle pushes one box at a time through one
 layer at a time, the transition oracle intersects cells with region boxes
-one pair at a time and encloses each piece with that oracle, the witness
-oracle reads the steps a simulation took straight off the sampled traces,
+one pair at a time and encloses each piece with that oracle, the trace
+oracle re-gathers the live runs from the full arrays at every step where
+the sampler carries only the live rows, the witness oracle reads the steps a simulation took straight off the sampled traces,
 and the CTL oracle evaluates path semantics by depth-first graph walks
 instead of boolean fixpoint iteration.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynabs import elm_output_box, fit_output_weights, init_elm, mse, predict_batch
+from dynabs import TraceSet, elm_output_box, fit_output_weights, init_elm, mse, predict_batch
 from dynabs.elm import DEFAULT_RIDGE
 from dynabs.hybrid import derive_seed
 from dynabs.reach import OUTPUT_SLACK
@@ -161,7 +162,7 @@ def ibp_output_box(net, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return lo - OUTPUT_SLACK, hi + OUTPUT_SLACK
 
 
-def _xlogx(c: int) -> float:
+def xlogx(c: int) -> float:
     return c * np.log(c) if c > 0 else 0.0
 
 
@@ -193,7 +194,7 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
             continue
         lower = states[idx, j] < mid
         c, c1 = idx.size, int(lower.sum())
-        delta_h = (_xlogx(c) - _xlogx(c1) - _xlogx(c - c1)) / n_total if n_total else 0.0
+        delta_h = (xlogx(c) - xlogx(c1) - xlogx(c - c1)) / n_total if n_total else 0.0
         committed = 0 < c1 < c and delta_h >= epsilon
         log.append((i, j, delta_h, committed))
         if committed:
@@ -202,6 +203,53 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
         else:
             entries[i][2] = False
     return [e[0] for e in entries], [e[1] for e in entries], log
+
+
+def sequential_traces(model, L: int, M: int, seed: int):
+    """sample_traces with an alive mask over all L runs: every step gathers
+    the live runs' states and inputs by np.nonzero and scatters the results
+    back. Draws the same random numbers in the same order."""
+    if L < 1 or M < 1:
+        raise ValueError("need L >= 1 traces and M >= 1 steps")
+    omega = model.zone.omega
+    n_u = model.zone.n_u
+    rng = np.random.default_rng(seed)
+
+    x = rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
+    states = np.full((L, M + 1, omega.dim), np.nan)
+    states[:, 0] = x
+    inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
+    lengths = np.zeros(L, dtype=int)
+    exited = np.zeros(L, dtype=bool)
+    alive = np.ones(L, dtype=bool)
+
+    for t in range(M):
+        if n_u > 0:
+            ib = model.zone.input_bounds
+            u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))
+        if not alive.any():
+            break
+        rows = np.nonzero(alive)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = model.step(x[rows], u[rows] if n_u > 0 else None)
+        bad = np.nonzero(~np.isfinite(nxt).all(axis=1))[0]
+        if bad.size:
+            state = x[rows[bad[0]]]
+            region = int(model.locate_batch(state)[0][0])
+            raise FloatingPointError(f"model step from state {state.tolist()} in region {region} is not finite: "
+                                     f"{nxt[bad[0]].tolist()}")
+        inside = model.zone.contains(nxt)
+        leaving = rows[~inside]
+        exited[leaving] = True
+        alive[leaving] = False
+        staying = rows[inside]
+        states[staying, t + 1] = nxt[inside]
+        if n_u > 0:
+            inputs[staying, t] = u[staying]
+        lengths[staying] = t + 1
+        x[staying] = nxt[inside]
+
+    return TraceSet(states, lengths, exited, inputs)
 
 
 def pairwise_transitions(model, cells) -> np.ndarray:

@@ -25,7 +25,7 @@ from dynabs import (
 )
 from dynabs.abstraction import TraceSet
 
-from oracles import observed_transitions, pairwise_transitions
+from oracles import observed_transitions, pairwise_transitions, sequential_traces
 
 from synthdata import (
     alternating_slab_model,
@@ -101,10 +101,9 @@ def test_sample_traces_stacked_arrays():
     assert np.array_equal(traces.visited, np.concatenate(runs))
 
 
-def test_simulate_reproduces_sampled_traces_with_inputs():
-    """simulate from a sampled trace's start state, fed that trace's inputs,
-    retraces it up to its end: simulate's one-row rollout and sample_traces'
-    batched rollout take the same steps."""
+def fitted_input_model():
+    """Several regions fitted to x+ = 0.95 x + 0.3 u + 0.1 sin(3 x) on
+    x in [-1, 1], u in [-0.5, 0.5]; some runs leave the zone."""
     rng = np.random.default_rng(8)
     x = rng.uniform(-1.0, 1.0, 600)
     u = rng.uniform(-0.5, 0.5, 600)
@@ -112,6 +111,45 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
     zone = WorkingZone(Box([-1.0], [1.0]), input_bounds=Box([-0.5], [0.5]))
     model = merge_and_learn(me_partition(zone, data.states, 0.01), data, hidden_count=10, seed=0, gamma=1e-7)
     assert model.n_regions > 1
+    return model
+
+
+def drift_model():
+    """x+ = x + 0.1 on [0, 1]: every run leaves the zone within 11 steps,
+    each at its own step."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    return single_region_model(zone, ElmNetwork(np.array([[1.0], [0.0]]), np.array([0.0, 1.0]),
+                                                np.array([[1.0, 0.1]]), 2, 0))
+
+
+@pytest.mark.parametrize("case", ["swirl regions", "inputs", "all exit"])
+def test_sample_traces_equal_the_sequential_oracle(case):
+    """The live-row sampler takes the steps, draws and exits of the loop
+    that masks all L runs at every step, bit for bit."""
+    if case == "swirl regions":
+        model, L, M = fitted_swirl_model(epsilon=0.01, gamma=1e-6)[0], 60, 50
+        assert model.n_regions > 1 and model.region_walk.depth < model.tree.box_walk.depth
+    elif case == "inputs":
+        model, L, M = fitted_input_model(), 40, 30
+    else:
+        model, L, M = drift_model(), 25, 30
+    got, want = sample_traces(model, L, M, seed=5), sequential_traces(model, L, M, seed=5)
+    assert np.array_equal(got.states, want.states, equal_nan=True)
+    assert np.array_equal(got.lengths, want.lengths) and np.array_equal(got.exited, want.exited)
+    if case == "inputs":
+        assert np.array_equal(got.inputs, want.inputs, equal_nan=True)
+        assert got.exited.any() and not got.exited.all()
+    else:
+        assert got.inputs is None and want.inputs is None
+    if case == "all exit":
+        assert got.exited.all() and np.unique(got.lengths).size > 5 and got.lengths.max() < M
+
+
+def test_simulate_reproduces_sampled_traces_with_inputs():
+    """simulate from a sampled trace's start state, fed that trace's inputs,
+    retraces it up to its end: simulate's one-row rollout and sample_traces'
+    batched rollout take the same steps."""
+    model = fitted_input_model()
     traces = sample_traces(model, L=30, M=25, seed=4)
     assert traces.exited.any() and (traces.lengths > 10).any()
     for states, inputs, n in zip(traces.states, traces.inputs, traces.lengths):

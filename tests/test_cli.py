@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynabs
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
 from dynabs.cli import main
 
@@ -690,3 +695,27 @@ def test_trace_counts_past_their_bound_exit_2_naming_the_key(artifacts, tmp_path
     assert (code, out) == (2, "")
     assert err == f"error: {flag[2:].replace('-', '_')} must be <= 1000000, got {10**30}\n"
     assert not (tmp_path / "a").exists()
+
+
+def test_trace_arrays_too_large_to_allocate_exit_2_naming_their_size(artifacts, tmp_path):
+    """10**6 traces of 10**6 steps pass the config bounds, but their stacked
+    states need 16 * 10**6 * (10**6 + 1) bytes. The command runs in a child
+    process whose address space is capped at 3 GB, so the allocation fails
+    there at once and this process commits no memory for it."""
+    pytest.importorskip("resource")
+    limit = 3 << 30
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "from dynabs.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(dynabs.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child, "abstract", "--model", str(artifacts / "model.json"),
+                           "--traces", "1000000", "--trace-length", "1000000", "--out-dir", str(tmp_path / "big")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    need = 16 * 10**6 * (10**6 + 1)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: traces 1000000 x trace_length 1000000 need {need} bytes of stacked trace arrays, "
+                           "more than can be allocated\n")
+    assert not (tmp_path / "big").exists()

@@ -248,6 +248,36 @@ def test_tree_locate_equals_membership_on_bisection_tilings(seed, dim, splits):
     assert np.array_equal(tree.locate(probes), reference_locate(boxes, probes))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 40), st.integers(1, 4))
+def test_labelled_walk_equals_the_label_of_each_box(seed, dim, splits, n_labels):
+    """A walk that stops at subtrees of one label gives each point its box's
+    label, in no more levels than the box walk; with one label, in none."""
+    rng = np.random.default_rng(seed)
+    zone, leaves = random_bisection_tiling(rng, dim, splits)
+    boxes = [leaves[k] for k in rng.permutation(len(leaves))]
+    tree = BoxTree(zone, boxes)
+    by_box = tree.walk(np.arange(len(boxes)))
+    assert by_box.depth == tree.box_walk.depth
+    assert np.array_equal(by_box.kids, tree.box_walk.kids) and np.array_equal(by_box.label, tree.box_walk.label)
+    labels = rng.integers(n_labels, size=len(boxes)) + 1
+    walk = tree.walk(labels)
+    probes = face_probes(zone, boxes, rng)
+    box = reference_locate(boxes, probes)
+    assert np.array_equal(tree.locate(probes, walk), np.where(box >= 0, labels[box], -1))
+    assert walk.depth <= tree.box_walk.depth
+    if (labels == labels[0]).all():
+        assert walk.depth == 0
+
+
+def test_walk_rejects_labels_that_do_not_fit_the_boxes():
+    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
+    tree = BoxTree(zone, zone.bisect(0))
+    for labels in ([1], [1, 2, 3], [0, -1]):
+        with pytest.raises(ValueError, match="one non-negative label per box"):
+            tree.walk(labels)
+
+
 def reference_overlaps(boxes, lo, hi) -> set[tuple[int, int]]:
     """(query row, box) pairs that meet with positive width in every dimension, by brute force."""
     blo = np.stack([b.lo for b in boxes])

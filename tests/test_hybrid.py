@@ -26,6 +26,7 @@ from dynabs import (
 
 from oracles import linf_distance, raw_merge, sequential_merge
 from synthdata import (
+    alternating_slab_model,
     constant_net,
     malformed_model_texts,
     random_tiling_cases,
@@ -342,6 +343,71 @@ def test_locate_batch_equals_membership_reference():
     for x, rid in zip(points[out], ids[out]):
         nearest = min(model.regions, key=lambda r: (min(linf_distance(b, x) for b in r.boxes), r.id))
         assert rid == nearest.id
+
+
+def test_grouped_step_gives_each_region_the_bits_of_its_rows_alone():
+    """predict_located runs each network on its rows in their order, so every
+    row has the bits of predict_batch over the rows of its region."""
+    data = swirl_dataset(800, seed=4)
+    model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=10, seed=0, gamma=1e-8)
+    z = np.random.default_rng(6).uniform(-1.2, 1.2, size=(3000, 2))
+    ids, _ = model.locate_batch(z)
+    assert np.unique(ids).size == model.n_regions > 1
+    out = model.predict_located(z, ids)
+    for rid in range(1, model.n_regions + 1):
+        rows = ids == rid
+        assert np.array_equal(out[rows], predict_batch(model.network_of(rid), z[rows]))
+    assert np.array_equal(model.step(z), out)
+
+
+def test_region_walk_of_a_single_region_model_takes_no_level():
+    model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
+    assert model.region_walk.depth == 0
+    ids, out = model.locate_batch([[0.2, 0.7], [1.0, 1.0], [1.5, 0.5], [np.nan, 0.5]])
+    assert ids.tolist() == [1, 1, 1, 1] and out.tolist() == [False, False, True, True]
+
+
+def test_region_walk_where_no_two_sibling_boxes_share_a_region():
+    """Slabs that alternate between two regions: no subtree holds one region
+    only, so the walk descends to the boxes and still names their owners."""
+    model = alternating_slab_model(unit_zone(), [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    assert model.region_walk.depth == model.tree.box_walk.depth == 3
+    boxes = [b for r in model.regions for b in r.boxes]
+    owner = np.array([r.id for r in model.regions for _ in r.boxes])
+    x = np.concatenate([np.stack([b.lo for b in boxes]), np.random.default_rng(2).uniform(0.0, 1.0, (500, 2))])
+    ids, out = model.locate_batch(x)
+    member = membership_matrix(boxes, x)
+    assert not out.any() and np.array_equal(ids, owner[member.argmax(axis=1)])
+    assert np.array_equal(model.step(x), np.where((ids == 1)[:, None], [0.1, 0.1], [0.9, 0.9]))
+
+
+def test_zero_rows_step_locate_and_predict():
+    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]), input_bounds=Box([-1.0], [1.0]))
+    model = single_region_model(zone, init_elm(3, 2, 4, seed=0))
+    ids, out = model.locate_batch(np.zeros((0, 2)))
+    assert ids.shape == out.shape == (0,)
+    assert model.predict_located(np.zeros((0, 3)), ids).shape == (0, 2)
+    assert model.step(np.zeros((0, 2)), np.zeros((0, 1))).shape == (0, 2)
+
+
+def test_wrong_width_states_raise_as_the_tree_does():
+    model = split_region_model(unit_zone(), [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    message = "points of shape (4, 3) located in a zone of dimension 2"
+    for call in (model.tree.locate, model.locate_batch, model.step):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=re.escape("(3,) region ids for 4 rows")):
+        model.predict_located(np.zeros((4, 2)), [1, 1, 2])
+
+
+def test_predict_located_rejects_region_ids_the_model_lacks():
+    """An id outside 1..n_regions used to pick a network by Python's negative
+    indexing (0 stepped through the last region's network) or fail with an
+    IndexError."""
+    model = split_region_model(unit_zone(), [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    for ids, bad in (([1, 0], 0), ([3, 2], 3), ([-1, 5], -1)):
+        with pytest.raises(ValueError, match=re.escape(f"region id {bad} outside 1..2")):
+            model.predict_located(np.zeros((2, 2)), ids)
 
 
 def test_model_requires_regions_that_tile_the_zone():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from dynabs import Box, WorkingZone, me_partition, membership_matrix
 
-from oracles import shannon_entropy, widest_first_partition
+from dynabs.partition import xlogx_table
+
+from oracles import shannon_entropy, widest_first_partition, xlogx
 from synthdata import two_cluster_dataset, unit_zone
 
 
@@ -151,6 +153,12 @@ def test_me_partition_equals_widest_first_reference():
         for a, b in zip(parts.assignments, assignments):
             assert np.array_equal(a, b)
         assert sorted(e[1:] for e in parts.split_log) == sorted(e[1:] for e in log)
+
+
+def test_xlogx_table_has_the_bits_of_the_scalar_terms():
+    table = xlogx_table(20_000)
+    assert table.shape == (20_001,)
+    assert table.tolist() == [xlogx(c) for c in range(20_001)]
 
 
 def test_zero_epsilon_commits_exactly_the_splits_that_separate_samples():
