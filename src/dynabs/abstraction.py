@@ -78,6 +78,7 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     lengths = np.zeros(L, dtype=int)
     exited = np.zeros(L, dtype=bool)
     live = np.arange(L)  # the traces still in the zone; x holds their states
+    ids, _ = model.locate_batch(x)  # and ids their regions
     ib = model.zone.input_bounds
 
     for t in range(M):
@@ -86,18 +87,18 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         if not live.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = model.step(x, u if n_u > 0 else None)
+            nxt = model.predict_located(x if n_u == 0 else np.concatenate([x, u], axis=1), ids)
         if not np.isfinite(nxt).all():
             bad = int(np.argmin(np.isfinite(nxt).all(axis=1)))
-            region = int(model.locate_batch(x[bad])[0][0])
-            raise FloatingPointError(f"model step from state {x[bad].tolist()} in region {region} is not finite: "
-                                     f"{nxt[bad].tolist()}")
-        inside = model.zone.contains(nxt)
-        if not inside.all():
-            leaving = live[~inside]
+            raise FloatingPointError(f"model step from state {x[bad].tolist()} in region {int(ids[bad])} is not "
+                                     f"finite: {nxt[bad].tolist()}")
+        ids, out = model.locate_batch(nxt)  # the walk's zone test is the one exit test
+        if out.any():
+            inside = ~out
+            leaving = live[out]
             exited[leaving] = True
             lengths[leaving] = t
-            live, nxt = live[inside], nxt[inside]
+            live, nxt, ids = live[inside], nxt[inside], ids[inside]
             if n_u > 0:
                 u = u[inside]
         states[live, t + 1] = nxt
@@ -227,15 +228,14 @@ def compute_transitions(model: HybridModel, cells, initial: int | None = None) -
 
 
 def export_dot(ts: TransitionSystem) -> str:
-    """Render the transition graph as DOT with stable row-major ordering."""
+    """Render the transition graph as DOT with stable row-major ordering:
+    one line per edge, each source's successors in ascending order."""
     lines = ["digraph transition_system {", "  rankdir=LR;"]
-    for i in range(1, ts.n_cells + 1):
-        attrs = ["shape=box"]
-        if ts.initial == i:
-            attrs.append("peripheries=2")
-        lines.append(f"  Q{i} [{', '.join(attrs)}];")
+    lines += [f"  Q{i} [shape=box{', peripheries=2' if ts.initial == i else ''}];" for i in range(1, ts.n_cells + 1)]
     lines.append("  EXIT [shape=doublecircle];")
-    labels = [ts.state_label(i) for i in range(1, ts.n_states + 1)]
-    lines += [f"  {labels[i]} -> {labels[j]};" for i, j in zip(*np.nonzero(ts.relation))]
+    labels = np.array([ts.state_label(i) for i in range(1, ts.n_states + 1)], dtype=object)
+    for label, row in zip(labels.tolist(), ts.relation):  # the relation is total: every row has a successor
+        head = f"  {label} -> "
+        lines.append(head + f";\n{head}".join(labels[row].tolist()) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

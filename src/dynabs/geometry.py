@@ -177,74 +177,89 @@ class BoxTree:
         boxes = list(boxes)
         if not boxes:
             raise ValueError("no boxes to index")
-        if {b.lo.shape for b in boxes} != {(zone.dim,)}:
+        if {len(b.lo) for b in boxes} != {zone.dim}:
             raise ValueError(f"every box must have the zone's dimension {zone.dim}")
         self.zone = zone
         # x < _zone_upper is x < hi on an open upper face and x <= hi on a closed one
         self._zone_upper = np.where(zone.closed_hi, np.nextafter(zone.hi, np.inf), zone.hi)
-        self.lo = np.array([b.lo for b in boxes])   # (n_boxes, dim)
-        self.hi = np.array([b.hi for b in boxes])
+        self.lo = np.concatenate([b.lo for b in boxes]).reshape(-1, zone.dim)   # (n_boxes, dim)
+        self.hi = np.concatenate([b.hi for b in boxes]).reshape(-1, zone.dim)
         lo, hi = self.lo, self.hi
-        outside = np.nonzero(np.any(lo < zone.lo, axis=1) | np.any(hi > zone.hi, axis=1))[0]
+        outside = np.flatnonzero(~rows_all((lo >= zone.lo) & (hi <= zone.hi)))
         if outside.size:
             k = int(outside[0])
             raise ValueError(f"box {k} {boxes[k]!r} extends outside the zone {zone!r}")
         # a tiling is closed exactly on the zone's closed outer faces, so that
         # every point of the zone lies in one box
-        closed = np.array([b.closed_hi for b in boxes])
-        wrong = np.nonzero(np.any(closed != ((hi == zone.hi) & zone.closed_hi), axis=1))[0]
+        closed = np.concatenate([b.closed_hi for b in boxes]).reshape(-1, zone.dim)
+        wrong = np.flatnonzero(~rows_all(closed == ((hi == zone.hi) & zone.closed_hi)))
         if wrong.size:
             k = int(wrong[0])
             raise ValueError(f"box {k} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
 
         dim = zone.dim
-        node_lo, node_hi = zone.lo[None], zone.hi[None]   # the level's nodes, in id order
-        members = np.arange(len(boxes))                   # boxes not yet at a leaf
-        at = np.zeros(len(boxes), dtype=np.intp)          # the level node holding each member
-        levels, first = [], 0                             # per level: dims, cuts, left, right, leaf
+        # bounds are held one row per dimension and one column per node or box,
+        # so that every elementwise step and per-dimension loop runs over a long
+        # contiguous row
+        node_lo, node_hi = zone.lo[:, None], zone.hi[:, None]   # the level's nodes, in id order
+        members = np.arange(len(boxes))                         # boxes not yet at a leaf
+        m_lo, m_hi = lo.T.copy(), hi.T.copy()                   # their bounds
+        at = np.zeros(len(boxes), dtype=np.intp)                # the level node holding each member
+        levels = []                                             # per level: dims, cuts, leaf
         while members.size:
-            n = node_lo.shape[0]
-            rows = np.arange(n)
+            n = node_lo.shape[1]
             count = np.bincount(at, minlength=n)
             if not count.all():
                 k = int(np.argmin(count))
-                raise ValueError(f"gap: no box covers [{node_lo[k].tolist()}, {node_hi[k].tolist()}]")
-            single = count[at] == 1
-            unfilled = single & np.any((lo[members] != node_lo[at]) | (hi[members] != node_hi[at]), axis=1)
-            if unfilled.any():
-                i = int(np.argmax(unfilled))
+                raise ValueError(f"gap: no box covers [{node_lo[:, k].tolist()}, {node_hi[:, k].tolist()}]")
+            single = count.take(at) == 1                        # a node's one box is its leaf and must fill it
+            s = single.nonzero()[0]
+            leaf_at = at.take(s)
+            lo_off = m_lo.take(s, 1) != node_lo.take(leaf_at, 1)
+            hi_off = m_hi.take(s, 1) != node_hi.take(leaf_at, 1)
+            if lo_off.any() or hi_off.any():
+                i = int(s[np.argmax(lo_off.any(axis=0) | hi_off.any(axis=0))])
                 k = int(members[i])
                 raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
-                                 f"[{node_lo[at[i]].tolist()}, {node_hi[at[i]].tolist()}]")
-            mid = 0.5 * (node_lo + node_hi)
-            straddled = np.zeros((n, dim), dtype=bool)
-            np.logical_or.at(straddled, at, (lo[members] < mid[at]) & (mid[at] < hi[members]))
-            # a cut must shrink both children, or a float-limit node would split forever
-            free = ~straddled & (node_lo < mid) & (mid < node_hi)
-            inner = count > 1
-            if (inner & ~free.any(axis=1)).any():
-                k = int(np.argmax(inner & ~free.any(axis=1)))
-                stuck = members[at == k]
-                _reject(boxes, stuck, lo[stuck], hi[stuck], node_lo[k], node_hi[k])
-            d = np.argmax(free, axis=1)                   # the lowest free dimension
-            cut = mid[rows, d]
-            pair = 2 * np.cumsum(inner) - 2               # an inner node's lower child in the next level
+                                 f"[{node_lo[:, at[i]].tolist()}, {node_hi[:, at[i]].tolist()}]")
             leaf = np.full(n, -1, dtype=np.intp)
-            leaf[at[single]] = members[single]
-            # a leaf's children are itself
-            levels.append((d, cut, np.where(inner, first + n + pair, first + rows),
-                           np.where(inner, first + n + pair + 1, first + rows), leaf))
-            lower_hi, upper_lo = node_hi.copy(), node_lo.copy()
-            lower_hi[rows, d] = cut
-            upper_lo[rows, d] = cut
-            node_lo = np.stack([node_lo, upper_lo], axis=1)[inner].reshape(-1, dim)
-            node_hi = np.stack([lower_hi, node_hi], axis=1)[inner].reshape(-1, dim)
-            members, at = members[~single], at[~single]
-            at = pair[at] + (lo[members, d[at]] >= cut[at])
-            first += n
-        self.dims, self.cuts, left, right, self.leaf = (np.concatenate(a) for a in zip(*levels))
+            leaf[leaf_at] = members.take(s)
+            rest = (~single).nonzero()[0]
+            members, at, m_lo, m_hi = members.take(rest), at.take(rest), m_lo.take(rest, 1), m_hi.take(rest, 1)
+            mid = 0.5 * (node_lo + node_hi)
+            mid_at = mid.take(at, 1)
+            inner = count > 1
+            # a cut must shrink both children, or a float-limit node would split forever
+            free = (node_lo < mid) & (mid < node_hi) & inner
+            below = m_lo < mid_at
+            cross = below & (mid_at < m_hi)
+            d = np.zeros(n, dtype=np.intp)                      # the lowest free dimension, 0 at a leaf
+            for j in range(dim - 1, -1, -1):
+                free[j][at[cross[j]]] = False
+                d[free[j]] = j
+            stuck = inner & ~free.any(axis=0)
+            if stuck.any():
+                k = int(np.argmax(stuck))
+                stuck = members[at == k]
+                _reject(boxes, stuck, lo[stuck], hi[stuck], node_lo[:, k], node_hi[:, k])
+            cut = mid[d, np.arange(n)]
+            levels.append((d, cut, leaf))
+            # the i-th inner node's children are the next level's nodes 2 i and 2 i + 1
+            k = inner.nonzero()[0]
+            kid = np.arange(0, 2 * k.size, 2)
+            node_lo, node_hi = node_lo.take(k.repeat(2), 1), node_hi.take(k.repeat(2), 1)
+            dk = d.take(k)
+            node_hi[dk, kid] = node_lo[dk, kid + 1] = cut.take(k)   # lower child's hi, upper child's lo
+            pair = np.empty(n, dtype=np.intp)
+            pair[k] = kid
+            at = pair.take(at) + ~below[d.take(at), np.arange(at.size)]  # the upper child holds boxes above the cut
+        self.dims, self.cuts, self.leaf = (np.concatenate(a) for a in zip(*levels))
         self._level = np.repeat(np.arange(len(levels)), [d.size for d, *_ in levels])  # each node's level
-        self._left_right = np.stack([left, right], axis=1)
+        # nodes are numbered level by level, so the i-th inner node's children are 2 i + 1 and 2 i + 2;
+        # a leaf's children are itself
+        inner = self.leaf < 0
+        left = np.where(inner, 2 * np.cumsum(inner) - 1, np.arange(inner.size))
+        self._left_right = np.stack([left, left + inner], axis=1)
         # walk(range(n_boxes)): each leaf is a stop, and the last level holds only leaves
         self.box_walk = Walk(self._left_right.reshape(-1), self.leaf, len(levels) - 1)
 

@@ -112,8 +112,10 @@ class HybridModel:
         ids = self.tree.locate(states, self.region_walk)
         out = ids < 0
         if out.any():
-            x = states[out][:, None, :]
-            gap = np.maximum(np.maximum(self.tree.lo - x, x - self.tree.hi), 0.0).max(axis=2)
+            x, lo, hi = states[out], self.tree.lo, self.tree.hi
+            gap = np.zeros((x.shape[0], lo.shape[0]))  # to every box, one dimension at a time
+            for j in range(x.shape[1]):
+                np.maximum(gap, np.maximum(lo[:, j] - x[:, j, None], x[:, j, None] - hi[:, j]), out=gap)
             # boxes are in region order, so the first nearest box has the lowest id
             ids[out] = self.box_owner[np.argmin(gap, axis=1)]
         return ids, out

@@ -10,8 +10,12 @@ split tree, the enclosure oracle pushes one box at a time through one
 layer at a time, the transition oracle intersects cells with region boxes
 one pair at a time and encloses each piece with that oracle, the trace
 oracle re-gathers the live runs from the full arrays at every step where
-the sampler carries only the live rows, the witness oracle reads the steps a simulation took straight off the sampled traces,
-and the CTL oracle evaluates path semantics by depth-first graph walks
+the sampler carries only the live rows, the tree oracle builds a `BoxTree`'s
+tables by per-level scatters over every box not yet at a leaf where the
+tree drops finished boxes and reads one column at a time, the DOT oracle
+formats one line per edge where the export joins each row's successors,
+the witness oracle reads the steps a simulation took straight off the
+sampled traces, and the CTL oracle evaluates path semantics by depth-first graph walks
 instead of boolean fixpoint iteration.
 """
 
@@ -250,6 +254,101 @@ def sequential_traces(model, L: int, M: int, seed: int):
         x[staying] = nxt[inside]
 
     return TraceSet(states, lengths, exited, inputs)
+
+
+def level_tree(zone, boxes):
+    """The tables of `BoxTree(zone, boxes)` built level by level with a
+    `np.logical_or.at` scatter of straddling boxes onto their nodes and
+    axis-1 reductions over every box not yet at a leaf, re-gathering each
+    box's bounds at every level: (dims, cuts, left, right, leaf), a leaf's
+    children being itself. Raises ValueError with the texts BoxTree raises."""
+    boxes = list(boxes)
+    if not boxes:
+        raise ValueError("no boxes to index")
+    if {b.lo.shape for b in boxes} != {(zone.dim,)}:
+        raise ValueError(f"every box must have the zone's dimension {zone.dim}")
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
+    outside = np.nonzero(np.any(lo < zone.lo, axis=1) | np.any(hi > zone.hi, axis=1))[0]
+    if outside.size:
+        k = int(outside[0])
+        raise ValueError(f"box {k} {boxes[k]!r} extends outside the zone {zone!r}")
+    closed = np.array([b.closed_hi for b in boxes])
+    wrong = np.nonzero(np.any(closed != ((hi == zone.hi) & zone.closed_hi), axis=1))[0]
+    if wrong.size:
+        k = int(wrong[0])
+        raise ValueError(f"box {k} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
+
+    dim = zone.dim
+    node_lo, node_hi = zone.lo[None], zone.hi[None]
+    members = np.arange(len(boxes))
+    at = np.zeros(len(boxes), dtype=np.intp)
+    levels, first = [], 0
+    while members.size:
+        n = node_lo.shape[0]
+        rows = np.arange(n)
+        count = np.bincount(at, minlength=n)
+        if not count.all():
+            k = int(np.argmin(count))
+            raise ValueError(f"gap: no box covers [{node_lo[k].tolist()}, {node_hi[k].tolist()}]")
+        single = count[at] == 1
+        unfilled = single & np.any((lo[members] != node_lo[at]) | (hi[members] != node_hi[at]), axis=1)
+        if unfilled.any():
+            i = int(np.argmax(unfilled))
+            k = int(members[i])
+            raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
+                             f"[{node_lo[at[i]].tolist()}, {node_hi[at[i]].tolist()}]")
+        mid = 0.5 * (node_lo + node_hi)
+        straddled = np.zeros((n, dim), dtype=bool)
+        np.logical_or.at(straddled, at, (lo[members] < mid[at]) & (mid[at] < hi[members]))
+        free = ~straddled & (node_lo < mid) & (mid < node_hi)
+        inner = count > 1
+        if (inner & ~free.any(axis=1)).any():
+            k = int(np.argmax(inner & ~free.any(axis=1)))
+            stuck = members[at == k]
+            _reject_node(boxes, stuck, lo[stuck], hi[stuck], node_lo[k], node_hi[k])
+        d = np.argmax(free, axis=1)
+        cut = mid[rows, d]
+        pair = 2 * np.cumsum(inner) - 2
+        leaf = np.full(n, -1, dtype=np.intp)
+        leaf[at[single]] = members[single]
+        levels.append((d, cut, np.where(inner, first + n + pair, first + rows),
+                       np.where(inner, first + n + pair + 1, first + rows), leaf))
+        lower_hi, upper_lo = node_hi.copy(), node_lo.copy()
+        lower_hi[rows, d] = cut
+        upper_lo[rows, d] = cut
+        node_lo = np.stack([node_lo, upper_lo], axis=1)[inner].reshape(-1, dim)
+        node_hi = np.stack([lower_hi, node_hi], axis=1)[inner].reshape(-1, dim)
+        members, at = members[~single], at[~single]
+        at = pair[at] + (lo[members, d[at]] >= cut[at])
+        first += n
+    return tuple(np.concatenate(a) for a in zip(*levels))
+
+
+def _reject_node(boxes, members, lo, hi, node_lo, node_hi):
+    for a in range(len(members)):
+        inter = np.minimum(hi[a], hi[a + 1:]) > np.maximum(lo[a], lo[a + 1:])
+        hit = np.nonzero(np.all(inter, axis=1))[0]
+        if hit.size:
+            i, j = int(members[a]), int(members[a + 1 + hit[0]])
+            raise ValueError(f"overlap: boxes {i} {boxes[i]!r} and {j} {boxes[j]!r} intersect")
+    raise ValueError(f"not a bisection tiling: no midpoint cut of [{node_lo.tolist()}, {node_hi.tolist()}] "
+                     f"separates boxes {members.tolist()}")
+
+
+def edge_dot(ts) -> str:
+    """`export_dot` with one f-string per edge over the relation's nonzero pairs."""
+    lines = ["digraph transition_system {", "  rankdir=LR;"]
+    for i in range(1, ts.n_cells + 1):
+        attrs = ["shape=box"]
+        if ts.initial == i:
+            attrs.append("peripheries=2")
+        lines.append(f"  Q{i} [{', '.join(attrs)}];")
+    lines.append("  EXIT [shape=doublecircle];")
+    labels = [ts.state_label(i) for i in range(1, ts.n_states + 1)]
+    lines += [f"  {labels[i]} -> {labels[j]};" for i, j in zip(*np.nonzero(ts.relation))]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def pairwise_transitions(model, cells) -> np.ndarray:

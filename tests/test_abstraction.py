@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import time
@@ -25,13 +26,14 @@ from dynabs import (
 )
 from dynabs.abstraction import TraceSet
 
-from oracles import observed_transitions, pairwise_transitions, sequential_traces
+from oracles import edge_dot, observed_transitions, pairwise_transitions, sequential_traces
 
 from synthdata import (
     alternating_slab_model,
     constant_net,
     fitted_swirl_model,
     malformed_ts_texts,
+    random_transition_system,
     single_region_model,
     split_region_model,
     tiny_transition_system,
@@ -319,7 +321,7 @@ def test_export_dot_single_cell_golden():
         "  EXIT -> EXIT;\n"
         "}\n"
     )
-    assert export_dot(ts) == expected
+    assert export_dot(ts) == expected == edge_dot(ts)
 
 
 def test_export_dot_two_cells_golden():
@@ -339,6 +341,23 @@ def test_export_dot_two_cells_golden():
         "}\n"
     )
     assert export_dot(ts) == expected
+
+
+@pytest.mark.parametrize("with_initial", [False, True])
+def test_export_dot_equals_the_per_edge_rendering(with_initial):
+    """The row-joined export is byte for byte the DOT of one line per
+    nonzero (i, j) of the relation: on random relations over up to 12 cells
+    and on a fully dense one (every cell reaches every state)."""
+    rng = np.random.default_rng(17)
+    systems = [random_transition_system(rng, max_cells=12) for _ in range(40)]
+    n = 9
+    dense = np.ones((n + 1, n + 1), dtype=bool)
+    dense[n, :n] = False
+    systems.append(tiny_transition_system(dense, n))
+    for ts in systems:
+        if with_initial:
+            ts = dataclasses.replace(ts, initial=int(rng.integers(1, ts.n_cells + 1)))
+        assert export_dot(ts) == edge_dot(ts)
 
 
 def test_transition_system_json_round_trip(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dynabs import Box, BoxTree, WorkingZone, geometry, membership_matrix
 from dynabs.data import boxes_from_docs
 
+from oracles import level_tree
 from synthdata import constant_net, split_region_model
 
 
@@ -351,6 +352,16 @@ def test_bisect_children_are_valid_read_only_boxes():
         tiny.bisect(0)
 
 
+def raises_as_level_tree(zone, boxes, match: str) -> None:
+    """BoxTree raises ValueError matching `match`, with the text of the
+    level-by-level reference build."""
+    with pytest.raises(ValueError, match=match) as got:
+        BoxTree(zone, boxes)
+    with pytest.raises(ValueError) as want:
+        level_tree(zone, boxes)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 40))
 def test_tree_rejects_guillotine_tilings_cut_off_the_midpoint(seed, dim, cuts):
@@ -360,8 +371,28 @@ def test_tree_rejects_guillotine_tilings_cut_off_the_midpoint(seed, dim, cuts):
     boxes = guillotine_tiling(rng, zone, cuts)
     probes = rng.uniform(zone.lo, zone.hi, size=(300, dim))
     assert (membership_matrix(boxes, probes).sum(axis=1) == 1).all()
-    with pytest.raises(ValueError, match="not a bisection tiling"):
-        BoxTree(zone, boxes)
+    raises_as_level_tree(zone, boxes, "not a bisection tiling")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 60))
+def test_tree_tables_equal_the_level_by_level_build(seed, dim, splits):
+    """The tree's dims, cuts, child table and leaves, and so its box walk,
+    are those of the reference build that scatters every box onto its node."""
+    rng = np.random.default_rng(seed)
+    zone, leaves = random_bisection_tiling(rng, dim, splits)
+    boxes = [leaves[k] for k in rng.permutation(len(leaves))]
+    tree = BoxTree(zone, boxes)
+    dims, cuts, left, right, leaf = level_tree(zone, boxes)
+    for got, want in [(tree.dims, dims), (tree.cuts, cuts), (tree.leaf, leaf),
+                      (tree.box_walk.kids, np.stack([left, right], axis=1).reshape(-1))]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(tree.box_walk.label, leaf)
+    level, depth = np.array([0]), 0  # the box walk descends to the deepest leaf
+    while (leaf[level] < 0).any():
+        inner = level[leaf[level] < 0]
+        level, depth = np.concatenate([left[inner], right[inner]]), depth + 1
+    assert tree.box_walk.depth == depth
 
 
 def test_tree_cuts_bisection_tilings_at_midpoints():
@@ -377,18 +408,12 @@ def test_tree_cuts_bisection_tilings_at_midpoints():
 def test_tree_rejects_bad_tilings():
     zone = WorkingZone(Box([0.0, 0.0], [2.0, 2.0])).omega
     left, right = zone.bisect(0)
-    with pytest.raises(ValueError, match="gap"):
-        BoxTree(zone, [left])
-    with pytest.raises(ValueError, match="gap"):
-        BoxTree(zone, [left, *right.bisect(1)[:1]])
-    with pytest.raises(ValueError, match="overlap"):
-        BoxTree(zone, [left, right, Box([0.5, 0.5], [1.5, 1.5])])
-    with pytest.raises(ValueError, match="overlap: boxes 1 .* and 2"):
-        BoxTree(zone, [left, right, right])  # found below the root
-    with pytest.raises(ValueError, match="outside the zone"):
-        BoxTree(zone, [left, Box([1.0, 0.0], [3.0, 2.0], [True, True])])
-    with pytest.raises(ValueError, match="closed"):
-        BoxTree(zone, [Box(left.lo, left.hi, [True, True]), right])
+    raises_as_level_tree(zone, [left], "gap")
+    raises_as_level_tree(zone, [left, *right.bisect(1)[:1]], "gap")
+    raises_as_level_tree(zone, [left, right, Box([0.5, 0.5], [1.5, 1.5])], "overlap")
+    raises_as_level_tree(zone, [left, right, right], "overlap: boxes 1 .* and 2")  # found below the root
+    raises_as_level_tree(zone, [left, Box([1.0, 0.0], [3.0, 2.0], [True, True])], "outside the zone")
+    raises_as_level_tree(zone, [Box(left.lo, left.hi, [True, True]), right], "closed")
     # a pinwheel tiles the square, but no single cut separates its boxes
     pinwheel = [
         Box([0.0, 0.0], [1.5, 0.5]),
@@ -399,5 +424,4 @@ def test_tree_rejects_bad_tilings():
     ]
     grid = np.stack(np.meshgrid(np.linspace(0, 2, 9), np.linspace(0, 2, 9)), axis=-1).reshape(-1, 2)
     assert (membership_matrix(pinwheel, grid).sum(axis=1) == 1).all()
-    with pytest.raises(ValueError, match="not a bisection tiling"):
-        BoxTree(zone, pinwheel)
+    raises_as_level_tree(zone, pinwheel, "not a bisection tiling")
