@@ -31,17 +31,20 @@ class TraceSet:
 
     Run i took `lengths[i]` steps: `states[i, k]` is its state after k steps
     and `inputs[i, k]` the input applied at step k, both NaN past the run's
-    end. `exited` marks runs whose next state left the zone; the out-of-zone
-    state itself is not stored.
+    end. A run that took fewer than M steps stopped because its next state
+    left the zone; the out-of-zone state itself is not stored.
     """
 
     states: np.ndarray            # (L, M + 1, n_x)
     lengths: np.ndarray           # (L,)
-    exited: np.ndarray            # (L,) bool
     inputs: np.ndarray | None     # (L, M, n_u) when the model takes inputs
 
     def __len__(self) -> int:
         return self.states.shape[0]
+
+    @property
+    def exited(self) -> np.ndarray:  # (L,) bool: whether each run's next state left the zone
+        return self.lengths < self.states.shape[1] - 1
 
     @property
     def visited(self) -> np.ndarray:
@@ -54,11 +57,11 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
 
     Inputs (when the model takes any) are drawn uniformly over the input
     bounds, L of them at every step until every trace has exited. A trace
-    whose successor leaves the zone stops there and is marked exited. A step
-    that is not finite (the model overflows on a state of the zone) raises
-    FloatingPointError naming the state and its region. Stacked arrays too
-    large to allocate raise ValueError naming their size. Fully deterministic
-    for a given seed.
+    whose successor leaves the zone stops there, after fewer than M steps. A
+    step that is not finite (the model overflows on a state of the zone)
+    raises FloatingPointError naming the state and its region. Stacked arrays
+    too large to allocate raise ValueError naming their size. Fully
+    deterministic for a given seed.
     """
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
@@ -75,10 +78,9 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         raise ValueError(f"traces {L} x trace_length {M} need {need} bytes of stacked trace arrays, "
                          "more than can be allocated") from None
     states[:, 0] = x
-    lengths = np.zeros(L, dtype=int)
-    exited = np.zeros(L, dtype=bool)
+    lengths = np.full(L, M)  # until a run exits
     live = np.arange(L)  # the traces still in the zone; x holds their states
-    ids, _ = model.locate_batch(x)  # and ids their regions
+    ids = model.locate_batch(x)  # and ids their regions
     ib = model.zone.input_bounds
 
     for t in range(M):
@@ -92,12 +94,10 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
             bad = int(np.argmin(np.isfinite(nxt).all(axis=1)))
             raise FloatingPointError(f"model step from state {x[bad].tolist()} in region {int(ids[bad])} is not "
                                      f"finite: {nxt[bad].tolist()}")
-        ids, out = model.locate_batch(nxt)  # the walk's zone test is the one exit test
-        if out.any():
-            inside = ~out
-            leaving = live[out]
-            exited[leaving] = True
-            lengths[leaving] = t
+        ids = model.locate_batch(nxt)
+        inside = ids >= 0  # -1 outside the zone: the one exit test
+        if not inside.all():
+            lengths[live[~inside]] = t
             live, nxt, ids = live[inside], nxt[inside], ids[inside]
             if n_u > 0:
                 u = u[inside]
@@ -105,9 +105,8 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         if n_u > 0:
             inputs[live, t] = u
         x = nxt
-    lengths[live] = M  # live is empty after an early break
 
-    return TraceSet(states, lengths, exited, inputs)
+    return TraceSet(states, lengths, inputs)
 
 
 def build_cells(zone: WorkingZone, traces: TraceSet, epsilon: float) -> list[Box]:

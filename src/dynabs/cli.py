@@ -29,6 +29,8 @@ from .geometry import Box
 from .hybrid import HybridModel, hybrid_mse, merge_and_learn  # noqa: F401
 from .partition import me_partition
 
+MAX_STEPS = 10**6  # the most steps of one run: the bound of trace_length and of simulate's --steps
+
 
 class UsageError(ValueError):
     """Bad configuration or arguments (exit code 2)."""
@@ -71,7 +73,7 @@ class PipelineConfig:
     hidden_count: int = _key(20, int, "neurons per sub-network", at_least=1, at_most=4096)
     reference_hidden_count: int = _key(200, int, "neurons of the single reference network", at_least=1, at_most=4096)
     traces: int = _key(400, int, "number of traces sampled for abstraction", at_least=1, at_most=10**6)
-    trace_length: int = _key(400, int, "steps per sampled trace", at_least=1, at_most=10**6)
+    trace_length: int = _key(400, int, "steps per sampled trace", at_least=1, at_most=MAX_STEPS)
     seed: int = _key(0, int, "random seed", at_least=0)
     out_dir: str = _key(".", str, "artifact directory")
 
@@ -156,7 +158,7 @@ def _fit_model(cfg: PipelineConfig, data: Dataset):
     zone = _zone_for(cfg, data)
     parts = me_partition(zone, data.states, cfg.epsilon)
     model = merge_and_learn(parts, data, hidden_count=cfg.hidden_count, seed=cfg.seed, gamma=cfg.gamma)
-    ids, _ = model.locate_batch(data.states)
+    ids = model.locate_batch(data.states)
     err = model.predict_located(data.z, ids) - data.y
     sq_err = np.sum(err * err, axis=1)
     train_mse = float(np.mean(sq_err))
@@ -273,8 +275,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.steps < 0:  # before the inputs are drawn, whose shape it gives
-        raise UsageError("steps must be >= 0")
+    if not 0 <= args.steps <= MAX_STEPS:  # before the inputs are drawn, whose shape it gives, or any step
+        raise UsageError("steps must be >= 0" if args.steps < 0 else f"steps must be <= {MAX_STEPS}, got {args.steps}")
     model = HybridModel.load(args.model)
     x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
     inputs = None

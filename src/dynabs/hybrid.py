@@ -101,24 +101,13 @@ class HybridModel:
     def network_of(self, region_id: int) -> ElmNetwork:
         return self.networks[region_id - 1]
 
-    def locate_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized locate: (region ids, out-of-zone mask) for state rows.
+    def locate_batch(self, states: np.ndarray) -> np.ndarray:
+        """Region id of each state row, -1 for a row outside the zone.
 
         The tree walk stops at the first subtree whose boxes all belong to
-        one region. Rows outside the zone fall back to the region nearest by
-        L-infinity distance, ties to the lowest id.
+        one region.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        ids = self.tree.locate(states, self.region_walk)
-        out = ids < 0
-        if out.any():
-            x, lo, hi = states[out], self.tree.lo, self.tree.hi
-            gap = np.zeros((x.shape[0], lo.shape[0]))  # to every box, one dimension at a time
-            for j in range(x.shape[1]):
-                np.maximum(gap, np.maximum(lo[:, j] - x[:, j, None], x[:, j, None] - hi[:, j]), out=gap)
-            # boxes are in region order, so the first nearest box has the lowest id
-            ids[out] = self.box_owner[np.argmin(gap, axis=1)]
-        return ids, out
+        return self.tree.locate(states, self.region_walk)
 
     def predict_located(self, z: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Batch step for pre-located samples: row i of z through the network
@@ -142,17 +131,27 @@ class HybridModel:
         return out
 
     def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
-        """One step of x(k+1) = net[region(x(k))]([x(k); u(k)]) for each state row."""
+        """One step of x(k+1) = net[region(x(k))]([x(k); u(k)]) for each state
+        row; a row outside the zone steps through the region nearest to it by
+        L-infinity distance, ties to the lowest id."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         z = states if inputs is None else np.concatenate([states, np.atleast_2d(inputs)], axis=1)
-        ids, _ = self.locate_batch(states)
+        ids = self.locate_batch(states)
+        out = ids < 0
+        if out.any():
+            x, lo, hi = states[out], self.tree.lo, self.tree.hi
+            gap = np.zeros((x.shape[0], lo.shape[0]))  # to every box, one dimension at a time
+            for j in range(x.shape[1]):
+                np.maximum(gap, np.maximum(lo[:, j] - x[:, j, None], x[:, j, None] - hi[:, j]), out=gap)
+            # boxes are in region order, so the first nearest box has the lowest id
+            ids[out] = self.box_owner[np.argmin(gap, axis=1)]
         return self.predict_located(z, ids)
 
     def simulate(self, x0, inputs=None, steps: int = 0) -> SimResult:
         """Iterate the model for `steps` steps from x0, one `step` call each.
 
-        Out-of-zone states are flagged (nearest-region fallback keeps the
-        trajectory going); a non-finite state truncates the trace. A
+        Out-of-zone states are flagged (the nearest-region fallback of `step`
+        keeps the trajectory going); a non-finite state truncates the trace. A
         non-finite x0 raises ValueError naming the coordinate.
         """
         if steps < 0:
@@ -178,8 +177,8 @@ class HybridModel:
                 break
             trace.append(x)
         states = np.asarray(trace)
-        _, out = self.locate_batch(states)
-        return SimResult(states, np.nonzero(out)[0].tolist(), truncated=message is not None, message=message)
+        out = np.flatnonzero(self.locate_batch(states) < 0).tolist()
+        return SimResult(states, out, truncated=message is not None, message=message)
 
     def to_dict(self) -> dict:
         return {

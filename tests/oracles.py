@@ -224,7 +224,6 @@ def sequential_traces(model, L: int, M: int, seed: int):
     states[:, 0] = x
     inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
     lengths = np.zeros(L, dtype=int)
-    exited = np.zeros(L, dtype=bool)
     alive = np.ones(L, dtype=bool)
 
     for t in range(M):
@@ -239,13 +238,11 @@ def sequential_traces(model, L: int, M: int, seed: int):
         bad = np.nonzero(~np.isfinite(nxt).all(axis=1))[0]
         if bad.size:
             state = x[rows[bad[0]]]
-            region = int(model.locate_batch(state)[0][0])
+            region = int(model.locate_batch(state)[0])
             raise FloatingPointError(f"model step from state {state.tolist()} in region {region} is not finite: "
                                      f"{nxt[bad[0]].tolist()}")
         inside = model.zone.contains(nxt)
-        leaving = rows[~inside]
-        exited[leaving] = True
-        alive[leaving] = False
+        alive[rows[~inside]] = False
         staying = rows[inside]
         states[staying, t + 1] = nxt[inside]
         if n_u > 0:
@@ -253,7 +250,7 @@ def sequential_traces(model, L: int, M: int, seed: int):
         lengths[staying] = t + 1
         x[staying] = nxt[inside]
 
-    return TraceSet(states, lengths, exited, inputs)
+    return TraceSet(states, lengths, inputs)
 
 
 def level_tree(zone, boxes):

@@ -194,7 +194,7 @@ def test_build_cells_huge_epsilon_single_cell():
 
 def test_build_cells_two_cluster_traces_split_midline():
     pts = two_cluster_points(seed=11)
-    traces = TraceSet(pts[None], np.array([len(pts) - 1]), np.array([False]), None)
+    traces = TraceSet(pts[None], np.array([len(pts) - 1]), None)
     cells = build_cells(unit_zone(), traces, epsilon=0.05)
     assert len(cells) > 1
     # the first committed cut is the x1 midline: no cell crosses it

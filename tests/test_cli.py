@@ -11,7 +11,8 @@ import pytest
 
 import dynabs
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
-from dynabs.cli import main
+from dynabs.cli import MAX_STEPS, PipelineConfig, main
+from dynabs.hybrid import HybridModel, SimResult
 
 from oracles import sequential_merge
 from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model, single_region_model,
@@ -387,6 +388,27 @@ def test_simulate_rejects_negative_steps_with_or_without_inputs(tmp_path, capsys
     single_region_model(zone, constant_net([0.0, 0.0], zone.n_x + zone.n_u)).save(path)
     code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.1,0.2", "--steps", -1)
     assert (code, out, err) == (2, "", "error: steps must be >= 0\n")
+
+
+@pytest.mark.parametrize("input_bounds", [None, Box([-0.5], [0.5])])
+def test_simulate_bounds_steps_as_trace_length_before_drawing_or_stepping(tmp_path, capsys, monkeypatch,
+                                                                          input_bounds):
+    """10**12 steps used to fail drawing 7.28 TiB of inputs, or to run for
+    hours without inputs; above the bound nothing is drawn or stepped."""
+    zone = WorkingZone(Box([-1.0, -1.0], [1.0, 1.0]), input_bounds)
+    path = tmp_path / "model.json"
+    single_region_model(zone, constant_net([0.0, 0.0], zone.n_x + zone.n_u)).save(path)
+    assert MAX_STEPS == PipelineConfig.__dataclass_fields__["trace_length"].metadata["at_most"] == 10**6
+    for steps in (10**12, MAX_STEPS + 1):
+        code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.1,0.2", "--steps", steps)
+        assert (code, out, err) == (2, "", f"error: steps must be <= 1000000, got {steps}\n")
+    # the bound itself passes: the rollout is stubbed, since a million steps take a while
+    taken = []
+    monkeypatch.setattr(HybridModel, "simulate", lambda self, x0, inputs, steps: taken.append(
+        (steps, None if inputs is None else inputs.shape)) or SimResult(np.atleast_2d(x0), []))
+    code, _, err = run(capsys, "simulate", "--model", path, "--x0", "0.1,0.2", "--steps", MAX_STEPS)
+    assert (code, err) == (0, "")
+    assert taken == [(MAX_STEPS, None if input_bounds is None else (MAX_STEPS, 1))]
 
 
 def test_each_command_offers_only_the_flags_it_reads(dataset_csv, tmp_path, capsys):

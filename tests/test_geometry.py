@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,8 +112,8 @@ def test_bisect_zone_keeps_closure_on_outer_face():
 
 
 def test_distance_linf():
-    """Out-of-zone points go to the region nearest by L-infinity distance,
-    ties to the lowest id."""
+    """Out-of-zone points step through the region nearest by L-infinity
+    distance, ties to the lowest id; each region's constant network names it."""
     model = split_region_model(WorkingZone(Box([0.0, 0.0], [1.0, 1.0])),
                                [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
     points = [
@@ -121,9 +123,8 @@ def test_distance_linf():
         [0.7, -0.3],  # max(0.2, 0.3) = 0.3 and 0.3: tie (L1 or L2 would pick region 2)
         [0.9, -0.3],  # max(0.4, 0.3) = 0.4 and 0.3
     ]
-    ids, out = model.locate_batch(points)
-    assert out.all()
-    assert ids.tolist() == [1, 2, 1, 1, 2]
+    assert model.locate_batch(points).tolist() == [-1] * 5
+    assert model.step(points).tolist() == [[0.1, 0.1], [0.9, 0.9], [0.1, 0.1], [0.1, 0.1], [0.9, 0.9]]
 
 
 def test_box_json_round_trip():
@@ -414,6 +415,10 @@ def test_tree_rejects_bad_tilings():
     raises_as_level_tree(zone, [left, right, right], "overlap: boxes 1 .* and 2")  # found below the root
     raises_as_level_tree(zone, [left, Box([1.0, 0.0], [3.0, 2.0], [True, True])], "outside the zone")
     raises_as_level_tree(zone, [Box(left.lo, left.hi, [True, True]), right], "closed")
+    # two slabs tile the unit square's left half, and no box meets its right half
+    unit = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
+    slabs = [Box([0.0, 0.0], [0.25, 1.0], [False, True]), Box([0.25, 0.0], [0.5, 1.0], [False, True])]
+    raises_as_level_tree(unit, slabs, re.escape("gap: no box covers [[0.5, 0.0], [1.0, 1.0]]"))
     # a pinwheel tiles the square, but no single cut separates its boxes
     pinwheel = [
         Box([0.0, 0.0], [1.5, 0.5]),

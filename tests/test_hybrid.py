@@ -121,10 +121,10 @@ def test_locate_inside_and_boundary_and_outside():
     model = split_region_model(zone, [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
 
     # the cut face [0.5, 0.5] belongs to the region whose lower edge it is;
-    # out-of-zone points fall back to the nearest region and raise the flag
-    ids, out = model.locate_batch([[0.2, 0.5], [0.7, 0.5], [0.5, 0.5], [1.3, 0.5], [-0.2, 0.5], [0.2, 0.2]])
-    assert ids.tolist() == [1, 2, 2, 2, 1, 1]
-    assert out.tolist() == [False, False, False, True, True, False]
+    # out-of-zone points are -1, and step takes them through the nearest region
+    x = [[0.2, 0.5], [0.7, 0.5], [0.5, 0.5], [1.3, 0.5], [-0.2, 0.5], [0.2, 0.2]]
+    assert model.locate_batch(x).tolist() == [1, 2, 2, -1, -1, 1]
+    assert model.step(x)[:, 0].tolist() == [0.1, 0.9, 0.9, 0.9, 0.1, 0.1]
 
 
 def test_step_single_region_equals_predict():
@@ -229,8 +229,8 @@ def test_training_samples_reproduce_owning_network():
     data = swirl_dataset(800, seed=3)
     parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e-6)
-    ids, out = model.locate_batch(data.states)
-    assert not out.any()
+    ids = model.locate_batch(data.states)
+    assert (ids > 0).all()
     stepped = model.step(data.states)
     for region in model.regions:
         rows = ids == region.id
@@ -320,8 +320,9 @@ def test_refit_is_deterministic():
 
 
 def test_locate_batch_equals_membership_reference():
-    """Tree lookup plus nearest-region fallback against brute-force membership
-    and a per-region distance scan, on box corners, cut faces and outside points."""
+    """Tree lookup against brute-force membership on box corners, cut faces
+    and outside points: the owner of the one box holding a point, else -1;
+    outside points step through the region a per-region distance scan names."""
     data = swirl_dataset(800, seed=4)
     parts = me_partition(swirl_zone(), data.states, epsilon=0.02)
     model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=1e-8)
@@ -336,13 +337,63 @@ def test_locate_batch_equals_membership_reference():
         rng.uniform(-1.0, 1.0, size=(2000, 2)),
         rng.uniform(-3.0, 3.0, size=(500, 2)),
     ])
-    ids, out = model.locate_batch(points)
     member = membership_matrix(boxes, points)
-    assert np.array_equal(out, ~member.any(axis=1))
-    assert np.array_equal(ids[~out], owner[member[~out].argmax(axis=1)])
-    for x, rid in zip(points[out], ids[out]):
-        nearest = min(model.regions, key=lambda r: (min(linf_distance(b, x) for b in r.boxes), r.id))
-        assert rid == nearest.id
+    inside = member.any(axis=1)
+    assert np.array_equal(model.locate_batch(points), np.where(inside, owner[member.argmax(axis=1)], -1))
+    outside = points[~inside]
+    assert np.array_equal(model.step(outside), model.predict_located(outside, nearest_regions(model, outside)))
+
+
+def nearest_regions(model, points) -> np.ndarray:
+    """Brute force: each point's region by L-infinity distance to its boxes,
+    ties to the lowest id."""
+    return np.array([min(model.regions, key=lambda r: (min(linf_distance(b, x) for b in r.boxes), r.id)).id
+                     for x in points], dtype=int)
+
+
+def points_around_the_zone(zone, rng, n: int = 400) -> np.ndarray:
+    """Rows outside the zone, rows on its faces and rows one ulp outside them."""
+    lo, hi = zone.omega.lo, zone.omega.hi
+    wide = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, zone.n_x))
+    face = rng.uniform(lo, hi, size=(n, zone.n_x))
+    k = rng.integers(zone.n_x, size=n)
+    upper = rng.random(n) < 0.5
+    face[np.arange(n), k] = np.where(upper, hi[k], lo[k])
+    beyond = face.copy()
+    beyond[np.arange(n), k] = np.nextafter(face[np.arange(n), k], np.where(upper, np.inf, -np.inf))
+    return np.concatenate([wide[~zone.contains(wide)], face, beyond])
+
+
+def test_step_takes_out_of_zone_rows_through_the_nearest_region():
+    """step against a per-region distance scan on rows outside the zone and on
+    and just beyond its faces. Alternating slabs tie often (a row above the
+    zone is often as near to a neighbouring slab as to the one below it), and
+    their constant networks name the region stepped through; on a fitted swirl
+    model the rows step with the bits of their brute-force region."""
+    rng = np.random.default_rng(8)
+    slabs = alternating_slab_model(unit_zone(), [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    x = points_around_the_zone(slabs.zone, rng)
+    want = nearest_regions(slabs, x)
+    assert np.array_equal(np.where(slabs.step(x)[:, 0] == 0.1, 1, 2), want)
+    assert (want == 1).any() and (want == 2).any()
+    data = swirl_dataset(800, seed=4)
+    model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=10, seed=0, gamma=1e-8)
+    x = points_around_the_zone(model.zone, rng)
+    want = nearest_regions(model, x)
+    assert np.unique(want).size > 1
+    assert np.array_equal(model.step(x), model.predict_located(x, want))
+
+
+def test_locate_batch_is_minus_one_exactly_where_the_zone_test_fails():
+    data = swirl_dataset(800, seed=4)
+    model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=10, seed=0, gamma=1e-8)
+    rng = np.random.default_rng(9)
+    x = np.concatenate([points_around_the_zone(model.zone, rng), rng.uniform(-1.0, 1.0, size=(400, 2)),
+                        [[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [0.0, -np.inf]]])
+    ids = model.locate_batch(x)
+    inside = model.zone.contains(x)
+    assert np.array_equal(ids < 0, ~inside) and (ids[inside] >= 1).all() and (ids[~inside] == -1).all()
+    assert inside.sum() > 400 and (~inside).sum() > 400
 
 
 def test_grouped_step_gives_each_region_the_bits_of_its_rows_alone():
@@ -350,9 +401,9 @@ def test_grouped_step_gives_each_region_the_bits_of_its_rows_alone():
     row has the bits of predict_batch over the rows of its region."""
     data = swirl_dataset(800, seed=4)
     model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=10, seed=0, gamma=1e-8)
-    z = np.random.default_rng(6).uniform(-1.2, 1.2, size=(3000, 2))
-    ids, _ = model.locate_batch(z)
-    assert np.unique(ids).size == model.n_regions > 1
+    z = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3000, 2))
+    ids = model.locate_batch(z)
+    assert np.unique(ids).size == model.n_regions > 1 and (ids > 0).all()
     out = model.predict_located(z, ids)
     for rid in range(1, model.n_regions + 1):
         rows = ids == rid
@@ -363,8 +414,9 @@ def test_grouped_step_gives_each_region_the_bits_of_its_rows_alone():
 def test_region_walk_of_a_single_region_model_takes_no_level():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
     assert model.region_walk.depth == 0
-    ids, out = model.locate_batch([[0.2, 0.7], [1.0, 1.0], [1.5, 0.5], [np.nan, 0.5]])
-    assert ids.tolist() == [1, 1, 1, 1] and out.tolist() == [False, False, True, True]
+    x = [[0.2, 0.7], [1.0, 1.0], [1.5, 0.5], [np.nan, 0.5]]
+    assert model.locate_batch(x).tolist() == [1, 1, -1, -1]
+    assert model.step(x[:3]).tolist() == [[0.5, 0.5]] * 3  # a NaN row steps to NaN even through a constant map
 
 
 def test_region_walk_where_no_two_sibling_boxes_share_a_region():
@@ -375,17 +427,17 @@ def test_region_walk_where_no_two_sibling_boxes_share_a_region():
     boxes = [b for r in model.regions for b in r.boxes]
     owner = np.array([r.id for r in model.regions for _ in r.boxes])
     x = np.concatenate([np.stack([b.lo for b in boxes]), np.random.default_rng(2).uniform(0.0, 1.0, (500, 2))])
-    ids, out = model.locate_batch(x)
+    ids = model.locate_batch(x)
     member = membership_matrix(boxes, x)
-    assert not out.any() and np.array_equal(ids, owner[member.argmax(axis=1)])
+    assert np.array_equal(ids, owner[member.argmax(axis=1)])
     assert np.array_equal(model.step(x), np.where((ids == 1)[:, None], [0.1, 0.1], [0.9, 0.9]))
 
 
 def test_zero_rows_step_locate_and_predict():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]), input_bounds=Box([-1.0], [1.0]))
     model = single_region_model(zone, init_elm(3, 2, 4, seed=0))
-    ids, out = model.locate_batch(np.zeros((0, 2)))
-    assert ids.shape == out.shape == (0,)
+    ids = model.locate_batch(np.zeros((0, 2)))
+    assert ids.shape == (0,)
     assert model.predict_located(np.zeros((0, 3)), ids).shape == (0, 2)
     assert model.step(np.zeros((0, 2)), np.zeros((0, 1))).shape == (0, 2)
 
@@ -448,7 +500,7 @@ def test_merged_regions_ship_their_certified_network(seed):
     data = swirl_dataset(4000, seed=seed, twist=0.6)
     parts = me_partition(swirl_zone(), data.states, epsilon=0.005)
     model = merge_and_learn(parts, data, hidden_count=20, seed=seed, gamma=gamma)
-    ids, _ = model.locate_batch(data.states)
+    ids = model.locate_batch(data.states)
     merged = [r for r in model.regions if len(r.boxes) > 1]
     assert merged
     for region in merged:

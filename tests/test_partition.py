@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynabs import Box, WorkingZone, me_partition, membership_matrix
+from dynabs import Box, BoxTree, WorkingZone, me_partition, membership_matrix
 
-from dynabs.partition import xlogx_table
+from dynabs.partition import MIN_SIDE_FRACTION, xlogx_table
 
 from oracles import shannon_entropy, widest_first_partition, xlogx
 from synthdata import two_cluster_dataset, unit_zone
@@ -183,3 +183,52 @@ def test_zero_epsilon_commits_exactly_the_splits_that_separate_samples():
         assert any(0 in a and 1 in a for a in parts.assignments)
         probes = rng.uniform(-1.0, 1.0, size=(2000, dim))
         assert (membership_matrix(parts.boxes, probes).sum(axis=1) == 1).all()
+
+
+def frozen_untested(parts) -> list[int]:
+    """Tiling positions of the boxes kept without a tested split: the sliver
+    floor and midpoint collapse freeze a box before its split is logged."""
+    rejected = {i for i, _, _, committed in parts.split_log if not committed}
+    return [k for k in range(len(parts)) if k not in rejected]
+
+
+def assert_exact_tiling(parts, pts) -> None:
+    member = membership_matrix(parts.boxes, pts)
+    assert (member.sum(axis=1) == 1).all()
+    for k, idx in enumerate(parts.assignments):
+        assert np.array_equal(np.sort(idx), np.flatnonzero(member[:, k]))
+    BoxTree(parts.zone.omega, parts.boxes)  # raises unless the boxes are a bisection tiling
+
+
+def test_sliver_floor_freezes_a_box_every_split_of_which_separates_samples():
+    """Points 2^-k pile up at 0, so each midpoint split of the box holding
+    them leaves samples in both halves: only the resolution floor stops it,
+    at side 2^-29 = 1.86e-9, below 1e-9 of the zone's extent 2."""
+    zone = WorkingZone(Box([-1.0], [1.0]))
+    pts = np.array([2.0 ** -k for k in range(1, 60)] + [-0.5])[:, None]
+    parts = me_partition(zone, pts, 0.0)
+    assert len(parts) == 31
+    assert_exact_tiling(parts, pts)
+    frozen = frozen_untested(parts)  # the box of 30 points and its upper neighbour of one, as narrow
+    assert frozen == [1, 2] and [parts.assignments[k].size for k in frozen] == [30, 1]
+    assert parts.boxes[1].lo[0] == 0.0 and parts.boxes[1].hi[0] == 2.0 ** -29
+    for k in frozen:
+        assert (parts.boxes[k].sides / zone.omega.sides).max() < MIN_SIDE_FRACTION
+
+
+def test_midpoint_collapse_freezes_a_box_one_ulp_wide():
+    """Near 1e6 one ulp is 1.16e-10, so a box one ulp wide has side/extent
+    1.16e-9 on a zone 0.1 wide, above the floor: its midpoint rounds onto an
+    end and it freezes by collapse."""
+    lo = 1e6
+    zone = WorkingZone(Box([lo], [lo + 0.1]))
+    pts = np.unique(np.array([lo + 0.1 * 2.0 ** -k for k in range(1, 60)] + [lo]))[:, None]
+    parts = me_partition(zone, pts, 0.0)
+    assert len(parts) == 31
+    assert_exact_tiling(parts, pts)
+    collapsed = frozen_untested(parts)
+    assert collapsed
+    for k in collapsed:
+        box = parts.boxes[k]
+        assert box.hi[0] == np.nextafter(box.lo[0], np.inf) and 0.5 * (box.lo[0] + box.hi[0]) in (box.lo[0], box.hi[0])
+        assert (box.sides / zone.omega.sides).max() >= MIN_SIDE_FRACTION
