@@ -29,22 +29,17 @@ TS_FORMAT_VERSION = 1
 class TraceSet:
     """L sampled runs of up to M steps, stacked.
 
-    Run i took `lengths[i]` steps: `states[i, k]` is its state after k steps
-    and `inputs[i, k]` the input applied at step k, both NaN past the run's
-    end. A run that took fewer than M steps stopped because its next state
-    left the zone; the out-of-zone state itself is not stored.
+    Run i took `lengths[i]` steps: `states[i, k]` is its state after k steps,
+    NaN past the run's end. A run that took fewer than M steps stopped
+    because its next state left the zone; the out-of-zone state itself is
+    not stored.
     """
 
     states: np.ndarray            # (L, M + 1, n_x)
     lengths: np.ndarray           # (L,)
-    inputs: np.ndarray | None     # (L, M, n_u) when the model takes inputs
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def exited(self) -> np.ndarray:  # (L,) bool: whether each run's next state left the zone
-        return self.lengths < self.states.shape[1] - 1
 
     @property
     def visited(self) -> np.ndarray:
@@ -59,9 +54,10 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     bounds, L of them at every step until every trace has exited. A trace
     whose successor leaves the zone stops there, after fewer than M steps. A
     step that is not finite (the model overflows on a state of the zone)
-    raises FloatingPointError naming the state and its region. Stacked arrays
-    too large to allocate raise ValueError naming their size. Fully
-    deterministic for a given seed.
+    raises FloatingPointError naming the state and its region. Stacked states
+    too large to allocate raise ValueError naming their size. The inputs are
+    not kept: the cells read only the states. Fully deterministic for a
+    given seed.
     """
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
@@ -72,9 +68,8 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     x = rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
     try:
         states = np.full((L, M + 1, omega.dim), np.nan)
-        inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
     except MemoryError:
-        need = 8 * L * ((M + 1) * omega.dim + M * n_u)
+        need = 8 * L * (M + 1) * omega.dim
         raise ValueError(f"traces {L} x trace_length {M} need {need} bytes of stacked trace arrays, "
                          "more than can be allocated") from None
     states[:, 0] = x
@@ -99,14 +94,10 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         if not inside.all():
             lengths[live[~inside]] = t
             live, nxt, ids = live[inside], nxt[inside], ids[inside]
-            if n_u > 0:
-                u = u[inside]
         states[live, t + 1] = nxt
-        if n_u > 0:
-            inputs[live, t] = u
         x = nxt
 
-    return TraceSet(states, lengths, inputs)
+    return TraceSet(states, lengths)
 
 
 def build_cells(zone: WorkingZone, traces: TraceSet, epsilon: float) -> list[Box]:

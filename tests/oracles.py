@@ -211,7 +211,7 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
 
 def sequential_traces(model, L: int, M: int, seed: int):
     """sample_traces with an alive mask over all L runs: every step gathers
-    the live runs' states and inputs by np.nonzero and scatters the results
+    the live runs' states and inputs by np.nonzero and scatters the states
     back. Draws the same random numbers in the same order."""
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
@@ -222,7 +222,6 @@ def sequential_traces(model, L: int, M: int, seed: int):
     x = rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
     states = np.full((L, M + 1, omega.dim), np.nan)
     states[:, 0] = x
-    inputs = np.full((L, M, n_u), np.nan) if n_u > 0 else None
     lengths = np.zeros(L, dtype=int)
     alive = np.ones(L, dtype=bool)
 
@@ -245,12 +244,21 @@ def sequential_traces(model, L: int, M: int, seed: int):
         alive[rows[~inside]] = False
         staying = rows[inside]
         states[staying, t + 1] = nxt[inside]
-        if n_u > 0:
-            inputs[staying, t] = u[staying]
         lengths[staying] = t + 1
         x[staying] = nxt[inside]
 
-    return TraceSet(states, lengths, inputs)
+    return TraceSet(states, lengths)
+
+
+def trace_inputs(model, L: int, M: int, seed: int) -> np.ndarray:
+    """The inputs sample_traces(model, L, M, seed) applies, from its
+    documented draw order: after the (L, n_x) start states, one (L, n_u)
+    draw per step, row i for run i. Returns (L, M, n_u): run i applied
+    inputs[i, k] at step k, for k < lengths[i]."""
+    omega, ib = model.zone.omega, model.zone.input_bounds
+    rng = np.random.default_rng(seed)
+    rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
+    return np.stack([rng.uniform(ib.lo, ib.hi, size=(L, model.zone.n_u)) for _ in range(M)], axis=1)
 
 
 def level_tree(zone, boxes):
@@ -386,7 +394,7 @@ def observed_transitions(traces, tree) -> tuple[np.ndarray, np.ndarray, np.ndarr
     cell[visited] = tree.locate(traces.states[visited])
     assert (cell[visited] >= 0).all(), "a simulated state escaped the cell tiling"
     step = k[:-1] < traces.lengths[:, None]
-    exited = traces.exited
+    exited = traces.lengths < k[-1]
     return cell[:, :-1][step], cell[:, 1:][step], cell[exited, traces.lengths[exited]]
 
 

@@ -26,7 +26,7 @@ from dynabs import (
 )
 from dynabs.abstraction import TraceSet
 
-from oracles import edge_dot, observed_transitions, pairwise_transitions, sequential_traces
+from oracles import edge_dot, observed_transitions, pairwise_transitions, sequential_traces, trace_inputs
 
 from synthdata import (
     alternating_slab_model,
@@ -54,14 +54,14 @@ def test_sample_traces_shapes_and_determinism():
     traces = sample_traces(model, L=1, M=1, seed=0)
     assert len(traces) == 1
     assert traces.states.shape == (1, 2, 2)
-    assert traces.lengths.tolist() == [1] and traces.exited.tolist() == [False]
-    assert traces.inputs is None
+    assert traces.lengths.tolist() == [1]
+    assert [f.name for f in dataclasses.fields(traces)] == ["states", "lengths"]
     assert traces.visited.shape == (2, 2)
 
     a = sample_traces(model, L=7, M=9, seed=42)
     b = sample_traces(model, L=7, M=9, seed=42)
     assert np.array_equal(a.states, b.states, equal_nan=True)
-    assert np.array_equal(a.lengths, b.lengths) and np.array_equal(a.exited, b.exited)
+    assert np.array_equal(a.lengths, b.lengths)
 
     c = sample_traces(model, L=7, M=9, seed=43)
     assert not np.array_equal(a.states, c.states, equal_nan=True)
@@ -77,12 +77,12 @@ def input_model():
 
 
 def test_sample_traces_step_indices_are_consecutive():
-    """states[i, k] is run i's state after k steps and inputs[i, k] the input
-    applied at step k, so one step maps column k to column k + 1."""
+    """states[i, k] is run i's state after k steps and trace_inputs(...)[i, k]
+    the input applied at step k, so one step maps column k to column k + 1."""
     traces = sample_traces(input_model(), L=4, M=6, seed=1)
     assert traces.lengths.max() > 2
     step = np.arange(6) < traces.lengths[:, None]  # (run, k) pairs with a step k -> k + 1
-    expected = 0.5 * traces.states[:, :-1] + 0.5 * traces.inputs
+    expected = 0.5 * traces.states[:, :-1] + 0.5 * trace_inputs(input_model(), L=4, M=6, seed=1)
     assert np.allclose(traces.states[:, 1:][step], expected[step], atol=1e-15)
 
 
@@ -91,14 +91,12 @@ def test_sample_traces_stacked_arrays():
     are NaN; `visited` is the runs' in-zone states, run after run."""
     L, M = 40, 12
     traces = sample_traces(input_model(), L=L, M=M, seed=6)
-    assert traces.exited.any() and not traces.exited.all()
-    assert (traces.lengths[~traces.exited] == M).all()
-    assert (traces.lengths[traces.exited] < M).all()
+    exited = traces.lengths < M
+    assert exited.any() and not exited.all()
+    assert (traces.lengths[~exited] == M).all()
     k = np.arange(M + 1)
     assert np.isnan(traces.states[k > traces.lengths[:, None]]).all()
     assert np.isfinite(traces.states[k <= traces.lengths[:, None]]).all()
-    assert np.isnan(traces.inputs[k[:-1] >= traces.lengths[:, None]]).all()
-    assert np.isfinite(traces.inputs[k[:-1] < traces.lengths[:, None]]).all()
     runs = [traces.states[i, : traces.lengths[i] + 1] for i in range(L)]
     assert np.array_equal(traces.visited, np.concatenate(runs))
 
@@ -137,14 +135,11 @@ def test_sample_traces_equal_the_sequential_oracle(case):
         model, L, M = drift_model(), 25, 30
     got, want = sample_traces(model, L, M, seed=5), sequential_traces(model, L, M, seed=5)
     assert np.array_equal(got.states, want.states, equal_nan=True)
-    assert np.array_equal(got.lengths, want.lengths) and np.array_equal(got.exited, want.exited)
+    assert np.array_equal(got.lengths, want.lengths)
     if case == "inputs":
-        assert np.array_equal(got.inputs, want.inputs, equal_nan=True)
-        assert got.exited.any() and not got.exited.all()
-    else:
-        assert got.inputs is None and want.inputs is None
+        assert (got.lengths < M).any() and not (got.lengths < M).all()
     if case == "all exit":
-        assert got.exited.all() and np.unique(got.lengths).size > 5 and got.lengths.max() < M
+        assert np.unique(got.lengths).size > 5 and got.lengths.max() < M
 
 
 def test_simulate_reproduces_sampled_traces_with_inputs():
@@ -153,8 +148,8 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
     batched rollout take the same steps."""
     model = fitted_input_model()
     traces = sample_traces(model, L=30, M=25, seed=4)
-    assert traces.exited.any() and (traces.lengths > 10).any()
-    for states, inputs, n in zip(traces.states, traces.inputs, traces.lengths):
+    assert (traces.lengths < 25).any() and (traces.lengths > 10).any()
+    for states, inputs, n in zip(traces.states, trace_inputs(model, L=30, M=25, seed=4), traces.lengths):
         result = model.simulate(states[0], inputs[:n], steps=n)
         assert not result.truncated and result.out_of_zone_steps == []
         assert np.allclose(result.states, states[: n + 1], rtol=0.0, atol=1e-12)
@@ -163,7 +158,7 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
 def test_sample_traces_exit_marker():
     model = single_region_model(unit_zone(), constant_net([2.0, 2.0], 2))
     traces = sample_traces(model, L=4, M=5, seed=3)
-    assert traces.exited.all()
+    assert (traces.lengths < 5).all()
     assert (traces.lengths == 0).all()  # only the initial state stays in the zone
     assert np.isnan(traces.states[:, 1:]).all()
     assert membership_matrix([unit_zone().omega], traces.states[:, 0]).all()
@@ -178,10 +173,15 @@ def test_sample_traces_draws_inputs_within_bounds():
     net = fit_output_weights(init_elm(2, 1, 8, seed=0), Dataset(1, 1, z, 0.5 * z[:, :1]))
     model = single_region_model(zone, net)
     traces = sample_traces(model, L=3, M=10, seed=5)
-    assert traces.inputs.shape == (3, 10, 1)
-    applied = traces.inputs[np.arange(10) < traces.lengths[:, None]]
+    inputs = trace_inputs(model, L=3, M=10, seed=5)
+    assert inputs.shape == (3, 10, 1)
+    step = np.arange(10) < traces.lengths[:, None]
+    applied = inputs[step]
     assert applied.shape[0] == traces.lengths.sum()  # one input per step taken
     assert np.all(applied >= -0.25) and np.all(applied <= 0.25)
+    # and those are the inputs the steps took
+    assert np.allclose(model.step(traces.states[:, :-1][step], applied), traces.states[:, 1:][step],
+                       rtol=0.0, atol=1e-12)
 
 
 def test_build_cells_huge_epsilon_single_cell():
@@ -194,7 +194,7 @@ def test_build_cells_huge_epsilon_single_cell():
 
 def test_build_cells_two_cluster_traces_split_midline():
     pts = two_cluster_points(seed=11)
-    traces = TraceSet(pts[None], np.array([len(pts) - 1]), None)
+    traces = TraceSet(pts[None], np.array([len(pts) - 1]))
     cells = build_cells(unit_zone(), traces, epsilon=0.05)
     assert len(cells) > 1
     # the first committed cut is the x1 midline: no cell crosses it

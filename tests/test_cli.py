@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import dynabs
+from dynabs import ctl
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
 from dynabs.cli import MAX_STEPS, PipelineConfig, main
 from dynabs.hybrid import HybridModel, SimResult
 
 from oracles import sequential_merge
-from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model, single_region_model,
-                       swirl_dataset, swirl_zone, tiny_transition_system)
+from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model,
+                       random_transition_system, single_region_model, swirl_dataset, swirl_zone,
+                       tiny_transition_system)
 
 
 @pytest.fixture()
@@ -615,6 +617,53 @@ def test_verify_rejects_deeply_nested_formula(tmp_path, capsys, formula):
     assert err == "error: formula nests deeper than 100 levels at position 100\n"
 
 
+# the benchmark's verify batch (pipebench/run.py): atoms that exist at any cell count
+VERIFY_BATCH = ("EF EXIT", "AG !EXIT", "EG !EXIT", "A[!EXIT U Q1]", "AF AG !EXIT", "E[!EXIT U Q1]", "AX !EXIT",
+                "AG EF Q1")
+
+
+def test_verify_evaluates_each_formula_once_with_the_verdict_of_check(tmp_path, capsys, monkeypatch):
+    """verify reads its verdict off the one satisfying set it computes: one
+    top-level evaluation per command, and the JSON `check` and `sat_set`
+    give. An initial cell out of range exits 2 before any evaluation."""
+    top = []
+    depth = [0]
+    evaluate = ctl._sat
+
+    def counted(ts, f):
+        top.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return evaluate(ts, f)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ctl, "_sat", counted)
+    rng = np.random.default_rng(20)
+    systems = [random_transition_system(rng, max_cells=6) for _ in range(12)]
+    systems.append(tiny_transition_system([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 2))
+    ts_path = tmp_path / "ts.json"
+    for ts in systems:
+        ts.save(ts_path)
+        for text in VERIFY_BATCH:
+            for initial in sorted({1, ts.n_cells}):
+                top.clear()
+                code, out, err = run(capsys, "verify", "--ts", ts_path, "--formula", text, "--initial", initial)
+                assert (code, err, top.count(True)) == (0, "", 1), text
+                formula = ctl.parse_ctl(text)
+                assert json.loads(out) == {
+                    "formula": ctl.format_ctl(formula),
+                    "initial": initial,
+                    "result": ctl.check(ts, formula, initial),
+                    "sat_set": [ts.state_label(i) for i in sorted(ctl.sat_set(ts, formula))],
+                }
+        for initial in (0, ts.n_cells + 1):
+            top.clear()
+            code, out, err = run(capsys, "verify", "--ts", ts_path, "--formula", "EF Q99", "--initial", initial)
+            assert (code, out, top) == (2, "", [])
+            assert err == f"error: initial cell id {initial} out of range 1..{ts.n_cells}\n"
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """model.json and ts.json of one small swirl fit, shared by the load tests."""
@@ -721,7 +770,7 @@ def test_trace_counts_past_their_bound_exit_2_naming_the_key(artifacts, tmp_path
 
 def test_trace_arrays_too_large_to_allocate_exit_2_naming_their_size(artifacts, tmp_path):
     """10**6 traces of 10**6 steps pass the config bounds, but their stacked
-    states need 16 * 10**6 * (10**6 + 1) bytes. The command runs in a child
+    states need 8 * 10**6 * (10**6 + 1) * n_x bytes, n_x = 2. The command runs in a child
     process whose address space is capped at 3 GB, so the allocation fails
     there at once and this process commits no memory for it."""
     pytest.importorskip("resource")
@@ -736,7 +785,7 @@ def test_trace_arrays_too_large_to_allocate_exit_2_naming_their_size(artifacts, 
     proc = subprocess.run([sys.executable, "-c", child, "abstract", "--model", str(artifacts / "model.json"),
                            "--traces", "1000000", "--trace-length", "1000000", "--out-dir", str(tmp_path / "big")],
                           capture_output=True, text=True, env=env, timeout=300)
-    need = 16 * 10**6 * (10**6 + 1)
+    need = 8 * 10**6 * (10**6 + 1) * 2
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (f"error: traces 1000000 x trace_length 1000000 need {need} bytes of stacked trace arrays, "
                            "more than can be allocated\n")
