@@ -182,12 +182,12 @@ def cmd_fit(args) -> int:
     stats = model.stats
     print(f"partitions: {len(parts)}")
     print(f"regions after merge: {model.n_regions}")
-    for region, secs in zip(model.regions, stats.refit_seconds):
+    for region, secs in zip(model.regions, stats.fit_seconds):
         region_err = sq_err[ids == region.id]
         mse_text = f"{np.mean(region_err):.6e}" if region_err.size else "n/a (no samples)"
         print(f"region {region.id:3d}: samples={region_err.size:6d}  mse={mse_text}  fit_ms={secs * 1e3:.4f}")
     print(f"total mse: {train_mse:.6e}")
-    print(f"total fit time: {stats.total_refit_seconds * 1e3:.4f} ms")
+    print(f"total fit time: {stats.total_fit_seconds * 1e3:.4f} ms")
     print(f"model written: {model_path}")
     return 0
 
@@ -233,14 +233,14 @@ def cmd_bench(args) -> int:
     data = _load_for(cfg)
 
     _, model, train_mse, _, _ = _fit_model(cfg, data)
-    sub_times = [s for s in model.stats.refit_seconds if s > 0.0]
+    sub_times = [s for s in model.stats.fit_seconds if s > 0.0]
     hybrid_row = {
         "variant": "hybrid",
         "networks": model.n_regions,
         "hidden_count": cfg.hidden_count,
         "samples": len(data),
         "median_fit_ms": statistics.median(sub_times) * 1e3 if sub_times else 0.0,
-        "total_fit_ms": model.stats.total_refit_seconds * 1e3,
+        "total_fit_ms": model.stats.total_fit_seconds * 1e3,
         "mse": train_mse,
     }
 
@@ -281,7 +281,14 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.steps <= MAX_STEPS:  # before the inputs are drawn, whose shape it gives, or any step
         raise UsageError("steps must be >= 0" if args.steps < 0 else f"steps must be <= {MAX_STEPS}, got {args.steps}")
     model = HybridModel.load(args.model)
-    x0 = np.asarray([float(v) for v in args.x0.split(",")], dtype=float)
+    n_x, entries = model.zone.n_x, args.x0.split(",")
+    wanted = f"x0 needs n_x = {n_x} comma-separated numbers, got {len(entries)}"
+    if len(entries) != n_x:
+        raise UsageError(wanted)
+    try:
+        x0 = np.array([float(v) for v in entries])
+    except ValueError as exc:
+        raise UsageError(f"{wanted} ({exc})") from None
     inputs = None
     if model.zone.n_u > 0:
         rng = np.random.default_rng(args.seed)

@@ -200,17 +200,22 @@ class ReadoutStats:
                               for a, b in zip((start.hh, start.hy, start.yy, start.rows),
                                               (self.hh, self.hy, self.yy, self.rows))))
 
-    def ridge_mse(self) -> np.ndarray:
-        """Training MSE of the readout fit_output_weights solves at DEFAULT_RIDGE,
-        one per entry; every entry must hold rows.
+    def readout(self) -> np.ndarray:
+        """W^T of the ridge readout at DEFAULT_RIDGE, one (hidden_count, n_out)
+        block per entry: the h x h normal equations (H^T H + ridge I) W^T =
+        H^T Y, solved for all entries by one stacked solve. The minimizer is
+        the one fit_output_weights finds by least squares on the rows; a
+        singular system raises LinAlgError."""
+        return np.linalg.solve(self.hh + DEFAULT_RIDGE * np.eye(self.hh.shape[-1]), self.hy)
 
-        The readout comes from the h x h normal equations (H^T H + ridge I) W^T
-        = H^T Y, solved for all entries by one stacked solve; the residual sum
-        ||H W^T - Y||^2 = Y^T Y - 2<W^T, H^T Y> + <W^T, H^T H W^T> is
-        stationary in W, so solve error enters squared.
+    def ridge_mse(self) -> np.ndarray:
+        """Training MSE of the `readout` of each entry; every entry must hold rows.
+
+        The residual sum ||H W^T - Y||^2 = Y^T Y - 2<W^T, H^T Y> + <W^T, H^T H
+        W^T> is stationary in W, so solve error enters squared.
         """
         m = len(self)
-        w_t = np.linalg.solve(self.hh + DEFAULT_RIDGE * np.eye(self.hh.shape[-1]), self.hy)
+        w_t = self.readout()
         fit = (w_t * self.hy).reshape(m, -1).sum(axis=1)
         quad = (w_t * (self.hh @ w_t)).reshape(m, -1).sum(axis=1)
         return np.maximum(self.yy - 2.0 * fit + quad, 0.0) / self.rows

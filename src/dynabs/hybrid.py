@@ -2,8 +2,8 @@
 
 Built from a maximum-entropy partition by merging redundant partitions (one
 network fitted on the pooled data of a candidate pair must reach the MSE
-threshold gamma) and fitting one network per surviving region. The model
-steps as x(k+1) = net[region(x(k))](x(k), u(k)).
+threshold gamma); each surviving region keeps the network its merge tests
+solved. The model steps as x(k+1) = net[region(x(k))](x(k), u(k)).
 """
 
 from __future__ import annotations
@@ -11,16 +11,18 @@ from __future__ import annotations
 import datetime
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_format_version, member, objects,
                    read_artifact, write_artifact)
-from .elm import STACK_BYTES, ElmNetwork, ReadoutStats, RowSets, fit_output_weights, init_elm, predict_batch
-# membership_matrix is not called here, but the benchmark's traced run
-# (pipebench/run.py) wraps this module's name for it, so the import stays
+# fit_output_weights and membership_matrix are not called here, but the
+# benchmark's traced run (pipebench/run.py) wraps this module's names for them,
+# so the imports stay
+from .elm import STACK_BYTES, ElmNetwork, ReadoutStats, RowSets, init_elm, predict_batch
+from .elm import fit_output_weights  # noqa: F401
 from .geometry import Box, BoxTree, Walk, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
@@ -48,11 +50,11 @@ class MergeStats:
 
     pair_tests: int = 0
     merges: int = 0
-    refit_seconds: list[float] = field(default_factory=list)
+    fit_seconds: list[float] = field(default_factory=list)  # each region's readout solve, 0 for an empty one
 
     @property
-    def total_refit_seconds(self) -> float:
-        return float(sum(self.refit_seconds))
+    def total_fit_seconds(self) -> float:
+        return float(sum(self.fit_seconds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,8 +245,8 @@ def merge_and_learn(
     seed: int,
     gamma: float,
 ) -> HybridModel:
-    """Merge redundant partitions by the pooled-MSE test and fit one network
-    per surviving region.
+    """Merge redundant partitions by the pooled-MSE test and give each
+    surviving region its network.
 
     The sweep is sequential in its semantics: the outer index N walks regions
     in ascending order and draws one candidate hidden layer per row (seed
@@ -253,10 +255,13 @@ def merge_and_learn(
     additive statistics of region N and region n (ReadoutStats). On success
     the candidate is absorbed into N, indices compact, and the sweep
     continues with the merged region. The tests are evaluated in batches
-    (see `merge_sweep`) that take exactly these decisions. Afterwards every
-    region i gets its network fitted on its data over the layer of seed
-    (seed, i), which for a region that absorbed a candidate is the network
-    its last accepted test certified.
+    (see `merge_sweep`) that take exactly these decisions. Region i keeps the
+    layer of seed (seed, i) and the readout `ReadoutStats.readout` solves
+    from its final statistics, without reading its rows again: for a region
+    that absorbed a candidate, that is bit for bit the network its last
+    accepted test certified. A region without samples keeps the zero map,
+    with a RuntimeWarning; a singular readout solve raises FloatingPointError
+    naming the region. `stats.fit_seconds` times each region's solve.
     """
     if not gamma >= 0:  # NaN fails too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -270,29 +275,33 @@ def merge_and_learn(
 
     regions = merge_sweep(parts, data, layer, gamma, stats)
 
-    def refit(i: int) -> tuple[ElmNetwork, float]:
+    def fit(i: int, pool: ReadoutStats) -> ElmNetwork:
         net = layer(i)
-        idx = regions[i][1]
-        if idx.size == 0:
+        if pool.rows[0] == 0:
             warnings.warn(
                 f"region {i + 1} has no samples; its network is the zero map",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return net, 0.0
+            stats.fit_seconds.append(0.0)
+            return net
         t0 = time.perf_counter()
-        net = fit_output_weights(net, data.subset(idx))
-        return net, time.perf_counter() - t0
+        try:
+            w_t = pool.readout()[0]
+        except np.linalg.LinAlgError as exc:
+            raise FloatingPointError(f"readout solve of region {i + 1} ({int(pool.rows[0])} samples, first box "
+                                     f"{regions[i][0][0]!r}) is singular ({exc})") from exc
+        stats.fit_seconds.append(time.perf_counter() - t0)
+        return replace(net, w_out=w_t.T)
 
-    fitted = [refit(i) for i in range(len(regions))]
-    stats.refit_seconds = [sec for _, sec in fitted]
+    networks = [fit(i, pool) for i, (_, pool) in enumerate(regions)]
 
     return HybridModel(
         zone=parts.zone,
         regions=tuple(
             Region(i + 1, tuple(boxes)) for i, (boxes, _) in enumerate(regions)
         ),
-        networks=tuple(net for net, _ in fitted),
+        networks=tuple(networks),
         gamma=float(gamma),
         epsilon=float(parts.epsilon),
         stats=stats,
@@ -305,10 +314,11 @@ def merge_sweep(
     layer: Callable[[int], ElmNetwork],
     gamma: float,
     stats: MergeStats,
-) -> list[tuple[list[Box], np.ndarray]]:
+) -> list[tuple[list[Box], ReadoutStats]]:
     """The merge decisions of merge_and_learn, with row N's tests run under
-    `layer(N)`: (boxes, sample indices) of each region in order, and the
-    tests and merges counted in `stats`.
+    `layer(N)`: the boxes of each region in order with its final one-entry
+    statistics under `layer(N)` (the pool of its last accepted test, or its
+    own if it absorbed nothing), and the tests and merges counted in `stats`.
 
     Row N's candidates are the partitions after it, none of which has
     absorbed anything, so their statistics come from `ReadoutStats.of` in
@@ -325,7 +335,7 @@ def merge_sweep(
     """
     assignments = [np.asarray(idx, dtype=int) for idx in parts.assignments]
     regions = list(range(len(assignments)))  # partition ids; a region's first id is its row
-    merged: list[list[int]] = []      # partition ids of each finished region
+    merged: list[tuple[list[int], ReadoutStats]] = []  # partition ids and statistics of each finished region
 
     def window(ids: np.ndarray, cand: ReadoutStats) -> int:
         """Test the candidate partitions `ids`, of statistics `cand`, in the
@@ -387,6 +397,7 @@ def merge_sweep(
                     except np.linalg.LinAlgError:  # only a window of several tests lets it through
                         for _ in range(j - i):  # a one-test window tests exactly one candidate
                             i += window(block[i:i + 1], cand[i:i + 1])
-            merged.append(members)
+            # a copy: an absorbed pool is a view into its window's stacked pools
+            merged.append((members, ReadoutStats(row.hh.copy(), row.hy.copy(), row.yy.copy(), row.rows.copy())))
             regions = kept
-    return [([parts.boxes[i] for i in ids], np.concatenate([assignments[i] for i in ids])) for ids in merged]
+    return [([parts.boxes[i] for i in ids], pool) for ids, pool in merged]

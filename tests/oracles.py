@@ -84,10 +84,11 @@ def raw_merge(parts, data, hidden_count: int, seed: int, gamma: float):
 def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
     """The merge sweep of merge_and_learn one pair test at a time: each test
     sums the two regions' readout statistics (H^T H, H^T Y, sum Y^2, rows)
-    and solves its own ridge system. Returns ([(boxes, sample indices)] per
-    region, pair tests, merges); raises FloatingPointError for a row whose
-    statistics overflow or a pooled solve that is singular, as
-    merge_and_learn does."""
+    and solves its own ridge system. Returns ([(boxes, sample indices,
+    [H^T H, H^T Y, sum Y^2, rows])] per region, pair tests, merges), the
+    statistics being the region's final pool (its own if it absorbed
+    nothing); raises FloatingPointError for a row whose statistics overflow
+    or a pooled solve that is singular, as merge_and_learn does."""
     n_in = data.n_x + data.n_u
 
     def statistics(net, idx):
@@ -130,8 +131,9 @@ def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
                     merges += 1
                 else:
                     n += 1
+            regions[big_n].append(row)
             big_n += 1
-    return [(boxes, idx) for boxes, idx in regions], tests, merges
+    return [(boxes, idx, row) for boxes, idx, row in regions], tests, merges
 
 
 def linf_distance(box, x) -> float:

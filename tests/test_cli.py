@@ -13,6 +13,7 @@ import dynabs
 from dynabs import ctl
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
 from dynabs.cli import MAX_STEPS, PipelineConfig, main
+from dynabs.elm import ReadoutStats
 from dynabs.hybrid import HybridModel, SimResult
 
 from oracles import sequential_merge
@@ -358,6 +359,23 @@ def test_fit_on_a_singular_pooled_solve_exits_4(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_fit_on_a_singular_readout_solve_exits_4(dataset_csv, tmp_path, capsys, monkeypatch):
+    """A LinAlgError from the final readout solve of a region exits 4 with
+    one error line naming the region, and writes nothing. At epsilon 1 the
+    zone is one partition, so no pair test solves anything before it."""
+    def singular(self):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(ReadoutStats, "readout", singular)
+    out_dir = tmp_path / "fit"
+    code, out, err = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0, "--epsilon", 1,
+                         "--out-dir", out_dir)
+    assert (code, out) == (4, "")
+    assert re.fullmatch(r"error: readout solve of region 1 \(1200 samples, first box Box\(.*\)\) is singular "
+                        r"\(Singular matrix\)\n", err)
+    assert not out_dir.exists()
+
+
 def test_abstract_with_non_finite_enclosure_exits_4(tmp_path, capsys):
     """Finite weights that overflow the interval enclosure of a cell: abstract
     names the cell and the region and writes no ts.json, rather than a
@@ -378,9 +396,13 @@ def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
                      "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
     assert code == 0
     for x0, cause in (("nan,0", "coordinate 0 is nan"), ("0,inf", "coordinate 1 is inf"),
-                      ("0.1,0.2,0.3", "dimension 2")):
+                      ("0.1,0.2,0.3", "x0 needs n_x = 2 comma-separated numbers, got 3\n"),
+                      ("0.1", "x0 needs n_x = 2 comma-separated numbers, got 1\n"),
+                      ("0.1,abc", "x0 needs n_x = 2 comma-separated numbers, got 2 "
+                                  "(could not convert string to float: 'abc')\n")):
         code, out, err = run(capsys, "simulate", "--model", out_dir / "model.json", "--x0", x0, "--steps", 3)
         assert code == 2 and cause in err and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("input_bounds", [None, Box([-0.5], [0.5])])

@@ -36,6 +36,8 @@ from synthdata import (
     swirl_zone,
     unit_zone,
 )
+from dynabs import hybrid
+from dynabs.elm import DEFAULT_RIDGE, ReadoutStats
 from dynabs.hybrid import MergeStats, derive_seed, merge_sweep
 
 
@@ -537,8 +539,11 @@ def sweep_cases():
 def test_batched_sweep_equals_sequential_oracle():
     """The windowed sweep takes the one-at-a-time sweep's decisions bit for
     bit: criterion 1's datasets, about 1k swirl partitions at eps 1e-3, and
-    epsilon-0 grids with empty partitions. Every region's boxes and sample
-    order, the counts and the shipped weights are equal."""
+    epsilon-0 grids with empty partitions. Every region's boxes, final
+    statistics and row count and the counts are equal, and each region ships
+    exactly the ridge readout of those statistics, whose predictions on the
+    region's rows agree with a least-squares fit's to criterion 3's
+    tolerance."""
     kinds = set()
     for parts, data, hidden, seed, gamma in sweep_cases():
         expected, tests, merges = sequential_merge(parts, data, hidden, seed, gamma)
@@ -549,17 +554,59 @@ def test_batched_sweep_equals_sequential_oracle():
         stats = MergeStats()
         got = merge_sweep(parts, data, layer, gamma, stats)
         assert (stats.pair_tests, stats.merges) == (tests, merges)
-        assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _ in expected)
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expected))
+        assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _, _ in expected)
+        for (_, pool), (_, idx, (hh, hy, yy, rows)) in zip(got, expected):
+            assert len(pool) == 1 and pool.rows[0] == rows == idx.size and pool.yy[0] == yy
+            assert np.array_equal(pool.hh[0], hh) and np.array_equal(pool.hy[0], hy)
         with warnings.catch_warnings():  # an empty region's zero map warns
             warnings.simplefilter("ignore", RuntimeWarning)
             model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
         assert (model.stats.pair_tests, model.stats.merges) == (tests, merges)
-        for i, ((_, idx), net) in enumerate(zip(expected, model.networks)):
-            w_out = fit_output_weights(layer(i), data.subset(idx)).w_out if idx.size else layer(i).w_out
-            assert np.array_equal(net.w_out, w_out)
+        for i, ((_, idx, (hh, hy, _, _)), net) in enumerate(zip(expected, model.networks)):
+            if not idx.size:
+                assert np.array_equal(net.w_out, layer(i).w_out)
+                continue
+            assert np.array_equal(net.w_out, np.linalg.solve(hh + DEFAULT_RIDGE * np.eye(hidden), hy).T)
+            # the weights of an ill-conditioned region differ more; its predictions do not
+            rows = data.subset(idx)
+            lstsq = predict_batch(fit_output_weights(layer(i), rows), rows.z)
+            assert np.linalg.norm(predict_batch(net, rows.z) - lstsq) < 1e-6 * np.linalg.norm(lstsq)
         kinds.add((0 < merges < tests, len(parts) > 900, any(a.size == 0 for a in parts.assignments)))
     assert {(True, True, False), (True, False, True)} <= kinds
+
+
+def test_merge_and_learn_reads_no_region_rows_after_the_sweep(monkeypatch):
+    """Each region's readout comes from the statistics its merge tests
+    solved: no least-squares refit and no gather of a region's rows."""
+    data = swirl_dataset(2000, seed=1, twist=0.6)
+    parts = me_partition(swirl_zone(), data.states, epsilon=3e-3)
+    calls = []
+    for owner, name in ((hybrid, "fit_output_weights"), (Dataset, "subset")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, name=name, original=original: calls.append(name) or original(*a))
+    model = merge_and_learn(parts, data, hidden_count=20, seed=1, gamma=1.5e-5)
+    assert 1 < model.n_regions < len(parts)
+    assert calls == []
+
+
+def test_a_singular_readout_solve_names_its_region(monkeypatch):
+    """A LinAlgError from a region's final readout solve surfaces as
+    FloatingPointError naming the region, as a singular pooled test does."""
+    data = swirl_dataset(400, seed=2)
+    parts = manual_two_partitions(swirl_zone(), data)
+    second = parts.assignments[1].size
+    readout = ReadoutStats.readout
+
+    def second_is_singular(self):
+        if self.rows.tolist() == [second]:  # not the pooled test, whose pool holds both
+            raise np.linalg.LinAlgError("Singular matrix")
+        return readout(self)
+
+    monkeypatch.setattr(ReadoutStats, "readout", second_is_singular)
+    with pytest.raises(FloatingPointError, match=re.escape(
+            f"readout solve of region 2 ({second} samples, first box {parts.boxes[1]!r}) is singular "
+            "(Singular matrix)")):
+        merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=0.0)
 
 
 def test_batched_sweep_solves_far_fewer_systems_than_it_tests(monkeypatch):
@@ -595,7 +642,8 @@ def test_a_window_whose_solve_raises_is_rerun_one_test_at_a_time(monkeypatch):
     stats = MergeStats()
     got = merge_sweep(parts, data, layer, 1.5e-5, stats)
     assert (stats.pair_tests, stats.merges) == (tests, merges)
-    assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _ in expected)
+    assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _, _ in expected)
+    assert all(np.array_equal(pool.hh[0], hh) for (_, pool), (_, _, (hh, _, _, _)) in zip(got, expected))
 
     def always_fails(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
