@@ -24,7 +24,7 @@ from .abstraction import TransitionSystem, build_cells, compute_transitions, exp
 # wraps this module's name for it, so the import stays
 from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set  # noqa: F401
 from .data import JSON_KINDS, DataError, Dataset, WorkingZone, _short, load_dataset, zone_from_data
-from .elm import fit_output_weights, init_elm, mse
+from .elm import fit_output_weights, init_elm, mse, per_block
 from .geometry import Box
 # hybrid_mse is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
@@ -154,15 +154,23 @@ def _fit_model(cfg: PipelineConfig, data: Dataset):
     model, region id of each sample, each sample's squared error).
 
     One located prediction over the data gives both the total and the
-    per-region errors. A non-finite training MSE (the data overflow the
-    readout solve) raises FloatingPointError, so no model is written.
+    per-region errors. Samples are located in blocks of rows, and
+    `predict_located` runs in pieces, so besides a few arrays of one row per
+    sample the pass holds temporaries of at most `elm.STACK_BYTES`. A
+    non-finite training MSE (the data overflow the readout solve) raises
+    FloatingPointError, so no model is written.
     """
     zone = _zone_for(cfg, data)
     parts = me_partition(zone, data.states, cfg.epsilon)
     model = merge_and_learn(parts, data, hidden_count=cfg.hidden_count, seed=cfg.seed, gamma=cfg.gamma)
-    ids = model.locate_batch(data.states)
-    err = model.predict_located(data.z, ids) - data.y
-    sq_err = np.sum(err * err, axis=1)
+    ids = np.empty(len(data), dtype=int)
+    block = per_block(8 * cfg.hidden_count)
+    for start in range(0, len(data), block):
+        ids[start:start + block] = model.locate_batch(data.states[start:start + block])
+    err = model.predict_located(data.z, ids)
+    err -= data.y
+    err *= err
+    sq_err = err.sum(axis=1)
     train_mse = float(np.mean(sq_err))
     if not np.isfinite(train_mse):
         raise FloatingPointError(f"hybrid training MSE is {train_mse!r}, not finite: the data overflow the fit")

@@ -113,9 +113,31 @@ def fit_output_weights(net: ElmNetwork, data: Dataset) -> ElmNetwork:
     return replace(net, w_out=w_t.T)
 
 
-# bytes one stacked block of readout statistics or hidden activations may
-# hold: entries are stacked up to this size, however large the hidden layer
-STACK_BYTES = 1 << 23
+# bytes of one block of temporaries: `ReadoutStats.of`'s activations and
+# products, the merge sweep's chunks of candidate statistics, and the
+# activations of each piece `HybridModel.predict_located` steps. One entry's
+# H^T H (8 h^2 bytes) and one row set's activations (8 r h bytes) are held
+# whole, since splitting either would change bits, so a block holds at most
+# the largest of this budget, one entry and one set's activations.
+STACK_BYTES = 1 << 20
+
+
+def per_block(item_bytes: int) -> int:
+    """Items of `item_bytes` bytes each that one block of STACK_BYTES holds,
+    at least one. The budget is read at call time, so setting
+    `elm.STACK_BYTES` resizes every block."""
+    return max(1, STACK_BYTES // max(int(item_bytes), 1))
+
+
+def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Stable sort order of the 1-D integer `ids` and (id, start, stop) of
+    each run of one id in that order, ids ascending: `order[start:stop]` are
+    the rows of the id, in ascending order."""
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    run_ids = ids[order]
+    bounds = [0, *(np.flatnonzero(run_ids[1:] != run_ids[:-1]) + 1).tolist(), ids.size]
+    return order, [(int(run_ids[a]), a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 class RowSets:
@@ -129,13 +151,17 @@ class RowSets:
         self.slot = np.empty(len(sets), dtype=int)  # position of each set in its size's stack
         self.stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.yy = np.empty(len(sets))  # sum of Y^2 of each set, as np.sum of its rows gives it
-        for r in np.unique(self.size):
-            k = np.flatnonzero(self.size == r)
-            idx = np.array([sets[i] for i in k], dtype=int).reshape(k.size, r)
-            zs, ys = z[idx], y[idx]
-            self.stacks[int(r)] = zs, ys
-            self.slot[k] = np.arange(k.size)
-            self.yy[k] = (ys * ys).reshape(k.size, -1).sum(axis=1)
+        by_size, runs = id_runs(self.size)
+        idx = np.concatenate([np.asarray(sets[i], dtype=int) for i in by_size])
+        z, y = z[idx], y[idx]  # the rows of every set, sets ordered by size; one gather
+        start = 0
+        for r, a, b in runs:
+            k, stop = by_size[a:b], start + (b - a) * r
+            zs, ys = z[start:stop].reshape(b - a, r, z.shape[1]), y[start:stop].reshape(b - a, r, self.n_out)
+            self.stacks[r] = zs, ys
+            self.slot[k] = np.arange(b - a)
+            self.yy[k] = (ys * ys).reshape(b - a, -1).sum(axis=1)
+            start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,24 +186,26 @@ class ReadoutStats:
     def of(cls, net: ElmNetwork, sets: RowSets, ids) -> ReadoutStats:
         """Entry k from the row set `ids[k]` of `sets`.
 
-        Sets of one size go through one stacked `a^T @ a` (blocks of at most
-        STACK_BYTES of activations), which runs the product each set's own
-        `h.T @ h` runs, so every entry equals that of its set alone.
+        Sets of one size go through one stacked `a^T @ a`, which runs the
+        product each set's own `h.T @ h` runs, so every entry equals that of
+        its set alone. A block's activations and products together take at
+        most STACK_BYTES (`per_block`), besides the returned stack.
         """
         ids = np.asarray(ids, dtype=int)
         m, h = ids.size, net.hidden_count
         rows = sets.size[ids]
         hh, hy = np.empty((m, h, h)), np.empty((m, h, sets.n_out))
-        for r in np.unique(rows):
-            at = np.flatnonzero(rows == r)
-            z, y = sets.stacks[int(r)]
-            slots = sets.slot[ids[at]]
-            block = max(1, STACK_BYTES // (8 * h * max(int(r), 1)))
-            for i in range(0, at.size, block):
-                k, s = at[i:i + block], slots[i:i + block]
-                a = net.hidden(z[s])
-                hh[k] = a.transpose(0, 2, 1) @ a
-                hy[k] = a.transpose(0, 2, 1) @ y[s]
+        by_size, runs = id_runs(rows)
+        slots = sets.slot[ids[by_size]]
+        for r, a, b in runs:
+            z, y = sets.stacks[r]
+            block = per_block(8 * h * (r + h + sets.n_out))
+            for i in range(a, b, block):
+                j = min(b, i + block)
+                k, s = by_size[i:j], slots[i:j]
+                act = net.hidden(z[s])
+                hh[k] = act.transpose(0, 2, 1) @ act
+                hy[k] = act.transpose(0, 2, 1) @ y[s]
         return cls(hh, hy, sets.yy[ids], rows)
 
     def __len__(self) -> int:
@@ -189,16 +217,23 @@ class ReadoutStats:
             k = slice(k, k + 1 or None)
         return ReadoutStats(self.hh[k], self.hy[k], self.yy[k], self.rows[k])
 
+    def copy(self) -> ReadoutStats:
+        return ReadoutStats(self.hh.copy(), self.hy.copy(), self.yy.copy(), self.rows.copy())
+
     def __add__(self, other: ReadoutStats) -> ReadoutStats:
         """Entrywise sums; a one-entry side is added to every entry of the other."""
         return ReadoutStats(self.hh + other.hh, self.hy + other.hy, self.yy + other.yy, self.rows + other.rows)
 
     def running(self, start: ReadoutStats) -> ReadoutStats:
         """Entry k is start + self[0] + ... + self[k], added in that order,
-        for the one-entry `start`."""
-        return ReadoutStats(*(np.cumsum(np.concatenate([a, b]), axis=0)[1:]
-                              for a, b in zip((start.hh, start.hy, start.yy, start.rows),
-                                              (self.hh, self.hy, self.yy, self.rows))))
+        for the one-entry `start`. The sums are taken in place, so the
+        result is the only stack this allocates."""
+        def run(a, b):
+            total = np.concatenate([a, b])
+            return np.cumsum(total, axis=0, out=total)[1:]
+
+        return ReadoutStats(*(run(a, b) for a, b in zip((start.hh, start.hy, start.yy, start.rows),
+                                                        (self.hh, self.hy, self.yy, self.rows))))
 
     def readout(self) -> np.ndarray:
         """W^T of the ridge readout at DEFAULT_RIDGE, one (hidden_count, n_out)

@@ -21,7 +21,7 @@ from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_forma
 # fit_output_weights and membership_matrix are not called here, but the
 # benchmark's traced run (pipebench/run.py) wraps this module's names for them,
 # so the imports stay
-from .elm import STACK_BYTES, ElmNetwork, ReadoutStats, RowSets, init_elm, predict_batch
+from .elm import ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, per_block, predict_batch
 from .elm import fit_output_weights  # noqa: F401
 from .geometry import Box, BoxTree, Walk, membership_matrix  # noqa: F401
 from .partition import PartitionSet
@@ -115,9 +115,12 @@ class HybridModel:
         """Batch step for pre-located samples: row i of z through the network
         of region ids[i].
 
-        Each network runs once, on the contiguous run of its rows in a stable
-        sort by id, which holds them in their order in z: every row gets the
-        bits `predict_batch` gives the rows of its region alone.
+        Each network runs on the run of its rows in a stable sort by id, in
+        pieces of one block of activations (`elm.STACK_BYTES`). numpy
+        multiplies a single row by another BLAS routine than several rows,
+        so a piece takes two rows at least, and one row more rather than
+        leave one alone: every row gets the bits `predict_batch` gives the
+        rows of its region alone.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if np.shape(ids) != z.shape[:1]:
@@ -129,7 +132,12 @@ class HybridModel:
         zs = z[order]
         out = np.empty((z.shape[0], self.zone.n_x))
         for rid, a, b in runs:
-            out[order[a:b]] = predict_batch(self.network_of(rid), zs[a:b])
+            net = self.network_of(rid)
+            block = max(2, per_block(8 * net.hidden_count))
+            while a < b:
+                stop = b if b - a <= block + 1 else a + block  # leaves no single row
+                out[order[a:stop]] = predict_batch(net, zs[a:stop])
+                a = stop
         return out
 
     def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
@@ -219,17 +227,6 @@ class HybridModel:
     @classmethod
     def load(cls, path) -> HybridModel:
         return cls.from_dict(read_artifact(path))
-
-
-def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Stable sort order of the 1-D integer `ids` and (id, start, stop) of
-    each run of one id in that order, ids ascending: `order[start:stop]` are
-    the rows of the id, in ascending order."""
-    ids = np.asarray(ids)
-    order = np.argsort(ids, kind="stable")
-    run_ids = ids[order]
-    bounds = [0, *(np.flatnonzero(run_ids[1:] != run_ids[:-1]) + 1).tolist(), ids.size]
-    return order, [(int(run_ids[a]), a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:
@@ -322,8 +319,10 @@ def merge_sweep(
 
     Row N's candidates are the partitions after it, none of which has
     absorbed anything, so their statistics come from `ReadoutStats.of` in
-    stacked chunks of at most STACK_BYTES. The tests run in windows of
-    consecutive candidates, one stacked solve per window. While the row
+    stacked chunks of at most `elm.STACK_BYTES` (`per_block`). The tests run
+    in windows of consecutive candidates, one stacked solve per window. A
+    window holds at most one chunk, so the sweep's temporaries stay within a
+    few blocks however many partitions there are. While the row
     rejects, every candidate is pooled with the fixed row; while it accepts,
     the pools are the running sums from the row's statistics, added in the
     order the one-at-a-time sweep adds them. A window keeps its results up to
@@ -362,7 +361,8 @@ def merge_sweep(
         stats.pair_tests += int(np.count_nonzero(tested[:used]))
         stats.merges += took.size
         if took.size:
-            row = pools[absorbed.stop - 1]
+            # a copy: the absorbed pool is a view that would pin its window's stacked pools
+            row = pools[absorbed.stop - 1].copy()
         members.extend(took.tolist())
         kept.extend(np.delete(ids[:used], absorbed).tolist())
         if breaks.size:
@@ -385,7 +385,7 @@ def merge_sweep(
                 raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {parts.boxes[members[0]]!r} "
                                          "is not finite: the data overflow the fit")
             accepting, width = False, FIRST_WINDOW
-            chunk = max(1, STACK_BYTES // (8 * net.hidden_count * (net.hidden_count + net.n_out)))
+            chunk = per_block(8 * net.hidden_count * (net.hidden_count + net.n_out))
             for start in range(0, candidates.size, chunk):
                 block = candidates[start:start + chunk]
                 cand = ReadoutStats.of(net, sets, block)
@@ -397,7 +397,7 @@ def merge_sweep(
                     except np.linalg.LinAlgError:  # only a window of several tests lets it through
                         for _ in range(j - i):  # a one-test window tests exactly one candidate
                             i += window(block[i:i + 1], cand[i:i + 1])
-            # a copy: an absorbed pool is a view into its window's stacked pools
-            merged.append((members, ReadoutStats(row.hh.copy(), row.hy.copy(), row.yy.copy(), row.rows.copy())))
+                del cand  # freed before the next chunk's statistics are built
+            merged.append((members, row))
             regions = kept
     return [([parts.boxes[i] for i in ids], pool) for ids, pool in merged]

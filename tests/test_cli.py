@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import dynabs
-from dynabs import ctl
+from dynabs import ctl, elm, hybrid
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
-from dynabs.cli import MAX_STEPS, PipelineConfig, main
+from dynabs.cli import MAX_STEPS, PipelineConfig, _fit_model, main
 from dynabs.elm import ReadoutStats
 from dynabs.hybrid import HybridModel, SimResult
 
@@ -56,6 +56,34 @@ def test_fit_writes_model_and_reports(dataset_csv, tmp_path, capsys):
     total = float(re.search(r"total mse: (\S+)", out).group(1))
     assert sum(n for n, _ in rows) == 1200
     assert sum(n * m for n, m in rows) / 1200 == pytest.approx(total, rel=1e-5)
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+def test_fit_blocked_error_pass_equals_one_pass(rows, monkeypatch):
+    """With blocks of `rows` rows, `fit` locates the samples block by block
+    and steps each region's samples in pieces of at most max(2, rows) rows
+    (one more where a single row would be left), and each sample gets the
+    region id and squared error of one pass over all samples, as does the
+    total MSE."""
+    data = swirl_dataset(1200, seed=1, twist=0.6)
+    cfg = PipelineConfig(omega_lo=[-1.0, -1.0], omega_hi=[1.0, 1.0], epsilon=1e-2)
+    located, pieces = [], []
+    locate, predict = HybridModel.locate_batch, hybrid.predict_batch
+    with monkeypatch.context() as m:
+        m.setattr(elm, "STACK_BYTES", 8 * cfg.hidden_count * rows)
+        m.setattr(HybridModel, "locate_batch", lambda model, x: located.append(len(x)) or locate(model, x))
+        m.setattr(hybrid, "predict_batch", lambda net, z: pieces.append(len(z)) or predict(net, z))
+        _, model, train_mse, ids, sq_err = _fit_model(cfg, data)
+    assert located == [rows] * (1200 // rows) + [1200 % rows] * (1200 % rows > 0)
+    counts = np.bincount(ids)[1:]
+    assert model.n_regions > 1 and len(pieces) > model.n_regions
+    assert any(c > 1 and c % max(2, rows) == 1 for c in counts)  # a region whose last row needs the rule
+    assert max(pieces) <= max(2, rows) + 1 and pieces.count(1) == np.count_nonzero(counts == 1)
+    ids_0 = model.locate_batch(data.states)
+    err = model.predict_located(data.z, ids_0) - data.y
+    sq_err_0 = np.sum(err * err, axis=1)
+    assert np.array_equal(ids, ids_0) and np.array_equal(sq_err, sq_err_0)
+    assert train_mse == float(np.mean(sq_err_0))
 
 
 def test_fit_missing_dataset_names_path(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from synthdata import (
     swirl_zone,
     unit_zone,
 )
-from dynabs import hybrid
+from dynabs import elm, hybrid
 from dynabs.elm import DEFAULT_RIDGE, ReadoutStats
 from dynabs.hybrid import MergeStats, derive_seed, merge_sweep
 
@@ -573,6 +574,66 @@ def test_batched_sweep_equals_sequential_oracle():
             assert np.linalg.norm(predict_batch(net, rows.z) - lstsq) < 1e-6 * np.linalg.norm(lstsq)
         kinds.add((0 < merges < tests, len(parts) > 900, any(a.size == 0 for a in parts.assignments)))
     assert {(True, True, False), (True, False, True)} <= kinds
+
+
+def sweep_and_model(parts, data, hidden, seed, gamma):
+    """merge_sweep's regions and counts, and merge_and_learn's model, under
+    the current budget."""
+    def layer(i):
+        return init_elm(data.n_x + data.n_u, data.n_x, hidden, derive_seed(seed, i))
+
+    stats = MergeStats()
+    regions = merge_sweep(parts, data, layer, gamma, stats)
+    with warnings.catch_warnings():  # an empty region's zero map warns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
+    return regions, stats, model
+
+
+def test_block_boundaries_change_no_bit(monkeypatch):
+    """At the default budget, and at a budget so small that every candidate
+    chunk of the sweep and every block of `ReadoutStats.of` holds one entry,
+    the regions, their statistics, the readouts and the counts are equal."""
+    stacked = []  # entries of each ReadoutStats.of call and of each stacked activation block
+    of, hidden = ReadoutStats.of.__func__, ElmNetwork.hidden
+    for case in sweep_cases():
+        regions_0, stats_0, model_0 = sweep_and_model(*case)
+        with monkeypatch.context() as m:
+            m.setattr(elm, "STACK_BYTES", 1)
+            m.setattr(ReadoutStats, "of", classmethod(
+                lambda cls, net, sets, ids: stacked.append(len(ids)) or of(cls, net, sets, ids)))
+            m.setattr(ElmNetwork, "hidden", lambda net, z: stacked.append(len(z)) or hidden(net, z))
+            regions, stats, model = sweep_and_model(*case)
+        assert (stats.pair_tests, stats.merges) == (stats_0.pair_tests, stats_0.merges)
+        assert (model.stats.pair_tests, model.stats.merges) == (stats_0.pair_tests, stats_0.merges)
+        assert box_lists(b for b, _ in regions) == box_lists(b for b, _ in regions_0)
+        for (_, pool), (_, pool_0) in zip(regions, regions_0):
+            for a, b in zip((pool.hh, pool.hy, pool.yy, pool.rows), (pool_0.hh, pool_0.hy, pool_0.yy, pool_0.rows)):
+                assert np.array_equal(a, b)
+        assert box_lists(r.boxes for r in model.regions) == box_lists(r.boxes for r in model_0.regions)
+        assert all(np.array_equal(a.w_out, b.w_out) for a, b in zip(model.networks, model_0.networks))
+    assert set(stacked) == {1}
+
+
+def test_merge_memory_does_not_grow_with_partitions():
+    """The sweep's temporaries stay within a few blocks of elm.STACK_BYTES:
+    its traced peak is bounded by a small multiple of the budget plus the
+    data's bytes, and a tiling with three times the partitions peaks at
+    most 1.5 times as high."""
+    data = swirl_dataset(16_000, seed=1, twist=0.6)
+    data_bytes = data.z.nbytes + data.y.nbytes
+    peaks = []
+    for epsilon in (1e-3, 3e-4):
+        parts = me_partition(swirl_zone(), data.states, epsilon=epsilon)
+        tracemalloc.start()
+        try:
+            merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1.5e-5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= 4 * elm.STACK_BYTES + 2 * data_bytes, (len(parts), peaks[-1])
+    assert len(parts) > 3000
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_merge_and_learn_reads_no_region_rows_after_the_sweep(monkeypatch):
