@@ -326,8 +326,8 @@ class Dataset:
     def __post_init__(self):
         if self.n_x < 1 or self.n_u < 0:
             raise DataError(f"need n_x >= 1 and n_u >= 0, got n_x={self.n_x}, n_u={self.n_u}")
-        z = np.ascontiguousarray(np.asarray(self.z, dtype=float))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
+        z = np.asarray(self.z, dtype=float)  # column ranges of one table stay views of it
+        y = np.asarray(self.y, dtype=float)
         if z.ndim != 2 or z.shape[1] != self.n_x + self.n_u:
             raise DataError(f"z must be (n, {self.n_x + self.n_u}), got {z.shape}")
         if y.ndim != 2 or y.shape != (z.shape[0], self.n_x):

@@ -122,6 +122,12 @@ class Box:
         return f"Box({parts})"
 
 
+def split_dim(sides: np.ndarray):
+    """The dimension the split rule halves: the longest side, ties to the
+    lowest dimension. `sides` holds one box's, or one column per box."""
+    return np.argmax(sides, axis=0)
+
+
 def rows_all(mask: np.ndarray) -> np.ndarray:
     """Row-wise all of an (n, d) bool array, one column at a time: numpy's
     axis-1 reduction loops once per row, which for a few columns is an
@@ -165,12 +171,13 @@ class BoxTree:
     every point lookup (`locate`) and box range query (`overlapping`) in a
     tiling.
 
-    Each internal node cuts at its midpoint ``0.5 * (lo + hi)``, as
-    `Box.bisect` does, on the lowest dimension no box of the node straddles;
-    a point goes right iff ``x[dim] >= cut``, the half-open membership rule.
-    Leaves map to box indices. Built level by level, it raises `ValueError`
-    naming the first gap, overlap, wrong closure, box outside the zone or
-    node that no midpoint cut separates (not a bisection tiling).
+    Each internal node halves the side that `split_dim`, the rule of
+    `me_partition`, picks, at its midpoint ``0.5 * (lo + hi)`` as `Box.bisect`
+    does, so the tree is the one partitioning built. A point goes right iff
+    ``x[dim] >= cut``, the half-open membership rule. Leaves map to box
+    indices. Built level by level, it raises `ValueError` naming the first
+    gap, overlap, wrong closure, box outside the zone, or box that straddles
+    a cut or shares a node no cut can shrink (not a bisection tiling).
     """
 
     def __init__(self, zone: Box, boxes):
@@ -197,10 +204,8 @@ class BoxTree:
             k = int(wrong[0])
             raise ValueError(f"box {k} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
 
-        dim = zone.dim
         # bounds are held one row per dimension and one column per node or box,
-        # so that every elementwise step and per-dimension loop runs over a long
-        # contiguous row
+        # so that every elementwise step runs over a long contiguous row
         node_lo, node_hi = zone.lo[:, None], zone.hi[:, None]   # the level's nodes, in id order
         members = np.arange(len(boxes))                         # boxes not yet at a leaf
         m_lo, m_hi = lo.T.copy(), hi.T.copy()                   # their bounds
@@ -226,23 +231,28 @@ class BoxTree:
             leaf[leaf_at] = members.take(s)
             rest = (~single).nonzero()[0]
             members, at, m_lo, m_hi = members.take(rest), at.take(rest), m_lo.take(rest, 1), m_hi.take(rest, 1)
-            mid = 0.5 * (node_lo + node_hi)
-            mid_at = mid.take(at, 1)
+            d = split_dim(node_hi - node_lo)
+            d_lo, d_hi = node_lo[d, np.arange(n)], node_hi[d, np.arange(n)]
+            cut = 0.5 * (d_lo + d_hi)                           # Box.bisect's midpoint
+            m_d, cut_at = d.take(at), cut.take(at)
+            below = m_lo[m_d, np.arange(at.size)] < cut_at
+            cross = below & (cut_at < m_hi[m_d, np.arange(at.size)])
+            # members share their node with other boxes: one that crosses its cut fills the node (an
+            # overlap) or straddles the cut; a cut that cannot shrink both halves would split forever
+            bad = cross | ~((d_lo < cut) & (cut < d_hi)).take(at)
+            if bad.any():
+                i = int(np.argmax(bad))
+                a, k = int(at[i]), int(members[i])
+                node = f"[{node_lo[:, a].tolist()}, {node_hi[:, a].tolist()}]"
+                cut_a = f"the cut at {float(cut[a])!r} in dimension {int(d[a])}"
+                if not cross[i]:
+                    raise ValueError(f"not a bisection tiling: box {k} {boxes[k]!r} shares {node} with other boxes, "
+                                     f"but {cut_a} does not shrink both halves")
+                if (m_lo[:, i] == node_lo[:, a]).all() and (m_hi[:, i] == node_hi[:, a]).all():
+                    j = int(members[np.argmax((at == a) & (members != k))])
+                    raise ValueError(f"overlap: box {k} {boxes[k]!r} fills {node}, where box {j} {boxes[j]!r} lies too")
+                raise ValueError(f"not a bisection tiling: box {k} {boxes[k]!r} straddles {cut_a} of {node}")
             inner = count > 1
-            # a cut must shrink both children, or a float-limit node would split forever
-            free = (node_lo < mid) & (mid < node_hi) & inner
-            below = m_lo < mid_at
-            cross = below & (mid_at < m_hi)
-            d = np.zeros(n, dtype=np.intp)                      # the lowest free dimension, 0 at a leaf
-            for j in range(dim - 1, -1, -1):
-                free[j][at[cross[j]]] = False
-                d[free[j]] = j
-            stuck = inner & ~free.any(axis=0)
-            if stuck.any():
-                k = int(np.argmax(stuck))
-                stuck = members[at == k]
-                _reject(boxes, stuck, lo[stuck], hi[stuck], node_lo[:, k], node_hi[:, k])
-            cut = mid[d, np.arange(n)]
             levels.append((d, cut, leaf))
             # the i-th inner node's children are the next level's nodes 2 i and 2 i + 1
             k = inner.nonzero()[0]
@@ -252,7 +262,7 @@ class BoxTree:
             node_hi[dk, kid] = node_lo[dk, kid + 1] = cut.take(k)   # lower child's hi, upper child's lo
             pair = np.empty(n, dtype=np.intp)
             pair[k] = kid
-            at = pair.take(at) + ~below[d.take(at), np.arange(at.size)]  # the upper child holds boxes above the cut
+            at = pair.take(at) + ~below                         # the upper child holds boxes above the cut
         self.dims, self.cuts, self.leaf = (np.concatenate(a) for a in zip(*levels))
         self._level = np.repeat(np.arange(len(levels)), [d.size for d, *_ in levels])  # each node's level
         # nodes are numbered level by level, so the i-th inner node's children are 2 i + 1 and 2 i + 2;
@@ -345,16 +355,3 @@ class BoxTree:
                 q = np.concatenate([q[lower], q[upper]])
                 node = np.concatenate([kids[2 * node[lower]], kids[2 * node[upper] + 1]])
             yield np.concatenate(rows), np.concatenate(boxes)
-
-
-def _reject(boxes, members, lo, hi, node_lo, node_hi):
-    """Raise for a node that no midpoint cut separates: the first overlap
-    among its boxes, else the tiling is not a bisection tiling."""
-    for a in range(len(members)):
-        inter = np.minimum(hi[a], hi[a + 1:]) > np.maximum(lo[a], lo[a + 1:])
-        hit = np.nonzero(np.all(inter, axis=1))[0]
-        if hit.size:
-            i, j = int(members[a]), int(members[a + 1 + hit[0]])
-            raise ValueError(f"overlap: boxes {i} {boxes[i]!r} and {j} {boxes[j]!r} intersect")
-    raise ValueError(f"not a bisection tiling: no midpoint cut of [{node_lo.tolist()}, {node_hi.tolist()}] "
-                     f"separates boxes {members.tolist()}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, WorkingZone
-from .geometry import Box
+from .geometry import Box, split_dim
 
 # Unconditional freeze for slivers: longest side below this fraction of the
 # zone's extent, the resolution floor where samples converge.
@@ -90,7 +90,7 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
         if (sides / extent).max() < MIN_SIDE_FRACTION:
             keep(box, idx)
             continue
-        j = int(sides.argmax())  # argmax takes the lowest dim on ties
+        j = int(split_dim(sides))
         mid = 0.5 * (box.lo[j] + box.hi[j])
         if not box.lo[j] < mid < box.hi[j]:  # midpoint collapse at float limits
             keep(box, idx)

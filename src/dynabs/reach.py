@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elm import ElmNetwork
+from .elm import ElmNetwork, id_runs
 from .geometry import Box
-from .hybrid import HybridModel, id_runs
+from .hybrid import HybridModel
 
 # symmetric widening applied to network output enclosures
 OUTPUT_SLACK = 1e-9

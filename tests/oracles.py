@@ -11,7 +11,7 @@ layer at a time, the transition oracle intersects cells with region boxes
 one pair at a time and encloses each piece with that oracle, the trace
 oracle re-gathers the live runs from the full arrays at every step where
 the sampler carries only the live rows, the tree oracle builds a `BoxTree`'s
-tables by per-level scatters over every box not yet at a leaf where the
+tables by per-level reductions over every box not yet at a leaf where the
 tree drops finished boxes and reads one column at a time, the DOT oracle
 formats one line per edge where the export joins each row's successors,
 the witness oracle reads the steps a simulation took straight off the
@@ -264,11 +264,11 @@ def trace_inputs(model, L: int, M: int, seed: int) -> np.ndarray:
 
 
 def level_tree(zone, boxes):
-    """The tables of `BoxTree(zone, boxes)` built level by level with a
-    `np.logical_or.at` scatter of straddling boxes onto their nodes and
-    axis-1 reductions over every box not yet at a leaf, re-gathering each
-    box's bounds at every level: (dims, cuts, left, right, leaf), a leaf's
-    children being itself. Raises ValueError with the texts BoxTree raises."""
+    """The tables of `BoxTree(zone, boxes)` built level by level with axis-1
+    reductions over every box not yet at a leaf, re-gathering each box's
+    bounds at every level: (dims, cuts, left, right, leaf), a leaf's children
+    being itself. Each node halves its longest side, ties to the lowest
+    dimension. Raises ValueError with the texts BoxTree raises."""
     boxes = list(boxes)
     if not boxes:
         raise ValueError("no boxes to index")
@@ -299,23 +299,30 @@ def level_tree(zone, boxes):
             k = int(np.argmin(count))
             raise ValueError(f"gap: no box covers [{node_lo[k].tolist()}, {node_hi[k].tolist()}]")
         single = count[at] == 1
-        unfilled = single & np.any((lo[members] != node_lo[at]) | (hi[members] != node_hi[at]), axis=1)
-        if unfilled.any():
-            i = int(np.argmax(unfilled))
+        fills = np.all((lo[members] == node_lo[at]) & (hi[members] == node_hi[at]), axis=1)
+        if (single & ~fills).any():
+            i = int(np.argmax(single & ~fills))
             k = int(members[i])
             raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
                              f"[{node_lo[at[i]].tolist()}, {node_hi[at[i]].tolist()}]")
-        mid = 0.5 * (node_lo + node_hi)
-        straddled = np.zeros((n, dim), dtype=bool)
-        np.logical_or.at(straddled, at, (lo[members] < mid[at]) & (mid[at] < hi[members]))
-        free = ~straddled & (node_lo < mid) & (mid < node_hi)
+        sides = node_hi - node_lo
+        d = np.argmax(sides == sides.max(axis=1, keepdims=True), axis=1)
+        cut = 0.5 * (node_lo[rows, d] + node_hi[rows, d])
         inner = count > 1
-        if (inner & ~free.any(axis=1)).any():
-            k = int(np.argmax(inner & ~free.any(axis=1)))
-            stuck = members[at == k]
-            _reject_node(boxes, stuck, lo[stuck], hi[stuck], node_lo[k], node_hi[k])
-        d = np.argmax(free, axis=1)
-        cut = mid[rows, d]
+        cross = ~single & (lo[members, d[at]] < cut[at]) & (cut[at] < hi[members, d[at]])
+        uncut = ~single & ((cut <= node_lo[rows, d]) | (cut >= node_hi[rows, d]))[at]
+        if (cross | uncut).any():
+            i = int(np.argmax(cross | uncut))
+            a, k = at[i], int(members[i])
+            node = f"[{node_lo[a].tolist()}, {node_hi[a].tolist()}]"
+            where = f"the cut at {float(cut[a])!r} in dimension {int(d[a])}"
+            if uncut[i]:
+                raise ValueError(f"not a bisection tiling: box {k} {boxes[k]!r} shares {node} with other boxes, "
+                                 f"but {where} does not shrink both halves")
+            if fills[i]:
+                j = int(members[(at == a) & (members != k)][0])
+                raise ValueError(f"overlap: box {k} {boxes[k]!r} fills {node}, where box {j} {boxes[j]!r} lies too")
+            raise ValueError(f"not a bisection tiling: box {k} {boxes[k]!r} straddles {where} of {node}")
         pair = 2 * np.cumsum(inner) - 2
         leaf = np.full(n, -1, dtype=np.intp)
         leaf[at[single]] = members[single]
@@ -330,17 +337,6 @@ def level_tree(zone, boxes):
         at = pair[at] + (lo[members, d[at]] >= cut[at])
         first += n
     return tuple(np.concatenate(a) for a in zip(*levels))
-
-
-def _reject_node(boxes, members, lo, hi, node_lo, node_hi):
-    for a in range(len(members)):
-        inter = np.minimum(hi[a], hi[a + 1:]) > np.maximum(lo[a], lo[a + 1:])
-        hit = np.nonzero(np.all(inter, axis=1))[0]
-        if hit.size:
-            i, j = int(members[a]), int(members[a + 1 + hit[0]])
-            raise ValueError(f"overlap: boxes {i} {boxes[i]!r} and {j} {boxes[j]!r} intersect")
-    raise ValueError(f"not a bisection tiling: no midpoint cut of [{node_lo.tolist()}, {node_hi.tolist()}] "
-                     f"separates boxes {members.tolist()}")
 
 
 def edge_dot(ts) -> str:

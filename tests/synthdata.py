@@ -111,9 +111,12 @@ def split_region_model(zone: WorkingZone, nets, j: int = 0) -> HybridModel:
     )
 
 
-def alternating_slab_model(zone: WorkingZone, nets, levels: int = 3) -> HybridModel:
-    """Two-region model over the zone bisected `levels` times along dimension
-    0; the regions alternate slab by slab, region 1 owning the first."""
+def alternating_slab_model(nets, levels: int = 3, n_x: int = 2, input_bounds: Box | None = None) -> HybridModel:
+    """Two-region model over a zone 2**levels times wider than tall,
+    [0, 2**levels] x [0, 1]^(n_x - 1), bisected `levels` times along
+    dimension 0 into unit slabs: its longest side each time, as partitioning
+    does. The regions alternate slab by slab, region 1 owning the first."""
+    zone = WorkingZone(Box(np.zeros(n_x), [2.0 ** levels] + [1.0] * (n_x - 1)), input_bounds)
     slabs = [zone.omega]
     for _ in range(levels):
         slabs = [half for s in slabs for half in s.bisect(0)]

@@ -265,13 +265,13 @@ def test_transitions_equal_pairwise_reference():
 
 
 def test_transitions_with_inputs_equal_pairwise_reference():
-    zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([-0.25], [0.25]))
     nets = [init_elm(2, 1, 6, seed=s) for s in (1, 2)]
     rng = np.random.default_rng(0)
-    z = np.column_stack([rng.uniform(0, 1, 80), rng.uniform(-0.25, 0.25, 80)])
+    z = np.column_stack([rng.uniform(0, 8, 80), rng.uniform(-0.25, 0.25, 80)])
     nets = [fit_output_weights(n, Dataset(1, 1, z, 0.8 * z[:, :1] + z[:, 1:])) for n in nets]
-    model = alternating_slab_model(zone, nets)  # each cell holds two pieces of each network
-    cells = [c for half in zone.omega.bisect(0) for c in half.bisect(0)]
+    # on [0, 8], each cell holds two pieces of each network
+    model = alternating_slab_model(nets, n_x=1, input_bounds=Box([-0.25], [0.25]))
+    cells = [c for half in model.zone.omega.bisect(0) for c in half.bisect(0)]
     ts = compute_transitions(model, cells)
     assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
 
@@ -282,7 +282,10 @@ def test_transitions_require_a_bisection_tiling():
     model = single_region_model(zone, constant_net([0.4, 0.6], 2))
     left, right = zone.omega.bisect(0)
     recut = [Box([0.0, 0.0], [0.25, 1.0], [False, True]), Box([0.25, 0.0], [1.0, 1.0], [True, True])]
-    for cells, cause in (([left], "gap"), ([left, right, right], "overlap"), (recut, "not a bisection tiling"),
+    slabs = [c for half in (left, right) for c in half.bisect(0)]  # each half's longer side is x2
+    for cells, cause in (([left], "gap"), ([left, right, right], "overlap: box 1 .* fills .*, where box 2"),
+                         (recut, "not a bisection tiling: box 1 .* straddles the cut at 0.5 in dimension 0"),
+                         (slabs, "not a bisection tiling: box 0 .* straddles the cut at 0.5 in dimension 1"),
                          ([Box(left.lo, left.hi, [True, True]), right], "closed exactly on the zone's closed faces")):
         with pytest.raises(ValueError, match=cause):
             compute_transitions(model, cells)

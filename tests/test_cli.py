@@ -530,6 +530,41 @@ def test_tilings_cut_off_the_midpoint_exit_3(dataset_csv, tmp_path, capsys):
     assert code == 3 and "not a bisection tiling" in err
 
 
+def test_midpoint_tilings_that_split_a_shorter_side_first_exit_3(dataset_csv, tmp_path, capsys):
+    """Four x1-slabs of the square cut at midpoints, but each half's longer
+    side is x2, which partitioning would halve next: as a model's region
+    boxes and as a transition system's cells, `simulate` and `verify` exit 3
+    with one error line naming the box that crosses that cut."""
+    out_dir = tmp_path / "m"
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+                     "--omega-lo=-1,-1", "--omega-hi=1,1", "--epsilon", 1e6, "--gamma", 1e6, "--out-dir", out_dir)
+    assert code == 0
+    code, _, _ = run(capsys, "abstract", "--model", out_dir / "model.json", "--epsilon", 1e6,
+                     "--traces", 5, "--trace-length", 5, "--out-dir", out_dir)
+    assert code == 0
+    edges = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    slabs = [{"lo": [a, -1.0], "hi": [b, 1.0], "closed_hi": [b == 1.0, True]} for a, b in zip(edges, edges[1:])]
+    named = "box 0 Box([-1,-0.5)x[-1,1]) straddles the cut at 0.0 in dimension 1 of [[-1.0, -1.0], [0.0, 1.0]]"
+
+    doc = json.loads((out_dir / "model.json").read_text())
+    (region,) = doc["regions"]
+    region["boxes"] = slabs
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--model", bad_model, "--x0", "0.4,0.3", "--steps", 5)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    doc = json.loads((out_dir / "ts.json").read_text())
+    doc["cells"] = slabs
+    doc["relation"] = [[1] * 5] * 4 + [[0, 0, 0, 0, 1]]
+    bad_ts = tmp_path / "ts.json"
+    bad_ts.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--ts", bad_ts, "--formula", "EF Q1", "--initial", 1)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_verify_reads_any_json_spacing_and_rejects_malformed_ts(dataset_csv, tmp_path, capsys):
     out_dir = tmp_path / "m"
     code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,

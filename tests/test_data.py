@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, membership_matrix, save_dataset, zone_from_data
 from dynabs.data import _read_csv, read_artifact, write_artifact
+
+from synthdata import swirl_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -24,6 +27,21 @@ def test_load_small_autonomous(tmp_path):
     assert data.n_u == 0
     assert np.allclose(data.z[1], [0.5, 0.5])
     assert np.allclose(data.y[2], [0.9, 0.9])
+
+
+def test_load_dataset_holds_the_table_once(tmp_path):
+    """`z` and `y` stay views of the one table the reader fills, so a load
+    peaks at under 1.3 times their bytes (copying them out read 2.0)."""
+    path = tmp_path / "swirl.csv"
+    save_dataset(path, swirl_dataset(50_000, seed=1))
+    tracemalloc.start()
+    try:
+        data = load_dataset(path, n_x=2, n_u=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.z.base is not None and data.z.base is data.y.base
+    assert peak <= 1.3 * (data.z.nbytes + data.y.nbytes)
 
 
 def test_load_with_input_column(tmp_path):

@@ -213,11 +213,13 @@ def random_zone(rng, dim):
 
 
 def random_bisection_tiling(rng, dim, splits):
+    """`splits` random leaves, each halved on its longest side, ties to the
+    lowest dimension, as partitioning does."""
     zone = random_zone(rng, dim)
     leaves = [zone]
     for _ in range(splits):
         box = leaves.pop(int(rng.integers(len(leaves))))
-        leaves.extend(box.bisect(int(rng.integers(dim))))
+        leaves.extend(box.bisect(int(np.argmax(box.sides))))
     return zone, leaves
 
 
@@ -411,14 +413,22 @@ def test_tree_rejects_bad_tilings():
     left, right = zone.bisect(0)
     raises_as_level_tree(zone, [left], "gap")
     raises_as_level_tree(zone, [left, *right.bisect(1)[:1]], "gap")
-    raises_as_level_tree(zone, [left, right, Box([0.5, 0.5], [1.5, 1.5])], "overlap")
-    raises_as_level_tree(zone, [left, right, right], "overlap: boxes 1 .* and 2")  # found below the root
+    raises_as_level_tree(zone, [left, right, Box([0.0, 0.0], [1.0, 1.0])],
+                         re.escape("overlap: box 0 Box([0,1)x[0,2]) fills [[0.0, 0.0], [1.0, 2.0]], where box 2"))
+    raises_as_level_tree(zone, [left, right, right], "overlap: box 1 .* where box 2")  # found below the root
+    raises_as_level_tree(zone, [left, right, Box([0.5, 0.5], [1.5, 1.5])],
+                         re.escape("not a bisection tiling: box 2 Box([0.5,1.5)x[0.5,1.5)) straddles the cut at 1.0 "
+                                   "in dimension 0 of [[0.0, 0.0], [2.0, 2.0]]"))
     raises_as_level_tree(zone, [left, Box([1.0, 0.0], [3.0, 2.0], [True, True])], "outside the zone")
     raises_as_level_tree(zone, [Box(left.lo, left.hi, [True, True]), right], "closed")
     # two slabs tile the unit square's left half, and no box meets its right half
     unit = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
     slabs = [Box([0.0, 0.0], [0.25, 1.0], [False, True]), Box([0.25, 0.0], [0.5, 1.0], [False, True])]
     raises_as_level_tree(unit, slabs, re.escape("gap: no box covers [[0.5, 0.0], [1.0, 1.0]]"))
+    # four x1-slabs tile the square at midpoints, but the left half's longer side is x2
+    slabs = [b for half in unit.bisect(0) for b in half.bisect(0)]
+    raises_as_level_tree(unit, slabs, re.escape("not a bisection tiling: box 0 Box([0,0.25)x[0,1]) straddles the cut "
+                                                "at 0.5 in dimension 1 of [[0.0, 0.0], [0.5, 1.0]]"))
     # a pinwheel tiles the square, but no single cut separates its boxes
     pinwheel = [
         Box([0.0, 0.0], [1.5, 0.5]),
@@ -429,4 +439,8 @@ def test_tree_rejects_bad_tilings():
     ]
     grid = np.stack(np.meshgrid(np.linspace(0, 2, 9), np.linspace(0, 2, 9)), axis=-1).reshape(-1, 2)
     assert (membership_matrix(pinwheel, grid).sum(axis=1) == 1).all()
-    raises_as_level_tree(zone, pinwheel, "not a bisection tiling")
+    raises_as_level_tree(zone, pinwheel, "not a bisection tiling: box 0 .* straddles the cut at 1.0 in dimension 0")
+    # a zone one ulp wide has no cut that shrinks both halves, so two boxes in it cannot be split apart
+    ulp = Box([0.0], [np.nextafter(0.0, 1.0)], [True])
+    raises_as_level_tree(ulp, [ulp, ulp], "not a bisection tiling: box 0 .* shares .* with other boxes, "
+                                          "but the cut at 0.0 in dimension 0 does not shrink both halves")

@@ -374,7 +374,7 @@ def test_step_takes_out_of_zone_rows_through_the_nearest_region():
     their constant networks name the region stepped through; on a fitted swirl
     model the rows step with the bits of their brute-force region."""
     rng = np.random.default_rng(8)
-    slabs = alternating_slab_model(unit_zone(), [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    slabs = alternating_slab_model([constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
     x = points_around_the_zone(slabs.zone, rng)
     want = nearest_regions(slabs, x)
     assert np.array_equal(np.where(slabs.step(x)[:, 0] == 0.1, 1, 2), want)
@@ -425,11 +425,12 @@ def test_region_walk_of_a_single_region_model_takes_no_level():
 def test_region_walk_where_no_two_sibling_boxes_share_a_region():
     """Slabs that alternate between two regions: no subtree holds one region
     only, so the walk descends to the boxes and still names their owners."""
-    model = alternating_slab_model(unit_zone(), [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
+    model = alternating_slab_model([constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
     assert model.region_walk.depth == model.tree.box_walk.depth == 3
     boxes = [b for r in model.regions for b in r.boxes]
     owner = np.array([r.id for r in model.regions for _ in r.boxes])
-    x = np.concatenate([np.stack([b.lo for b in boxes]), np.random.default_rng(2).uniform(0.0, 1.0, (500, 2))])
+    omega = model.zone.omega
+    x = np.concatenate([np.stack([b.lo for b in boxes]), np.random.default_rng(2).uniform(omega.lo, omega.hi, (500, 2))])
     ids = model.locate_batch(x)
     member = membership_matrix(boxes, x)
     assert np.array_equal(ids, owner[member.argmax(axis=1)])
@@ -471,7 +472,8 @@ def test_model_requires_regions_that_tile_the_zone():
     net = constant_net([0.5, 0.5], 2)
     with pytest.raises(ValueError, match="gap"):
         HybridModel(zone, (Region(1, (left,)),), (net,), gamma=0.0, epsilon=0.0)
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match=re.escape("overlap: box 1 Box([0,1]x[0,1]) fills [[0.0, 0.0], [1.0, 1.0]], "
+                                                   "where box 0")):
         HybridModel(zone, (Region(1, (left, zone.omega)), Region(2, (right,))), (net, net), gamma=0.0, epsilon=0.0)
 
 

@@ -10,7 +10,7 @@ from dynabs import Box, BoxTree, WorkingZone, me_partition, membership_matrix
 from dynabs.partition import MIN_SIDE_FRACTION, xlogx_table
 
 from oracles import shannon_entropy, widest_first_partition, xlogx
-from synthdata import two_cluster_dataset, unit_zone
+from synthdata import random_tiling_cases, two_cluster_dataset, unit_zone
 
 
 def test_entropy_even_split_is_ln2():
@@ -198,6 +198,30 @@ def assert_exact_tiling(parts, pts) -> None:
     for k, idx in enumerate(parts.assignments):
         assert np.array_equal(np.sort(idx), np.flatnonzero(member[:, k]))
     BoxTree(parts.zone.omega, parts.boxes)  # raises unless the boxes are a bisection tiling
+
+
+def test_tree_is_the_partition_tree():
+    """On criterion 1's random datasets, `BoxTree` over a partition has one
+    inner node per accepted split, each halving its node's longest side,
+    ties to the lowest dimension, at the midpoint; its node bounds, derived
+    as `Box.bisect` derives them, end in the partition's boxes bit for bit."""
+    for zone, pts, eps, _ in random_tiling_cases():
+        parts = me_partition(zone, pts, eps)
+        tree = BoxTree(zone.omega, parts.boxes)
+        inner = tree.leaf < 0
+        accepted = [j for _, j, _, committed in parts.split_log if committed]
+        assert inner.sum() == len(accepted) and sorted(tree.dims[inner]) == sorted(accepted)
+        bounds = {0: zone.omega}  # nodes are numbered level by level, so a parent comes before its children
+        for node in range(tree.leaf.size):
+            box = bounds.pop(node)
+            if not inner[node]:
+                leaf = parts.boxes[tree.leaf[node]]
+                assert np.array_equal(box.lo, leaf.lo) and np.array_equal(box.hi, leaf.hi)
+                continue
+            sides = box.hi - box.lo
+            j = int(np.flatnonzero(sides == sides.max())[0])
+            assert tree.dims[node] == j and tree.cuts[node] == 0.5 * (box.lo[j] + box.hi[j])
+            bounds[tree.box_walk.kids[2 * node]], bounds[tree.box_walk.kids[2 * node + 1]] = box.bisect(j)
 
 
 def test_sliver_floor_freezes_a_box_every_split_of_which_separates_samples():

@@ -217,9 +217,8 @@ def test_cell_successor_piece_containment_against_samples():
 def test_reach_rows_agree_with_pieces_and_output_views():
     """Regions alternate over eight x-slabs, so one cell holds several pieces
     of each of two networks, with an input appended to every piece."""
-    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]), input_bounds=Box([-0.5], [0.5]))
-    model = alternating_slab_model(zone, [init_elm(3, 2, 10, seed=s) for s in (1, 2)])
-    result = cell_successor_box(model, Box([0.1, 0.2], [0.9, 0.7]))
+    model = alternating_slab_model([init_elm(3, 2, 10, seed=s) for s in (1, 2)], input_bounds=Box([-0.5], [0.5]))
+    result = cell_successor_box(model, Box([0.8, 0.2], [7.2, 0.7]))
     assert result.region_ids.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]  # region-box order
     assert np.array_equal(result.in_lo[:, 2], np.full(8, -0.5)) and np.array_equal(result.in_hi[:, 2], np.full(8, 0.5))
     assert [p.region_id for p in result.pieces] == result.region_ids.tolist()
@@ -235,9 +234,9 @@ def test_reach_rows_agree_with_pieces_and_output_views():
 def test_multi_cell_reach_is_the_one_cell_rows_in_order():
     """One call over many cells gives, bit for bit, the rows of the one-cell
     calls concatenated in cell order, with `cell_ids` naming each row's cell."""
-    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]), input_bounds=Box([-0.5], [0.5]))
-    model = alternating_slab_model(zone, [init_elm(3, 2, 10, seed=s) for s in (1, 2)], levels=4)
-    left, right = zone.omega.bisect(1)
+    model = alternating_slab_model([init_elm(3, 2, 10, seed=s) for s in (1, 2)], levels=4,
+                                   input_bounds=Box([-0.5], [0.5]))
+    left, right = model.zone.omega.bisect(1)
     cells = [*left.bisect(0), *(c for half in right.bisect(0) for c in half.bisect(1))]
     cells = [cells[k] for k in (3, 0, 4, 1, 5, 2)]  # any order of the cells
     many = cell_successor_box(model, *cells)
