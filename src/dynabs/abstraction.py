@@ -100,9 +100,11 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
     return TraceSet(states, lengths)
 
 
-def build_cells(zone: WorkingZone, traces: TraceSet, epsilon: float) -> list[Box]:
-    """Cells = maximum-entropy partition of all visited states."""
-    return me_partition(zone, traces.visited, epsilon).boxes
+def build_cells(zone: WorkingZone, states: np.ndarray, epsilon: float) -> list[Box]:
+    """Cells = maximum-entropy partition of the (n, n_x) visited states, such
+    as a `TraceSet`'s `visited`: taking the states alone lets a caller free
+    the padded trace array before the partition runs."""
+    return me_partition(zone, states, epsilon).boxes
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,15 +219,17 @@ def compute_transitions(model: HybridModel, cells, initial: int | None = None) -
     return TransitionSystem(zone=zone, cells=cells, relation=relation, initial=initial)
 
 
-def export_dot(ts: TransitionSystem) -> str:
-    """Render the transition graph as DOT with stable row-major ordering:
-    one line per edge, each source's successors in ascending order."""
-    lines = ["digraph transition_system {", "  rankdir=LR;"]
-    lines += [f"  Q{i} [shape=box{', peripheries=2' if ts.initial == i else ''}];" for i in range(1, ts.n_cells + 1)]
-    lines.append("  EXIT [shape=doublecircle];")
+def export_dot(ts: TransitionSystem, out) -> None:
+    """Write the transition graph as DOT to the text stream `out`, with
+    stable row-major ordering: one line per edge, each source's successors
+    in ascending order. Each source's edge lines are written as they are
+    rendered, so the whole text is never held."""
+    out.write("digraph transition_system {\n  rankdir=LR;\n")
+    out.writelines(f"  Q{i} [shape=box{', peripheries=2' if ts.initial == i else ''}];\n"
+                   for i in range(1, ts.n_cells + 1))
+    out.write("  EXIT [shape=doublecircle];\n")
     labels = np.array([ts.state_label(i) for i in range(1, ts.n_states + 1)], dtype=object)
     for label, row in zip(labels.tolist(), ts.relation):  # the relation is total: every row has a successor
         head = f"  {label} -> "
-        lines.append(head + f";\n{head}".join(labels[row].tolist()) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        out.write(head + f";\n{head}".join(labels[row].tolist()) + ";\n")
+    out.write("}\n")

@@ -203,8 +203,9 @@ def cmd_fit(args) -> int:
 def cmd_abstract(args) -> int:
     cfg = _config_from_args(args)
     model = HybridModel.load(args.model)
-    traces = sample_traces(model, cfg.traces, cfg.trace_length, cfg.seed)
-    cells = build_cells(model.zone, traces, cfg.epsilon)
+    # only the visited states outlive this line: the padded trace array is freed before the partition
+    cells = build_cells(model.zone, sample_traces(model, cfg.traces, cfg.trace_length, cfg.seed).visited,
+                        cfg.epsilon)
     ts = compute_transitions(model, cells, initial=args.initial)
 
     out_dir = Path(cfg.out_dir)
@@ -212,7 +213,8 @@ def cmd_abstract(args) -> int:
     ts_path = out_dir / "ts.json"
     dot_path = out_dir / "ts.dot"
     ts.save(ts_path)
-    dot_path.write_text(export_dot(ts), encoding="utf-8")
+    with open(dot_path, "w", encoding="utf-8") as f:
+        export_dot(ts, f)
 
     print(f"cells: {ts.n_cells}")
     print(f"edges: {ts.edge_count()}")

@@ -147,22 +147,45 @@ def _short(value, limit: int = 60) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+# The most bytes a writer converts at once: of a 0/1 matrix's JSON text in
+# `write_artifact`, of a dataset's float values in `save_dataset`. A block
+# holds at least one row.
+WRITE_BLOCK_BYTES = 64 * 1024
+
 _JSON_WS = b" \t\n\r"
 # a matrix entry that is neither 0 nor 1: a run of non-delimiters holding some other character
 _BAD_ENTRY = re.compile(rb"[^\[\], \t\n\r]*[^\[\],01 \t\n\r][^\[\], \t\n\r]*")
 
 
-def _bits_json(m: np.ndarray) -> bytes:
-    """Compact JSON of a 2-D bool matrix as 0/1 integers, built in one uint8
-    buffer; equal to `json.dumps(m.astype(int).tolist(), separators=(",", ":"))`."""
+def _bits_rows(m: np.ndarray) -> np.ndarray:
+    """The rows "[d,...,d]," of a 2-D bool matrix's compact JSON, 0/1 for
+    each entry, as one (rows, 2 * cols + 2) uint8 buffer."""
     rows, cols = m.shape
-    buf = np.empty((rows, 2 * cols + 2), dtype=np.uint8)  # one row: "[d,...,d],"
+    buf = np.empty((rows, 2 * cols + 2), dtype=np.uint8)
     buf[:, 0] = ord("[")
-    buf[:, 1:2 * cols:2] = m.astype(np.uint8) + ord("0")
+    buf[:, 1:2 * cols:2] = m
+    buf[:, 1:2 * cols:2] += ord("0")
     buf[:, 2:2 * cols:2] = ord(",")
     buf[:, 2 * cols] = ord("]")
     buf[:, 2 * cols + 1] = ord(",")
-    return b"[" + buf.ravel()[:-1].tobytes() + b"]"
+    return buf
+
+
+def _bits_json(m: np.ndarray) -> bytes:
+    """Compact JSON of a 2-D bool matrix as 0/1 integers, built in one uint8
+    buffer; equal to `json.dumps(m.astype(int).tolist(), separators=(",", ":"))`."""
+    return b"[" + _bits_rows(m).ravel()[:-1].tobytes() + b"]"
+
+
+def _write_bits(f, m: np.ndarray) -> None:
+    """Write `_bits_json(m)` to the text stream `f`, one block of
+    `WRITE_BLOCK_BYTES` at a time."""
+    rows = max(1, WRITE_BLOCK_BYTES // (2 * m.shape[1] + 2))
+    f.write("[")
+    for start in range(0, len(m), rows):
+        text = _bits_rows(m[start:start + rows]).tobytes()
+        f.write((text if start + rows < len(m) else text[:-1]).decode("ascii"))
+    f.write("]")
 
 
 def _read_bits(text: str, pos: int) -> tuple[np.ndarray, int]:
@@ -242,17 +265,19 @@ def write_artifact(path, doc: dict) -> None:
     compact JSON (the C encoder; `indent` would force the pure-Python one and
     put every relation entry on a line of its own). A string value such as
     `created_utc` thus keeps a line to itself. A 2-D bool ndarray value is
-    written as rows of 0/1 integers straight from one byte buffer.
+    written as rows of 0/1 integers, one block of rows at a time (see
+    `WRITE_BLOCK_BYTES`), so its whole text is never held.
     """
-
-    def text(value) -> str:
-        if isinstance(value, np.ndarray) and value.dtype == bool and value.ndim == 2:
-            return _bits_json(value).decode("ascii")
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-    lines = [f"  {json.dumps(key)}: {text(doc[key])}" for key in sorted(doc)]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("{\n" + ",\n".join(lines) + "\n}\n")
+        f.write("{\n")
+        for k, key in enumerate(sorted(doc)):
+            value = doc[key]
+            f.write((",\n" if k else "") + f"  {json.dumps(key)}: ")
+            if isinstance(value, np.ndarray) and value.dtype == bool and value.ndim == 2:
+                _write_bits(f, value)
+            else:
+                f.write(json.dumps(value, sort_keys=True, separators=(",", ":")))
+        f.write("\n}\n")
 
 
 def read_artifact(path, bits: str | None = None) -> dict:
@@ -504,17 +529,20 @@ def _read_csv(path, n_x: int, n_u: int) -> Dataset:
 
 def save_dataset(path, data: Dataset) -> None:
     """Write a dataset in the CSV layout accepted by load_dataset, under the
-    header x1..., u1..., y1... ."""
+    header x1..., u1..., y1... : each value as the `repr` of its float, each
+    line ended by CRLF, as the csv module writes them. The rows are converted
+    one block of `WRITE_BLOCK_BYTES` at a time."""
     header = (
         [f"x{i + 1}" for i in range(data.n_x)]
         + [f"u{i + 1}" for i in range(data.n_u)]
         + [f"y{i + 1}" for i in range(data.n_x)]
     )
+    rows = max(1, WRITE_BLOCK_BYTES // (8 * len(header)))
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for z, y in zip(data.z, data.y):
-            writer.writerow([repr(float(v)) for v in z] + [repr(float(v)) for v in y])
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, len(data), rows):
+            block = np.concatenate([data.z[start:start + rows], data.y[start:start + rows]], axis=1)
+            f.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
 
 def _is_float(cell: str) -> bool:

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from dynabs import (
     merge_and_learn,
     sample_traces,
 )
-from dynabs.abstraction import TraceSet
+from dynabs.data import WRITE_BLOCK_BYTES, write_artifact
 
 from oracles import edge_dot, observed_transitions, pairwise_transitions, sequential_traces, trace_inputs
 
@@ -187,15 +189,14 @@ def test_sample_traces_draws_inputs_within_bounds():
 def test_build_cells_huge_epsilon_single_cell():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
     traces = sample_traces(model, L=10, M=10, seed=0)
-    cells = build_cells(model.zone, traces, epsilon=1e6)
+    cells = build_cells(model.zone, traces.visited, epsilon=1e6)
     assert len(cells) == 1
     assert np.array_equal(cells[0].lo, model.zone.omega.lo)
 
 
 def test_build_cells_two_cluster_traces_split_midline():
     pts = two_cluster_points(seed=11)
-    traces = TraceSet(pts[None], np.array([len(pts) - 1]))
-    cells = build_cells(unit_zone(), traces, epsilon=0.05)
+    cells = build_cells(unit_zone(), pts, epsilon=0.05)
     assert len(cells) > 1
     # the first committed cut is the x1 midline: no cell crosses it
     for c in cells:
@@ -257,7 +258,7 @@ def test_transitions_deterministic():
 def test_transitions_equal_pairwise_reference():
     model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
     assert model.n_regions > 1 and sum(len(r.boxes) for r in model.regions) > model.n_regions
-    trace_cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
+    trace_cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4).visited, epsilon=0.02)
     # coarse cells over the fine region tiling: each cell holds 20+ pieces of several networks
     for cells in (trace_cells, quarter_cells(model.zone)):
         ts = compute_transitions(model, cells)
@@ -312,6 +313,12 @@ def test_transition_system_cell_lookup():
     assert list(ids) == [1, 3, 0, 4, 0]
 
 
+def dot_text(ts) -> str:
+    out = io.StringIO()
+    export_dot(ts, out)
+    return out.getvalue()
+
+
 def test_export_dot_single_cell_golden():
     zone = unit_zone()
     ts = compute_transitions(single_region_model(zone, constant_net([0.4, 0.6], 2)), [zone.omega])
@@ -324,7 +331,7 @@ def test_export_dot_single_cell_golden():
         "  EXIT -> EXIT;\n"
         "}\n"
     )
-    assert export_dot(ts) == expected == edge_dot(ts)
+    assert dot_text(ts) == expected == edge_dot(ts)
 
 
 def test_export_dot_two_cells_golden():
@@ -343,7 +350,7 @@ def test_export_dot_two_cells_golden():
         "  EXIT -> EXIT;\n"
         "}\n"
     )
-    assert export_dot(ts) == expected
+    assert dot_text(ts) == expected
 
 
 @pytest.mark.parametrize("with_initial", [False, True])
@@ -360,13 +367,48 @@ def test_export_dot_equals_the_per_edge_rendering(with_initial):
     for ts in systems:
         if with_initial:
             ts = dataclasses.replace(ts, initial=int(rng.integers(1, ts.n_cells + 1)))
-        assert export_dot(ts) == edge_dot(ts)
+        assert dot_text(ts) == edge_dot(ts)
+
+
+def test_save_and_export_dot_hold_one_row_block_of_a_dense_relation(tmp_path):
+    """On a dense relation over 1 024 bisected cells (2.2 MB of `ts.json`,
+    16.6 MB of DOT), the relation adds less than a few blocks of
+    `WRITE_BLOCK_BYTES` and DOT rows to `save`'s peak over that of the same
+    document without it (the cells' JSON is built whole), and `export_dot`
+    peaks below that much. Built as whole texts, the relation added 6.0 MB
+    and `export_dot` peaked at 50 MB."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    cells = [zone.omega]
+    for _ in range(10):
+        cells = [half for cell in cells for half in cell.bisect(0)]
+    n = len(cells)
+    relation = np.ones((n + 1, n + 1), dtype=bool)
+    relation[n, :n] = False
+    ts = TransitionSystem(zone, tuple(cells), relation)
+    row = len("".join(f"  Q{n} -> Q{j};\n" for j in range(1, n + 1)) + "  Q{n} -> EXIT;\n")
+    bound = 4 * (WRITE_BLOCK_BYTES + row)
+    tracemalloc.start()
+    try:
+        ts.save(tmp_path / "ts.json")
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        write_artifact(tmp_path / "cells.json", {k: v for k, v in ts.to_dict().items() if k != "relation"})
+        cells_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(tmp_path / "ts.dot", "w", encoding="utf-8") as f:
+            export_dot(ts, f)
+        dot_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min((tmp_path / name).stat().st_size for name in ("ts.json", "ts.dot")) > 6 * bound
+    assert save_peak - cells_peak < bound
+    assert dot_peak < bound
 
 
 def test_transition_system_json_round_trip(tmp_path):
     model, _ = fitted_swirl_model(seed=1, n_samples=600)
     traces = sample_traces(model, L=30, M=30, seed=2)
-    cells = build_cells(model.zone, traces, epsilon=0.05)
+    cells = build_cells(model.zone, traces.visited, epsilon=0.05)
     ts = compute_transitions(model, cells, initial=1)
     path = tmp_path / "ts.json"
     ts.save(path)
@@ -386,7 +428,7 @@ def test_transition_system_json_round_trip(tmp_path):
 def test_simulated_transitions_respect_relation():
     model, _ = fitted_swirl_model(seed=2, n_samples=800)
     traces = sample_traces(model, L=40, M=40, seed=3)
-    cells = build_cells(model.zone, traces, epsilon=0.05)
+    cells = build_cells(model.zone, traces.visited, epsilon=0.05)
     ts = compute_transitions(model, cells)
     fresh = sample_traces(model, L=20, M=50, seed=99)
     src, dst, exits = observed_transitions(fresh, BoxTree(ts.zone.omega, ts.cells))
@@ -420,7 +462,7 @@ def test_artifact_saves_differ_only_in_created_utc(tmp_path):
     """Two saves made at different times are byte-identical once the
     `"created_utc": "...",` line is removed; each top-level key has a line."""
     model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05)
-    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0), epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0).visited, epsilon=0.05)
     ts = compute_transitions(model, cells, initial=1)
     created = re.compile(rb'\n\s*"created_utc": "[^"]*",?')
     for artifact in (model, ts):
@@ -441,7 +483,7 @@ def test_artifact_saves_differ_only_in_created_utc(tmp_path):
 
 def test_load_rejects_cells_that_do_not_tile_the_zone(tmp_path):
     model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05)
-    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0), epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0).visited, epsilon=0.05)
     doc = compute_transitions(model, cells).to_dict()
     k = len(doc["cells"]) // 2
     del doc["cells"][k]

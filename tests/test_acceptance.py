@@ -128,7 +128,7 @@ def test_criterion_5_abstraction_soundness_on_fixture_models():
     checked = 0
     for fx in fixtures:
         model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05, **fx)
-        cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]), epsilon=0.05)
+        cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]).visited, epsilon=0.05)
         ts = compute_transitions(model, cells)
         fresh = sample_traces(model, 100, 200, seed=900 + fx["seed"])
         src, dst, exits = observed_transitions(fresh, BoxTree(ts.zone.omega, ts.cells))

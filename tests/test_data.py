@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, membership_matrix, save_dataset, zone_from_data
+from dynabs import data as data_module
 from dynabs.data import _read_csv, read_artifact, write_artifact
 
 from synthdata import swirl_dataset
@@ -145,6 +147,27 @@ def test_curve_export_round_trip(tmp_path):
     assert np.array_equal(back.y, data.y)
 
 
+def test_save_dataset_writes_what_the_csv_module_writes(tmp_path, monkeypatch):
+    """Byte for byte the csv module's rows of `repr(float(v))`, for extreme,
+    signed-zero, subnormal and non-finite values, with the rows split into
+    blocks of 1, 3 and all rows."""
+    rng = np.random.default_rng(7)
+    z = np.concatenate([rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3)),
+                        [[-0.0, 0.0, 5e-324], [np.inf, -np.inf, np.nan], [1e16, 2.0**60, 0.1]]])
+    data = Dataset(2, 1, z, 3 * z[:, :2])
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["x1", "x2", "u1", "y1", "y2"])
+        for zi, yi in zip(data.z, data.y):
+            writer.writerow([repr(float(v)) for v in zi] + [repr(float(v)) for v in yi])
+    for block_bytes in (1, 3 * 8 * 5, data_module.WRITE_BLOCK_BYTES):
+        monkeypatch.setattr(data_module, "WRITE_BLOCK_BYTES", block_bytes)
+        got = tmp_path / f"got{block_bytes}.csv"
+        save_dataset(got, data)
+        assert got.read_bytes() == want.read_bytes(), block_bytes
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(2, 0, np.zeros((0, 2)), np.zeros((0, 2)))
@@ -194,6 +217,23 @@ def test_bit_matrix_text_is_compact_json_and_reads_back(tmp_path_factory, m):
     assert back["n"] == 1 and back["m"].dtype == bool and np.array_equal(back["m"], m)
     for spacing in ({}, {"indent": 2}):
         path.write_text(json.dumps({"m": m.astype(int).tolist(), "n": 1}, **spacing))
+        assert np.array_equal(read_artifact(path, "m")["m"], m)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_bit_matrix_text_is_the_same_in_any_row_blocks(tmp_path, monkeypatch, n):
+    """`write_artifact` writes a relation one block of rows at a time: with
+    blocks of 4 rows, relations of 1, 3, 4 and 5 rows (and, with a block
+    smaller than a row, one row per block) give the compact JSON text and
+    read back."""
+    m = np.random.default_rng(n).random((n, n)) < 0.5
+    m[0, 0] = True
+    want = '{\n  "m": ' + json.dumps(m.astype(int).tolist(), separators=(",", ":")) + "\n}\n"
+    for block_bytes in (4 * (2 * n + 2), 1):
+        monkeypatch.setattr(data_module, "WRITE_BLOCK_BYTES", block_bytes)
+        path = tmp_path / f"doc{block_bytes}.json"
+        write_artifact(path, {"m": m})
+        assert path.read_text() == want
         assert np.array_equal(read_artifact(path, "m")["m"], m)
 
 
