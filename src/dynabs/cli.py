@@ -24,7 +24,7 @@ from .abstraction import TransitionSystem, build_cells, compute_transitions, exp
 # wraps this module's name for it, so the import stays
 from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set  # noqa: F401
 from .data import JSON_KINDS, DataError, Dataset, WorkingZone, _short, load_dataset, zone_from_data
-from .elm import fit_output_weights, init_elm, mse, per_block
+from .elm import fit_output_weights, init_elm, mse
 from .geometry import Box
 # hybrid_mse is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
@@ -151,36 +151,27 @@ def _load_for(cfg: PipelineConfig) -> Dataset:
 
 def _fit_model(cfg: PipelineConfig, data: Dataset):
     """Partition, merge and fit; returns (parts, model, training MSE of the
-    model, region id of each sample, each sample's squared error).
+    model).
 
-    One located prediction over the data gives both the total and the
-    per-region errors. Samples are located in blocks of rows, and
-    `predict_located` runs in pieces, so besides a few arrays of one row per
-    sample the pass holds temporaries of at most `elm.STACK_BYTES`. A
-    non-finite training MSE (the data overflow the readout solve) raises
-    FloatingPointError, so no model is written.
+    The training MSE is the sample-weighted mean of the region MSEs that
+    `merge_and_learn` takes from each region's final statistics
+    (`MergeStats.rows` and `MergeStats.mse`), so no sample is stepped after
+    the merge sweep. A non-finite training MSE (the data overflow the readout
+    solve) raises FloatingPointError, so no model is written.
     """
     zone = _zone_for(cfg, data)
     parts = me_partition(zone, data.states, cfg.epsilon)
     model = merge_and_learn(parts, data, hidden_count=cfg.hidden_count, seed=cfg.seed, gamma=cfg.gamma)
-    ids = np.empty(len(data), dtype=int)
-    block = per_block(8 * cfg.hidden_count)
-    for start in range(0, len(data), block):
-        ids[start:start + block] = model.locate_batch(data.states[start:start + block])
-    err = model.predict_located(data.z, ids)
-    err -= data.y
-    err *= err
-    sq_err = err.sum(axis=1)
-    train_mse = float(np.mean(sq_err))
+    train_mse = float(np.dot(model.stats.rows, model.stats.mse)) / len(data)
     if not np.isfinite(train_mse):
         raise FloatingPointError(f"hybrid training MSE is {train_mse!r}, not finite: the data overflow the fit")
-    return parts, model, train_mse, ids, sq_err
+    return parts, model, train_mse
 
 
 def cmd_fit(args) -> int:
     cfg = _config_from_args(args)
     data = _load_for(cfg)
-    parts, model, train_mse, ids, sq_err = _fit_model(cfg, data)
+    parts, model, train_mse = _fit_model(cfg, data)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,10 +181,8 @@ def cmd_fit(args) -> int:
     stats = model.stats
     print(f"partitions: {len(parts)}")
     print(f"regions after merge: {model.n_regions}")
-    for region, secs in zip(model.regions, stats.fit_seconds):
-        region_err = sq_err[ids == region.id]
-        mse_text = f"{np.mean(region_err):.6e}" if region_err.size else "n/a (no samples)"
-        print(f"region {region.id:3d}: samples={region_err.size:6d}  mse={mse_text}  fit_ms={secs * 1e3:.4f}")
+    for region, rows, region_mse, secs in zip(model.regions, stats.rows, stats.mse, stats.fit_seconds):
+        print(f"region {region.id:3d}: samples={rows:6d}  mse={region_mse:.6e}  fit_ms={secs * 1e3:.4f}")
     print(f"total mse: {train_mse:.6e}")
     print(f"total fit time: {stats.total_fit_seconds * 1e3:.4f} ms")
     print(f"model written: {model_path}")
@@ -242,14 +231,13 @@ def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
     data = _load_for(cfg)
 
-    _, model, train_mse, _, _ = _fit_model(cfg, data)
-    sub_times = [s for s in model.stats.fit_seconds if s > 0.0]
+    _, model, train_mse = _fit_model(cfg, data)
     hybrid_row = {
         "variant": "hybrid",
         "networks": model.n_regions,
         "hidden_count": cfg.hidden_count,
         "samples": len(data),
-        "median_fit_ms": statistics.median(sub_times) * 1e3 if sub_times else 0.0,
+        "median_fit_ms": statistics.median(model.stats.fit_seconds) * 1e3,
         "total_fit_ms": model.stats.total_fit_seconds * 1e3,
         "mse": train_mse,
     }

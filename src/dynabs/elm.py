@@ -115,10 +115,11 @@ def fit_output_weights(net: ElmNetwork, data: Dataset) -> ElmNetwork:
 
 # bytes of one block of temporaries: `ReadoutStats.of`'s activations and
 # products, the merge sweep's chunks of candidate statistics, and the
-# activations of each piece `HybridModel.predict_located` steps. One entry's
-# H^T H (8 h^2 bytes) and one row set's activations (8 r h bytes) are held
-# whole, since splitting either would change bits, so a block holds at most
-# the largest of this budget, one entry and one set's activations.
+# activations of each piece `HybridModel.predict_located` steps; the fit
+# steps no sample. One entry's H^T H (8 h^2 bytes) and one row set's
+# activations (8 r h bytes) are held whole, since splitting either would
+# change bits, so a block holds at most the largest of this budget, one
+# entry and one set's activations.
 STACK_BYTES = 1 << 20
 
 
@@ -243,24 +244,28 @@ class ReadoutStats:
         singular system raises LinAlgError."""
         return np.linalg.solve(self.hh + DEFAULT_RIDGE * np.eye(self.hh.shape[-1]), self.hy)
 
-    def ridge_mse(self) -> np.ndarray:
-        """Training MSE of the `readout` of each entry; every entry must hold rows.
+    def mse(self, w_t: np.ndarray) -> np.ndarray:
+        """Training MSE of the readout block `w_t[k]` on the rows of entry k,
+        for W^T stacked as `readout` gives it; every entry must hold rows.
 
         The residual sum ||H W^T - Y||^2 = Y^T Y - 2<W^T, H^T Y> + <W^T, H^T H
-        W^T> is stationary in W, so solve error enters squared.
+        W^T> is stationary in W at the `readout`, so solve error enters squared.
         """
         m = len(self)
-        w_t = self.readout()
         fit = (w_t * self.hy).reshape(m, -1).sum(axis=1)
         quad = (w_t * (self.hh @ w_t)).reshape(m, -1).sum(axis=1)
         return np.maximum(self.yy - 2.0 * fit + quad, 0.0) / self.rows
 
 
 def predict_batch(net: ElmNetwork, z: np.ndarray) -> np.ndarray:
-    """y = w_out . ReLU(w_in . z + b_in) for each row of z, shape (n, n_in) -> (n, n_out)."""
+    """y = w_out . ReLU(w_in . z + b_in) for each row of z, shape (n, n_in) -> (n, n_out).
+    numpy multiplies a single row by another BLAS routine than several rows,
+    so one row runs as two copies of it and gets the bits of any batch."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != net.n_in:
         raise ValueError(f"batch of shape {z.shape} fed to network with n_in={net.n_in}")
+    if z.shape[0] == 1:
+        return (net.hidden(np.repeat(z, 2, axis=0)) @ net.w_out.T)[:1]
     return net.hidden(z) @ net.w_out.T
 
 

@@ -51,6 +51,8 @@ class MergeStats:
     pair_tests: int = 0
     merges: int = 0
     fit_seconds: list[float] = field(default_factory=list)  # each region's readout solve, 0 for an empty one
+    rows: list[int] = field(default_factory=list)  # samples of each region
+    mse: list[float] = field(default_factory=list)  # training MSE of each region's readout, 0 for an empty one
 
     @property
     def total_fit_seconds(self) -> float:
@@ -116,11 +118,9 @@ class HybridModel:
         of region ids[i].
 
         Each network runs on the run of its rows in a stable sort by id, in
-        pieces of one block of activations (`elm.STACK_BYTES`). numpy
-        multiplies a single row by another BLAS routine than several rows,
-        so a piece takes two rows at least, and one row more rather than
-        leave one alone: every row gets the bits `predict_batch` gives the
-        rows of its region alone.
+        pieces of one block of activations (`elm.STACK_BYTES`). Since
+        `predict_batch` gives a row the bits it gets inside any batch, every
+        row gets the bits `predict_batch` gives the rows of its region alone.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if np.shape(ids) != z.shape[:1]:
@@ -133,11 +133,10 @@ class HybridModel:
         out = np.empty((z.shape[0], self.zone.n_x))
         for rid, a, b in runs:
             net = self.network_of(rid)
-            block = max(2, per_block(8 * net.hidden_count))
-            while a < b:
-                stop = b if b - a <= block + 1 else a + block  # leaves no single row
-                out[order[a:stop]] = predict_batch(net, zs[a:stop])
-                a = stop
+            block = per_block(8 * net.hidden_count)
+            for i in range(a, b, block):
+                j = min(b, i + block)
+                out[order[i:j]] = predict_batch(net, zs[i:j])
         return out
 
     def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
@@ -258,7 +257,9 @@ def merge_and_learn(
     that absorbed a candidate, that is bit for bit the network its last
     accepted test certified. A region without samples keeps the zero map,
     with a RuntimeWarning; a singular readout solve raises FloatingPointError
-    naming the region. `stats.fit_seconds` times each region's solve.
+    naming the region. `stats.fit_seconds` times each region's solve, and
+    `stats.rows` and `stats.mse` give its samples and the training MSE of
+    its readout, from the same statistics: no sample is stepped.
     """
     if not gamma >= 0:  # NaN fails too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -274,6 +275,7 @@ def merge_and_learn(
 
     def fit(i: int, pool: ReadoutStats) -> ElmNetwork:
         net = layer(i)
+        stats.rows.append(int(pool.rows[0]))
         if pool.rows[0] == 0:
             warnings.warn(
                 f"region {i + 1} has no samples; its network is the zero map",
@@ -281,15 +283,17 @@ def merge_and_learn(
                 stacklevel=2,
             )
             stats.fit_seconds.append(0.0)
+            stats.mse.append(0.0)
             return net
         t0 = time.perf_counter()
         try:
-            w_t = pool.readout()[0]
+            w_t = pool.readout()
         except np.linalg.LinAlgError as exc:
             raise FloatingPointError(f"readout solve of region {i + 1} ({int(pool.rows[0])} samples, first box "
                                      f"{regions[i][0][0]!r}) is singular ({exc})") from exc
         stats.fit_seconds.append(time.perf_counter() - t0)
-        return replace(net, w_out=w_t.T)
+        stats.mse.append(float(pool.mse(w_t)[0]))
+        return replace(net, w_out=w_t[0].T)
 
     networks = [fit(i, pool) for i, (_, pool) in enumerate(regions)]
 
@@ -347,7 +351,8 @@ def merge_sweep(
         accept = np.zeros(len(cand), dtype=bool)
         if tested.any():
             try:
-                accept[tested] = (pools if tested.all() else pools[tested]).ridge_mse() <= gamma
+                live = pools if tested.all() else pools[tested]
+                accept[tested] = live.mse(live.readout()) <= gamma
             except np.linalg.LinAlgError as exc:
                 if len(ids) > 1:
                     raise

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 import dynabs
-from dynabs import ctl, elm, hybrid
+from dynabs import ctl
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
 from dynabs.cli import MAX_STEPS, PipelineConfig, _fit_model, main
 from dynabs.elm import ReadoutStats
-from dynabs.hybrid import HybridModel, SimResult
+from dynabs.hybrid import HybridModel, SimResult, hybrid_mse
 
 from oracles import sequential_merge
 from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model,
-                       random_transition_system, single_region_model, swirl_dataset, swirl_zone,
+                       random_transition_system, single_region_model, swirl_dataset, swirl_step, swirl_zone,
                        tiny_transition_system)
 
 
@@ -58,32 +58,29 @@ def test_fit_writes_model_and_reports(dataset_csv, tmp_path, capsys):
     assert sum(n * m for n, m in rows) / 1200 == pytest.approx(total, rel=1e-5)
 
 
-@pytest.mark.parametrize("rows", [1, 6])
-def test_fit_blocked_error_pass_equals_one_pass(rows, monkeypatch):
-    """With blocks of `rows` rows, `fit` locates the samples block by block
-    and steps each region's samples in pieces of at most max(2, rows) rows
-    (one more where a single row would be left), and each sample gets the
-    region id and squared error of one pass over all samples, as does the
-    total MSE."""
-    data = swirl_dataset(1200, seed=1, twist=0.6)
+def one_input_swirl(n: int = 1200, seed: int = 2) -> Dataset:
+    """The swirl with the input u on [-0.1, 0.1] added to x1 at half gain."""
+    rng = np.random.default_rng(seed)
+    x, u = rng.uniform(-0.7, 0.7, (n, 2)), rng.uniform(-0.1, 0.1, (n, 1))
+    return Dataset(2, 1, np.concatenate([x, u], axis=1), swirl_step(x, twist=0.6) + 0.5 * u * [1.0, 0.0])
+
+
+@pytest.mark.parametrize("data", [swirl_dataset(1200, seed=1, twist=0.6), one_input_swirl()],
+                         ids=["autonomous", "one input"])
+def test_fit_error_comes_from_the_merge_statistics(data):
+    """Each region's sample count and MSE in `model.stats`, taken from its
+    final readout statistics, are those of stepping its samples, and the
+    training MSE of `_fit_model` is `hybrid_mse` over the data."""
     cfg = PipelineConfig(omega_lo=[-1.0, -1.0], omega_hi=[1.0, 1.0], epsilon=1e-2)
-    located, pieces = [], []
-    locate, predict = HybridModel.locate_batch, hybrid.predict_batch
-    with monkeypatch.context() as m:
-        m.setattr(elm, "STACK_BYTES", 8 * cfg.hidden_count * rows)
-        m.setattr(HybridModel, "locate_batch", lambda model, x: located.append(len(x)) or locate(model, x))
-        m.setattr(hybrid, "predict_batch", lambda net, z: pieces.append(len(z)) or predict(net, z))
-        _, model, train_mse, ids, sq_err = _fit_model(cfg, data)
-    assert located == [rows] * (1200 // rows) + [1200 % rows] * (1200 % rows > 0)
-    counts = np.bincount(ids)[1:]
-    assert model.n_regions > 1 and len(pieces) > model.n_regions
-    assert any(c > 1 and c % max(2, rows) == 1 for c in counts)  # a region whose last row needs the rule
-    assert max(pieces) <= max(2, rows) + 1 and pieces.count(1) == np.count_nonzero(counts == 1)
-    ids_0 = model.locate_batch(data.states)
-    err = model.predict_located(data.z, ids_0) - data.y
-    sq_err_0 = np.sum(err * err, axis=1)
-    assert np.array_equal(ids, ids_0) and np.array_equal(sq_err, sq_err_0)
-    assert train_mse == float(np.mean(sq_err_0))
+    _, model, train_mse = _fit_model(cfg, data)
+    ids = model.locate_batch(data.states)
+    assert model.n_regions > 1
+    assert model.stats.rows == np.bincount(ids, minlength=model.n_regions + 1)[1:].tolist()
+    err = model.predict_located(data.z, ids) - data.y
+    sq_err = np.sum(err * err, axis=1)
+    for region, region_mse in zip(model.regions, model.stats.mse):
+        assert region_mse == pytest.approx(np.mean(sq_err[ids == region.id]), rel=1e-6)
+    assert train_mse == pytest.approx(hybrid_mse(model, data), rel=1e-6)
 
 
 def test_fit_missing_dataset_names_path(tmp_path, capsys):

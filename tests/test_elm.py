@@ -203,7 +203,7 @@ def test_readout_stats_mse_matches_direct_fit():
             continue
         direct = mse(fit_output_weights(net, pool), pool)
         assert stats.rows[0] == len(pool)
-        assert abs(stats.ridge_mse()[0] - direct) <= 1e-4 * max(direct, 1e-3 * gamma)
+        assert abs(stats.mse(stats.readout())[0] - direct) <= 1e-4 * max(direct, 1e-3 * gamma)
         near += gamma / 2 <= direct <= 2 * gamma
         dead += not net.hidden(pool.z)[:, 0].any()
     assert near >= 20 and dead >= 10

@@ -414,6 +414,39 @@ def test_grouped_step_gives_each_region_the_bits_of_its_rows_alone():
     assert np.array_equal(model.step(z), out)
 
 
+@pytest.mark.parametrize("rows", [1, 6])
+def test_grouped_step_runs_in_pieces_of_one_block(rows, monkeypatch):
+    """With blocks of `rows` rows of activations, predict_located steps each
+    region's rows in pieces of at most `rows` rows (single rows, for one), and
+    every row keeps the bits of one call with the default blocks."""
+    data = swirl_dataset(800, seed=4)
+    model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=10, seed=0, gamma=1e-8)
+    z = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3000, 2))
+    ids = model.locate_batch(z)
+    pieces, predict = [], hybrid.predict_batch
+    with monkeypatch.context() as m:
+        m.setattr(elm, "STACK_BYTES", 8 * 10 * rows)
+        m.setattr(hybrid, "predict_batch", lambda net, x: pieces.append(len(x)) or predict(net, x))
+        out = model.predict_located(z, ids)
+    assert max(pieces) == rows and sum(pieces) == len(z)
+    assert np.array_equal(out, model.predict_located(z, ids))
+
+
+def test_a_state_stepped_alone_gets_its_bits_in_a_batch():
+    """numpy multiplies a single row by another BLAS routine than several
+    rows; a state stepped alone, through predict_batch and through
+    HybridModel.step, still equals its row of a many-row call bit for bit."""
+    data = swirl_dataset(2000, seed=1, twist=0.6)
+    model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=20, seed=0,
+                            gamma=1.5e-5)
+    assert model.n_regions > 1
+    net = model.network_of(1)
+    alone = np.concatenate([predict_batch(net, z[None]) for z in data.z])
+    assert np.array_equal(alone, predict_batch(net, data.z))
+    alone = np.concatenate([model.step(x) for x in data.states])
+    assert np.array_equal(alone, model.step(data.states))
+
+
 def test_region_walk_of_a_single_region_model_takes_no_level():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
     assert model.region_walk.depth == 0
