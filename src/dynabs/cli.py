@@ -150,8 +150,8 @@ def _load_for(cfg: PipelineConfig) -> Dataset:
 
 
 def _fit_model(cfg: PipelineConfig, data: Dataset):
-    """Partition, merge and fit; returns (parts, model, training MSE of the
-    model).
+    """Partition, merge and fit; returns (partition count, model, training
+    MSE of the model). The partition is dropped on return.
 
     The training MSE is the sample-weighted mean of the region MSEs that
     `merge_and_learn` takes from each region's final statistics
@@ -165,13 +165,13 @@ def _fit_model(cfg: PipelineConfig, data: Dataset):
     train_mse = float(np.dot(model.stats.rows, model.stats.mse)) / len(data)
     if not np.isfinite(train_mse):
         raise FloatingPointError(f"hybrid training MSE is {train_mse!r}, not finite: the data overflow the fit")
-    return parts, model, train_mse
+    return len(parts), model, train_mse
 
 
 def cmd_fit(args) -> int:
     cfg = _config_from_args(args)
-    data = _load_for(cfg)
-    parts, model, train_mse = _fit_model(cfg, data)
+    # the samples and the partition are freed here, before the model is written
+    partitions, model, train_mse = _fit_model(cfg, _load_for(cfg))
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,7 +179,7 @@ def cmd_fit(args) -> int:
     model.save(model_path)
 
     stats = model.stats
-    print(f"partitions: {len(parts)}")
+    print(f"partitions: {partitions}")
     print(f"regions after merge: {model.n_regions}")
     for region, rows, region_mse, secs in zip(model.regions, stats.rows, stats.mse, stats.fit_seconds):
         print(f"region {region.id:3d}: samples={rows:6d}  mse={region_mse:.6e}  fit_ms={secs * 1e3:.4f}")
@@ -317,49 +317,67 @@ def _add_config_flags(p: argparse.ArgumentParser, *keys: str) -> None:
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=meta[key]["kind"], help=meta[key]["help"])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _fit_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flags(p, *_DATA_KEYS, "epsilon", "gamma", "hidden_count", "seed", "out_dir")
+
+
+def _abstract_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="model JSON produced by fit")
+    p.add_argument("--initial", type=int, help="cell id to mark as initial")
+    _add_config_flags(p, "epsilon", "traces", "trace_length", "seed", "out_dir")
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ts", required=True, help="transition-system JSON produced by abstract")
+    p.add_argument("--formula", required=True, help="CTL formula, e.g. 'EF Q2'")
+    p.add_argument("--initial", required=True, type=int, help="initial cell id")
+
+
+def _bench_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flags(p, *_DATA_KEYS, "epsilon", "gamma", "hidden_count", "reference_hidden_count",
+                      "seed", "out_dir")
+
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="model JSON produced by fit")
+    p.add_argument("--x0", required=True, help="comma-separated start state")
+    p.add_argument("--steps", required=True, type=int, help="number of steps")
+    p.add_argument("--seed", type=int, default=0, help="seed for random inputs, if the model has any")
+    p.add_argument("--out", help="write the trace JSON here instead of stdout")
+
+
+# subcommand: (help, function adding its flags, function running it)
+_COMMANDS = {
+    "fit": ("partition, merge, and train the hybrid model", _fit_flags, cmd_fit),
+    "abstract": ("sample traces, build cells, compute transitions", _abstract_flags, cmd_abstract),
+    "verify": ("check a CTL formula on a transition system", _verify_flags, cmd_verify),
+    "bench": ("compare hybrid training against one large network", _bench_flags, cmd_bench),
+    "simulate": ("roll out the hybrid model from a start state", _simulate_flags, cmd_simulate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `dynabs` parser. Every subcommand is listed, but only `command`'s
+    flags are built, or every subcommand's when `command` is None, so that
+    parsing one command's arguments gives what the full parser gives."""
     parser = argparse.ArgumentParser(
         prog="dynabs",
         description="Learn a neural hybrid model from one-step samples, abstract it into "
                     "a finite transition system, and verify CTL formulas against it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="partition, merge, and train the hybrid model")
-    _add_config_flags(p, *_DATA_KEYS, "epsilon", "gamma", "hidden_count", "seed", "out_dir")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("abstract", help="sample traces, build cells, compute transitions")
-    p.add_argument("--model", required=True, help="model JSON produced by fit")
-    p.add_argument("--initial", type=int, help="cell id to mark as initial")
-    _add_config_flags(p, "epsilon", "traces", "trace_length", "seed", "out_dir")
-    p.set_defaults(func=cmd_abstract)
-
-    p = sub.add_parser("verify", help="check a CTL formula on a transition system")
-    p.add_argument("--ts", required=True, help="transition-system JSON produced by abstract")
-    p.add_argument("--formula", required=True, help="CTL formula, e.g. 'EF Q2'")
-    p.add_argument("--initial", required=True, type=int, help="initial cell id")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="compare hybrid training against one large network")
-    _add_config_flags(p, *_DATA_KEYS, "epsilon", "gamma", "hidden_count", "reference_hidden_count",
-                      "seed", "out_dir")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("simulate", help="roll out the hybrid model from a start state")
-    p.add_argument("--model", required=True, help="model JSON produced by fit")
-    p.add_argument("--x0", required=True, help="comma-separated start state")
-    p.add_argument("--steps", required=True, type=int, help="number of steps")
-    p.add_argument("--seed", type=int, default=0, help="seed for random inputs, if the model has any")
-    p.add_argument("--out", help="write the trace JSON here instead of stdout")
-    p.set_defaults(func=cmd_simulate)
-
+    for name, (text, add_flags, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a subcommand is the first argument; without one, usage errors and --help need every flag
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, CtlSyntaxError) as exc:

@@ -113,21 +113,25 @@ def fit_output_weights(net: ElmNetwork, data: Dataset) -> ElmNetwork:
     return replace(net, w_out=w_t.T)
 
 
-# bytes of one block of temporaries: `ReadoutStats.of`'s activations and
-# products, the merge sweep's chunks of candidate statistics, and the
-# activations of each piece `HybridModel.predict_located` steps; the fit
-# steps no sample. One entry's H^T H (8 h^2 bytes) and one row set's
+# bytes of one block of temporaries. The fit holds one block besides the
+# data's table, 8 bytes of row index per sample (`RowSets`) and its results:
+# a chunk of the merge sweep's candidate statistics takes a third, and beside
+# it either one gather of sample rows with its activations and products
+# (GATHER_SHARE, in `RowSets` and `ReadoutStats.of`) or a window of pair
+# tests, whose pools and `ReadoutStats.readout`'s ridge-shifted copy of them
+# are at most a chunk each. One entry's H^T H (8 h^2 bytes) and one row set's
 # activations (8 r h bytes) are held whole, since splitting either would
-# change bits, so a block holds at most the largest of this budget, one
-# entry and one set's activations.
+# change bits, so a share holds at least one of either. The fit steps no
+# sample; `HybridModel.predict_located` steps its pieces in whole blocks.
 STACK_BYTES = 1 << 20
+GATHER_SHARE = 2 / 3
 
 
-def per_block(item_bytes: int) -> int:
-    """Items of `item_bytes` bytes each that one block of STACK_BYTES holds,
-    at least one. The budget is read at call time, so setting
-    `elm.STACK_BYTES` resizes every block."""
-    return max(1, STACK_BYTES // max(int(item_bytes), 1))
+def per_block(item_bytes: int, share: float = 1.0) -> int:
+    """Items of `item_bytes` bytes each that the fraction `share` of a block
+    of STACK_BYTES holds, at least one. The budget is read at call time, so
+    setting `elm.STACK_BYTES` resizes every block."""
+    return max(1, int(STACK_BYTES * share) // max(int(item_bytes), 1))
 
 
 def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -142,27 +146,46 @@ def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
 
 
 class RowSets:
-    """Disjoint row sets of one sample table (z, y), gathered once into one
-    (k, r, ...) stack per set size r, so that `ReadoutStats.of` reads any
-    selection of the sets under any hidden layer without gathering rows."""
+    """Disjoint row sets of one sample table (z, y), held as one (k, r)
+    stack of row indices per set size r: `ReadoutStats.of` gathers any
+    selection of the sets from the table, in blocks of GATHER_SHARE of
+    STACK_BYTES, under any hidden layer. The table itself is not copied."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, sets: list[np.ndarray]):
-        self.n_out = y.shape[1]
+        self.n_in, self.n_out = z.shape[1], y.shape[1]
+        self.z, self.y = row_items(z), row_items(y)  # the table's rows, read through `gather`
         self.size = np.array([len(s) for s in sets], dtype=int)
         self.slot = np.empty(len(sets), dtype=int)  # position of each set in its size's stack
-        self.stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.stacks: dict[int, np.ndarray] = {}
         self.yy = np.empty(len(sets))  # sum of Y^2 of each set, as np.sum of its rows gives it
         by_size, runs = id_runs(self.size)
-        idx = np.concatenate([np.asarray(sets[i], dtype=int) for i in by_size])
-        z, y = z[idx], y[idx]  # the rows of every set, sets ordered by size; one gather
+        idx = np.concatenate([np.asarray(sets[i], dtype=int) for i in by_size])  # sets ordered by size
         start = 0
         for r, a, b in runs:
             k, stop = by_size[a:b], start + (b - a) * r
-            zs, ys = z[start:stop].reshape(b - a, r, z.shape[1]), y[start:stop].reshape(b - a, r, self.n_out)
-            self.stacks[r] = zs, ys
+            rows = self.stacks[r] = idx[start:stop].reshape(b - a, r)
             self.slot[k] = np.arange(b - a)
-            self.yy[k] = (ys * ys).reshape(b - a, -1).sum(axis=1)
+            block = per_block(8 * r * (1 + 2 * self.n_out), GATHER_SHARE)
+            for i in range(0, b - a, block):
+                ys = gather(self.y, rows[i:i + block], self.n_out)
+                self.yy[k[i:i + block]] = (ys * ys).reshape(ys.shape[0], -1).sum(axis=1)
             start = stop
+
+
+def row_items(a: np.ndarray) -> np.ndarray:
+    """The rows of the 2-D float array `a` as a 1-D array of one opaque item
+    per row, a view of `a` when each row is contiguous. numpy gathers such
+    items a whole row at a time, several times faster than rows of floats."""
+    if a.strides[1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+
+
+def gather(items: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
+    """The rows `idx` (any shape) of the `row_items` `items` of a table of
+    `width` float columns, as a C-contiguous float array of shape
+    idx.shape + (width,)."""
+    return items[idx].view(float).reshape(*idx.shape, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,24 +212,25 @@ class ReadoutStats:
 
         Sets of one size go through one stacked `a^T @ a`, which runs the
         product each set's own `h.T @ h` runs, so every entry equals that of
-        its set alone. A block's activations and products together take at
-        most STACK_BYTES (`per_block`), besides the returned stack.
+        its set alone. A block's gathered rows, activations and products
+        together take at most GATHER_SHARE of STACK_BYTES (`per_block`),
+        besides the returned stack.
         """
         ids = np.asarray(ids, dtype=int)
         m, h = ids.size, net.hidden_count
+        n_in, n_out = sets.n_in, sets.n_out
         rows = sets.size[ids]
-        hh, hy = np.empty((m, h, h)), np.empty((m, h, sets.n_out))
+        hh, hy = np.empty((m, h, h)), np.empty((m, h, n_out))
         by_size, runs = id_runs(rows)
         slots = sets.slot[ids[by_size]]
         for r, a, b in runs:
-            z, y = sets.stacks[r]
-            block = per_block(8 * h * (r + h + sets.n_out))
+            block = per_block(8 * (r * (1 + n_in + n_out + h) + h * (h + n_out)), GATHER_SHARE)
             for i in range(a, b, block):
                 j = min(b, i + block)
-                k, s = by_size[i:j], slots[i:j]
-                act = net.hidden(z[s])
+                k, s = by_size[i:j], sets.stacks[r][slots[i:j]]
+                act = net.hidden(gather(sets.z, s, n_in))
                 hh[k] = act.transpose(0, 2, 1) @ act
-                hy[k] = act.transpose(0, 2, 1) @ y[s]
+                hy[k] = act.transpose(0, 2, 1) @ gather(sets.y, s, n_out)
         return cls(hh, hy, sets.yy[ids], rows)
 
     def __len__(self) -> int:

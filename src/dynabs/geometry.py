@@ -10,7 +10,7 @@ boundary points inside the tiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -177,10 +177,11 @@ class BoxTree:
     ``x[dim] >= cut``, the half-open membership rule. Leaves map to box
     indices. Built level by level, it raises `ValueError` naming the first
     gap, overlap, wrong closure, box outside the zone, or box that straddles
-    a cut or shares a node no cut can shrink (not a bisection tiling).
+    a cut or shares a node no cut can shrink (not a bisection tiling). A box
+    is named `name(k)` for its index k, "box k" by default.
     """
 
-    def __init__(self, zone: Box, boxes):
+    def __init__(self, zone: Box, boxes, name: Callable[[int], str] = "box {}".format):
         boxes = list(boxes)
         if not boxes:
             raise ValueError("no boxes to index")
@@ -195,14 +196,14 @@ class BoxTree:
         outside = np.flatnonzero(~rows_all((lo >= zone.lo) & (hi <= zone.hi)))
         if outside.size:
             k = int(outside[0])
-            raise ValueError(f"box {k} {boxes[k]!r} extends outside the zone {zone!r}")
+            raise ValueError(f"{name(k)} {boxes[k]!r} extends outside the zone {zone!r}")
         # a tiling is closed exactly on the zone's closed outer faces, so that
         # every point of the zone lies in one box
         closed = np.concatenate([b.closed_hi for b in boxes]).reshape(-1, zone.dim)
         wrong = np.flatnonzero(~rows_all(closed == ((hi == zone.hi) & zone.closed_hi)))
         if wrong.size:
             k = int(wrong[0])
-            raise ValueError(f"box {k} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
+            raise ValueError(f"{name(k)} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
 
         # bounds are held one row per dimension and one column per node or box,
         # so that every elementwise step runs over a long contiguous row
@@ -225,7 +226,7 @@ class BoxTree:
             if lo_off.any() or hi_off.any():
                 i = int(s[np.argmax(lo_off.any(axis=0) | hi_off.any(axis=0))])
                 k = int(members[i])
-                raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
+                raise ValueError(f"gap: {name(k)} {boxes[k]!r} does not fill "
                                  f"[{node_lo[:, at[i]].tolist()}, {node_hi[:, at[i]].tolist()}]")
             leaf = np.full(n, -1, dtype=np.intp)
             leaf[leaf_at] = members.take(s)
@@ -246,12 +247,13 @@ class BoxTree:
                 node = f"[{node_lo[:, a].tolist()}, {node_hi[:, a].tolist()}]"
                 cut_a = f"the cut at {float(cut[a])!r} in dimension {int(d[a])}"
                 if not cross[i]:
-                    raise ValueError(f"not a bisection tiling: box {k} {boxes[k]!r} shares {node} with other boxes, "
+                    raise ValueError(f"not a bisection tiling: {name(k)} {boxes[k]!r} shares {node} with other boxes, "
                                      f"but {cut_a} does not shrink both halves")
                 if (m_lo[:, i] == node_lo[:, a]).all() and (m_hi[:, i] == node_hi[:, a]).all():
                     j = int(members[np.argmax((at == a) & (members != k))])
-                    raise ValueError(f"overlap: box {k} {boxes[k]!r} fills {node}, where box {j} {boxes[j]!r} lies too")
-                raise ValueError(f"not a bisection tiling: box {k} {boxes[k]!r} straddles {cut_a} of {node}")
+                    raise ValueError(f"overlap: {name(k)} {boxes[k]!r} fills {node}, "
+                                     f"where {name(j)} {boxes[j]!r} lies too")
+                raise ValueError(f"not a bisection tiling: {name(k)} {boxes[k]!r} straddles {cut_a} of {node}")
             inner = count > 1
             levels.append((d, cut, leaf))
             # the i-th inner node's children are the next level's nodes 2 i and 2 i + 1

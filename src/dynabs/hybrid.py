@@ -21,7 +21,7 @@ from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_forma
 # fit_output_weights and membership_matrix are not called here, but the
 # benchmark's traced run (pipebench/run.py) wraps this module's names for them,
 # so the imports stay
-from .elm import ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, per_block, predict_batch
+from .elm import GATHER_SHARE, ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, per_block, predict_batch
 from .elm import fit_output_weights  # noqa: F401
 from .geometry import Box, BoxTree, Walk, membership_matrix  # noqa: F401
 from .partition import PartitionSet
@@ -94,8 +94,14 @@ class HybridModel:
             if net.n_out != n_x:
                 raise ValueError(f"networks[{k}].w_out has {net.n_out} rows, expected n_x = {n_x}")
         boxes = [b for r in self.regions for b in r.boxes]
-        object.__setattr__(self, "tree", BoxTree(self.zone.omega, boxes))
-        object.__setattr__(self, "box_owner", np.array([r.id for r in self.regions for _ in r.boxes]))
+        owner = np.array([r.id for r in self.regions for _ in r.boxes], dtype=int)
+
+        def name(k: int) -> str:  # a tiling defect names a box by its place in the document
+            first = int(np.searchsorted(owner, owner[k]))  # owner ascends: ids are dense from 1
+            return f"regions[{owner[k] - 1}].boxes[{k - first}]"
+
+        object.__setattr__(self, "tree", BoxTree(self.zone.omega, boxes, name))
+        object.__setattr__(self, "box_owner", owner)
         object.__setattr__(self, "region_walk", self.tree.walk(self.box_owner))
 
     @property
@@ -323,10 +329,12 @@ def merge_sweep(
 
     Row N's candidates are the partitions after it, none of which has
     absorbed anything, so their statistics come from `ReadoutStats.of` in
-    stacked chunks of at most `elm.STACK_BYTES` (`per_block`). The tests run
-    in windows of consecutive candidates, one stacked solve per window. A
-    window holds at most one chunk, so the sweep's temporaries stay within a
-    few blocks however many partitions there are. While the row
+    stacked chunks of a third of `elm.STACK_BYTES`. The tests run in windows
+    of consecutive candidates of one chunk, one stacked solve per window, so
+    a window's pools and `readout`'s ridge-shifted copy of them take at most
+    a third each, and `of`'s gathers take the two thirds the chunk leaves
+    (`elm.GATHER_SHARE`): the sweep's temporaries stay within one block
+    however many partitions or samples there are. While the row
     rejects, every candidate is pooled with the fixed row; while it accepts,
     the pools are the running sums from the row's statistics, added in the
     order the one-at-a-time sweep adds them. A window keeps its results up to
@@ -351,8 +359,8 @@ def merge_sweep(
         accept = np.zeros(len(cand), dtype=bool)
         if tested.any():
             try:
-                live = pools if tested.all() else pools[tested]
-                accept[tested] = live.mse(live.readout()) <= gamma
+                # an untested pool is all zeros: its solve is the ridge's and its MSE 0 / 0
+                accept = tested & (pools.mse(pools.readout()) <= gamma)
             except np.linalg.LinAlgError as exc:
                 if len(ids) > 1:
                     raise
@@ -390,7 +398,7 @@ def merge_sweep(
                 raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {parts.boxes[members[0]]!r} "
                                          "is not finite: the data overflow the fit")
             accepting, width = False, FIRST_WINDOW
-            chunk = per_block(8 * net.hidden_count * (net.hidden_count + net.n_out))
+            chunk = per_block(8 * net.hidden_count * (net.hidden_count + net.n_out) + 16, 1 - GATHER_SHARE)
             for start in range(0, candidates.size, chunk):
                 block = candidates[start:start + chunk]
                 cand = ReadoutStats.of(net, sets, block)

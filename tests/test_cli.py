@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import dynabs
 from dynabs import ctl
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
-from dynabs.cli import MAX_STEPS, PipelineConfig, _fit_model, main
+from dynabs.cli import MAX_STEPS, PipelineConfig, _fit_model, build_parser, main
 from dynabs.elm import ReadoutStats
 from dynabs.hybrid import HybridModel, SimResult, hybrid_mse
 
@@ -254,6 +255,35 @@ def test_usage_error_on_missing_subcommand_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # argparse enforces required flags
     assert exc.value.code == 2
+
+
+def subcommand_parsers(parser) -> dict:
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_a_parser_built_for_one_subcommand_reads_as_the_full_parser():
+    """`main` builds only the invoked subcommand's flags: that subcommand's
+    help, and the top-level help listing every subcommand, are the full
+    parser's texts."""
+    full = build_parser()
+    for name, sub in subcommand_parsers(full).items():
+        one = build_parser(name)
+        assert one.format_help() == full.format_help()
+        assert subcommand_parsers(one)[name].format_help() == sub.format_help()
+        assert subcommand_parsers(one)[name].format_usage() == sub.format_usage()
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"], ["fit", "--help"], ["verify", "--ts"]])
+def test_usage_texts_are_those_of_the_full_parser(argv, capsys):
+    """Without a subcommand, `main` builds every subcommand's flags, so
+    usage errors and help read as the full parser's."""
+    texts = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        texts.append((exc.value.code, capsys.readouterr()))
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("column, value, position", [
@@ -531,7 +561,8 @@ def test_midpoint_tilings_that_split_a_shorter_side_first_exit_3(dataset_csv, tm
     """Four x1-slabs of the square cut at midpoints, but each half's longer
     side is x2, which partitioning would halve next: as a model's region
     boxes and as a transition system's cells, `simulate` and `verify` exit 3
-    with one error line naming the box that crosses that cut."""
+    with one error line naming the box that crosses that cut: a region box by
+    its region and place, a cell by its index."""
     out_dir = tmp_path / "m"
     code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
                      "--omega-lo=-1,-1", "--omega-hi=1,1", "--epsilon", 1e6, "--gamma", 1e6, "--out-dir", out_dir)
@@ -541,7 +572,7 @@ def test_midpoint_tilings_that_split_a_shorter_side_first_exit_3(dataset_csv, tm
     assert code == 0
     edges = [-1.0, -0.5, 0.0, 0.5, 1.0]
     slabs = [{"lo": [a, -1.0], "hi": [b, 1.0], "closed_hi": [b == 1.0, True]} for a, b in zip(edges, edges[1:])]
-    named = "box 0 Box([-1,-0.5)x[-1,1]) straddles the cut at 0.0 in dimension 1 of [[-1.0, -1.0], [0.0, 1.0]]"
+    straddles = "Box([-1,-0.5)x[-1,1]) straddles the cut at 0.0 in dimension 1 of [[-1.0, -1.0], [0.0, 1.0]]"
 
     doc = json.loads((out_dir / "model.json").read_text())
     (region,) = doc["regions"]
@@ -550,7 +581,7 @@ def test_midpoint_tilings_that_split_a_shorter_side_first_exit_3(dataset_csv, tm
     bad_model.write_text(json.dumps(doc))
     code, out, err = run(capsys, "simulate", "--model", bad_model, "--x0", "0.4,0.3", "--steps", 5)
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"regions[0].boxes[0] {straddles}" in err
 
     doc = json.loads((out_dir / "ts.json").read_text())
     doc["cells"] = slabs
@@ -559,7 +590,7 @@ def test_midpoint_tilings_that_split_a_shorter_side_first_exit_3(dataset_csv, tm
     bad_ts.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--ts", bad_ts, "--formula", "EF Q1", "--initial", 1)
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"box 0 {straddles}" in err
 
 
 def test_verify_reads_any_json_spacing_and_rejects_malformed_ts(dataset_csv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dynabs import (
     mse,
     predict_batch,
 )
+from dynabs import elm
 from dynabs.elm import DEFAULT_RIDGE, ReadoutStats, RowSets
 
 from oracles import normal_equations_fit
@@ -207,3 +209,21 @@ def test_readout_stats_mse_matches_direct_fit():
         near += gamma / 2 <= direct <= 2 * gamma
         dead += not net.hidden(pool.z)[:, 0].any()
     assert near >= 20 and dead >= 10
+
+
+def test_row_sets_hold_row_indices_not_a_copy_of_the_table(monkeypatch):
+    """`RowSets` reads z and y in place: building it allocates 8 bytes of row
+    index per sample and a few numbers per set, less than a float copy of z
+    or of y (16 bytes per sample each), and its row views share their
+    memory."""
+    monkeypatch.setattr(elm, "STACK_BYTES", 1 << 12)
+    data = swirl_dataset(40_000, seed=1, twist=0.6)
+    sets = me_partition(swirl_zone(), data.states, epsilon=1e-3).assignments
+    tracemalloc.start()
+    try:
+        rows = RowSets(data.z, data.y, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(rows.z, data.z) and np.shares_memory(rows.y, data.y)
+    assert peak <= 8 * len(data) + 128 * len(sets) + elm.STACK_BYTES < min(data.z.nbytes, data.y.nbytes), peak
