@@ -1,7 +1,6 @@
 """Neural hybrid system learning, abstraction, and CTL verification."""
 
 from .abstraction import (
-    TraceSet,
     TransitionSystem,
     build_cells,
     compute_transitions,
@@ -32,7 +31,6 @@ __all__ = [
     "ReachResult",
     "Region",
     "SimResult",
-    "TraceSet",
     "TransitionSystem",
     "WorkingZone",
     "build_cells",

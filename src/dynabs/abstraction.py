@@ -25,39 +25,20 @@ from .reach import cell_successor_box
 TS_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True, eq=False)
-class TraceSet:
-    """L sampled runs of up to M steps, stacked.
-
-    Run i took `lengths[i]` steps: `states[i, k]` is its state after k steps,
-    NaN past the run's end. A run that took fewer than M steps stopped
-    because its next state left the zone; the out-of-zone state itself is
-    not stored.
-    """
-
-    states: np.ndarray            # (L, M + 1, n_x)
-    lengths: np.ndarray           # (L,)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def visited(self) -> np.ndarray:
-        """Every run's in-zone states, run after run: (sum(lengths + 1), n_x)."""
-        return self.states[np.arange(self.states.shape[1]) <= self.lengths[:, None]]
-
-
-def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
-    """L traces of up to M steps with uniform random initial states.
+def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> np.ndarray:
+    """The states that L traces of up to M steps visit, from uniform random
+    initial states: an (n, n_x) array of the L start states, then each step's
+    in-zone successors, in ascending run order.
 
     Inputs (when the model takes any) are drawn uniformly over the input
     bounds, L of them at every step until every trace has exited. A trace
-    whose successor leaves the zone stops there, after fewer than M steps. A
-    step that is not finite (the model overflows on a state of the zone)
-    raises FloatingPointError naming the state and its region. Stacked states
-    too large to allocate raise ValueError naming their size. The inputs are
-    not kept: the cells read only the states. Fully deterministic for a
-    given seed.
+    whose successor leaves the zone stops there, after fewer than M steps; the
+    out-of-zone state is not kept. A step that is not finite (the model
+    overflows on a state of the zone) raises FloatingPointError naming the
+    state and its region. Room for L * (M + 1) states is allocated at once;
+    too much to allocate raises ValueError naming its size. The inputs are
+    not kept: the cells read only the states. Fully deterministic for a given
+    seed.
     """
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
@@ -67,18 +48,18 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
 
     x = rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
     try:
-        states = np.full((L, M + 1, omega.dim), np.nan)
+        states = np.empty((L * (M + 1), omega.dim))
     except MemoryError:
         need = 8 * L * (M + 1) * omega.dim
         raise ValueError(f"traces {L} x trace_length {M} need {need} bytes of stacked trace arrays, "
                          "more than can be allocated") from None
-    states[:, 0] = x
-    lengths = np.full(L, M)  # until a run exits
-    live = np.arange(L)  # the traces still in the zone; x holds their states
-    ids = model.locate_batch(x)  # and ids their regions
+    states[:L] = x
+    n = L  # the rows of states filled so far
+    live = np.arange(L)  # the runs still in the zone, each taking its row of a step's L input draws
+    ids = model.locate_batch(x)  # x holds their states and ids their regions
     ib = model.zone.input_bounds
 
-    for t in range(M):
+    for _ in range(M):
         if n_u > 0:
             u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))[live]
         if not live.size:
@@ -92,18 +73,17 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> TraceSet:
         ids = model.locate_batch(nxt)
         inside = ids >= 0  # -1 outside the zone: the one exit test
         if not inside.all():
-            lengths[live[~inside]] = t
             live, nxt, ids = live[inside], nxt[inside], ids[inside]
-        states[live, t + 1] = nxt
+        states[n: n + len(nxt)] = nxt
+        n += len(nxt)
         x = nxt
 
-    return TraceSet(states, lengths)
+    return states[:n]
 
 
 def build_cells(zone: WorkingZone, states: np.ndarray, epsilon: float) -> list[Box]:
-    """Cells = maximum-entropy partition of the (n, n_x) visited states, such
-    as a `TraceSet`'s `visited`: taking the states alone lets a caller free
-    the padded trace array before the partition runs."""
+    """Cells = maximum-entropy partition of the (n, n_x) visited states, as
+    `sample_traces` returns them."""
     return me_partition(zone, states, epsilon).boxes
 
 

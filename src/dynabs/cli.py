@@ -89,10 +89,17 @@ class PipelineConfig:
                 raise UsageError(f"{f.name} must be <= {at_most}, got {shown}")
         if (self.omega_lo is None) != (self.omega_hi is None):
             raise UsageError("omega_lo and omega_hi must be given together")
-        if self.omega_lo is not None:
-            Box(np.asarray(self.omega_lo), np.asarray(self.omega_hi))  # validity check
         if (self.input_lo is None) != (self.input_hi is None):
             raise UsageError("input_lo and input_hi must be given together")
+        if self.n_u == 0 and self.input_lo is not None:
+            raise UsageError("input_lo/input_hi are given, but the dataset has no inputs (n_u = 0)")
+        for key, dim in (("omega_lo", "n_x"), ("omega_hi", "n_x"), ("input_lo", "n_u"), ("input_hi", "n_u")):
+            value, want = getattr(self, key), getattr(self, dim)
+            if value is not None and len(value) != want:
+                raise UsageError(f"{key} has {len(value)} entr{'y' if len(value) == 1 else 'ies'}, "
+                                 f"expected {dim} = {want}")
+        if self.omega_lo is not None:
+            Box(np.asarray(self.omega_lo), np.asarray(self.omega_hi))  # validity check
 
     @classmethod
     def from_file(cls, path) -> PipelineConfig:
@@ -133,8 +140,6 @@ def _config_from_args(args) -> PipelineConfig:
 def _zone_for(cfg: PipelineConfig, data: Dataset) -> WorkingZone:
     """Omega and, when the data have inputs, input bounds: from the config
     where given, else the data's tight bounds; every sample must lie in omega."""
-    if data.n_u == 0 and cfg.input_lo is not None:
-        raise UsageError("input_lo/input_hi are given, but the dataset has no inputs (n_u = 0)")
     tight = zone_from_data(data)
     omega = tight.omega if cfg.omega_lo is None else Box(cfg.omega_lo, cfg.omega_hi)
     input_bounds = tight.input_bounds if cfg.input_lo is None else Box(cfg.input_lo, cfg.input_hi)
@@ -192,9 +197,7 @@ def cmd_fit(args) -> int:
 def cmd_abstract(args) -> int:
     cfg = _config_from_args(args)
     model = HybridModel.load(args.model)
-    # only the visited states outlive this line: the padded trace array is freed before the partition
-    cells = build_cells(model.zone, sample_traces(model, cfg.traces, cfg.trace_length, cfg.seed).visited,
-                        cfg.epsilon)
+    cells = build_cells(model.zone, sample_traces(model, cfg.traces, cfg.trace_length, cfg.seed), cfg.epsilon)
     ts = compute_transitions(model, cells, initial=args.initial)
 
     out_dir = Path(cfg.out_dir)

@@ -163,7 +163,9 @@ class HybridModel:
         return self.predict_located(z, ids)
 
     def simulate(self, x0, inputs=None, steps: int = 0) -> SimResult:
-        """Iterate the model for `steps` steps from x0, one `step` call each.
+        """Iterate the model for `steps` steps from x0, one `step` call each,
+        step t taking row t of `inputs`, of shape (>= steps, n_u) when the
+        model takes inputs (another shape raises ValueError naming this one).
 
         Out-of-zone states are flagged (the nearest-region fallback of `step`
         keeps the trajectory going); a non-finite state truncates the trace. A
@@ -179,9 +181,9 @@ class HybridModel:
         if n_u > 0:
             if inputs is None:
                 raise ValueError("model takes external inputs; provide an input sequence")
-            inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-            if inputs.shape[0] < steps:
-                raise ValueError(f"need {steps} input vectors, got {inputs.shape[0]}")
+            inputs = np.asarray(inputs, dtype=float)
+            if inputs.ndim != 2 or inputs.shape[0] < steps or inputs.shape[1] != n_u:
+                raise ValueError(f"need inputs of shape (>= {steps}, {n_u}), got {inputs.shape}")
         trace = [x]
         message = None
         for t in range(steps):

@@ -15,7 +15,7 @@ tables by per-level reductions over every box not yet at a leaf where the
 tree drops finished boxes and reads one column at a time, the DOT oracle
 formats one line per edge where the export joins each row's successors,
 the witness oracle reads the steps a simulation took straight off the
-sampled traces, and the CTL oracle evaluates path semantics by depth-first graph walks
+padded per-run traces, and the CTL oracle evaluates path semantics by depth-first graph walks
 instead of boolean fixpoint iteration.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dynabs import TraceSet, elm_output_box, fit_output_weights, init_elm, mse, predict_batch
+from dynabs import elm_output_box, fit_output_weights, init_elm, mse, predict_batch
 from dynabs.elm import DEFAULT_RIDGE
 from dynabs.hybrid import derive_seed
 from dynabs.reach import OUTPUT_SLACK
@@ -214,7 +214,14 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
 def sequential_traces(model, L: int, M: int, seed: int):
     """sample_traces with an alive mask over all L runs: every step gathers
     the live runs' states and inputs by np.nonzero and scatters the states
-    back. Draws the same random numbers in the same order."""
+    back. Draws the same random numbers in the same order.
+
+    Returns the runs padded, as (states, lengths): run i took `lengths[i]`
+    steps, and `states[i, k]` is its state after k steps, (L, M + 1, n_x) with
+    NaN past the run's end. A run that took fewer than M steps stopped because
+    its next state left the zone. With k = np.arange(M + 1),
+    `states.swapaxes(0, 1)[k[:, None] <= lengths]` lists the visited states
+    step after step, as sample_traces does."""
     if L < 1 or M < 1:
         raise ValueError("need L >= 1 traces and M >= 1 steps")
     omega = model.zone.omega
@@ -249,7 +256,7 @@ def sequential_traces(model, L: int, M: int, seed: int):
         lengths[staying] = t + 1
         x[staying] = nxt[inside]
 
-    return TraceSet(states, lengths)
+    return states, lengths
 
 
 def trace_inputs(model, L: int, M: int, seed: int) -> np.ndarray:
@@ -381,19 +388,19 @@ def pairwise_transitions(model, cells) -> np.ndarray:
 # --- CTL path-semantics oracle (graph DFS, states 0-based) ----------------
 
 
-def observed_transitions(traces, tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every step the sampled traces took, mapped onto the cells of `tree`
-    (a `BoxTree`): the (src, dst) cell indices of each step and the cell
-    each exited run left the zone from. Every visited state must lie in a
-    cell."""
-    k = np.arange(traces.states.shape[1])
-    visited = k <= traces.lengths[:, None]
+def observed_transitions(states, lengths, tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every step of the padded runs `sequential_traces` returns, mapped onto
+    the cells of `tree` (a `BoxTree`): the (src, dst) cell indices of each
+    step and the cell each exited run left the zone from. Every visited state
+    must lie in a cell."""
+    k = np.arange(states.shape[1])
+    visited = k <= lengths[:, None]
     cell = np.full(visited.shape, -1)
-    cell[visited] = tree.locate(traces.states[visited])
+    cell[visited] = tree.locate(states[visited])
     assert (cell[visited] >= 0).all(), "a simulated state escaped the cell tiling"
-    step = k[:-1] < traces.lengths[:, None]
-    exited = traces.lengths < k[-1]
-    return cell[:, :-1][step], cell[:, 1:][step], cell[exited, traces.lengths[exited]]
+    step = k[:-1] < lengths[:, None]
+    exited = lengths < k[-1]
+    return cell[:, :-1][step], cell[:, 1:][step], cell[exited, lengths[exited]]
 
 
 def _succ(relation: np.ndarray, s: int) -> list[int]:

@@ -53,20 +53,16 @@ def quarter_cells(zone):
 
 def test_sample_traces_shapes_and_determinism():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
-    traces = sample_traces(model, L=1, M=1, seed=0)
-    assert len(traces) == 1
-    assert traces.states.shape == (1, 2, 2)
-    assert traces.lengths.tolist() == [1]
-    assert [f.name for f in dataclasses.fields(traces)] == ["states", "lengths"]
-    assert traces.visited.shape == (2, 2)
+    visited = sample_traces(model, L=1, M=1, seed=0)
+    assert isinstance(visited, np.ndarray) and visited.shape == (2, 2)  # the start state and its successor
+    assert np.array_equal(visited[1], [0.5, 0.5])
 
     a = sample_traces(model, L=7, M=9, seed=42)
     b = sample_traces(model, L=7, M=9, seed=42)
-    assert np.array_equal(a.states, b.states, equal_nan=True)
-    assert np.array_equal(a.lengths, b.lengths)
+    assert a.shape == (70, 2) and np.array_equal(a, b)
 
     c = sample_traces(model, L=7, M=9, seed=43)
-    assert not np.array_equal(a.states, c.states, equal_nan=True)
+    assert not np.array_equal(a, c)
 
 
 def input_model():
@@ -81,26 +77,28 @@ def input_model():
 def test_sample_traces_step_indices_are_consecutive():
     """states[i, k] is run i's state after k steps and trace_inputs(...)[i, k]
     the input applied at step k, so one step maps column k to column k + 1."""
-    traces = sample_traces(input_model(), L=4, M=6, seed=1)
-    assert traces.lengths.max() > 2
-    step = np.arange(6) < traces.lengths[:, None]  # (run, k) pairs with a step k -> k + 1
-    expected = 0.5 * traces.states[:, :-1] + 0.5 * trace_inputs(input_model(), L=4, M=6, seed=1)
-    assert np.allclose(traces.states[:, 1:][step], expected[step], atol=1e-15)
+    states, lengths = sequential_traces(input_model(), L=4, M=6, seed=1)
+    assert lengths.max() > 2
+    step = np.arange(6) < lengths[:, None]  # (run, k) pairs with a step k -> k + 1
+    expected = 0.5 * states[:, :-1] + 0.5 * trace_inputs(input_model(), L=4, M=6, seed=1)
+    assert np.allclose(states[:, 1:][step], expected[step], atol=1e-15)
 
 
 def test_sample_traces_stacked_arrays():
-    """Runs that did not exit took all M steps; entries past each run's end
-    are NaN; `visited` is the runs' in-zone states, run after run."""
+    """The visited states are the L start states, then each step's in-zone
+    successors in run order: L + sum(lengths) finite rows inside the zone,
+    step k's block holding the runs that took k steps or more."""
     L, M = 40, 12
-    traces = sample_traces(input_model(), L=L, M=M, seed=6)
-    exited = traces.lengths < M
+    model = input_model()
+    visited = sample_traces(model, L=L, M=M, seed=6)
+    states, lengths = sequential_traces(model, L, M, seed=6)
+    exited = lengths < M
     assert exited.any() and not exited.all()
-    assert (traces.lengths[~exited] == M).all()
-    k = np.arange(M + 1)
-    assert np.isnan(traces.states[k > traces.lengths[:, None]]).all()
-    assert np.isfinite(traces.states[k <= traces.lengths[:, None]]).all()
-    runs = [traces.states[i, : traces.lengths[i] + 1] for i in range(L)]
-    assert np.array_equal(traces.visited, np.concatenate(runs))
+    assert visited.shape == (L + lengths.sum(), 1)
+    assert np.isfinite(visited).all() and model.zone.contains(visited).all()
+    blocks = np.split(visited, np.cumsum([(lengths >= k).sum() for k in range(M)]))
+    for k, block in enumerate(blocks):
+        assert np.array_equal(block, states[lengths >= k, k])
 
 
 def fitted_input_model():
@@ -127,7 +125,8 @@ def drift_model():
 @pytest.mark.parametrize("case", ["swirl regions", "inputs", "all exit"])
 def test_sample_traces_equal_the_sequential_oracle(case):
     """The live-row sampler takes the steps, draws and exits of the loop
-    that masks all L runs at every step, bit for bit."""
+    that masks all L runs at every step, bit for bit: it returns the oracle's
+    visited states step after step."""
     if case == "swirl regions":
         model, L, M = fitted_swirl_model(epsilon=0.01, gamma=1e-6)[0], 60, 50
         assert model.n_regions > 1 and model.region_walk.depth < model.tree.box_walk.depth
@@ -135,13 +134,15 @@ def test_sample_traces_equal_the_sequential_oracle(case):
         model, L, M = fitted_input_model(), 40, 30
     else:
         model, L, M = drift_model(), 25, 30
-    got, want = sample_traces(model, L, M, seed=5), sequential_traces(model, L, M, seed=5)
-    assert np.array_equal(got.states, want.states, equal_nan=True)
-    assert np.array_equal(got.lengths, want.lengths)
+    got = sample_traces(model, L, M, seed=5)
+    states, lengths = sequential_traces(model, L, M, seed=5)
+    k = np.arange(M + 1)
+    want = states.swapaxes(0, 1)[k[:, None] <= lengths]
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if case == "inputs":
-        assert (got.lengths < M).any() and not (got.lengths < M).all()
+        assert (lengths < M).any() and not (lengths < M).all()
     if case == "all exit":
-        assert np.unique(got.lengths).size > 5 and got.lengths.max() < M
+        assert np.unique(lengths).size > 5 and lengths.max() < M
 
 
 def test_simulate_reproduces_sampled_traces_with_inputs():
@@ -149,21 +150,22 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
     retraces it up to its end: simulate's one-row rollout and sample_traces'
     batched rollout take the same steps."""
     model = fitted_input_model()
-    traces = sample_traces(model, L=30, M=25, seed=4)
-    assert (traces.lengths < 25).any() and (traces.lengths > 10).any()
-    for states, inputs, n in zip(traces.states, trace_inputs(model, L=30, M=25, seed=4), traces.lengths):
-        result = model.simulate(states[0], inputs[:n], steps=n)
+    states, lengths = sequential_traces(model, L=30, M=25, seed=4)
+    assert (lengths < 25).any() and (lengths > 10).any()
+    for run, inputs, n in zip(states, trace_inputs(model, L=30, M=25, seed=4), lengths):
+        result = model.simulate(run[0], inputs[:n], steps=n)
         assert not result.truncated and result.out_of_zone_steps == []
-        assert np.allclose(result.states, states[: n + 1], rtol=0.0, atol=1e-12)
+        assert np.allclose(result.states, run[: n + 1], rtol=0.0, atol=1e-12)
 
 
 def test_sample_traces_exit_marker():
     model = single_region_model(unit_zone(), constant_net([2.0, 2.0], 2))
-    traces = sample_traces(model, L=4, M=5, seed=3)
-    assert (traces.lengths < 5).all()
-    assert (traces.lengths == 0).all()  # only the initial state stays in the zone
-    assert np.isnan(traces.states[:, 1:]).all()
-    assert membership_matrix([unit_zone().omega], traces.states[:, 0]).all()
+    states, lengths = sequential_traces(model, L=4, M=5, seed=3)
+    assert (lengths == 0).all()  # only the initial state stays in the zone
+    assert np.isnan(states[:, 1:]).all()
+    visited = sample_traces(model, L=4, M=5, seed=3)
+    assert np.array_equal(visited, states[:, 0])
+    assert membership_matrix([unit_zone().omega], visited).all()
 
 
 def test_sample_traces_draws_inputs_within_bounds():
@@ -174,22 +176,20 @@ def test_sample_traces_draws_inputs_within_bounds():
 
     net = fit_output_weights(init_elm(2, 1, 8, seed=0), Dataset(1, 1, z, 0.5 * z[:, :1]))
     model = single_region_model(zone, net)
-    traces = sample_traces(model, L=3, M=10, seed=5)
+    states, lengths = sequential_traces(model, L=3, M=10, seed=5)
     inputs = trace_inputs(model, L=3, M=10, seed=5)
     assert inputs.shape == (3, 10, 1)
-    step = np.arange(10) < traces.lengths[:, None]
+    step = np.arange(10) < lengths[:, None]
     applied = inputs[step]
-    assert applied.shape[0] == traces.lengths.sum()  # one input per step taken
+    assert applied.shape[0] == lengths.sum()  # one input per step taken
     assert np.all(applied >= -0.25) and np.all(applied <= 0.25)
     # and those are the inputs the steps took
-    assert np.allclose(model.step(traces.states[:, :-1][step], applied), traces.states[:, 1:][step],
-                       rtol=0.0, atol=1e-12)
+    assert np.allclose(model.step(states[:, :-1][step], applied), states[:, 1:][step], rtol=0.0, atol=1e-12)
 
 
 def test_build_cells_huge_epsilon_single_cell():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
-    traces = sample_traces(model, L=10, M=10, seed=0)
-    cells = build_cells(model.zone, traces.visited, epsilon=1e6)
+    cells = build_cells(model.zone, sample_traces(model, L=10, M=10, seed=0), epsilon=1e6)
     assert len(cells) == 1
     assert np.array_equal(cells[0].lo, model.zone.omega.lo)
 
@@ -258,7 +258,7 @@ def test_transitions_deterministic():
 def test_transitions_equal_pairwise_reference():
     model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
     assert model.n_regions > 1 and sum(len(r.boxes) for r in model.regions) > model.n_regions
-    trace_cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4).visited, epsilon=0.02)
+    trace_cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
     # coarse cells over the fine region tiling: each cell holds 20+ pieces of several networks
     for cells in (trace_cells, quarter_cells(model.zone)):
         ts = compute_transitions(model, cells)
@@ -407,8 +407,7 @@ def test_save_and_export_dot_hold_one_row_block_of_a_dense_relation(tmp_path):
 
 def test_transition_system_json_round_trip(tmp_path):
     model, _ = fitted_swirl_model(seed=1, n_samples=600)
-    traces = sample_traces(model, L=30, M=30, seed=2)
-    cells = build_cells(model.zone, traces.visited, epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, L=30, M=30, seed=2), epsilon=0.05)
     ts = compute_transitions(model, cells, initial=1)
     path = tmp_path / "ts.json"
     ts.save(path)
@@ -427,11 +426,10 @@ def test_transition_system_json_round_trip(tmp_path):
 
 def test_simulated_transitions_respect_relation():
     model, _ = fitted_swirl_model(seed=2, n_samples=800)
-    traces = sample_traces(model, L=40, M=40, seed=3)
-    cells = build_cells(model.zone, traces.visited, epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, L=40, M=40, seed=3), epsilon=0.05)
     ts = compute_transitions(model, cells)
-    fresh = sample_traces(model, L=20, M=50, seed=99)
-    src, dst, exits = observed_transitions(fresh, BoxTree(ts.zone.omega, ts.cells))
+    states, lengths = sequential_traces(model, L=20, M=50, seed=99)
+    src, dst, exits = observed_transitions(states, lengths, BoxTree(ts.zone.omega, ts.cells))
     missing = ~ts.relation[src, dst]
     assert not missing.any(), f"missing transitions Q{src[missing] + 1} -> Q{dst[missing] + 1}"
     assert ts.relation[exits, ts.n_cells].all(), "missing exit transition"
@@ -462,7 +460,7 @@ def test_artifact_saves_differ_only_in_created_utc(tmp_path):
     """Two saves made at different times are byte-identical once the
     `"created_utc": "...",` line is removed; each top-level key has a line."""
     model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05)
-    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0).visited, epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0), epsilon=0.05)
     ts = compute_transitions(model, cells, initial=1)
     created = re.compile(rb'\n\s*"created_utc": "[^"]*",?')
     for artifact in (model, ts):
@@ -483,7 +481,7 @@ def test_artifact_saves_differ_only_in_created_utc(tmp_path):
 
 def test_load_rejects_cells_that_do_not_tile_the_zone(tmp_path):
     model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05)
-    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0).visited, epsilon=0.05)
+    cells = build_cells(model.zone, sample_traces(model, 30, 30, seed=0), epsilon=0.05)
     doc = compute_transitions(model, cells).to_dict()
     k = len(doc["cells"]) // 2
     del doc["cells"][k]

@@ -28,7 +28,7 @@ from dynabs import (
 from dynabs.cli import main
 from dynabs.elm import DEFAULT_RIDGE
 
-from oracles import normal_equations_fit, observed_transitions, oracle_sat, shannon_entropy
+from oracles import normal_equations_fit, observed_transitions, oracle_sat, sequential_traces, shannon_entropy
 from synthdata import (
     ctl_subformulas,
     fitted_swirl_model,
@@ -128,10 +128,10 @@ def test_criterion_5_abstraction_soundness_on_fixture_models():
     checked = 0
     for fx in fixtures:
         model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05, **fx)
-        cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]).visited, epsilon=0.05)
+        cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]), epsilon=0.05)
         ts = compute_transitions(model, cells)
-        fresh = sample_traces(model, 100, 200, seed=900 + fx["seed"])
-        src, dst, exits = observed_transitions(fresh, BoxTree(ts.zone.omega, ts.cells))
+        states, lengths = sequential_traces(model, 100, 200, seed=900 + fx["seed"])
+        src, dst, exits = observed_transitions(states, lengths, BoxTree(ts.zone.omega, ts.cells))
         assert ts.relation[src, dst].all(), "observed transition missing from R"
         assert ts.relation[exits, ts.n_cells].all(), "observed exit missing from R"
         checked += src.size + exits.size

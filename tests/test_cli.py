@@ -520,6 +520,10 @@ def test_input_bounds_without_inputs_are_a_usage_error(dataset_csv, tmp_path, ca
     assert code == 2
     assert "input_lo/input_hi" in err and "n_u = 0" in err
     assert not (tmp_path / "out").exists()
+    # found before the dataset is read: a missing file is not what gets named
+    code, _, err = run(capsys, "fit", "--dataset", tmp_path / "nope.csv", "--n-u", 0, *omega,
+                       "--input-lo=-1", "--input-hi=1", "--out-dir", tmp_path / "out")
+    assert code == 2 and "n_u = 0" in err
 
 
 def test_tilings_cut_off_the_midpoint_exit_3(dataset_csv, tmp_path, capsys):
@@ -642,6 +646,10 @@ def test_verify_reads_any_json_spacing_and_rejects_malformed_ts(dataset_csv, tmp
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"epsilon": -0.5}, "epsilon must be >= 0, got -0.5"),
     ({"gamma": -1e-9}, "gamma must be >= 0, got -1e-09"),
+    ({"omega_lo": [-1, -1, -1], "omega_hi": [1, 1, 1]}, "omega_lo has 3 entries, expected n_x = 2\n"),
+    ({"omega_lo": [-1, -1], "omega_hi": [1]}, "omega_hi has 1 entry, expected n_x = 2\n"),
+    ({"n_u": 1, "input_lo": [-1, -1], "input_hi": [1, 1]}, "input_lo has 2 entries, expected n_u = 1\n"),
+    ({"n_u": 2, "input_lo": [-1, -1], "input_hi": [1]}, "input_hi has 1 entry, expected n_u = 2\n"),
 ])
 def test_fit_rejects_malformed_config_naming_the_key(dataset_csv, tmp_path, capsys, doc, named):
     cfg = tmp_path / "cfg.json"

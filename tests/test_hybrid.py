@@ -226,6 +226,11 @@ def test_simulate_requires_inputs_when_model_has_them():
         model.simulate([0.5], steps=3)
     result = model.simulate([0.5], inputs=np.zeros((3, 1)), steps=3)
     assert result.states.shape[0] <= 4
+    # rows past the steps are not read; too few rows, a wrong width or a flat sequence name the shape
+    assert np.array_equal(model.simulate([0.5], inputs=np.zeros((5, 1)), steps=3).states, result.states)
+    for inputs in (np.zeros((2, 1)), np.zeros((5, 2)), np.zeros(5), np.zeros((1, 3, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"need inputs of shape (>= 3, 1), got {inputs.shape}")):
+            model.simulate([0.5], inputs=inputs, steps=3)
 
 
 def test_training_samples_reproduce_owning_network():

@@ -134,6 +134,26 @@ def test_tiling_property_random_data(seed, epsilon):
     assert (membership_matrix(parts.boxes, probes).sum(axis=1) == 1).all()
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.just(0.0) | st.floats(0.005, 0.2))
+@example(seed=0, dim=2, epsilon=0.0)
+@example(seed=0, dim=3, epsilon=0.05)
+def test_cells_do_not_depend_on_the_order_of_the_states(seed, dim, epsilon):
+    """Each split is decided from the sample counts in its two halves, so
+    permuted states give the same boxes, each holding the same samples:
+    `sample_traces` may list the visited states in any order."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-0.8, 0.8, size=(3, dim))  # clusters, so that eps > 0 splits unevenly too
+    pts = np.clip(centers[rng.integers(0, 3, 300)] + rng.normal(0.0, 0.1, size=(300, dim)), -1.0, 1.0)
+    zone = WorkingZone(Box(-np.ones(dim), np.ones(dim)))
+    perm = rng.permutation(len(pts))
+    want, got = me_partition(zone, pts, epsilon), me_partition(zone, pts[perm], epsilon)
+    assert [(b.lo.tolist(), b.hi.tolist(), b.closed_hi.tolist()) for b in got.boxes] == \
+        [(b.lo.tolist(), b.hi.tolist(), b.closed_hi.tolist()) for b in want.boxes]
+    for g, w in zip(got.assignments, want.assignments):
+        assert np.array_equal(np.sort(perm[g]), np.sort(w))
+
+
 def test_me_partition_equals_widest_first_reference():
     """The depth-first walk gives the same tiling as widest-first selection,
     on the random datasets of acceptance criterion 1."""

@@ -250,7 +250,7 @@ def test_multi_cell_reach_is_the_one_cell_rows_in_order():
 
 def test_multi_cell_reach_on_a_fitted_model_equals_one_cell_calls():
     model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
-    cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4).visited, epsilon=0.02)
+    cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
     many = cell_successor_box(model, *cells)
     ones = [cell_successor_box(model, c) for c in cells]
     for name in ("region_ids", "in_lo", "in_hi", "out_lo", "out_hi"):
