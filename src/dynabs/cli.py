@@ -196,8 +196,14 @@ def cmd_fit(args) -> int:
 
 def cmd_abstract(args) -> int:
     cfg = _config_from_args(args)
+    # an initial cell id is checked as soon as its bound is known: below 1 before any work,
+    # above the cell count before the transitions
+    if args.initial is not None and args.initial < 1:
+        raise UsageError(f"initial cell id {args.initial} out of range: cell ids start at 1")
     model = HybridModel.load(args.model)
     cells = build_cells(model.zone, sample_traces(model, cfg.traces, cfg.trace_length, cfg.seed), cfg.epsilon)
+    if args.initial is not None and args.initial > len(cells):
+        raise UsageError(f"initial cell id {args.initial} out of range 1..{len(cells)}")
     ts = compute_transitions(model, cells, initial=args.initial)
 
     out_dir = Path(cfg.out_dir)

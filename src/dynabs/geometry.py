@@ -122,10 +122,14 @@ class Box:
         return f"Box({parts})"
 
 
-def split_dim(sides: np.ndarray):
-    """The dimension the split rule halves: the longest side, ties to the
-    lowest dimension. `sides` holds one box's, or one column per box."""
-    return np.argmax(sides, axis=0)
+def split_dims(sides: np.ndarray):
+    """The dimension the split rule halves at each depth below a zone of these `sides`:
+    the longest halved side ``side * 2**-halvings``, exact in floats, ties to the lowest."""
+    halvings = np.zeros(len(sides), dtype=int)
+    while True:
+        j = int(np.argmax(np.ldexp(sides, -halvings)))
+        yield j
+        halvings[j] += 1
 
 
 def rows_all(mask: np.ndarray) -> np.ndarray:
@@ -171,14 +175,15 @@ class BoxTree:
     every point lookup (`locate`) and box range query (`overlapping`) in a
     tiling.
 
-    Each internal node halves the side that `split_dim`, the rule of
-    `me_partition`, picks, at its midpoint ``0.5 * (lo + hi)`` as `Box.bisect`
-    does, so the tree is the one partitioning built. A point goes right iff
-    ``x[dim] >= cut``, the half-open membership rule. Leaves map to box
-    indices. Built level by level, it raises `ValueError` naming the first
-    gap, overlap, wrong closure, box outside the zone, or box that straddles
-    a cut or shares a node no cut can shrink (not a bisection tiling). A box
-    is named `name(k)` for its index k, "box k" by default.
+    Level l's inner nodes halve ``dims[l]``, the dimension `split_dims`, the
+    rule of `me_partition`, gives depth l, at the midpoint ``0.5 * (lo + hi)``
+    as `Box.bisect` does, so the tree is the one partitioning built. A point
+    goes right iff ``x[dims[l]] >= cut``, the half-open membership rule.
+    Leaves map to box indices. Built level by level, it raises `ValueError`
+    naming the first gap, overlap, wrong closure, box outside the zone, or
+    box that straddles a cut or shares a node no cut can shrink (not a
+    bisection tiling). A box is named `name(k)` for its index k, "box k" by
+    default.
     """
 
     def __init__(self, zone: Box, boxes, name: Callable[[int], str] = "box {}".format):
@@ -211,7 +216,7 @@ class BoxTree:
         members = np.arange(len(boxes))                         # boxes not yet at a leaf
         m_lo, m_hi = lo.T.copy(), hi.T.copy()                   # their bounds
         at = np.zeros(len(boxes), dtype=np.intp)                # the level node holding each member
-        levels = []                                             # per level: dims, cuts, leaf
+        levels, split = [], split_dims(zone.sides)             # per level: dim, cuts, leaf
         while members.size:
             n = node_lo.shape[1]
             count = np.bincount(at, minlength=n)
@@ -232,12 +237,12 @@ class BoxTree:
             leaf[leaf_at] = members.take(s)
             rest = (~single).nonzero()[0]
             members, at, m_lo, m_hi = members.take(rest), at.take(rest), m_lo.take(rest, 1), m_hi.take(rest, 1)
-            d = split_dim(node_hi - node_lo)
-            d_lo, d_hi = node_lo[d, np.arange(n)], node_hi[d, np.arange(n)]
+            d = next(split)
+            d_lo, d_hi = node_lo[d], node_hi[d]
             cut = 0.5 * (d_lo + d_hi)                           # Box.bisect's midpoint
-            m_d, cut_at = d.take(at), cut.take(at)
-            below = m_lo[m_d, np.arange(at.size)] < cut_at
-            cross = below & (cut_at < m_hi[m_d, np.arange(at.size)])
+            cut_at = cut.take(at)
+            below = m_lo[d] < cut_at
+            cross = below & (cut_at < m_hi[d])
             # members share their node with other boxes: one that crosses its cut fills the node (an
             # overlap) or straddles the cut; a cut that cannot shrink both halves would split forever
             bad = cross | ~((d_lo < cut) & (cut < d_hi)).take(at)
@@ -245,7 +250,7 @@ class BoxTree:
                 i = int(np.argmax(bad))
                 a, k = int(at[i]), int(members[i])
                 node = f"[{node_lo[:, a].tolist()}, {node_hi[:, a].tolist()}]"
-                cut_a = f"the cut at {float(cut[a])!r} in dimension {int(d[a])}"
+                cut_a = f"the cut at {float(cut[a])!r} in dimension {d}"
                 if not cross[i]:
                     raise ValueError(f"not a bisection tiling: {name(k)} {boxes[k]!r} shares {node} with other boxes, "
                                      f"but {cut_a} does not shrink both halves")
@@ -260,13 +265,13 @@ class BoxTree:
             k = inner.nonzero()[0]
             kid = np.arange(0, 2 * k.size, 2)
             node_lo, node_hi = node_lo.take(k.repeat(2), 1), node_hi.take(k.repeat(2), 1)
-            dk = d.take(k)
-            node_hi[dk, kid] = node_lo[dk, kid + 1] = cut.take(k)   # lower child's hi, upper child's lo
+            node_hi[d, kid] = node_lo[d, kid + 1] = cut.take(k)     # lower child's hi, upper child's lo
             pair = np.empty(n, dtype=np.intp)
             pair[k] = kid
             at = pair.take(at) + ~below                         # the upper child holds boxes above the cut
-        self.dims, self.cuts, self.leaf = (np.concatenate(a) for a in zip(*levels))
-        self._level = np.repeat(np.arange(len(levels)), [d.size for d, *_ in levels])  # each node's level
+        dims, cuts, leaves = zip(*levels)  # one dimension per level, one cut and leaf per node
+        self.dims, self.cuts, self.leaf = np.array(dims, dtype=np.intp), np.concatenate(cuts), np.concatenate(leaves)
+        self._level = np.repeat(np.arange(len(levels)), [c.size for c in cuts])  # each node's level
         # nodes are numbered level by level, so the i-th inner node's children are 2 i + 1 and 2 i + 2;
         # a leaf's children are itself
         inner = self.leaf < 0
@@ -302,18 +307,16 @@ class BoxTree:
         """Index of the box holding each point row, -1 outside the zone; under
         a `walk` from `BoxTree.walk`, the label of the stop holding it.
 
-        Every walk takes this one descent: `depth` levels of
-        ``node = kids[2 * node + (x[dim] >= cut)]`` over 1-D takes.
+        Every walk takes this one descent: `depth` levels l of ``node =
+        kids[2 * node + (x[:, dims[l]] >= cuts[node])]`` over 1-D takes.
         """
         walk = self.box_walk if walk is None else walk
         x = np.atleast_2d(np.asarray(points, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.zone.dim:
             raise ValueError(f"points of shape {x.shape} located in a zone of dimension {self.zone.dim}")
-        flat = x.ravel()
-        first = np.arange(0, flat.size, x.shape[1])  # each row's first coordinate in `flat`
         node = np.zeros(x.shape[0], dtype=np.intp)
-        for _ in range(walk.depth):
-            node = walk.kids.take(2 * node + (flat.take(first + self.dims.take(node)) >= self.cuts.take(node)))
+        for d in self.dims[:walk.depth]:
+            node = walk.kids.take(2 * node + (x[:, d] >= self.cuts.take(node)))
         inside = rows_all((self.zone.lo <= x) & (x < self._zone_upper))
         return np.where(inside, walk.label.take(node), -1)
 
@@ -343,17 +346,17 @@ class BoxTree:
         for start in range(0, lo.shape[0], block):
             q = (start + np.flatnonzero(meets_zone[start:start + block])).astype(np.int32)
             node = np.zeros(q.size, dtype=np.int32)
-            rows, boxes = [q[:0]], [node[:0]]
+            rows, boxes, dims = [q[:0]], [node[:0]], iter(self.dims)  # the nodes of pass l lie on level l
             while q.size:
                 leaf = leaf_of[node]
                 at_leaf = leaf >= 0
                 rows.append(q[at_leaf])
                 boxes.append(leaf[at_leaf])
                 q, node = q[~at_leaf], node[~at_leaf]
-                d, cut = self.dims[node], self.cuts[node]
+                d, cut = next(dims), self.cuts[node]
                 lower = lo[q, d] < cut
                 upper = hi[q, d] > cut
-                del d, cut  # freed before the next level's pairs are made
+                del cut  # freed before the next level's pairs are made
                 q = np.concatenate([q[lower], q[upper]])
                 node = np.concatenate([kids[2 * node[lower]], kids[2 * node[upper] + 1]])
             yield np.concatenate(rows), np.concatenate(boxes)

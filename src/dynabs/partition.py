@@ -1,10 +1,10 @@
 """Maximum-entropy bisection of a working zone.
 
-The zone is recursively bisected at the midpoint of each partition's longest
-side; a tentative split is kept only when it leaves samples in both halves
-and raises the Shannon entropy of sample occupancy by at least epsilon.
-Partitions whose tentative split fails are frozen and never revisited, which
-guarantees termination and keeps the procedure deterministic.
+The zone is recursively bisected at the midpoint of the side its depth cuts
+(`geometry.split_dims`); a tentative split is kept only when it leaves samples
+in both halves and raises the Shannon entropy of sample occupancy by at least
+epsilon. Partitions whose tentative split fails are frozen and never
+revisited, which guarantees termination and keeps the procedure deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, WorkingZone
-from .geometry import Box, split_dim
+from .geometry import Box, split_dims
 
 # Unconditional freeze for slivers: longest side below this fraction of the
 # zone's extent, the resolution floor where samples converge.
@@ -48,8 +48,8 @@ def xlogx_table(n: int) -> np.ndarray:
 def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     """Maximum-entropy partitioning of the zone driven by sample density.
 
-    Bisects each partition at the midpoint of its longest side; the split is
-    committed when both halves hold samples and the global entropy gain
+    Bisects each partition at the midpoint of the side its depth cuts; the
+    split is committed when both halves hold samples and the global entropy gain
     H(after) - H(before) reaches epsilon, otherwise the partition is frozen.
     Returns the final tiling with each point assigned to exactly one box
     (half-open membership).
@@ -83,14 +83,16 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     # Depth-first over the split tree, lower child first, so boxes come out in
     # tiling order. A box's fate depends only on the box and its samples, so
     # this visits the same splits as widest-first selection would.
-    stack = [(zone.omega, np.arange(n_total))]
+    split, dims = split_dims(extent), []  # dims[depth]: the dimension that depth cuts
+    stack = [(zone.omega, np.arange(n_total), 0)]
     while stack:
-        box, idx = stack.pop()
-        sides = box.hi - box.lo
-        if (sides / extent).max() < MIN_SIDE_FRACTION:
+        box, idx, depth = stack.pop()
+        if ((box.hi - box.lo) / extent).max() < MIN_SIDE_FRACTION:
             keep(box, idx)
             continue
-        j = int(split_dim(sides))
+        if depth == len(dims):
+            dims.append(next(split))
+        j = dims[depth]
         mid = 0.5 * (box.lo[j] + box.hi[j])
         if not box.lo[j] < mid < box.hi[j]:  # midpoint collapse at float limits
             keep(box, idx)
@@ -106,8 +108,8 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
         log.append((len(boxes), j, delta_h, accepted))
         if accepted:
             left, right = box.bisect(j)
-            stack.append((right, idx[~lower_mask]))
-            stack.append((left, idx[lower_mask]))
+            stack.append((right, idx[~lower_mask], depth + 1))
+            stack.append((left, idx[lower_mask], depth + 1))
         else:
             keep(box, idx)
 

@@ -172,17 +172,26 @@ def xlogx(c: int) -> float:
     return c * np.log(c) if c > 0 else 0.0
 
 
+def halved_longest_dim(sides, halvings):
+    """The dimension a node with these halving counts below a zone of these
+    `sides` cuts: the longest of ``side * 0.5 ** halvings``, ties to the lowest
+    dimension. `halvings` holds one node's counts, or one row per node."""
+    halved = sides * 0.5 ** np.asarray(halvings)
+    return np.argmax(halved == halved.max(axis=-1, keepdims=True), axis=-1)
+
+
 def widest_first_partition(zone, states: np.ndarray, epsilon: float):
     """Max-entropy bisection that always splits the widest active box.
 
-    A split is committed when both halves hold samples and its gain reaches
-    epsilon. Ties go to the lowest tiling position, then the lowest
-    dimension. Returns (boxes, assignments, split_log) with log entries
+    Each box is halved in the dimension its own halving counts give
+    (`halved_longest_dim`). A split is committed when both halves hold
+    samples and its gain reaches epsilon. Ties go to the lowest tiling
+    position. Returns (boxes, assignments, split_log) with log entries
     (position, dim, gain, committed) in selection order.
     """
     n_total = states.shape[0]
     extent = zone.omega.sides
-    entries = [[zone.omega, np.arange(n_total), True]]  # box, samples, active
+    entries = [[zone.omega, np.arange(n_total), True, np.zeros(zone.n_x, dtype=int)]]  # box, samples, active, halvings
     log = []
     while True:
         for e in entries:
@@ -192,8 +201,8 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
         if not active:
             break
         i = max(active, key=lambda k: (entries[k][0].sides.max(), -k))
-        box, idx, _ = entries[i]
-        j = int(np.argmax(box.sides))
+        box, idx, _, halvings = entries[i]
+        j = int(halved_longest_dim(extent, halvings))
         mid = 0.5 * (box.lo[j] + box.hi[j])
         if not box.lo[j] < mid < box.hi[j]:
             entries[i][2] = False
@@ -205,7 +214,8 @@ def widest_first_partition(zone, states: np.ndarray, epsilon: float):
         log.append((i, j, delta_h, committed))
         if committed:
             left, right = box.bisect(j)
-            entries[i: i + 1] = [[left, idx[lower], True], [right, idx[~lower], True]]
+            halvings = halvings + np.eye(zone.n_x, dtype=int)[j]
+            entries[i: i + 1] = [[left, idx[lower], True, halvings], [right, idx[~lower], True, halvings]]
         else:
             entries[i][2] = False
     return [e[0] for e in entries], [e[1] for e in entries], log
@@ -273,9 +283,11 @@ def trace_inputs(model, L: int, M: int, seed: int) -> np.ndarray:
 def level_tree(zone, boxes):
     """The tables of `BoxTree(zone, boxes)` built level by level with axis-1
     reductions over every box not yet at a leaf, re-gathering each box's
-    bounds at every level: (dims, cuts, left, right, leaf), a leaf's children
-    being itself. Each node halves its longest side, ties to the lowest
-    dimension. Raises ValueError with the texts BoxTree raises."""
+    bounds at every level: (dims, cuts, left, right, leaf), one dimension per
+    level and a leaf's children being itself. Each node halves the dimension
+    its own halving counts give (`halved_longest_dim`); the nodes of a level
+    share their counts, so the level's first node gives its dimension. Raises
+    ValueError with the texts BoxTree raises."""
     boxes = list(boxes)
     if not boxes:
         raise ValueError("no boxes to index")
@@ -295,6 +307,7 @@ def level_tree(zone, boxes):
 
     dim = zone.dim
     node_lo, node_hi = zone.lo[None], zone.hi[None]
+    halvings = np.zeros((1, dim), dtype=int)
     members = np.arange(len(boxes))
     at = np.zeros(len(boxes), dtype=np.intp)
     levels, first = [], 0
@@ -312,8 +325,7 @@ def level_tree(zone, boxes):
             k = int(members[i])
             raise ValueError(f"gap: box {k} {boxes[k]!r} does not fill "
                              f"[{node_lo[at[i]].tolist()}, {node_hi[at[i]].tolist()}]")
-        sides = node_hi - node_lo
-        d = np.argmax(sides == sides.max(axis=1, keepdims=True), axis=1)
+        d = halved_longest_dim(zone.sides, halvings)
         cut = 0.5 * (node_lo[rows, d] + node_hi[rows, d])
         inner = count > 1
         cross = ~single & (lo[members, d[at]] < cut[at]) & (cut[at] < hi[members, d[at]])
@@ -333,13 +345,14 @@ def level_tree(zone, boxes):
         pair = 2 * np.cumsum(inner) - 2
         leaf = np.full(n, -1, dtype=np.intp)
         leaf[at[single]] = members[single]
-        levels.append((d, cut, np.where(inner, first + n + pair, first + rows),
+        levels.append((d[:1], cut, np.where(inner, first + n + pair, first + rows),
                        np.where(inner, first + n + pair + 1, first + rows), leaf))
         lower_hi, upper_lo = node_hi.copy(), node_lo.copy()
         lower_hi[rows, d] = cut
         upper_lo[rows, d] = cut
         node_lo = np.stack([node_lo, upper_lo], axis=1)[inner].reshape(-1, dim)
         node_hi = np.stack([lower_hi, node_hi], axis=1)[inner].reshape(-1, dim)
+        halvings = (halvings + np.eye(dim, dtype=int)[d])[inner].repeat(2, axis=0)
         members, at = members[~single], at[~single]
         at = pair[at] + (lo[members, d[at]] >= cut[at])
         first += n

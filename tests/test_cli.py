@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import dynabs
-from dynabs import ctl
+from dynabs import cli, ctl
 from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
+from dynabs.abstraction import TransitionSystem
 from dynabs.cli import MAX_STEPS, PipelineConfig, _fit_model, build_parser, main
 from dynabs.elm import ReadoutStats
 from dynabs.hybrid import HybridModel, SimResult, hybrid_mse
@@ -911,3 +912,26 @@ def test_trace_arrays_too_large_to_allocate_exit_2_naming_their_size(artifacts, 
     assert proc.stderr == (f"error: traces 1000000 x trace_length 1000000 need {need} bytes of stacked trace arrays, "
                            "more than can be allocated\n")
     assert not (tmp_path / "big").exists()
+
+
+def test_abstract_checks_the_initial_cell_id_before_the_work_it_would_waste(artifacts, tmp_path, capsys,
+                                                                             monkeypatch):
+    """An id below 1 exits 2 before any trace is sampled; one above the cell
+    count exits 2 once the cells are known, before any transition is
+    computed. Neither writes a transition system."""
+    n_cells = TransitionSystem.load(artifacts / "ts.json").n_cells
+    settings = ("--model", artifacts / "model.json", "--traces", 30, "--trace-length", 30)
+
+    def never(*args, **kwargs):
+        raise AssertionError("called after the initial cell id was known to be out of range")
+
+    for initial, skipped, message in [(0, "sample_traces", "out of range: cell ids start at 1"),
+                                      (-3, "sample_traces", "out of range: cell ids start at 1"),
+                                      (n_cells + 1, "compute_transitions", f"out of range 1..{n_cells}")]:
+        with monkeypatch.context() as m:
+            m.setattr(cli, skipped, never)
+            code, out, err = run(capsys, "abstract", *settings, "--initial", initial, "--out-dir", tmp_path / "a")
+        assert (code, out, err) == (2, "", f"error: initial cell id {initial} {message}\n")
+        assert not (tmp_path / "a" / "ts.json").exists()
+    code, _, _ = run(capsys, "abstract", *settings, "--initial", n_cells, "--out-dir", tmp_path / "a")
+    assert code == 0 and TransitionSystem.load(tmp_path / "a" / "ts.json").initial == n_cells

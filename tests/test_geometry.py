@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from dynabs import Box, BoxTree, WorkingZone, geometry, membership_matrix
 from dynabs.data import boxes_from_docs
 
-from oracles import level_tree
+from oracles import halved_longest_dim, level_tree
 from synthdata import constant_net, split_region_model
 
 
@@ -208,19 +209,28 @@ def face_probes(zone, boxes, rng):
 
 
 def random_zone(rng, dim):
-    """A box with some upper faces closed, as a working zone's are, and some open."""
-    return Box(rng.uniform(-2.0, 0.0, dim), rng.uniform(0.5, 3.0, dim), rng.random(dim) < 0.7)
+    """A box with some upper faces closed, as a working zone's are, and some
+    open. Two in five are tie zones: one interval scaled by 2^-1, 1 or 2 in
+    each dimension, so the sides are in exact power-of-2 ratios while the
+    bounds are not short dyadic fractions, as on [0.1, 0.4]^2."""
+    closed = rng.random(dim) < 0.7
+    if rng.random() < 0.4:
+        scale = np.ldexp(1.0, rng.integers(-1, 2, dim))
+        return Box(scale * rng.uniform(-2.0, 0.4), scale * rng.uniform(0.5, 3.0), closed)
+    return Box(rng.uniform(-2.0, 0.0, dim), rng.uniform(0.5, 3.0, dim), closed)
 
 
 def random_bisection_tiling(rng, dim, splits):
-    """`splits` random leaves, each halved on its longest side, ties to the
-    lowest dimension, as partitioning does."""
+    """`splits` random leaves, each halved in the dimension its own
+    halving counts give, as partitioning does."""
     zone = random_zone(rng, dim)
-    leaves = [zone]
+    leaves = [(zone, np.zeros(dim, dtype=int))]
     for _ in range(splits):
-        box = leaves.pop(int(rng.integers(len(leaves))))
-        leaves.extend(box.bisect(int(np.argmax(box.sides))))
-    return zone, leaves
+        box, halvings = leaves.pop(int(rng.integers(len(leaves))))
+        j = int(halved_longest_dim(zone.sides, halvings))
+        halvings = halvings + np.eye(dim, dtype=int)[j]
+        leaves.extend((child, halvings) for child in box.bisect(j))
+    return zone, [box for box, _ in leaves]
 
 
 def guillotine_tiling(rng, zone, cuts):
@@ -380,8 +390,9 @@ def test_tree_rejects_guillotine_tilings_cut_off_the_midpoint(seed, dim, cuts):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 60))
 def test_tree_tables_equal_the_level_by_level_build(seed, dim, splits):
-    """The tree's dims, cuts, child table and leaves, and so its box walk,
-    are those of the reference build that scatters every box onto its node."""
+    """The tree's dims (one per level), cuts, child table and leaves, and so
+    its box walk, are those of the reference build that scatters every box
+    onto its node."""
     rng = np.random.default_rng(seed)
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     boxes = [leaves[k] for k in rng.permutation(len(leaves))]
@@ -398,13 +409,22 @@ def test_tree_tables_equal_the_level_by_level_build(seed, dim, splits):
     assert tree.box_walk.depth == depth
 
 
+@pytest.mark.parametrize("sides, prefix", [
+    ((2.0, 2.0), [0, 1, 0, 1, 0, 1, 0, 1]),
+    ((3.0, 1.0), [0, 0, 1, 0, 1, 0, 1, 0]),
+    ((0.3, 0.6), [1, 0, 1, 0, 1, 0, 1, 0]),  # 0.6 is 2 * 0.3 in floats
+])
+def test_split_dims_halves_the_longest_halved_side_ties_to_the_lowest(sides, prefix):
+    assert list(itertools.islice(geometry.split_dims(np.array(sides)), len(prefix))) == prefix
+
+
 def test_tree_cuts_bisection_tilings_at_midpoints():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
     left, right = zone.bisect(0)
     boxes = [*left.bisect(1), right]
     tree = BoxTree(zone, boxes)
-    inner = tree.leaf < 0
-    assert sorted(zip(tree.dims[inner].tolist(), tree.cuts[inner].tolist())) == [(0, 0.5), (1, 0.5)]
+    # the root cuts x1, level 1 (the left half, inner, and the right one, a leaf) x2
+    assert tree.dims.tolist() == [0, 1, 0] and tree.cuts[tree.leaf < 0].tolist() == [0.5, 0.5]
     assert tree.locate([[0.5, 0.5], [0.2, 0.5], [0.2, 0.49], [1.0, 1.0], [1.0, 1.01]]).tolist() == [2, 1, 0, 2, -1]
 
 
@@ -429,6 +449,13 @@ def test_tree_rejects_bad_tilings():
     slabs = [b for half in unit.bisect(0) for b in half.bisect(0)]
     raises_as_level_tree(unit, slabs, re.escape("not a bisection tiling: box 0 Box([0,0.25)x[0,1]) straddles the cut "
                                                 "at 0.5 in dimension 1 of [[0.0, 0.0], [0.5, 1.0]]"))
+    # on [0.1, 0.4]^2 the boxes of one level differ in the last bits of their float sides, so halving
+    # each box on its own longest float side cuts x1 in some boxes of level 2 and x2 in others
+    tie = WorkingZone(Box([0.1, 0.1], [0.4, 0.4])).omega
+    leaves = [tie]
+    for _ in range(3):
+        leaves = [half for box in leaves for half in box.bisect(int(np.argmax(box.sides)))]
+    raises_as_level_tree(tie, leaves, r"not a bisection tiling: box \d+ .* straddles the cut at .* in dimension 0")
     # a pinwheel tiles the square, but no single cut separates its boxes
     pinwheel = [
         Box([0.0, 0.0], [1.5, 0.5]),

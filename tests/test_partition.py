@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynabs import Box, BoxTree, WorkingZone, me_partition, membership_matrix
+from dynabs.geometry import split_dims
 
 from dynabs.partition import MIN_SIDE_FRACTION, xlogx_table
 
@@ -222,26 +224,72 @@ def assert_exact_tiling(parts, pts) -> None:
 
 def test_tree_is_the_partition_tree():
     """On criterion 1's random datasets, `BoxTree` over a partition has one
-    inner node per accepted split, each halving its node's longest side,
-    ties to the lowest dimension, at the midpoint; its node bounds, derived
-    as `Box.bisect` derives them, end in the partition's boxes bit for bit."""
+    inner node per accepted split, each halving, at the midpoint, the
+    dimension its own halving counts give: the longest of side * 2^-count,
+    ties to the lowest dimension. Its node bounds, derived as `Box.bisect`
+    derives them, end in the partition's boxes bit for bit."""
     for zone, pts, eps, _ in random_tiling_cases():
         parts = me_partition(zone, pts, eps)
         tree = BoxTree(zone.omega, parts.boxes)
         inner = tree.leaf < 0
         accepted = [j for _, j, _, committed in parts.split_log if committed]
-        assert inner.sum() == len(accepted) and sorted(tree.dims[inner]) == sorted(accepted)
-        bounds = {0: zone.omega}  # nodes are numbered level by level, so a parent comes before its children
+        # nodes are numbered level by level, so a parent comes before its children
+        bounds = {0: (zone.omega, np.zeros(zone.n_x, dtype=int), 0)}  # node: box, halvings, level
+        cut_dims = []
         for node in range(tree.leaf.size):
-            box = bounds.pop(node)
+            box, halvings, level = bounds.pop(node)
             if not inner[node]:
                 leaf = parts.boxes[tree.leaf[node]]
                 assert np.array_equal(box.lo, leaf.lo) and np.array_equal(box.hi, leaf.hi)
                 continue
-            sides = box.hi - box.lo
-            j = int(np.flatnonzero(sides == sides.max())[0])
-            assert tree.dims[node] == j and tree.cuts[node] == 0.5 * (box.lo[j] + box.hi[j])
-            bounds[tree.box_walk.kids[2 * node]], bounds[tree.box_walk.kids[2 * node + 1]] = box.bisect(j)
+            halved = zone.omega.sides / 2.0 ** halvings
+            j = int(np.flatnonzero(halved == halved.max())[0])
+            assert tree.dims[level] == j and tree.cuts[node] == 0.5 * (box.lo[j] + box.hi[j])
+            cut_dims.append(j)
+            halvings = halvings + np.eye(zone.n_x, dtype=int)[j]
+            for kid, child in zip(tree.box_walk.kids[2 * node: 2 * node + 2], box.bisect(j)):
+                bounds[kid] = (child, halvings, level + 1)
+        assert sorted(cut_dims) == sorted(accepted)
+
+
+def node_cut_dims(tree, boxes, dim):
+    """(level, cut dimension, cut, node's lo, node's hi) of every inner node
+    of `tree`, read off the bounds of the boxes under each node alone: the
+    dimension is the one in which the lower child's upper face is not the
+    node's."""
+    kids = tree.box_walk.kids.reshape(-1, 2)
+    n = tree.leaf.size
+    lo, hi, level = np.empty((n, dim)), np.empty((n, dim)), np.zeros(n, dtype=int)
+    for node in range(n - 1, -1, -1):  # children come after their parent
+        if tree.leaf[node] >= 0:
+            lo[node], hi[node] = boxes[tree.leaf[node]].lo, boxes[tree.leaf[node]].hi
+        else:
+            lo[node], hi[node] = lo[kids[node]].min(axis=0), hi[kids[node]].max(axis=0)
+    for node in np.flatnonzero(tree.leaf < 0):
+        level[kids[node]] = level[node] + 1
+    out = []
+    for node in np.flatnonzero(tree.leaf < 0):
+        (j,) = np.flatnonzero(hi[kids[node, 0]] != hi[node])
+        out.append((int(level[node]), int(j), float(hi[kids[node, 0], j]), lo[node], hi[node]))
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", [([0.1, 0.1], [0.4, 0.4]), ([0.1, 0.2], [0.7, 0.5]), ([-0.7, -0.3], [0.5, 0.3])])
+def test_partition_tree_of_a_tie_zone_cuts_one_dimension_per_level(lo, hi):
+    """The zone's sides are in a power-of-2 ratio and its bounds are not
+    short dyadic fractions, so the boxes of one level differ in the last
+    bits of their float sides. Every inner node still cuts, at its
+    midpoint, the dimension `split_dims` gives its level."""
+    zone = WorkingZone(Box(lo, hi))
+    pts = np.random.default_rng(29).uniform(lo, hi, size=(20_000, 2))
+    parts = me_partition(zone, pts, 1e-4)
+    tree = BoxTree(zone.omega, parts.boxes)
+    cuts = node_cut_dims(tree, parts.boxes, 2)
+    depth = max(level for level, *_ in cuts) + 1
+    assert depth >= 6
+    sequence = list(itertools.islice(split_dims(zone.omega.sides), depth))
+    for level, j, cut, node_lo, node_hi in cuts:
+        assert j == sequence[level] and cut == 0.5 * (node_lo[j] + node_hi[j]), (level, j)
 
 
 def test_sliver_floor_freezes_a_box_every_split_of_which_separates_samples():
