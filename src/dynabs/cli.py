@@ -3,14 +3,17 @@
 Configuration comes from an optional JSON file plus flag overrides (flags
 win), so an experiment is reproducible from its config alone. Exit codes:
 0 success, 2 usage error, 3 data error, 4 numeric failure (a non-finite
-training error or reach enclosure).
+training error or reach enclosure), 141 stdout closed by its reader (as a
+shell reports a command that SIGPIPE killed).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import os
 import statistics
 import sys
 import time
@@ -288,20 +291,14 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.steps <= MAX_STEPS:  # before the inputs are drawn, whose shape it gives, or any step
         raise UsageError("steps must be >= 0" if args.steps < 0 else f"steps must be <= {MAX_STEPS}, got {args.steps}")
     model = HybridModel.load(args.model)
-    n_x, entries = model.zone.n_x, args.x0.split(",")
-    wanted = f"x0 needs n_x = {n_x} comma-separated numbers, got {len(entries)}"
-    if len(entries) != n_x:
-        raise UsageError(wanted)
-    try:
-        x0 = np.array([float(v) for v in entries])
-    except ValueError as exc:
-        raise UsageError(f"{wanted} ({exc})") from None
+    if len(args.x0) != model.zone.n_x:
+        raise UsageError(f"x0 needs n_x = {model.zone.n_x} comma-separated numbers, got {len(args.x0)}")
     inputs = None
     if model.zone.n_u > 0:
         rng = np.random.default_rng(args.seed)
         ib = model.zone.input_bounds
         inputs = rng.uniform(ib.lo, ib.hi, size=(args.steps, ib.dim))
-    result = model.simulate(x0, inputs, args.steps)
+    result = model.simulate(args.x0, inputs, args.steps)
     doc = {
         "states": result.states.tolist(),
         "out_of_zone_steps": result.out_of_zone_steps,
@@ -349,7 +346,7 @@ def _bench_flags(p: argparse.ArgumentParser) -> None:
 
 def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model JSON produced by fit")
-    p.add_argument("--x0", required=True, help="comma-separated start state")
+    p.add_argument("--x0", required=True, type=_csv_floats, help="comma-separated start state")
     p.add_argument("--steps", required=True, type=int, help="number of steps")
     p.add_argument("--seed", type=int, default=0, help="seed for random inputs, if the model has any")
     p.add_argument("--out", help="write the trace JSON here instead of stdout")
@@ -365,10 +362,10 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `dynabs` parser. Every subcommand is listed, but only `command`'s
-    flags are built, or every subcommand's when `command` is None, so that
-    parsing one command's arguments gives what the full parser gives."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `dynabs` parser, built once per process: `parse_args` keeps no
+    state between calls, so every call of `main` parses with it."""
     parser = argparse.ArgumentParser(
         prog="dynabs",
         description="Learn a neural hybrid model from one-step samples, abstract it into "
@@ -377,18 +374,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_flags, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if command in (None, name):
-            add_flags(p)
-            p.set_defaults(func=func)
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a subcommand is the first argument; without one, usage errors and --help need every flag
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: exit as SIGPIPE would, and let the flush at exit go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, CtlSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

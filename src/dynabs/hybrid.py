@@ -260,7 +260,7 @@ def merge_and_learn(
     the candidate is absorbed into N, indices compact, and the sweep
     continues with the merged region. The tests are evaluated in batches
     (see `merge_sweep`) that take exactly these decisions. Region i keeps the
-    layer of seed (seed, i) and the readout `ReadoutStats.readout` solves
+    layer its tests ran under and the readout `ReadoutStats.readout` solves
     from its final statistics, without reading its rows again: for a region
     that absorbed a candidate, that is bit for bit the network its last
     accepted test certified. A region without samples keeps the zero map,
@@ -281,8 +281,7 @@ def merge_and_learn(
 
     regions = merge_sweep(parts, data, layer, gamma, stats)
 
-    def fit(i: int, pool: ReadoutStats) -> ElmNetwork:
-        net = layer(i)
+    def fit(i: int, net: ElmNetwork, pool: ReadoutStats) -> ElmNetwork:
         stats.rows.append(int(pool.rows[0]))
         if pool.rows[0] == 0:
             warnings.warn(
@@ -303,12 +302,12 @@ def merge_and_learn(
         stats.mse.append(float(pool.mse(w_t)[0]))
         return replace(net, w_out=w_t[0].T)
 
-    networks = [fit(i, pool) for i, (_, pool) in enumerate(regions)]
+    networks = [fit(i, net, pool) for i, (_, net, pool) in enumerate(regions)]
 
     return HybridModel(
         zone=parts.zone,
         regions=tuple(
-            Region(i + 1, tuple(boxes)) for i, (boxes, _) in enumerate(regions)
+            Region(i + 1, tuple(boxes)) for i, (boxes, _, _) in enumerate(regions)
         ),
         networks=tuple(networks),
         gamma=float(gamma),
@@ -323,10 +322,10 @@ def merge_sweep(
     layer: Callable[[int], ElmNetwork],
     gamma: float,
     stats: MergeStats,
-) -> list[tuple[list[Box], ReadoutStats]]:
+) -> list[tuple[list[Box], ElmNetwork, ReadoutStats]]:
     """The merge decisions of merge_and_learn, with row N's tests run under
-    `layer(N)`: the boxes of each region in order with its final one-entry
-    statistics under `layer(N)` (the pool of its last accepted test, or its
+    `layer(N)`: the boxes of each region in order with `layer(N)` and its final
+    one-entry statistics under it (the pool of its last accepted test, or its
     own if it absorbed nothing), and the tests and merges counted in `stats`.
 
     Row N's candidates are the partitions after it, none of which has
@@ -348,7 +347,7 @@ def merge_sweep(
     """
     assignments = [np.asarray(idx, dtype=int) for idx in parts.assignments]
     regions = list(range(len(assignments)))  # partition ids; a region's first id is its row
-    merged: list[tuple[list[int], ReadoutStats]] = []  # partition ids and statistics of each finished region
+    merged: list[tuple[list[int], ElmNetwork, ReadoutStats]] = []  # partition ids, layer, statistics of each region
 
     def window(ids: np.ndarray, cand: ReadoutStats) -> int:
         """Test the candidate partitions `ids`, of statistics `cand`, in the
@@ -413,6 +412,6 @@ def merge_sweep(
                         for _ in range(j - i):  # a one-test window tests exactly one candidate
                             i += window(block[i:i + 1], cand[i:i + 1])
                 del cand  # freed before the next chunk's statistics are built
-            merged.append((members, row))
+            merged.append((members, net, row))
             regions = kept
-    return [([parts.boxes[i] for i in ids], pool) for ids, pool in merged]
+    return [([parts.boxes[i] for i in ids], net, pool) for ids, net, pool in merged]

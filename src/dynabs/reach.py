@@ -133,9 +133,6 @@ def cell_successor_box(model: HybridModel, *cells: Box) -> ReachResult:
     cell_ids, boxes = (np.concatenate(a) for a in zip(*model.tree.overlapping(cell_lo, cell_hi)))
     order = np.lexsort((boxes, cell_ids))
     cell_ids, boxes = cell_ids[order], boxes[order]
-    empty = np.bincount(cell_ids, minlength=len(cells)) == 0
-    if empty.any():
-        raise ValueError(f"cell {cells[int(np.argmax(empty))]!r} intersects no region; region coverage is broken")
     region_ids = model.box_owner[boxes]
     in_lo = np.maximum(cell_lo[cell_ids], model.tree.lo[boxes])
     in_hi = np.minimum(cell_hi[cell_ids], model.tree.hi[boxes])

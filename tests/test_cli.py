@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import os
@@ -258,27 +257,22 @@ def test_usage_error_on_missing_subcommand_args(capsys):
     assert exc.value.code == 2
 
 
-def subcommand_parsers(parser) -> dict:
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return commands.choices
-
-
-def test_a_parser_built_for_one_subcommand_reads_as_the_full_parser():
-    """`main` builds only the invoked subcommand's flags: that subcommand's
-    help, and the top-level help listing every subcommand, are the full
-    parser's texts."""
-    full = build_parser()
-    for name, sub in subcommand_parsers(full).items():
-        one = build_parser(name)
-        assert one.format_help() == full.format_help()
-        assert subcommand_parsers(one)[name].format_help() == sub.format_help()
-        assert subcommand_parsers(one)[name].format_usage() == sub.format_usage()
+def test_one_parser_serves_every_call_and_keeps_no_value():
+    """The parser is built once per process, and a parse leaves nothing
+    behind for the next: a flag given once reads as unset after, and each
+    subcommand runs its own function."""
+    parser = build_parser()
+    assert build_parser() is parser
+    assert parser.parse_args(["fit", "--epsilon", "0.5"]).epsilon == 0.5
+    assert parser.parse_args(["fit"]).epsilon is None
+    args = parser.parse_args(["verify", "--ts", "ts.json", "--formula", "EF Q1", "--initial", "1"])
+    assert args.func is cli.cmd_verify and not hasattr(args, "epsilon")
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"], ["fit", "--help"], ["verify", "--ts"]])
 def test_usage_texts_are_those_of_the_full_parser(argv, capsys):
-    """Without a subcommand, `main` builds every subcommand's flags, so
-    usage errors and help read as the full parser's."""
+    """`main` parses with the full parser, so usage errors and help read as
+    its texts."""
     texts = []
     for parse in (main, build_parser().parse_args):
         with pytest.raises(SystemExit) as exc:
@@ -453,12 +447,31 @@ def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
     assert code == 0
     for x0, cause in (("nan,0", "coordinate 0 is nan"), ("0,inf", "coordinate 1 is inf"),
                       ("0.1,0.2,0.3", "x0 needs n_x = 2 comma-separated numbers, got 3\n"),
-                      ("0.1", "x0 needs n_x = 2 comma-separated numbers, got 1\n"),
-                      ("0.1,abc", "x0 needs n_x = 2 comma-separated numbers, got 2 "
-                                  "(could not convert string to float: 'abc')\n")):
+                      ("0.1", "x0 needs n_x = 2 comma-separated numbers, got 1\n")):
         code, out, err = run(capsys, "simulate", "--model", out_dir / "model.json", "--x0", x0, "--steps", 3)
         assert code == 2 and cause in err and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # an entry that is not a number is a usage error of argparse's, as for every comma-separated flag
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", str(out_dir / "model.json"), "--x0", "0.1,abc", "--steps", "3"])
+    assert exc.value.code == 2
+    assert "argument --x0: expected comma-separated reals, got '0.1,abc'" in capsys.readouterr().err
+
+
+def test_simulate_into_a_closed_pipe_ends_quietly(artifacts):
+    """A reader that closes stdout early (`dynabs simulate ... | head -c 1`)
+    ends the command with 141, the code a shell gives a command that SIGPIPE
+    killed, and nothing on stderr: no error line, no ignored exception at
+    exit."""
+    src = str(Path(dynabs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "dynabs.cli", "simulate", "--model", str(artifacts / "model.json"),
+                             "--x0", "0.4,0.3", "--steps", "5000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("input_bounds", [None, Box([-0.5], [0.5])])

@@ -602,14 +602,17 @@ def test_batched_sweep_equals_sequential_oracle():
         stats = MergeStats()
         got = merge_sweep(parts, data, layer, gamma, stats)
         assert (stats.pair_tests, stats.merges) == (tests, merges)
-        assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _, _ in expected)
-        for (_, pool), (_, idx, (hh, hy, yy, rows)) in zip(got, expected):
+        assert box_lists(boxes for boxes, _, _ in got) == box_lists(boxes for boxes, _, _ in expected)
+        for (_, _, pool), (_, idx, (hh, hy, yy, rows)) in zip(got, expected):
             assert len(pool) == 1 and pool.rows[0] == rows == idx.size and pool.yy[0] == yy
             assert np.array_equal(pool.hh[0], hh) and np.array_equal(pool.hy[0], hy)
         with warnings.catch_warnings():  # an empty region's zero map warns
             warnings.simplefilter("ignore", RuntimeWarning)
             model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
         assert (model.stats.pair_tests, model.stats.merges) == (tests, merges)
+        # each region ships the layer its tests ran under
+        for (_, tested, _), net in zip(got, model.networks):
+            assert np.array_equal(net.w_in, tested.w_in) and np.array_equal(net.b_in, tested.b_in)
         for i, ((_, idx, (hh, hy, _, _)), net) in enumerate(zip(expected, model.networks)):
             if not idx.size:
                 assert np.array_equal(net.w_out, layer(i).w_out)
@@ -653,10 +656,12 @@ def test_block_boundaries_change_no_bit(monkeypatch):
             regions, stats, model = sweep_and_model(*case)
         assert (stats.pair_tests, stats.merges) == (stats_0.pair_tests, stats_0.merges)
         assert (model.stats.pair_tests, model.stats.merges) == (stats_0.pair_tests, stats_0.merges)
-        assert box_lists(b for b, _ in regions) == box_lists(b for b, _ in regions_0)
-        for (_, pool), (_, pool_0) in zip(regions, regions_0):
+        assert box_lists(b for b, _, _ in regions) == box_lists(b for b, _, _ in regions_0)
+        for (_, _, pool), (_, _, pool_0) in zip(regions, regions_0):
             for a, b in zip((pool.hh, pool.hy, pool.yy, pool.rows), (pool_0.hh, pool_0.hy, pool_0.yy, pool_0.rows)):
                 assert np.array_equal(a, b)
+        for (_, tested, _), net in zip(regions, model.networks):
+            assert np.array_equal(net.w_in, tested.w_in) and np.array_equal(net.b_in, tested.b_in)
         assert box_lists(r.boxes for r in model.regions) == box_lists(r.boxes for r in model_0.regions)
         assert all(np.array_equal(a.w_out, b.w_out) for a, b in zip(model.networks, model_0.networks))
     assert set(stacked) == {1}
@@ -754,8 +759,10 @@ def test_a_window_whose_solve_raises_is_rerun_one_test_at_a_time(monkeypatch):
     stats = MergeStats()
     got = merge_sweep(parts, data, layer, 1.5e-5, stats)
     assert (stats.pair_tests, stats.merges) == (tests, merges)
-    assert box_lists(boxes for boxes, _ in got) == box_lists(boxes for boxes, _, _ in expected)
-    assert all(np.array_equal(pool.hh[0], hh) for (_, pool), (_, _, (hh, _, _, _)) in zip(got, expected))
+    assert box_lists(boxes for boxes, _, _ in got) == box_lists(boxes for boxes, _, _ in expected)
+    assert all(np.array_equal(pool.hh[0], hh) for (_, _, pool), (_, _, (hh, _, _, _)) in zip(got, expected))
+    assert all(np.array_equal(net.w_in, layer(i).w_in) and np.array_equal(net.b_in, layer(i).b_in)
+               for i, (_, net, _) in enumerate(got))
 
     def always_fails(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
