@@ -301,7 +301,7 @@ def cmd_simulate(args) -> int:
     result = model.simulate(args.x0, inputs, args.steps)
     doc = {
         "states": result.states.tolist(),
-        "out_of_zone_steps": result.out_of_zone_steps,
+        "exited_at": result.exited_at,
         "truncated": result.truncated,
         "message": result.message,
     }

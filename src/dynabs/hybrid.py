@@ -3,7 +3,8 @@
 Built from a maximum-entropy partition by merging redundant partitions (one
 network fitted on the pooled data of a candidate pair must reach the MSE
 threshold gamma); each surviving region keeps the network its merge tests
-solved. The model steps as x(k+1) = net[region(x(k))](x(k), u(k)).
+solved. The model steps as x(k+1) = net[region(x(k))](x(k), u(k)) on the zone
+only: `step` raises on a state outside it, and `simulate` ends there.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class MergeStats:
 @dataclass(frozen=True, eq=False)
 class SimResult:
     states: np.ndarray              # (steps_taken + 1, n_x)
-    out_of_zone_steps: list[int]    # trace positions whose state left the zone
-    truncated: bool = False
+    exited_at: int | None = None    # step whose state, kept as the last row, left the zone
+    truncated: bool = False         # a non-finite state, not kept, ended the run
     message: str | None = None
 
 
@@ -147,36 +148,32 @@ class HybridModel:
 
     def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
         """One step of x(k+1) = net[region(x(k))]([x(k); u(k)]) for each state
-        row; a row outside the zone steps through the region nearest to it by
-        L-infinity distance, ties to the lowest id."""
+        row. A row outside the zone, where `locate_batch` gives -1 (a row
+        holding NaN or an infinity among them), raises ValueError naming it."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         z = states if inputs is None else np.concatenate([states, np.atleast_2d(inputs)], axis=1)
         ids = self.locate_batch(states)
-        out = ids < 0
-        if out.any():
-            x, lo, hi = states[out], self.tree.lo, self.tree.hi
-            gap = np.zeros((x.shape[0], lo.shape[0]))  # to every box, one dimension at a time
-            for j in range(x.shape[1]):
-                np.maximum(gap, np.maximum(lo[:, j] - x[:, j, None], x[:, j, None] - hi[:, j]), out=gap)
-            # boxes are in region order, so the first nearest box has the lowest id
-            ids[out] = self.box_owner[np.argmin(gap, axis=1)]
+        if (ids < 0).any():
+            k = int(np.flatnonzero(ids < 0)[0])
+            raise ValueError(f"state row {k} {states[k].tolist()} lies outside the zone {self.zone.omega!r}")
         return self.predict_located(z, ids)
 
     def simulate(self, x0, inputs=None, steps: int = 0) -> SimResult:
-        """Iterate the model for `steps` steps from x0, one `step` call each,
-        step t taking row t of `inputs`, of shape (>= steps, n_u) when the
-        model takes inputs (another shape raises ValueError naming this one).
+        """Iterate the model for up to `steps` steps from x0, step t taking row
+        t of `inputs`, of shape (>= steps, n_u) when the model takes inputs
+        (another shape raises ValueError naming this one).
 
-        Out-of-zone states are flagged (the nearest-region fallback of `step`
-        keeps the trajectory going); a non-finite state truncates the trace. A
-        non-finite x0 raises ValueError naming the coordinate.
+        The run ends at the first state outside the zone, which it keeps
+        (`exited_at`), or at a non-finite state, which it does not
+        (`truncated`). An x0 that is not one point of the zone (another shape,
+        a non-finite entry or a point outside it) raises ValueError naming it.
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
         x = np.asarray(x0, dtype=float)
-        bad = np.nonzero(~np.isfinite(x))[0]
-        if bad.size:
-            raise ValueError(f"start state coordinate {int(bad[0])} is {float(x[bad[0]])!r}, not finite")
+        ids = self.locate_batch(x[None]) if x.shape == (self.zone.n_x,) else np.array([-1])
+        if ids[0] < 0:
+            raise ValueError(f"start state {x.tolist()} lies outside the zone {self.zone.omega!r}")
         n_u = self.zone.n_u
         if n_u > 0:
             if inputs is None:
@@ -185,17 +182,19 @@ class HybridModel:
             if inputs.ndim != 2 or inputs.shape[0] < steps or inputs.shape[1] != n_u:
                 raise ValueError(f"need inputs of shape (>= {steps}, {n_u}), got {inputs.shape}")
         trace = [x]
-        message = None
+        exited_at = message = None
         for t in range(steps):
             with np.errstate(over="ignore", invalid="ignore"):
-                x = self.step(x, inputs[t] if n_u > 0 else None)[0]
+                x = self.predict_located(np.concatenate([x, inputs[t]]) if n_u > 0 else x, ids)[0]
             if not np.all(np.isfinite(x)):
                 message = f"non-finite state produced at step {t + 1}"
                 break
             trace.append(x)
-        states = np.asarray(trace)
-        out = np.flatnonzero(self.locate_batch(states) < 0).tolist()
-        return SimResult(states, out, truncated=message is not None, message=message)
+            ids = self.locate_batch(x[None])
+            if ids[0] < 0:
+                exited_at = t + 1
+                break
+        return SimResult(np.asarray(trace), exited_at, truncated=message is not None, message=message)
 
     def to_dict(self) -> dict:
         return {

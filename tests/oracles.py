@@ -136,12 +136,6 @@ def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
     return [(boxes, idx, row) for boxes, idx, row in regions], tests, merges
 
 
-def linf_distance(box, x) -> float:
-    """L-infinity distance from one point to a box (0 when inside)."""
-    x = np.asarray(x, dtype=float)
-    return float(max(np.max(box.lo - x), np.max(x - box.hi), 0.0))
-
-
 def monte_carlo_containment(net, box, n_points: int, rng, slack: float = 1e-9) -> int:
     """Number of sampled inputs whose prediction escapes the output box."""
     lo, hi = elm_output_box(net, box.lo[None], box.hi[None])

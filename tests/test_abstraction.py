@@ -146,16 +146,20 @@ def test_sample_traces_equal_the_sequential_oracle(case):
 
 
 def test_simulate_reproduces_sampled_traces_with_inputs():
-    """simulate from a sampled trace's start state, fed that trace's inputs,
-    retraces it up to its end: simulate's one-row rollout and sample_traces'
-    batched rollout take the same steps."""
+    """simulate from a sampled trace's start state, fed that trace's inputs
+    for all M steps, retraces it and exits where it ends: simulate's one-row
+    rollout and sample_traces' batched rollout take the same steps, and a
+    run that stayed n < M steps in the zone exits at step n + 1, kept as the
+    last row."""
     model = fitted_input_model()
     states, lengths = sequential_traces(model, L=30, M=25, seed=4)
-    assert (lengths < 25).any() and (lengths > 10).any()
+    assert (lengths < 25).any() and (lengths == 25).any() and (lengths > 10).any()
     for run, inputs, n in zip(states, trace_inputs(model, L=30, M=25, seed=4), lengths):
-        result = model.simulate(run[0], inputs[:n], steps=n)
-        assert not result.truncated and result.out_of_zone_steps == []
-        assert np.allclose(result.states, run[: n + 1], rtol=0.0, atol=1e-12)
+        result = model.simulate(run[0], inputs, steps=25)
+        assert not result.truncated
+        assert result.exited_at == (n + 1 if n < 25 else None)
+        assert len(result.states) == (n + 2 if n < 25 else 26)
+        assert np.allclose(result.states[: n + 1], run[: n + 1], rtol=0.0, atol=1e-12)
 
 
 def test_sample_traces_exit_marker():

@@ -193,8 +193,9 @@ def test_simulate_outputs_trace(dataset_csv, tmp_path, capsys):
                        "--x0", "0.3,0.2", "--steps", 10)
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["states", "exited_at", "truncated", "message"]
     assert len(doc["states"]) == 11
-    assert doc["truncated"] is False
+    assert doc["truncated"] is False and doc["exited_at"] is None
 
     trace_file = out_dir / "trace.json"
     code, out, _ = run(capsys, "simulate", "--model", out_dir / "model.json",
@@ -445,7 +446,9 @@ def test_simulate_rejects_bad_start_state(dataset_csv, tmp_path, capsys):
     code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
                      "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
     assert code == 0
-    for x0, cause in (("nan,0", "coordinate 0 is nan"), ("0,inf", "coordinate 1 is inf"),
+    for x0, cause in (("nan,0", "start state [nan, 0.0] lies outside the zone Box([-1,1]x[-1,1])"),
+                      ("0,inf", "start state [0.0, inf] lies outside the zone"),
+                      ("1.5,0", "start state [1.5, 0.0] lies outside the zone"),
                       ("0.1,0.2,0.3", "x0 needs n_x = 2 comma-separated numbers, got 3\n"),
                       ("0.1", "x0 needs n_x = 2 comma-separated numbers, got 1\n")):
         code, out, err = run(capsys, "simulate", "--model", out_dir / "model.json", "--x0", x0, "--steps", 3)
@@ -498,7 +501,7 @@ def test_simulate_bounds_steps_as_trace_length_before_drawing_or_stepping(tmp_pa
     # the bound itself passes: the rollout is stubbed, since a million steps take a while
     taken = []
     monkeypatch.setattr(HybridModel, "simulate", lambda self, x0, inputs, steps: taken.append(
-        (steps, None if inputs is None else inputs.shape)) or SimResult(np.atleast_2d(x0), []))
+        (steps, None if inputs is None else inputs.shape)) or SimResult(np.atleast_2d(x0)))
     code, _, err = run(capsys, "simulate", "--model", path, "--x0", "0.1,0.2", "--steps", MAX_STEPS)
     assert (code, err) == (0, "")
     assert taken == [(MAX_STEPS, None if input_bounds is None else (MAX_STEPS, 1))]
@@ -733,13 +736,20 @@ def test_abstract_on_overflowing_steps_exits_4(tmp_path, capsys):
 
 
 def test_simulate_on_overflowing_steps_truncates_without_warnings(tmp_path, capsys):
+    """From (0.95, 0.95) the first step overflows, 1e308 * 1.9 being inf; from
+    (0.5, 0.5) it gives a finite state outside the zone, where the run exits."""
     # pytest turns RuntimeWarning into errors, so a numpy overflow warning fails here
-    code, out, err = run(capsys, "simulate", "--model", overflowing_step_model_path(tmp_path),
-                         "--x0", "0.5,0.5", "--steps", 3)
+    path = overflowing_step_model_path(tmp_path)
+    code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.95,0.95", "--steps", 3)
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc["truncated"] and doc["message"] == "non-finite state produced at step 2"
-    assert len(doc["states"]) == 2
+    assert doc["truncated"] and doc["message"] == "non-finite state produced at step 1"
+    assert doc["states"] == [[0.95, 0.95]] and doc["exited_at"] is None
+    code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.5,0.5", "--steps", 3)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert not doc["truncated"] and doc["message"] is None
+    assert len(doc["states"]) == 2 and doc["exited_at"] == 1
 
 
 @pytest.mark.parametrize("formula", ["!" * 3000 + "Q1", "(" * 3000 + "Q1" + ")" * 3000],

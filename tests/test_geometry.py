@@ -10,7 +10,6 @@ from dynabs import Box, BoxTree, WorkingZone, geometry, membership_matrix
 from dynabs.data import boxes_from_docs
 
 from oracles import halved_longest_dim, level_tree
-from synthdata import constant_net, split_region_model
 
 
 def test_box_basic_fields():
@@ -110,22 +109,6 @@ def test_bisect_zone_keeps_closure_on_outer_face():
     points = [[0.5], [1.0]]  # the cut, and the outer face, which stays closed
     assert membership_matrix([left, right], points).tolist() == [[False, True], [False, True]]
     assert BoxTree(zone.omega, [left, right]).locate(points).tolist() == [1, 1]
-
-
-def test_distance_linf():
-    """Out-of-zone points step through the region nearest by L-infinity
-    distance, ties to the lowest id; each region's constant network names it."""
-    model = split_region_model(WorkingZone(Box([0.0, 0.0], [1.0, 1.0])),
-                               [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
-    points = [
-        [-0.5, 0.5],  # 0.5 from region 1, 1.0 from region 2
-        [1.5, 0.5],   # 1.0 and 0.5
-        [0.5, 1.5],   # 0.5 and 0.5: tie
-        [0.7, -0.3],  # max(0.2, 0.3) = 0.3 and 0.3: tie (L1 or L2 would pick region 2)
-        [0.9, -0.3],  # max(0.4, 0.3) = 0.4 and 0.3
-    ]
-    assert model.locate_batch(points).tolist() == [-1] * 5
-    assert model.step(points).tolist() == [[0.1, 0.1], [0.9, 0.9], [0.1, 0.1], [0.1, 0.1], [0.9, 0.9]]
 
 
 def test_box_json_round_trip():

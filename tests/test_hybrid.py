@@ -25,7 +25,7 @@ from dynabs import (
     predict_batch,
 )
 
-from oracles import linf_distance, raw_merge, sequential_merge
+from oracles import raw_merge, sequential_merge
 from synthdata import (
     alternating_slab_model,
     constant_net,
@@ -124,10 +124,12 @@ def test_locate_inside_and_boundary_and_outside():
     model = split_region_model(zone, [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
 
     # the cut face [0.5, 0.5] belongs to the region whose lower edge it is;
-    # out-of-zone points are -1, and step takes them through the nearest region
+    # out-of-zone points are -1, and step raises on them, naming the first
     x = [[0.2, 0.5], [0.7, 0.5], [0.5, 0.5], [1.3, 0.5], [-0.2, 0.5], [0.2, 0.2]]
     assert model.locate_batch(x).tolist() == [1, 2, 2, -1, -1, 1]
-    assert model.step(x)[:, 0].tolist() == [0.1, 0.9, 0.9, 0.9, 0.1, 0.1]
+    assert model.step(x[:3] + x[5:])[:, 0].tolist() == [0.1, 0.9, 0.9, 0.1]
+    with pytest.raises(ValueError, match=re.escape("state row 3 [1.3, 0.5] lies outside the zone Box([0,1]x[0,1])")):
+        model.step(x)
 
 
 def test_step_single_region_equals_predict():
@@ -154,7 +156,7 @@ def test_simulate_zero_steps():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
     result = model.simulate([0.1, 0.1], steps=0)
     assert result.states.shape == (1, 2)
-    assert not result.truncated and result.out_of_zone_steps == []
+    assert not result.truncated and result.exited_at is None
 
 
 def test_simulate_identity_model_has_tiny_drift():
@@ -169,52 +171,64 @@ def test_simulate_identity_model_has_tiny_drift():
     assert result.states.shape == (21, 2)
     drift = np.abs(np.diff(result.states, axis=0)).max()
     assert drift < 1e-6
-    assert result.out_of_zone_steps == []
+    assert result.exited_at is None
 
 
 def test_simulate_flags_out_of_zone_states():
+    """The state that leaves the zone is the last row, and `exited_at` is its
+    step; no step is taken from it, whatever `steps` asks for."""
     model = single_region_model(unit_zone(), constant_net([2.0, 2.0], 2))
     result = model.simulate([0.5, 0.5], steps=3)
-    assert result.states.shape == (4, 2)
-    assert result.out_of_zone_steps == [1, 2, 3]
-
-
-def test_simulate_truncates_on_overflow():
-    zone = WorkingZone(Box([0.0], [1.0]))
-    net = ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[1e200]]), 1, 0)
-    model = single_region_model(zone, net)
-    with np.errstate(over="ignore"):  # the overflow is the point of this test
-        result = model.simulate([0.5], steps=10)
-    assert result.truncated
-    assert "non-finite" in result.message
-    assert result.states.shape[0] < 11
+    assert result.states.tolist() == [[0.5, 0.5], [2.0, 2.0]]
+    assert result.exited_at == 1 and not result.truncated and result.message is None
 
 
 def test_simulate_flags_each_out_of_zone_position_once():
-    """out_of_zone_steps lists every trace position whose state lies outside
-    the zone: on a truncated trace the last kept state, and on a full trace a
-    final state that alone leaves the zone."""
+    """A run has at most one state outside the zone, its first: `exited_at`
+    flags it and the run ends there, on a full or a shortened run."""
     zone = WorkingZone(Box([0.0], [1.0]))
-    # x -> 1e200 x: 0.5 leaves the zone at once, and the next step overflows
+    # x -> 1e200 x: 0.5 leaves the zone at once, finite, and is not stepped into an overflow
     blowup = single_region_model(zone, ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[1e200]]), 1, 0))
-    with np.errstate(over="ignore"):
-        result = blowup.simulate([0.5], steps=10)
-    assert result.truncated and result.states.shape == (2, 1)
-    assert result.out_of_zone_steps == [1]
+    result = blowup.simulate([0.5], steps=10)
+    assert result.states.tolist() == [[0.5], [5e199]]
+    assert result.exited_at == 1 and not result.truncated
 
-    # x -> 2 x: 0.3, 0.6 stay inside and 1.2 alone leaves
+    # x -> 2 x: 0.3 and 0.6 stay inside, and 1.2 leaves at step 2 of 2 or of 5
     doubling = single_region_model(zone, ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[2.0]]), 1, 0))
-    result = doubling.simulate([0.3], steps=2)
-    assert not result.truncated
-    assert np.array_equal(result.states[:, 0], [0.3, 0.6, 1.2])
-    assert result.out_of_zone_steps == [2]
+    for steps in (2, 5):
+        result = doubling.simulate([0.3], steps=steps)
+        assert np.array_equal(result.states[:, 0], [0.3, 0.6, 1.2])
+        assert result.exited_at == 2 and not result.truncated
+    # the face x = 1 is in the zone: 0.25 doubles to it and keeps going for every step asked
+    result = doubling.simulate([0.25], steps=2)
+    assert np.array_equal(result.states[:, 0], [0.25, 0.5, 1.0]) and result.exited_at is None
 
 
-def test_simulate_rejects_non_finite_start_state():
+def test_simulate_truncates_on_overflow():
+    """An in-zone step that overflows ends the run without keeping its state:
+    relu(1e308 * 0.5) * 10 is inf."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    net = ElmNetwork(np.array([[1e308]]), np.zeros(1), np.array([[10.0]]), 1, 0)
+    model = single_region_model(zone, net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # simulate silences the overflow it expects; a warning would raise here
+        result = model.simulate([0.5], steps=10)
+    assert result.truncated and result.exited_at is None
+    assert result.message == "non-finite state produced at step 1"
+    assert result.states.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize("x0", [[[0.1, 0.1], [0.2, 0.2]], [[0.1, 0.1]], 0.3, [0.1], [np.nan, 0.0], [0.0, np.inf],
+                                [0.0, -np.inf], [1.5, 0.0], [0.5, np.nextafter(1.0, 2.0)]],
+                         ids=["two rows", "one row", "scalar", "one entry", "nan", "inf", "-inf", "outside",
+                              "one ulp outside"])
+def test_simulate_rejects_a_start_state_that_is_not_one_point_of_the_zone(x0):
+    """A wrong shape, a non-finite entry and a point outside the zone fail the
+    one start-state check, which names the state."""
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
-    for x0 in ([np.nan, 0.0], [0.0, np.inf]):
-        with pytest.raises(ValueError, match=f"coordinate {int(np.isfinite(x0[0]))}"):
-            model.simulate(x0, steps=3)
+    message = f"start state {np.asarray(x0, dtype=float).tolist()} lies outside the zone Box([0,1]x[0,1])"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model.simulate(x0, steps=3)
 
 
 def test_simulate_requires_inputs_when_model_has_them():
@@ -329,8 +343,7 @@ def test_refit_is_deterministic():
 
 def test_locate_batch_equals_membership_reference():
     """Tree lookup against brute-force membership on box corners, cut faces
-    and outside points: the owner of the one box holding a point, else -1;
-    outside points step through the region a per-region distance scan names."""
+    and outside points: the owner of the one box holding a point, else -1."""
     data = swirl_dataset(800, seed=4)
     parts = me_partition(swirl_zone(), data.states, epsilon=0.02)
     model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=1e-8)
@@ -348,15 +361,6 @@ def test_locate_batch_equals_membership_reference():
     member = membership_matrix(boxes, points)
     inside = member.any(axis=1)
     assert np.array_equal(model.locate_batch(points), np.where(inside, owner[member.argmax(axis=1)], -1))
-    outside = points[~inside]
-    assert np.array_equal(model.step(outside), model.predict_located(outside, nearest_regions(model, outside)))
-
-
-def nearest_regions(model, points) -> np.ndarray:
-    """Brute force: each point's region by L-infinity distance to its boxes,
-    ties to the lowest id."""
-    return np.array([min(model.regions, key=lambda r: (min(linf_distance(b, x) for b in r.boxes), r.id)).id
-                     for x in points], dtype=int)
 
 
 def points_around_the_zone(zone, rng, n: int = 400) -> np.ndarray:
@@ -372,24 +376,26 @@ def points_around_the_zone(zone, rng, n: int = 400) -> np.ndarray:
     return np.concatenate([wide[~zone.contains(wide)], face, beyond])
 
 
-def test_step_takes_out_of_zone_rows_through_the_nearest_region():
-    """step against a per-region distance scan on rows outside the zone and on
-    and just beyond its faces. Alternating slabs tie often (a row above the
-    zone is often as near to a neighbouring slab as to the one below it), and
-    their constant networks name the region stepped through; on a fitted swirl
-    model the rows step with the bits of their brute-force region."""
-    rng = np.random.default_rng(8)
-    slabs = alternating_slab_model([constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
-    x = points_around_the_zone(slabs.zone, rng)
-    want = nearest_regions(slabs, x)
-    assert np.array_equal(np.where(slabs.step(x)[:, 0] == 0.1, 1, 2), want)
-    assert (want == 1).any() and (want == 2).any()
+def test_step_raises_exactly_where_locate_batch_says_minus_one():
+    """On rows outside the zone, on its faces, one ulp beyond them and holding
+    NaN or an infinity: a batch with one row outside raises ValueError naming
+    that row's index and state, and the rows inside step with the bits of
+    predict_located over their located regions."""
     data = swirl_dataset(800, seed=4)
     model = merge_and_learn(me_partition(swirl_zone(), data.states, 0.02), data, hidden_count=10, seed=0, gamma=1e-8)
-    x = points_around_the_zone(model.zone, rng)
-    want = nearest_regions(model, x)
-    assert np.unique(want).size > 1
-    assert np.array_equal(model.step(x), model.predict_located(x, want))
+    rng = np.random.default_rng(8)
+    x = np.concatenate([points_around_the_zone(model.zone, rng),
+                        [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [-np.inf, np.inf]]])
+    ids = model.locate_batch(x)
+    inside = ids > 0
+    assert inside.sum() > 300 and (~inside).sum() > 300 and np.unique(ids[inside]).size > 1
+    assert np.array_equal(model.step(x[inside]), model.predict_located(x[inside], ids[inside]))
+    head = x[inside][:3]
+    for row in x[~inside]:
+        with pytest.raises(ValueError, match=re.escape(f"state row 3 {row.tolist()} lies outside the zone")):
+            model.step(np.concatenate([head, row[None]]))
+    with pytest.raises(ValueError, match=f"state row {int(np.argmin(inside))} "):
+        model.step(x)
 
 
 def test_locate_batch_is_minus_one_exactly_where_the_zone_test_fails():
@@ -457,7 +463,10 @@ def test_region_walk_of_a_single_region_model_takes_no_level():
     assert model.region_walk.depth == 0
     x = [[0.2, 0.7], [1.0, 1.0], [1.5, 0.5], [np.nan, 0.5]]
     assert model.locate_batch(x).tolist() == [1, 1, -1, -1]
-    assert model.step(x[:3]).tolist() == [[0.5, 0.5]] * 3  # a NaN row steps to NaN even through a constant map
+    assert model.step(x[:2]).tolist() == [[0.5, 0.5]] * 2
+    for row in x[2:]:  # outside the zone, and NaN, which a constant map would otherwise step to NaN
+        with pytest.raises(ValueError, match=re.escape(f"state row 0 {row} lies outside the zone")):
+            model.step([row])
 
 
 def test_region_walk_where_no_two_sibling_boxes_share_a_region():
