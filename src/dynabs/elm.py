@@ -147,9 +147,11 @@ def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
 
 class RowSets:
     """Disjoint row sets of one sample table (z, y), held as one (k, r)
-    stack of row indices per set size r: `ReadoutStats.of` gathers any
-    selection of the sets from the table, in blocks of GATHER_SHARE of
-    STACK_BYTES, under any hidden layer. The table itself is not copied."""
+    stack of intp row indices per set size r, copied once from the sets in
+    whatever integer type they come (`me_partition` gives int32):
+    `ReadoutStats.of` gathers any selection of the sets from the table, in
+    blocks of GATHER_SHARE of STACK_BYTES, under any hidden layer. The table
+    itself is not copied."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, sets: list[np.ndarray]):
         self.n_in, self.n_out = z.shape[1], y.shape[1]
@@ -159,7 +161,7 @@ class RowSets:
         self.stacks: dict[int, np.ndarray] = {}
         self.yy = np.empty(len(sets))  # sum of Y^2 of each set, as np.sum of its rows gives it
         by_size, runs = id_runs(self.size)
-        idx = np.concatenate([np.asarray(sets[i], dtype=int) for i in by_size])  # sets ordered by size
+        idx = np.concatenate([sets[i] for i in by_size], dtype=np.intp)  # sets ordered by size, the one copy
         start = 0
         for r, a, b in runs:
             k, stop = by_size[a:b], start + (b - a) * r
@@ -283,14 +285,18 @@ class ReadoutStats:
 
 def predict_batch(net: ElmNetwork, z: np.ndarray) -> np.ndarray:
     """y = w_out . ReLU(w_in . z + b_in) for each row of z, shape (n, n_in) -> (n, n_out).
-    numpy multiplies a single row by another BLAS routine than several rows,
-    so one row runs as two copies of it and gets the bits of any batch."""
+    numpy multiplies a single row, or a single readout column, by another
+    BLAS routine (a matrix-vector product) than several, so one row runs as
+    two copies of it and a one-output readout as two copies of its column:
+    every row gets the bits of any batch."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != net.n_in:
         raise ValueError(f"batch of shape {z.shape} fed to network with n_in={net.n_in}")
-    if z.shape[0] == 1:
-        return (net.hidden(np.repeat(z, 2, axis=0)) @ net.w_out.T)[:1]
-    return net.hidden(z) @ net.w_out.T
+    n = z.shape[0]
+    if n == 1:
+        z = np.repeat(z, 2, axis=0)
+    w_out = net.w_out if net.n_out > 1 else np.repeat(net.w_out, 2, axis=0)
+    return (net.hidden(z) @ w_out.T)[:n, :net.n_out]
 
 
 def mse(net: ElmNetwork, data: Dataset) -> float:

@@ -321,18 +321,20 @@ class BoxTree:
         return np.where(inside, walk.label.take(node), -1)
 
     def overlapping(self, lo, hi):
-        """Yield (rows, boxes) index arrays, one pair of arrays per block of
-        query rows: query row i of the (Q, dim) `lo`/`hi` meets box k with
-        positive width, `min(hi[i], box.hi) > max(lo[i], box.lo)` in every
-        dimension, exactly when (i, k) is among the pairs. Zero-width contact
-        counts as empty, as do zero-width and inverted queries.
+        """Yield (rows, boxes) index arrays, one pair of arrays per tree
+        level of a block of query rows that reaches leaves: query row i of the
+        (Q, dim) `lo`/`hi` meets box k with positive width, `min(hi[i],
+        box.hi) > max(lo[i], box.lo)` in every dimension, exactly when (i, k)
+        is among the pairs of some yield. Zero-width contact counts as empty,
+        as do zero-width and inverted queries.
 
         Each block walks down the tree level by level: a query goes to a
         node's lower child iff its lo is below the cut and to the upper one
-        iff its hi is above it. A level has at most as many nodes as there
-        are boxes, and a block has OVERLAP_PAIRS over that many rows, so it
-        holds at most OVERLAP_PAIRS (row, node) pairs at a level, however
-        dense the overlaps. Pairs come in no particular order.
+        iff its hi is above it, and the pairs that reach a leaf are yielded
+        at once. A level has at most as many nodes as there are boxes, and a
+        block has OVERLAP_PAIRS over that many rows, so it holds at most
+        OVERLAP_PAIRS (row, node) pairs at a level, and a yield at most as
+        many, however dense the overlaps. Pairs come in no particular order.
         """
         block = max(1, OVERLAP_PAIRS // self.lo.shape[0])
         lo = np.atleast_2d(np.asarray(lo, dtype=float))
@@ -346,17 +348,16 @@ class BoxTree:
         for start in range(0, lo.shape[0], block):
             q = (start + np.flatnonzero(meets_zone[start:start + block])).astype(np.int32)
             node = np.zeros(q.size, dtype=np.int32)
-            rows, boxes, dims = [q[:0]], [node[:0]], iter(self.dims)  # the nodes of pass l lie on level l
+            dims = iter(self.dims)  # the nodes of pass l lie on level l
             while q.size:
                 leaf = leaf_of[node]
                 at_leaf = leaf >= 0
-                rows.append(q[at_leaf])
-                boxes.append(leaf[at_leaf])
-                q, node = q[~at_leaf], node[~at_leaf]
+                if at_leaf.any():
+                    yield q[at_leaf], leaf[at_leaf]
+                    q, node = q[~at_leaf], node[~at_leaf]
                 d, cut = next(dims), self.cuts[node]
                 lower = lo[q, d] < cut
                 upper = hi[q, d] > cut
                 del cut  # freed before the next level's pairs are made
                 q = np.concatenate([q[lower], q[upper]])
                 node = np.concatenate([kids[2 * node[lower]], kids[2 * node[upper] + 1]])
-            yield np.concatenate(rows), np.concatenate(boxes)

@@ -344,8 +344,7 @@ def merge_sweep(
     raises FloatingPointError at the test where the one-at-a-time sweep
     (`tests/oracles.py:sequential_merge`) raises it.
     """
-    assignments = [np.asarray(idx, dtype=int) for idx in parts.assignments]
-    regions = list(range(len(assignments)))  # partition ids; a region's first id is its row
+    regions = list(range(len(parts)))  # partition ids; a region's first id is its row
     merged: list[tuple[list[int], ElmNetwork, ReadoutStats]] = []  # partition ids, layer, statistics of each region
 
     def window(ids: np.ndarray, cand: ReadoutStats) -> int:
@@ -388,7 +387,7 @@ def merge_sweep(
     # statistics fails its test (its MSE is not <= gamma), and a partition
     # with them raises when its turn as row N comes, at the latest.
     with np.errstate(over="ignore", invalid="ignore"):
-        sets = RowSets(data.z, data.y, assignments)
+        sets = RowSets(data.z, data.y, parts.assignments)
         while regions:
             members, candidates, kept = regions[:1], np.array(regions[1:], dtype=int), []
             net = layer(len(merged))

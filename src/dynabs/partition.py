@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, WorkingZone
-from .geometry import Box, split_dims
+from .geometry import Box, _freeze, split_dims
 
 # Unconditional freeze for slivers: longest side below this fraction of the
 # zone's extent, the resolution floor where samples converge.
@@ -23,7 +23,9 @@ MIN_SIDE_FRACTION = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PartitionSet:
-    """Disjoint boxes tiling the zone plus per-box sample assignments."""
+    """Disjoint boxes tiling the zone plus per-box sample assignments: the
+    indices into the source points of each box's samples, ascending, as
+    int32 (intp from 2**31 points on)."""
 
     zone: WorkingZone
     boxes: list[Box]
@@ -35,14 +37,12 @@ class PartitionSet:
         return len(self.boxes)
 
 
-def xlogx_table(n: int) -> np.ndarray:
-    """c ln c for the counts c = 0..n, with 0 ln 0 = 0: each entry has the
-    bits of the scalar ``c * np.log(c)``."""
-    c = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = c * np.log(c)
-    table[0] = 0.0
-    return table
+def xlogx_halves(c1: int, c2: int) -> tuple[float, float]:
+    """c ln c of the counts of a split's two halves, with 0 ln 0 = 0, from
+    one 2-entry product: each has the bits of the scalar ``c * np.log(c)``.
+    An empty half is taken as 1 ln 1, which is exactly 0."""
+    pair = np.array([c1 or 1, c2 or 1], dtype=float)
+    return tuple((pair * np.log(pair)).tolist())
 
 
 def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
@@ -58,6 +58,12 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
 
     `points` is an (n, n_x) array of states inside the zone; a point outside
     it raises DataError.
+
+    Besides the points, it holds one 4-byte row index per point, split
+    among the open boxes, and a split's gather of one coordinate with its
+    mask: about 13 bytes per point at the root. A box's bounds are float
+    tuples and its c ln c is carried down from its parent's split; the
+    boxes are built once, as rows of two read-only (boxes, n_x) arrays.
     """
     if not epsilon >= 0:  # NaN fails too
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -69,53 +75,60 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
         raise DataError(f"point {int(outside[0])} lies outside the working zone")
 
     n_total = states.shape[0]
-    extent = zone.omega.sides
+    extent = zone.omega.sides.tolist()
     columns = states.T  # 1-D coordinate columns, views of states
-    xlogx = xlogx_table(n_total)
-    boxes: list[Box] = []
+    leaves: list[tuple[tuple[float, ...], tuple[float, ...]]] = []  # (lo, hi) of each kept box, in tiling order
     assignments: list[np.ndarray] = []
     log: list[tuple[int, int, float, bool]] = []
 
-    def keep(box: Box, idx: np.ndarray) -> None:
-        boxes.append(box)
+    def keep(lo, hi, idx: np.ndarray) -> None:
+        leaves.append((lo, hi))
         assignments.append(idx)
 
     # Depth-first over the split tree, lower child first, so boxes come out in
     # tiling order. A box's fate depends only on the box and its samples, so
     # this visits the same splits as widest-first selection would.
-    split, dims = split_dims(extent), []  # dims[depth]: the dimension that depth cuts
-    stack = [(zone.omega, np.arange(n_total), 0)]
+    split, dims = split_dims(zone.omega.sides), []  # dims[depth]: the dimension that depth cuts
+    rows = np.arange(n_total, dtype=np.int32 if n_total < 2**31 else np.intp)
+    stack = [(tuple(zone.omega.lo.tolist()), tuple(zone.omega.hi.tolist()), rows, 0, xlogx_halves(n_total, 0)[0])]
+    del rows  # the stack holds the only reference, so the split frees it
     while stack:
-        box, idx, depth = stack.pop()
-        if ((box.hi - box.lo) / extent).max() < MIN_SIDE_FRACTION:
-            keep(box, idx)
+        lo, hi, idx, depth, xlogx_c = stack.pop()  # xlogx_c: c ln c of the box's c samples
+        if max((h - l) / e for l, h, e in zip(lo, hi, extent)) < MIN_SIDE_FRACTION:
+            keep(lo, hi, idx)
             continue
         if depth == len(dims):
             dims.append(next(split))
         j = dims[depth]
-        mid = 0.5 * (box.lo[j] + box.hi[j])
-        if not box.lo[j] < mid < box.hi[j]:  # midpoint collapse at float limits
-            keep(box, idx)
+        mid = 0.5 * (lo[j] + hi[j])
+        if not lo[j] < mid < hi[j]:  # midpoint collapse at float limits
+            keep(lo, hi, idx)
             continue
         lower_mask = columns[j][idx] < mid
         c = idx.size
         c1 = int(np.count_nonzero(lower_mask))
         c2 = c - c1
-        delta_h = (xlogx.item(c) - xlogx.item(c1) - xlogx.item(c2)) / n_total if n_total else 0.0
         # an empty half gains exactly 0: at epsilon 0 empty boxes would split without end
-        accepted = bool(c1 and c2 and delta_h >= epsilon)
+        accepted = False
+        delta_h = 0.0
+        if c1 and c2:
+            xlogx_1, xlogx_2 = xlogx_halves(c1, c2)
+            delta_h = (xlogx_c - xlogx_1 - xlogx_2) / n_total
+            accepted = bool(delta_h >= epsilon)
         # the split box's position in the tiling: every box before it is final
-        log.append((len(boxes), j, delta_h, accepted))
+        log.append((len(leaves), j, delta_h, accepted))
         if accepted:
-            left, right = box.bisect(j)
-            stack.append((right, idx[~lower_mask], depth + 1))
-            stack.append((left, idx[lower_mask], depth + 1))
+            stack.append((lo[:j] + (mid,) + lo[j + 1:], hi, idx.compress(~lower_mask), depth + 1, xlogx_2))
+            stack.append((lo, hi[:j] + (mid,) + hi[j + 1:], idx.compress(lower_mask), depth + 1, xlogx_1))
         else:
-            keep(box, idx)
+            keep(lo, hi, idx)
 
+    los, his = (_freeze(np.array(side, dtype=float)) for side in zip(*leaves))
+    # a box's upper face is closed where it lies on a closed face of the zone, as bisection leaves it
+    closed = _freeze((his == zone.omega.hi) & zone.omega.closed_hi)
     return PartitionSet(
         zone=zone,
-        boxes=boxes,
+        boxes=[Box._trusted(*row) for row in zip(los, his, closed)],
         assignments=assignments,
         epsilon=float(epsilon),
         split_log=log,

@@ -159,7 +159,7 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
         assert not result.truncated
         assert result.exited_at == (n + 1 if n < 25 else None)
         assert len(result.states) == (n + 2 if n < 25 else 26)
-        assert np.allclose(result.states[: n + 1], run[: n + 1], rtol=0.0, atol=1e-12)
+        assert np.array_equal(result.states[: n + 1], run[: n + 1])
 
 
 def test_sample_traces_exit_marker():

@@ -117,6 +117,23 @@ def test_predict_dimension_mismatch():
         predict_batch(net, [1.0, 2.0])  # one vector, not a batch of rows
 
 
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+def test_a_row_gets_the_same_bits_alone_as_in_a_batch(n_out):
+    """A single row, or a single readout column, goes through a
+    matrix-vector product whose bits depend on the batch: with the readout
+    unpadded, 137 of these 500 rows differed between one-row calls and one
+    call on the one-output network. Padded to two rows and two columns,
+    every row keeps its bits."""
+    rng = np.random.default_rng(7)
+    net = init_elm(2, n_out, 20, seed=3)
+    net = ElmNetwork(net.w_in, net.b_in, rng.normal(size=(n_out, 20)), 20, 3)
+    z = rng.uniform(-1.0, 1.0, size=(500, 2))
+    whole = predict_batch(net, z)
+    assert whole.shape == (500, n_out)
+    assert np.array_equal(np.concatenate([predict_batch(net, row[None]) for row in z]), whole)
+    assert np.array_equal(np.concatenate([predict_batch(net, z[:137]), predict_batch(net, z[137:])]), whole)
+
+
 def test_mse_hand_values():
     # perfect predictor
     net = ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), 1, 0)

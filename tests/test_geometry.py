@@ -306,20 +306,25 @@ def overlap_queries(zone, boxes, rng):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 40), st.sampled_from([None, 1, 200]))
 def test_tree_overlapping_equals_brute_force_on_bisection_tilings(seed, dim, splits, pairs):
     """With the default block size (one block here), and with blocks of
-    OVERLAP_PAIRS // boxes query rows: one row, or a few."""
+    OVERLAP_PAIRS // boxes query rows: one row, or a few. Each yield holds
+    the rows of one block, and at most block rows times boxes pairs: at most
+    OVERLAP_PAIRS, unless one row alone meets more boxes."""
     rng = np.random.default_rng(seed)
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     boxes = [leaves[k] for k in rng.permutation(len(leaves))]
     lo, hi = overlap_queries(zone, boxes, rng)
     tree = BoxTree(zone, boxes)
     default = geometry.OVERLAP_PAIRS
-    geometry.OVERLAP_PAIRS = pairs or default
+    limit = geometry.OVERLAP_PAIRS = pairs or default
     try:
-        blocks = list(tree.overlapping(lo, hi))
+        yields = list(tree.overlapping(lo, hi))
     finally:
         geometry.OVERLAP_PAIRS = default
-    assert len(blocks) == -(-lo.shape[0] // max(1, (pairs or default) // len(boxes)))
-    pairs = [(i, k) for rows, hit in blocks for i, k in zip(rows.tolist(), hit.tolist())]
+    block = max(1, limit // len(boxes))
+    for rows, hit in yields:
+        assert 0 < rows.size == hit.size <= block * len(boxes) <= max(limit, len(boxes))
+        assert rows.min() // block == rows.max() // block
+    pairs = [(i, k) for rows, hit in yields for i, k in zip(rows.tolist(), hit.tolist())]
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == reference_overlaps(boxes, lo, hi)
 
@@ -330,7 +335,7 @@ def test_tree_overlapping_hand_cases():
     tree = BoxTree(zone, [*left.bisect(1), right])  # [0,.5)x[0,.5), [0,.5)x[.5,1], [.5,1]x[0,1]
     lo = np.array([[0.5, 0.0], [0.4, 0.4], [-1.0, -1.0], [0.2, 0.2], [1.0, 0.0], [0.1, 0.6]])
     hi = np.array([[1.0, 1.0], [0.6, 0.6], [2.0, 2.0], [0.2, 0.3], [2.0, 1.0], [0.1, 0.6]])
-    (rows, hit), = tree.overlapping(lo, hi)
+    rows, hit = (np.concatenate(a) for a in zip(*tree.overlapping(lo, hi)))
     got = sorted(zip(rows.tolist(), hit.tolist()))
     # the right half only touches the left boxes; a zero-width or point query meets nothing
     assert got == [(0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]

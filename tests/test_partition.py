@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from dynabs import Box, BoxTree, WorkingZone, me_partition, membership_matrix
 from dynabs.geometry import split_dims
 
-from dynabs.partition import MIN_SIDE_FRACTION, xlogx_table
+from dynabs.partition import MIN_SIDE_FRACTION, xlogx_halves
 
 from oracles import shannon_entropy, widest_first_partition, xlogx
-from synthdata import random_tiling_cases, two_cluster_dataset, unit_zone
+from synthdata import random_tiling_cases, swirl_dataset, swirl_zone, two_cluster_dataset, unit_zone
 
 
 def test_entropy_even_split_is_ln2():
@@ -177,10 +178,30 @@ def test_me_partition_equals_widest_first_reference():
         assert sorted(e[1:] for e in parts.split_log) == sorted(e[1:] for e in log)
 
 
-def test_xlogx_table_has_the_bits_of_the_scalar_terms():
-    table = xlogx_table(20_000)
-    assert table.shape == (20_001,)
-    assert table.tolist() == [xlogx(c) for c in range(20_001)]
+def test_xlogx_halves_have_the_bits_of_the_scalar_terms():
+    """Every count up to 200 000 takes both places of the 2-entry product,
+    and an empty half at either end gives exactly 0. (`math.log` differs
+    from `np.log` on 7 of these counts.)"""
+    n = 200_000
+    assert [xlogx_halves(c, n - c) for c in range(n + 1)] == [(xlogx(c), xlogx(n - c)) for c in range(n + 1)]
+    assert xlogx_halves(0, 0) == (0.0, 0.0)
+
+
+def test_partition_holds_four_byte_row_indices():
+    """Besides the points, `me_partition` holds a 4-byte row index per
+    point and one split's gather and mask: its traced peak stays within 14
+    bytes per point (25 with int64 indices and a c ln c table), and each
+    box's samples come as int32 indices."""
+    data = swirl_dataset(200_000, seed=1)
+    tracemalloc.start()
+    try:
+        parts = me_partition(swirl_zone(), data.states, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * len(data), peak / len(data)
+    assert {a.dtype for a in parts.assignments} == {np.dtype(np.int32)}
+    assert sum(a.size for a in parts.assignments) == len(data)
 
 
 def test_zero_epsilon_commits_exactly_the_splits_that_separate_samples():
