@@ -147,9 +147,9 @@ def _short(value, limit: int = 60) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-# The most bytes a writer converts at once: of a 0/1 matrix's JSON text in
-# `write_artifact`, of a dataset's float values in `save_dataset`. A block
-# holds at least one row.
+# The most bytes converted at once: of a 0/1 matrix's JSON text in
+# `write_artifact` and `read_artifact`, of a dataset's float values in
+# `save_dataset`. A block holds at least one row.
 WRITE_BLOCK_BYTES = 64 * 1024
 
 _JSON_WS = b" \t\n\r"
@@ -188,37 +188,65 @@ def _write_bits(f, m: np.ndarray) -> None:
     f.write("]")
 
 
+def _decode_bits(src, start: int, n: int) -> np.ndarray | None:
+    """The n x n bool matrix whose compact JSON, "[" + n rows "[d,...,d]," with
+    the outer "]" in place of the last ",", starts at src[start] (a str or
+    bytes), or None unless n >= 1 and it does. Each block of rows of
+    `WRITE_BLOCK_BYTES` is tested, as a (rows, 2n + 2) view of its ASCII
+    bytes, and decoded in turn, so only the result is held whole."""
+    width = 2 * n + 2
+    if n < 1 or len(src) - start < n * width + 1:
+        return None
+    layout = np.full(width, ord(","), dtype=np.uint8)  # "[1,...,1],"
+    layout[0], layout[2 * n] = ord("["), ord("]")
+    layout[1:2 * n:2] = ord("1")
+    digit = (layout == ord("1")).astype(np.uint8)  # x | 1 == '1' only for x in '0', '1'
+    out = np.empty((n, n), dtype=bool)
+    step = max(1, WRITE_BLOCK_BYTES // width)
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        block = src[start + 1 + a * width:start + 1 + b * width]
+        if isinstance(block, str):  # a non-ASCII character becomes "?", which fails the test
+            block = block.encode("ascii", "replace")
+        rows = np.frombuffer(block, dtype=np.uint8).reshape(b - a, width)
+        bad = (rows | digit) != layout
+        if b == n:
+            bad[-1, -1] = rows[-1, -1] != ord("]")
+        if bad.any():
+            return None
+        out[a:b] = rows[:, 1:2 * n:2] == ord("1")
+        del block, rows, bad  # before the next block is sliced
+    return out
+
+
 def _read_bits(text: str, pos: int) -> tuple[np.ndarray, int]:
     """Decode the non-empty square 0/1 matrix whose JSON starts at text[pos].
 
     Returns the bool matrix and the index just past it; raises ValueError
-    naming the first defect and its character index.
+    naming the first defect and its character index. Compact text, as
+    `write_artifact` writes it, is decoded in place. Only text with JSON
+    whitespace, a non-ASCII character or a defect is copied whole, to decode
+    its whitespace-free copy or to name the defect.
     """
-    tail = text[pos:].encode("utf-8")
-    if not tail.startswith(b"["):
+    if not text.startswith("[", pos):
         raise ValueError(f"expected a square matrix of 0/1 entries, found {text[pos:pos + 12]!r} at char {pos}")
+    n = (text.find("]", pos) - pos - 1) // 2  # the first row closes at 2n + 1
+    m = _decode_bits(text, pos, n)
+    if m is not None:  # a right layout closes the matrix at its last character
+        return m, pos + n * (2 * n + 2) + 1
+    tail = text[pos:].encode("utf-8")
     b = np.frombuffer(tail, dtype=np.uint8)
     brackets = np.flatnonzero((b == ord("[")) | (b == ord("]")))
     closed = np.flatnonzero(np.cumsum(np.where(b[brackets] == ord("["), 1, -1)) == 0)
     if closed.size == 0:
         raise ValueError(f"matrix starting at char {pos} is not closed before the end of the file")
     end = int(brackets[closed[0]]) + 1
-    # The whitespace-free text holds the matrix as "[" + n rows "[d,...,d]," + the
-    # outer "]" in place of the last ",": one layout test over its (n, 2n + 2)
-    # view checks every character. A right layout closes the matrix at the
-    # same bracket as `end`, so the text after it does not matter here.
+    # A right layout closes the matrix at the same bracket as `end`, so the
+    # text after it does not matter here.
     c = tail.translate(None, _JSON_WS)
-    n = (c.index(b"]") - 1) // 2  # the first row closes at 2n + 1
-    size = n * (2 * n + 2) + 1
-    if n >= 1 and len(c) >= size:
-        rows = np.frombuffer(c, dtype=np.uint8, count=size)[1:].reshape(n, 2 * n + 2)
-        layout = np.full(2 * n + 2, ord(","), dtype=np.uint8)  # "[1,...,1],"
-        layout[0], layout[2 * n] = ord("["), ord("]")
-        layout[1:2 * n:2] = ord("1")
-        digit = (layout == ord("1")).astype(np.uint8)  # x | 1 == '1' only for x in '0', '1'
-        if (c[size - 1] == ord("]") and ((rows[:-1] | digit) == layout).all()
-                and ((rows[-1, :-1] | digit[:-1]) == layout[:-1]).all()):
-            return rows[:, 1:2 * n:2] == ord("1"), pos + end
+    m = _decode_bits(c, 0, (c.index(b"]") - 1) // 2)
+    if m is not None:
+        return m, pos + end
     _raise_bits_defect(tail, b, pos, end)
 
 
@@ -284,10 +312,12 @@ def read_artifact(path, bits: str | None = None) -> dict:
     """Read an artifact document: one JSON object, in any JSON whitespace.
 
     The top-level keys go through json's string scanner and their values
-    through its decoder, except the value of key `bits`: it must be a
-    non-empty square matrix of 0/1 entries and comes back as a bool ndarray,
-    decoded with numpy in one pass. Any defect raises DataError naming the
-    file and, inside a value, the key.
+    through its decoder, except a value of key `bits` that opens with "[":
+    it must be a non-empty square matrix of 0/1 entries and comes back as a
+    bool ndarray, decoded with numpy in place (see `_read_bits`). Any other
+    `bits` value is left to `bit_matrix`, so that the document's reader can
+    first name a newer `format_version`. Any defect raises DataError naming
+    the file and, inside a value, the key.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -321,7 +351,8 @@ def read_artifact(path, bits: str | None = None) -> dict:
                 fail(f"no ':' after key {key!r}", pos)
             pos = skip(text, pos + 1).end()
             try:
-                doc[key], pos = _read_bits(text, pos) if key == bits else decoder.raw_decode(text, pos)
+                in_place = key == bits and text.startswith("[", pos)
+                doc[key], pos = _read_bits(text, pos) if in_place else decoder.raw_decode(text, pos)
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise DataError(f"{path}: key {key!r}: {exc}") from None
             except RecursionError:

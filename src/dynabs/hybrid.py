@@ -185,7 +185,8 @@ class HybridModel:
         exited_at = message = None
         for t in range(steps):
             with np.errstate(over="ignore", invalid="ignore"):
-                x = self.predict_located(np.concatenate([x, inputs[t]]) if n_u > 0 else x, ids)[0]
+                z = np.concatenate([x, inputs[t]]) if n_u > 0 else x
+                x = predict_batch(self.network_of(int(ids[0])), z[None])[0]
             if not np.all(np.isfinite(x)):
                 message = f"non-finite state produced at step {t + 1}"
                 break

@@ -314,7 +314,11 @@ def test_abstract_and_verify_reject_malformed_artifacts(dataset_csv, tmp_path, c
     for bad, model_named, ts_named in (
             ({"format_version": 1}, "zone is missing", "zone is missing"),
             ({"format_version": 99}, "model document has format_version 99",
-             "transition-system document has format_version 99")):
+             "transition-system document has format_version 99"),
+            # a later format's relation layout: the version is named, not the layout
+            ({"format_version": 2, "relation": {"indptr": [0, 1], "indices": [0]}},
+             "model document has format_version 2",
+             "transition-system document has format_version 2; only version 1 can be read")):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "abstract", "--model", path, "--out-dir", tmp_path / "a")

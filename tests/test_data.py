@@ -207,17 +207,31 @@ def bool_matrices(max_n: int = 40):
 
 
 @settings(max_examples=60, deadline=None)
-@given(bool_matrices())
-def test_bit_matrix_text_is_compact_json_and_reads_back(tmp_path_factory, m):
+@given(bool_matrices(), st.sampled_from(["one row", "three rows", "all rows but the last"]), st.data())
+def test_bit_matrix_text_is_compact_json_and_reads_back(tmp_path_factory, m, block, data):
+    """Written and read in blocks of one row, three rows or all rows but the
+    last, a matrix reads back bit for bit from its compact text, from
+    `json.dumps` text with and without `indent=2`, and from its compact text
+    with JSON whitespace at random token boundaries."""
+    n = len(m)
     path = tmp_path_factory.mktemp("bits") / "doc.json"
-    write_artifact(path, {"m": m, "n": 1})
-    line = path.read_text().splitlines()[1]
-    assert line == '  "m": ' + json.dumps(m.astype(int).tolist(), separators=(",", ":")) + ","
-    back = read_artifact(path, "m")
-    assert back["n"] == 1 and back["m"].dtype == bool and np.array_equal(back["m"], m)
-    for spacing in ({}, {"indent": 2}):
-        path.write_text(json.dumps({"m": m.astype(int).tolist(), "n": 1}, **spacing))
-        assert np.array_equal(read_artifact(path, "m")["m"], m)
+    compact = json.dumps(m.astype(int).tolist(), separators=(",", ":"))
+    spaced = list(compact)  # each character of a 0/1 matrix's compact JSON is a token
+    gaps = st.tuples(st.integers(0, len(compact)), st.text(" \t\n\r", min_size=1, max_size=3))
+    for i, ws in sorted(data.draw(st.lists(gaps, max_size=8)), reverse=True):
+        spaced.insert(i, ws)
+    rows = {"one row": 1, "three rows": 3, "all rows but the last": max(1, n - 1)}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "WRITE_BLOCK_BYTES", rows * (2 * n + 2))
+        write_artifact(path, {"m": m, "n": 1})
+        line = path.read_text().splitlines()[1]
+        assert line == '  "m": ' + compact + ","
+        back = read_artifact(path, "m")
+        assert back["n"] == 1 and back["m"].dtype == bool and np.array_equal(back["m"], m)
+        for text in (json.dumps(m.astype(int).tolist()), json.dumps(m.astype(int).tolist(), indent=2),
+                     "".join(spaced)):
+            path.write_text('{"m": ' + text + ', "n": 1}')
+            assert np.array_equal(read_artifact(path, "m")["m"], m)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
