@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ JSON_KINDS = {
     "number": lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max,
     "string": lambda v: type(v) is str,
     "boolean": lambda v: type(v) is bool,
+    "0 or 1": lambda v: type(v) is int and v in (0, 1),
     "list of numbers": lambda v: type(v) is list and all(map(JSON_KINDS["number"], v)),
 }
 
@@ -77,21 +77,29 @@ def check_format_version(doc, version: int, what: str) -> None:
         raise DataError(f"{what} document has format_version {found}; only version {version} can be read")
 
 
+# The entry types that `number_rows` stacks for each `JSON_KINDS` entry it
+# reads, and the dtype it stacks them as.
+_ROW_TYPES = {"number": ({int, float}, float), "boolean": ({bool}, bool), "0 or 1": ({int}, bool)}
+
+
 def number_rows(rows: list, path: Callable[[int], str], width: int | None = None, kind: str = "number") -> np.ndarray:
     """Rows, each a non-empty list of `width` finite JSON numbers (the first
     row's length when `width` is None), as a read-only (n, width) float
-    ndarray; with `kind` "boolean", of JSON booleans as a bool ndarray.
+    ndarray; with `kind` "boolean", of JSON booleans, and with "0 or 1", of
+    the JSON integers 0 and 1, as a bool ndarray.
 
     All rows are type-checked and stacked in one pass. Only when that fails
     are they walked, and the first defect raises DataError naming row
     `path(i)` or its entry `path(i)[j]`.
     """
-    dtype = float if kind == "number" else bool
+    types, dtype = _ROW_TYPES[kind]
     try:
         n = len(rows[0]) if width is None else width
-        # exact types: true and false are not numbers, and neither is "0.5"
+        # exact types: true and false are not numbers, and neither is "0.5"; 0/1
+        # values are checked before the cast to bool, which takes 2 as true
         if (set(map(type, rows)) == {list} and set(map(len, rows)) == {n} and n > 0
-                and set(map(type, chain.from_iterable(rows))) <= ({int, float} if dtype is float else {bool})):
+                and set(map(type, chain.from_iterable(rows))) <= types
+                and (kind != "0 or 1" or set(chain.from_iterable(rows)) <= {0, 1})):
             a = np.array(rows, dtype=dtype)
             if np.isfinite(a).all():
                 a.setflags(write=False)
@@ -152,10 +160,6 @@ def _short(value, limit: int = 60) -> str:
 # `save_dataset`. A block holds at least one row.
 WRITE_BLOCK_BYTES = 64 * 1024
 
-_JSON_WS = b" \t\n\r"
-# a matrix entry that is neither 0 nor 1: a run of non-delimiters holding some other character
-_BAD_ENTRY = re.compile(rb"[^\[\], \t\n\r]*[^\[\],01 \t\n\r][^\[\], \t\n\r]*")
-
 
 def _bits_rows(m: np.ndarray) -> np.ndarray:
     """The rows "[d,...,d]," of a 2-D bool matrix's compact JSON, 0/1 for
@@ -171,15 +175,10 @@ def _bits_rows(m: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _bits_json(m: np.ndarray) -> bytes:
-    """Compact JSON of a 2-D bool matrix as 0/1 integers, built in one uint8
-    buffer; equal to `json.dumps(m.astype(int).tolist(), separators=(",", ":"))`."""
-    return b"[" + _bits_rows(m).ravel()[:-1].tobytes() + b"]"
-
-
 def _write_bits(f, m: np.ndarray) -> None:
-    """Write `_bits_json(m)` to the text stream `f`, one block of
-    `WRITE_BLOCK_BYTES` at a time."""
+    """Write the compact JSON of a 2-D bool matrix as 0/1 integers, equal to
+    `json.dumps(m.astype(int).tolist(), separators=(",", ":"))`, to the text
+    stream `f`, one block of `WRITE_BLOCK_BYTES` at a time."""
     rows = max(1, WRITE_BLOCK_BYTES // (2 * m.shape[1] + 2))
     f.write("[")
     for start in range(0, len(m), rows):
@@ -188,14 +187,16 @@ def _write_bits(f, m: np.ndarray) -> None:
     f.write("]")
 
 
-def _decode_bits(src, start: int, n: int) -> np.ndarray | None:
+def _decode_bits(text: str, pos: int) -> tuple[np.ndarray, int] | None:
     """The n x n bool matrix whose compact JSON, "[" + n rows "[d,...,d]," with
-    the outer "]" in place of the last ",", starts at src[start] (a str or
-    bytes), or None unless n >= 1 and it does. Each block of rows of
+    the outer "]" in place of the last ",", starts at text[pos], and the index
+    just past it; or None unless n >= 1 and it does, n being taken from the
+    first row's "]" at text[pos + 2n + 1]. Each block of rows of
     `WRITE_BLOCK_BYTES` is tested, as a (rows, 2n + 2) view of its ASCII
     bytes, and decoded in turn, so only the result is held whole."""
+    n = (text.find("]", pos) - pos - 1) // 2
     width = 2 * n + 2
-    if n < 1 or len(src) - start < n * width + 1:
+    if n < 1 or not text.startswith("[", pos) or len(text) - pos < n * width + 1:
         return None
     layout = np.full(width, ord(","), dtype=np.uint8)  # "[1,...,1],"
     layout[0], layout[2 * n] = ord("["), ord("]")
@@ -205,9 +206,8 @@ def _decode_bits(src, start: int, n: int) -> np.ndarray | None:
     step = max(1, WRITE_BLOCK_BYTES // width)
     for a in range(0, n, step):
         b = min(n, a + step)
-        block = src[start + 1 + a * width:start + 1 + b * width]
-        if isinstance(block, str):  # a non-ASCII character becomes "?", which fails the test
-            block = block.encode("ascii", "replace")
+        # a non-ASCII character becomes "?", which fails the test
+        block = text[pos + 1 + a * width:pos + 1 + b * width].encode("ascii", "replace")
         rows = np.frombuffer(block, dtype=np.uint8).reshape(b - a, width)
         bad = (rows | digit) != layout
         if b == n:
@@ -216,74 +216,23 @@ def _decode_bits(src, start: int, n: int) -> np.ndarray | None:
             return None
         out[a:b] = rows[:, 1:2 * n:2] == ord("1")
         del block, rows, bad  # before the next block is sliced
-    return out
-
-
-def _read_bits(text: str, pos: int) -> tuple[np.ndarray, int]:
-    """Decode the non-empty square 0/1 matrix whose JSON starts at text[pos].
-
-    Returns the bool matrix and the index just past it; raises ValueError
-    naming the first defect and its character index. Compact text, as
-    `write_artifact` writes it, is decoded in place. Only text with JSON
-    whitespace, a non-ASCII character or a defect is copied whole, to decode
-    its whitespace-free copy or to name the defect.
-    """
-    if not text.startswith("[", pos):
-        raise ValueError(f"expected a square matrix of 0/1 entries, found {text[pos:pos + 12]!r} at char {pos}")
-    n = (text.find("]", pos) - pos - 1) // 2  # the first row closes at 2n + 1
-    m = _decode_bits(text, pos, n)
-    if m is not None:  # a right layout closes the matrix at its last character
-        return m, pos + n * (2 * n + 2) + 1
-    tail = text[pos:].encode("utf-8")
-    b = np.frombuffer(tail, dtype=np.uint8)
-    brackets = np.flatnonzero((b == ord("[")) | (b == ord("]")))
-    closed = np.flatnonzero(np.cumsum(np.where(b[brackets] == ord("["), 1, -1)) == 0)
-    if closed.size == 0:
-        raise ValueError(f"matrix starting at char {pos} is not closed before the end of the file")
-    end = int(brackets[closed[0]]) + 1
-    # A right layout closes the matrix at the same bracket as `end`, so the
-    # text after it does not matter here.
-    c = tail.translate(None, _JSON_WS)
-    m = _decode_bits(c, 0, (c.index(b"]") - 1) // 2)
-    if m is not None:
-        return m, pos + end
-    _raise_bits_defect(tail, b, pos, end)
-
-
-def _raise_bits_defect(tail: bytes, b: np.ndarray, pos: int, end: int) -> NoReturn:
-    """Raise for a matrix text that fails `_read_bits`'s layout test, naming
-    the first character that breaks it."""
-    c = tail[:end].translate(None, _JSON_WS)
-    if c.translate(None, b"[],01"):
-        bad = _BAD_ENTRY.search(tail, 0, end)
-        raise ValueError(f"entries must be 0 or 1, found {bad.group().decode(errors='replace')!r} "
-                         f"at char {pos + bad.start()}")
-    n = (c.index(b"]") - 1) // 2
-    if n < 1:
-        raise ValueError(f"matrix at char {pos} must be non-empty")
-    template = _bits_json(np.zeros((n, n), dtype=bool))
-    zeroed = c.replace(b"1", b"0")
-    k = next((k for k, (x, y) in enumerate(zip(zeroed, template)) if x != y), min(len(c), len(template)))
-    if k < len(c):  # back from the whitespace-free copy to the text
-        where = f"char {pos + int(np.flatnonzero(~np.isin(b[:end], list(_JSON_WS)))[k])}"
-    else:
-        where = f"the end at char {pos + end - 1}"
-    raise ValueError(f"not a {n}x{n} matrix (the length of its first row): layout breaks at {where}")
+    return out, pos + n * width + 1
 
 
 def bit_matrix(value, key: str) -> np.ndarray:
-    """A document's square 0/1 matrix as a bool ndarray.
+    """A document's non-empty square 0/1 matrix at `key` as a bool ndarray.
 
-    A bool ndarray, as `read_artifact` returns it, is taken as is. Nested
-    lists (as `json.load` returns them) go through the same decoder as the
-    file, so both accept the same entries: 0 and 1, not `true`, `2` or `0.5`.
+    A bool ndarray, as `read_artifact` decodes compact text, is taken as is.
+    Nested lists, as `json` returns them for any other text, go through
+    `number_rows` as rows of the JSON integers 0 and 1: a defect raises
+    DataError naming the row or the entry, as in `relation[0][0] must be a
+    JSON 0 or 1, got 2`.
     """
     if isinstance(value, np.ndarray) and value.dtype == bool:
         return value
-    try:
-        return _read_bits(json.dumps(value, separators=(",", ":")), 0)[0]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"key {key!r} (as compact JSON): {exc}") from None
+    if type(value) is not list or not value:
+        raise DataError(f"{key} must be a non-empty square matrix, got {_short(value)}")
+    return number_rows(value, lambda i: f"{key}[{i}]", len(value), "0 or 1")
 
 
 def write_artifact(path, doc: dict) -> None:
@@ -312,12 +261,13 @@ def read_artifact(path, bits: str | None = None) -> dict:
     """Read an artifact document: one JSON object, in any JSON whitespace.
 
     The top-level keys go through json's string scanner and their values
-    through its decoder, except a value of key `bits` that opens with "[":
-    it must be a non-empty square matrix of 0/1 entries and comes back as a
-    bool ndarray, decoded with numpy in place (see `_read_bits`). Any other
-    `bits` value is left to `bit_matrix`, so that the document's reader can
-    first name a newer `format_version`. Any defect raises DataError naming
-    the file and, inside a value, the key.
+    through its decoder, except a value of key `bits` in the compact layout
+    that `write_artifact` writes: that comes back as a bool ndarray, decoded
+    with numpy in place (see `_decode_bits`). Any other `bits` value, such as
+    a matrix with JSON whitespace, goes through json's decoder too and is
+    checked by `bit_matrix`, so that the document's reader can first name a
+    newer `format_version`. Any JSON defect raises DataError naming the file
+    and, inside a value, the key.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -351,8 +301,8 @@ def read_artifact(path, bits: str | None = None) -> dict:
                 fail(f"no ':' after key {key!r}", pos)
             pos = skip(text, pos + 1).end()
             try:
-                in_place = key == bits and text.startswith("[", pos)
-                doc[key], pos = _read_bits(text, pos) if in_place else decoder.raw_decode(text, pos)
+                decoded = _decode_bits(text, pos) if key == bits else None
+                doc[key], pos = decoded or decoder.raw_decode(text, pos)
             except ValueError as exc:  # json.JSONDecodeError is one
                 raise DataError(f"{path}: key {key!r}: {exc}") from None
             except RecursionError:

@@ -317,17 +317,21 @@ def malformed_ts_texts(text: str) -> dict[str, tuple[str, str]]:
         return changed("relation", [[value, *rel[0][1:]], *rel[1:]])
 
     start = text.index('"relation"')
+    n = len(rel)
+    entry = "relation[0][0] must be a JSON 0 or 1, got "
+    ragged = f"relation[{n - 1}] has {n - 1} entries, expected {n}"
+    wide = f"relation[0] has {n + 1} entries, expected {n}"
     return {
-        "ragged row": (changed("relation", [*rel[:-1], rel[-1][:-1]]), "relation"),
-        "n x (n+1)": (changed("relation", [row + [0] for row in rel]), "relation"),
-        "three-deep nesting": (changed("relation", [[[v] for v in row] for row in rel]), "relation"),
-        "entry 2": (first_entry(2), "relation"),
-        "entry 0.5": (first_entry(0.5), "relation"),
-        "entry true": (first_entry(True), "relation"),
-        'entry "01"': (first_entry("01"), "relation"),
-        "empty matrix": (changed("relation", []), "relation"),
-        "missing key": (json.dumps({k: v for k, v in doc.items() if k != "relation"}), "relation"),
-        "truncated": (text[: (start + text.index("\n", start)) // 2], "relation"),
+        "ragged row": (changed("relation", [*rel[:-1], rel[-1][:-1]]), ragged),
+        "n x (n+1)": (changed("relation", [row + [0] for row in rel]), wide),
+        "three-deep nesting": (changed("relation", [[[v] for v in row] for row in rel]), f"{entry}[{rel[0][0]}]"),
+        "entry 2": (first_entry(2), entry + "2"),
+        "entry 0.5": (first_entry(0.5), entry + "0.5"),
+        "entry true": (first_entry(True), entry + "true"),
+        'entry "01"': (first_entry("01"), entry + '"01"'),
+        "empty matrix": (changed("relation", []), "relation must be a non-empty square matrix, got []"),
+        "missing key": (json.dumps({k: v for k, v in doc.items() if k != "relation"}), "relation is missing"),
+        "truncated": (text[: (start + text.index("\n", start)) // 2], "key 'relation'"),
         "trailing data": (text + "{}\n", "relation"),
         "initial 1.5": (changed("initial", 1.5), "initial"),
         "initial true": (changed("initial", True), "initial"),

@@ -409,12 +409,9 @@ def test_save_and_export_dot_hold_one_row_block_of_a_dense_relation(tmp_path):
     assert dot_peak < bound
 
 
-def test_load_holds_the_relation_text_once(tmp_path):
-    """On a random relation over 1 024 bisected cells (2.2 MB of `ts.json`),
-    `TransitionSystem.load` peaks at under 2.5 times the file's size (2.0
-    reads, set by the file's read): the relation is decoded from the text in
-    place, one row block at a time. Decoding the whole text, with its bytes
-    and whitespace-free copies, peaked at 5.1 times."""
+def save_random_relation(path) -> np.ndarray:
+    """Save a transition system over 1 024 bisected cells of [0, 1] with a
+    random relation (2.2 MB of `ts.json`) to `path`; return its relation."""
     zone = WorkingZone(Box([0.0], [1.0]))
     cells = [zone.omega]
     for _ in range(10):
@@ -422,9 +419,38 @@ def test_load_holds_the_relation_text_once(tmp_path):
     relation = np.random.default_rng(5).random((len(cells) + 1,) * 2) < 0.3
     np.fill_diagonal(relation, True)  # total, with the sink's self-loop
     relation[-1, :-1] = False
-    ts = TransitionSystem(zone, tuple(cells), relation)
+    TransitionSystem(zone, tuple(cells), relation).save(path)
+    return relation
+
+
+def test_load_holds_the_relation_text_once(tmp_path):
+    """On a random relation over 1 024 bisected cells (2.2 MB of `ts.json`),
+    `TransitionSystem.load` peaks at under 2.5 times the file's size (2.0
+    reads, set by the file's read): the relation is decoded from the text in
+    place, one row block at a time. Decoding the whole text, with its bytes
+    and whitespace-free copies, peaked at 5.1 times."""
     path = tmp_path / "ts.json"
-    ts.save(path)
+    relation = save_random_relation(path)
+    tracemalloc.start()
+    try:
+        back = TransitionSystem.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.relation, relation)
+    assert peak < 2.5 * path.stat().st_size
+
+
+def test_load_of_a_relation_with_an_entry_on_each_line_holds_its_text_once(tmp_path):
+    """The random relation of `save_random_relation`, with each entry
+    on a line of its own as `python -m json.tool` lays it out (11.7 MB):
+    `TransitionSystem.load` reads the relation through `json` and
+    `number_rows` and peaks at under 2.5 times the file's size (2.0 reads:
+    the text, then json's lists beside it). Decoding a whitespace-free copy
+    of the text, with its bracket scan, peaked at 4.0 times."""
+    path = tmp_path / "ts.json"
+    relation = save_random_relation(path)
+    path.write_text(path.read_text().replace(",", ",\n        "))
     tracemalloc.start()
     try:
         back = TransitionSystem.load(path)
@@ -525,7 +551,9 @@ def test_load_rejects_cells_that_do_not_tile_the_zone(tmp_path):
 def test_malformed_relation_or_initial_is_rejected_naming_the_key(tmp_path):
     """Entries 2, 0.5, true or "01", a non-square or empty relation, an
     initial cell id that is no integer, and a document that is cut short or
-    runs on: `load` and `from_dict` both raise DataError naming the key."""
+    runs on: `load` raises DataError naming the key, and a relation defect
+    by its row or entry (`relation[0][0] must be a JSON 0 or 1, got 2`).
+    `from_dict` raises the same message for every document that is JSON."""
     relation = np.eye(4, dtype=bool)
     relation[0, 1] = relation[1, 2] = relation[2, 3] = True
     ts = tiny_transition_system(relation, 3)
@@ -537,10 +565,38 @@ def test_malformed_relation_or_initial_is_rejected_naming_the_key(tmp_path):
         bad.write_text(text)
         with pytest.raises(DataError) as err:
             TransitionSystem.load(bad)
-        assert key in str(err.value).replace(str(bad), ""), case
+        loaded = str(err.value)
+        assert key in loaded.replace(str(bad), ""), case
         if case not in ("truncated", "trailing data"):
             with pytest.raises(DataError) as err:
                 TransitionSystem.from_dict(json.loads(text))
-            assert key in str(err.value), case
+            assert str(err.value) == loaded, case
     back = TransitionSystem.from_dict(ts.to_dict())
     assert np.array_equal(back.relation, relation) and back.initial is None
+
+
+@pytest.mark.parametrize("spaced", [False, True], ids=["compact", "spaced"])
+@pytest.mark.parametrize("entry", ["-0", "256", "-1", "1.0", "1e0", "true", '"01"', "[1]"])
+def test_relation_entries_are_the_json_integers_0_and_1(tmp_path, spaced, entry):
+    """A relation entry is the JSON integer 0 or 1, in compact text and in
+    text with an entry on each line: `-0` is JSON's integer 0 and reads as
+    0, and 256, -1, 1.0, 1e0, true, "01" and [1] are rejected by `load` and
+    `from_dict` alike, naming `relation[0][0]`."""
+    relation = np.eye(3, dtype=bool)
+    relation[0] = [False, True, False]
+    path = tmp_path / "ts.json"
+    tiny_transition_system(relation, 2).save(path)
+    text = path.read_text().replace('"relation": [[0,', f'"relation": [[{entry},')
+    assert f"[[{entry}," in text
+    if spaced:
+        text = text.replace(",", ",\n        ")
+    path.write_text(text)
+    if entry == "-0":
+        for ts in (TransitionSystem.load(path), TransitionSystem.from_dict(json.loads(text))):
+            assert np.array_equal(ts.relation, relation)
+        return
+    with pytest.raises(DataError, match=re.escape("relation[0][0] must be a JSON 0 or 1, got ")) as err:
+        TransitionSystem.load(path)
+    with pytest.raises(DataError) as again:
+        TransitionSystem.from_dict(json.loads(text))
+    assert str(again.value) == str(err.value)
