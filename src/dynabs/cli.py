@@ -3,8 +3,8 @@
 Configuration comes from an optional JSON file plus flag overrides (flags
 win), so an experiment is reproducible from its config alone. Exit codes:
 0 success, 2 usage error, 3 data error, 4 numeric failure (a non-finite
-training error or reach enclosure), 141 stdout closed by its reader (as a
-shell reports a command that SIGPIPE killed).
+training error, model step or reach enclosure), 141 stdout closed by its
+reader (as a shell reports a command that SIGPIPE killed).
 """
 
 from __future__ import annotations
@@ -302,8 +302,6 @@ def cmd_simulate(args) -> int:
     doc = {
         "states": result.states.tolist(),
         "exited_at": result.exited_at,
-        "truncated": result.truncated,
-        "message": result.message,
     }
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

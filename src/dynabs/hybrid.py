@@ -64,8 +64,6 @@ class MergeStats:
 class SimResult:
     states: np.ndarray              # (steps_taken + 1, n_x)
     exited_at: int | None = None    # step whose state, kept as the last row, left the zone
-    truncated: bool = False         # a non-finite state, not kept, ended the run
-    message: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +126,8 @@ class HybridModel:
         pieces of one block of activations (`elm.STACK_BYTES`). Since
         `predict_batch` gives a row the bits it gets inside any batch, every
         row gets the bits `predict_batch` gives the rows of its region alone.
+        A step that is not finite raises FloatingPointError naming its row's
+        state, input (if the model takes one) and region.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if np.shape(ids) != z.shape[:1]:
@@ -137,19 +137,27 @@ class HybridModel:
             bad = runs[0][0] if runs[0][0] < 1 else runs[-1][0]
             raise ValueError(f"region id {bad} outside 1..{self.n_regions}")
         zs = z[order]
-        out = np.empty((z.shape[0], self.zone.n_x))
-        for rid, a, b in runs:
-            net = self.network_of(rid)
-            block = per_block(8 * net.hidden_count)
-            for i in range(a, b, block):
-                j = min(b, i + block)
-                out[order[i:j]] = predict_batch(net, zs[i:j])
+        n_x = self.zone.n_x
+        out = np.empty((z.shape[0], n_x))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming its row
+            for rid, a, b in runs:
+                net = self.network_of(rid)
+                block = per_block(8 * net.hidden_count)
+                for i in range(a, b, block):
+                    j = min(b, i + block)
+                    out[order[i:j]] = predict_batch(net, zs[i:j])
+        if not np.isfinite(out).all():
+            bad = int(np.argmin(np.isfinite(out).all(axis=1)))
+            given = f" with input {z[bad, n_x:].tolist()}" if self.zone.n_u else ""
+            raise FloatingPointError(f"model step from state {z[bad, :n_x].tolist()}{given} in region "
+                                     f"{int(ids[bad])} is not finite: {out[bad].tolist()}")
         return out
 
     def step(self, states: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
         """One step of x(k+1) = net[region(x(k))]([x(k); u(k)]) for each state
         row. A row outside the zone, where `locate_batch` gives -1 (a row
-        holding NaN or an infinity among them), raises ValueError naming it."""
+        holding NaN or an infinity among them), raises ValueError naming it,
+        and a step that is not finite FloatingPointError (`predict_located`)."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         z = states if inputs is None else np.concatenate([states, np.atleast_2d(inputs)], axis=1)
         ids = self.locate_batch(states)
@@ -164,9 +172,10 @@ class HybridModel:
         (another shape raises ValueError naming this one).
 
         The run ends at the first state outside the zone, which it keeps
-        (`exited_at`), or at a non-finite state, which it does not
-        (`truncated`). An x0 that is not one point of the zone (another shape,
-        a non-finite entry or a point outside it) raises ValueError naming it.
+        (`exited_at`). Each step is a one-row `predict_located` call, so a
+        step that is not finite raises FloatingPointError naming its state
+        and region. An x0 that is not one point of the zone (another shape, a
+        non-finite entry or a point outside it) raises ValueError naming it.
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
@@ -182,20 +191,16 @@ class HybridModel:
             if inputs.ndim != 2 or inputs.shape[0] < steps or inputs.shape[1] != n_u:
                 raise ValueError(f"need inputs of shape (>= {steps}, {n_u}), got {inputs.shape}")
         trace = [x]
-        exited_at = message = None
+        exited_at = None
         for t in range(steps):
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = np.concatenate([x, inputs[t]]) if n_u > 0 else x
-                x = predict_batch(self.network_of(int(ids[0])), z[None])[0]
-            if not np.all(np.isfinite(x)):
-                message = f"non-finite state produced at step {t + 1}"
-                break
+            z = np.concatenate([x, inputs[t]]) if n_u > 0 else x
+            x = self.predict_located(z[None], ids)[0]
             trace.append(x)
             ids = self.locate_batch(x[None])
             if ids[0] < 0:
                 exited_at = t + 1
                 break
-        return SimResult(np.asarray(trace), exited_at, truncated=message is not None, message=message)
+        return SimResult(np.asarray(trace), exited_at)
 
     def to_dict(self) -> dict:
         return {

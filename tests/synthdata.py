@@ -39,6 +39,46 @@ def swirl_dataset(n_samples: int = 2000, seed: int = 1, **swirl_kwargs) -> Datas
     return Dataset(2, 0, z, y)
 
 
+def vdp_step(x: np.ndarray, dt: float = 0.1) -> np.ndarray:
+    """One RK4 step of Van der Pol with mu = 1, the state scaled by 1/4:
+    s1' = s2, s2' = (1 - 16 s1^2) s2 - s1. Its limit cycle reaches about 0.5
+    in s1."""
+    def field(s):
+        return np.stack([s[:, 1], (1 - 16 * s[:, 0] ** 2) * s[:, 1] - s[:, 0]], axis=1)
+
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def swirl3_step(x: np.ndarray) -> np.ndarray:
+    """The swirl (twist 0.6) in (x1, x2) plus x3+ = 0.9 x3 + 0.05 sin(3 x1)."""
+    return np.concatenate([swirl_step(x[:, :2], twist=0.6), 0.9 * x[:, 2:] + 0.05 * np.sin(3 * x[:, :1])], axis=1)
+
+
+def runs_dataset(step, dim: int, seed: int) -> Dataset:
+    """20 000 one-step samples of the map `step`: 200 runs of 100 steps,
+    started uniformly on [-0.7, 0.7]^dim, run after run."""
+    x = np.empty((101, 200, dim))
+    x[0] = np.random.default_rng(seed).uniform(-0.7, 0.7, size=(200, dim))
+    for k in range(100):
+        x[k + 1] = step(x[k])
+    return Dataset(dim, 0, x[:-1].swapaxes(0, 1).reshape(-1, dim), x[1:].swapaxes(0, 1).reshape(-1, dim))
+
+
+def vdp_dataset(seed: int = 1) -> Dataset:
+    """Samples of the limit cycle `vdp_step`; at seed 1 every sample lies in
+    [-1, 1]^2 (at seed 0 some leave it)."""
+    return runs_dataset(vdp_step, 2, seed)
+
+
+def swirl3_dataset(seed: int = 1) -> Dataset:
+    """Samples of the 3-D swirl `swirl3_step`, all in [-1, 1]^3."""
+    return runs_dataset(swirl3_step, 3, seed)
+
+
 def random_tiling_cases(n_cases: int = 50):
     """Criterion 1's random datasets: (zone, points, epsilon, probes) per case,
     2-D and 3-D in turn, 100..10 000 uniform points on [-1, 1]^dim."""
@@ -141,13 +181,25 @@ def overflowing_model() -> HybridModel:
     return single_region_model(swirl_zone(), ElmNetwork(w_in, np.zeros(3), w_out, 3, 0))
 
 
+def overflowing_step_model() -> HybridModel:
+    """One region on [-1, 1]^2 whose step overflows where x1 + x2 > 1.8:
+    each hidden unit is relu(1e308 (x1 + x2)), and the step 3e8 (x1 + x2) in
+    each entry. Elsewhere a step leaves the zone at once (x1 + x2 > 4e-9) or
+    maps to the origin (x1 + x2 <= 0)."""
+    net = ElmNetwork(np.full((3, 2), 1e308), np.zeros(3), np.full((2, 3), 1e-300), 3, 0)
+    return single_region_model(swirl_zone(), net)
+
+
+def fitted_model(data: Dataset, epsilon: float, seed: int = 0, gamma: float = 1.5e-5) -> HybridModel:
+    """The model `dynabs fit` gives on [-1, 1]^n_x, with 20 hidden units."""
+    zone = WorkingZone(Box(-np.ones(data.n_x), np.ones(data.n_x)))
+    return merge_and_learn(me_partition(zone, data.states, epsilon), data, hidden_count=20, seed=seed, gamma=gamma)
+
+
 def fitted_swirl_model(seed: int = 0, n_samples: int = 2000, epsilon: float = 0.04,
                        gamma: float = 1.5e-5, **swirl_kwargs) -> tuple[HybridModel, Dataset]:
     data = swirl_dataset(n_samples, seed=seed + 1, **swirl_kwargs)
-    zone = swirl_zone()
-    parts = me_partition(zone, data.states, epsilon)
-    model = merge_and_learn(parts, data, hidden_count=20, seed=seed, gamma=gamma)
-    return model, data
+    return fitted_model(data, epsilon, seed, gamma), data
 
 
 def tiny_transition_system(relation, n_cells: int):

@@ -35,6 +35,7 @@ from synthdata import (
     constant_net,
     fitted_swirl_model,
     malformed_ts_texts,
+    overflowing_step_model,
     random_transition_system,
     single_region_model,
     split_region_model,
@@ -156,10 +157,21 @@ def test_simulate_reproduces_sampled_traces_with_inputs():
     assert (lengths < 25).any() and (lengths == 25).any() and (lengths > 10).any()
     for run, inputs, n in zip(states, trace_inputs(model, L=30, M=25, seed=4), lengths):
         result = model.simulate(run[0], inputs, steps=25)
-        assert not result.truncated
         assert result.exited_at == (n + 1 if n < 25 else None)
         assert len(result.states) == (n + 2 if n < 25 else 26)
         assert np.array_equal(result.states[: n + 1], run[: n + 1])
+
+
+def test_simulate_raises_the_text_sample_traces_raises_for_an_overflowing_state():
+    """Both step through `predict_located`, so the state whose step overflows
+    in a sampled trace fails `simulate` with the same text."""
+    model = overflowing_step_model()
+    with pytest.raises(FloatingPointError) as sampled:
+        sample_traces(model, 20, 5, seed=0)
+    state = re.fullmatch(r"model step from state (\[.*?\]) in region 1 is not finite: \[.*\]", str(sampled.value))
+    with pytest.raises(FloatingPointError) as simulated:
+        model.simulate(json.loads(state.group(1)), steps=5)
+    assert str(simulated.value) == str(sampled.value)
 
 
 def test_sample_traces_exit_marker():

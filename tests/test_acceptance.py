@@ -9,12 +9,14 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from dynabs import (
     Box,
     BoxTree,
     WorkingZone,
     build_cells,
+    cell_successor_box,
     compute_transitions,
     elm_output_box,
     fit_output_weights,
@@ -31,11 +33,14 @@ from dynabs.elm import DEFAULT_RIDGE
 from oracles import normal_equations_fit, observed_transitions, oracle_sat, sequential_traces, shannon_entropy
 from synthdata import (
     ctl_subformulas,
+    fitted_model,
     fitted_swirl_model,
     random_ctl_formula,
     random_tiling_cases,
     random_transition_system,
+    swirl3_dataset,
     swirl_dataset,
+    vdp_dataset,
 )
 
 
@@ -92,7 +97,18 @@ def test_criterion_3_least_squares_oracle():
     report(3, f"20 randomized fits match the normal-equations oracle (worst rel err {worst:.2e})")
 
 
-def test_criterion_4_reachability_soundness_monte_carlo():
+@pytest.fixture(scope="module")
+def fitted_models():
+    """Criteria 4 and 5's limit-cycle model at eps 1e-2 and 3-D model at eps
+    1e-3, each with its cells at that eps from 40 sampled traces of 60 steps."""
+    models = []
+    for data, eps in ((vdp_dataset(), 1e-2), (swirl3_dataset(), 1e-3)):
+        model = fitted_model(data, eps)
+        models.append((model, build_cells(model.zone, sample_traces(model, 40, 60, seed=1), epsilon=eps)))
+    return models
+
+
+def test_criterion_4_reachability_soundness_monte_carlo(fitted_models):
     rng = np.random.default_rng(1004)
     t0 = time.perf_counter()
     violations = 0
@@ -111,31 +127,47 @@ def test_criterion_4_reachability_soundness_monte_carlo():
             y = predict_batch(net, z)
             ok = (y >= out_lo - 1e-9) & (y <= out_hi + 1e-9)
             violations += int((~ok.all(axis=1)).sum())
+    # on the fitted models, points of each piece (cell ∩ region box) step into that piece's enclosure
+    pieces = 0
+    for model, cells in fitted_models:
+        reach = cell_successor_box(model, *cells)
+        for p in range(reach.cell_ids.size):
+            x = rng.uniform(reach.in_lo[p], reach.in_hi[p], size=(1000, model.zone.n_x))
+            assert (model.locate_batch(x) == reach.region_ids[p]).all()
+            y = model.step(x)
+            violations += int((~((y >= reach.out_lo[p]) & (y <= reach.out_hi[p])).all(axis=1)).sum())
+        pieces += reach.cell_ids.size
     elapsed = time.perf_counter() - t0
     assert violations == 0
     assert elapsed < 60.0, f"soundness sweep took {elapsed:.1f}s, budget is 60s"
-    report(4, f"4e7 Monte-Carlo points inside enclosures, zero violations, {elapsed:.1f}s")
+    report(4, f"4e7 Monte-Carlo points inside enclosures, and 1000 in each of the {pieces} reach pieces of the "
+              f"limit-cycle and 3-D models, zero violations, {elapsed:.1f}s")
 
 
-def test_criterion_5_abstraction_soundness_on_fixture_models():
-    fixtures = [
+def test_criterion_5_abstraction_soundness_on_fixture_models(fitted_models):
+    swirls = [
         dict(seed=0, twist=0.1, damping=0.96),
         dict(seed=1, twist=0.6, damping=0.96),
         dict(seed=2, twist=1.2, damping=0.90),
         dict(seed=3, twist=0.3, damping=0.92),
         dict(seed=4, twist=2.0, damping=0.88),
     ]
-    checked = 0
-    for fx in fixtures:
+    fixtures = []  # (model, cells, seed of its observed traces)
+    for fx in swirls:
         model, _ = fitted_swirl_model(n_samples=800, epsilon=0.05, **fx)
-        cells = build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]), epsilon=0.05)
+        fixtures.append((model, build_cells(model.zone, sample_traces(model, 40, 60, seed=fx["seed"]), epsilon=0.05),
+                         fx["seed"]))
+    fixtures += [(model, cells, 1) for model, cells in fitted_models]
+    checked = 0
+    for model, cells, seed in fixtures:
         ts = compute_transitions(model, cells)
-        states, lengths = sequential_traces(model, 100, 200, seed=900 + fx["seed"])
+        states, lengths = sequential_traces(model, 100, 200, seed=900 + seed)
         src, dst, exits = observed_transitions(states, lengths, BoxTree(ts.zone.omega, ts.cells))
         assert ts.relation[src, dst].all(), "observed transition missing from R"
         assert ts.relation[exits, ts.n_cells].all(), "observed exit missing from R"
         checked += src.size + exits.size
-    report(5, f"5 fixture models, 100x200-step traces each: {checked} observed transitions all in R")
+    report(5, f"5 swirls, a limit cycle and a 3-D swirl, 100x200-step traces each: {checked} observed "
+              "transitions all in R")
 
 
 def test_criterion_6_ctl_oracle_equivalence():

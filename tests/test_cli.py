@@ -11,7 +11,7 @@ import pytest
 
 import dynabs
 from dynabs import cli, ctl
-from dynabs import Box, Dataset, ElmNetwork, WorkingZone, me_partition, save_dataset, zone_from_data
+from dynabs import Box, Dataset, WorkingZone, me_partition, save_dataset, zone_from_data
 from dynabs.abstraction import TransitionSystem
 from dynabs.cli import MAX_STEPS, PipelineConfig, _fit_model, build_parser, main
 from dynabs.elm import ReadoutStats
@@ -19,8 +19,8 @@ from dynabs.hybrid import HybridModel, SimResult, hybrid_mse
 
 from oracles import sequential_merge
 from synthdata import (constant_net, malformed_model_texts, malformed_ts_texts, overflowing_model,
-                       random_transition_system, single_region_model, swirl_dataset, swirl_step, swirl_zone,
-                       tiny_transition_system)
+                       overflowing_step_model, random_transition_system, single_region_model, swirl_dataset,
+                       swirl_step, tiny_transition_system)
 
 
 @pytest.fixture()
@@ -193,9 +193,9 @@ def test_simulate_outputs_trace(dataset_csv, tmp_path, capsys):
                        "--x0", "0.3,0.2", "--steps", 10)
     assert code == 0
     doc = json.loads(out)
-    assert list(doc) == ["states", "exited_at", "truncated", "message"]
+    assert list(doc) == ["states", "exited_at"]
     assert len(doc["states"]) == 11
-    assert doc["truncated"] is False and doc["exited_at"] is None
+    assert doc["exited_at"] is None
 
     trace_file = out_dir / "trace.json"
     code, out, _ = run(capsys, "simulate", "--model", out_dir / "model.json",
@@ -723,10 +723,8 @@ def test_infinite_thresholds_stay_allowed(dataset_csv, tmp_path, capsys):
 
 
 def overflowing_step_model_path(tmp_path):
-    """One region on [-1, 1]^2 whose step overflows on most of the zone."""
-    net = ElmNetwork(np.full((3, 2), 1e308), np.zeros(3), np.full((2, 3), 1e-300), 3, 0)
     path = tmp_path / "model.json"
-    single_region_model(swirl_zone(), net).save(path)
+    overflowing_step_model().save(path)
     return path
 
 
@@ -739,20 +737,18 @@ def test_abstract_on_overflowing_steps_exits_4(tmp_path, capsys):
     assert not (out_dir / "ts.json").exists()
 
 
-def test_simulate_on_overflowing_steps_truncates_without_warnings(tmp_path, capsys):
-    """From (0.95, 0.95) the first step overflows, 1e308 * 1.9 being inf; from
-    (0.5, 0.5) it gives a finite state outside the zone, where the run exits."""
+def test_simulate_on_overflowing_steps_exits_4_without_warnings(tmp_path, capsys):
+    """From (0.95, 0.95) the first step overflows, 1e308 * 1.9 being inf, and
+    simulate exits 4 with the one line abstract prints; from (0.5, 0.5) it
+    gives a finite state outside the zone, where the run exits."""
     # pytest turns RuntimeWarning into errors, so a numpy overflow warning fails here
     path = overflowing_step_model_path(tmp_path)
     code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.95,0.95", "--steps", 3)
-    assert code == 0 and err == ""
-    doc = json.loads(out)
-    assert doc["truncated"] and doc["message"] == "non-finite state produced at step 1"
-    assert doc["states"] == [[0.95, 0.95]] and doc["exited_at"] is None
+    assert code == 4 and out == ""
+    assert err == "error: model step from state [0.95, 0.95] in region 1 is not finite: [inf, inf]\n"
     code, out, err = run(capsys, "simulate", "--model", path, "--x0", "0.5,0.5", "--steps", 3)
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert not doc["truncated"] and doc["message"] is None
     assert len(doc["states"]) == 2 and doc["exited_at"] == 1
 
 

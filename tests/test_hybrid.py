@@ -23,6 +23,7 @@ from dynabs import (
     merge_and_learn,
     mse,
     predict_batch,
+    sample_traces,
 )
 
 from oracles import raw_merge, sequential_merge
@@ -30,6 +31,7 @@ from synthdata import (
     alternating_slab_model,
     constant_net,
     malformed_model_texts,
+    overflowing_model,
     random_tiling_cases,
     single_region_model,
     split_region_model,
@@ -156,7 +158,7 @@ def test_simulate_zero_steps():
     model = single_region_model(unit_zone(), constant_net([0.5, 0.5], 2))
     result = model.simulate([0.1, 0.1], steps=0)
     assert result.states.shape == (1, 2)
-    assert not result.truncated and result.exited_at is None
+    assert result.exited_at is None
 
 
 def test_simulate_identity_model_has_tiny_drift():
@@ -180,7 +182,7 @@ def test_simulate_flags_out_of_zone_states():
     model = single_region_model(unit_zone(), constant_net([2.0, 2.0], 2))
     result = model.simulate([0.5, 0.5], steps=3)
     assert result.states.tolist() == [[0.5, 0.5], [2.0, 2.0]]
-    assert result.exited_at == 1 and not result.truncated and result.message is None
+    assert result.exited_at == 1
 
 
 def test_simulate_flags_each_out_of_zone_position_once():
@@ -191,31 +193,60 @@ def test_simulate_flags_each_out_of_zone_position_once():
     blowup = single_region_model(zone, ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[1e200]]), 1, 0))
     result = blowup.simulate([0.5], steps=10)
     assert result.states.tolist() == [[0.5], [5e199]]
-    assert result.exited_at == 1 and not result.truncated
+    assert result.exited_at == 1
 
     # x -> 2 x: 0.3 and 0.6 stay inside, and 1.2 leaves at step 2 of 2 or of 5
     doubling = single_region_model(zone, ElmNetwork(np.array([[1.0]]), np.zeros(1), np.array([[2.0]]), 1, 0))
     for steps in (2, 5):
         result = doubling.simulate([0.3], steps=steps)
         assert np.array_equal(result.states[:, 0], [0.3, 0.6, 1.2])
-        assert result.exited_at == 2 and not result.truncated
+        assert result.exited_at == 2
     # the face x = 1 is in the zone: 0.25 doubles to it and keeps going for every step asked
     result = doubling.simulate([0.25], steps=2)
     assert np.array_equal(result.states[:, 0], [0.25, 0.5, 1.0]) and result.exited_at is None
 
 
-def test_simulate_truncates_on_overflow():
-    """An in-zone step that overflows ends the run without keeping its state:
-    relu(1e308 * 0.5) * 10 is inf."""
+def test_simulate_raises_on_overflow():
+    """An in-zone step that overflows raises FloatingPointError naming its
+    state and region: relu(1e308 * 0.5) * 10 is inf."""
     zone = WorkingZone(Box([0.0], [1.0]))
     net = ElmNetwork(np.array([[1e308]]), np.zeros(1), np.array([[10.0]]), 1, 0)
     model = single_region_model(zone, net)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # simulate silences the overflow it expects; a warning would raise here
-        result = model.simulate([0.5], steps=10)
-    assert result.truncated and result.exited_at is None
-    assert result.message == "non-finite state produced at step 1"
-    assert result.states.tolist() == [[0.5]]
+        warnings.simplefilter("error")  # the step silences the overflow it reports; a warning would raise here
+        with pytest.raises(FloatingPointError,
+                           match=re.escape("model step from state [0.5] in region 1 is not finite: [inf]")):
+            model.simulate([0.5], steps=10)
+
+
+def test_step_and_hybrid_mse_raise_on_a_non_finite_step_naming_its_row():
+    """Finite weights whose step overflows within about 3e-3 of the corner
+    (1, 1), where 0 * inf makes it NaN: `step` and `hybrid_mse` raise
+    FloatingPointError naming the first such row's state and region, and
+    numpy warns of nothing (pytest makes a RuntimeWarning an error); the rows
+    elsewhere step to finite states."""
+    model = overflowing_model()
+    x = np.array([[0.0, 0.0], [1.0, 0.9995], [1.0, 1.0], [0.5, -0.5]])
+    message = re.escape("model step from state [1.0, 0.9995] in region 1 is not finite: [nan, nan]")
+    with pytest.raises(FloatingPointError, match=message):
+        model.step(x)
+    with pytest.raises(FloatingPointError, match=message):
+        hybrid_mse(model, Dataset(2, 0, x, np.zeros_like(x)))
+    assert np.isfinite(model.step(x[[0, 3]])).all()
+
+
+def test_a_non_finite_step_names_the_input_apart_from_the_state():
+    """With an input, `step`, `simulate` and `sample_traces` name it beside
+    the state: relu(1e308 (x + u)) is inf for x + u > 1.8."""
+    zone = WorkingZone(Box([0.0], [1.0]), input_bounds=Box([0.9], [1.0]))
+    model = single_region_model(zone, ElmNetwork(np.full((1, 2), 1e308), np.zeros(1), np.array([[1e-300]]), 1, 0))
+    message = "model step from state [0.95] with input [0.875] in region 1 is not finite: [inf]"
+    with pytest.raises(FloatingPointError, match=re.escape(message)):
+        model.step([[0.5], [0.95]], [[0.9], [0.875]])
+    with pytest.raises(FloatingPointError, match=re.escape(message)):
+        model.simulate([0.95], np.full((3, 1), 0.875), steps=3)
+    with pytest.raises(FloatingPointError, match=r"model step from state \[.*\] with input \[.*\] in region 1 "):
+        sample_traces(model, 50, 1, seed=0)
 
 
 @pytest.mark.parametrize("x0", [[[0.1, 0.1], [0.2, 0.2]], [[0.1, 0.1]], 0.3, [0.1], [np.nan, 0.0], [0.0, np.inf],
