@@ -11,7 +11,7 @@ from .ctl import CtlSyntaxError, check, format_ctl, parse_ctl, sat_set
 from .data import DataError, Dataset, WorkingZone, load_dataset, save_dataset, zone_from_data
 from .elm import ElmNetwork, fit_output_weights, init_elm, mse, predict_batch
 from .geometry import Box, BoxTree, membership_matrix
-from .hybrid import HybridModel, Region, SimResult, hybrid_mse, merge_and_learn
+from .hybrid import HybridModel, SimResult, hybrid_mse, merge_and_learn
 from .partition import PartitionSet, me_partition
 from .reach import Bounds, ReachPiece, ReachResult, cell_successor_box, elm_output_box
 
@@ -29,7 +29,6 @@ __all__ = [
     "PartitionSet",
     "ReachPiece",
     "ReachResult",
-    "Region",
     "SimResult",
     "TransitionSystem",
     "WorkingZone",

@@ -17,7 +17,7 @@ from .data import (DataError, WorkingZone, bit_matrix, boxes_from_docs, check_fo
                    read_artifact, write_artifact)
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import Box, BoxTree, membership_matrix  # noqa: F401
+from .geometry import BoxTree, membership_matrix  # noqa: F401
 from .hybrid import HybridModel
 from .partition import me_partition
 from .reach import cell_successor_box
@@ -76,9 +76,9 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> np.ndarray:
     return states[:n]
 
 
-def build_cells(zone: WorkingZone, states: np.ndarray, epsilon: float) -> list[Box]:
+def build_cells(zone: WorkingZone, states: np.ndarray, epsilon: float) -> BoxTree:
     """Cells = maximum-entropy partition of the (n, n_x) visited states, as
-    `sample_traces` returns them."""
+    `sample_traces` returns them, as the `BoxTree` that indexes them."""
     return me_partition(zone, states, epsilon).boxes
 
 
@@ -88,11 +88,11 @@ class TransitionSystem:
 
     `relation` is (N+1) x (N+1): index N is the exit sink, which only
     self-loops. Cell ids are 1-based; the sink's state id is N+1. A loaded
-    system's cells must be a bisection tiling of the zone (see `BoxTree`).
+    or computed system's cells are the `BoxTree` of a tiling of the zone.
     """
 
     zone: WorkingZone
-    cells: tuple[Box, ...]
+    cells: BoxTree  # or any sequence of Box
     relation: np.ndarray
     initial: int | None = None
 
@@ -152,11 +152,10 @@ class TransitionSystem:
         naming its key path (see `data.member`) or the invariant it breaks."""
         check_format_version(d, TS_FORMAT_VERSION, "transition-system")
         zone = WorkingZone.from_dict(member(d, "zone", "object"))
-        cells = boxes_from_docs(member(d, "cells", "list"), zone.n_x, lambda k: f"cells[{k}]")
+        bounds = boxes_from_docs(member(d, "cells", "list"), zone.n_x, lambda k: f"cells[{k}]")
         relation = bit_matrix(member(d, "relation"), "relation")
         try:
-            BoxTree(zone.omega, cells)  # raises, naming the cause, unless the cells tile the zone
-            return cls(zone, cells, relation, d.get("initial"))
+            return cls(zone, BoxTree(zone.omega, *bounds), relation, d.get("initial"))  # the tree names a defect
         except ValueError as exc:
             raise DataError(f"invalid transition-system document: {exc}") from None
 
@@ -165,27 +164,26 @@ class TransitionSystem:
         return cls.from_dict(read_artifact(path, "relation"))
 
 
-def compute_transitions(model: HybridModel, cells, initial: int | None = None) -> TransitionSystem:
+def compute_transitions(model: HybridModel, cells: BoxTree, initial: int | None = None) -> TransitionSystem:
     """Relation R over the cells: R(i, j) iff the one-step enclosure of cell
     i meets cell j with positive width; enclosures extending beyond the zone
     get an edge to the exit sink.
 
     One `cell_successor_box` call gives the region pieces of every cell,
     and each piece's enclosure is tested on its own, which drops spurious
-    transitions the hull would add: a range query down the cells' `BoxTree`
-    finds the cells it meets. The cells must be a bisection tiling of the
-    zone, which building that tree checks (it raises ValueError naming the
-    cause otherwise); a padded enclosure then always meets a cell or leaves
-    the zone, so every row has a successor. An enclosure that is not finite
-    raises FloatingPointError (see `cell_successor_box`).
+    transitions the hull would add: a range query down the cells' tree
+    finds the cells it meets. The cells tile the zone, so a padded enclosure
+    always meets a cell or leaves the zone, and every row has a successor;
+    cells over another zone raise ValueError. An enclosure that is not
+    finite raises FloatingPointError (see `cell_successor_box`).
     """
-    cells = tuple(cells)
     n = len(cells)
     zone = model.zone
-    tree = BoxTree(zone.omega, cells)
+    if cells.zone.to_dict() != zone.omega.to_dict():
+        raise ValueError(f"the cells tile {cells.zone!r}, not the zone {zone.omega!r}")
     reach = cell_successor_box(model, *cells)
     relation = np.zeros((n + 1, n + 1), dtype=bool)
-    for pieces, hit in tree.overlapping(reach.out_lo, reach.out_hi):
+    for pieces, hit in cells.overlapping(reach.out_lo, reach.out_hi):
         relation[reach.cell_ids[pieces], hit] = True
     # an enclosure lies in the zone iff both its corners do
     leaves = ~(zone.contains(reach.out_lo) & zone.contains(reach.out_hi))

@@ -189,8 +189,8 @@ def cmd_fit(args) -> int:
     stats = model.stats
     print(f"partitions: {partitions}")
     print(f"regions after merge: {model.n_regions}")
-    for region, rows, region_mse, secs in zip(model.regions, stats.rows, stats.mse, stats.fit_seconds):
-        print(f"region {region.id:3d}: samples={rows:6d}  mse={region_mse:.6e}  fit_ms={secs * 1e3:.4f}")
+    for region, (rows, region_mse, secs) in enumerate(zip(stats.rows, stats.mse, stats.fit_seconds), start=1):
+        print(f"region {region:3d}: samples={rows:6d}  mse={region_mse:.6e}  fit_ms={secs * 1e3:.4f}")
     print(f"total mse: {train_mse:.6e}")
     print(f"total fit time: {stats.total_fit_seconds * 1e3:.4f} ms")
     print(f"model written: {model_path}")

@@ -118,17 +118,13 @@ def number_rows(rows: list, path: Callable[[int], str], width: int | None = None
     return np.empty((0, width or 0), dtype=dtype)  # only for no rows: rows that pass the walk pass the stacked pass
 
 
-def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> tuple[Box, ...]:
-    """Boxes from a list of JSON documents `{"lo": [...], "hi": [...], "closed_hi": [...]}`.
-
-    `number_rows` reads all `lo`, then `hi`, then `closed_hi` lists as stacked
-    (n, dim) arrays (`dim` is the first box's when None); with lo < hi, each
-    row then becomes a `Box` without a second check. A defect raises
-    DataError naming the first bad box as `name(k)`, with its key and, for a
-    bad value, the entry.
+def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> tuple[np.ndarray, ...]:
+    """The stacked (n, dim) `lo`, `hi` and `closed_hi` rows, as `BoxTree`
+    takes them, of a list of JSON box documents (`dim` is the first box's
+    when None). `number_rows` reads all `lo`, then `hi`, then `closed_hi`
+    lists, and lo < hi in every row. A defect raises DataError naming the
+    first bad box as `name(k)`, with its key and, for a bad value, the entry.
     """
-    if not docs:
-        return ()
     try:
         lo_rows, hi_rows, closed_rows = ([d[key] for d in docs] for key in ("lo", "hi", "closed_hi"))
     except (KeyError, TypeError):  # TypeError: a box that is no JSON object
@@ -143,7 +139,7 @@ def boxes_from_docs(docs: list, dim: int | None, name: Callable[[int], str]) -> 
         k, i = np.argwhere(flat)[0]
         raise DataError(f"{name(k)} is degenerate: dimension {i} has lo={_short(lo_rows[k][i])} "
                         f">= hi={_short(hi_rows[k][i])}")
-    return tuple(map(Box._trusted, lo, hi, closed))
+    return lo, hi, closed
 
 
 def _short(value, limit: int = 60) -> str:
@@ -414,9 +410,11 @@ class WorkingZone:
     @classmethod
     def from_dict(cls, d: dict) -> WorkingZone:
         """Zone from an artifact's `zone` object; null or no `input_bounds` means no inputs."""
-        omega = boxes_from_docs([member(d, "omega", where="zone")], None, lambda k: "zone.omega")[0]
+        def box(doc, key: str) -> Box:  # a defect is named zone.<key>
+            return Box(*(rows[0] for rows in boxes_from_docs([doc], None, lambda k: f"zone.{key}")))
+
         ib = d.get("input_bounds")
-        return cls(omega, boxes_from_docs([ib], None, lambda k: "zone.input_bounds")[0] if ib is not None else None)
+        return cls(box(member(d, "omega", where="zone"), "omega"), box(ib, "input_bounds") if ib is not None else None)
 
 
 def zone_from_data(data: Dataset) -> WorkingZone:

@@ -299,7 +299,15 @@ def predict_batch(net: ElmNetwork, z: np.ndarray) -> np.ndarray:
     return (net.hidden(z) @ w_out.T)[:n, :net.n_out]
 
 
+def mean_squared_error(y_hat: np.ndarray, y: np.ndarray) -> float:
+    """(1/n) sum ||y_hat - y||^2 over the rows; one that is not finite raises FloatingPointError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned of
+        value = float(np.mean(np.sum(np.square(y_hat - y), axis=1)))
+    if not np.isfinite(value):
+        raise FloatingPointError(f"mean squared error is {value!r}, not finite: the prediction errors overflow it")
+    return value
+
+
 def mse(net: ElmNetwork, data: Dataset) -> float:
-    """Mean squared prediction error: (1/n) sum ||y_hat - y||^2."""
-    err = predict_batch(net, data.z) - data.y
-    return float(np.mean(np.sum(err * err, axis=1)))
+    """Mean squared prediction error: (1/n) sum ||y_hat - y||^2 (see `mean_squared_error`)."""
+    return mean_squared_error(predict_batch(net, data.z), data.y)

@@ -9,6 +9,7 @@ boundary points inside the tiling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -171,9 +172,10 @@ OVERLAP_PAIRS = 1 << 17
 
 
 class BoxTree:
-    """Split tree over a bisection tiling of a zone: the spatial index behind
-    every point lookup (`locate`) and box range query (`overlapping`) in a
-    tiling.
+    """A bisection tiling of a zone, held as the stacked (n_boxes, dim) `lo`,
+    `hi` and `closed_hi` rows of its boxes, and its split tree: the spatial
+    index behind every point lookup (`locate`) and box range query
+    (`overlapping`) in a tiling. ``tree[k]`` makes the `Box` of row k.
 
     Level l's inner nodes halve ``dims[l]``, the dimension `split_dims`, the
     rule of `me_partition`, gives depth l, at the midpoint ``0.5 * (lo + hi)``
@@ -186,36 +188,34 @@ class BoxTree:
     default.
     """
 
-    def __init__(self, zone: Box, boxes, name: Callable[[int], str] = "box {}".format):
-        boxes = list(boxes)
-        if not boxes:
+    def __init__(self, zone: Box, lo, hi, closed_hi, name: Callable[[int], str] = "box {}".format):
+        # read-only copies: no later write to the caller's arrays reaches the tiling
+        self.lo, self.hi, self.closed_hi = lo, hi, closed = [
+            _freeze(np.array(a, dtype=t)) for a, t in ((lo, float), (hi, float), (closed_hi, bool))]
+        if not lo.size:
             raise ValueError("no boxes to index")
-        if {len(b.lo) for b in boxes} != {zone.dim}:
+        if not lo.shape == hi.shape == closed.shape == lo.shape[:1] + (zone.dim,):
             raise ValueError(f"every box must have the zone's dimension {zone.dim}")
         self.zone = zone
         # x < _zone_upper is x < hi on an open upper face and x <= hi on a closed one
         self._zone_upper = np.where(zone.closed_hi, np.nextafter(zone.hi, np.inf), zone.hi)
-        self.lo = np.concatenate([b.lo for b in boxes]).reshape(-1, zone.dim)   # (n_boxes, dim)
-        self.hi = np.concatenate([b.hi for b in boxes]).reshape(-1, zone.dim)
-        lo, hi = self.lo, self.hi
         outside = np.flatnonzero(~rows_all((lo >= zone.lo) & (hi <= zone.hi)))
         if outside.size:
             k = int(outside[0])
-            raise ValueError(f"{name(k)} {boxes[k]!r} extends outside the zone {zone!r}")
+            raise ValueError(f"{name(k)} {self[k]!r} extends outside the zone {zone!r}")
         # a tiling is closed exactly on the zone's closed outer faces, so that
         # every point of the zone lies in one box
-        closed = np.concatenate([b.closed_hi for b in boxes]).reshape(-1, zone.dim)
         wrong = np.flatnonzero(~rows_all(closed == ((hi == zone.hi) & zone.closed_hi)))
         if wrong.size:
             k = int(wrong[0])
-            raise ValueError(f"{name(k)} {boxes[k]!r}: upper faces must be closed exactly on the zone's closed faces")
+            raise ValueError(f"{name(k)} {self[k]!r}: upper faces must be closed exactly on the zone's closed faces")
 
         # bounds are held one row per dimension and one column per node or box,
         # so that every elementwise step runs over a long contiguous row
         node_lo, node_hi = zone.lo[:, None], zone.hi[:, None]   # the level's nodes, in id order
-        members = np.arange(len(boxes))                         # boxes not yet at a leaf
+        members = np.arange(len(self))                          # boxes not yet at a leaf
         m_lo, m_hi = lo.T.copy(), hi.T.copy()                   # their bounds
-        at = np.zeros(len(boxes), dtype=np.intp)                # the level node holding each member
+        at = np.zeros(len(self), dtype=np.intp)                 # the level node holding each member
         levels, split = [], split_dims(zone.sides)             # per level: dim, cuts, leaf
         while members.size:
             n = node_lo.shape[1]
@@ -231,7 +231,7 @@ class BoxTree:
             if lo_off.any() or hi_off.any():
                 i = int(s[np.argmax(lo_off.any(axis=0) | hi_off.any(axis=0))])
                 k = int(members[i])
-                raise ValueError(f"gap: {name(k)} {boxes[k]!r} does not fill "
+                raise ValueError(f"gap: {name(k)} {self[k]!r} does not fill "
                                  f"[{node_lo[:, at[i]].tolist()}, {node_hi[:, at[i]].tolist()}]")
             leaf = np.full(n, -1, dtype=np.intp)
             leaf[leaf_at] = members.take(s)
@@ -252,13 +252,13 @@ class BoxTree:
                 node = f"[{node_lo[:, a].tolist()}, {node_hi[:, a].tolist()}]"
                 cut_a = f"the cut at {float(cut[a])!r} in dimension {d}"
                 if not cross[i]:
-                    raise ValueError(f"not a bisection tiling: {name(k)} {boxes[k]!r} shares {node} with other boxes, "
+                    raise ValueError(f"not a bisection tiling: {name(k)} {self[k]!r} shares {node} with other boxes, "
                                      f"but {cut_a} does not shrink both halves")
                 if (m_lo[:, i] == node_lo[:, a]).all() and (m_hi[:, i] == node_hi[:, a]).all():
                     j = int(members[np.argmax((at == a) & (members != k))])
-                    raise ValueError(f"overlap: {name(k)} {boxes[k]!r} fills {node}, "
-                                     f"where {name(j)} {boxes[j]!r} lies too")
-                raise ValueError(f"not a bisection tiling: {name(k)} {boxes[k]!r} straddles {cut_a} of {node}")
+                    raise ValueError(f"overlap: {name(k)} {self[k]!r} fills {node}, "
+                                     f"where {name(j)} {self[j]!r} lies too")
+                raise ValueError(f"not a bisection tiling: {name(k)} {self[k]!r} straddles {cut_a} of {node}")
             inner = count > 1
             levels.append((d, cut, leaf))
             # the i-th inner node's children are the next level's nodes 2 i and 2 i + 1
@@ -279,6 +279,12 @@ class BoxTree:
         self._left_right = np.stack([left, left + inner], axis=1)
         # walk(range(n_boxes)): each leaf is a stop, and the last level holds only leaves
         self.box_walk = Walk(self._left_right.reshape(-1), self.leaf, len(levels) - 1)
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, k: int) -> Box:  # one box: a slice is no index
+        return Box._trusted(self.lo[operator.index(k)], self.hi[k], self.closed_hi[k])
 
     def walk(self, labels) -> Walk:
         """The descent that stops at the first node whose boxes all carry one

@@ -22,9 +22,10 @@ from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_forma
 # fit_output_weights and membership_matrix are not called here, but the
 # benchmark's traced run (pipebench/run.py) wraps this module's names for them,
 # so the imports stay
-from .elm import GATHER_SHARE, ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, per_block, predict_batch
+from .elm import (GATHER_SHARE, ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, mean_squared_error, per_block,
+                  predict_batch)
 from .elm import fit_output_weights  # noqa: F401
-from .geometry import Box, BoxTree, Walk, membership_matrix  # noqa: F401
+from .geometry import BoxTree, Walk, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -35,14 +36,6 @@ FIRST_WINDOW = 8
 def derive_seed(*parts: int) -> int:
     """Deterministic child seed from a tuple of non-negative integers."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True, eq=False)
-class Region:
-    """Union of disjoint boxes owning one network; ids are dense from 1."""
-
-    id: int
-    boxes: tuple[Box, ...]
 
 
 @dataclass
@@ -69,22 +62,15 @@ class SimResult:
 @dataclass(frozen=True, eq=False)
 class HybridModel:
     zone: WorkingZone
-    regions: tuple[Region, ...]
+    tree: BoxTree = field(repr=False)          # every region box, one tiling of the zone
+    box_owner: np.ndarray = field(repr=False)  # region id of each box of the tree, whose network is networks[id - 1]
     networks: tuple[ElmNetwork, ...]
     gamma: float
     epsilon: float
     stats: MergeStats | None = field(default=None, repr=False)
-    # index over every region box, in region order; built once per model
-    tree: BoxTree = field(init=False, repr=False)
-    box_owner: np.ndarray = field(init=False, repr=False)  # region id of each indexed box
-    region_walk: Walk = field(init=False, repr=False)      # the tree's descent to a state's region
+    region_walk: Walk = field(init=False, repr=False)  # the tree's descent to a state's region
 
     def __post_init__(self):
-        if len(self.regions) != len(self.networks):
-            raise ValueError("one network per region required")
-        for k, r in enumerate(self.regions, start=1):
-            if r.id != k:
-                raise ValueError(f"region ids must be dense from 1, got {r.id} at position {k}")
         # each network maps [x; u] to x: a wrong width would broadcast or fail only when stepped
         n_x, n_in = self.zone.n_x, self.zone.n_x + self.zone.n_u
         for k, net in enumerate(self.networks):
@@ -92,20 +78,18 @@ class HybridModel:
                 raise ValueError(f"networks[{k}].w_in has {net.n_in} columns, expected n_x + n_u = {n_in}")
             if net.n_out != n_x:
                 raise ValueError(f"networks[{k}].w_out has {net.n_out} rows, expected n_x = {n_x}")
-        boxes = [b for r in self.regions for b in r.boxes]
-        owner = np.array([r.id for r in self.regions for _ in r.boxes], dtype=int)
-
-        def name(k: int) -> str:  # a tiling defect names a box by its place in the document
-            first = int(np.searchsorted(owner, owner[k]))  # owner ascends: ids are dense from 1
-            return f"regions[{owner[k] - 1}].boxes[{k - first}]"
-
-        object.__setattr__(self, "tree", BoxTree(self.zone.omega, boxes, name))
-        object.__setattr__(self, "box_owner", owner)
+        if self.tree.zone.to_dict() != self.zone.omega.to_dict():
+            raise ValueError(f"the region boxes tile {self.tree.zone!r}, not the zone {self.zone.omega!r}")
+        owner = np.asarray(self.box_owner)
+        if (owner.shape != (len(self.tree),) or owner.dtype.kind not in "iu"
+                or not 1 <= owner.min() <= owner.max() <= len(self.networks)):
+            raise ValueError(f"box_owner needs {len(self.tree)} region ids in 1..{len(self.networks)}, one per box")
+        object.__setattr__(self, "box_owner", owner.astype(np.intp))  # a copy of the caller's ids
         object.__setattr__(self, "region_walk", self.tree.walk(self.box_owner))
 
     @property
     def n_regions(self) -> int:
-        return len(self.regions)
+        return len(self.networks)
 
     def network_of(self, region_id: int) -> ElmNetwork:
         return self.networks[region_id - 1]
@@ -210,7 +194,8 @@ class HybridModel:
             "epsilon": self.epsilon,
             "gamma": self.gamma,
             "regions": [
-                {"id": r.id, "boxes": [b.to_dict() for b in r.boxes]} for r in self.regions
+                {"id": i, "boxes": [self.tree[k].to_dict() for k in np.flatnonzero(self.box_owner == i)]}
+                for i in range(1, self.n_regions + 1)
             ],
             "networks": [net.to_dict() for net in self.networks],
         }
@@ -224,15 +209,23 @@ class HybridModel:
         its key path (see `data.member`) or the invariant it breaks."""
         check_format_version(d, MODEL_FORMAT_VERSION, "model")
         zone = WorkingZone.from_dict(member(d, "zone", "object"))
-        regions = tuple(
-            Region(member(r, "id", "integer", path),
-                   boxes_from_docs(member(r, "boxes", "list", path), zone.n_x, lambda k: f"{path}.boxes[{k}]"))
-            for path, r in objects(d, "regions")
-        )
+        regions = [(member(r, "id", "integer", path), member(r, "boxes", "list", path))
+                   for path, r in objects(d, "regions")]
+        owner = np.repeat(np.arange(1, len(regions) + 1), [len(boxes) for _, boxes in regions])  # by position
+
+        def name(k: int) -> str:  # a box is named by its place in the document
+            return f"regions[{owner[k] - 1}].boxes[{k - np.searchsorted(owner, owner[k])}]"
+
+        bounds = boxes_from_docs([b for _, boxes in regions for b in boxes], zone.n_x, name)
         networks = tuple(ElmNetwork.from_dict(net, path) for path, net in objects(d, "networks"))
         gamma, epsilon = (float(member(d, key, "number")) for key in ("gamma", "epsilon"))
+        if len(regions) != len(networks):
+            raise DataError("invalid model document: one network per region required")
+        for k, (i, _) in enumerate(regions, start=1):
+            if i != k:
+                raise DataError(f"invalid model document: region ids must be dense from 1, got {i} at position {k}")
         try:
-            return cls(zone=zone, regions=regions, networks=networks, gamma=gamma, epsilon=epsilon)
+            return cls(zone, BoxTree(zone.omega, *bounds, name), owner, networks, gamma, epsilon)
         except ValueError as exc:
             raise DataError(f"invalid model document: {exc}") from None
 
@@ -242,9 +235,8 @@ class HybridModel:
 
 
 def hybrid_mse(model: HybridModel, data: Dataset) -> float:
-    """MSE of the switched model over a dataset: (1/n) sum ||step(z) - y||^2."""
-    err = model.step(data.states, data.inputs if data.n_u else None) - data.y
-    return float(np.mean(np.sum(err * err, axis=1)))
+    """MSE of the switched model over a dataset (see `elm.mean_squared_error`)."""
+    return mean_squared_error(model.step(data.states, data.inputs if data.n_u else None), data.y)
 
 
 def merge_and_learn(
@@ -302,18 +294,20 @@ def merge_and_learn(
             w_t = pool.readout()
         except np.linalg.LinAlgError as exc:
             raise FloatingPointError(f"readout solve of region {i + 1} ({int(pool.rows[0])} samples, first box "
-                                     f"{regions[i][0][0]!r}) is singular ({exc})") from exc
+                                     f"{parts.boxes[regions[i][0][0]]!r}) is singular ({exc})") from exc
         stats.fit_seconds.append(time.perf_counter() - t0)
         stats.mse.append(float(pool.mse(w_t)[0]))
         return replace(net, w_out=w_t[0].T)
 
     networks = [fit(i, net, pool) for i, (_, net, pool) in enumerate(regions)]
+    owner = np.empty(len(parts), dtype=np.intp)
+    for i, (ids, _, _) in enumerate(regions, start=1):
+        owner[ids] = i
 
     return HybridModel(
         zone=parts.zone,
-        regions=tuple(
-            Region(i + 1, tuple(boxes)) for i, (boxes, _, _) in enumerate(regions)
-        ),
+        tree=parts.boxes,
+        box_owner=owner,
         networks=tuple(networks),
         gamma=float(gamma),
         epsilon=float(parts.epsilon),
@@ -327,11 +321,12 @@ def merge_sweep(
     layer: Callable[[int], ElmNetwork],
     gamma: float,
     stats: MergeStats,
-) -> list[tuple[list[Box], ElmNetwork, ReadoutStats]]:
+) -> list[tuple[list[int], ElmNetwork, ReadoutStats]]:
     """The merge decisions of merge_and_learn, with row N's tests run under
-    `layer(N)`: the boxes of each region in order with `layer(N)` and its final
-    one-entry statistics under it (the pool of its last accepted test, or its
-    own if it absorbed nothing), and the tests and merges counted in `stats`.
+    `layer(N)`: the partition ids of each region, ascending, in order with
+    `layer(N)` and its final one-entry statistics under it (the pool of its
+    last accepted test, or its own if it absorbed nothing), and the tests and
+    merges counted in `stats`.
 
     Row N's candidates are the partitions after it, none of which has
     absorbed anything, so their statistics come from `ReadoutStats.of` in
@@ -418,4 +413,4 @@ def merge_sweep(
                 del cand  # freed before the next chunk's statistics are built
             merged.append((members, net, row))
             regions = kept
-    return [([parts.boxes[i] for i in ids], net, pool) for ids, net, pool in merged]
+    return merged

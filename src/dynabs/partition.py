@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataError, WorkingZone
-from .geometry import Box, _freeze, split_dims
+from .geometry import BoxTree, split_dims
 
 # Unconditional freeze for slivers: longest side below this fraction of the
 # zone's extent, the resolution floor where samples converge.
@@ -23,12 +23,12 @@ MIN_SIDE_FRACTION = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PartitionSet:
-    """Disjoint boxes tiling the zone plus per-box sample assignments: the
-    indices into the source points of each box's samples, ascending, as
-    int32 (intp from 2**31 points on)."""
+    """Disjoint boxes tiling the zone, as the `BoxTree` that indexes them,
+    plus per-box sample assignments: the indices into the source points of
+    each box's samples, ascending, as int32 (intp from 2**31 points on)."""
 
     zone: WorkingZone
-    boxes: list[Box]
+    boxes: BoxTree
     assignments: list[np.ndarray]  # per-box indices into the source points
     epsilon: float
     split_log: list[tuple[int, int, float, bool]] = field(default=None, repr=False)  # type: ignore[assignment]
@@ -63,7 +63,7 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
     among the open boxes, and a split's gather of one coordinate with its
     mask: about 13 bytes per point at the root. A box's bounds are float
     tuples and its c ln c is carried down from its parent's split; the
-    boxes are built once, as rows of two read-only (boxes, n_x) arrays.
+    tiling is built once, as the `BoxTree` over the stacked bounds.
     """
     if not epsilon >= 0:  # NaN fails too
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -123,12 +123,12 @@ def me_partition(zone: WorkingZone, points, epsilon: float) -> PartitionSet:
         else:
             keep(lo, hi, idx)
 
-    los, his = (_freeze(np.array(side, dtype=float)) for side in zip(*leaves))
+    los, his = (np.array(side, dtype=float) for side in zip(*leaves))
     # a box's upper face is closed where it lies on a closed face of the zone, as bisection leaves it
-    closed = _freeze((his == zone.omega.hi) & zone.omega.closed_hi)
+    closed = (his == zone.omega.hi) & zone.omega.closed_hi
     return PartitionSet(
         zone=zone,
-        boxes=[Box._trusted(*row) for row in zip(los, his, closed)],
+        boxes=BoxTree(zone.omega, los, his, closed),
         assignments=assignments,
         epsilon=float(epsilon),
         split_log=log,

@@ -376,18 +376,17 @@ def pairwise_transitions(model, cells) -> np.ndarray:
     n = len(cells)
     rel = np.zeros((n + 1, n + 1), dtype=bool)
     for i, cell in enumerate(cells):
-        for region, net in zip(model.regions, model.networks):
-            for box in region.boxes:
-                overlap = cell.intersect(box)
-                if overlap is None:
-                    continue
-                lo, hi = overlap.lo, overlap.hi
-                if ib is not None:
-                    lo, hi = np.concatenate([lo, ib.lo]), np.concatenate([hi, ib.hi])
-                out_lo, out_hi = ibp_output_box(net, lo, hi)
-                for j, other in enumerate(cells):
-                    rel[i, j] |= bool(np.all(np.minimum(out_hi, other.hi) > np.maximum(out_lo, other.lo)))
-                rel[i, n] |= not bool(np.all((out_lo >= omega.lo) & (out_hi <= omega.hi)))
+        for box, region in zip(model.tree, model.box_owner):
+            overlap = cell.intersect(box)
+            if overlap is None:
+                continue
+            lo, hi = overlap.lo, overlap.hi
+            if ib is not None:
+                lo, hi = np.concatenate([lo, ib.lo]), np.concatenate([hi, ib.hi])
+            out_lo, out_hi = ibp_output_box(model.network_of(region), lo, hi)
+            for j, other in enumerate(cells):
+                rel[i, j] |= bool(np.all(np.minimum(out_hi, other.hi) > np.maximum(out_lo, other.lo)))
+            rel[i, n] |= not bool(np.all((out_lo >= omega.lo) & (out_hi <= omega.hi)))
     rel[n, n] = True
     return rel
 

@@ -6,7 +6,8 @@ import json
 
 import numpy as np
 
-from dynabs import Box, Dataset, ElmNetwork, HybridModel, Region, WorkingZone, init_elm, me_partition, merge_and_learn
+from dynabs import (Box, BoxTree, Dataset, ElmNetwork, HybridModel, WorkingZone, init_elm, me_partition,
+                    merge_and_learn)
 
 
 def swirl_step(x: np.ndarray, damping: float = 0.96, base_angle: float = 0.15, twist: float = 0.1) -> np.ndarray:
@@ -129,26 +130,54 @@ def constant_net(c, n_in: int):
     return type(net)(w_in, b_in, w_out, 1, 0)
 
 
+def tree_of(zone: Box | WorkingZone, boxes) -> BoxTree:
+    """The `BoxTree` over a zone (a `Box`, or a `WorkingZone`'s omega) of a
+    list of `Box`es, in list order."""
+    omega = zone.omega if isinstance(zone, WorkingZone) else zone
+    return BoxTree(omega, *(np.reshape([getattr(b, key) for b in boxes], (-1, omega.dim))
+                            for key in ("lo", "hi", "closed_hi")))
+
+
+def count_boxes(monkeypatch) -> list[int]:
+    """Patch `Box` so that each `Box` made, checked or trusted, adds 1 to the
+    one entry of the list returned."""
+    made = [0]
+    post_init, trusted = Box.__post_init__, Box._trusted.__func__
+
+    def counted_post_init(box):
+        made[0] += 1
+        post_init(box)
+
+    def counted_trusted(cls, *rows):
+        made[0] += 1
+        return trusted(cls, *rows)
+
+    monkeypatch.setattr(Box, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Box, "_trusted", classmethod(counted_trusted))
+    return made
+
+
+def regions_model(zone: WorkingZone, regions, nets, gamma: float = 0.0, epsilon: float = 0.0) -> HybridModel:
+    """The model whose region i + 1 owns the boxes of `regions[i]`, indexed
+    region by region, as a loaded model indexes them."""
+    boxes = [b for region in regions for b in region]
+    owner = np.repeat(np.arange(1, len(regions) + 1), [len(region) for region in regions])
+    return HybridModel(zone, tree_of(zone, boxes), owner, tuple(nets), gamma, epsilon)
+
+
+def region_boxes(model: HybridModel) -> list[list[Box]]:
+    """Each region's boxes, in the order of the model's tree."""
+    return [[model.tree[k] for k in np.flatnonzero(model.box_owner == i)] for i in range(1, model.n_regions + 1)]
+
+
 def single_region_model(zone: WorkingZone, net, gamma: float = 0.0, epsilon: float = 0.0) -> HybridModel:
-    return HybridModel(
-        zone=zone,
-        regions=(Region(1, (zone.omega,)),),
-        networks=(net,),
-        gamma=gamma,
-        epsilon=epsilon,
-    )
+    return regions_model(zone, [[zone.omega]], [net], gamma, epsilon)
 
 
 def split_region_model(zone: WorkingZone, nets, j: int = 0) -> HybridModel:
     """Two-region model: the zone bisected once along dimension j."""
     left, right = zone.omega.bisect(j)
-    return HybridModel(
-        zone=zone,
-        regions=(Region(1, (left,)), Region(2, (right,))),
-        networks=tuple(nets),
-        gamma=0.0,
-        epsilon=0.0,
-    )
+    return regions_model(zone, [[left], [right]], nets)
 
 
 def alternating_slab_model(nets, levels: int = 3, n_x: int = 2, input_bounds: Box | None = None) -> HybridModel:
@@ -160,13 +189,7 @@ def alternating_slab_model(nets, levels: int = 3, n_x: int = 2, input_bounds: Bo
     slabs = [zone.omega]
     for _ in range(levels):
         slabs = [half for s in slabs for half in s.bisect(0)]
-    return HybridModel(
-        zone=zone,
-        regions=(Region(1, tuple(slabs[0::2])), Region(2, tuple(slabs[1::2]))),
-        networks=tuple(nets),
-        gamma=0.0,
-        epsilon=0.0,
-    )
+    return regions_model(zone, [slabs[0::2], slabs[1::2]], nets)
 
 
 def overflowing_model() -> HybridModel:
@@ -212,7 +235,7 @@ def tiny_transition_system(relation, n_cells: int):
     for _ in range(n_cells - 1):
         lower, rest = rest.bisect(0)
         cells.append(lower)
-    return TransitionSystem(zone, (*cells, rest), np.asarray(relation, dtype=bool))
+    return TransitionSystem(zone, tree_of(zone, [*cells, rest]), np.asarray(relation, dtype=bool))
 
 
 def random_transition_system(rng, max_cells: int = 4):
@@ -300,10 +323,11 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
     Each copy breaks one region box (the second box of the first region that
     has two, so that the name carries both indices), as `malformed_box_docs`
     lists, or one weight entry or row of the first network, or the zone, or
-    the structure around the regions and networks, and keeps everything else
-    valid.
+    the structure around the regions and networks (the model must have two
+    regions or more), and keeps everything else valid.
     """
     doc = json.loads(text)
+    assert len(doc["regions"]) >= 2, "the region-id cases need a second region"
     i = next((i for i, r in enumerate(doc["regions"]) if len(r["boxes"]) > 1), 0)
     j = min(1, len(doc["regions"][i]["boxes"]) - 1)
     cases = {}
@@ -325,7 +349,13 @@ def malformed_model_texts(text: str) -> dict[str, tuple[str, str]]:
 
     region, net = doc["regions"][0], doc["networks"][0]
     n_in = len(net["w_in"][1])
+    gap = json.loads(text)
+    gap["regions"][1]["id"] = 5
     return {
+        "region id gap": (json.dumps(gap), "region ids must be dense from 1, got 5 at position 2"),
+        "one network short": (json.dumps({**doc, "networks": doc["networks"][:-1]}),
+                              "one network per region required"),
+        "no regions": (json.dumps({**doc, "regions": [], "networks": []}), "no boxes to index"),
         **cases,
         **malformed_zone_docs(doc),
         "regions an object": (json.dumps({**doc, "regions": {"0": region}}), "regions must be a JSON list"),

@@ -10,7 +10,6 @@ import pytest
 
 from dynabs import (
     Box,
-    BoxTree,
     DataError,
     Dataset,
     ElmNetwork,
@@ -33,6 +32,7 @@ from oracles import edge_dot, observed_transitions, pairwise_transitions, sequen
 from synthdata import (
     alternating_slab_model,
     constant_net,
+    count_boxes,
     fitted_swirl_model,
     malformed_ts_texts,
     overflowing_step_model,
@@ -40,6 +40,7 @@ from synthdata import (
     single_region_model,
     split_region_model,
     tiny_transition_system,
+    tree_of,
     two_cluster_points,
     unit_zone,
 )
@@ -49,7 +50,7 @@ def quarter_cells(zone):
     left, right = zone.omega.bisect(0)
     ll, lu = left.bisect(1)
     rl, ru = right.bisect(1)
-    return [ll, lu, rl, ru]
+    return tree_of(zone, [ll, lu, rl, ru])
 
 
 def test_sample_traces_shapes_and_determinism():
@@ -222,7 +223,7 @@ def test_build_cells_two_cluster_traces_split_midline():
 def test_transitions_self_loop_only():
     zone = unit_zone()
     model = single_region_model(zone, constant_net([0.4, 0.6], 2))
-    ts = compute_transitions(model, [zone.omega])
+    ts = compute_transitions(model, tree_of(zone, [zone.omega]))
     assert ts.n_cells == 1
     assert ts.relation[0, 0] and not ts.relation[0, 1]
     assert ts.relation[1, 1]  # sink self-loop
@@ -232,13 +233,13 @@ def test_transitions_self_loop_only():
 def test_transitions_exit_edge():
     zone = unit_zone()
     model = single_region_model(zone, constant_net([1.5, 0.5], 2))
-    ts = compute_transitions(model, [zone.omega])
+    ts = compute_transitions(model, tree_of(zone, [zone.omega]))
     assert ts.relation[0, 1]  # to sink
     assert not ts.relation[0, 0]
 
     # one region's piece stays, the other's leaves: both edges
     model = split_region_model(zone, [constant_net([0.2, 0.2], 2), constant_net([1.5, 0.5], 2)])
-    ts = compute_transitions(model, [zone.omega])
+    ts = compute_transitions(model, tree_of(zone, [zone.omega]))
     assert ts.relation[0, 0] and ts.relation[0, 1]
 
 
@@ -257,7 +258,7 @@ def test_transitions_straddling_regions():
     zone = unit_zone()
     model = split_region_model(zone, [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
     left, right = zone.omega.bisect(0)
-    ts = compute_transitions(model, [left, right])
+    ts = compute_transitions(model, tree_of(zone, [left, right]))
     # each half maps into itself only (its constant lands inside it)
     assert ts.relation[0, 0] and not ts.relation[0, 1]
     assert ts.relation[1, 1] and not ts.relation[1, 0]
@@ -273,7 +274,7 @@ def test_transitions_deterministic():
 
 def test_transitions_equal_pairwise_reference():
     model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
-    assert model.n_regions > 1 and sum(len(r.boxes) for r in model.regions) > model.n_regions
+    assert model.n_regions > 1 and len(model.tree) > model.n_regions
     trace_cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
     # coarse cells over the fine region tiling: each cell holds 20+ pieces of several networks
     for cells in (trace_cells, quarter_cells(model.zone)):
@@ -288,13 +289,15 @@ def test_transitions_with_inputs_equal_pairwise_reference():
     nets = [fit_output_weights(n, Dataset(1, 1, z, 0.8 * z[:, :1] + z[:, 1:])) for n in nets]
     # on [0, 8], each cell holds two pieces of each network
     model = alternating_slab_model(nets, n_x=1, input_bounds=Box([-0.25], [0.25]))
-    cells = [c for half in model.zone.omega.bisect(0) for c in half.bisect(0)]
+    cells = tree_of(model.zone, [c for half in model.zone.omega.bisect(0) for c in half.bisect(0)])
     ts = compute_transitions(model, cells)
     assert np.array_equal(ts.relation, pairwise_transitions(model, cells))
 
 
 def test_transitions_require_a_bisection_tiling():
-    """compute_transitions builds a BoxTree over the cells and raises its named cause."""
+    """The cells' tree raises the named cause of a defect in their tiling
+    when it is built, and compute_transitions rejects a tree over another
+    zone."""
     zone = unit_zone()
     model = single_region_model(zone, constant_net([0.4, 0.6], 2))
     left, right = zone.omega.bisect(0)
@@ -305,7 +308,10 @@ def test_transitions_require_a_bisection_tiling():
                          (slabs, "not a bisection tiling: box 0 .* straddles the cut at 0.5 in dimension 1"),
                          ([Box(left.lo, left.hi, [True, True]), right], "closed exactly on the zone's closed faces")):
         with pytest.raises(ValueError, match=cause):
-            compute_transitions(model, cells)
+            tree_of(zone, cells)
+    for other in (Box([0.0, 0.0], [2.0, 1.0], [True, True]), Box([0.0, 0.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match=re.escape(f"the cells tile {other!r}, not the zone {zone.omega!r}")):
+            compute_transitions(model, tree_of(other, [other]))
 
 
 def test_transition_system_validation():
@@ -325,7 +331,7 @@ def test_transition_system_cell_lookup():
     zone = unit_zone()
     cells = quarter_cells(zone)
     ts = compute_transitions(single_region_model(zone, constant_net([0.5, 0.5], 2)), cells)
-    ids = BoxTree(ts.zone.omega, ts.cells).locate([[0.1, 0.1], [0.6, 0.1], [2.0, 0.0], [0.6, 0.9], [3.0, 3.0]]) + 1
+    ids = ts.cells.locate([[0.1, 0.1], [0.6, 0.1], [2.0, 0.0], [0.6, 0.9], [3.0, 3.0]]) + 1
     assert list(ids) == [1, 3, 0, 4, 0]
 
 
@@ -337,7 +343,7 @@ def dot_text(ts) -> str:
 
 def test_export_dot_single_cell_golden():
     zone = unit_zone()
-    ts = compute_transitions(single_region_model(zone, constant_net([0.4, 0.6], 2)), [zone.omega])
+    ts = compute_transitions(single_region_model(zone, constant_net([0.4, 0.6], 2)), tree_of(zone, [zone.omega]))
     expected = (
         "digraph transition_system {\n"
         "  rankdir=LR;\n"
@@ -354,7 +360,7 @@ def test_export_dot_two_cells_golden():
     zone = unit_zone()
     model = split_region_model(zone, [constant_net([0.2, 0.2], 2), constant_net([0.8, 0.9], 2)])
     left, right = zone.omega.bisect(0)
-    ts = compute_transitions(model, [left, right], initial=1)
+    ts = compute_transitions(model, tree_of(zone, [left, right]), initial=1)
     expected = (
         "digraph transition_system {\n"
         "  rankdir=LR;\n"
@@ -435,6 +441,26 @@ def save_random_relation(path) -> np.ndarray:
     return relation
 
 
+def test_load_makes_no_box_per_cell(tmp_path, monkeypatch):
+    """`TransitionSystem.load` reads the cells into the stacked rows of their
+    tree: the `Box` objects it makes, for the zone, do not grow with the
+    cells."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    cells = [zone.omega]
+    made = {}
+    for n in (1, 256):
+        while len(cells) < n:
+            cells = [half for cell in cells for half in cell.bisect(0)]
+        path = tmp_path / f"{n}.json"
+        TransitionSystem(zone, tree_of(zone, cells), np.eye(n + 1, dtype=bool)).save(path)
+        with monkeypatch.context() as m:
+            count = count_boxes(m)
+            ts = TransitionSystem.load(path)
+        assert ts.n_cells == n
+        made[n] = count[0]
+    assert made[1] == made[256] <= 4, made
+
+
 def test_load_holds_the_relation_text_once(tmp_path):
     """On a random relation over 1 024 bisected cells (2.2 MB of `ts.json`),
     `TransitionSystem.load` peaks at under 2.5 times the file's size (2.0
@@ -497,7 +523,7 @@ def test_simulated_transitions_respect_relation():
     cells = build_cells(model.zone, sample_traces(model, L=40, M=40, seed=3), epsilon=0.05)
     ts = compute_transitions(model, cells)
     states, lengths = sequential_traces(model, L=20, M=50, seed=99)
-    src, dst, exits = observed_transitions(states, lengths, BoxTree(ts.zone.omega, ts.cells))
+    src, dst, exits = observed_transitions(states, lengths, ts.cells)
     missing = ~ts.relation[src, dst]
     assert not missing.any(), f"missing transitions Q{src[missing] + 1} -> Q{dst[missing] + 1}"
     assert ts.relation[exits, ts.n_cells].all(), "missing exit transition"
@@ -507,8 +533,8 @@ def test_refining_cells_projects_into_coarse_relation():
     model, _ = fitted_swirl_model(seed=3, n_samples=600)
     omega = model.zone.omega
     left, right = omega.bisect(0)
-    coarse = [left, right]
-    refined = [*left.bisect(1), *right.bisect(1)]
+    coarse = tree_of(omega, [left, right])
+    refined = tree_of(omega, [*left.bisect(1), *right.bisect(1)])
     parent = [0, 0, 1, 1]
 
     r_coarse = compute_transitions(model, coarse).relation

@@ -13,7 +13,6 @@ import pytest
 
 from dynabs import (
     Box,
-    BoxTree,
     WorkingZone,
     build_cells,
     cell_successor_box,
@@ -162,7 +161,7 @@ def test_criterion_5_abstraction_soundness_on_fixture_models(fitted_models):
     for model, cells, seed in fixtures:
         ts = compute_transitions(model, cells)
         states, lengths = sequential_traces(model, 100, 200, seed=900 + seed)
-        src, dst, exits = observed_transitions(states, lengths, BoxTree(ts.zone.omega, ts.cells))
+        src, dst, exits = observed_transitions(states, lengths, ts.cells)
         assert ts.relation[src, dst].all(), "observed transition missing from R"
         assert ts.relation[exits, ts.n_cells].all(), "observed exit missing from R"
         checked += src.size + exits.size

@@ -79,8 +79,8 @@ def test_fit_error_comes_from_the_merge_statistics(data):
     assert model.stats.rows == np.bincount(ids, minlength=model.n_regions + 1)[1:].tolist()
     err = model.predict_located(data.z, ids) - data.y
     sq_err = np.sum(err * err, axis=1)
-    for region, region_mse in zip(model.regions, model.stats.mse):
-        assert region_mse == pytest.approx(np.mean(sq_err[ids == region.id]), rel=1e-6)
+    for region, region_mse in enumerate(model.stats.mse, start=1):
+        assert region_mse == pytest.approx(np.mean(sq_err[ids == region]), rel=1e-6)
     assert train_mse == pytest.approx(hybrid_mse(model, data), rel=1e-6)
 
 
@@ -329,7 +329,7 @@ def test_abstract_and_verify_reject_malformed_artifacts(dataset_csv, tmp_path, c
 
 def test_abstract_rejects_malformed_model_boxes_naming_the_box(dataset_csv, tmp_path, capsys):
     out_dir = tmp_path / "m"
-    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,
+    code, _, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0, "--gamma", 1e-6,
                      "--omega-lo=-1,-1", "--omega-hi=1,1", "--out-dir", out_dir)
     assert code == 0
     bad = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ from dynabs import Box, BoxTree, WorkingZone, geometry, membership_matrix
 from dynabs.data import boxes_from_docs
 
 from oracles import halved_longest_dim, level_tree
+from synthdata import tree_of
 
 
 def test_box_basic_fields():
@@ -37,14 +38,14 @@ def test_contains_half_open():
     # inside; lower faces closed; upper faces open on a box that is not a closed zone
     points = [[0.5, 0.5], [0.0, 0.0], [1.0, 0.5], [0.5, 1.0]]
     assert membership_matrix([b], points)[:, 0].tolist() == [True, True, False, False]
-    assert BoxTree(b, [b]).locate(points).tolist() == [0, 0, -1, -1]
+    assert tree_of(b, [b]).locate(points).tolist() == [0, 0, -1, -1]
 
 
 def test_contains_zone_upper_face_closed():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0]))
     points = [[1.0, 1.0], [1.0, 0.3]]
     assert membership_matrix([zone.omega], points).all()
-    assert BoxTree(zone.omega, [zone.omega]).locate(points).tolist() == [0, 0]
+    assert tree_of(zone.omega, [zone.omega]).locate(points).tolist() == [0, 0]
 
 
 def test_contains_dimension_mismatch():
@@ -52,7 +53,7 @@ def test_contains_dimension_mismatch():
     # the tree checks the point dimension; membership_matrix, the brute-force
     # reference, broadcasts instead
     with pytest.raises(ValueError, match="dimension 2"):
-        BoxTree(b, [b]).locate([[0.5]])
+        tree_of(b, [b]).locate([[0.5]])
 
 
 def test_intersect_examples():
@@ -89,7 +90,7 @@ def test_bisect_examples():
     left, right = whole.bisect(0)
     points = [[-0.5], [0.0], [1.0]]
     assert membership_matrix([left, right], points).tolist() == [[True, False], [False, True], [False, False]]
-    assert BoxTree(whole, [left, right]).locate(points).tolist() == [0, 1, -1]
+    assert tree_of(whole, [left, right]).locate(points).tolist() == [0, 1, -1]
 
     # two same-axis splits give quarter widths
     box = Box([0.0], [1.0])
@@ -108,15 +109,15 @@ def test_bisect_zone_keeps_closure_on_outer_face():
     left, right = zone.omega.bisect(0)
     points = [[0.5], [1.0]]  # the cut, and the outer face, which stays closed
     assert membership_matrix([left, right], points).tolist() == [[False, True], [False, True]]
-    assert BoxTree(zone.omega, [left, right]).locate(points).tolist() == [1, 1]
+    assert tree_of(zone.omega, [left, right]).locate(points).tolist() == [1, 1]
 
 
 def test_box_json_round_trip():
     b = Box([0.0, -1.0], [0.5, 2.0], closed_hi=[True, False])
-    (c,) = boxes_from_docs([b.to_dict()], None, lambda k: "box")
-    assert np.array_equal(b.lo, c.lo)
-    assert np.array_equal(b.hi, c.hi)
-    assert np.array_equal(b.closed_hi, c.closed_hi)
+    lo, hi, closed = boxes_from_docs([b.to_dict()], None, lambda k: "box")
+    assert np.array_equal([b.lo], lo)
+    assert np.array_equal([b.hi], hi)
+    assert np.array_equal([b.closed_hi], closed)
 
 
 @st.composite
@@ -240,7 +241,7 @@ def test_tree_locate_equals_membership_on_bisection_tilings(seed, dim, splits):
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     order = rng.permutation(len(leaves))  # the tree must not rely on tiling order
     boxes = [leaves[k] for k in order]
-    tree = BoxTree(zone, boxes)
+    tree = tree_of(zone, boxes)
     probes = face_probes(zone, boxes, rng)
     assert np.array_equal(tree.locate(probes), reference_locate(boxes, probes))
 
@@ -253,7 +254,7 @@ def test_labelled_walk_equals_the_label_of_each_box(seed, dim, splits, n_labels)
     rng = np.random.default_rng(seed)
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     boxes = [leaves[k] for k in rng.permutation(len(leaves))]
-    tree = BoxTree(zone, boxes)
+    tree = tree_of(zone, boxes)
     by_box = tree.walk(np.arange(len(boxes)))
     assert by_box.depth == tree.box_walk.depth
     assert np.array_equal(by_box.kids, tree.box_walk.kids) and np.array_equal(by_box.label, tree.box_walk.label)
@@ -269,7 +270,7 @@ def test_labelled_walk_equals_the_label_of_each_box(seed, dim, splits, n_labels)
 
 def test_walk_rejects_labels_that_do_not_fit_the_boxes():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
-    tree = BoxTree(zone, zone.bisect(0))
+    tree = tree_of(zone, zone.bisect(0))
     for labels in ([1], [1, 2, 3], [0, -1]):
         with pytest.raises(ValueError, match="one non-negative label per box"):
             tree.walk(labels)
@@ -313,7 +314,7 @@ def test_tree_overlapping_equals_brute_force_on_bisection_tilings(seed, dim, spl
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     boxes = [leaves[k] for k in rng.permutation(len(leaves))]
     lo, hi = overlap_queries(zone, boxes, rng)
-    tree = BoxTree(zone, boxes)
+    tree = tree_of(zone, boxes)
     default = geometry.OVERLAP_PAIRS
     limit = geometry.OVERLAP_PAIRS = pairs or default
     try:
@@ -332,7 +333,7 @@ def test_tree_overlapping_equals_brute_force_on_bisection_tilings(seed, dim, spl
 def test_tree_overlapping_hand_cases():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
     left, right = zone.bisect(0)
-    tree = BoxTree(zone, [*left.bisect(1), right])  # [0,.5)x[0,.5), [0,.5)x[.5,1], [.5,1]x[0,1]
+    tree = tree_of(zone, [*left.bisect(1), right])  # [0,.5)x[0,.5), [0,.5)x[.5,1], [.5,1]x[0,1]
     lo = np.array([[0.5, 0.0], [0.4, 0.4], [-1.0, -1.0], [0.2, 0.2], [1.0, 0.0], [0.1, 0.6]])
     hi = np.array([[1.0, 1.0], [0.6, 0.6], [2.0, 2.0], [0.2, 0.3], [2.0, 1.0], [0.1, 0.6]])
     rows, hit = (np.concatenate(a) for a in zip(*tree.overlapping(lo, hi)))
@@ -357,7 +358,7 @@ def raises_as_level_tree(zone, boxes, match: str) -> None:
     """BoxTree raises ValueError matching `match`, with the text of the
     level-by-level reference build."""
     with pytest.raises(ValueError, match=match) as got:
-        BoxTree(zone, boxes)
+        tree_of(zone, boxes)
     with pytest.raises(ValueError) as want:
         level_tree(zone, boxes)
     assert str(got.value) == str(want.value)
@@ -384,7 +385,7 @@ def test_tree_tables_equal_the_level_by_level_build(seed, dim, splits):
     rng = np.random.default_rng(seed)
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     boxes = [leaves[k] for k in rng.permutation(len(leaves))]
-    tree = BoxTree(zone, boxes)
+    tree = tree_of(zone, boxes)
     dims, cuts, left, right, leaf = level_tree(zone, boxes)
     for got, want in [(tree.dims, dims), (tree.cuts, cuts), (tree.leaf, leaf),
                       (tree.box_walk.kids, np.stack([left, right], axis=1).reshape(-1))]:
@@ -410,10 +411,34 @@ def test_tree_cuts_bisection_tilings_at_midpoints():
     zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
     left, right = zone.bisect(0)
     boxes = [*left.bisect(1), right]
-    tree = BoxTree(zone, boxes)
+    tree = tree_of(zone, boxes)
     # the root cuts x1, level 1 (the left half, inner, and the right one, a leaf) x2
     assert tree.dims.tolist() == [0, 1, 0] and tree.cuts[tree.leaf < 0].tolist() == [0.5, 0.5]
     assert tree.locate([[0.5, 0.5], [0.2, 0.5], [0.2, 0.49], [1.0, 1.0], [1.0, 1.01]]).tolist() == [2, 1, 0, 2, -1]
+
+
+def test_tree_is_the_sequence_of_its_boxes():
+    """A tree holds its own read-only copy of the stacked rows it is built
+    from, and makes the `Box` of row k when asked for it."""
+    zone = WorkingZone(Box([0.0, 0.0], [1.0, 1.0])).omega
+    lo, hi = np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[0.5, 1.0], [1.0, 1.0]])
+    closed = np.array([[False, True], [True, True]])
+    tree = BoxTree(zone, lo, hi, closed)
+    lo[0, 0] = 0.25
+    assert len(tree) == 2 and tree.lo[0, 0] == 0.0
+    assert all(not rows.flags.writeable for rows in (tree.lo, tree.hi, tree.closed_hi))
+    boxes = ["Box([0,0.5)x[0,1])", "Box([0.5,1]x[0,1])"]
+    assert [repr(b) for b in tree] == [repr(tree[0]), repr(tree[np.intp(1)])] == boxes
+    assert repr(tree[-1]) == repr(tree[1]) and not tree[1].lo.flags.writeable
+    with pytest.raises(TypeError):
+        tree[0:1]
+    with pytest.raises(IndexError):
+        tree[2]
+    with pytest.raises(ValueError, match="no boxes to index"):
+        BoxTree(zone, np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2), dtype=bool))
+    for rows in ((lo[:, :1], hi[:, :1], closed[:, :1]), (lo[0], hi[0], closed[0]), (lo, hi[:1], closed)):
+        with pytest.raises(ValueError, match="every box must have the zone's dimension 2"):
+            BoxTree(zone, *rows)
 
 
 def test_tree_rejects_bad_tilings():

@@ -13,7 +13,6 @@ from dynabs import (
     ElmNetwork,
     HybridModel,
     PartitionSet,
-    Region,
     WorkingZone,
     fit_output_weights,
     init_elm,
@@ -30,13 +29,16 @@ from oracles import raw_merge, sequential_merge
 from synthdata import (
     alternating_slab_model,
     constant_net,
+    count_boxes,
     malformed_model_texts,
     overflowing_model,
     random_tiling_cases,
+    region_boxes,
     single_region_model,
     split_region_model,
     swirl_dataset,
     swirl_zone,
+    tree_of,
     unit_zone,
 )
 from dynabs import elm, hybrid
@@ -49,7 +51,7 @@ def manual_two_partitions(zone, data):
     mid = 0.5 * (zone.omega.lo[0] + zone.omega.hi[0])
     idx = np.arange(len(data))
     lower = data.states[:, 0] < mid
-    return PartitionSet(zone, [left, right], [idx[lower], idx[~lower]], epsilon=0.0)
+    return PartitionSet(zone, tree_of(zone, [left, right]), [idx[lower], idx[~lower]], epsilon=0.0)
 
 
 def test_huge_gamma_merges_everything():
@@ -58,7 +60,7 @@ def test_huge_gamma_merges_everything():
     assert len(parts) > 1
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e6)
     assert model.n_regions == 1
-    assert len(model.regions[0].boxes) == len(parts)
+    assert len(region_boxes(model)[0]) == len(parts)
 
 
 def test_representable_pair_merges():
@@ -114,7 +116,7 @@ def test_zero_sample_region_gets_zero_map_with_warning():
     z = np.column_stack([rng.uniform(0.0, 0.49, 30), rng.uniform(0, 1, 30)])
     data = Dataset(2, 0, z, rng.normal(size=(30, 2)))
     left, right = zone.omega.bisect(0)
-    parts = PartitionSet(zone, [left, right], [np.arange(30), np.arange(0)], epsilon=0.0)
+    parts = PartitionSet(zone, tree_of(zone, [left, right]), [np.arange(30), np.arange(0)], epsilon=0.0)
     with pytest.warns(RuntimeWarning, match="no samples"):
         model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=0.0)
     assert model.n_regions == 2
@@ -285,17 +287,17 @@ def test_training_samples_reproduce_owning_network():
     ids = model.locate_batch(data.states)
     assert (ids > 0).all()
     stepped = model.step(data.states)
-    for region in model.regions:
-        rows = ids == region.id
+    for region in range(1, model.n_regions + 1):
+        rows = ids == region
         assert rows.any()
-        assert np.array_equal(stepped[rows], predict_batch(model.network_of(region.id), data.z[rows]))
+        assert np.array_equal(stepped[rows], predict_batch(model.network_of(region), data.z[rows]))
 
 
 def test_regions_tile_zone_after_merging():
     data = swirl_dataset(800, seed=4)
     parts = me_partition(swirl_zone(), data.states, epsilon=0.04)
     model = merge_and_learn(parts, data, hidden_count=20, seed=0, gamma=1e-5)
-    boxes = [b for r in model.regions for b in r.boxes]
+    boxes = [b for r in region_boxes(model) for b in r]
     rng = np.random.default_rng(0)
     probes = rng.uniform(-1, 1, size=(10_000, 2))
     assert (membership_matrix(boxes, probes).sum(axis=1) == 1).all()
@@ -335,7 +337,8 @@ def test_malformed_model_boxes_are_rejected_naming_the_box(tmp_path):
     another kind belongs, or that is degenerate, ragged or missing a bound,
     fails `load` and `from_dict` with a DataError naming the region and box."""
     data = swirl_dataset(300, seed=6)
-    model = merge_and_learn(me_partition(swirl_zone(), data.states, epsilon=0.05), data, hidden_count=10, seed=2, gamma=1e-5)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.05)
+    model = merge_and_learn(parts, data, hidden_count=10, seed=2, gamma=1e-7)  # three regions, one of two boxes
     path = tmp_path / "model.json"
     model.save(path)
     cases = malformed_model_texts(path.read_text())
@@ -349,6 +352,21 @@ def test_malformed_model_boxes_are_rejected_naming_the_box(tmp_path):
         with pytest.raises(DataError) as err:
             HybridModel.from_dict(json.loads(text))
         assert named in str(err.value), case
+
+
+def test_mse_whose_squares_overflow_raises_without_a_warning():
+    """x -> 1e200 x steps (0.5, 0.5) to a finite 5e199, whose square
+    overflows: the model's MSE and its network's raise FloatingPointError,
+    and numpy warns of nothing."""
+    net = ElmNetwork(np.eye(2), np.zeros(2), 1e200 * np.eye(2), 2, 0)
+    model = single_region_model(unit_zone(), net)
+    data = Dataset(2, 0, np.array([[0.5, 0.5]]), np.zeros((1, 2)))
+    assert np.isfinite(model.step(data.states)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for error in (lambda: hybrid_mse(model, data), lambda: mse(net, data)):
+            with pytest.raises(FloatingPointError, match="mean squared error is inf, not finite"):
+                error()
 
 
 def test_hybrid_mse_zero_for_self_consistent_model():
@@ -366,8 +384,8 @@ def test_refit_is_deterministic():
     a = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6)
     b = merge_and_learn(parts, data, hidden_count=15, seed=1, gamma=1e-6)
     assert a.n_regions == b.n_regions
-    for ra, rb in zip(a.regions, b.regions):
-        assert [(x.lo.tolist(), x.hi.tolist()) for x in ra.boxes] == [(x.lo.tolist(), x.hi.tolist()) for x in rb.boxes]
+    for ra, rb in zip(region_boxes(a), region_boxes(b)):
+        assert [(x.lo.tolist(), x.hi.tolist()) for x in ra] == [(x.lo.tolist(), x.hi.tolist()) for x in rb]
     for na, nb in zip(a.networks, b.networks):
         assert np.array_equal(na.w_out, nb.w_out)
 
@@ -379,8 +397,8 @@ def test_locate_batch_equals_membership_reference():
     parts = me_partition(swirl_zone(), data.states, epsilon=0.02)
     model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=1e-8)
     assert model.n_regions > 1
-    boxes = [b for r in model.regions for b in r.boxes]
-    owner = np.array([r.id for r in model.regions for _ in r.boxes])
+    boxes = list(model.tree)
+    owner = model.box_owner
     rng = np.random.default_rng(5)
     points = np.concatenate([
         np.stack([b.lo for b in boxes]),
@@ -505,8 +523,8 @@ def test_region_walk_where_no_two_sibling_boxes_share_a_region():
     only, so the walk descends to the boxes and still names their owners."""
     model = alternating_slab_model([constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)])
     assert model.region_walk.depth == model.tree.box_walk.depth == 3
-    boxes = [b for r in model.regions for b in r.boxes]
-    owner = np.array([r.id for r in model.regions for _ in r.boxes])
+    boxes = list(model.tree)
+    owner = model.box_owner
     omega = model.zone.omega
     x = np.concatenate([np.stack([b.lo for b in boxes]), np.random.default_rng(2).uniform(omega.lo, omega.hi, (500, 2))])
     ids = model.locate_batch(x)
@@ -545,22 +563,77 @@ def test_predict_located_rejects_region_ids_the_model_lacks():
 
 
 def test_model_requires_regions_that_tile_the_zone():
+    """A tiling defect of a model document names its box by region and place
+    in the region, as the document's key path does."""
     zone = unit_zone()
     left, right = zone.omega.bisect(0)
     net = constant_net([0.5, 0.5], 2)
-    with pytest.raises(ValueError, match="gap"):
-        HybridModel(zone, (Region(1, (left,)),), (net,), gamma=0.0, epsilon=0.0)
-    with pytest.raises(ValueError, match=re.escape("overlap: regions[0].boxes[1] Box([0,1]x[0,1]) fills "
-                                                   "[[0.0, 0.0], [1.0, 1.0]], where regions[0].boxes[0]")):
-        HybridModel(zone, (Region(1, (left, zone.omega)), Region(2, (right,))), (net, net), gamma=0.0, epsilon=0.0)
-    # a defect names its box by region and place in the region, as the document's key path does
-    with pytest.raises(ValueError, match=re.escape("overlap: regions[1].boxes[1] Box([0,1]x[0,1]) fills "
-                                                   "[[0.0, 0.0], [1.0, 1.0]], where regions[0].boxes[0]")):
-        HybridModel(zone, (Region(1, (left,)), Region(2, (right, zone.omega))), (net, net), gamma=0.0, epsilon=0.0)
-    with pytest.raises(ValueError, match=re.escape("not a bisection tiling: regions[1].boxes[0] Box([0.5,0.75)x[0,1]) "
-                                                   "straddles the cut at 0.5 in dimension 1")):
-        HybridModel(zone, (Region(1, (left,)), Region(2, right.bisect(0))), (net, net), gamma=0.0, epsilon=0.0)
+    doc = single_region_model(zone, net).to_dict()
 
+    def load(*regions):
+        return HybridModel.from_dict({**doc, "networks": [net.to_dict()] * len(regions), "regions": [
+            {"id": i, "boxes": [b.to_dict() for b in boxes]} for i, boxes in enumerate(regions, start=1)]})
+
+    with pytest.raises(DataError, match="gap"):
+        load([left])
+    with pytest.raises(DataError, match=re.escape("overlap: regions[0].boxes[1] Box([0,1]x[0,1]) fills "
+                                                  "[[0.0, 0.0], [1.0, 1.0]], where regions[0].boxes[0]")):
+        load([left, zone.omega], [right])
+    with pytest.raises(DataError, match=re.escape("overlap: regions[1].boxes[1] Box([0,1]x[0,1]) fills "
+                                                  "[[0.0, 0.0], [1.0, 1.0]], where regions[0].boxes[0]")):
+        load([left], [right, zone.omega])
+    with pytest.raises(DataError, match=re.escape("not a bisection tiling: regions[1].boxes[0] Box([0.5,0.75)x[0,1]) "
+                                                  "straddles the cut at 0.5 in dimension 1")):
+        load([left], right.bisect(0))
+
+
+def test_model_requires_a_tree_over_its_zone_and_one_owner_per_box():
+    """`HybridModel` takes the tree of its regions' boxes as it is, so it
+    checks that the tree tiles its zone and that `box_owner` gives each box
+    of the tree a region that has a network."""
+    zone = unit_zone()
+    net = constant_net([0.5, 0.5], 2)
+    halves = tree_of(zone, zone.omega.bisect(0))
+    other = WorkingZone(Box([0.0, 0.0], [2.0, 1.0]))
+    with pytest.raises(ValueError, match=re.escape("the region boxes tile Box([0,1]x[0,1]), not the zone "
+                                                   "Box([0,2]x[0,1])")):
+        HybridModel(other, halves, np.array([1, 1]), (net,), 0.0, 0.0)
+    for owner in (np.array([1]), np.array([1, 1, 1]), np.array([[1, 1]]), np.array([1, 2]), np.array([0, 1]),
+                  np.array([1.0, 1.0]), np.array([True, True])):
+        with pytest.raises(ValueError, match=re.escape("box_owner needs 2 region ids in 1..1, one per box")):
+            HybridModel(zone, halves, owner, (net,), 0.0, 0.0)
+    model = HybridModel(zone, halves, np.array([1, 1]), (net,), 0.0, 0.0)
+    assert model.tree is halves and model.box_owner.tolist() == [1, 1] and model.n_regions == 1
+
+
+def test_load_makes_no_box_per_region_box(tmp_path, monkeypatch):
+    """`HybridModel.load` reads the region boxes into the stacked rows of its
+    tree: the `Box` objects it makes, for the zone, do not grow with the
+    region boxes."""
+    nets = [constant_net([0.1, 0.1], 2), constant_net([0.9, 0.9], 2)]
+    made = {}
+    for model in (single_region_model(WorkingZone(Box([0.0, 0.0], [64.0, 1.0])), nets[0]),
+                  alternating_slab_model(nets, levels=6)):
+        path = tmp_path / f"{len(model.tree)}.json"
+        model.save(path)
+        with monkeypatch.context() as m:
+            count = count_boxes(m)
+            loaded = HybridModel.load(path)
+        assert len(loaded.tree) == len(model.tree)
+        made[len(model.tree)] = count[0]
+    assert made[1] == made[64] <= 4, made
+
+
+def test_merge_and_learn_indexes_the_partition_tree():
+    """A fitted model's regions are indexed by the partition's own tree, in
+    partition order, so a fit builds one tree."""
+    data = swirl_dataset(800, seed=4)
+    parts = me_partition(swirl_zone(), data.states, epsilon=0.02)
+    model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=1e-8)
+    assert model.n_regions > 1
+    assert model.tree is parts.boxes
+    ids = model.locate_batch(np.stack([b.lo for b in parts.boxes]))
+    assert np.array_equal(ids, model.box_owner)
 
 
 def box_lists(regions):
@@ -577,7 +650,7 @@ def test_merge_equals_raw_data_oracle():
         model = merge_and_learn(parts, data, hidden_count=10, seed=7, gamma=1e-2)
         boxes, tests = raw_merge(parts, data, hidden_count=10, seed=7, gamma=1e-2)
         assert model.stats.pair_tests == tests
-        assert box_lists(r.boxes for r in model.regions) == box_lists(boxes)
+        assert box_lists(region_boxes(model)) == box_lists(boxes)
         merged += model.stats.merges
     assert merged > 100
 
@@ -591,11 +664,11 @@ def test_merged_regions_ship_their_certified_network(seed):
     parts = me_partition(swirl_zone(), data.states, epsilon=0.005)
     model = merge_and_learn(parts, data, hidden_count=20, seed=seed, gamma=gamma)
     ids = model.locate_batch(data.states)
-    merged = [r for r in model.regions if len(r.boxes) > 1]
+    merged = [i for i, boxes in enumerate(region_boxes(model), start=1) if len(boxes) > 1]
     assert merged
     for region in merged:
-        rows = data.subset(np.nonzero(ids == region.id)[0])
-        assert mse(model.network_of(region.id), rows) <= gamma * (1 + 1e-4)
+        rows = data.subset(np.nonzero(ids == region)[0])
+        assert mse(model.network_of(region), rows) <= gamma * (1 + 1e-4)
 
 
 def grid_with_empty_cells(seed: int) -> tuple[PartitionSet, Dataset]:
@@ -608,7 +681,8 @@ def grid_with_empty_cells(seed: int) -> tuple[PartitionSet, Dataset]:
     z = rng.uniform(0.0, 1.0, size=(300, 2)) ** 3  # crowded near the origin
     data = Dataset(2, 0, z, np.column_stack([np.sin(4.0 * z[:, 0]), z[:, 0] * z[:, 1]]))
     owner = membership_matrix(boxes, z).argmax(axis=1)
-    parts = PartitionSet(unit_zone(), boxes, [np.flatnonzero(owner == k) for k in range(len(boxes))], epsilon=0.0)
+    assignments = [np.flatnonzero(owner == k) for k in range(len(boxes))]
+    parts = PartitionSet(unit_zone(), tree_of(unit_zone(), boxes), assignments, epsilon=0.0)
     assert sum(a.size == 0 for a in parts.assignments) >= 10
     return parts, data
 
@@ -642,7 +716,8 @@ def test_batched_sweep_equals_sequential_oracle():
         stats = MergeStats()
         got = merge_sweep(parts, data, layer, gamma, stats)
         assert (stats.pair_tests, stats.merges) == (tests, merges)
-        assert box_lists(boxes for boxes, _, _ in got) == box_lists(boxes for boxes, _, _ in expected)
+        assert box_lists(map(parts.boxes.__getitem__, ids) for ids, _, _ in got) == box_lists(
+            boxes for boxes, _, _ in expected)
         for (_, _, pool), (_, idx, (hh, hy, yy, rows)) in zip(got, expected):
             assert len(pool) == 1 and pool.rows[0] == rows == idx.size and pool.yy[0] == yy
             assert np.array_equal(pool.hh[0], hh) and np.array_equal(pool.hy[0], hy)
@@ -696,13 +771,13 @@ def test_block_boundaries_change_no_bit(monkeypatch):
             regions, stats, model = sweep_and_model(*case)
         assert (stats.pair_tests, stats.merges) == (stats_0.pair_tests, stats_0.merges)
         assert (model.stats.pair_tests, model.stats.merges) == (stats_0.pair_tests, stats_0.merges)
-        assert box_lists(b for b, _, _ in regions) == box_lists(b for b, _, _ in regions_0)
+        assert [ids for ids, _, _ in regions] == [ids for ids, _, _ in regions_0]
         for (_, _, pool), (_, _, pool_0) in zip(regions, regions_0):
             for a, b in zip((pool.hh, pool.hy, pool.yy, pool.rows), (pool_0.hh, pool_0.hy, pool_0.yy, pool_0.rows)):
                 assert np.array_equal(a, b)
         for (_, tested, _), net in zip(regions, model.networks):
             assert np.array_equal(net.w_in, tested.w_in) and np.array_equal(net.b_in, tested.b_in)
-        assert box_lists(r.boxes for r in model.regions) == box_lists(r.boxes for r in model_0.regions)
+        assert box_lists(region_boxes(model)) == box_lists(region_boxes(model_0))
         assert all(np.array_equal(a.w_out, b.w_out) for a, b in zip(model.networks, model_0.networks))
     assert set(stacked) == {1}
 
@@ -799,7 +874,8 @@ def test_a_window_whose_solve_raises_is_rerun_one_test_at_a_time(monkeypatch):
     stats = MergeStats()
     got = merge_sweep(parts, data, layer, 1.5e-5, stats)
     assert (stats.pair_tests, stats.merges) == (tests, merges)
-    assert box_lists(boxes for boxes, _, _ in got) == box_lists(boxes for boxes, _, _ in expected)
+    assert box_lists(map(parts.boxes.__getitem__, ids) for ids, _, _ in got) == box_lists(
+        boxes for boxes, _, _ in expected)
     assert all(np.array_equal(pool.hh[0], hh) for (_, _, pool), (_, _, (hh, _, _, _)) in zip(got, expected))
     assert all(np.array_equal(net.w_in, layer(i).w_in) and np.array_equal(net.b_in, layer(i).b_in)
                for i, (_, net, _) in enumerate(got))

@@ -13,7 +13,7 @@ from dynabs.geometry import split_dims
 from dynabs.partition import MIN_SIDE_FRACTION, xlogx_halves
 
 from oracles import shannon_entropy, widest_first_partition, xlogx
-from synthdata import random_tiling_cases, swirl_dataset, swirl_zone, two_cluster_dataset, unit_zone
+from synthdata import count_boxes, random_tiling_cases, swirl_dataset, swirl_zone, two_cluster_dataset, unit_zone
 
 
 def test_entropy_even_split_is_ln2():
@@ -87,6 +87,16 @@ def test_committed_splits_meet_threshold_and_grow_count():
     assert all(e[2] < eps for e in rejected)
     # each committed split adds exactly one partition
     assert len(parts) == 1 + len(committed)
+
+
+def test_me_partition_makes_no_box(monkeypatch):
+    """The partition's boxes are the stacked rows of its tree: partitioning
+    makes no `Box`, however many boxes it keeps."""
+    data = swirl_dataset(2000, seed=1)
+    zone = swirl_zone()
+    made = count_boxes(monkeypatch)
+    parts = me_partition(zone, data.states, epsilon=1e-3)
+    assert len(parts) > 100 and made == [0]
 
 
 def test_me_partition_deterministic():
@@ -240,18 +250,18 @@ def assert_exact_tiling(parts, pts) -> None:
     assert (member.sum(axis=1) == 1).all()
     for k, idx in enumerate(parts.assignments):
         assert np.array_equal(np.sort(idx), np.flatnonzero(member[:, k]))
-    BoxTree(parts.zone.omega, parts.boxes)  # raises unless the boxes are a bisection tiling
+    assert isinstance(parts.boxes, BoxTree)  # whose build raises unless the boxes are a bisection tiling
 
 
 def test_tree_is_the_partition_tree():
-    """On criterion 1's random datasets, `BoxTree` over a partition has one
+    """On criterion 1's random datasets, a partition's `BoxTree` has one
     inner node per accepted split, each halving, at the midpoint, the
     dimension its own halving counts give: the longest of side * 2^-count,
     ties to the lowest dimension. Its node bounds, derived as `Box.bisect`
     derives them, end in the partition's boxes bit for bit."""
     for zone, pts, eps, _ in random_tiling_cases():
         parts = me_partition(zone, pts, eps)
-        tree = BoxTree(zone.omega, parts.boxes)
+        tree = parts.boxes
         inner = tree.leaf < 0
         accepted = [j for _, j, _, committed in parts.split_log if committed]
         # nodes are numbered level by level, so a parent comes before its children
@@ -304,7 +314,7 @@ def test_partition_tree_of_a_tie_zone_cuts_one_dimension_per_level(lo, hi):
     zone = WorkingZone(Box(lo, hi))
     pts = np.random.default_rng(29).uniform(lo, hi, size=(20_000, 2))
     parts = me_partition(zone, pts, 1e-4)
-    tree = BoxTree(zone.omega, parts.boxes)
+    tree = parts.boxes
     cuts = node_cut_dims(tree, parts.boxes, 2)
     depth = max(level for level, *_ in cuts) + 1
     assert depth >= 6
