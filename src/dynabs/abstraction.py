@@ -181,7 +181,7 @@ def compute_transitions(model: HybridModel, cells: BoxTree, initial: int | None 
     zone = model.zone
     if cells.zone.to_dict() != zone.omega.to_dict():
         raise ValueError(f"the cells tile {cells.zone!r}, not the zone {zone.omega!r}")
-    reach = cell_successor_box(model, *cells)
+    reach = cell_successor_box(model, cells)
     relation = np.zeros((n + 1, n + 1), dtype=bool)
     for pieces, hit in cells.overlapping(reach.out_lo, reach.out_hi):
         relation[reach.cell_ids[pieces], hit] = True

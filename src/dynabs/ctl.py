@@ -34,32 +34,14 @@ from .abstraction import TransitionSystem
 # token; it keeps parsing, formatting and checking within the recursion limit
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(Q\d+)|([A-Za-z]+)|([&|!()\[\]]))")
+_TOKEN = re.compile(r"\s*(?:(?P<ATOM>Q\d+)|(?P<NAME>[A-Za-z]+)|(?P<PUNCT>[&|!()\[\]])|(?P<END>\Z)|(?P<BAD>\S))")
 _UNARY_OPS = {"EX", "AX", "EF", "AF", "EG", "AG"}
 _BINARY_OPS = {"and": "&", "or": "|"}
+_CONSTANTS = {"true": ("true",), "EXIT": ("exit",)}
 
 
 class CtlSyntaxError(ValueError):
     """Formula text rejected, with the offending position."""
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise CtlSyntaxError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.group(1):
-            tokens.append(("ATOM", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("NAME", m.group(2), m.start(2)))
-        else:
-            tokens.append(("PUNCT", m.group(3), m.start(3)))
-        pos = m.end()
-    return tokens
 
 
 def _bounded(levels: int, pos: int) -> int:
@@ -68,99 +50,81 @@ def _bounded(levels: int, pos: int) -> int:
     return levels
 
 
-class _Parser:
-    """Recursive descent; each parse_* returns (formula, operator height)."""
+def parse_ctl(text: str) -> tuple:
+    """Parse a formula in the module grammar; raises CtlSyntaxError.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.open = 0  # brackets and prefix operators around the next token
+    The text is split once into (kind, text, position) tokens, closed by one
+    END token, then parsed by recursive descent. Each helper takes `depth`,
+    the brackets and prefix operators around its first token, and returns
+    (formula, operator height); both are bounded by MAX_NESTING.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise CtlSyntaxError(f"unexpected character {m[kind]!r} at position {m.start(kind)}")
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "END":
+            break
+    i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def take(want=None):
+        nonlocal i
+        kind, value, pos = tokens[i]
+        if kind == "END":
+            raise CtlSyntaxError(f"unexpected end of formula at position {pos}")
+        if want is not None and value != want:
+            raise CtlSyntaxError(f"expected {want!r} but found {value!r} at position {pos}")
+        i += 1
+        return kind, value, pos
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise CtlSyntaxError(f"unexpected end of formula at position {len(self.text)}")
-        self.i += 1
-        return tok
+    def chain(op, depth):  # '|' chains '&' chains, which chain unary operands
+        def operand():
+            return unary(depth) if op == "and" else chain("and", depth)
 
-    def expect(self, value: str):
-        tok = self.take()
-        if tok[1] != value:
-            raise CtlSyntaxError(f"expected {value!r} but found {tok[1]!r} at position {tok[2]}")
-
-    def nested(self, parse, pos: int):
-        self.open = _bounded(self.open + 1, pos)
-        result = parse()
-        self.open -= 1
-        return result
-
-    def parse(self) -> tuple:
-        f, _ = self.parse_or()
-        tok = self.peek()
-        if tok is not None:
-            raise CtlSyntaxError(f"trailing input {tok[1]!r} at position {tok[2]}")
-        return f
-
-    def parse_or(self):
-        return self.parse_chain("or", self.parse_and)
-
-    def parse_and(self):
-        return self.parse_chain("and", self.parse_unary)
-
-    def parse_chain(self, op: str, operand):
         f, height = operand()
-        while self.peek() and self.peek()[1] == _BINARY_OPS[op]:
-            pos = self.take()[2]
+        while tokens[i][1] == _BINARY_OPS[op]:
+            pos = take()[2]
             g, h = operand()
             f, height = (op, f, g), _bounded(max(height, h) + 1, pos)
         return f, height
 
-    def parse_unary(self):
-        kind, value, pos = self.peek() or self.take()  # take() raises at the end
+    def unary(depth):
+        kind, value, pos = take()
         if value == "!" or (kind == "NAME" and value in _UNARY_OPS):
-            self.take()
-            f, h = self.nested(self.parse_unary, pos)
+            f, h = unary(_bounded(depth + 1, pos))
             return ("not" if value == "!" else value, f), _bounded(h + 1, pos)
         if kind == "NAME" and value in ("E", "A"):
-            self.take()
-            (left, hl), (right, hr) = self.nested(self.parse_until, pos)
+            inner = _bounded(depth + 1, pos)
+            take("[")
+            left, hl = chain("or", inner)
+            _, u, at = take()
+            if u != "U":
+                raise CtlSyntaxError(f"expected 'U' in until at position {at}")
+            right, hr = chain("or", inner)
+            take("]")
             return (value + "U", left, right), _bounded(max(hl, hr) + 1, pos)
-        return self.parse_primary()
-
-    def parse_until(self):
-        self.expect("[")
-        left = self.parse_or()
-        tok = self.take()
-        if tok[1] != "U":
-            raise CtlSyntaxError(f"expected 'U' in until at position {tok[2]}")
-        right = self.parse_or()
-        self.expect("]")
-        return left, right
-
-    def parse_primary(self):
-        kind, value, pos = self.take()
         if kind == "ATOM":
-            return ("cell", int(value[1:])), 0
+            try:
+                return ("cell", int(value[1:])), 0
+            except ValueError:  # past the interpreter's digit limit for int()
+                raise CtlSyntaxError(f"atom {value[:8]}... of {len(value) - 1} digits at position {pos} "
+                                     "is too long") from None
         if kind == "NAME":
-            if value == "true":
-                return ("true",), 0
-            if value == "EXIT":
-                return ("exit",), 0
+            if value in _CONSTANTS:
+                return _CONSTANTS[value], 0
             raise CtlSyntaxError(f"unknown name {value!r} at position {pos}")
         if value == "(":
-            f = self.nested(self.parse_or, pos)
-            self.expect(")")
+            f = chain("or", _bounded(depth + 1, pos))
+            take(")")
             return f
         raise CtlSyntaxError(f"unexpected token {value!r} at position {pos}")
 
-
-def parse_ctl(text: str) -> tuple:
-    """Parse a formula in the module grammar; raises CtlSyntaxError."""
-    return _Parser(text).parse()
+    f, _ = chain("or", 0)
+    kind, value, pos = tokens[i]
+    if kind != "END":
+        raise CtlSyntaxError(f"trailing input {value!r} at position {pos}")
+    return f
 
 
 def format_ctl(f: tuple) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elm import ElmNetwork, id_runs
-from .geometry import Box
+from .geometry import Box, BoxTree
 from .hybrid import HybridModel
 
 # symmetric widening applied to network output enclosures
@@ -111,25 +111,24 @@ class ReachResult:
         return Bounds(self.out_lo.min(axis=0), self.out_hi.max(axis=0))
 
 
-def cell_successor_box(model: HybridModel, *cells: Box) -> ReachResult:
-    """Per-region reachability of one or more cells: propagate every
-    non-empty (cell ∩ region box) through that region's network.
+def cell_successor_box(model: HybridModel, cells: Box | BoxTree) -> ReachResult:
+    """Per-region reachability of cells: propagate every non-empty
+    (cell ∩ region box) through that region's network.
 
-    The pieces of all cells come from one positive-width range query down
-    the model's region-box index (`BoxTree.overlapping`), and each network
-    encloses all of its pieces, over all cells, in one call. The regions
-    tile the zone, so a cell inside the zone always yields at least one
-    piece. An enclosure that is not finite (the network overflows on the
-    piece) raises FloatingPointError naming the cell and the region, since
-    dropping its edges would make the relation unsound.
+    `cells` is one `Box`, which is one cell, or a `BoxTree` whose rows are
+    the cells. The pieces of all cells come from one positive-width range
+    query down the model's region-box index (`BoxTree.overlapping`), and
+    each network encloses all of its pieces, over all cells, in one call.
+    The regions tile the zone, so a cell inside the zone always yields at
+    least one piece. An enclosure that is not finite (the network overflows
+    on the piece) raises FloatingPointError naming the cell and the region,
+    since dropping its edges would make the relation unsound.
     """
-    if not cells:
-        raise ValueError("no cells to reach from")
-    cell_lo = np.stack([c.lo for c in cells])
-    cell_hi = np.stack([c.hi for c in cells])
+    cell_lo, cell_hi, cell_closed = (np.atleast_2d(a) for a in (cells.lo, cells.hi, cells.closed_hi))
     outside = ~(model.zone.contains(cell_lo) & model.zone.contains(cell_hi))  # a box is inside iff its corners are
     if outside.any():
-        raise ValueError(f"cell {cells[int(np.argmax(outside))]!r} must lie inside the working zone")
+        c = int(np.argmax(outside))
+        raise ValueError(f"cell {Box(cell_lo[c], cell_hi[c], cell_closed[c])!r} must lie inside the working zone")
     cell_ids, boxes = (np.concatenate(a) for a in zip(*model.tree.overlapping(cell_lo, cell_hi)))
     order = np.lexsort((boxes, cell_ids))
     cell_ids, boxes = cell_ids[order], boxes[order]
@@ -151,6 +150,8 @@ def cell_successor_box(model: HybridModel, *cells: Box) -> ReachResult:
     finite = np.isfinite(out_lo).all(axis=1) & np.isfinite(out_hi).all(axis=1)
     if not finite.all():
         p = int(np.argmin(finite))
-        raise FloatingPointError(f"reach enclosure of cell {cells[cell_ids[p]]!r} under region {region_ids[p]} "
+        c = cell_ids[p]
+        raise FloatingPointError(f"reach enclosure of cell {Box(cell_lo[c], cell_hi[c], cell_closed[c])!r} "
+                                 f"under region {region_ids[p]} "
                                  "is not finite: the region's network overflows on it")
     return ReachResult(cell_ids, region_ids, in_lo, in_hi, out_lo, out_hi)

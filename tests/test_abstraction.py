@@ -230,6 +230,24 @@ def test_transitions_self_loop_only():
     assert ts.edge_count() == 2
 
 
+def test_transitions_make_no_box_per_cell(monkeypatch):
+    """`compute_transitions` hands reach the cells' tree, not one `Box` per cell."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    model = single_region_model(zone, constant_net([0.3], 1))
+    cells = [zone.omega]
+    made = {}
+    for n in (1, 256):
+        while len(cells) < n:
+            cells = [half for cell in cells for half in cell.bisect(0)]
+        tree = tree_of(zone, cells)
+        with monkeypatch.context() as m:
+            count = count_boxes(m)
+            ts = compute_transitions(model, tree)
+        assert ts.n_cells == n
+        made[n] = count[0]
+    assert made == {1: 0, 256: 0}, made
+
+
 def test_transitions_exit_edge():
     zone = unit_zone()
     model = single_region_model(zone, constant_net([1.5, 0.5], 2))

@@ -129,7 +129,7 @@ def test_criterion_4_reachability_soundness_monte_carlo(fitted_models):
     # on the fitted models, points of each piece (cell ∩ region box) step into that piece's enclosure
     pieces = 0
     for model, cells in fitted_models:
-        reach = cell_successor_box(model, *cells)
+        reach = cell_successor_box(model, cells)
         for p in range(reach.cell_ids.size):
             x = rng.uniform(reach.in_lo[p], reach.in_hi[p], size=(1000, model.zone.n_x))
             assert (model.locate_batch(x) == reach.region_ids[p]).all()

@@ -762,6 +762,18 @@ def test_verify_rejects_deeply_nested_formula(tmp_path, capsys, formula):
     assert err == "error: formula nests deeper than 100 levels at position 100\n"
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("EF @2", "unexpected character '@' at position 3"),
+    ("Q" + "1" * 5000, "atom Q1111111... of 5000 digits at position 0 is too long"),
+], ids=["bad character after a space", "atom past the int digit limit"])
+def test_verify_names_a_bad_character_or_atom_at_its_position(tmp_path, capsys, formula, message):
+    ts_path = tmp_path / "ts.json"
+    tiny_transition_system([[1, 0], [0, 1]], 1).save(ts_path)
+    code, out, err = run(capsys, "verify", "--ts", ts_path, "--formula", formula, "--initial", 1)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # the benchmark's verify batch (pipebench/run.py): atoms that exist at any cell count
 VERIFY_BATCH = ("EF EXIT", "AG !EXIT", "EG !EXIT", "A[!EXIT U Q1]", "AF AG !EXIT", "E[!EXIT U Q1]", "AX !EXIT",
                 "AG EF Q1")

@@ -62,6 +62,32 @@ def test_parse_errors_carry_position():
         parse_ctl("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("EF (Q2", "unexpected end of formula at position 6"),
+    ("Q2 Q3", "trailing input 'Q3' at position 3"),
+    ("E[Q1 Q2]", "expected 'U' in until at position 5"),
+    ("E Q1", "expected '[' but found 'Q1' at position 2"),
+    ("(Q1 ]", "expected ')' but found ']' at position 4"),
+    ("FOO Q1", "unknown name 'FOO' at position 0"),
+    (")", "unexpected token ')' at position 0"),
+    ("", "unexpected end of formula at position 0"),
+])
+def test_parse_error_texts_are_pinned(text, message):
+    with pytest.raises(CtlSyntaxError) as err:
+        parse_ctl(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("EF @2", "unexpected character '@' at position 3"),  # not the space before it
+    ("EF Q" + "1" * 5000, "atom Q1111111... of 5000 digits at position 3 is too long"),
+], ids=["bad character after a space", "atom past the int digit limit"])
+def test_bad_character_or_atom_is_named_at_its_position(text, message):
+    with pytest.raises(CtlSyntaxError) as err:
+        parse_ctl(text)
+    assert str(err.value) == message
+
+
 def test_atom_out_of_range_reported():
     ts = chain_1_2()
     with pytest.raises(ValueError, match="Q9"):
@@ -146,19 +172,22 @@ def test_format_ctl_text_is_pinned(text, formatted):
     assert format_ctl(parse_ctl(text)) == formatted
 
 
-@pytest.mark.parametrize("make", [
-    lambda n: "!" * n + "Q1",
-    lambda n: "(" * n + "Q1" + ")" * n,
-    lambda n: "EX " * n + "Q1",
-    lambda n: "E[" * n + "Q1" + " U Q2]" * n,
-    lambda n: " & ".join(["Q1"] * (n + 1)),
-    lambda n: "(" * (n - 1) + "Q1" + " | Q1)" * (n - 1) + " | Q1",
-], ids=["negations", "parentheses", "EX chain", "nested until", "and chain", "bracketed or chains"])
-def test_nesting_bound(make):
+@pytest.mark.parametrize("make, position", [
+    (lambda n: "!" * n + "Q1", 100),
+    (lambda n: "(" * n + "Q1" + ")" * n, 100),
+    (lambda n: "EX " * n + "Q1", 300),
+    (lambda n: "E[" * n + "Q1" + " U Q2]" * n, 200),
+    (lambda n: " & ".join(["Q1"] * (n + 1)), 503),
+    (lambda n: "(" * (n - 1) + "Q1" + " | Q1)" * (n - 1) + " | Q1", 703),
+    (lambda n: "E[(Q1) U " * (n - 1) + "(Q2)" + "]" * (n - 1), 893),
+], ids=["negations", "parentheses", "EX chain", "nested until", "and chain", "bracketed or chains",
+        "until with bracketed operands"])
+def test_nesting_bound(make, position):
     ts = chain_1_2()
     at_bound = parse_ctl(make(MAX_NESTING))
     assert parse_ctl(format_ctl(at_bound)) == at_bound
     sat_set(ts, at_bound)
     check(ts, at_bound, 1)
-    with pytest.raises(CtlSyntaxError, match=f"deeper than {MAX_NESTING} levels at position"):
+    with pytest.raises(CtlSyntaxError) as err:
         parse_ctl(make(MAX_NESTING + 1))
+    assert str(err.value) == f"formula nests deeper than {MAX_NESTING} levels at position {position}"

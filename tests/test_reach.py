@@ -25,6 +25,7 @@ from synthdata import (
     overflowing_model,
     single_region_model,
     split_region_model,
+    tree_of,
     unit_zone,
 )
 
@@ -236,10 +237,10 @@ def test_multi_cell_reach_is_the_one_cell_rows_in_order():
     calls concatenated in cell order, with `cell_ids` naming each row's cell."""
     model = alternating_slab_model([init_elm(3, 2, 10, seed=s) for s in (1, 2)], levels=4,
                                    input_bounds=Box([-0.5], [0.5]))
-    left, right = model.zone.omega.bisect(1)
-    cells = [*left.bisect(0), *(c for half in right.bisect(0) for c in half.bisect(1))]
+    quarters = [q for half in model.zone.omega.bisect(0) for q in half.bisect(0)]  # the split rule's cuts
+    cells = [*quarters[0].bisect(0), quarters[1], quarters[2], *quarters[3].bisect(0)]
     cells = [cells[k] for k in (3, 0, 4, 1, 5, 2)]  # any order of the cells
-    many = cell_successor_box(model, *cells)
+    many = cell_successor_box(model, tree_of(model.zone, cells))
     ones = [cell_successor_box(model, c) for c in cells]
     assert many.cell_ids.tolist() == [k for k, one in enumerate(ones) for _ in one.region_ids]
     for name in ("region_ids", "in_lo", "in_hi", "out_lo", "out_hi"):
@@ -251,7 +252,7 @@ def test_multi_cell_reach_is_the_one_cell_rows_in_order():
 def test_multi_cell_reach_on_a_fitted_model_equals_one_cell_calls():
     model, _ = fitted_swirl_model(seed=1, n_samples=1500, epsilon=0.01, gamma=1e-7)
     cells = build_cells(model.zone, sample_traces(model, 40, 40, seed=4), epsilon=0.02)
-    many = cell_successor_box(model, *cells)
+    many = cell_successor_box(model, cells)
     ones = [cell_successor_box(model, c) for c in cells]
     for name in ("region_ids", "in_lo", "in_hi", "out_lo", "out_hi"):
         assert getattr(many, name).tobytes() == np.concatenate([getattr(one, name) for one in ones]).tobytes(), name
@@ -260,14 +261,12 @@ def test_multi_cell_reach_on_a_fitted_model_equals_one_cell_calls():
 def test_multi_cell_reach_names_the_bad_cell():
     zone = unit_zone()
     model = single_region_model(zone, constant_net([0.5, 0.5], 2))
-    left, right = zone.omega.bisect(0)
     with pytest.raises(ValueError, match=r"cell Box\(\[0.5,1.5\)x\[0.5,1\)\) must lie inside"):
-        cell_successor_box(model, left, Box([0.5, 0.5], [1.5, 1.0]))
-    with pytest.raises(ValueError, match="no cells"):
-        cell_successor_box(model)
+        cell_successor_box(model, Box([0.5, 0.5], [1.5, 1.0]))
     bad = overflowing_model()
+    quarters = [*bad.zone.omega.bisect(0)[0].bisect(1), *bad.zone.omega.bisect(0)[1].bisect(1)]
     with pytest.raises(FloatingPointError, match=r"cell Box\(\[0,1\]x\[0,1\]\) under region 1"):
-        cell_successor_box(bad, *bad.zone.omega.bisect(0)[0].bisect(1), *bad.zone.omega.bisect(0)[1].bisect(1))
+        cell_successor_box(bad, tree_of(bad.zone, quarters))
 
 
 def test_cell_successor_rejects_non_finite_enclosure():
