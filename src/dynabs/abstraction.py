@@ -17,7 +17,7 @@ from .data import (DataError, WorkingZone, bit_matrix, boxes_from_docs, check_fo
                    read_artifact, write_artifact)
 # membership_matrix is not called here, but the benchmark's traced run
 # (pipebench/run.py) wraps this module's name for it, so the import stays
-from .geometry import BoxTree, membership_matrix  # noqa: F401
+from .geometry import BoxTree, box_docs, membership_matrix  # noqa: F401
 from .hybrid import HybridModel
 from .partition import me_partition
 from .reach import cell_successor_box
@@ -92,7 +92,7 @@ class TransitionSystem:
     """
 
     zone: WorkingZone
-    cells: BoxTree  # or any sequence of Box
+    cells: BoxTree  # or any sequence of Box, which to_dict cannot write
     relation: np.ndarray
     initial: int | None = None
 
@@ -137,7 +137,7 @@ class TransitionSystem:
             "format_version": TS_FORMAT_VERSION,
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "zone": self.zone.to_dict(),
-            "cells": [c.to_dict() for c in self.cells],
+            "cells": box_docs(self.cells.lo, self.cells.hi, self.cells.closed_hi),
             "relation": self.relation,
             "exit_sink": True,
             "initial": self.initial,

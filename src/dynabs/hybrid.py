@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_forma
 from .elm import (GATHER_SHARE, ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, mean_squared_error, per_block,
                   predict_batch)
 from .elm import fit_output_weights  # noqa: F401
-from .geometry import BoxTree, Walk, membership_matrix  # noqa: F401
+from .geometry import BoxTree, Walk, box_docs, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -44,9 +43,9 @@ class MergeStats:
 
     pair_tests: int = 0
     merges: int = 0
-    fit_seconds: list[float] = field(default_factory=list)  # each region's readout solve, 0 for an empty one
+    fit_seconds: list[float] = field(default_factory=list)  # each region's readout solve
     rows: list[int] = field(default_factory=list)  # samples of each region
-    mse: list[float] = field(default_factory=list)  # training MSE of each region's readout, 0 for an empty one
+    mse: list[float] = field(default_factory=list)  # training MSE of each region's readout
 
     @property
     def total_fit_seconds(self) -> float:
@@ -85,6 +84,9 @@ class HybridModel:
                 or not 1 <= owner.min() <= owner.max() <= len(self.networks)):
             raise ValueError(f"box_owner needs {len(self.tree)} region ids in 1..{len(self.networks)}, one per box")
         object.__setattr__(self, "box_owner", owner.astype(np.intp))  # a copy of the caller's ids
+        idle = np.flatnonzero(np.bincount(self.box_owner, minlength=len(self.networks) + 1)[1:] == 0)
+        if idle.size:  # its network could never run
+            raise ValueError(f"region {int(idle[0]) + 1} owns no box")
         object.__setattr__(self, "region_walk", self.tree.walk(self.box_owner))
 
     @property
@@ -187,6 +189,7 @@ class HybridModel:
         return SimResult(np.asarray(trace), exited_at)
 
     def to_dict(self) -> dict:
+        docs = box_docs(self.tree.lo, self.tree.hi, self.tree.closed_hi)
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -194,7 +197,7 @@ class HybridModel:
             "epsilon": self.epsilon,
             "gamma": self.gamma,
             "regions": [
-                {"id": i, "boxes": [self.tree[k].to_dict() for k in np.flatnonzero(self.box_owner == i)]}
+                {"id": i, "boxes": [docs[k] for k in np.flatnonzero(self.box_owner == i)]}
                 for i in range(1, self.n_regions + 1)
             ],
             "networks": [net.to_dict() for net in self.networks],
@@ -260,16 +263,20 @@ def merge_and_learn(
     layer its tests ran under and the readout `ReadoutStats.readout` solves
     from its final statistics, without reading its rows again: for a region
     that absorbed a candidate, that is bit for bit the network its last
-    accepted test certified. A region without samples keeps the zero map,
-    with a RuntimeWarning; a singular readout solve raises FloatingPointError
-    naming the region. `stats.fit_seconds` times each region's solve, and
-    `stats.rows` and `stats.mse` give its samples and the training MSE of
-    its readout, from the same statistics: no sample is stepped.
+    accepted test certified. A partition without samples, which `me_partition`
+    never makes, raises ValueError naming it before any test; a singular
+    readout solve raises FloatingPointError naming the region.
+    `stats.fit_seconds` times each region's solve, and `stats.rows` and
+    `stats.mse` give its samples and the training MSE of its readout, from
+    the same statistics: no sample is stepped.
     """
     if not gamma >= 0:  # NaN fails too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    sizes = [len(a) for a in parts.assignments]
+    if 0 in sizes:
+        raise ValueError(f"partition {parts.boxes[sizes.index(0)]!r} holds no samples")
     n_in = data.n_x + data.n_u
     stats = MergeStats()
 
@@ -280,15 +287,6 @@ def merge_and_learn(
 
     def fit(i: int, net: ElmNetwork, pool: ReadoutStats) -> ElmNetwork:
         stats.rows.append(int(pool.rows[0]))
-        if pool.rows[0] == 0:
-            warnings.warn(
-                f"region {i + 1} has no samples; its network is the zero map",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            stats.fit_seconds.append(0.0)
-            stats.mse.append(0.0)
-            return net
         t0 = time.perf_counter()
         try:
             w_t = pool.readout()
@@ -322,11 +320,11 @@ def merge_sweep(
     gamma: float,
     stats: MergeStats,
 ) -> list[tuple[list[int], ElmNetwork, ReadoutStats]]:
-    """The merge decisions of merge_and_learn, with row N's tests run under
-    `layer(N)`: the partition ids of each region, ascending, in order with
-    `layer(N)` and its final one-entry statistics under it (the pool of its
-    last accepted test, or its own if it absorbed nothing), and the tests and
-    merges counted in `stats`.
+    """The merge decisions of merge_and_learn (every partition holds
+    samples), with row N's tests run under `layer(N)`: the partition ids of
+    each region, ascending, in order with `layer(N)` and its final one-entry
+    statistics under it (the pool of its last accepted test, or its own if it
+    absorbed nothing), and the tests and merges counted in `stats`.
 
     Row N's candidates are the partitions after it, none of which has
     absorbed anything, so their statistics come from `ReadoutStats.of` in
@@ -355,23 +353,19 @@ def merge_sweep(
         LinAlgError from several tests, FloatingPointError from one."""
         nonlocal row, accepting, width
         pools = cand.running(row) if accepting else row + cand
-        tested = pools.rows > 0  # a pool without rows is skipped, not tested
-        accept = np.zeros(len(cand), dtype=bool)
-        if tested.any():
-            try:
-                # an untested pool is all zeros: its solve is the ridge's and its MSE 0 / 0
-                accept = tested & (pools.mse(pools.readout()) <= gamma)
-            except np.linalg.LinAlgError as exc:
-                if len(ids) > 1:
-                    raise
-                raise FloatingPointError(f"pooled readout solve of partition {parts.boxes[ids[0]]!r} with the region "
-                                         f"of partition {parts.boxes[members[0]]!r} is singular ({exc})") from exc
+        try:
+            accept = pools.mse(pools.readout()) <= gamma
+        except np.linalg.LinAlgError as exc:
+            if len(ids) > 1:
+                raise
+            raise FloatingPointError(f"pooled readout solve of partition {parts.boxes[ids[0]]!r} with the region "
+                                     f"of partition {parts.boxes[members[0]]!r} is singular ({exc})") from exc
         breaks = np.flatnonzero(accept != accepting)
         k = int(breaks[0]) if breaks.size else len(cand)
         used = min(k + 1, len(cand))
         absorbed = slice(0, k) if accepting else slice(k, used)
         took = ids[absorbed]
-        stats.pair_tests += int(np.count_nonzero(tested[:used]))
+        stats.pair_tests += used
         stats.merges += took.size
         if took.size:
             # a copy: the absorbed pool is a view that would pin its window's stacked pools

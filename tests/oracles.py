@@ -66,9 +66,6 @@ def raw_merge(parts, data, hidden_count: int, seed: int, gamma: float):
         n = big_n + 1
         while n < len(regions):
             pooled = np.concatenate([regions[big_n][1], regions[n][1]])
-            if pooled.size == 0:
-                n += 1
-                continue
             tests += 1
             pool = data.subset(pooled)
             if mse(fit_output_weights(layer, pool), pool) <= gamma:
@@ -113,9 +110,6 @@ def sequential_merge(parts, data, hidden_count: int, seed: int, gamma: float):
             n = big_n + 1
             while n < len(regions):
                 pooled = [a + b for a, b in zip(row, statistics(layer, regions[n][1]))]
-                if pooled[3] == 0:
-                    n += 1
-                    continue
                 try:
                     fit = ridge_mse(*pooled)
                 except np.linalg.LinAlgError as exc:

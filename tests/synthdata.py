@@ -139,21 +139,16 @@ def tree_of(zone: Box | WorkingZone, boxes) -> BoxTree:
 
 
 def count_boxes(monkeypatch) -> list[int]:
-    """Patch `Box` so that each `Box` made, checked or trusted, adds 1 to the
-    one entry of the list returned."""
+    """Patch `Box` so that each `Box` made adds 1 to the one entry of the
+    list returned."""
     made = [0]
-    post_init, trusted = Box.__post_init__, Box._trusted.__func__
+    post_init = Box.__post_init__
 
     def counted_post_init(box):
         made[0] += 1
         post_init(box)
 
-    def counted_trusted(cls, *rows):
-        made[0] += 1
-        return trusted(cls, *rows)
-
     monkeypatch.setattr(Box, "__post_init__", counted_post_init)
-    monkeypatch.setattr(Box, "_trusted", classmethod(counted_trusted))
     return made
 
 

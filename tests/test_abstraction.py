@@ -424,7 +424,7 @@ def test_save_and_export_dot_hold_one_row_block_of_a_dense_relation(tmp_path):
     n = len(cells)
     relation = np.ones((n + 1, n + 1), dtype=bool)
     relation[n, :n] = False
-    ts = TransitionSystem(zone, tuple(cells), relation)
+    ts = TransitionSystem(zone, tree_of(zone, cells), relation)
     row = len("".join(f"  Q{n} -> Q{j};\n" for j in range(1, n + 1)) + "  Q{n} -> EXIT;\n")
     bound = 4 * (WRITE_BLOCK_BYTES + row)
     tracemalloc.start()
@@ -455,7 +455,7 @@ def save_random_relation(path) -> np.ndarray:
     relation = np.random.default_rng(5).random((len(cells) + 1,) * 2) < 0.3
     np.fill_diagonal(relation, True)  # total, with the sink's self-loop
     relation[-1, :-1] = False
-    TransitionSystem(zone, tuple(cells), relation).save(path)
+    TransitionSystem(zone, tree_of(zone, cells), relation).save(path)
     return relation
 
 
@@ -477,6 +477,23 @@ def test_load_makes_no_box_per_cell(tmp_path, monkeypatch):
         assert ts.n_cells == n
         made[n] = count[0]
     assert made[1] == made[256] <= 4, made
+
+
+def test_save_makes_no_box_per_box(tmp_path, monkeypatch):
+    """`HybridModel.save` and `TransitionSystem.save` write the region boxes
+    and the cells from the stacked rows of their trees: neither makes a `Box`."""
+    model, _ = fitted_swirl_model(epsilon=0.005, gamma=1e-8)
+    zone = WorkingZone(Box([0.0], [1.0]))
+    cells = [zone.omega]
+    while len(cells) < 256:
+        cells = [half for cell in cells for half in cell.bisect(0)]
+    ts = TransitionSystem(zone, tree_of(zone, cells), np.eye(257, dtype=bool))
+    assert len(model.tree) > 90 and model.n_regions > 10
+    with monkeypatch.context() as m:
+        count = count_boxes(m)
+        model.save(tmp_path / "model.json")
+        ts.save(tmp_path / "ts.json")
+    assert count[0] == 0
 
 
 def test_load_holds_the_relation_text_once(tmp_path):

@@ -850,6 +850,20 @@ def test_network_widths_are_checked_against_the_zone_on_load(artifacts, tmp_path
     assert not (tmp_path / "a").exists()
 
 
+def test_model_region_that_owns_no_box_exits_3(artifacts, tmp_path, capsys):
+    """A region with a network but no box could never run: loading the model
+    is a structural defect, one error line naming the region."""
+    doc = json.loads((artifacts / "model.json").read_text())
+    extra = len(doc["regions"]) + 1
+    doc["regions"].append({"id": extra, "boxes": []})
+    doc["networks"].append(doc["networks"][0])
+    bad = tmp_path / "idle.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--model", bad, "--x0", "0.4,0.3", "--steps", 5)
+    assert (code, out) == (3, "")
+    assert err == f"error: invalid model document: region {extra} owns no box\n"
+
+
 # explicit ids keep these cases' names; each states the requirement that `named` pins
 @pytest.mark.parametrize("artifact, path, value, named", [
     pytest.param("model.json", ("format_version",), True, "format_version must be a JSON integer, got true",

@@ -110,17 +110,32 @@ def test_merge_is_deterministic():
         assert np.array_equal(na.w_out, nb.w_out)
 
 
-def test_zero_sample_region_gets_zero_map_with_warning():
+def test_partition_without_samples_is_rejected():
+    """A partition without samples has no dynamics to learn: merge_and_learn
+    names it before any test, where `me_partition` never makes one."""
     rng = np.random.default_rng(1)
     zone = unit_zone()
     z = np.column_stack([rng.uniform(0.0, 0.49, 30), rng.uniform(0, 1, 30)])
     data = Dataset(2, 0, z, rng.normal(size=(30, 2)))
     left, right = zone.omega.bisect(0)
     parts = PartitionSet(zone, tree_of(zone, [left, right]), [np.arange(30), np.arange(0)], epsilon=0.0)
-    with pytest.warns(RuntimeWarning, match="no samples"):
-        model = merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=0.0)
-    assert model.n_regions == 2
-    assert np.all(model.networks[1].w_out == 0.0)
+    with pytest.raises(ValueError, match=re.escape("partition Box([0.5,1]x[0,1]) holds no samples")):
+        merge_and_learn(parts, data, hidden_count=10, seed=0, gamma=0.0)
+
+
+def test_region_that_owns_no_box_is_rejected():
+    """A region that owns no box has a network no state can select: the
+    constructor names it, and so a loaded model's document does."""
+    zone = unit_zone()
+    net = constant_net([0.1, 0.1], 2)
+    halves = tree_of(zone, zone.omega.bisect(0))
+    with pytest.raises(ValueError, match=re.escape("region 2 owns no box")):
+        HybridModel(zone, halves, np.array([1, 3]), (net, net, net), 0.0, 0.0)
+    doc = json.loads(json.dumps(split_region_model(zone, [net, net]).to_dict()))
+    doc["regions"].append({"id": 3, "boxes": []})
+    doc["networks"].append(doc["networks"][0])
+    with pytest.raises(DataError, match=re.escape("invalid model document: region 3 owns no box")):
+        HybridModel.from_dict(doc)
 
 
 def test_locate_inside_and_boundary_and_outside():
@@ -671,20 +686,20 @@ def test_merged_regions_ship_their_certified_network(seed):
         assert mse(model.network_of(region), rows) <= gamma * (1 + 1e-4)
 
 
-def grid_with_empty_cells(seed: int) -> tuple[PartitionSet, Dataset]:
+def crowded_grid(seed: int) -> tuple[PartitionSet, Dataset]:
     """An epsilon-0 tiling of the unit square into 8 x 8 bisection cells,
-    with samples in only some of them, so many partitions are empty."""
+    with each cell's centre and 300 samples crowded near the origin, so
+    that a quarter of the partitions hold only their centre."""
     boxes = [unit_zone().omega]
     for dim in (0, 1, 0, 1, 0, 1):
         boxes = [half for b in boxes for half in b.bisect(dim)]
     rng = np.random.default_rng(seed)
-    z = rng.uniform(0.0, 1.0, size=(300, 2)) ** 3  # crowded near the origin
+    centres = [0.5 * (b.lo + b.hi) for b in boxes]
+    z = np.concatenate([centres, rng.uniform(0.0, 1.0, size=(300, 2)) ** 3])
     data = Dataset(2, 0, z, np.column_stack([np.sin(4.0 * z[:, 0]), z[:, 0] * z[:, 1]]))
     owner = membership_matrix(boxes, z).argmax(axis=1)
     assignments = [np.flatnonzero(owner == k) for k in range(len(boxes))]
-    parts = PartitionSet(unit_zone(), tree_of(unit_zone(), boxes), assignments, epsilon=0.0)
-    assert sum(a.size == 0 for a in parts.assignments) >= 10
-    return parts, data
+    return PartitionSet(unit_zone(), tree_of(unit_zone(), boxes), assignments, epsilon=0.0), data
 
 
 def sweep_cases():
@@ -695,13 +710,13 @@ def sweep_cases():
     data = swirl_dataset(4000, seed=0, twist=0.6)
     yield me_partition(swirl_zone(), data.states, epsilon=1e-3), data, 20, 0, 1.5e-5
     for seed, gamma in ((0, 1e-4), (1, 1e-3)):
-        yield *grid_with_empty_cells(seed), 10, seed, gamma
+        yield *crowded_grid(seed), 10, seed, gamma
 
 
 def test_batched_sweep_equals_sequential_oracle():
     """The windowed sweep takes the one-at-a-time sweep's decisions bit for
     bit: criterion 1's datasets, about 1k swirl partitions at eps 1e-3, and
-    epsilon-0 grids with empty partitions. Every region's boxes, final
+    epsilon-0 grids of 64 cells. Every region's boxes, final
     statistics and row count and the counts are equal, and each region ships
     exactly the ridge readout of those statistics, whose predictions on the
     region's rows agree with a least-squares fit's to criterion 3's
@@ -721,23 +736,18 @@ def test_batched_sweep_equals_sequential_oracle():
         for (_, _, pool), (_, idx, (hh, hy, yy, rows)) in zip(got, expected):
             assert len(pool) == 1 and pool.rows[0] == rows == idx.size and pool.yy[0] == yy
             assert np.array_equal(pool.hh[0], hh) and np.array_equal(pool.hy[0], hy)
-        with warnings.catch_warnings():  # an empty region's zero map warns
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
+        model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
         assert (model.stats.pair_tests, model.stats.merges) == (tests, merges)
         # each region ships the layer its tests ran under
         for (_, tested, _), net in zip(got, model.networks):
             assert np.array_equal(net.w_in, tested.w_in) and np.array_equal(net.b_in, tested.b_in)
         for i, ((_, idx, (hh, hy, _, _)), net) in enumerate(zip(expected, model.networks)):
-            if not idx.size:
-                assert np.array_equal(net.w_out, layer(i).w_out)
-                continue
             assert np.array_equal(net.w_out, np.linalg.solve(hh + DEFAULT_RIDGE * np.eye(hidden), hy).T)
             # the weights of an ill-conditioned region differ more; its predictions do not
             rows = data.subset(idx)
             lstsq = predict_batch(fit_output_weights(layer(i), rows), rows.z)
             assert np.linalg.norm(predict_batch(net, rows.z) - lstsq) < 1e-6 * np.linalg.norm(lstsq)
-        kinds.add((0 < merges < tests, len(parts) > 900, any(a.size == 0 for a in parts.assignments)))
+        kinds.add((0 < merges < tests, len(parts) > 900, len(parts) == 64))
     assert {(True, True, False), (True, False, True)} <= kinds
 
 
@@ -749,9 +759,7 @@ def sweep_and_model(parts, data, hidden, seed, gamma):
 
     stats = MergeStats()
     regions = merge_sweep(parts, data, layer, gamma, stats)
-    with warnings.catch_warnings():  # an empty region's zero map warns
-        warnings.simplefilter("ignore", RuntimeWarning)
-        model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
+    model = merge_and_learn(parts, data, hidden_count=hidden, seed=seed, gamma=gamma)
     return regions, stats, model
 
 
