@@ -19,7 +19,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from .geometry import Box, rows_all
+from .geometry import Box, blocks, rows_all
 
 
 class DataError(ValueError):
@@ -151,10 +151,10 @@ def _short(value, limit: int = 60) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-# The most bytes converted at once: of a 0/1 matrix's JSON text in
-# `write_artifact` and `read_artifact`, of a dataset's float values in
-# `save_dataset`. A block holds at least one row.
-WRITE_BLOCK_BYTES = 64 * 1024
+# The share of `geometry.STACK_BYTES` converted at once (64 KiB): of a 0/1
+# matrix's JSON text in `write_artifact` and `read_artifact`, of a dataset's
+# float values in `save_dataset`. A block holds at least one row.
+TEXT_SHARE = 1 / 16
 
 
 def _bits_rows(m: np.ndarray) -> np.ndarray:
@@ -174,12 +174,11 @@ def _bits_rows(m: np.ndarray) -> np.ndarray:
 def _write_bits(f, m: np.ndarray) -> None:
     """Write the compact JSON of a 2-D bool matrix as 0/1 integers, equal to
     `json.dumps(m.astype(int).tolist(), separators=(",", ":"))`, to the text
-    stream `f`, one block of `WRITE_BLOCK_BYTES` at a time."""
-    rows = max(1, WRITE_BLOCK_BYTES // (2 * m.shape[1] + 2))
+    stream `f`, one TEXT_SHARE block at a time."""
     f.write("[")
-    for start in range(0, len(m), rows):
-        text = _bits_rows(m[start:start + rows]).tobytes()
-        f.write((text if start + rows < len(m) else text[:-1]).decode("ascii"))
+    for i, j in blocks(0, len(m), 2 * m.shape[1] + 2, TEXT_SHARE):
+        text = _bits_rows(m[i:j]).tobytes()
+        f.write((text if j < len(m) else text[:-1]).decode("ascii"))
     f.write("]")
 
 
@@ -187,9 +186,9 @@ def _decode_bits(text: str, pos: int) -> tuple[np.ndarray, int] | None:
     """The n x n bool matrix whose compact JSON, "[" + n rows "[d,...,d]," with
     the outer "]" in place of the last ",", starts at text[pos], and the index
     just past it; or None unless n >= 1 and it does, n being taken from the
-    first row's "]" at text[pos + 2n + 1]. Each block of rows of
-    `WRITE_BLOCK_BYTES` is tested, as a (rows, 2n + 2) view of its ASCII
-    bytes, and decoded in turn, so only the result is held whole."""
+    first row's "]" at text[pos + 2n + 1]. Each TEXT_SHARE block of rows is
+    tested, as a (rows, 2n + 2) view of its ASCII bytes, and decoded in
+    turn, so only the result is held whole."""
     n = (text.find("]", pos) - pos - 1) // 2
     width = 2 * n + 2
     if n < 1 or not text.startswith("[", pos) or len(text) - pos < n * width + 1:
@@ -199,9 +198,7 @@ def _decode_bits(text: str, pos: int) -> tuple[np.ndarray, int] | None:
     layout[1:2 * n:2] = ord("1")
     digit = (layout == ord("1")).astype(np.uint8)  # x | 1 == '1' only for x in '0', '1'
     out = np.empty((n, n), dtype=bool)
-    step = max(1, WRITE_BLOCK_BYTES // width)
-    for a in range(0, n, step):
-        b = min(n, a + step)
+    for a, b in blocks(0, n, width, TEXT_SHARE):
         # a non-ASCII character becomes "?", which fails the test
         block = text[pos + 1 + a * width:pos + 1 + b * width].encode("ascii", "replace")
         rows = np.frombuffer(block, dtype=np.uint8).reshape(b - a, width)
@@ -239,7 +236,7 @@ def write_artifact(path, doc: dict) -> None:
     put every relation entry on a line of its own). A string value such as
     `created_utc` thus keeps a line to itself. A 2-D bool ndarray value is
     written as rows of 0/1 integers, one block of rows at a time (see
-    `WRITE_BLOCK_BYTES`), so its whole text is never held.
+    TEXT_SHARE), so its whole text is never held.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write("{\n")
@@ -510,17 +507,16 @@ def save_dataset(path, data: Dataset) -> None:
     """Write a dataset in the CSV layout accepted by load_dataset, under the
     header x1..., u1..., y1... : each value as the `repr` of its float, each
     line ended by CRLF, as the csv module writes them. The rows are converted
-    one block of `WRITE_BLOCK_BYTES` at a time."""
+    one TEXT_SHARE block at a time."""
     header = (
         [f"x{i + 1}" for i in range(data.n_x)]
         + [f"u{i + 1}" for i in range(data.n_u)]
         + [f"y{i + 1}" for i in range(data.n_x)]
     )
-    rows = max(1, WRITE_BLOCK_BYTES // (8 * len(header)))
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(header) + "\r\n")
-        for start in range(0, len(data), rows):
-            block = np.concatenate([data.z[start:start + rows], data.y[start:start + rows]], axis=1)
+        for i, j in blocks(0, len(data), 8 * len(header), TEXT_SHARE):
+            block = np.concatenate([data.z[i:j], data.y[i:j]], axis=1)
             f.writelines(",".join(map(repr, row)) + "\r\n" for row in block.tolist())
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DataError, Dataset, member, number_rows
+from .geometry import blocks
 
 DEFAULT_RIDGE = 1e-8
 
@@ -113,25 +114,17 @@ def fit_output_weights(net: ElmNetwork, data: Dataset) -> ElmNetwork:
     return replace(net, w_out=w_t.T)
 
 
-# bytes of one block of temporaries. The fit holds one block besides the
-# data's table, 8 bytes of row index per sample (`RowSets`) and its results:
-# a chunk of the merge sweep's candidate statistics takes a third, and beside
-# it either one gather of sample rows with its activations and products
-# (GATHER_SHARE, in `RowSets` and `ReadoutStats.of`) or a window of pair
-# tests, whose pools and `ReadoutStats.readout`'s ridge-shifted copy of them
-# are at most a chunk each. One entry's H^T H (8 h^2 bytes) and one row set's
-# activations (8 r h bytes) are held whole, since splitting either would
-# change bits, so a share holds at least one of either. The fit steps no
-# sample; `HybridModel.predict_located` steps its pieces in whole blocks.
-STACK_BYTES = 1 << 20
+# The fit holds one block of `geometry.STACK_BYTES` besides the data's table,
+# 8 bytes of row index per sample (`RowSets`) and its results: a chunk of the
+# merge sweep's candidate statistics takes a third, and beside it either one
+# gather of sample rows with its activations and products (GATHER_SHARE, in
+# `RowSets` and `ReadoutStats.of`) or a window of pair tests, whose pools and
+# `ReadoutStats.readout`'s ridge-shifted copy of them are at most a chunk
+# each. One entry's H^T H (8 h^2 bytes) and one row set's activations (8 r h
+# bytes) are held whole, since splitting either would change bits, so a share
+# holds at least one of either. The fit steps no sample;
+# `HybridModel.predict_located` steps its pieces in whole blocks.
 GATHER_SHARE = 2 / 3
-
-
-def per_block(item_bytes: int, share: float = 1.0) -> int:
-    """Items of `item_bytes` bytes each that the fraction `share` of a block
-    of STACK_BYTES holds, at least one. The budget is read at call time, so
-    setting `elm.STACK_BYTES` resizes every block."""
-    return max(1, int(STACK_BYTES * share) // max(int(item_bytes), 1))
 
 
 def id_runs(ids) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -150,8 +143,8 @@ class RowSets:
     stack of intp row indices per set size r, copied once from the sets in
     whatever integer type they come (`me_partition` gives int32):
     `ReadoutStats.of` gathers any selection of the sets from the table, in
-    blocks of GATHER_SHARE of STACK_BYTES, under any hidden layer. The table
-    itself is not copied."""
+    blocks of GATHER_SHARE of `geometry.STACK_BYTES`, under any hidden
+    layer. The table itself is not copied."""
 
     def __init__(self, z: np.ndarray, y: np.ndarray, sets: list[np.ndarray]):
         self.n_in, self.n_out = z.shape[1], y.shape[1]
@@ -167,10 +160,9 @@ class RowSets:
             k, stop = by_size[a:b], start + (b - a) * r
             rows = self.stacks[r] = idx[start:stop].reshape(b - a, r)
             self.slot[k] = np.arange(b - a)
-            block = per_block(8 * r * (1 + 2 * self.n_out), GATHER_SHARE)
-            for i in range(0, b - a, block):
-                ys = gather(self.y, rows[i:i + block], self.n_out)
-                self.yy[k[i:i + block]] = (ys * ys).reshape(ys.shape[0], -1).sum(axis=1)
+            for i, j in blocks(0, b - a, 8 * r * (1 + 2 * self.n_out), GATHER_SHARE):
+                ys = gather(self.y, rows[i:j], self.n_out)
+                self.yy[k[i:j]] = (ys * ys).reshape(ys.shape[0], -1).sum(axis=1)
             start = stop
 
 
@@ -215,8 +207,8 @@ class ReadoutStats:
         Sets of one size go through one stacked `a^T @ a`, which runs the
         product each set's own `h.T @ h` runs, so every entry equals that of
         its set alone. A block's gathered rows, activations and products
-        together take at most GATHER_SHARE of STACK_BYTES (`per_block`),
-        besides the returned stack.
+        together take at most GATHER_SHARE of `geometry.STACK_BYTES`
+        (`blocks`), besides the returned stack.
         """
         ids = np.asarray(ids, dtype=int)
         m, h = ids.size, net.hidden_count
@@ -226,9 +218,7 @@ class ReadoutStats:
         by_size, runs = id_runs(rows)
         slots = sets.slot[ids[by_size]]
         for r, a, b in runs:
-            block = per_block(8 * (r * (1 + n_in + n_out + h) + h * (h + n_out)), GATHER_SHARE)
-            for i in range(a, b, block):
-                j = min(b, i + block)
+            for i, j in blocks(a, b, 8 * (r * (1 + n_in + n_out + h) + h * (h + n_out)), GATHER_SHARE):
                 k, s = by_size[i:j], sets.stacks[r][slots[i:j]]
                 act = net.hidden(gather(sets.z, s, n_in))
                 hh[k] = act.transpose(0, 2, 1) @ act

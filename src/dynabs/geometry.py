@@ -15,6 +15,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# bytes of one block of temporaries: every loop over rows, sets, candidates or
+# query boxes that bounds its memory takes one block, or its share of one, at
+# a time (`blocks`)
+STACK_BYTES = 1 << 20
+
+
+def blocks(start: int, stop: int, item_bytes: int, share: float = 1.0) -> list[tuple[int, int]]:
+    """The (i, j) spans that cover range(start, stop) in order, each of as
+    many items of `item_bytes` bytes as the fraction `share` of STACK_BYTES
+    holds, at least one. The budget is read at call time, so setting
+    `geometry.STACK_BYTES` resizes every block."""
+    step = max(1, int(STACK_BYTES * share) // max(int(item_bytes), 1))
+    return [(i, min(stop, i + step)) for i in range(start, stop, step)]
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -155,11 +169,6 @@ class Walk(NamedTuple):
     kids: np.ndarray   # (2 * nodes,): node n's lower child at 2n, its upper one at 2n + 1; a stop's are itself
     label: np.ndarray  # (nodes,): the one label of a stop's boxes, -1 at other nodes
     depth: int         # levels that take every point to a stop
-
-
-# (query row, node) pairs one block of `BoxTree.overlapping` may hold at a
-# level of the tree: its query rows times the number of boxes
-OVERLAP_PAIRS = 1 << 17
 
 
 class BoxTree:
@@ -329,11 +338,11 @@ class BoxTree:
         node's lower child iff its lo is below the cut and to the upper one
         iff its hi is above it, and the pairs that reach a leaf are yielded
         at once. A level has at most as many nodes as there are boxes, and a
-        block has OVERLAP_PAIRS over that many rows, so it holds at most
-        OVERLAP_PAIRS (row, node) pairs at a level, and a yield at most as
-        many, however dense the overlaps. Pairs come in no particular order.
+        block's rows take 8 bytes (two int32) per box from STACK_BYTES
+        (`blocks`), so it holds at most STACK_BYTES / 8 (row, node) pairs at a
+        level, and a yield at most as many, however dense the overlaps. Pairs
+        come in no particular order.
         """
-        block = max(1, OVERLAP_PAIRS // self.lo.shape[0])
         lo = np.atleast_2d(np.asarray(lo, dtype=float))
         hi = np.atleast_2d(np.asarray(hi, dtype=float))
         if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != self.zone.dim:
@@ -342,8 +351,8 @@ class BoxTree:
         meets_zone = np.all(np.minimum(hi, z.hi) > np.maximum(lo, z.lo), axis=1)
         # 32-bit (row, node) pairs halve the memory of a block
         kids, leaf_of = (a.astype(np.int32) for a in (self.box_walk.kids, self.leaf))
-        for start in range(0, lo.shape[0], block):
-            q = (start + np.flatnonzero(meets_zone[start:start + block])).astype(np.int32)
+        for i, j in blocks(0, lo.shape[0], 8 * self.lo.shape[0]):
+            q = (i + np.flatnonzero(meets_zone[i:j])).astype(np.int32)
             node = np.zeros(q.size, dtype=np.int32)
             dims = iter(self.dims)  # the nodes of pass l lie on level l
             while q.size:

@@ -21,10 +21,9 @@ from .data import (DataError, Dataset, WorkingZone, boxes_from_docs, check_forma
 # fit_output_weights and membership_matrix are not called here, but the
 # benchmark's traced run (pipebench/run.py) wraps this module's names for them,
 # so the imports stay
-from .elm import (GATHER_SHARE, ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, mean_squared_error, per_block,
-                  predict_batch)
+from .elm import GATHER_SHARE, ElmNetwork, ReadoutStats, RowSets, id_runs, init_elm, mean_squared_error, predict_batch
 from .elm import fit_output_weights  # noqa: F401
-from .geometry import BoxTree, Walk, box_docs, membership_matrix  # noqa: F401
+from .geometry import BoxTree, Walk, blocks, box_docs, membership_matrix  # noqa: F401
 from .partition import PartitionSet
 
 MODEL_FORMAT_VERSION = 1
@@ -109,7 +108,7 @@ class HybridModel:
         of region ids[i].
 
         Each network runs on the run of its rows in a stable sort by id, in
-        pieces of one block of activations (`elm.STACK_BYTES`). Since
+        pieces of one block of activations (`geometry.STACK_BYTES`). Since
         `predict_batch` gives a row the bits it gets inside any batch, every
         row gets the bits `predict_batch` gives the rows of its region alone.
         A step that is not finite raises FloatingPointError naming its row's
@@ -128,9 +127,7 @@ class HybridModel:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming its row
             for rid, a, b in runs:
                 net = self.network_of(rid)
-                block = per_block(8 * net.hidden_count)
-                for i in range(a, b, block):
-                    j = min(b, i + block)
+                for i, j in blocks(a, b, 8 * net.hidden_count):
                     out[order[i:j]] = predict_batch(net, zs[i:j])
         if not np.isfinite(out).all():
             bad = int(np.argmin(np.isfinite(out).all(axis=1)))
@@ -328,12 +325,12 @@ def merge_sweep(
 
     Row N's candidates are the partitions after it, none of which has
     absorbed anything, so their statistics come from `ReadoutStats.of` in
-    stacked chunks of a third of `elm.STACK_BYTES`. The tests run in windows
-    of consecutive candidates of one chunk, one stacked solve per window, so
-    a window's pools and `readout`'s ridge-shifted copy of them take at most
-    a third each, and `of`'s gathers take the two thirds the chunk leaves
-    (`elm.GATHER_SHARE`): the sweep's temporaries stay within one block
-    however many partitions or samples there are. While the row
+    stacked chunks of a third of `geometry.STACK_BYTES`. The tests run in
+    windows of consecutive candidates of one chunk, one stacked solve per
+    window, so a window's pools and `readout`'s ridge-shifted copy of them
+    take at most a third each, and `of`'s gathers take the two thirds the
+    chunk leaves (`elm.GATHER_SHARE`): the sweep's temporaries stay within
+    one block however many partitions or samples there are. While the row
     rejects, every candidate is pooled with the fixed row; while it accepts,
     the pools are the running sums from the row's statistics, added in the
     order the one-at-a-time sweep adds them. A window keeps its results up to
@@ -392,9 +389,9 @@ def merge_sweep(
                 raise FloatingPointError(f"H^T H, H^T Y or sum Y^2 of partition {parts.boxes[members[0]]!r} "
                                          "is not finite: the data overflow the fit")
             accepting, width = False, FIRST_WINDOW
-            chunk = per_block(8 * net.hidden_count * (net.hidden_count + net.n_out) + 16, 1 - GATHER_SHARE)
-            for start in range(0, candidates.size, chunk):
-                block = candidates[start:start + chunk]
+            entry = 8 * net.hidden_count * (net.hidden_count + net.n_out) + 16
+            for start, stop in blocks(0, candidates.size, entry, 1 - GATHER_SHARE):
+                block = candidates[start:stop]
                 cand = ReadoutStats.of(net, sets, block)
                 i = 0
                 while i < block.size:

@@ -25,7 +25,8 @@ from dynabs import (
     merge_and_learn,
     sample_traces,
 )
-from dynabs.data import WRITE_BLOCK_BYTES, write_artifact
+from dynabs.data import TEXT_SHARE, write_artifact
+from dynabs.geometry import STACK_BYTES
 
 from oracles import edge_dot, observed_transitions, pairwise_transitions, sequential_traces, trace_inputs
 
@@ -413,7 +414,7 @@ def test_export_dot_equals_the_per_edge_rendering(with_initial):
 def test_save_and_export_dot_hold_one_row_block_of_a_dense_relation(tmp_path):
     """On a dense relation over 1 024 bisected cells (2.2 MB of `ts.json`,
     16.6 MB of DOT), the relation adds less than a few blocks of
-    `WRITE_BLOCK_BYTES` and DOT rows to `save`'s peak over that of the same
+    `STACK_BYTES * TEXT_SHARE` and DOT rows to `save`'s peak over that of the same
     document without it (the cells' JSON is built whole), and `export_dot`
     peaks below that much. Built as whole texts, the relation added 6.0 MB
     and `export_dot` peaked at 50 MB."""
@@ -426,7 +427,7 @@ def test_save_and_export_dot_hold_one_row_block_of_a_dense_relation(tmp_path):
     relation[n, :n] = False
     ts = TransitionSystem(zone, tree_of(zone, cells), relation)
     row = len("".join(f"  Q{n} -> Q{j};\n" for j in range(1, n + 1)) + "  Q{n} -> EXIT;\n")
-    bound = 4 * (WRITE_BLOCK_BYTES + row)
+    bound = 4 * (STACK_BYTES * TEXT_SHARE + row)
     tracemalloc.start()
     try:
         ts.save(tmp_path / "ts.json")

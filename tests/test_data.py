@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from dynabs import Box, DataError, Dataset, WorkingZone, load_dataset, membership_matrix, save_dataset, zone_from_data
 from dynabs import data as data_module
+from dynabs import geometry
 from dynabs.data import _read_csv, read_artifact, write_artifact
 
 from synthdata import swirl_dataset
@@ -161,8 +162,8 @@ def test_save_dataset_writes_what_the_csv_module_writes(tmp_path, monkeypatch):
         writer.writerow(["x1", "x2", "u1", "y1", "y2"])
         for zi, yi in zip(data.z, data.y):
             writer.writerow([repr(float(v)) for v in zi] + [repr(float(v)) for v in yi])
-    for block_bytes in (1, 3 * 8 * 5, data_module.WRITE_BLOCK_BYTES):
-        monkeypatch.setattr(data_module, "WRITE_BLOCK_BYTES", block_bytes)
+    for block_bytes in (1, 3 * 8 * 5, int(geometry.STACK_BYTES * data_module.TEXT_SHARE)):
+        monkeypatch.setattr(geometry, "STACK_BYTES", round(block_bytes / data_module.TEXT_SHARE))
         got = tmp_path / f"got{block_bytes}.csv"
         save_dataset(got, data)
         assert got.read_bytes() == want.read_bytes(), block_bytes
@@ -222,7 +223,7 @@ def test_bit_matrix_text_is_compact_json_and_reads_back(tmp_path_factory, m, blo
         spaced.insert(i, ws)
     rows = {"one row": 1, "three rows": 3, "all rows but the last": max(1, n - 1)}[block]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_module, "WRITE_BLOCK_BYTES", rows * (2 * n + 2))
+        mp.setattr(geometry, "STACK_BYTES", round(rows * (2 * n + 2) / data_module.TEXT_SHARE))
         write_artifact(path, {"m": m, "n": 1})
         line = path.read_text().splitlines()[1]
         assert line == '  "m": ' + compact + ","
@@ -244,7 +245,7 @@ def test_bit_matrix_text_is_the_same_in_any_row_blocks(tmp_path, monkeypatch, n)
     m[0, 0] = True
     want = '{\n  "m": ' + json.dumps(m.astype(int).tolist(), separators=(",", ":")) + "\n}\n"
     for block_bytes in (4 * (2 * n + 2), 1):
-        monkeypatch.setattr(data_module, "WRITE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(geometry, "STACK_BYTES", round(block_bytes / data_module.TEXT_SHARE))
         path = tmp_path / f"doc{block_bytes}.json"
         write_artifact(path, {"m": m})
         assert path.read_text() == want

@@ -16,7 +16,7 @@ from dynabs import (
     mse,
     predict_batch,
 )
-from dynabs import elm
+from dynabs import geometry
 from dynabs.elm import DEFAULT_RIDGE, ReadoutStats, RowSets
 
 from oracles import normal_equations_fit
@@ -233,7 +233,7 @@ def test_row_sets_hold_row_indices_not_a_copy_of_the_table(monkeypatch):
     index per sample and a few numbers per set, less than a float copy of z
     or of y (16 bytes per sample each), and its row views share their
     memory."""
-    monkeypatch.setattr(elm, "STACK_BYTES", 1 << 12)
+    monkeypatch.setattr(geometry, "STACK_BYTES", 1 << 12)
     data = swirl_dataset(40_000, seed=1, twist=0.6)
     sets = me_partition(swirl_zone(), data.states, epsilon=1e-3).assignments
     tracemalloc.start()
@@ -243,4 +243,4 @@ def test_row_sets_hold_row_indices_not_a_copy_of_the_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.shares_memory(rows.z, data.z) and np.shares_memory(rows.y, data.y)
-    assert peak <= 8 * len(data) + 128 * len(sets) + elm.STACK_BYTES < min(data.z.nbytes, data.y.nbytes), peak
+    assert peak <= 8 * len(data) + 128 * len(sets) + geometry.STACK_BYTES < min(data.z.nbytes, data.y.nbytes), peak

@@ -307,20 +307,19 @@ def overlap_queries(zone, boxes, rng):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 40), st.sampled_from([None, 1, 200]))
 def test_tree_overlapping_equals_brute_force_on_bisection_tilings(seed, dim, splits, pairs):
     """With the default block size (one block here), and with blocks of
-    OVERLAP_PAIRS // boxes query rows: one row, or a few. Each yield holds
-    the rows of one block, and at most block rows times boxes pairs: at most
-    OVERLAP_PAIRS, unless one row alone meets more boxes."""
+    `pairs` // boxes query rows, a block counting 8 bytes of STACK_BYTES per
+    (row, box) pair: one row, or a few. Each yield holds the rows of one
+    block, and at most block rows times boxes pairs: at most `pairs`, unless
+    one row alone meets more boxes."""
     rng = np.random.default_rng(seed)
     zone, leaves = random_bisection_tiling(rng, dim, splits)
     boxes = [leaves[k] for k in rng.permutation(len(leaves))]
     lo, hi = overlap_queries(zone, boxes, rng)
     tree = tree_of(zone, boxes)
-    default = geometry.OVERLAP_PAIRS
-    limit = geometry.OVERLAP_PAIRS = pairs or default
-    try:
+    limit = pairs or geometry.STACK_BYTES // 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "STACK_BYTES", 8 * limit)
         yields = list(tree.overlapping(lo, hi))
-    finally:
-        geometry.OVERLAP_PAIRS = default
     block = max(1, limit // len(boxes))
     for rows, hit in yields:
         assert 0 < rows.size == hit.size <= block * len(boxes) <= max(limit, len(boxes))

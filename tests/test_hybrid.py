@@ -41,7 +41,7 @@ from synthdata import (
     tree_of,
     unit_zone,
 )
-from dynabs import elm, hybrid
+from dynabs import geometry, hybrid
 from dynabs.elm import DEFAULT_RIDGE, ReadoutStats
 from dynabs.hybrid import MergeStats, derive_seed, merge_sweep
 
@@ -500,7 +500,7 @@ def test_grouped_step_runs_in_pieces_of_one_block(rows, monkeypatch):
     ids = model.locate_batch(z)
     pieces, predict = [], hybrid.predict_batch
     with monkeypatch.context() as m:
-        m.setattr(elm, "STACK_BYTES", 8 * 10 * rows)
+        m.setattr(geometry, "STACK_BYTES", 8 * 10 * rows)
         m.setattr(hybrid, "predict_batch", lambda net, x: pieces.append(len(x)) or predict(net, x))
         out = model.predict_located(z, ids)
     assert max(pieces) == rows and sum(pieces) == len(z)
@@ -772,7 +772,7 @@ def test_block_boundaries_change_no_bit(monkeypatch):
     for case in sweep_cases():
         regions_0, stats_0, model_0 = sweep_and_model(*case)
         with monkeypatch.context() as m:
-            m.setattr(elm, "STACK_BYTES", 1)
+            m.setattr(geometry, "STACK_BYTES", 1)
             m.setattr(ReadoutStats, "of", classmethod(
                 lambda cls, net, sets, ids: stacked.append(len(ids)) or of(cls, net, sets, ids)))
             m.setattr(ElmNetwork, "hidden", lambda net, z: stacked.append(len(z)) or hidden(net, z))
@@ -791,7 +791,7 @@ def test_block_boundaries_change_no_bit(monkeypatch):
 
 
 def test_merge_memory_does_not_grow_with_partitions(monkeypatch):
-    """The sweep's temporaries stay within one block of elm.STACK_BYTES: at
+    """The sweep's temporaries stay within one block of geometry.STACK_BYTES: at
     the default budget and at a quarter of it, its traced peak is at most
     one block, 8 bytes of row index per sample and a slack of 256 bytes per
     partition for the sweep's bookkeeping and the returned model (about 170
@@ -801,7 +801,7 @@ def test_merge_memory_does_not_grow_with_partitions(monkeypatch):
     tilings = [me_partition(swirl_zone(), data.states, epsilon=epsilon) for epsilon in (1e-3, 3e-4)]
     assert len(tilings[1]) > 3000
     for budget in (1 << 20, 1 << 18):
-        monkeypatch.setattr(elm, "STACK_BYTES", budget)
+        monkeypatch.setattr(geometry, "STACK_BYTES", budget)
         peaks = []
         for parts in tilings:
             tracemalloc.start()

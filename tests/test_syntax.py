@@ -12,7 +12,7 @@ import pytest
 from test_workflow import INLINE_PYTHON, workflow_scripts
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = ("src/dynabs", "tests", "pipebench")
+SOURCES = ("src/dynabs", "tests", "pipebench", "tools")
 
 
 def oldest_python() -> tuple[int, int]:
