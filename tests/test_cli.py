@@ -185,6 +185,21 @@ def test_bench_report(dataset_csv, tmp_path, capsys):
     assert int(rows[1]["hidden_count"]) == 200
 
 
+def test_bench_reference_is_the_one_region_fit(dataset_csv, tmp_path, capsys):
+    """The reference row is the model `fit --epsilon inf --hidden-count 200`
+    writes: one network of 200 neurons, with the training MSE fit prints."""
+    code, _, _ = run(capsys, "bench", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0, "--seed", 3,
+                     "--out-dir", tmp_path / "bench")
+    assert code == 0
+    with open(tmp_path / "bench" / "bench.csv", newline="") as f:
+        reference = list(csv.DictReader(f))[1]
+    assert (reference["variant"], reference["networks"], reference["hidden_count"]) == ("reference", "1", "200")
+    code, out, _ = run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0, "--seed", 3,
+                       "--epsilon", "inf", "--hidden-count", 200, "--out-dir", tmp_path / "fit")
+    assert code == 0 and "partitions: 1\nregions after merge: 1\n" in out
+    assert f"total mse: {float(reference['mse']):.6e}\n" in out
+
+
 def test_simulate_outputs_trace(dataset_csv, tmp_path, capsys):
     out_dir = tmp_path / "sim"
     run(capsys, "fit", "--dataset", dataset_csv, "--n-x", 2, "--n-u", 0,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -50,6 +51,16 @@ def test_huge_epsilon_keeps_single_partition():
     parts = me_partition(unit_zone(), two_cluster_dataset().states, epsilon=1e6)
     assert len(parts) == 1
     assert [a.size for a in parts.assignments] == [200]
+
+
+def test_infinite_epsilon_gives_the_one_box_partition_of_every_row():
+    """At epsilon inf no split is kept: `bench` fits its reference network on this partition."""
+    zone, states = unit_zone(), two_cluster_dataset().states
+    parts = me_partition(zone, states, math.inf)
+    assert len(parts) == 1 and parts.epsilon == math.inf
+    assert parts.boxes[0].to_dict() == zone.omega.to_dict()
+    np.testing.assert_array_equal(parts.assignments[0], np.arange(len(states)))
+    assert parts.split_log and not any(committed for *_, committed in parts.split_log)
 
 
 def test_two_cluster_first_split_on_x1_midline():

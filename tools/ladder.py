@@ -1,5 +1,5 @@
-"""The epsilon ladder: stage times, counts and peak RSS of one fit -> abstract
--> verify run per rung, on a fixed swirl dataset.
+"""The epsilon ladder: stage times, counts, peak RSS and precision diagnostics
+of one fit -> abstract -> verify run per rung, on a fixed swirl dataset.
 
 Run from the repository root:
 
@@ -13,7 +13,24 @@ and no earlier rung's freed heap shapes it. The process imports `dynabs` from
 the library in-process and times each call itself: `me_partition`,
 `merge_and_learn`, `sample_traces`, `build_cells`, `compute_transitions` and
 one `sat_set` of `AG !EXIT`, each the best of REPEATS (TRANSITION_REPEATS
-for the transitions). The counts come from the return values.
+for the transitions). The counts come from the return values, and the peak
+RSS is read after the timed stages.
+
+Then, untimed, each rung's `precision` object reads the transition system R:
+- `out_degree_p50`, `_p90` and `_max`: successors of each cell's row of R,
+  the EXIT edge counted (quantiles as observed degrees);
+- `ctl_rounds`: the `ctl._fix` rounds that one `AG !EXIT` takes, counted by
+  wrapping `dynabs.ctl._fix` in this process;
+- `attractor_scc`: the cells of the strongly connected component of the cell
+  holding ATTRACTOR, as forward and backward reachability over R's cell block;
+- `witnessed_fraction`: the share of R's cell-row edges (EXIT edges included)
+  that WITNESS_RUNS fresh `model.step` runs of up to WITNESS_STEPS steps take,
+  from uniform start states (seed TRACE_SEED + 1); a run ends on its exit step;
+- `width_ratio_p50` and `_p90`: over WIDTH_CELLS evenly spaced cells, the
+  enclosure width over the width of WIDTH_POINTS sampled images (seed
+  TRACE_SEED + 2), as the mean over dimensions;
+- `true_miss`: the share of true swirl steps from MISS_POINTS points per cell
+  (seed TRACE_SEED + 3) whose cell or EXIT edge is not in R.
 """
 
 from __future__ import annotations
@@ -41,6 +58,12 @@ FORMULA = "AG !EXIT"
 REPEATS, TRANSITION_REPEATS = 3, 2
 COUNTS = ("partitions", "pair_tests", "regions", "region_boxes", "trace_states", "cells", "edges")
 STAGES = ("partition", "merge", "traces", "cells", "transitions", "ctl")
+ATTRACTOR = (0.05, 0.05)  # near the swirl's fixed point at the origin
+WITNESS_RUNS, WITNESS_STEPS = 400, 400
+WIDTH_CELLS, WIDTH_POINTS = 24, 256
+MISS_POINTS = 16
+PRECISION = ("out_degree_p50", "out_degree_p90", "out_degree_max", "ctl_rounds", "attractor_scc",
+             "witnessed_fraction", "width_ratio_p50", "width_ratio_p90", "true_miss")
 
 
 def setup() -> dict:
@@ -61,7 +84,7 @@ def best_of(k: int, call):
 
 
 def rung(epsilon: float, repeats: int = REPEATS, transition_repeats: int = TRANSITION_REPEATS) -> dict:
-    """Counts and stage seconds of one rung, run in this process."""
+    """Counts, stage seconds, peak RSS and precision of one rung, run in this process."""
     import numpy as np
     from dynabs import (Box, WorkingZone, build_cells, compute_transitions, me_partition, merge_and_learn,
                         parse_ctl, sample_traces, sat_set)
@@ -81,13 +104,98 @@ def rung(epsilon: float, repeats: int = REPEATS, transition_repeats: int = TRANS
     counts = {"partitions": len(parts), "pair_tests": model.stats.pair_tests, "regions": model.n_regions,
               "region_boxes": len(model.tree), "trace_states": len(states), "cells": len(cells),
               "edges": int(np.count_nonzero(ts.relation))}
-    return {"epsilon": epsilon, "counts": counts, "seconds": {k: round(v, 4) for k, v in seconds.items()}}
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2)
+    return {"epsilon": epsilon, "counts": counts, "seconds": {k: round(v, 4) for k, v in seconds.items()},
+            "precision": precision(model, ts, formula), "peak_rss_mb": peak_rss_mb}
+
+
+def ctl_rounds(ts, formula) -> int:
+    """The `ctl._fix` rounds (calls of its step) that `sat_set(ts, formula)` takes."""
+    from dynabs import ctl
+    rounds, fix = 0, ctl._fix
+
+    def counted_fix(step, start):
+        def counted(cur):
+            nonlocal rounds
+            rounds += 1
+            return step(cur)
+        return fix(counted, start)
+
+    ctl._fix = counted_fix
+    try:
+        ctl.sat_set(ts, formula)
+    finally:
+        ctl._fix = fix
+    return rounds
+
+
+def precision(model, ts, formula) -> dict:
+    """The precision diagnostics of R = `ts.relation` (see the module docstring)."""
+    import numpy as np
+    from dynabs import cell_successor_box
+    from synthdata import swirl_step
+
+    cells, relation = ts.cells, ts.relation
+    n = len(cells)
+    rows = relation[:n]  # the cells' rows, EXIT column included
+    degree = rows.sum(axis=1)
+    p50, p90 = np.quantile(degree, [0.5, 0.9], method="inverted_cdf").tolist()
+
+    block = relation[:n, :n]
+
+    def reachable(start: int, successors) -> np.ndarray:
+        seen = np.zeros(n, dtype=bool)
+        seen[start] = True
+        frontier = seen
+        while frontier.any():
+            frontier = successors(frontier) & ~seen
+            seen |= frontier
+        return seen
+
+    home = int(cells.locate(np.array([ATTRACTOR]))[0])
+    scc = reachable(home, lambda f: block[f].any(axis=0)) & reachable(home, lambda f: block[:, f].any(axis=1))
+
+    omega = model.zone.omega
+    rng = np.random.default_rng(TRACE_SEED + 1)
+    x = rng.uniform(omega.lo, omega.hi, size=(WITNESS_RUNS, omega.dim))
+    src, taken = cells.locate(x), []
+    for _ in range(WITNESS_STEPS):
+        if not len(x):
+            break
+        x = model.step(x)
+        dst = cells.locate(x)
+        taken.append(src * (n + 1) + np.where(dst < 0, n, dst))
+        inside = dst >= 0
+        x, src = x[inside], dst[inside]
+    witnessed = np.count_nonzero(relation.ravel()[np.unique(np.concatenate(taken))]) / np.count_nonzero(rows)
+
+    rng = np.random.default_rng(TRACE_SEED + 2)
+    ratios = []
+    for k in np.linspace(0, n - 1, WIDTH_CELLS).round().astype(int).tolist():
+        box = cells[k]
+        reach = cell_successor_box(model, box)
+        image = model.step(rng.uniform(box.lo, box.hi, size=(WIDTH_POINTS, box.dim)))
+        enclosure = reach.out_hi.max(axis=0) - reach.out_lo.min(axis=0)
+        ratios.append(float(np.mean(enclosure / np.ptp(image, axis=0))))
+    w50, w90 = np.quantile(ratios, [0.5, 0.9]).tolist()
+
+    rng = np.random.default_rng(TRACE_SEED + 3)
+    src = np.repeat(np.arange(n), MISS_POINTS)
+    dst = cells.locate(swirl_step(rng.uniform(cells.lo[src], cells.hi[src]), twist=TWIST))
+    miss = float(np.mean(~relation[src, np.where(dst < 0, n, dst)]))
+
+    values = (p50, p90, int(degree.max()), ctl_rounds(ts, formula), int(np.count_nonzero(scc)),
+              witnessed, w50, w90, miss)
+    return {k: v if isinstance(v, int) else float(f"{v:.4g}") for k, v in zip(PRECISION, values)}
 
 
 def run_rung(root: Path, epsilon: float) -> dict:
     """One rung in a fresh process over `root`'s sources, with its peak RSS."""
     out = subprocess.run([sys.executable, __file__, "--root", str(root), "--rung", repr(epsilon)],
-                         check=True, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": "0"})
+                         capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": "0"})
+    if out.returncode:
+        sys.stderr.write(out.stderr)
+        raise SystemExit(f"error: the rung at epsilon {epsilon!r} exited {out.returncode}")
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -116,9 +224,7 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     if args.rung is not None:
         sys.path[:0] = [str(root / "src"), str(root / "tests")]
-        result = rung(args.rung)
-        result["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2)
-        print(json.dumps(result))
+        print(json.dumps(rung(args.rung)))
         return 0
     doc = entry(root, args.label)
     if args.append is None:
