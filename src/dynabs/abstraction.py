@@ -31,11 +31,11 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> np.ndarray:
     in-zone successors, in ascending run order.
 
     Inputs (when the model takes any) are drawn uniformly over the input
-    bounds, L of them at every step until every trace has exited. A trace
-    whose successor leaves the zone stops there, after fewer than M steps; the
-    out-of-zone state is not kept. A step that is not finite (the model
-    overflows on a state of the zone) raises FloatingPointError naming the
-    state and its region. Room for L * (M + 1) states is allocated at once;
+    bounds, L of them as each step of `model.rollout` is taken, until every
+    trace has exited. A trace whose successor leaves the zone stops there,
+    after fewer than M steps; the out-of-zone state is not kept. A step that
+    is not finite (the model overflows on a state of the zone) raises
+    FloatingPointError naming the state and its region. Room for L * (M + 1) states is allocated at once;
     too much to allocate raises ValueError naming its size. The inputs are
     not kept: the cells read only the states. Fully deterministic for a given
     seed.
@@ -55,23 +55,12 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> np.ndarray:
                          "more than can be allocated") from None
     states[:L] = x
     n = L  # the rows of states filled so far
-    live = np.arange(L)  # the runs still in the zone, each taking its row of a step's L input draws
-    ids = model.locate_batch(x)  # x holds their states and ids their regions
     ib = model.zone.input_bounds
-
-    for _ in range(M):
-        if n_u > 0:
-            u = rng.uniform(ib.lo, ib.hi, size=(L, n_u))[live]
-        if not live.size:
-            break
-        nxt = model.predict_located(x if n_u == 0 else np.concatenate([x, u], axis=1), ids)
-        ids = model.locate_batch(nxt)
-        inside = ids >= 0  # -1 outside the zone: the one exit test
-        if not inside.all():
-            live, nxt, ids = live[inside], nxt[inside], ids[inside]
-        states[n: n + len(nxt)] = nxt
-        n += len(nxt)
-        x = nxt
+    draws = (rng.uniform(ib.lo, ib.hi, size=(L, n_u)) if n_u else None for _ in range(M))
+    for _, nxt, inside in model.rollout(x, draws):
+        kept = nxt if inside.all() else nxt[inside]
+        states[n: n + len(kept)] = kept
+        n += len(kept)
 
     return states[:n]
 

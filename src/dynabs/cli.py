@@ -282,16 +282,10 @@ def cmd_simulate(args) -> int:
     model = HybridModel.load(args.model)
     if len(args.x0) != model.zone.n_x:
         raise UsageError(f"x0 needs n_x = {model.zone.n_x} comma-separated numbers, got {len(args.x0)}")
-    inputs = None
-    if model.zone.n_u > 0:
-        rng = np.random.default_rng(args.seed)
-        ib = model.zone.input_bounds
-        inputs = rng.uniform(ib.lo, ib.hi, size=(args.steps, ib.dim))
+    ib, rng = model.zone.input_bounds, np.random.default_rng(args.seed)
+    inputs = rng.uniform(ib.lo, ib.hi, size=(args.steps, ib.dim)) if model.zone.n_u else None
     result = model.simulate(args.x0, inputs, args.steps)
-    doc = {
-        "states": result.states.tolist(),
-        "exited_at": result.exited_at,
-    }
+    doc = {"states": result.states.tolist(), "exited_at": result.exited_at}
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         print(f"trace written: {args.out}")

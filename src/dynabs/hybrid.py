@@ -4,7 +4,7 @@ Built from a maximum-entropy partition by merging redundant partitions (one
 network fitted on the pooled data of a candidate pair must reach the MSE
 threshold gamma); each surviving region keeps the network its merge tests
 solved. The model steps as x(k+1) = net[region(x(k))](x(k), u(k)) on the zone
-only: `step` raises on a state outside it, and `simulate` ends there.
+only: `step` raises on a state outside it, and `rollout` drops a run there.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -149,22 +149,41 @@ class HybridModel:
             raise ValueError(f"state row {k} {states[k].tolist()} lies outside the zone {self.zone.omega!r}")
         return self.predict_located(z, ids)
 
+    def rollout(self, x: np.ndarray, inputs: Iterable[np.ndarray | None]) -> Iterator[tuple[np.ndarray, ...]]:
+        """Step the (L, n_x) zone states x once per entry of `inputs`: that
+        step's (L, n_u) draw, row i for run i, or None without inputs. Each
+        step yields (live, nxt, inside): the ascending positions of the runs
+        still in the zone, their successors, and which of those lie in the
+        zone. The runs that left are then dropped; once none is left the
+        rollout ends, reading no further entry."""
+        ids = self.locate_batch(x)
+        live = np.arange(len(x))
+        for u in inputs:
+            nxt = self.predict_located(x if u is None else np.concatenate([x, u[live]], axis=1), ids)
+            ids = self.locate_batch(nxt)
+            inside = ids >= 0  # -1 outside the zone: the one exit test
+            yield live, nxt, inside
+            x = nxt
+            if not inside.all():  # a step where every run stays re-indexes nothing
+                live, x, ids = live[inside], x[inside], ids[inside]
+                if not live.size:
+                    return
+
     def simulate(self, x0, inputs=None, steps: int = 0) -> SimResult:
         """Iterate the model for up to `steps` steps from x0, step t taking row
         t of `inputs`, of shape (>= steps, n_u) when the model takes inputs
-        (another shape raises ValueError naming this one).
+        (another shape raises ValueError naming this one): one run of `rollout`.
 
         The run ends at the first state outside the zone, which it keeps
-        (`exited_at`). Each step is a one-row `predict_located` call, so a
-        step that is not finite raises FloatingPointError naming its state
-        and region. An x0 that is not one point of the zone (another shape, a
-        non-finite entry or a point outside it) raises ValueError naming it.
+        (`exited_at`). A step that is not finite raises FloatingPointError
+        naming its state and region. An x0 that is not one point of the zone
+        (another shape, a non-finite entry or a point outside it) raises
+        ValueError naming it.
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
         x = np.asarray(x0, dtype=float)
-        ids = self.locate_batch(x[None]) if x.shape == (self.zone.n_x,) else np.array([-1])
-        if ids[0] < 0:
+        if x.shape != (self.zone.n_x,) or self.locate_batch(x[None])[0] < 0:
             raise ValueError(f"start state {x.tolist()} lies outside the zone {self.zone.omega!r}")
         n_u = self.zone.n_u
         if n_u > 0:
@@ -173,17 +192,10 @@ class HybridModel:
             inputs = np.asarray(inputs, dtype=float)
             if inputs.ndim != 2 or inputs.shape[0] < steps or inputs.shape[1] != n_u:
                 raise ValueError(f"need inputs of shape (>= {steps}, {n_u}), got {inputs.shape}")
-        trace = [x]
-        exited_at = None
-        for t in range(steps):
-            z = np.concatenate([x, inputs[t]]) if n_u > 0 else x
-            x = self.predict_located(z[None], ids)[0]
-            trace.append(x)
-            ids = self.locate_batch(x[None])
-            if ids[0] < 0:
-                exited_at = t + 1
-                break
-        return SimResult(np.asarray(trace), exited_at)
+        trace, inside = [x], [True]  # no step taken, no exit
+        for _, nxt, inside in self.rollout(x[None], inputs[:steps, None] if n_u else [None] * steps):
+            trace.append(nxt[0])
+        return SimResult(np.asarray(trace), None if inside[0] else len(trace) - 1)  # the rollout ends on an exit
 
     def to_dict(self) -> dict:
         docs = box_docs(self.tree.lo, self.tree.hi, self.tree.closed_hi)

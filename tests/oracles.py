@@ -15,8 +15,11 @@ tables by per-level reductions over every box not yet at a leaf where the
 tree drops finished boxes and reads one column at a time, the DOT oracle
 formats one line per edge where the export joins each row's successors,
 the witness oracle reads the steps a simulation took straight off the
-padded per-run traces, and the CTL oracle evaluates path semantics by depth-first graph walks
-instead of boolean fixpoint iteration.
+padded per-run traces, the rollout oracle steps one run as one row where the
+rollout steps every live run at once, the swirl oracle steps one trajectory at
+a time where the generator steps all of them at once, and the CTL oracle
+evaluates path semantics by depth-first graph walks instead of boolean
+fixpoint iteration.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dynabs.elm import DEFAULT_RIDGE
 from dynabs.hybrid import derive_seed
 from dynabs.reach import OUTPUT_SLACK
 from dynabs.partition import MIN_SIDE_FRACTION
+from synthdata import swirl_step
 
 
 def shannon_entropy(counts) -> float:
@@ -266,6 +270,46 @@ def trace_inputs(model, L: int, M: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     rng.uniform(omega.lo, omega.hi, size=(L, omega.dim))
     return np.stack([rng.uniform(ib.lo, ib.hi, size=(L, model.zone.n_u)) for _ in range(M)], axis=1)
+
+
+def one_row_rollout(model, x0, inputs, steps: int):
+    """One run of up to `steps` steps from the zone state x0, step t taking
+    row t of `inputs` (None for a model without inputs), each state located
+    and stepped as one row. Returns (states, exited_at) as `model.simulate`
+    does: the first state outside the zone is the last row, at step
+    exited_at."""
+    x = np.asarray(x0, dtype=float)
+    ids = model.locate_batch(x[None])
+    trace, exited_at = [x], None
+    for t in range(steps):
+        z = x if inputs is None else np.concatenate([x, inputs[t]])
+        x = model.predict_located(z[None], ids)[0]
+        trace.append(x)
+        ids = model.locate_batch(x[None])
+        if ids[0] < 0:
+            exited_at = t + 1
+            break
+    return np.asarray(trace), exited_at
+
+
+def trajectory_swirl(n_samples: int, seed: int, trajectories=None, **swirl_kwargs):
+    """The (z, y) rows of `synthdata.swirl_dataset(n_samples, seed,
+    **swirl_kwargs)` that the listed trajectories (every one by default)
+    give, in their order: each start state is its own (1, 2) draw and each
+    trajectory takes its 100 steps one row at a time."""
+    rng = np.random.default_rng(seed)
+    steps = 100
+    n_traj = max(1, n_samples // steps)
+    starts = [rng.uniform(-0.7, 0.7, size=(1, 2)) for _ in range(n_traj)]
+    zs, ys = [], []
+    for k in range(n_traj) if trajectories is None else trajectories:
+        x = starts[k]
+        for _ in range(min(steps, n_samples - k * steps)):
+            nxt = swirl_step(x, **swirl_kwargs)
+            zs.append(x[0])
+            ys.append(nxt[0])
+            x = nxt
+    return np.asarray(zs).reshape(-1, 2), np.asarray(ys).reshape(-1, 2)
 
 
 def level_tree(zone, boxes):

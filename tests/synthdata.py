@@ -21,22 +21,19 @@ def swirl_step(x: np.ndarray, damping: float = 0.96, base_angle: float = 0.15, t
 
 
 def swirl_dataset(n_samples: int = 2000, seed: int = 1, **swirl_kwargs) -> Dataset:
-    """One-step samples harvested from swirl trajectories inside [-1, 1]^2."""
+    """One-step samples harvested from swirl trajectories inside [-1, 1]^2,
+    trajectory-major: every trajectory takes 100 steps, all of them at once."""
     rng = np.random.default_rng(seed)
     steps = 100
-    n_traj = max(1, n_samples // steps)
-    zs, ys = [], []
-    for _ in range(n_traj):
-        # initial L2 norm < 1 and the map is an L2 contraction, so every
-        # visited state stays inside [-1, 1]^2
-        x = rng.uniform(-0.7, 0.7, size=(1, 2))
-        for _ in range(steps):
-            nxt = swirl_step(x, **swirl_kwargs)
-            zs.append(x[0])
-            ys.append(nxt[0])
-            x = nxt
-    z = np.asarray(zs)[:n_samples]
-    y = np.asarray(ys)[:n_samples]
+    # initial L2 norm < 1 and the map is an L2 contraction, so every
+    # visited state stays inside [-1, 1]^2
+    x = rng.uniform(-0.7, 0.7, size=(max(1, n_samples // steps), 2))
+    states = [x]
+    for _ in range(steps):
+        states.append(swirl_step(states[-1], **swirl_kwargs))
+    states = np.stack(states, axis=1)  # (n_traj, steps + 1, 2)
+    z = states[:, :-1].reshape(-1, 2)[:n_samples]
+    y = states[:, 1:].reshape(-1, 2)[:n_samples]
     return Dataset(2, 0, z, y)
 
 
@@ -218,6 +215,27 @@ def fitted_swirl_model(seed: int = 0, n_samples: int = 2000, epsilon: float = 0.
                        gamma: float = 1.5e-5, **swirl_kwargs) -> tuple[HybridModel, Dataset]:
     data = swirl_dataset(n_samples, seed=seed + 1, **swirl_kwargs)
     return fitted_model(data, epsilon, seed, gamma), data
+
+
+def fitted_input_model():
+    """Several regions fitted to x+ = 0.95 x + 0.3 u + 0.1 sin(3 x) on
+    x in [-1, 1], u in [-0.5, 0.5]; some runs leave the zone."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, 600)
+    u = rng.uniform(-0.5, 0.5, 600)
+    data = Dataset(1, 1, np.column_stack([x, u]), (0.95 * x + 0.3 * u + 0.1 * np.sin(3.0 * x))[:, None])
+    zone = WorkingZone(Box([-1.0], [1.0]), input_bounds=Box([-0.5], [0.5]))
+    model = merge_and_learn(me_partition(zone, data.states, 0.01), data, hidden_count=10, seed=0, gamma=1e-7)
+    assert model.n_regions > 1
+    return model
+
+
+def drift_model():
+    """x+ = x + 0.1 on [0, 1]: every run leaves the zone within 11 steps,
+    each at its own step."""
+    zone = WorkingZone(Box([0.0], [1.0]))
+    return single_region_model(zone, ElmNetwork(np.array([[1.0], [0.0]]), np.array([0.0, 1.0]),
+                                                np.array([[1.0, 0.1]]), 2, 0))
 
 
 def tiny_transition_system(relation, n_cells: int):

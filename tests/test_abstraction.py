@@ -13,6 +13,7 @@ from dynabs import (
     DataError,
     Dataset,
     ElmNetwork,
+    HybridModel,
     TransitionSystem,
     WorkingZone,
     build_cells,
@@ -20,9 +21,7 @@ from dynabs import (
     export_dot,
     fit_output_weights,
     init_elm,
-    me_partition,
     membership_matrix,
-    merge_and_learn,
     sample_traces,
 )
 from dynabs.data import TEXT_SHARE, write_artifact
@@ -34,6 +33,8 @@ from synthdata import (
     alternating_slab_model,
     constant_net,
     count_boxes,
+    drift_model,
+    fitted_input_model,
     fitted_swirl_model,
     malformed_ts_texts,
     overflowing_step_model,
@@ -104,27 +105,6 @@ def test_sample_traces_stacked_arrays():
         assert np.array_equal(block, states[lengths >= k, k])
 
 
-def fitted_input_model():
-    """Several regions fitted to x+ = 0.95 x + 0.3 u + 0.1 sin(3 x) on
-    x in [-1, 1], u in [-0.5, 0.5]; some runs leave the zone."""
-    rng = np.random.default_rng(8)
-    x = rng.uniform(-1.0, 1.0, 600)
-    u = rng.uniform(-0.5, 0.5, 600)
-    data = Dataset(1, 1, np.column_stack([x, u]), (0.95 * x + 0.3 * u + 0.1 * np.sin(3.0 * x))[:, None])
-    zone = WorkingZone(Box([-1.0], [1.0]), input_bounds=Box([-0.5], [0.5]))
-    model = merge_and_learn(me_partition(zone, data.states, 0.01), data, hidden_count=10, seed=0, gamma=1e-7)
-    assert model.n_regions > 1
-    return model
-
-
-def drift_model():
-    """x+ = x + 0.1 on [0, 1]: every run leaves the zone within 11 steps,
-    each at its own step."""
-    zone = WorkingZone(Box([0.0], [1.0]))
-    return single_region_model(zone, ElmNetwork(np.array([[1.0], [0.0]]), np.array([0.0, 1.0]),
-                                                np.array([[1.0, 0.1]]), 2, 0))
-
-
 @pytest.mark.parametrize("case", ["swirl regions", "inputs", "all exit"])
 def test_sample_traces_equal_the_sequential_oracle(case):
     """The live-row sampler takes the steps, draws and exits of the loop
@@ -146,6 +126,33 @@ def test_sample_traces_equal_the_sequential_oracle(case):
         assert (lengths < M).any() and not (lengths < M).all()
     if case == "all exit":
         assert np.unique(lengths).size > 5 and lengths.max() < M
+
+
+@pytest.mark.parametrize("case", ["some stay", "all exit"])
+def test_sample_traces_locates_each_state_once(monkeypatch, case):
+    """sample_traces steps through `HybridModel.rollout`: one `locate_batch`
+    call for the start states and one per step, one `predict_located` call
+    per step, and no step once every run has exited (M steps when some run
+    stays, fewer when all exit)."""
+    model, L, M = (fitted_swirl_model(epsilon=0.01, gamma=1e-6)[0], 60, 50) if case == "some stay" else \
+        (drift_model(), 25, 30)
+    _, lengths = sequential_traces(model, L, M, seed=5)
+    steps = min(M, lengths.max() + 1)  # the last run exits at the step after its last in-zone state
+    assert (steps == M) == (case == "some stay")
+    calls = {"locate_batch": 0, "predict_located": 0}
+
+    def counted(name):
+        method = getattr(HybridModel, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(HybridModel, name, counted(name))
+    sample_traces(model, L, M, seed=5)
+    assert calls == {"locate_batch": steps + 1, "predict_located": steps}
 
 
 def test_simulate_reproduces_sampled_traces_with_inputs():

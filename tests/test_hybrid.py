@@ -25,11 +25,14 @@ from dynabs import (
     sample_traces,
 )
 
-from oracles import raw_merge, sequential_merge
+from oracles import one_row_rollout, raw_merge, sequential_merge
 from synthdata import (
     alternating_slab_model,
     constant_net,
     count_boxes,
+    drift_model,
+    fitted_input_model,
+    fitted_swirl_model,
     malformed_model_texts,
     overflowing_model,
     random_tiling_cases,
@@ -169,6 +172,48 @@ def test_step_constant_regions():
     model = split_region_model(zone, [constant_net(c1, 2), constant_net(c2, 2)])
     # the boundary point [0.5, 0.5] follows locate's half-open choice
     assert np.allclose(model.step([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]]), [c1, c2, c2])
+
+
+@pytest.mark.parametrize("case", ["one input", "autonomous"])
+def test_rollout_yields_equal_the_one_row_loop(case):
+    """Each run's successors and exit in the rollout's yields are the states
+    and exit of the one-row loop (`oracles.one_row_rollout`) fed that run's
+    inputs, bit for bit, for runs that exit at step 1, exit mid-run and never
+    exit; each step yields the runs still in the zone, ascending."""
+    model = fitted_input_model() if case == "one input" else fitted_swirl_model(epsilon=0.01, gamma=1e-6)[0]
+    zone, ib = model.zone, model.zone.input_bounds
+    L, M = 64, 30
+    rng = np.random.default_rng(0)
+    x = rng.uniform(zone.omega.lo, zone.omega.hi, size=(L, zone.n_x))
+    draws = [rng.uniform(ib.lo, ib.hi, size=(L, zone.n_u)) if zone.n_u else None for _ in range(M)]
+    runs = [[row] for row in x]
+    exits = np.zeros(L, dtype=int)  # the step whose successor left the zone, 0 for none
+    for t, (live, nxt, inside) in enumerate(model.rollout(x, draws), start=1):
+        assert np.array_equal(live, np.flatnonzero(exits == 0))
+        for i, state in zip(live.tolist(), nxt):
+            runs[i].append(state)
+        exits[live[~inside]] = t
+    assert (exits == 1).any() and (exits > 1).any() and (exits == 0).any()
+    for i in range(L):
+        states, exited_at = one_row_rollout(model, x[i], [u[i] for u in draws] if zone.n_u else None, M)
+        assert np.array_equal(np.asarray(runs[i]).view(np.uint64), states.view(np.uint64))
+        assert exited_at == (int(exits[i]) or None)
+
+
+def test_rollout_reads_no_entry_once_every_run_has_exited():
+    """x+ = x + 0.1 on [0, 1]: the runs from 0.95, 0.55 and 0 exit at steps
+    1, 5 and 11, and the rollout ends there, after reading 11 of 30 entries."""
+    read = []
+
+    def entries():
+        for t in range(30):
+            read.append(t)
+            yield None
+
+    yields = list(drift_model().rollout(np.array([[0.95], [0.55], [0.0]]), entries()))
+    assert [live.tolist() for live, _, _ in yields] == [[0, 1, 2]] + [[1, 2]] * 4 + [[2]] * 6
+    assert [np.flatnonzero(~inside).tolist() for _, _, inside in yields] == [[0]] + [[]] * 3 + [[0]] + [[]] * 5 + [[0]]
+    assert read == list(range(11))
 
 
 def test_simulate_zero_steps():

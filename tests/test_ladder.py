@@ -17,8 +17,15 @@ TABLE = {
     1e-3: (978, 2_827, 11, 978, 126_462, 734, 53_980),
     3e-4: (3_257, 7_376, 11, 3_257, 124_881, 3_211, 5_595_968),
 }
-# the entries before this index predate the precision object
-FIRST_PRECISION_ENTRY = 2
+# partitions, pair tests and regions of each row of the samples axis, the 1e-3 rung on
+# that many samples: the first row is that rung itself
+SAMPLES_TABLE = {
+    20_000: (978, 2_827, 11),
+    200_000: (1_005, 1_415, 16),
+    2_000_000: (1_006, 3_638, 9),
+}
+# the entries before these indices predate the precision object and the samples axis
+FIRST_PRECISION_ENTRY, FIRST_SAMPLES_ENTRY = 2, 4
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +53,21 @@ def test_smallest_rung_gives_the_table_counts(ladder):
     assert 1 <= precision["width_ratio_p50"] <= precision["width_ratio_p90"]
 
 
+def test_the_samples_axis_starts_at_the_rung_of_its_epsilon(ladder):
+    """The first row of the samples axis is the 1e-3 rung itself, so its
+    counts are that rung's table counts."""
+    assert ladder.SAMPLES_AXIS == tuple(SAMPLES_TABLE) and ladder.SAMPLES_AXIS[0] == ladder.SAMPLES
+    assert ladder.SAMPLES_EPSILON == 1e-3 and SAMPLES_TABLE[20_000] == TABLE[1e-3][:3]
+    assert ladder.setup()["samples"] == list(SAMPLES_TABLE) and ladder.setup()["samples_epsilon"] == 1e-3
+
+
 def test_bench_pipeline_entries_follow_the_schema_and_agree(ladder):
     bench = json.loads((ROOT / "BENCH_pipeline.json").read_text(encoding="utf-8"))
     assert set(bench) == {"setup", "entries"} and bench["setup"] == ladder.setup()
-    assert len(bench["entries"]) > FIRST_PRECISION_ENTRY
+    assert len(bench["entries"]) > FIRST_SAMPLES_ENTRY
     for k, entry in enumerate(bench["entries"]):
-        assert set(entry) == {"label", "commit", "python", "numpy", "nproc", "machine", "created_utc", "rungs"}
+        keys = {"label", "commit", "python", "numpy", "nproc", "machine", "created_utc", "rungs"}
+        assert set(entry) == (keys | {"samples"} if k >= FIRST_SAMPLES_ENTRY else keys)
         assert entry["label"] and entry["commit"]
         assert [r["epsilon"] for r in entry["rungs"]] == list(ladder.EPSILONS)
         keys = {"epsilon", "counts", "seconds", "peak_rss_mb"}
@@ -62,3 +78,13 @@ def test_bench_pipeline_entries_follow_the_schema_and_agree(ladder):
             assert k < FIRST_PRECISION_ENTRY or tuple(r["precision"]) == ladder.PRECISION
             assert tuple(r["counts"]) == ladder.COUNTS and tuple(r["counts"].values()) == TABLE[r["epsilon"]]
             assert tuple(r["seconds"]) == ladder.STAGES and all(s >= 0 for s in r["seconds"].values())
+        for r in entry.get("samples", []):
+            assert set(r) == keys | {"samples"} and r["epsilon"] == ladder.SAMPLES_EPSILON
+            assert tuple(r["counts"]) == ladder.COUNTS
+            assert tuple(r["counts"].values())[:3] == SAMPLES_TABLE[r["samples"]]
+            assert tuple(r["seconds"]) == ladder.STAGES and all(s >= 0 for s in r["seconds"].values())
+        if k >= FIRST_SAMPLES_ENTRY:
+            assert [r["samples"] for r in entry["samples"]] == list(ladder.SAMPLES_AXIS)
+            (same,) = [r for r in entry["rungs"] if r["epsilon"] == ladder.SAMPLES_EPSILON]
+            first = entry["samples"][0]
+            assert (first["counts"], first["precision"]) == (same["counts"], same["precision"])

@@ -14,7 +14,8 @@ the library in-process and times each call itself: `me_partition`,
 `merge_and_learn`, `sample_traces`, `build_cells`, `compute_transitions` and
 one `sat_set` of `AG !EXIT`, each the best of REPEATS (TRANSITION_REPEATS
 for the transitions). The counts come from the return values, and the peak
-RSS is read after the timed stages.
+RSS is read after the timed stages. The samples axis runs the SAMPLES_EPSILON
+rung again on each number of samples in SAMPLES_AXIS, in a fresh process too.
 
 Then, untimed, each rung's `precision` object reads the transition system R:
 - `out_degree_p50`, `_p90` and `_max`: successors of each cell's row of R,
@@ -24,8 +25,8 @@ Then, untimed, each rung's `precision` object reads the transition system R:
 - `attractor_scc`: the cells of the strongly connected component of the cell
   holding ATTRACTOR, as forward and backward reachability over R's cell block;
 - `witnessed_fraction`: the share of R's cell-row edges (EXIT edges included)
-  that WITNESS_RUNS fresh `model.step` runs of up to WITNESS_STEPS steps take,
-  from uniform start states (seed TRACE_SEED + 1); a run ends on its exit step;
+  that WITNESS_RUNS fresh runs of `model.rollout` of up to WITNESS_STEPS steps
+  take, from uniform start states (seed TRACE_SEED + 1), up to their exit steps;
 - `width_ratio_p50` and `_p90`: over WIDTH_CELLS evenly spaced cells, the
   enclosure width over the width of WIDTH_POINTS sampled images (seed
   TRACE_SEED + 2), as the mean over dimensions;
@@ -52,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parents[1]
 EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4)  # the partition and the cell epsilon of each rung
 SAMPLES, DATA_SEED, TWIST = 20_000, 1, 0.6
+SAMPLES_AXIS, SAMPLES_EPSILON = (SAMPLES, 200_000, 2_000_000), 1e-3
 HIDDEN, GAMMA, FIT_SEED = 20, 1.5e-5, 0
 TRACES, TRACE_LENGTH, TRACE_SEED = 400, 400, 0
 FORMULA = "AG !EXIT"
@@ -70,7 +72,8 @@ def setup() -> dict:
     return {"dataset": f"tests/synthdata.swirl_dataset({SAMPLES}, seed={DATA_SEED}, twist={TWIST})",
             "zone": [[-1.0, -1.0], [1.0, 1.0]], "hidden": HIDDEN, "gamma": GAMMA, "fit_seed": FIT_SEED,
             "traces": TRACES, "trace_length": TRACE_LENGTH, "trace_seed": TRACE_SEED, "formula": FORMULA,
-            "repeats": REPEATS, "transition_repeats": TRANSITION_REPEATS, "epsilons": list(EPSILONS)}
+            "repeats": REPEATS, "transition_repeats": TRANSITION_REPEATS, "epsilons": list(EPSILONS),
+            "samples": list(SAMPLES_AXIS), "samples_epsilon": SAMPLES_EPSILON}
 
 
 def best_of(k: int, call):
@@ -83,14 +86,15 @@ def best_of(k: int, call):
     return result, best
 
 
-def rung(epsilon: float, repeats: int = REPEATS, transition_repeats: int = TRANSITION_REPEATS) -> dict:
-    """Counts, stage seconds, peak RSS and precision of one rung, run in this process."""
+def rung(epsilon: float, samples: int = SAMPLES, repeats: int = REPEATS,
+         transition_repeats: int = TRANSITION_REPEATS) -> dict:
+    """Counts, stage seconds, peak RSS and precision of one rung on `samples` samples, run in this process."""
     import numpy as np
     from dynabs import (Box, WorkingZone, build_cells, compute_transitions, me_partition, merge_and_learn,
                         parse_ctl, sample_traces, sat_set)
     from synthdata import swirl_dataset
 
-    data = swirl_dataset(SAMPLES, seed=DATA_SEED, twist=TWIST)
+    data = swirl_dataset(samples, seed=DATA_SEED, twist=TWIST)
     zone = WorkingZone(Box(-np.ones(2), np.ones(2)))
     seconds = {}
     parts, seconds["partition"] = best_of(repeats, lambda: me_partition(zone, data.states, epsilon))
@@ -158,15 +162,11 @@ def precision(model, ts, formula) -> dict:
     omega = model.zone.omega
     rng = np.random.default_rng(TRACE_SEED + 1)
     x = rng.uniform(omega.lo, omega.hi, size=(WITNESS_RUNS, omega.dim))
-    src, taken = cells.locate(x), []
-    for _ in range(WITNESS_STEPS):
-        if not len(x):
-            break
-        x = model.step(x)
-        dst = cells.locate(x)
-        taken.append(src * (n + 1) + np.where(dst < 0, n, dst))
-        inside = dst >= 0
-        x, src = x[inside], dst[inside]
+    src, taken = cells.locate(x), []  # the cell of each run's state
+    for live, nxt, _ in model.rollout(x, [None] * WITNESS_STEPS):
+        dst = cells.locate(nxt)
+        taken.append(src[live] * (n + 1) + np.where(dst < 0, n, dst))
+        src[live] = dst
     witnessed = np.count_nonzero(relation.ravel()[np.unique(np.concatenate(taken))]) / np.count_nonzero(rows)
 
     rng = np.random.default_rng(TRACE_SEED + 2)
@@ -189,13 +189,13 @@ def precision(model, ts, formula) -> dict:
     return {k: v if isinstance(v, int) else float(f"{v:.4g}") for k, v in zip(PRECISION, values)}
 
 
-def run_rung(root: Path, epsilon: float) -> dict:
+def run_rung(root: Path, epsilon: float, samples: int = SAMPLES) -> dict:
     """One rung in a fresh process over `root`'s sources, with its peak RSS."""
-    out = subprocess.run([sys.executable, __file__, "--root", str(root), "--rung", repr(epsilon)],
+    out = subprocess.run([sys.executable, __file__, "--root", str(root), "--rung", repr(epsilon), str(samples)],
                          capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": "0"})
     if out.returncode:
         sys.stderr.write(out.stderr)
-        raise SystemExit(f"error: the rung at epsilon {epsilon!r} exited {out.returncode}")
+        raise SystemExit(f"error: the rung at epsilon {epsilon!r} on {samples} samples exited {out.returncode}")
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -211,7 +211,8 @@ def entry(root: Path, label: str) -> dict:
     return {"label": label, "commit": commit(root), "python": platform.python_version(), "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "rungs": [run_rung(root, epsilon) for epsilon in EPSILONS]}
+            "rungs": [run_rung(root, epsilon) for epsilon in EPSILONS],
+            "samples": [{"samples": samples} | run_rung(root, SAMPLES_EPSILON, samples) for samples in SAMPLES_AXIS]}
 
 
 def main(argv=None) -> int:
@@ -219,12 +220,12 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ and tests/ to run")
     p.add_argument("--label", default="", help="what the entry measures")
     p.add_argument("--append", type=Path, help="append the entry to this JSON file")
-    p.add_argument("--rung", type=float, help=argparse.SUPPRESS)  # one rung, in this process
+    p.add_argument("--rung", type=float, nargs=2, help=argparse.SUPPRESS)  # epsilon, samples: one rung, in this process
     args = p.parse_args(argv)
     root = args.root.resolve()
     if args.rung is not None:
         sys.path[:0] = [str(root / "src"), str(root / "tests")]
-        print(json.dumps(rung(args.rung)))
+        print(json.dumps(rung(args.rung[0], int(args.rung[1]))))
         return 0
     doc = entry(root, args.label)
     if args.append is None:
