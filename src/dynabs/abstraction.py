@@ -58,9 +58,12 @@ def sample_traces(model: HybridModel, L: int, M: int, seed: int) -> np.ndarray:
     ib = model.zone.input_bounds
     draws = (rng.uniform(ib.lo, ib.hi, size=(L, n_u)) if n_u else None for _ in range(M))
     for _, nxt, inside in model.rollout(x, draws):
-        kept = nxt if inside.all() else nxt[inside]
-        states[n: n + len(kept)] = kept
-        n += len(kept)
+        kept = np.count_nonzero(inside)
+        if kept == len(nxt):  # a plain copy: compress gathers even under an all-true mask
+            states[n: n + kept] = nxt
+        else:
+            np.compress(inside, nxt, axis=0, out=states[n: n + kept])
+        n += kept
 
     return states[:n]
 

@@ -103,12 +103,31 @@ class HybridModel:
         """
         return self.tree.locate(states, self.region_walk)
 
+    def region_blocks(self, ids, unit_bytes: int) -> tuple[np.ndarray, list[tuple[ElmNetwork, int, int]]]:
+        """The one walk of rows by region: the stable sort order of the
+        region ids `ids`, and one (network, i, j) span per block of each
+        region's rows in that order, regions ascending, where `order[i:j]`
+        are rows of the region whose network that is. A row takes
+        `unit_bytes` per hidden unit of its network from `geometry.blocks`.
+        An id outside 1..n_regions raises ValueError naming it.
+        """
+        order, runs = id_runs(ids)
+        if runs and not 1 <= runs[0][0] <= runs[-1][0] <= self.n_regions:
+            bad = runs[0][0] if runs[0][0] < 1 else runs[-1][0]
+            raise ValueError(f"region id {bad} outside 1..{self.n_regions}")
+        spans = []
+        for rid, a, b in runs:
+            net = self.network_of(rid)
+            for i, j in blocks(a, b, unit_bytes * net.hidden_count):
+                spans.append((net, i, j))
+        return order, spans
+
     def predict_located(self, z: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Batch step for pre-located samples: row i of z through the network
         of region ids[i].
 
         Each network runs on the run of its rows in a stable sort by id, in
-        pieces of one block of activations (`geometry.STACK_BYTES`). Since
+        pieces of one block of activations (`region_blocks`). Since
         `predict_batch` gives a row the bits it gets inside any batch, every
         row gets the bits `predict_batch` gives the rows of its region alone.
         A step that is not finite raises FloatingPointError naming its row's
@@ -117,18 +136,13 @@ class HybridModel:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if np.shape(ids) != z.shape[:1]:
             raise ValueError(f"{np.shape(ids)} region ids for {z.shape[0]} rows")
-        order, runs = id_runs(ids)
-        if runs and not 1 <= runs[0][0] <= runs[-1][0] <= self.n_regions:
-            bad = runs[0][0] if runs[0][0] < 1 else runs[-1][0]
-            raise ValueError(f"region id {bad} outside 1..{self.n_regions}")
+        order, spans = self.region_blocks(ids, 8)
         zs = z[order]
         n_x = self.zone.n_x
         out = np.empty((z.shape[0], n_x))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming its row
-            for rid, a, b in runs:
-                net = self.network_of(rid)
-                for i, j in blocks(a, b, 8 * net.hidden_count):
-                    out[order[i:j]] = predict_batch(net, zs[i:j])
+            for net, i, j in spans:
+                out[order[i:j]] = predict_batch(net, zs[i:j])
         if not np.isfinite(out).all():
             bad = int(np.argmin(np.isfinite(out).all(axis=1)))
             given = f" with input {z[bad, n_x:].tolist()}" if self.zone.n_u else ""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elm import ElmNetwork, id_runs
+from .elm import ElmNetwork
 from .geometry import Box, BoxTree
 from .hybrid import HybridModel
 
@@ -118,7 +118,8 @@ def cell_successor_box(model: HybridModel, cells: Box | BoxTree) -> ReachResult:
     `cells` is one `Box`, which is one cell, or a `BoxTree` whose rows are
     the cells. The pieces of all cells come from one positive-width range
     query down the model's region-box index (`BoxTree.overlapping`), and
-    each network encloses all of its pieces, over all cells, in one call.
+    each network encloses its pieces, over all cells, one block of the
+    model's region walk (`HybridModel.region_blocks`) per call.
     The regions tile the zone, so a cell inside the zone always yields at
     least one piece. An enclosure that is not finite (the network overflows
     on the piece) raises FloatingPointError naming the cell and the region,
@@ -139,14 +140,14 @@ def cell_successor_box(model: HybridModel, cells: Box | BoxTree) -> ReachResult:
     if ib is not None:
         in_lo = np.concatenate([in_lo, np.broadcast_to(ib.lo, (in_lo.shape[0], ib.dim))], axis=1)
         in_hi = np.concatenate([in_hi, np.broadcast_to(ib.hi, (in_hi.shape[0], ib.dim))], axis=1)
-    order, runs = id_runs(region_ids)
-    run_lo, run_hi = in_lo[order], in_hi[order]
+    # elm_output_box takes four bound products per layer: 32 (n_in + n_out) bytes per piece and unit
+    order, spans = model.region_blocks(region_ids, 32 * (in_lo.shape[1] + model.zone.n_x))
     out_lo = np.empty((region_ids.size, model.zone.n_x))
     out_hi = np.empty_like(out_lo)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rid, a, b in runs:
-            rows = order[a:b]
-            out_lo[rows], out_hi[rows] = elm_output_box(model.network_of(rid), run_lo[a:b], run_hi[a:b])
+        for net, i, j in spans:
+            rows = order[i:j]
+            out_lo[rows], out_hi[rows] = elm_output_box(net, in_lo[rows], in_hi[rows])
     finite = np.isfinite(out_lo).all(axis=1) & np.isfinite(out_hi).all(axis=1)
     if not finite.all():
         p = int(np.argmin(finite))

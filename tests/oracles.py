@@ -296,10 +296,11 @@ def trajectory_swirl(n_samples: int, seed: int, trajectories=None, **swirl_kwarg
     """The (z, y) rows of `synthdata.swirl_dataset(n_samples, seed,
     **swirl_kwargs)` that the listed trajectories (every one by default)
     give, in their order: each start state is its own (1, 2) draw and each
-    trajectory takes its 100 steps one row at a time."""
+    trajectory takes its 100 steps one row at a time, the last only as many
+    as n_samples leaves."""
     rng = np.random.default_rng(seed)
     steps = 100
-    n_traj = max(1, n_samples // steps)
+    n_traj = max(1, -(-n_samples // steps))
     starts = [rng.uniform(-0.7, 0.7, size=(1, 2)) for _ in range(n_traj)]
     zs, ys = [], []
     for k in range(n_traj) if trajectories is None else trajectories:

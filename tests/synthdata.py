@@ -21,13 +21,14 @@ def swirl_step(x: np.ndarray, damping: float = 0.96, base_angle: float = 0.15, t
 
 
 def swirl_dataset(n_samples: int = 2000, seed: int = 1, **swirl_kwargs) -> Dataset:
-    """One-step samples harvested from swirl trajectories inside [-1, 1]^2,
-    trajectory-major: every trajectory takes 100 steps, all of them at once."""
+    """`n_samples` one-step samples harvested from swirl trajectories inside
+    [-1, 1]^2, trajectory-major: every trajectory takes 100 steps, all of
+    them at once, and the last one is cut short to give exactly n_samples."""
     rng = np.random.default_rng(seed)
     steps = 100
     # initial L2 norm < 1 and the map is an L2 contraction, so every
     # visited state stays inside [-1, 1]^2
-    x = rng.uniform(-0.7, 0.7, size=(max(1, n_samples // steps), 2))
+    x = rng.uniform(-0.7, 0.7, size=(max(1, -(-n_samples // steps)), 2))
     states = [x]
     for _ in range(steps):
         states.append(swirl_step(states[-1], **swirl_kwargs))

@@ -18,8 +18,8 @@ SWIRL_CASES = [
     (800, 1, {"twist": 0.1, "damping": 0.96}), (800, 2, {"twist": 0.6, "damping": 0.96}),
     (800, 3, {"twist": 1.2, "damping": 0.9}), (800, 4, {"twist": 0.3, "damping": 0.92}),
     (800, 5, {"twist": 2.0, "damping": 0.88}),
-    # fewer samples than one trajectory, and a count that is not a whole number of trajectories
-    (50, 2, {}), (150, 5, {}),
+    # fewer samples than one trajectory, and counts that are not a whole number of trajectories
+    (50, 2, {}), (150, 5, {}), (150, 1, {"twist": 0.6}), (1250, 1, {}), (1250, 3, {"twist": 0.6}),
 ]
 # above this many trajectories only the first, middle and last WINDOW of them are stepped one at a time
 WHOLE, WINDOW = 200, 20
@@ -30,8 +30,8 @@ def test_swirl_dataset_equals_the_per_trajectory_loop(n, seed, kwargs):
     """All trajectories at once give the samples of one trajectory at a time,
     bit for bit, in trajectory-major order."""
     data = swirl_dataset(n, seed=seed, **kwargs)
-    n_traj = max(1, n // 100)
-    assert data.z.shape == data.y.shape == (min(n, 100 * n_traj), 2)  # whole trajectories only, then cut to n
+    n_traj = -(-n // 100)
+    assert data.z.shape == data.y.shape == (n, 2)  # the last trajectory cut short
     picked = np.arange(n_traj)
     if n_traj > WHOLE:
         mid = n_traj // 2
